@@ -10,7 +10,8 @@ Config grammar (sections and keys; angles in radians):
     [scenario]  kind, seed
     [physics]   k, theta1, theta2, a, b
     [numerics]  N, M, L, wood_tol, m_schedule, cases, a2_floor
-    [profile]   direction, slabs, qcoef (lines of "j re im"; qcoef2... per slab)
+    [profile]   direction, slabs, qcoef (lines of "j re im"; qcoef2... per slab,
+                a slab without its own qcoefK reuses slab 1's qcoef)
     [profile2]  second profile for moments / reconstruct / gapcheck
     [incidence] pol_seed ("x y z") or p1/p2/p3 (complex literals)
     [green]     x, y ("x1 x2 x3"), h

@@ -20,7 +20,11 @@ and the vertical components are recovered algebraically as
 E3 = -(1/k) Q^-1 (D1 H2 - D2 H1), H3 = (1/k)(D1 E2 - D2 E1).
 
 Because q depends on x1 only, modes with different n2 never couple: every
-matrix above is block diagonal over n2, and all solves run per block.
+matrix above is block diagonal over n2.  The solver holds each slab's
+operators, eigenbasis and reflection matrices as arrays stacked over that
+block axis, block ib holding the modes with n2 = ib - N, and runs every
+solve as one batched call over the stack.  Mode-set order is n2-major, so an
+(m, 3) coefficient array reshapes straight into blocks.
 
 Eigen-decomposing M^2 = AB per slab gives exponents +/- gamma_j and transverse
 profiles; slabs are joined by a reflection-matrix recursion started at the
@@ -114,7 +118,6 @@ class MediumProfile:
         self.slabs = list(slabs)
         self.direction = direction
         self.b = float(sum(s.height for s in self.slabs))
-        self.one_directional = True
         grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
         samples = np.concatenate([s.q_values(grid) for s in self.slabs])
         self.gamma_lower = float(np.min(samples.real))
@@ -175,77 +178,115 @@ class MediumProfile:
         return h.hexdigest()[:16]
 
 
-class _BlockBasis:
-    """Eigen data of the transverse system for one n2 block of one slab."""
-
-    def __init__(self, W, V, gamma, A, B, cond_w):
-        self.W = W
-        self.V = V
-        self.gamma = gamma
-        self.A = A
-        self.B = B
-        self.cond_w = cond_w
-
-
+@dataclass(eq=False)
 class ModalBasis:
-    """Per-slab transverse eigenbasis, one block per n2 index."""
+    """Transverse eigenbasis of one slab, stacked over the n2 blocks.
 
-    def __init__(self, modeset: ModeSet, slab_index: int, blocks):
-        self.modeset = modeset
-        self.slab_index = slab_index
-        self.blocks = blocks
+    ``W``, ``V`` have shape (2N+1, 2mb, 2mb) and ``gamma`` (2N+1, 2mb), with
+    mb = 2N+1 the block size.  Block ``ib`` holds the modes with n2 = ib - N;
+    within a block, column j is the mode with tangential E profile W[ib, :, j]
+    ([E1; E2] over n1 = -N..N), H profile V[ib, :, j] and exponent
+    gamma[ib, j].
+    """
+
+    modeset: ModeSet
+    slab_index: int
+    slab: Slab
+    W: np.ndarray
+    V: np.ndarray
+    gamma: np.ndarray
+    cond: float         # largest condition number of W over the blocks
 
     def exponents(self) -> np.ndarray:
         """All propagation exponents, both signs, flattened over blocks."""
-        g = np.concatenate([blk.gamma for blk in self.blocks])
-        return np.concatenate([g, -g])
+        return np.concatenate([self.gamma.ravel(), -self.gamma.ravel()])
 
     def eigen_residual(self) -> float:
         """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| over the full eigen set."""
-        worst = 0.0
-        for blk in self.blocks:
-            mnorm = max(np.linalg.norm(blk.A, 2), np.linalg.norm(blk.B, 2))
-            ra = blk.A @ blk.V - blk.W * blk.gamma[None, :]
-            rb = blk.B @ blk.W - blk.V * blk.gamma[None, :]
-            res = np.sqrt(np.sum(np.abs(ra) ** 2, axis=0) + np.sum(np.abs(rb) ** 2, axis=0))
-            scale = np.sqrt(np.sum(np.abs(blk.W) ** 2, axis=0) + np.sum(np.abs(blk.V) ** 2, axis=0))
-            worst = max(worst, float(np.max(res / (scale * mnorm))))
-        return worst
+        A, B = _block_operators(self.slab, self.modeset)
+        mnorm = np.maximum(np.linalg.matrix_norm(A, ord=2), np.linalg.matrix_norm(B, ord=2))
+        g = self.gamma[:, None, :]
+        ra = A @ self.V - self.W * g
+        rb = B @ self.W - self.V * g
+        res = np.sqrt(np.sum(np.abs(ra) ** 2, axis=1) + np.sum(np.abs(rb) ** 2, axis=1))
+        scale = np.sqrt(np.sum(np.abs(self.W) ** 2, axis=1) + np.sum(np.abs(self.V) ** 2, axis=1))
+        return float(np.max(res / (scale * mnorm[:, None])))
 
     def max_condition(self) -> float:
-        return max(blk.cond_w for blk in self.blocks)
+        return self.cond
 
 
-def _block_operators(slab: Slab, modeset: ModeSet, n2: int):
-    """Assemble A, B (and the Toeplitz factor of q) for one n2 block."""
+def _to_blocks(modeset: ModeSet, coeffs) -> np.ndarray:
+    """(m, >=2) coefficients -> (2N+1, 2mb) block vectors [c1-block; c2-block]."""
+    nb = 2 * modeset.N + 1
+    return coeffs[:, :2].reshape(nb, modeset.block_size, 2).transpose(0, 2, 1).reshape(nb, -1)
+
+
+def _from_blocks(modeset: ModeSet, vecs) -> np.ndarray:
+    """(2N+1, 2mb) block vectors -> (m, 3) coefficients with a zero third column."""
+    out = np.zeros((modeset.num_modes, 3), dtype=complex)
+    out[:, :2] = vecs.reshape(-1, 2, modeset.block_size).transpose(0, 2, 1).reshape(-1, 2)
+    return out
+
+
+def _wavenumbers(modeset: ModeSet):
+    """alpha1 + n1 over one block, shape (mb,), and alpha2 + n2 per block, shape (2N+1, 1)."""
+    n = np.arange(-modeset.N, modeset.N + 1)
+    return modeset.alpha.alpha1 + n, (modeset.alpha.alpha2 + n)[:, None]
+
+
+def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
+    where = f"block {ib} (n2 = {ib - (nblocks - 1) // 2})"
+    return where if slab is None else f"slab {slab}, {where}"
+
+
+def _guard(mats, stage: str, slab: int | None = None, limit: float | None = None,
+           error=SingularMatch) -> float:
+    """Largest condition number over a stack of matrices, refused above ``limit``.
+
+    ``limit`` defaults to the module's COND_LIMIT as it stands at call time.
+    A non-finite condition or one above the limit raises ``error`` naming the
+    stage, the slab (when known) and the first failing n2 block.
+    """
+    limit = COND_LIMIT if limit is None else limit
+    conds = np.linalg.cond(mats)
+    bad = np.flatnonzero(~(conds <= limit))
+    if bad.size:
+        ib = int(bad[0])
+        raise error(f"{stage} condition {conds[ib]:.2e} exceeds {limit:g} at "
+                    f"{_block_label(ib, len(conds), slab)}")
+    return float(np.max(conds))
+
+
+def _block_operators(slab: Slab, modeset: ModeSet):
+    """Assemble A, B stacked over the n2 blocks: (2N+1, 2mb, 2mb) each."""
     ms = modeset
     mb = ms.block_size
     k = ms.k
-    a1 = ms.alpha.alpha1 + np.arange(-ms.N, ms.N + 1)
-    a2 = ms.alpha.alpha2 + n2
+    d1, a2 = _wavenumbers(ms)
+    c2 = a2[:, :, None]
     Q = slab.toeplitz(mb)
     eye = np.eye(mb, dtype=complex)
     if slab.is_uniform:
-        q0 = slab.mean
-        Qinv = eye / q0
+        Qinv = eye / slab.mean
     else:
         try:
             Qinv = np.linalg.inv(Q)
         except np.linalg.LinAlgError as exc:
             raise EigenFailure(f"forward.solve_layer_modes: q Toeplitz factor singular ({exc})")
-    d1 = a1
-    A = np.zeros((2 * mb, 2 * mb), dtype=complex)
-    B = np.zeros((2 * mb, 2 * mb), dtype=complex)
+    A = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
+    B = np.zeros_like(A)
     d1Qinv = d1[:, None] * Qinv
-    A[:mb, :mb] = (a2 / k) * d1Qinv
-    A[:mb, mb:] = k * eye - (d1Qinv * d1[None, :]) / k
-    A[mb:, :mb] = (a2 * a2 / k) * Qinv - k * eye
-    A[mb:, mb:] = -(a2 / k) * (Qinv * d1[None, :])
-    B[:mb, :mb] = np.diag(-(a2 / k) * d1)
-    B[:mb, mb:] = np.diag(d1 * d1 / k) - k * Q
-    B[mb:, :mb] = k * Q - (a2 * a2 / k) * eye
-    B[mb:, mb:] = np.diag((a2 / k) * d1)
-    return A, B, Q
+    A[:, :mb, :mb] = (c2 / k) * d1Qinv
+    A[:, :mb, mb:] = k * eye - (d1Qinv * d1[None, :]) / k
+    A[:, mb:, :mb] = (c2 * c2 / k) * Qinv - k * eye
+    A[:, mb:, mb:] = -(c2 / k) * (Qinv * d1[None, :])
+    diag = np.arange(mb)
+    B[:, diag, diag] = -(a2 / k) * d1
+    B[:, :mb, mb:] = np.diag(d1 * d1 / k) - k * Q
+    B[:, mb:, :mb] = k * Q - (c2 * c2 / k) * eye
+    B[:, mb + diag, mb + diag] = (a2 / k) * d1
+    return A, B
 
 
 def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet,
@@ -253,55 +294,46 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet,
     """Eigen-decompose the transverse propagation system of one slab.
 
     For a uniform slab the system is already diagonal and the exponents are
-    the mode constants of the shifted wavenumber k^2 -> k^2 q0; otherwise a
-    dense eigensolve runs per n2 block.
+    the mode constants of the shifted wavenumber k^2 -> k^2 q0; otherwise one
+    batched dense eigensolve runs over all n2 blocks.
     """
     if profile.direction != "x1":
         raise ValidationError(
             "forward.solve_layer_modes: solver expects q = q(x1); swap the profile direction first")
     slab = profile.slabs[slab_index]
     ms = modeset
-    mb = ms.block_size
-    blocks = []
-    for n2 in range(-ms.N, ms.N + 1):
-        A, B, _ = _block_operators(slab, ms, n2)
-        if slab.is_uniform:
-            a1 = ms.alpha.alpha1 + np.arange(-ms.N, ms.N + 1)
-            a2 = ms.alpha.alpha2 + n2
-            g = _sqrt_up(ms.k ** 2 * slab.mean - a1 ** 2 - a2 ** 2)
-            gamma = np.concatenate([g, g])
-            W = np.eye(2 * mb, dtype=complex)
-            V = B / gamma[None, :]
-            cond_w = 1.0
-        else:
-            try:
-                w2, W = scipy.linalg.eig(A @ B)
-            except Exception as exc:  # LAPACK non-convergence
-                raise EigenFailure(f"forward.solve_layer_modes: eigensolve failed ({exc})")
-            if not np.all(np.isfinite(w2)):
-                raise EigenFailure("forward.solve_layer_modes: non-finite eigenvalues")
-            gamma = _sqrt_up(w2)
-            if np.any(np.abs(gamma) < 1e-12 * ms.k):
-                raise EigenFailure(
-                    "forward.solve_layer_modes: vanishing propagation exponent (degenerate slab)")
-            V = (B @ W) / gamma[None, :]
-            cond_w = float(np.linalg.cond(W))
-            if cond_w > cond_limit:
-                raise IllConditionedBasis(
-                    f"forward.solve_layer_modes: basis condition {cond_w:.2e} exceeds {cond_limit:g}")
-        blocks.append(_BlockBasis(W, V, gamma, A, B, cond_w))
-    return ModalBasis(ms, slab_index, blocks)
-
-
-def _solve_guarded(mat, rhs, where: str):
-    cond = np.linalg.cond(mat)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularMatch(f"{where}: matching system condition {cond:.2e} exceeds {COND_LIMIT:g}")
-    return np.linalg.solve(mat, rhs), float(cond)
+    A, B = _block_operators(slab, ms)
+    if slab.is_uniform:
+        a1, a2 = _wavenumbers(ms)
+        g = _sqrt_up(ms.k ** 2 * slab.mean - a1 ** 2 - a2 ** 2)
+        gamma = np.concatenate([g, g], axis=1)
+        W = np.broadcast_to(np.eye(2 * ms.block_size, dtype=complex), B.shape)
+        return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, 1.0)
+    try:
+        w2, W = scipy.linalg.eig(A @ B)
+    except Exception as exc:  # LAPACK non-convergence
+        raise EigenFailure(
+            f"forward.solve_layer_modes: eigensolve failed at slab {slab_index} ({exc})")
+    gamma = _sqrt_up(w2)
+    bad = np.flatnonzero(~np.all(np.isfinite(w2), axis=1)
+                         | np.any(np.abs(gamma) < 1e-12 * ms.k, axis=1))
+    if bad.size:
+        raise EigenFailure(
+            "forward.solve_layer_modes: non-finite or vanishing propagation exponent "
+            f"(degenerate slab) at {_block_label(int(bad[0]), len(w2), slab_index)}")
+    cond = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, cond_limit,
+                  IllConditionedBasis)
+    return ModalBasis(ms, slab_index, slab, W, (B @ W) / gamma[:, None, :], gamma, cond)
 
 
 class _Stack:
-    """Reflection recursion through the slab stack, per n2 block."""
+    """Reflection recursion through the slab stack, batched over the n2 blocks.
+
+    Per slab j, ``r[j]`` is the reflection matrix at the slab's bottom face
+    and ``phi[j]`` its one-slab propagation factors; ``P[j]`` maps downgoing
+    amplitudes at the top face to tangential E there, and ``top_H`` does the
+    same for tangential H at the top of the stack.
+    """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
         profile.validate()
@@ -315,82 +347,42 @@ class _Stack:
         self.qlu = [scipy.linalg.lu_factor(s.toeplitz(modeset.block_size))
                     for s in profile.slabs]
         self.max_cond = 1.0
-        nblk = 2 * modeset.N + 1
-        # Per block: list over slabs of (r_bot, r_top, phi); plus top-face maps.
-        self.records = []
-        self.top_P = []      # W_L (r_top + I)
-        self.top_H = []      # V_L (r_top - I)
-        for ib in range(nblk):
-            recs = []
-            r = -np.eye(2 * modeset.block_size, dtype=complex)
-            for j, slab in enumerate(profile.slabs):
-                blk = self.bases[j].blocks[ib]
-                phi = np.exp(1j * blk.gamma * slab.height)
-                if j > 0:
-                    prev = self.bases[j - 1].blocks[ib]
-                    r_prev_top = recs[-1][1]
-                    P = prev.W @ (r_prev_top + np.eye(r.shape[0]))
-                    Hm = prev.V @ (r_prev_top - np.eye(r.shape[0]))
-                    Y, cond = self._admittance(P, Hm)
-                    lhs = blk.V - Y @ blk.W
-                    rhs = blk.V + Y @ blk.W
-                    r, cond2 = _solve_guarded(lhs, rhs, "forward: interface match")
-                    self.max_cond = max(self.max_cond, cond, cond2)
-                r_top = (phi[:, None] * r) * phi[None, :]
-                recs.append((r, r_top, phi))
-            self.records.append(recs)
-            blk = self.bases[-1].blocks[ib]
-            r_top = recs[-1][1]
-            eye = np.eye(r_top.shape[0])
-            self.top_P.append(blk.W @ (r_top + eye))
-            self.top_H.append(blk.V @ (r_top - eye))
+        self.r, self.phi, self.P = [], [], []
+        eye = np.eye(2 * modeset.block_size)
+        r = -eye
+        for j, (slab, basis) in enumerate(zip(profile.slabs, self.bases)):
+            if j > 0:
+                self.max_cond = max(self.max_cond,
+                                    _guard(self.P[-1], "forward: interface admittance", j))
+                YW = H @ np.linalg.inv(self.P[-1]) @ basis.W
+                r = self.solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
+            phi = np.exp(1j * basis.gamma * slab.height)
+            r_top = (phi[:, :, None] * r) * phi[:, None, :]
+            self.r.append(r)
+            self.phi.append(phi)
+            self.P.append(basis.W @ (r_top + eye))
+            H = basis.V @ (r_top - eye)
+        self.top_H = H
 
-    @staticmethod
-    def _admittance(P, Hm):
-        cond = np.linalg.cond(P)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularMatch(
-                f"forward: interface admittance condition {cond:.2e} exceeds {COND_LIMIT:g}")
-        return Hm @ np.linalg.inv(P), float(cond)
+    def solve(self, mats, rhs, stage: str, slab: int | None = None):
+        """Guarded batched solve; a stack of vectors ``rhs`` gives vectors back."""
+        self.max_cond = max(self.max_cond, _guard(mats, stage, slab))
+        if rhs.shape == mats.shape[:-1]:
+            return np.linalg.solve(mats, rhs[..., None])[..., 0]
+        return np.linalg.solve(mats, rhs)
 
-    def block_tangential(self, coeffs, ib: int) -> np.ndarray:
-        """Extract [E1-block; E2-block] from (m, 3) coefficients."""
-        sl = self.modeset.block_slice(ib - self.modeset.N)
-        return np.concatenate([coeffs[sl, 0], coeffs[sl, 1]])
+    def downward_amplitudes(self, d):
+        """Per-slab (u, d) amplitude pairs, top slab included, from the top-face d.
 
-    def solve_top(self, et_top_blocks):
-        """Given tangential E at Gamma_b per block, return amplitudes and H trace."""
-        ms = self.modeset
-        mb = ms.block_size
-        d_blocks = []
-        h_blocks = []
-        for ib in range(2 * ms.N + 1):
-            d, cond = _solve_guarded(self.top_P[ib], et_top_blocks[ib],
-                                     "forward.solve_qpbvp: trace match")
-            self.max_cond = max(self.max_cond, cond)
-            d_blocks.append(d)
-            h_blocks.append(self.top_H[ib] @ d)
-        return d_blocks, h_blocks
-
-    def downward_amplitudes(self, d_blocks):
-        """Per-slab (u, d) amplitude pairs for every block, top slab included."""
-        ms = self.modeset
-        nsl = len(self.profile.slabs)
-        amps = [[None] * nsl for _ in range(2 * ms.N + 1)]
-        for ib in range(2 * ms.N + 1):
-            recs = self.records[ib]
-            d = d_blocks[ib]
-            for j in range(nsl - 1, -1, -1):
-                r_bot, _, phi = recs[j]
-                u = r_bot @ (phi * d)
-                amps[ib][j] = (u, d)
-                if j > 0:
-                    blk = self.bases[j].blocks[ib]
-                    et_bot = blk.W @ (u + phi * d)
-                    prev = self.bases[j - 1].blocks[ib]
-                    P = prev.W @ (recs[j - 1][1] + np.eye(len(u)))
-                    d, cond = _solve_guarded(P, et_bot, "forward: downward sweep")
-                    self.max_cond = max(self.max_cond, cond)
+        The interface matrices were guarded when the stack was built.
+        """
+        amps = [None] * len(self.profile.slabs)
+        for j in range(len(amps) - 1, -1, -1):
+            u = np.matvec(self.r[j], self.phi[j] * d)
+            amps[j] = (u, d)
+            if j > 0:
+                et_bot = np.matvec(self.bases[j].W, u + self.phi[j] * d)
+                d = np.linalg.solve(self.P[j - 1], et_bot[..., None])[..., 0]
         return amps
 
 
@@ -413,33 +405,23 @@ class LayerField:
         ms = self.modeset
         mb = ms.block_size
         j = self.profile.slab_of(x3)
-        zlo = self._bounds[j]
-        zhi = self._bounds[j + 1]
-        E = np.zeros((ms.num_modes, 3), dtype=complex)
-        H = np.zeros((ms.num_modes, 3), dtype=complex)
-        dE = np.zeros((ms.num_modes, 3), dtype=complex) if derivatives else None
-        dH = np.zeros((ms.num_modes, 3), dtype=complex) if derivatives else None
-        a1 = ms.alpha.alpha1 + np.arange(-ms.N, ms.N + 1)
-        for ib in range(2 * ms.N + 1):
-            n2 = ib - ms.N
-            a2 = ms.alpha.alpha2 + n2
-            blk = self.stack.bases[j].blocks[ib]
-            u, d = self.amplitudes[ib][j]
-            ep = np.exp(1j * blk.gamma * (x3 - zlo))
-            em = np.exp(1j * blk.gamma * (zhi - x3))
-            et = blk.W @ (ep * u + em * d)
-            ht = blk.V @ (ep * u - em * d)
-            e3 = -scipy.linalg.lu_solve(self.stack.qlu[j], a1 * ht[mb:] - a2 * ht[:mb]) / ms.k
-            h3 = (a1 * et[mb:] - a2 * et[:mb]) / ms.k
-            sl = ms.block_slice(n2)
-            E[sl, 0], E[sl, 1], E[sl, 2] = et[:mb], et[mb:], e3
-            H[sl, 0], H[sl, 1], H[sl, 2] = ht[:mb], ht[mb:], h3
-            if derivatives:
-                det = blk.W @ (1j * blk.gamma * (ep * u - em * d))
-                dht = blk.V @ (1j * blk.gamma * (ep * u + em * d))
-                dE[sl, 0], dE[sl, 1] = det[:mb], det[mb:]
-                dH[sl, 0], dH[sl, 1] = dht[:mb], dht[mb:]
+        basis = self.stack.bases[j]
+        u, d = self.amplitudes[j]
+        ep = np.exp(1j * basis.gamma * (x3 - self._bounds[j]))
+        em = np.exp(1j * basis.gamma * (self._bounds[j + 1] - x3))
+        et = np.matvec(basis.W, ep * u + em * d)
+        ht = np.matvec(basis.V, ep * u - em * d)
+        a1, a2 = _wavenumbers(ms)
+        rhs = (a1 * ht[:, mb:] - a2 * ht[:, :mb]).T
+        e3 = -scipy.linalg.lu_solve(self.stack.qlu[j], rhs).T / ms.k
+        h3 = (a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k
+        E = _from_blocks(ms, et)
+        H = _from_blocks(ms, ht)
+        E[:, 2] = e3.reshape(-1)
+        H[:, 2] = h3.reshape(-1)
         if derivatives:
+            dE = _from_blocks(ms, np.matvec(basis.W, 1j * basis.gamma * (ep * u - em * d)))
+            dH = _from_blocks(ms, np.matvec(basis.V, 1j * basis.gamma * (ep * u + em * d)))
             return E, H, dE, dH
         return E, H
 
@@ -531,14 +513,6 @@ class DtnMap:
                                                height=f.height)
 
 
-def _f_to_etangential(f: TangentialField) -> np.ndarray:
-    """Boundary datum f = e3 x E  =>  tangential E coefficients (m, 3)."""
-    out = np.zeros_like(f.coeffs)
-    out[:, 0] = f.coeffs[:, 1]
-    out[:, 1] = -f.coeffs[:, 0]
-    return out
-
-
 def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) -> QpbvpResult:
     """Solve the layer problem with conducting plate below and trace f above.
 
@@ -547,46 +521,31 @@ def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) ->
     """
     f.modeset.require_same(modeset, "forward.solve_qpbvp")
     stack = _Stack(profile, modeset)
-    et = _f_to_etangential(f)
-    et_blocks = [stack.block_tangential(et, ib) for ib in range(2 * modeset.N + 1)]
-    d_blocks, h_blocks = stack.solve_top(et_blocks)
-    trace = _blocks_to_tangential(modeset, h_blocks, profile.b, scale=1j * modeset.k)
-    amps = stack.downward_amplitudes(d_blocks)
-    return QpbvpResult(LayerField(stack, amps), trace, stack.max_cond)
-
-
-def _blocks_to_tangential(modeset: ModeSet, blocks, height: float,
-                          scale: complex = 1.0) -> TangentialField:
-    mb = modeset.block_size
-    coeffs = np.zeros((modeset.num_modes, 3), dtype=complex)
-    for ib, vec in enumerate(blocks):
-        sl = modeset.block_slice(ib - modeset.N)
-        coeffs[sl, 0] = scale * vec[:mb]
-        coeffs[sl, 1] = scale * vec[mb:]
-    return TangentialField(modeset, coeffs, height)
+    top = len(profile.slabs) - 1
+    et = f.coeffs[:, [1, 0]] * [1, -1]     # f = e3 x E  =>  E_t = (f2, -f1)
+    d = stack.solve(stack.P[top], _to_blocks(modeset, et), "forward.solve_qpbvp: trace match", top)
+    trace = _from_blocks(modeset, 1j * modeset.k * np.matvec(stack.top_H, d))
+    return QpbvpResult(LayerField(stack, stack.downward_amplitudes(d)),
+                       TangentialField(modeset, trace, profile.b), stack.max_cond)
 
 
 def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> DtnMap:
-    """Assemble the dense boundary-map matrix column block by column block."""
+    """Assemble the dense boundary-map matrix, one 2mb x 2mb block per n2."""
     stack = _Stack(profile, modeset)
     ms = modeset
     m = ms.num_modes
     mb = ms.block_size
-    matrix = np.zeros((2 * m, 2 * m), dtype=complex)
-    eye = np.eye(2 * mb, dtype=complex)
+    nb = 2 * ms.N + 1
     # J maps block [f1; f2] to block [E1; E2] = [f2; -f1].
-    J = np.zeros((2 * mb, 2 * mb), dtype=complex)
-    J[:mb, mb:] = np.eye(mb)
-    J[mb:, :mb] = -np.eye(mb)
-    for ib in range(2 * ms.N + 1):
-        cond = np.linalg.cond(stack.top_P[ib])
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            raise SingularMatch(
-                f"forward.assemble_dtn: trace match condition {cond:.2e} exceeds {COND_LIMIT:g}")
-        block = 1j * ms.k * stack.top_H[ib] @ np.linalg.solve(stack.top_P[ib], J)
-        sl = ms.block_slice(ib - ms.N)
-        rows = np.concatenate([np.arange(sl.start, sl.stop), m + np.arange(sl.start, sl.stop)])
-        matrix[np.ix_(rows, rows)] = block
+    J = np.kron([[0, 1], [-1, 0]], np.eye(mb))
+    top = len(profile.slabs) - 1
+    blocks = 1j * ms.k * stack.top_H @ stack.solve(stack.P[top], J,
+                                                   "forward.assemble_dtn: trace match", top)
+    # Matrix rows and columns split as (component, block, n1): scatter the
+    # diagonal of the block axis.
+    matrix = np.zeros((2 * m, 2 * m), dtype=complex)
+    ib = np.arange(nb)
+    matrix.reshape(2, nb, mb, 2, nb, mb)[:, ib, :, :, ib, :] = blocks.reshape(nb, 2, mb, 2, mb)
     return DtnMap(matrix, ms, profile.digest(), ms.digest())
 
 
@@ -660,30 +619,21 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     # Tangential curl of the incident field minus R applied to its rotated trace.
     g1 = 1j * (a2 * C[:, 2] + beta * C[:, 1]) - (r11 * C[:, 0] + r12 * C[:, 1])
     g2 = 1j * (-beta * C[:, 0] - a1 * C[:, 2]) - (r21 * C[:, 0] + r22 * C[:, 1])
-    d_blocks = []
-    et_blocks = []
-    for ib in range(2 * ms.N + 1):
-        sl = ms.block_slice(ib - ms.N)
-        rho = np.zeros((2 * mb, 2 * mb), dtype=complex)
-        rho[:mb, :mb] = np.diag(r11[sl])
-        rho[:mb, mb:] = np.diag(r12[sl])
-        rho[mb:, :mb] = np.diag(r21[sl])
-        rho[mb:, mb:] = np.diag(r22[sl])
-        msys = 1j * ms.k * stack.top_H[ib] - rho @ stack.top_P[ib]
-        rhs = np.concatenate([g1[sl], g2[sl]])
-        d, cond = _solve_guarded(msys, rhs, "forward.solve_scattering: boundary match")
-        stack.max_cond = max(stack.max_cond, cond)
-        d_blocks.append(d)
-        et_blocks.append(stack.top_P[ib] @ d)
-    trace_total = _blocks_to_tangential(ms, et_blocks, profile.b)
+    nb = 2 * ms.N + 1
+    P = stack.P[-1]
+    r11, r12, r21, r22 = (r.reshape(nb, mb, 1) for r in (r11, r12, r21, r22))
+    rho_P = np.concatenate([r11 * P[:, :mb] + r12 * P[:, mb:],
+                            r21 * P[:, :mb] + r22 * P[:, mb:]], axis=1)
+    d = stack.solve(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
+                    "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
+    trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta
     scat = np.zeros((ms.num_modes, 3), dtype=complex)
     scat[:, :2] = s_t
     scat[:, 2] = s3
     scattered = RayleighField(ms, scat, height=profile.b, direction="up")
-    amps = stack.downward_amplitudes(d_blocks)
-    return ScatteringResult(LayerField(stack, amps), scattered, incident0,
+    return ScatteringResult(LayerField(stack, stack.downward_amplitudes(d)), scattered, incident0,
                             trace_total, stack.max_cond)
 
 
@@ -692,7 +642,9 @@ def profile_from_mapping(mapping: dict) -> MediumProfile:
 
     Keys: ``direction`` ('x1' or 'x2'), ``slabs`` (whitespace-separated heights),
     ``qcoef`` (lines of ``j re im``, one Fourier coefficient per line; repeated
-    per slab via ``qcoef2``, ``qcoef3``, ... when the stack is layered).
+    per slab via ``qcoef2``, ``qcoef3``, ... when the stack is layered).  A slab
+    with no ``qcoefK`` of its own reuses slab 1's ``qcoef``, not the previous
+    slab's coefficients.
     """
     direction = mapping.get("direction", "x1").strip()
     heights = [float(tok) for tok in mapping["slabs"].split()]
@@ -702,7 +654,7 @@ def profile_from_mapping(mapping: dict) -> MediumProfile:
     for i, h in enumerate(heights):
         key = "qcoef" if i == 0 else f"qcoef{i + 1}"
         if key not in mapping and i > 0:
-            key = "qcoef"  # same coefficients for every slab
+            key = "qcoef"  # fall back to slab 1, not the previous slab
         coeffs = {}
         for line in mapping[key].strip().splitlines():
             parts = line.split()

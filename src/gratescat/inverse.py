@@ -257,8 +257,6 @@ def swap_direction(profile: MediumProfile, alpha: Quasimomentum | None = None):
     versa).  When a quasimomentum is supplied its components are swapped too
     and the pair is returned.
     """
-    if not profile.one_directional:
-        raise NotOneDirectional("inverse.swap_direction: profile is not one-directional")
     swapped = MediumProfile(list(profile.slabs),
                             "x1" if profile.direction == "x2" else "x2")
     if alpha is None:

@@ -4,7 +4,9 @@ import pytest
 from gratescat import (DipoleDensity, MediumProfile, PlaneWaveIncidence, Quasimomentum,
                        TangentialField, assemble_dtn, build_modeset, efficiencies,
                        solve_layer_modes, solve_qpbvp, solve_scattering)
-from gratescat.errors import TruncationMismatch, ValidationError
+from gratescat import forward
+from gratescat.errors import (IllConditionedBasis, SingularMatch, TruncationMismatch,
+                              ValidationError)
 from gratescat.forward import Slab, profile_from_mapping
 
 K = 1.25
@@ -43,6 +45,22 @@ def _impedance_oracle(q0, ms, j, et):
     Bm = np.array([[-a1 * a2, a1 * a1 - K * K * q0],
                    [K * K * q0 - a2 * a2, a1 * a2]]) / K
     return (K / gam) * (np.cos(gam * B) / np.sin(gam * B)) * (Bm @ et)
+
+
+def test_block_layout_maps_n2_to_block_axis():
+    ms = _modeset(3)
+    rng = np.random.default_rng(9)
+    coeffs = rng.normal(size=(ms.num_modes, 3)) + 1j * rng.normal(size=(ms.num_modes, 3))
+    blocks = forward._to_blocks(ms, coeffs)
+    mb = ms.block_size
+    assert blocks.shape == (2 * ms.N + 1, 2 * mb)
+    for n1, n2 in ((-3, -3), (0, 0), (2, -1), (3, 3)):
+        ib, j = n2 + ms.N, n1 + ms.N
+        assert blocks[ib, j] == coeffs[ms.index_of(n1, n2), 0]
+        assert blocks[ib, mb + j] == coeffs[ms.index_of(n1, n2), 1]
+    back = forward._from_blocks(ms, blocks)
+    assert np.array_equal(back[:, :2], coeffs[:, :2])
+    assert np.all(back[:, 2] == 0)
 
 
 def test_layer_modes_uniform_exponents():
@@ -85,6 +103,39 @@ def test_layer_modes_eigen_residual_and_condition():
     basis = solve_layer_modes(prof, 0, ms)
     assert basis.eigen_residual() <= 1e-10
     assert np.isfinite(basis.max_condition())
+
+
+def test_basis_condition_guard_threshold():
+    ms = _modeset(4)
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.4, -1: 0.4}, B)
+    basis = solve_layer_modes(prof, 0, ms)
+    worst = basis.max_condition()
+    assert worst > 1.0
+    ib = int(np.argmax(np.linalg.cond(basis.W)))
+    with pytest.raises(IllConditionedBasis) as err:
+        solve_layer_modes(prof, 0, ms, cond_limit=worst * (1 - 1e-9))
+    msg = str(err.value)
+    assert "forward.solve_layer_modes: eigenbasis" in msg
+    assert f"slab 0, block {ib} (n2 = {ib - ms.N})" in msg
+    again = solve_layer_modes(prof, 0, ms, cond_limit=worst * (1 + 1e-9))
+    assert again.max_condition() == worst
+
+
+def test_qpbvp_condition_guard_threshold(monkeypatch):
+    ms = _modeset(4)
+    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}),
+                          Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
+    reported = solve_qpbvp(prof, f, ms).condition
+    assert reported > 1.0
+    monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 - 1e-9))
+    with pytest.raises(SingularMatch) as err:
+        solve_qpbvp(prof, f, ms)
+    msg = str(err.value)
+    assert msg.startswith("forward")
+    assert "slab " in msg and "(n2 = " in msg
+    monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 + 1e-9))
+    assert solve_qpbvp(prof, f, ms).condition == reported
 
 
 def test_qpbvp_zero_data():
@@ -330,3 +381,14 @@ def test_profile_from_mapping():
     assert prof.slabs[1].coeffs[0] == 1.9 + 0.2j
     with pytest.raises(ValidationError):
         profile_from_mapping({"slabs": "0.5", "qcoef": "0 1.5"})
+
+
+def test_profile_from_mapping_falls_back_to_first_slab():
+    prof = profile_from_mapping({
+        "slabs": "0.2 0.3 0.4",
+        "qcoef": "0 1.5 0.1\n1 0.15 0\n-1 0.15 0",
+        "qcoef2": "0 1.9 0.2",
+    })
+    assert len(prof.slabs) == 3
+    assert prof.slabs[1].coeffs == {0: 1.9 + 0.2j}
+    assert prof.slabs[2].coeffs == prof.slabs[0].coeffs
