@@ -201,12 +201,9 @@ def _run_dtn(sc: Scenario) -> None:
     dtn = forward.assemble_dtn(sc.profile, ms)
     with open(sc.out_path("dtn", "dtn.csv"), "w", newline="") as fh:
         fh.write("row,col,re,im\n")
-        n = dtn.matrix.shape[0]
-        for i in range(n):
-            for j in range(n):
-                v = dtn.matrix[i, j]
-                if v != 0:
-                    fh.write(f"{i},{j},{v.real:.17g},{v.imag:.17g}\n")
+        for i, row in enumerate(dtn.matrix):
+            for j in np.flatnonzero(row).tolist():
+                fh.write(f"{i},{j},{row[j].real:.17g},{row[j].imag:.17g}\n")
     _write_summary(sc.out_path("summary", "summary.txt"), [
         ("kind", "dtn"),
         ("profile_digest", dtn.profile_digest),

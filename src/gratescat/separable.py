@@ -8,7 +8,8 @@ u'' = mu u with mu = -lambda: substituting gives v'' u + v u'' + k^2 q v u =
 The longitudinal eigenvalue as computed here is
 k^2 q0 - (m + alpha1)^2 for constant q, so mu grows like (m + alpha1)^2 and
 the transverse exponentials stiffen with the branch index; overlap integrals
-are therefore evaluated in closed form with log-scaled arithmetic.
+are therefore evaluated in closed form: the longitudinal one as a finite sum
+over Fourier coefficients, the transverse one with log-scaled arithmetic.
 
 The exponential factor u = c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2} satisfies
 the quasi-periodic value condition only through the coefficient relation
@@ -229,25 +230,22 @@ def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
                    qdiff: dict) -> MomentKernels:
     """Overlap kernels of the (n, m) separable pair against a profile difference.
 
-    ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) by uniform trapezoid
-    (exact for trigonometric polynomials at the chosen grid); ``A2`` is the
-    closed-form transverse overlap.
+    ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) exactly as a finite
+    sum over Fourier coefficients, 2 pi sum_j dq_j sum_b c_n[b - j] conj(c_m[b]):
+    the quasimomentum phases cancel, which needs both spectra to share alpha1,
+    and only index-matched terms survive.
+    ``A2`` is the closed-form transverse overlap.
     """
-    qdiff = {int(j): complex(c) for j, c in qdiff.items()}
-    deg = max((abs(j) for j in qdiff), default=0)
-    band = spec1.problem.M + spec2.problem.M + deg
-    G = 2 * band + 9
-    x = TWO_PI * np.arange(G) / G
-    vn = spec1.eigenfunction_values(entry_n, x)
-    vm = spec2.eigenfunction_values(entry_m, x)
-    dq = np.zeros(G, dtype=complex)
-    for j, c in qdiff.items():
-        dq += c * np.exp(1j * j * x)
-    # Quasimomentum phases cancel between v_n and conj(v_m) only if both
-    # spectra share alpha1; enforce that.
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
-    a1_integrand = vn * np.conj(vm) * dq
-    A1 = complex(np.sum(a1_integrand) * TWO_PI / G)
+    qdiff = {int(j): complex(c) for j, c in qdiff.items()}
+    Mn, Mm = spec1.problem.M, spec2.problem.M
+    cn, cm = entry_n.coeffs, entry_m.coeffs
+    A1 = 0j
+    for j, c in qdiff.items():
+        lo, hi = max(-Mm, j - Mn), min(Mm, j + Mn)
+        if lo <= hi:
+            A1 += c * np.vdot(cm[lo + Mm:hi + Mm + 1], cn[lo - j + Mn:hi - j + Mn + 1])
+    A1 = complex(TWO_PI * A1)
     A2, a2_log, a2_phase = transverse_overlap(u_n, u_m)
     return MomentKernels(A1, A2, a2_log, a2_phase)

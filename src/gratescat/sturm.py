@@ -82,6 +82,9 @@ class SLEntry:
 
 @dataclass
 class SLSpectrum:
+    """Branch-labelled eigenpairs; ``matrix_norm`` is the spectral radius
+    max |lambda| <= ||A||_2 of the Galerkin matrix, which scales each ``residual``."""
+
     problem: SLProblem
     entries: dict = field(default_factory=dict)   # (sign, n) -> SLEntry
     matrix_norm: float = 0.0
@@ -155,13 +158,13 @@ def solve_sl(problem: SLProblem, normalize: bool = True) -> SLSpectrum:
         raise EigenFailure(f"sturm.solve_sl: dense eigensolve failed ({exc})")
     if not np.all(np.isfinite(lams)):
         raise EigenFailure("sturm.solve_sl: non-finite eigenvalues")
-    anorm = float(np.linalg.norm(A, 2))
+    anorm = float(np.max(np.abs(lams)))
+    residuals = (np.linalg.norm(A @ vecs - vecs * lams, axis=0)
+                 / (np.linalg.norm(vecs, axis=0) * anorm))
     assignment = _assign_branches(problem, lams, vecs)
     spectrum = SLSpectrum(problem, matrix_norm=anorm)
     for m, j in sorted(assignment.items()):
         c = vecs[:, j].copy()
-        res = float(np.linalg.norm(A @ c - lams[j] * c) / (np.linalg.norm(c) * anorm))
-        normalized = False
         if normalize:
             v0 = np.sum(c)
             if abs(v0) < _NORM_TOL * np.linalg.norm(c):
@@ -169,10 +172,9 @@ def solve_sl(problem: SLProblem, normalize: bool = True) -> SLSpectrum:
                     f"sturm.solve_sl: |v(0)| = {abs(v0):.2e} at branch index {m}; "
                     "scaling to v(0) = 1 impossible")
             c = c / v0
-            normalized = True
         sign = 1 if m >= 0 else -1
-        spectrum.entries[(sign, abs(m))] = SLEntry(sign, abs(m), complex(lams[j]),
-                                                   c, res, normalized)
+        spectrum.entries[(sign, abs(m))] = SLEntry(sign, abs(m), complex(lams[j]), c,
+                                                   float(residuals[j]), bool(normalize))
     return spectrum
 
 

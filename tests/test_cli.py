@@ -1,6 +1,8 @@
 import numpy as np
 
+from gratescat import Quasimomentum, build_modeset
 from gratescat.cli import main
+from gratescat.forward import assemble_dtn, profile_from_mapping
 
 K = 1.2
 THETA1 = 1.05
@@ -275,3 +277,31 @@ qcoef =
     assert main(["moments", moments_cfg, "--output-dir", str(tmp_path)]) == 0
     head = (tmp_path / "moments.csv").read_text().splitlines()[0]
     assert head.startswith("l,m,re_A1")
+
+
+def test_dtn_csv_lists_nonzero_entries_in_row_major_order(tmp_path):
+    qcoef = "0 1.5 0.1\n1 0.12 0\n-1 0.12 0"
+    cfg = _write(tmp_path, "dtn.ini", f"""
+[physics]
+k = {K}
+theta1 = {THETA1}
+theta2 = {THETA2}
+
+[numerics]
+N = 2
+
+[profile]
+slabs = 0.7
+qcoef =
+""" + "".join(f"    {line}\n" for line in qcoef.splitlines()))
+    assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
+    ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 2)
+    matrix = assemble_dtn(profile_from_mapping({"slabs": "0.7", "qcoef": qcoef}), ms).matrix
+    want = ["row,col,re,im"]
+    for i in range(matrix.shape[0]):
+        for j in range(matrix.shape[1]):
+            v = matrix[i, j]
+            if v != 0:
+                want.append(f"{i},{j},{v.real:.17g},{v.imag:.17g}")
+    assert 1 < len(want) < 1 + matrix.size  # the block structure leaves zeros out
+    assert (tmp_path / "dtn.csv").read_text().splitlines() == want

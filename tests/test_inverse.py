@@ -4,7 +4,7 @@ import pytest
 from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_modeset,
                        extract_moments, reciprocity_gap, reconstruct_difference,
                        swap_direction)
-from gratescat.errors import InsufficientDegree, NotOneDirectional
+from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional
 from gratescat.inverse import write_moment_csv, write_reconstruction_csv
 
 K = 1.2
@@ -155,6 +155,23 @@ def test_a2_floor_bookkeeping():
     tab = extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA)
     assert all(e.a2_ok for e in tab.entries)
     assert all(e.a2_log10 > np.log10(tab.a2_floor) for e in tab.entries)
+
+
+def test_a2_floor_threshold():
+    # fewer than two retained entries at some l raises; the binding l is the
+    # one whose second-largest a2_log10 is lowest
+    base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
+    q1, q2 = _planted(base, {0: 0.1})
+    schedule = (16, 24, 32)
+    tab = extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA)
+    top2 = {l: sorted(e.a2_log10 for e in tab.entries if e.l == l)[-2:] for l in (-1, 0, 1)}
+    second, largest = min(top2.values())
+    assert second + 1e-6 < largest
+    with pytest.raises(A2Floor):
+        extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA, a2_floor=10.0 ** (second + 1e-9))
+    kept = extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA,
+                           a2_floor=10.0 ** (second - 1e-9))
+    assert min(sum(e.a2_ok for e in kept.entries if e.l == l) for l in (-1, 0, 1)) == 2
 
 
 def test_swap_direction():

@@ -4,7 +4,7 @@ import pytest
 from gratescat import SLProblem, build_separable, build_u, moment_kernels, solve_sl
 from gratescat.errors import (DegenerateDenominator, LambdaMismatch, ValidationError,
                               ZeroLambda)
-from gratescat.separable import growth_c2, transverse_overlap
+from gratescat.separable import _EXP_LIMIT, growth_c2, transverse_overlap
 
 K = 1.2
 ALPHA1 = 0.3
@@ -145,8 +145,46 @@ def test_a2_growth_under_preset():
 
 
 def test_growth_preset_overflow_guard():
-    with pytest.raises(ValidationError):
-        growth_c2(200.0 ** 2)
+    s_limit = _EXP_LIMIT / TWO_PI  # the guard binds at Re sqrt(mu) = s_limit
+    for mu in (200.0 ** 2, (s_limit * (1.0 + 1e-9)) ** 2):
+        with pytest.raises(ValidationError):
+            growth_c2(mu)
+    c2 = growth_c2((s_limit * (1.0 - 1e-9)) ** 2)
+    assert np.isfinite(c2) and abs(c2) > 1e299
+
+
+def _a1_trapezoid(spec1, e_n, spec2, e_m, qdiff):
+    # alias-free uniform grid: the integrand is a trigonometric polynomial of
+    # degree M1 + M2 + deg(qdiff) once the quasimomentum phases cancel
+    G = 2 * (spec1.problem.M + spec2.problem.M + max(abs(j) for j in qdiff)) + 9
+    x = TWO_PI * np.arange(G) / G
+    dq = sum(c * np.exp(1j * j * x) for j, c in qdiff.items())
+    vn = spec1.eigenfunction_values(e_n, x)
+    vm = spec2.eigenfunction_values(e_m, x)
+    return np.sum(vn * np.conj(vm) * dq) * TWO_PI / G
+
+
+def test_moment_kernel_a1_matches_trapezoid_reference():
+    spec1 = solve_sl(SLProblem({0: 1.5 + 0.1j, 1: 0.2 + 0.03j, -1: 0.18, 2: 0.05}, K, ALPHA1, 40))
+    spec2 = solve_sl(SLProblem({0: 1.4 - 0.08j, 1: 0.1j, -1: 0.15, -3: 0.04}, K, ALPHA1, 48))
+    qdiff = {-3: 0.04 - 0.01j, -1: 0.05, 0: 0.1 + 0.02j, 1: -0.07j, 2: 0.05, 3: 0.03}
+    far = spec1.problem.M + spec2.problem.M + 1  # no coefficient pair reaches this offset
+    # the last four pairs sit on a truncation edge, where c[+-M] is not small
+    cases = ((spec1, (1, 7), spec2, (1, 5)), (spec1, (-1, 3), spec2, (1, 2)),
+             (spec1, (1, 20), spec2, (1, 22)), (spec2, (1, 42), spec1, (1, 40)),
+             (spec2, (-1, 38), spec1, (-1, 40)), (spec1, (1, 40), spec2, (1, 41)),
+             (spec1, (-1, 40), spec2, (-1, 42)))
+    for sp_n, (sn, n), sp_m, (sm, m) in cases:
+        e_n, e_m = sp_n.entry(sn, n), sp_m.entry(sm, m)
+        u_n, u_m = build_u(-e_n.lam, ALPHA2), build_u(-e_m.lam, ALPHA2)
+        kern = moment_kernels(sp_n, e_n, sp_m, e_m, u_n, u_m, qdiff)
+        ref = _a1_trapezoid(sp_n, e_n, sp_m, e_m, qdiff)
+        np.testing.assert_allclose(kern.A1, ref, rtol=1e-12)
+        with_far = moment_kernels(sp_n, e_n, sp_m, e_m, u_n, u_m, {**qdiff, far: 1.0})
+        assert with_far.A1 == kern.A1
+        alone = moment_kernels(sp_n, e_n, sp_m, e_m, u_n, u_m, {far: 1.0})
+        assert alone.A1 == 0.0
+        assert abs(_a1_trapezoid(sp_n, e_n, sp_m, e_m, {far: 1.0})) <= 1e-12  # round-off
 
 
 def test_branch_swap_symmetry():

@@ -42,6 +42,19 @@ def test_galerkin_residuals():
     assert max(e.residual for e in spec.entries.values()) <= 1e-10
 
 
+def test_matrix_norm_is_spectral_radius():
+    # rho(A) <= ||A||_2; the computed pair may cross by a few ulps when equal
+    cases = (({0: 1.4, 1: 0.2, -1: 0.2}, 12),
+             ({0: 1.4 + 0.05j, 1: 0.2 + 0.02j, -1: 0.2 - 0.02j, -3: 0.3j}, 40),
+             ({0: 9.0 + 2.0j, 1: 3.0, -1: 2.5 + 1.0j, 2: 1.0}, 96))
+    for coeffs, M in cases:
+        prob = SLProblem(coeffs, K, ALPHA1, M)
+        spec = solve_sl(prob)
+        assert spec.matrix_norm == np.max(np.abs(spec.lambdas()))
+        assert spec.matrix_norm <= np.linalg.norm(prob.matrix(), 2) * (1.0 + 1e-14)
+        assert max(e.residual for e in spec.entries.values()) <= 1e-12
+
+
 def test_real_potential_real_spectrum():
     prob = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 48)
     spec = solve_sl(prob)
