@@ -21,16 +21,27 @@ E3 = -(1/k) Q^-1 (D1 H2 - D2 H1), H3 = (1/k)(D1 E2 - D2 E1).
 
 Because q depends on x1 only, modes with different n2 never couple: every
 matrix above is block diagonal over n2.  The solver holds each slab's
-operators, eigenbasis and reflection matrices as arrays stacked over that
-block axis, block ib holding the modes with n2 = ib - N, and runs every
-solve as one batched call over the stack.  Mode-set order is n2-major, so an
+eigenbasis and reflection matrices as arrays stacked over that block axis,
+block ib holding the modes with n2 = ib - N, and runs every solve as one
+batched call over the stack.  Mode-set order is n2-major, so an
 (m, 3) coefficient array reshapes straight into blocks.
 
-Eigen-decomposing M^2 = AB per slab gives exponents +/- gamma_j and transverse
-profiles; slabs are joined by a reflection-matrix recursion started at the
-conducting plate (r = -I), which is the stable S-matrix composition for a
-stack with no transmission channel.  Amplitudes are always referenced at the
-face where their exponential is largest, so no growing factor is ever formed.
+Within one slab the eigenproblem of M^2 = AB splits into two scalar families
+relative to x1 whose n2 dependence is only a shift, as for the TE and TM
+problems of a 1-D grating in conical mounting (Moharam, Grann, Pommet &
+Gaylord, J. Opt. Soc. Am. A 12(5):1068, 1995):
+
+    T_E = k^2 Q - D1^2,   T_M = k^2 Q - Q D1 Q^-1 D1,
+
+both mb x mb and independent of n2.  Each eigenvalue kappa^2 gives the
+exponent gamma = sqrt(kappa^2 - (alpha2 + n2)^2) in every block, and the
+transverse profiles follow in closed form (see ``solve_layer_modes``), so a
+slab costs two mb x mb eigensolves whatever the number of blocks.
+
+Slabs are joined by a reflection-matrix recursion started at the conducting
+plate (r = -I), which is the stable S-matrix composition for a stack with no
+transmission channel.  Amplitudes are always referenced at the face where
+their exponential is largest, so no growing factor is ever formed.
 
 The product Q E uses the plain Laurent rule (direct coefficient convolution);
 q enters only as a zeroth-order coefficient here, so no inverse-rule
@@ -186,7 +197,10 @@ class ModalBasis:
     mb = 2N+1 the block size.  Block ``ib`` holds the modes with n2 = ib - N;
     within a block, column j is the mode with tangential E profile W[ib, :, j]
     ([E1; E2] over n1 = -N..N), H profile V[ib, :, j] and exponent
-    gamma[ib, j].
+    gamma[ib, j].  For a non-uniform slab columns 0..mb-1 are the TE family
+    (E1 = 0) and columns mb..2mb-1 the TM family (H1 = 0), each in the order
+    of its eigensolve; every W column has unit 2-norm.  A uniform slab has
+    W = I.
     """
 
     modeset: ModeSet
@@ -203,7 +217,7 @@ class ModalBasis:
 
     def eigen_residual(self) -> float:
         """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| over the full eigen set."""
-        A, B = _block_operators(self.slab, self.modeset)
+        A, B = _block_operators(self.slab, self.modeset, self.slab_index)
         mnorm = np.maximum(np.linalg.matrix_norm(A, ord=2), np.linalg.matrix_norm(B, ord=2))
         g = self.gamma[:, None, :]
         ra = A @ self.V - self.W * g
@@ -258,7 +272,18 @@ def _guard(mats, stage: str, slab: int | None = None, limit: float | None = None
     return float(np.max(conds))
 
 
-def _block_operators(slab: Slab, modeset: ModeSet):
+def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
+    """Inverse of the slab's Toeplitz factor Q; a singular Q raises EigenFailure."""
+    if slab.is_uniform:
+        return np.eye(len(Q), dtype=complex) / slab.mean
+    try:
+        return np.linalg.inv(Q)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailure(
+            f"forward.solve_layer_modes: q Toeplitz factor singular at slab {slab_index} ({exc})")
+
+
+def _block_operators(slab: Slab, modeset: ModeSet, slab_index: int):
     """Assemble A, B stacked over the n2 blocks: (2N+1, 2mb, 2mb) each."""
     ms = modeset
     mb = ms.block_size
@@ -267,13 +292,7 @@ def _block_operators(slab: Slab, modeset: ModeSet):
     c2 = a2[:, :, None]
     Q = slab.toeplitz(mb)
     eye = np.eye(mb, dtype=complex)
-    if slab.is_uniform:
-        Qinv = eye / slab.mean
-    else:
-        try:
-            Qinv = np.linalg.inv(Q)
-        except np.linalg.LinAlgError as exc:
-            raise EigenFailure(f"forward.solve_layer_modes: q Toeplitz factor singular ({exc})")
+    Qinv = _toeplitz_inverse(slab, Q, slab_index)
     A = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
     B = np.zeros_like(A)
     d1Qinv = d1[:, None] * Qinv
@@ -294,36 +313,69 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet,
     """Eigen-decompose the transverse propagation system of one slab.
 
     For a uniform slab the system is already diagonal and the exponents are
-    the mode constants of the shifted wavenumber k^2 -> k^2 q0; otherwise one
-    batched dense eigensolve runs over all n2 blocks.
+    the mode constants of the shifted wavenumber k^2 -> k^2 q0.  Otherwise
+    the TE and TM eigenproblems (module docstring) are solved once, and
+    their eigenvectors are lifted to every n2 block in closed form:
+
+        TE (T_E e = kappa^2 e):  W = [0; e],
+                                 V = [-(kappa^2/k) e; (a2/k) D1 e] / gamma;
+        TM (T_M h = kappa^2 h):  V = [0; h],
+                                 W = [(kappa^2/k) Q^-1 h; -(a2/k) Q^-1 D1 h] / gamma,
+
+    with a2 = alpha2 + n2 and gamma = sqrt(kappa^2 - a2^2).  These satisfy
+    A V = W gamma and B W = V gamma exactly (for TM via
+    Q^-1 T_M = k^2 - D1 Q^-1 D1).  Each W column is scaled to unit 2-norm and
+    its V column by the same factor.
     """
     if profile.direction != "x1":
         raise ValidationError(
             "forward.solve_layer_modes: solver expects q = q(x1); swap the profile direction first")
     slab = profile.slabs[slab_index]
     ms = modeset
-    A, B = _block_operators(slab, ms)
     if slab.is_uniform:
+        _, B = _block_operators(slab, ms, slab_index)
         a1, a2 = _wavenumbers(ms)
         g = _sqrt_up(ms.k ** 2 * slab.mean - a1 ** 2 - a2 ** 2)
         gamma = np.concatenate([g, g], axis=1)
         W = np.broadcast_to(np.eye(2 * ms.block_size, dtype=complex), B.shape)
         return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, 1.0)
+    k = ms.k
+    mb = ms.block_size
+    d1, a2 = _wavenumbers(ms)
+    Q = slab.toeplitz(mb)
+    Qinv = _toeplitz_inverse(slab, Q, slab_index)
+    Qinv_d1 = Qinv * d1
     try:
-        w2, W = scipy.linalg.eig(A @ B)
-    except Exception as exc:  # LAPACK non-convergence
+        kte, e = scipy.linalg.eig(k * k * Q - np.diag(d1 * d1))
+        ktm, h = scipy.linalg.eig(k * k * Q - Q @ (d1[:, None] * Qinv_d1))
+    except (np.linalg.LinAlgError, ValueError) as exc:  # non-convergence, non-finite q
         raise EigenFailure(
             f"forward.solve_layer_modes: eigensolve failed at slab {slab_index} ({exc})")
+    w2 = np.concatenate([kte, ktm]) - a2 * a2
     gamma = _sqrt_up(w2)
     bad = np.flatnonzero(~np.all(np.isfinite(w2), axis=1)
-                         | np.any(np.abs(gamma) < 1e-12 * ms.k, axis=1))
+                         | np.any(np.abs(gamma) < 1e-12 * k, axis=1))
     if bad.size:
         raise EigenFailure(
             "forward.solve_layer_modes: non-finite or vanishing propagation exponent "
             f"(degenerate slab) at {_block_label(int(bad[0]), len(w2), slab_index)}")
+    g_te, g_tm = gamma[:, :mb], gamma[:, mb:]
+    e = e / np.linalg.norm(e, axis=0)
+    x, y = Qinv @ h, Qinv_d1 @ h
+    # 1 / ||W column|| of each TM mode in each block, before scaling
+    tm_scale = k * np.abs(g_tm) / np.sqrt(np.abs(ktm) ** 2 * np.sum(np.abs(x) ** 2, axis=0)
+                                          + np.abs(a2) ** 2 * np.sum(np.abs(y) ** 2, axis=0))
+    W = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
+    V = np.zeros_like(W)
+    W[:, mb:, :mb] = e
+    V[:, :mb, :mb] = e * (-(kte / k) / g_te)[:, None, :]
+    V[:, mb:, :mb] = (d1[:, None] * e) * ((a2 / k) / g_te)[:, None, :]
+    W[:, :mb, mb:] = x * ((ktm / k) * tm_scale / g_tm)[:, None, :]
+    W[:, mb:, mb:] = y * (-(a2 / k) * tm_scale / g_tm)[:, None, :]
+    V[:, mb:, mb:] = h * tm_scale[:, None, :]
     cond = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, cond_limit,
                   IllConditionedBasis)
-    return ModalBasis(ms, slab_index, slab, W, (B @ W) / gamma[:, None, :], gamma, cond)
+    return ModalBasis(ms, slab_index, slab, W, V, gamma, cond)
 
 
 class _Stack:
@@ -354,7 +406,7 @@ class _Stack:
             if j > 0:
                 self.max_cond = max(self.max_cond,
                                     _guard(self.P[-1], "forward: interface admittance", j))
-                YW = H @ np.linalg.inv(self.P[-1]) @ basis.W
+                YW = H @ np.linalg.solve(self.P[-1], basis.W)
                 r = self.solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
             phi = np.exp(1j * basis.gamma * slab.height)
             r_top = (phi[:, :, None] * r) * phi[:, None, :]

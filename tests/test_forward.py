@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gratescat import (DipoleDensity, MediumProfile, PlaneWaveIncidence, Quasimomentum,
                        TangentialField, assemble_dtn, build_modeset, efficiencies,
                        solve_layer_modes, solve_qpbvp, solve_scattering)
 from gratescat import forward
-from gratescat.errors import (IllConditionedBasis, SingularMatch, TruncationMismatch,
-                              ValidationError)
+from gratescat.errors import (EigenFailure, IllConditionedBasis, SingularMatch,
+                              TruncationMismatch, ValidationError)
 from gratescat.forward import Slab, profile_from_mapping
 
 K = 1.25
@@ -119,6 +120,91 @@ def test_basis_condition_guard_threshold():
     assert f"slab 0, block {ib} (n2 = {ib - ms.N})" in msg
     again = solve_layer_modes(prof, 0, ms, cond_limit=worst * (1 + 1e-9))
     assert again.max_condition() == worst
+
+
+# Lossless, absorbing, and non-Hermitian q (an unpaired complex coefficient;
+# Im q = 0.5 + Im(c1 e^{i x1}) stays positive, so the profile is admissible).
+LIFT_SLABS = {
+    "lossless": {0: 1.8, 1: 0.3, -1: 0.3, 2: 0.1, -2: 0.1},
+    "absorbing": {0: 1.5 + 0.2j, 1: 0.25, -1: 0.25},
+    "non-hermitian": {0: 1.7 + 0.5j, 1: 0.2 + 0.1j},
+}
+
+
+def _dense_layer_modes(profile, slab_index, modeset):
+    """Reference basis: one dense eigensolve of A B per n2 block."""
+    slab = profile.slabs[slab_index]
+    A, Bm = forward._block_operators(slab, modeset, slab_index)
+    w2, W = scipy.linalg.eig(A @ Bm)
+    gamma = forward._sqrt_up(w2)
+    return forward.ModalBasis(modeset, slab_index, slab, W, (Bm @ W) / gamma[:, None, :],
+                              gamma, float(np.max(np.linalg.cond(W))))
+
+
+@pytest.mark.parametrize("kind", sorted(LIFT_SLABS))
+def test_layer_modes_lift_matches_dense_block_spectrum(kind):
+    from scipy.optimize import linear_sum_assignment
+
+    ms = _modeset(4)
+    mb = ms.block_size
+    basis = solve_layer_modes(MediumProfile.from_coeffs(LIFT_SLABS[kind], B), 0, ms)
+    A, Bm = forward._block_operators(basis.slab, ms, 0)
+    want = np.linalg.eigvals(A @ Bm)
+    for ib in range(2 * ms.N + 1):
+        got = basis.gamma[ib] ** 2
+        cost = np.abs(got[:, None] - want[ib][None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() <= 1e-10 * np.max(np.abs(want[ib]))
+    assert basis.eigen_residual() <= 1e-12
+    np.testing.assert_allclose(np.linalg.norm(basis.W, axis=1), 1.0, atol=1e-13)
+    # column order: TE modes (W = [0; e], no E1 part) first, then TM
+    assert np.max(np.abs(basis.W[:, :mb, :mb])) == 0.0
+    assert np.min(np.linalg.norm(basis.W[:, :mb, mb:], axis=1)) > 0.0
+
+
+@pytest.mark.parametrize("heights", [(B,), (0.3, 0.25, B - 0.55)])
+def test_lifted_basis_matches_dense_reference(monkeypatch, heights):
+    ms = _modeset(6)
+    kinds = sorted(LIFT_SLABS)
+    prof = MediumProfile([Slab(h, LIFT_SLABS[kinds[i % 3]]) for i, h in enumerate(heights)])
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    dtn = assemble_dtn(prof, ms).matrix
+    scat = solve_scattering(prof, inc, ms).scattered.coeffs
+    monkeypatch.setattr(forward, "solve_layer_modes", _dense_layer_modes)
+    dtn_ref = assemble_dtn(prof, ms).matrix
+    scat_ref = solve_scattering(prof, inc, ms).scattered.coeffs
+    assert np.max(np.abs(dtn - dtn_ref)) <= 1e-10 * np.max(np.abs(dtn_ref))
+    assert np.max(np.abs(scat - scat_ref)) <= 1e-10 * np.max(np.abs(scat_ref))
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_two_eigensolves_of_order_mb_per_nonuniform_slab(monkeypatch, N):
+    ms = _modeset(N)
+    orders = []
+
+    def counting(eig):
+        def wrapped(a, *args, **kwargs):
+            a = np.asarray(a)
+            orders.extend([a.shape[-1]] * int(np.prod(a.shape[:-2], dtype=int)))
+            return eig(a, *args, **kwargs)
+        return wrapped
+
+    for mod in (scipy.linalg, np.linalg):
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    prof = MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),
+                          Slab(B - 0.5, LIFT_SLABS["lossless"])])
+    solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
+    assert orders == [ms.block_size] * 4
+
+
+def test_singular_toeplitz_raises_eigen_failure():
+    # q = cos x1: the 9x9 Toeplitz factor at N = 4 has an exact zero pivot
+    prof = MediumProfile.from_coeffs({1: 0.5, -1: 0.5}, B)
+    with pytest.raises(EigenFailure) as err:
+        solve_layer_modes(prof, 0, _modeset(4))
+    msg = str(err.value)
+    assert msg.startswith("forward.solve_layer_modes: q Toeplitz factor singular at slab 0")
 
 
 def test_qpbvp_condition_guard_threshold(monkeypatch):
