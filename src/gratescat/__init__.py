@@ -13,7 +13,8 @@ Library layout:
 """
 
 from . import errors
-from .lattice import CellFunction, ModeSet, Quasimomentum, analyze, build_modeset, synthesize
+from .lattice import (CellFunction, ModeSet, Quasimomentum, TrigPoly, analyze, build_modeset,
+                      synthesize)
 from .rayleigh_dtn import (RayleighField, TangentialField, apply_R, efficiencies,
                            energy_forms, inner)
 from .greens import (DipoleDensity, PlaneWaveIncidence, green_eval, helmholtz_residual,

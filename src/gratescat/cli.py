@@ -213,19 +213,12 @@ def _run_dtn(sc: Scenario) -> None:
     ])
 
 
-def _profile_1d_coeffs(sc: Scenario, prof, name: str) -> dict:
-    _require(prof is not None, f"cli.run: scenario needs a [{name}] section")
-    if prof.direction == "x2":
-        prof, _ = inverse.swap_direction(prof, sc.alpha)
-    coeffs = prof.slabs[0].coeffs
-    for s in prof.slabs[1:]:
-        _require(s.coeffs == coeffs,
-                 "cli.run: one-directional pipeline needs height-independent q")
-    return dict(coeffs)
-
-
 def _run_sturm(sc: Scenario) -> None:
-    coeffs = _profile_1d_coeffs(sc, sc.profile, "profile")
+    prof = sc.profile
+    _require(prof is not None, "cli.run: scenario needs a [profile] section")
+    if prof.direction == "x2":
+        prof = inverse.swap_direction(prof)
+    coeffs = inverse.one_directional_coeffs(prof, "profile")
     prob = sturm.SLProblem(coeffs, sc.k, sc.alpha.alpha1, sc.M)
     spec = sturm.solve_sl(prob)
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues", "eigenvalues.csv"))

@@ -2,14 +2,14 @@
 
 The medium occupies 0 < x3 < b over a perfectly conducting plane at x3 = 0 and
 is resolved as a stack of x3-uniform slabs, each with refractive index
-q = q(x1) given by a trigonometric polynomial.  Expanding the field in lattice
-modes turns the Maxwell system inside a slab into the first-order transverse
-system
+q = q(x1) given by a trigonometric polynomial (a :class:`TrigPoly`).
+Expanding the field in lattice modes turns the Maxwell system inside a slab
+into the first-order transverse system
 
     d/dx3 [E_t; H_t] = i [[0, A], [B, 0]] [E_t; H_t],
 
-where (with D1 = diag(alpha1 + n1), D2 = diag(alpha2 + n2), Q the Toeplitz
-matrix of q's x1-Fourier coefficients)
+where (with D1 = diag(alpha1 + n1), D2 = diag(alpha2 + n2), Q = q.toeplitz(mb)
+the Toeplitz matrix of q's x1-Fourier coefficients)
 
     A = [[ D1 Q^-1 D2 / k,  k - D1 Q^-1 D1 / k ],
          [ D2 Q^-1 D2 / k - k,  -D2 Q^-1 D1 / k ]],
@@ -58,7 +58,7 @@ import scipy.linalg
 
 from .errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                      TruncationMismatch, ValidationError)
-from .lattice import ModeSet
+from .lattice import ModeSet, TrigPoly
 from .rayleigh_dtn import RayleighField, TangentialField
 
 COND_LIMIT = 1e12
@@ -72,44 +72,23 @@ def _sqrt_up(z):
 
 
 class Slab:
-    """One x3-uniform layer: thickness and the x1-Fourier coefficients of q."""
+    """One x3-uniform layer: thickness and q(x1) as a :class:`TrigPoly`.
+
+    Zero coefficients are dropped and c_0 is always present (appended last
+    when the caller gave none); otherwise the caller's key order is kept.
+    """
 
     def __init__(self, height: float, coeffs: dict):
         if height <= 0:
             raise ValidationError("forward.Slab: height must be > 0")
         self.height = float(height)
-        self.coeffs = {int(j): complex(c) for j, c in coeffs.items() if c != 0}
+        self.coeffs = TrigPoly({j: c for j, c in coeffs.items() if c != 0})
         if 0 not in self.coeffs:
             self.coeffs[0] = 0.0 + 0.0j
-        self.degree = max(abs(j) for j in self.coeffs)
 
     @property
     def is_uniform(self) -> bool:
-        return self.degree == 0
-
-    @property
-    def mean(self) -> complex:
-        return self.coeffs[0]
-
-    def q_values(self, x1) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        out = np.zeros(x1.shape, dtype=complex)
-        for j, c in self.coeffs.items():
-            out += c * np.exp(1j * j * x1)
-        return out
-
-    def toeplitz(self, n1_count: int) -> np.ndarray:
-        col = np.zeros(n1_count, dtype=complex)
-        row = np.zeros(n1_count, dtype=complex)
-        for j, c in self.coeffs.items():
-            if 0 <= j < n1_count:
-                col[j] = c
-            if 0 <= -j < n1_count:
-                row[-j] = c
-        return scipy.linalg.toeplitz(col, row)
-
-    def conjugate(self) -> "Slab":
-        return Slab(self.height, {-j: np.conj(c) for j, c in self.coeffs.items()})
+        return self.coeffs.degree == 0
 
 
 class MediumProfile:
@@ -130,7 +109,7 @@ class MediumProfile:
         self.direction = direction
         self.b = float(sum(s.height for s in self.slabs))
         grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
-        samples = np.concatenate([s.q_values(grid) for s in self.slabs])
+        samples = np.concatenate([s.coeffs(grid) for s in self.slabs])
         self.gamma_lower = float(np.min(samples.real))
         self.q_inf = float(np.max(np.abs(samples)))
         self._im_min = float(np.min(samples.imag))
@@ -157,12 +136,9 @@ class MediumProfile:
             raise ValidationError(
                 "forward.MediumProfile: absorbing medium required (Im q > 0 somewhere)")
 
-    @property
-    def is_absorbing(self) -> bool:
-        return self._im_max > 1e-12 * max(1.0, self.q_inf)
-
     def conjugate(self) -> "MediumProfile":
-        return MediumProfile([s.conjugate() for s in self.slabs], self.direction)
+        return MediumProfile([Slab(s.height, s.coeffs.conj()) for s in self.slabs],
+                             self.direction)
 
     def slab_bounds(self):
         z = np.concatenate([[0.0], np.cumsum([s.height for s in self.slabs])])
@@ -176,7 +152,7 @@ class MediumProfile:
         return min(max(j, 0), len(self.slabs) - 1)
 
     def q_at(self, x1, x3: float) -> np.ndarray:
-        return self.slabs[self.slab_of(x3)].q_values(x1)
+        return self.slabs[self.slab_of(x3)].coeffs(x1)
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -226,9 +202,6 @@ class ModalBasis:
         scale = np.sqrt(np.sum(np.abs(self.W) ** 2, axis=1) + np.sum(np.abs(self.V) ** 2, axis=1))
         return float(np.max(res / (scale * mnorm[:, None])))
 
-    def max_condition(self) -> float:
-        return self.cond
-
 
 def _to_blocks(modeset: ModeSet, coeffs) -> np.ndarray:
     """(m, >=2) coefficients -> (2N+1, 2mb) block vectors [c1-block; c2-block]."""
@@ -254,20 +227,18 @@ def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
     return where if slab is None else f"slab {slab}, {where}"
 
 
-def _guard(mats, stage: str, slab: int | None = None, limit: float | None = None,
-           error=SingularMatch) -> float:
-    """Largest condition number over a stack of matrices, refused above ``limit``.
+def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch) -> float:
+    """Largest condition number over a stack of matrices, refused above COND_LIMIT.
 
-    ``limit`` defaults to the module's COND_LIMIT as it stands at call time.
-    A non-finite condition or one above the limit raises ``error`` naming the
-    stage, the slab (when known) and the first failing n2 block.
+    COND_LIMIT is read at call time.  A non-finite condition or one above the
+    limit raises ``error`` naming the stage, the slab (when known) and the
+    first failing n2 block.
     """
-    limit = COND_LIMIT if limit is None else limit
     conds = np.linalg.cond(mats)
-    bad = np.flatnonzero(~(conds <= limit))
+    bad = np.flatnonzero(~(conds <= COND_LIMIT))
     if bad.size:
         ib = int(bad[0])
-        raise error(f"{stage} condition {conds[ib]:.2e} exceeds {limit:g} at "
+        raise error(f"{stage} condition {conds[ib]:.2e} exceeds {COND_LIMIT:g} at "
                     f"{_block_label(ib, len(conds), slab)}")
     return float(np.max(conds))
 
@@ -275,7 +246,7 @@ def _guard(mats, stage: str, slab: int | None = None, limit: float | None = None
 def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
     """Inverse of the slab's Toeplitz factor Q; a singular Q raises EigenFailure."""
     if slab.is_uniform:
-        return np.eye(len(Q), dtype=complex) / slab.mean
+        return np.eye(len(Q), dtype=complex) / slab.coeffs.mean
     try:
         return np.linalg.inv(Q)
     except np.linalg.LinAlgError as exc:
@@ -290,7 +261,7 @@ def _block_operators(slab: Slab, modeset: ModeSet, slab_index: int):
     k = ms.k
     d1, a2 = _wavenumbers(ms)
     c2 = a2[:, :, None]
-    Q = slab.toeplitz(mb)
+    Q = slab.coeffs.toeplitz(mb)
     eye = np.eye(mb, dtype=complex)
     Qinv = _toeplitz_inverse(slab, Q, slab_index)
     A = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
@@ -308,8 +279,7 @@ def _block_operators(slab: Slab, modeset: ModeSet, slab_index: int):
     return A, B
 
 
-def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet,
-                      cond_limit: float = COND_LIMIT) -> ModalBasis:
+def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet) -> ModalBasis:
     """Eigen-decompose the transverse propagation system of one slab.
 
     For a uniform slab the system is already diagonal and the exponents are
@@ -335,14 +305,14 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet,
     if slab.is_uniform:
         _, B = _block_operators(slab, ms, slab_index)
         a1, a2 = _wavenumbers(ms)
-        g = _sqrt_up(ms.k ** 2 * slab.mean - a1 ** 2 - a2 ** 2)
+        g = _sqrt_up(ms.k ** 2 * slab.coeffs.mean - a1 ** 2 - a2 ** 2)
         gamma = np.concatenate([g, g], axis=1)
         W = np.broadcast_to(np.eye(2 * ms.block_size, dtype=complex), B.shape)
         return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, 1.0)
     k = ms.k
     mb = ms.block_size
     d1, a2 = _wavenumbers(ms)
-    Q = slab.toeplitz(mb)
+    Q = slab.coeffs.toeplitz(mb)
     Qinv = _toeplitz_inverse(slab, Q, slab_index)
     Qinv_d1 = Qinv * d1
     try:
@@ -373,8 +343,7 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet,
     W[:, :mb, mb:] = x * ((ktm / k) * tm_scale / g_tm)[:, None, :]
     W[:, mb:, mb:] = y * (-(a2 / k) * tm_scale / g_tm)[:, None, :]
     V[:, mb:, mb:] = h * tm_scale[:, None, :]
-    cond = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, cond_limit,
-                  IllConditionedBasis)
+    cond = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, IllConditionedBasis)
     return ModalBasis(ms, slab_index, slab, W, V, gamma, cond)
 
 
@@ -396,7 +365,7 @@ class _Stack:
         self.modeset = modeset
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
-        self.qlu = [scipy.linalg.lu_factor(s.toeplitz(modeset.block_size))
+        self.qlu = [scipy.linalg.lu_factor(s.coeffs.toeplitz(modeset.block_size))
                     for s in profile.slabs]
         self.max_cond = 1.0
         self.r, self.phi, self.P = [], [], []

@@ -23,42 +23,41 @@ from .errors import PointsTooClose, ValidationError
 from .lattice import ModeSet
 from .rayleigh_dtn import RayleighField
 
-DELTA_MIN_DEFAULT = 1e-2
+DELTA_MIN = 1e-2
 
 
-def green_eval(x, y, modeset: ModeSet, delta_min: float = DELTA_MIN_DEFAULT) -> complex:
+def green_eval(x, y, modeset: ModeSet) -> complex:
     """Evaluate the truncated modal series for G(x, y).
 
-    Requires ``|x3 - y3| >= delta_min``; omitted tail terms decay like
+    Requires ``|x3 - y3| >= DELTA_MIN``; omitted tail terms decay like
     ``exp(-|beta_n| |x3 - y3|) / |beta_n|``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dz = abs(x[2] - y[2])
-    if dz < delta_min:
+    if dz < DELTA_MIN:
         raise PointsTooClose(
-            f"greens.green_eval: |x3 - y3| = {dz:g} < delta_min = {delta_min:g}")
+            f"greens.green_eval: |x3 - y3| = {dz:g} < delta_min = {DELTA_MIN:g}")
     ms = modeset
     d = x - y
     phase = np.exp(1j * (ms.alpha_n[:, 0] * d[0] + ms.alpha_n[:, 1] * d[1]) + 1j * ms.beta * dz)
     return complex(np.sum(phase / (1j * ms.beta)) / (8.0 * np.pi ** 2))
 
 
-def helmholtz_residual(x, y, modeset: ModeSet, h: float,
-                       delta_min: float = DELTA_MIN_DEFAULT) -> float:
+def helmholtz_residual(x, y, modeset: ModeSet, h: float) -> float:
     """Relative central-difference Helmholtz residual |(D_h + k^2) G| / |G|.
 
     A correctness probe: the truncated series satisfies the Helmholtz equation
     exactly, so the residual is pure finite-difference error, O(h^2).
     """
     x = np.asarray(x, dtype=float)
-    g0 = green_eval(x, y, modeset, delta_min)
+    g0 = green_eval(x, y, modeset)
     lap = -6.0 * g0
     for axis in range(3):
         step = np.zeros(3)
         step[axis] = h
-        lap += green_eval(x + step, y, modeset, delta_min)
-        lap += green_eval(x - step, y, modeset, delta_min)
+        lap += green_eval(x + step, y, modeset)
+        lap += green_eval(x - step, y, modeset)
     lap /= h * h
     return abs(lap + modeset.k ** 2 * g0) / abs(g0)
 

@@ -24,6 +24,10 @@ Three pieces:
 3. Reconstruction: the extrapolated moments are the Fourier coefficients of
    the difference, (q1 - q2)(x1) = (1/2pi) sum_l M_l e^{-i l x1}, with the
    sign convention pinned by the constant-difference calibration case.
+
+q1, q2, conj(q2) and the difference are all :class:`TrigPoly` values; the
+moment pipeline needs each profile to depend on x1 alone
+(:func:`one_directional_coeffs`).
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ import numpy as np
 from .errors import (A2Floor, InsufficientDegree, NotOneDirectional,
                      ValidationError)
 from .forward import MediumProfile, solve_qpbvp
-from .lattice import ModeSet, Quasimomentum
+from .lattice import ModeSet, Quasimomentum, TrigPoly
 from .rayleigh_dtn import CELL_AREA, TangentialField
 from .separable import build_u, growth_c2, moment_kernels
 from .sturm import SLProblem, solve_sl
 
 DEFAULT_SCHEDULE = (16, 24, 32, 48, 64)
 DEFAULT_A2_FLOOR = 1e-6
+_N_GAUSS = 48  # Gauss-Legendre nodes in x3 per slab segment of the gap's volume side
 
 
 def _gauss_nodes(a: float, b: float, n: int):
@@ -58,8 +63,7 @@ def _padded_grid_values(coeffs, modeset: ModeSet, G: int) -> np.ndarray:
 
 
 def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
-                    f: TangentialField, g: TangentialField, modeset: ModeSet,
-                    n_gauss: int = 48) -> dict:
+                    f: TangentialField, g: TangentialField, modeset: ModeSet) -> dict:
     """Evaluate both sides of the reciprocity-gap identity and their mismatch.
 
     Returns ``{'lhs', 'rhs', 'gap', 'floor'}`` with
@@ -76,14 +80,14 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     # Volume side: Gauss-Legendre in x3 per slab segment, alias-free FFT grid
     # in the horizontal plane.
     bounds = np.unique(np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()]))
-    deg = max([s.degree for s in profile1.slabs] + [s.degree for s in profile2.slabs])
+    deg = max(s.coeffs.degree for s in profile1.slabs + profile2.slabs)
     G = 4 * ms.N + 2 * deg + 9
     x1 = 2.0 * np.pi * np.arange(G) / G
     lhs = 0.0 + 0.0j
     e1max = 0.0
     e2max = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        nodes, weights = _gauss_nodes(lo, hi, n_gauss)
+        nodes, weights = _gauss_nodes(lo, hi, _N_GAUSS)
         for x3, w in zip(nodes, weights):
             dq = (profile2.q_at(x1, x3) - profile1.q_at(x1, x3))[:, None]
             c1, _ = sol1.field.mode_coefficients(x3)
@@ -139,7 +143,8 @@ class MomentTable:
         raise ValidationError(f"inverse.MomentTable: no entry (l={l}, m={m})")
 
 
-def _one_directional_coeffs(profile: MediumProfile, name: str) -> dict:
+def one_directional_coeffs(profile: MediumProfile, name: str) -> TrigPoly:
+    """q(x1) of a profile that depends on x1 alone: every slab must carry it."""
     if profile.direction != "x1":
         raise NotOneDirectional(
             f"inverse: {name} depends on x2; apply swap_direction first")
@@ -148,37 +153,34 @@ def _one_directional_coeffs(profile: MediumProfile, name: str) -> dict:
         if s.coeffs != first:
             raise NotOneDirectional(
                 f"inverse: {name} varies with height, so it depends on more than one direction")
-    return dict(first)
+    return first
 
 
 def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
                     m_schedule=DEFAULT_SCHEDULE, *, k: float, alpha: Quasimomentum,
-                    M: int | None = None, a2_floor: float = DEFAULT_A2_FLOOR,
-                    c2_preset: str = "growth") -> MomentTable:
+                    M: int | None = None, a2_floor: float = DEFAULT_A2_FLOOR) -> MomentTable:
     """Build the moment table for the difference q1 - q2.
 
     For each l in [-L, L] and each branch index m in the schedule, the
     (m + l, m) eigenpair product of the q1-spectrum against the conj(q2)-
     spectrum is overlapped with the difference; the per-l moment estimate is
-    the intercept of an a + b/m fit over the schedule.
+    the intercept of an a + b/m fit over the schedule.  Both transverse
+    factors use the growth preset c2 = exp(2 pi sqrt(mu)).
     """
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
     if len(m_schedule) < 2:
         raise ValidationError("inverse.extract_moments: schedule needs at least two entries")
     if m_schedule[0] - L < 1:
         raise ValidationError("inverse.extract_moments: schedule too low for requested degree")
-    c1 = _one_directional_coeffs(q1, "q1")
-    c2coeffs = _one_directional_coeffs(q2, "q2")
+    c1 = one_directional_coeffs(q1, "q1")
+    c2 = one_directional_coeffs(q2, "q2")
     if M is None:
         M = 2 * (m_schedule[-1] + L) + 8
     if m_schedule[-1] > M // 2:
         raise ValidationError("inverse.extract_moments: schedule exceeds half the truncation")
-    q2conj = {-j: np.conj(c) for j, c in c2coeffs.items()}
     spec1 = solve_sl(SLProblem(c1, k, alpha.alpha1, M))
-    spec2 = solve_sl(SLProblem(q2conj, k, alpha.alpha1, M))
-    qdiff = dict(c1)
-    for j, c in c2coeffs.items():
-        qdiff[j] = qdiff.get(j, 0.0) - c
+    spec2 = solve_sl(SLProblem(c2.conj(), k, alpha.alpha1, M))
+    qdiff = c1 - c2
     table = MomentTable(L, m_schedule, a2_floor)
     log_floor = math.log10(a2_floor)
     for l in range(-L, L + 1):
@@ -190,10 +192,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
             e_m = spec2.entry(1, m)
             mu_n = -e_n.lam
             mu_m = -e_m.lam
-            c2n = growth_c2(mu_n) if c2_preset == "growth" else 1.0 + 0.0j
-            c2m = growth_c2(mu_m) if c2_preset == "growth" else 1.0 + 0.0j
-            u_n = build_u(mu_n, alpha.alpha2, c2n)
-            u_m = build_u(mu_m, alpha.alpha2, c2m)
+            u_n = build_u(mu_n, alpha.alpha2, growth_c2(mu_n))
+            u_m = build_u(mu_m, alpha.alpha2, growth_c2(mu_m))
             kern = moment_kernels(spec1, e_n, spec2, e_m, u_n, u_m, qdiff)
             ok = kern.a2_log10 > log_floor
             table.entries.append(MomentEntry(l, m, kern.A1, kern.A2, kern.a2_log10, ok))
@@ -215,18 +215,11 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
 
 @dataclass
 class ReconstructionResult:
-    """Recovered Fourier coefficients of q1 - q2 with per-coefficient error bars."""
+    """Recovered q1 - q2 with per-coefficient error bars; ``coeffs(x1)`` evaluates it."""
 
-    coeffs: dict
+    coeffs: TrigPoly
     errors: dict
     diagnostics: dict
-
-    def values(self, x1) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        out = np.zeros(x1.shape, dtype=complex)
-        for j, c in self.coeffs.items():
-            out += c * np.exp(1j * j * x1)
-        return out
 
 
 def reconstruct_difference(table: MomentTable, L: int | None = None) -> ReconstructionResult:
@@ -247,7 +240,7 @@ def reconstruct_difference(table: MomentTable, L: int | None = None) -> Reconstr
     diagnostics = {"m_schedule": table.m_schedule,
                    "fit_slopes": dict(table.fit_slopes),
                    "a2_floor": table.a2_floor}
-    return ReconstructionResult(coeffs, errors, diagnostics)
+    return ReconstructionResult(TrigPoly(coeffs), errors, diagnostics)
 
 
 def swap_direction(profile: MediumProfile, alpha: Quasimomentum | None = None):

@@ -10,6 +10,10 @@ vertical mode constants
 Modes with ``|beta_n|`` at or below a tolerance are excluded outright:
 the degenerate frequencies are assumed away by the model, and we convert
 that assumption into a guarded error at construction time.
+
+The refractive index q(x1) of a slab is a :class:`TrigPoly`, the one type
+for its Fourier coefficients: evaluation, the Toeplitz matrix of the
+Laurent product, conjugation and differences all live there.
 """
 
 from __future__ import annotations
@@ -21,6 +25,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, TruncationMismatch, ValidationError, WoodAnomaly
+
+
+class TrigPoly(dict):
+    """Trigonometric polynomial q(x1) = sum_j c_j e^{i j x1} as ``{j: c_j}``.
+
+    A dict with int keys and complex values, kept in the caller's key order:
+    sums over the coefficients run in that order.
+    """
+
+    def __init__(self, coeffs):
+        super().__init__((int(j), complex(c)) for j, c in coeffs.items())
+
+    @property
+    def degree(self) -> int:
+        return max((abs(j) for j in self), default=0)
+
+    @property
+    def mean(self) -> complex:
+        return self.get(0, 0.0 + 0.0j)
+
+    def __call__(self, x1) -> np.ndarray:
+        x1 = np.asarray(x1, dtype=float)
+        out = np.zeros(x1.shape, dtype=complex)
+        for j, c in self.items():
+            out += c * np.exp(1j * j * x1)
+        return out
+
+    def conj(self) -> "TrigPoly":
+        """Coefficients of conj(q(x1)): c_j -> conj(c_{-j})."""
+        return TrigPoly({-j: np.conj(c) for j, c in self.items()})
+
+    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
+        """Difference over the union of keys: self's keys first, then other's new ones."""
+        return TrigPoly({j: self.get(j, 0.0) - other.get(j, 0.0) for j in {**self, **other}})
+
+    def toeplitz(self, n: int) -> np.ndarray:
+        """n x n Laurent-product matrix T[a, b] = c_{a-b}; terms with |j| >= n drop out."""
+        band = np.zeros(2 * n - 1, dtype=complex)
+        for j, c in self.items():
+            if abs(j) < n:
+                band[j + n - 1] = c
+        d = np.arange(n)
+        return band[d[:, None] - d[None, :] + n - 1]
 
 
 @dataclass(frozen=True)
@@ -50,9 +97,6 @@ class Quasimomentum:
             )
         return cls(k * math.cos(theta1) * math.cos(theta2),
                    k * math.cos(theta1) * math.sin(theta2))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.alpha1, self.alpha2, 0.0])
 
 
 class ModeSet:
@@ -84,10 +128,6 @@ class ModeSet:
     @property
     def mode0(self) -> int:
         return self.index_of(0, 0)
-
-    def block_slice(self, n2: int) -> slice:
-        i = n2 + self.N
-        return slice(i * self.block_size, (i + 1) * self.block_size)
 
     def require_same(self, other: "ModeSet", where: str = "") -> None:
         if (self.N != other.N or self.k != other.k

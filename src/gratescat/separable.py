@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (DegenerateDenominator, LambdaMismatch, ValidationError,
                      ZeroLambda)
+from .lattice import TrigPoly
 from .sturm import SLEntry, SLSpectrum
 
 TWO_PI = 2.0 * np.pi
@@ -144,7 +145,7 @@ class SeparableSolution:
         vpp = self.spectrum.eigenfunction_derivative2(self.entry, pts[:, 0])
         uu = self.u.values(pts[:, 1])
         upp = self.u.mu * uu
-        q = prob.q_values(pts[:, 0])
+        q = prob.coeffs(pts[:, 0])
         res = -(vpp * uu + v * upp) - prob.k ** 2 * q * v * uu
         scale = prob.k ** 2 * float(np.max(np.abs(q)) * np.max(np.abs(v * uu))) + 1e-300
         return {"max_relative": float(np.max(np.abs(res))) / scale,
@@ -227,7 +228,7 @@ def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor) -> tuple:
 
 def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
                    entry_m: SLEntry, u_n: TransverseFactor, u_m: TransverseFactor,
-                   qdiff: dict) -> MomentKernels:
+                   qdiff: TrigPoly) -> MomentKernels:
     """Overlap kernels of the (n, m) separable pair against a profile difference.
 
     ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) exactly as a finite
@@ -238,7 +239,6 @@ def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
     """
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
-    qdiff = {int(j): complex(c) for j, c in qdiff.items()}
     Mn, Mm = spec1.problem.M, spec2.problem.M
     cn, cm = entry_n.coeffs, entry_m.coeffs
     A1 = 0j

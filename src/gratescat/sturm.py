@@ -3,7 +3,8 @@
 Solves  v'' + k^2 q(x1) v = lambda v  with the quasi-periodicity conditions
 v(x1 + 2pi) = e^{2 pi i alpha1} v(x1) (and likewise v') by Fourier-Galerkin:
 v = sum_{|m| <= M} c_m exp(i (m + alpha1) x1) turns the problem into the dense
-matrix A[m, m'] = -(m + alpha1)^2 delta + k^2 Qhat_{m - m'}.
+matrix A[m, m'] = -(m + alpha1)^2 delta + k^2 Qhat_{m - m'}, whose second term
+is k^2 times the Toeplitz matrix of the potential's :class:`TrigPoly`.
 
 Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
@@ -21,52 +22,33 @@ import scipy.linalg
 
 from .errors import (EigenFailure, FitInconclusive, NormalizationDegenerate,
                      ValidationError)
+from .lattice import TrigPoly
 
 _NORM_TOL = 1e-10
 
 
 @dataclass
 class SLProblem:
-    """Potential coefficients (trig polynomial), wavenumber, quasimomentum, truncation."""
+    """Potential q(x1) as a trigonometric polynomial, wavenumber, quasimomentum, truncation."""
 
-    coeffs: dict
+    coeffs: TrigPoly
     k: float
     alpha1: float
     M: int
 
     def __post_init__(self):
-        self.coeffs = {int(j): complex(c) for j, c in self.coeffs.items()}
+        self.coeffs = TrigPoly(self.coeffs)
         if self.k <= 0:
             raise ValidationError("sturm.SLProblem: k must be > 0")
-        deg = max((abs(j) for j in self.coeffs), default=0)
+        deg = self.coeffs.degree
         if self.M < 2 * deg + 4:
             raise ValidationError(
                 f"sturm.SLProblem: truncation M={self.M} below 2*deg(q)+4 = {2 * deg + 4}")
 
-    @property
-    def mean(self) -> complex:
-        return self.coeffs.get(0, 0.0 + 0.0j)
-
-    def q_values(self, x1) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        out = np.zeros(x1.shape, dtype=complex)
-        for j, c in self.coeffs.items():
-            out += c * np.exp(1j * j * x1)
-        return out
-
     def matrix(self) -> np.ndarray:
         m = np.arange(-self.M, self.M + 1)
-        A = np.zeros((m.size, m.size), dtype=complex)
-        np.fill_diagonal(A, -((m + self.alpha1) ** 2))
-        for j, c in self.coeffs.items():
-            if abs(j) <= 2 * self.M:
-                diag = self.k ** 2 * c
-                if j >= 0:
-                    idx = np.arange(m.size - j)
-                    A[idx + j, idx] += diag
-                else:
-                    idx = np.arange(m.size + j)
-                    A[idx, idx - j] += diag
+        A = self.k ** 2 * self.coeffs.toeplitz(m.size)
+        A[m + self.M, m + self.M] -= (m + self.alpha1) ** 2
         return A
 
 
@@ -133,7 +115,7 @@ def _assign_branches(problem: SLProblem, lams, vecs):
             else:
                 unresolved.append(j)
     if unresolved:
-        anchors = {m: problem.k ** 2 * problem.mean - (m + problem.alpha1) ** 2
+        anchors = {m: problem.k ** 2 * problem.coeffs.mean - (m + problem.alpha1) ** 2
                    for m in range(-M, M + 1) if m not in claimed}
         for j in unresolved:
             if not anchors:
@@ -220,7 +202,7 @@ def check_asymptotics(spectrum: SLSpectrum, problem: SLProblem | None = None,
     ns = [n for n in avail if n_min <= n <= n_max and (-1, n) in spectrum.entries]
     if len(ns) < 8:
         raise ValidationError("sturm.check_asymptotics: need at least 8 branch pairs in range")
-    mean_exact = problem.k ** 2 * problem.mean
+    mean_exact = problem.k ** 2 * problem.coeffs.mean
     a1 = problem.alpha1
     candidates = {"alpha1": a1, "alpha1_over_2pi": a1 / (2.0 * np.pi)}
 

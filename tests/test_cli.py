@@ -55,6 +55,18 @@ def test_sturm_scenario_matches_closed_form(tmp_path):
     assert (tmp_path / "sturm_summary.txt").read_text().find("shift_convention") >= 0
 
 
+def test_sturm_rejects_height_dependent_profile(tmp_path, capsys):
+    text = STURM_CONFIG.replace("slabs = 0.7", "slabs = 0.3 0.4").replace(
+        "    0 1.5 0.1\n", "    0 1.5 0.1\nqcoef2 =\n    0 1.8 0.1\n")
+    cfg = _write(tmp_path, "layered.ini", text)
+    code = main(["sturm", cfg, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "[NotOneDirectional]" in err
+    assert "varies with height" in err
+    assert not (tmp_path / "eig.csv").exists()
+
+
 def test_a_below_b_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.ini", STURM_CONFIG + "\n".join([
         "", "[extra]"]).replace("[extra]", ""))

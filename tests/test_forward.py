@@ -103,23 +103,29 @@ def test_layer_modes_eigen_residual_and_condition():
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
     basis = solve_layer_modes(prof, 0, ms)
     assert basis.eigen_residual() <= 1e-10
-    assert np.isfinite(basis.max_condition())
+    assert np.isfinite(basis.cond)
 
 
-def test_basis_condition_guard_threshold():
+def test_basis_condition_guard_threshold(monkeypatch):
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.4, -1: 0.4}, B)
     basis = solve_layer_modes(prof, 0, ms)
-    worst = basis.max_condition()
+    worst = basis.cond
     assert worst > 1.0
     ib = int(np.argmax(np.linalg.cond(basis.W)))
+    # The guard reads COND_LIMIT when it runs, so patching the module
+    # constant moves the threshold for every caller.
+    monkeypatch.setattr(forward, "COND_LIMIT", worst * (1 - 1e-9))
     with pytest.raises(IllConditionedBasis) as err:
-        solve_layer_modes(prof, 0, ms, cond_limit=worst * (1 - 1e-9))
+        solve_layer_modes(prof, 0, ms)
     msg = str(err.value)
     assert "forward.solve_layer_modes: eigenbasis" in msg
     assert f"slab 0, block {ib} (n2 = {ib - ms.N})" in msg
-    again = solve_layer_modes(prof, 0, ms, cond_limit=worst * (1 + 1e-9))
-    assert again.max_condition() == worst
+    # Through the full solve the basis guard fires before any match stage.
+    with pytest.raises(IllConditionedBasis):
+        solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
+    monkeypatch.setattr(forward, "COND_LIMIT", worst * (1 + 1e-9))
+    assert solve_layer_modes(prof, 0, ms).cond == worst
 
 
 # Lossless, absorbing, and non-Hermitian q (an unpaired complex coefficient;
@@ -209,11 +215,14 @@ def test_singular_toeplitz_raises_eigen_failure():
 
 def test_qpbvp_condition_guard_threshold(monkeypatch):
     ms = _modeset(4)
-    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}),
+    # A uniform bottom slab keeps every eigenbasis condition below the match
+    # conditions, so a limit just under the reported value trips a match stage.
+    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}),
                           Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
     f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
     reported = solve_qpbvp(prof, f, ms).condition
     assert reported > 1.0
+    assert max(solve_layer_modes(prof, j, ms).cond for j in range(2)) < reported * (1 - 1e-9)
     monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 - 1e-9))
     with pytest.raises(SingularMatch) as err:
         solve_qpbvp(prof, f, ms)

@@ -123,7 +123,7 @@ def test_reconstruct_zero_and_insufficient_degree():
     tab = extract_moments(q, q, 1, SCHEDULE, k=K, alpha=ALPHA)
     rec = reconstruct_difference(tab)
     assert max(abs(v) for v in rec.coeffs.values()) <= 1e-8
-    vals = rec.values(np.linspace(0, 2 * np.pi, 7))
+    vals = rec.coeffs(np.linspace(0, 2 * np.pi, 7))
     assert np.max(np.abs(vals)) <= 1e-7
     with pytest.raises(InsufficientDegree):
         reconstruct_difference(tab, L=3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gratescat import Quasimomentum, analyze, build_modeset, synthesize
+from gratescat import Quasimomentum, TrigPoly, analyze, build_modeset, synthesize
 from gratescat.errors import GridTooCoarse, ValidationError, WoodAnomaly
 from gratescat.lattice import CellFunction
 
@@ -111,3 +111,49 @@ def test_grid_too_coarse():
     ms = build_modeset(1.3, Quasimomentum(0.0, 0.0), 3)
     with pytest.raises(GridTooCoarse):
         analyze(ms, np.ones((6, 6)))  # need 2N+1 = 7
+
+
+# Non-Hermitian on purpose: c_{-j} != conj(c_j), and one key beyond every n below.
+TRIG = TrigPoly({2: 0.3 - 0.1j, 0: 1.5 + 0.2j, -1: 0.25j, 1: -0.4, -5: 0.07 + 0.02j})
+
+
+def test_trigpoly_toeplitz_matches_definition():
+    for n in (1, 2, 3, 5, 6, 9):
+        T = TRIG.toeplitz(n)
+        ref = np.array([[TRIG.get(a - b, 0.0) for b in range(n)] for a in range(n)])
+        assert T.shape == (n, n)
+        assert np.array_equal(T, ref)
+    # |j| >= n drops out: at n = 5 the -5 term has no place in the matrix.
+    assert not np.any(TRIG.toeplitz(5) == TRIG[-5])
+
+
+def test_trigpoly_evaluation_and_conj():
+    x = np.linspace(-1.0, 2.0 * np.pi + 1.0, 41)
+    direct = sum(c * np.exp(1j * j * x) for j, c in TRIG.items())
+    np.testing.assert_allclose(TRIG(x), direct, rtol=0, atol=1e-14)
+    conj = TRIG.conj()
+    assert isinstance(conj, TrigPoly)
+    np.testing.assert_allclose(conj(x), np.conj(TRIG(x)), rtol=0, atol=1e-14)
+    assert conj.conj() == TRIG
+
+
+def test_trigpoly_difference_takes_union_of_keys():
+    a = TrigPoly({0: 1.0, 1: 0.5j})
+    b = TrigPoly({-2: 0.25, 0: 0.5})
+    d = a - b
+    assert isinstance(d, TrigPoly)
+    assert d == {0: 0.5, 1: 0.5j, -2: -0.25}
+    assert list(d) == [0, 1, -2]
+    x = np.linspace(0.0, 2.0 * np.pi, 17)
+    np.testing.assert_allclose(d(x), a(x) - b(x), rtol=0, atol=1e-15)
+
+
+def test_trigpoly_normalises_and_degree_mean():
+    empty = TrigPoly({})
+    assert empty.degree == 0
+    assert empty.mean == 0.0
+    assert np.array_equal(empty(np.zeros(3)), np.zeros(3))
+    q = TrigPoly({np.int64(-3): 1, 0: 2.5})
+    assert all(type(j) is int and type(c) is complex for j, c in q.items())
+    assert q.degree == 3 and q.mean == 2.5
+    assert q == {-3: 1.0, 0: 2.5}

@@ -55,6 +55,17 @@ def test_matrix_norm_is_spectral_radius():
         assert max(e.residual for e in spec.entries.values()) <= 1e-12
 
 
+def test_matrix_matches_galerkin_definition():
+    # A[m, m'] = -(m + alpha1)^2 delta + k^2 qhat_{m - m'}, entry by entry
+    coeffs = {0: 1.4 + 0.05j, 1: 0.2 + 0.02j, -1: 0.2 - 0.02j, -3: 0.3j}
+    M = 10
+    A = SLProblem(coeffs, K, ALPHA1, M).matrix()
+    ms = range(-M, M + 1)
+    ref = np.array([[K ** 2 * coeffs.get(m - mp, 0.0) - (m == mp) * (m + ALPHA1) ** 2
+                     for mp in ms] for m in ms])
+    assert np.array_equal(A, ref)
+
+
 def test_real_potential_real_spectrum():
     prob = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 48)
     spec = solve_sl(prob)
