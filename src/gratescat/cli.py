@@ -216,10 +216,11 @@ def _run_dtn(sc: Scenario) -> None:
 def _run_sturm(sc: Scenario) -> None:
     prof = sc.profile
     _require(prof is not None, "cli.run: scenario needs a [profile] section")
+    alpha = sc.alpha
     if prof.direction == "x2":
-        prof = inverse.swap_direction(prof)
+        prof, alpha = inverse.swap_direction(prof, alpha)
     coeffs = inverse.one_directional_coeffs(prof, "profile")
-    prob = sturm.SLProblem(coeffs, sc.k, sc.alpha.alpha1, sc.M)
+    prob = sturm.SLProblem(coeffs, sc.k, alpha.alpha1, sc.M)
     spec = sturm.solve_sl(prob)
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues", "eigenvalues.csv"))
     rep = sturm.check_asymptotics(spec, prob)

@@ -79,10 +79,12 @@ class Slab:
     """
 
     def __init__(self, height: float, coeffs: dict):
-        if height <= 0:
-            raise ValidationError("forward.Slab: height must be > 0")
+        if not (np.isfinite(height) and height > 0):
+            raise ValidationError(f"forward.Slab: height must be finite and > 0, got {height!r}")
         self.height = float(height)
         self.coeffs = TrigPoly({j: c for j, c in coeffs.items() if c != 0})
+        if not all(np.isfinite(c) for c in self.coeffs.values()):
+            raise ValidationError("forward.Slab: Fourier coefficients of q must be finite")
         if 0 not in self.coeffs:
             self.coeffs[0] = 0.0 + 0.0j
 
@@ -445,12 +447,6 @@ class LayerField:
             dH = _from_blocks(ms, np.matvec(basis.V, 1j * basis.gamma * (ep * u + em * d)))
             return E, H, dE, dH
         return E, H
-
-    def tangential_trace(self, x3: float) -> TangentialField:
-        E, _ = self.mode_coefficients(x3)
-        out = E.copy()
-        out[:, 2] = 0.0
-        return TangentialField(self.modeset, out, x3)
 
     def values(self, points) -> np.ndarray:
         """Electric field values at (x1, x2, x3) points; shape (P, 3)."""

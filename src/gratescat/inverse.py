@@ -11,7 +11,11 @@ Three pieces:
    where E1 solves the layer problem for q1 with trace f, E2 solves for
    conj(q2) with trace g, and T_j are the boundary maps.  Equal boundary maps
    therefore force the volume orthogonality; the identity is checked
-   quantitatively with independent volume and boundary quadratures.
+   quantitatively with independent volume and boundary quadratures.  Both
+   sides are Fourier sums over the cell: q2 - q1 depends on x1 alone, so the
+   horizontal integral of the volume side is the exact coefficient pairing
+   :meth:`TrigPoly.overlap`, with Gauss-Legendre nodes in x3 per slab segment;
+   the boundary side is the L^2_t inner product of the coefficient vectors.
 
 2. Moment extraction.  Pairing eigen-solutions of the longitudinal problems
    for q1 and conj(q2) through the separable family, the longitudinal overlap
@@ -41,7 +45,7 @@ from .errors import (A2Floor, InsufficientDegree, NotOneDirectional,
                      ValidationError)
 from .forward import MediumProfile, solve_qpbvp
 from .lattice import ModeSet, Quasimomentum, TrigPoly
-from .rayleigh_dtn import CELL_AREA, TangentialField
+from .rayleigh_dtn import CELL_AREA, TangentialField, inner
 from .separable import build_u, growth_c2, moment_kernels
 from .sturm import SLProblem, solve_sl
 
@@ -55,19 +59,15 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _padded_grid_values(coeffs, modeset: ModeSet, G: int) -> np.ndarray:
-    """Synthesize periodic-part values of (m, 3) coefficients on a G x G grid."""
-    spec = np.zeros((G, G, 3), dtype=complex)
-    spec[modeset.n1 % G, modeset.n2 % G, :] = coeffs
-    return np.fft.ifft2(spec, axes=(0, 1)) * (G * G)
-
-
 def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
                     f: TangentialField, g: TangentialField, modeset: ModeSet) -> dict:
     """Evaluate both sides of the reciprocity-gap identity and their mismatch.
 
     Returns ``{'lhs', 'rhs', 'gap', 'floor'}`` with
-    ``gap = |lhs - rhs| / max(|lhs|, |rhs|, floor)``.
+    ``gap = |lhs - rhs| / max(|lhs|, |rhs|, floor)``.  The floor is
+    ``1e-10 k^2 b CELL_AREA max|c1|_2 max|c2|_2``, the maxima of the
+    coefficient 2-norms of E1 and E2 over the Gauss nodes: by Parseval and
+    Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.
     """
     if abs(profile1.b - profile2.b) > 1e-12:
         raise ValidationError("inverse.reciprocity_gap: profiles have different layer heights")
@@ -76,40 +76,35 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     sol3 = solve_qpbvp(profile2.conjugate(), g, modeset)
     ms = modeset
     k = ms.k
+    shape = (ms.block_size, ms.block_size, 3)  # (n2, n1, component)
 
-    # Volume side: Gauss-Legendre in x3 per slab segment, alias-free FFT grid
-    # in the horizontal plane.
+    # Volume side: Gauss-Legendre in x3 per slab segment; in the horizontal
+    # plane the exact Fourier pairing of E1 and E2 weighted by the segment's
+    # q2 - q1, summed over n2 and the components.
     bounds = np.unique(np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()]))
-    deg = max(s.coeffs.degree for s in profile1.slabs + profile2.slabs)
-    G = 4 * ms.N + 2 * deg + 9
-    x1 = 2.0 * np.pi * np.arange(G) / G
     lhs = 0.0 + 0.0j
-    e1max = 0.0
-    e2max = 0.0
+    c1max = 0.0
+    c2max = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        dq = (profile2.slabs[profile2.slab_of(mid)].coeffs
+              - profile1.slabs[profile1.slab_of(mid)].coeffs)
         nodes, weights = _gauss_nodes(lo, hi, _N_GAUSS)
         for x3, w in zip(nodes, weights):
-            dq = (profile2.q_at(x1, x3) - profile1.q_at(x1, x3))[:, None]
             c1, _ = sol1.field.mode_coefficients(x3)
             c2, _ = sol3.field.mode_coefficients(x3)
-            v1 = _padded_grid_values(c1, ms, G)
-            v2 = _padded_grid_values(c2, ms, G)
-            dot = np.sum(v1 * np.conj(v2), axis=2)
-            lhs += w * np.sum(dq[:, 0][:, None] * dot) * (2.0 * np.pi / G) ** 2
-            e1max = max(e1max, float(np.max(np.abs(v1))))
-            e2max = max(e2max, float(np.max(np.abs(v2))))
-    lhs *= k * k
+            lhs += w * dq.overlap(c1.reshape(shape).swapaxes(0, 1),
+                                  c2.reshape(shape).swapaxes(0, 1))
+            c1max = max(c1max, float(np.linalg.norm(c1)))
+            c2max = max(c2max, float(np.linalg.norm(c2)))
+    lhs *= k * k * CELL_AREA
 
-    # Boundary side: Fourier pairing of the rotated boundary-map difference
-    # against the trace of E2 (known exactly from its datum g).
-    dT = sol2.trace - sol1.trace
-    e2_trace = np.zeros((ms.num_modes, 3), dtype=complex)
-    e2_trace[:, 0] = g.coeffs[:, 1]
-    e2_trace[:, 1] = -g.coeffs[:, 0]
-    cross = dT.cross_e3()
-    rhs = CELL_AREA * complex(np.sum(cross.coeffs * np.conj(e2_trace)))
+    # Boundary side: E2's tangential trace is (g2, -g1) = -(e3 x g) and e3 x
+    # preserves the pairing, so (e3 x (T2 f - T1 f)) . conj(E2) sums to
+    # -<T2 f - T1 f, g>.
+    rhs = -inner(sol2.trace - sol1.trace, g)
 
-    floor = max(1e-300, 1e-10 * k * k * profile1.b * CELL_AREA * e1max * e2max)
+    floor = max(1e-300, 1e-10 * k * k * profile1.b * CELL_AREA * c1max * c2max)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
     return {"lhs": lhs, "rhs": rhs, "gap": float(gap), "floor": floor}
 

@@ -13,7 +13,8 @@ that assumption into a guarded error at construction time.
 
 The refractive index q(x1) of a slab is a :class:`TrigPoly`, the one type
 for its Fourier coefficients: evaluation, the Toeplitz matrix of the
-Laurent product, conjugation and differences all live there.
+Laurent product, conjugation, differences and the q-weighted overlap
+(1/2pi) int q a conj(b) dx1 of two coefficient arrays all live there.
 """
 
 from __future__ import annotations
@@ -59,6 +60,21 @@ class TrigPoly(dict):
     def __sub__(self, other: "TrigPoly") -> "TrigPoly":
         """Difference over the union of keys: self's keys first, then other's new ones."""
         return TrigPoly({j: self.get(j, 0.0) - other.get(j, 0.0) for j in {**self, **other}})
+
+    def overlap(self, a, b) -> complex:
+        """(1/2pi) int_0^{2pi} q a conj(b) dx1 from the coefficients of a and b.
+
+        ``a`` and ``b`` hold coefficients indexed -Ma..Ma and -Mb..Mb along
+        axis 0; any trailing axes must match and are summed.  Only
+        index-matched terms survive: sum_j c_j sum_i a[i - j] conj(b[i]).
+        """
+        Ma, Mb = (len(a) - 1) // 2, (len(b) - 1) // 2
+        out = 0j
+        for j, c in self.items():
+            lo, hi = max(-Mb, j - Ma), min(Mb, j + Ma)
+            if lo <= hi:
+                out += c * np.vdot(b[lo + Mb:hi + Mb + 1], a[lo - j + Ma:hi - j + Ma + 1])
+        return out
 
     def toeplitz(self, n: int) -> np.ndarray:
         """n x n Laurent-product matrix T[a, b] = c_{a-b}; terms with |j| >= n drop out."""

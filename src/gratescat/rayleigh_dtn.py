@@ -47,13 +47,6 @@ class TangentialField:
         coeffs[:, 1] = c2
         return cls(modeset, coeffs, height)
 
-    def cross_e3(self) -> "TangentialField":
-        """e3 x F, i.e. (F1, F2, 0) -> (-F2, F1, 0)."""
-        out = np.zeros_like(self.coeffs)
-        out[:, 0] = -self.coeffs[:, 1]
-        out[:, 1] = self.coeffs[:, 0]
-        return TangentialField(self.modeset, out, self.height)
-
     def div_sobolev_norm(self) -> float:
         """H_t^{-1/2}(div) norm: sum (1+|alpha_n|^2)^{-1/2} (|F_n|^2 + |F_n.alpha_n|^2)."""
         ms = self.modeset

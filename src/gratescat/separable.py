@@ -121,17 +121,6 @@ class SeparableSolution:
     def lam(self) -> complex:
         return self.entry.lam
 
-    def e3_values(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        v = self.spectrum.eigenfunction_values(self.entry, pts[:, 0])
-        return v * self.u.values(pts[:, 1])
-
-    def field_values(self, points) -> np.ndarray:
-        e3 = self.e3_values(points)
-        out = np.zeros((e3.size, 3), dtype=complex)
-        out[:, 2] = e3
-        return out
-
     def plate_trace(self, points) -> np.ndarray:
         """nu x E on the conducting plate: identically zero for a vertical field."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -232,20 +221,13 @@ def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
     """Overlap kernels of the (n, m) separable pair against a profile difference.
 
     ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) exactly as a finite
-    sum over Fourier coefficients, 2 pi sum_j dq_j sum_b c_n[b - j] conj(c_m[b]):
-    the quasimomentum phases cancel, which needs both spectra to share alpha1,
-    and only index-matched terms survive.
+    sum over Fourier coefficients, 2 pi sum_j dq_j sum_b c_n[b - j] conj(c_m[b])
+    (:meth:`TrigPoly.overlap`): the quasimomentum phases cancel, which needs
+    both spectra to share alpha1, and only index-matched terms survive.
     ``A2`` is the closed-form transverse overlap.
     """
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
-    Mn, Mm = spec1.problem.M, spec2.problem.M
-    cn, cm = entry_n.coeffs, entry_m.coeffs
-    A1 = 0j
-    for j, c in qdiff.items():
-        lo, hi = max(-Mm, j - Mn), min(Mm, j + Mn)
-        if lo <= hi:
-            A1 += c * np.vdot(cm[lo + Mm:hi + Mm + 1], cn[lo - j + Mn:hi - j + Mn + 1])
-    A1 = complex(TWO_PI * A1)
+    A1 = complex(TWO_PI * TrigPoly(qdiff).overlap(entry_n.coeffs, entry_m.coeffs))
     A2, a2_log, a2_phase = transverse_overlap(u_n, u_m)
     return MomentKernels(A1, A2, a2_log, a2_phase)

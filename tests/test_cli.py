@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from gratescat import Quasimomentum, build_modeset
 from gratescat.cli import main
-from gratescat.forward import assemble_dtn, profile_from_mapping
+from gratescat.forward import Slab, assemble_dtn, profile_from_mapping
+from gratescat.sturm import SLProblem, solve_sl, write_spectrum_csv
 
 K = 1.2
 THETA1 = 1.05
@@ -64,6 +66,42 @@ def test_sturm_rejects_height_dependent_profile(tmp_path, capsys):
     assert code == 1
     assert "[NotOneDirectional]" in err
     assert "varies with height" in err
+    assert not (tmp_path / "eig.csv").exists()
+
+
+def test_sturm_x2_profile_uses_alpha2(tmp_path):
+    k, theta1, theta2 = 1.3, 0.9, 0.7
+    text = (STURM_CONFIG.replace(f"k = {K}", f"k = {k}")
+            .replace(f"theta1 = {THETA1}", f"theta1 = {theta1}")
+            .replace(f"theta2 = {THETA2}", f"theta2 = {theta2}")
+            .replace("    0 1.5 0.1\n", "    0 1.5 0.1\n    1 0.2 0.05\n    -1 0.2 -0.05\n"))
+    spectra = {}
+    for direction in ("x1", "x2"):
+        cfg = _write(tmp_path, f"{direction}.ini", text.replace("direction = x1",
+                                                                f"direction = {direction}"))
+        out = tmp_path / direction
+        assert main(["sturm", cfg, "--output-dir", str(out)]) == 0
+        spectra[direction] = (out / "eig.csv").read_bytes()
+    alpha = Quasimomentum.from_angles(k, theta1, theta2)
+    assert abs(alpha.alpha1 - alpha.alpha2) > 0.05
+    coeffs = Slab(0.7, {0: 1.5 + 0.1j, 1: 0.2 + 0.05j, -1: 0.2 - 0.05j}).coeffs
+    expected = tmp_path / "expected.csv"
+    write_spectrum_csv(solve_sl(SLProblem(coeffs, k, alpha.alpha2, 24)), expected)
+    assert spectra["x2"] == expected.read_bytes()
+    assert spectra["x2"] != spectra["x1"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("    0 1.5 0.1\n", "    0 1.5 0.1\n    1 nan 0\n"),
+    ("slabs = 0.7", "slabs = nan"),
+    ("slabs = 0.7", "slabs = inf"),
+])
+def test_non_finite_profile_values_rejected(tmp_path, capsys, old, new):
+    cfg = _write(tmp_path, "bad.ini", STURM_CONFIG.replace(old, new))
+    code = main(["sturm", cfg, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "[ValidationError]: forward.Slab" in err
     assert not (tmp_path / "eig.csv").exists()
 
 

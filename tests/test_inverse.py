@@ -5,7 +5,9 @@ from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_mode
                        extract_moments, reciprocity_gap, reconstruct_difference,
                        swap_direction)
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional
-from gratescat.inverse import write_moment_csv, write_reconstruction_csv
+from gratescat.forward import Slab, solve_qpbvp
+from gratescat.inverse import (_N_GAUSS, _gauss_nodes, write_moment_csv,
+                               write_reconstruction_csv)
 
 K = 1.2
 ALPHA = Quasimomentum(0.23, 0.11)
@@ -34,7 +36,7 @@ def test_gap_identical_profiles():
     ms = _modeset()
     q1, _ = _profiles()
     out = reciprocity_gap(q1, q1, _tangential(ms, 0), _tangential(ms, 1), ms)
-    assert abs(out["lhs"]) <= 1e-10 * out["floor"] * 1e10
+    assert out["lhs"] == 0.0  # q2 - q1 has only zero coefficients
     assert abs(out["rhs"]) == 0.0  # identical solves, exact cancellation
     assert out["gap"] <= 1e-10
 
@@ -45,6 +47,48 @@ def test_gap_different_profiles():
     out = reciprocity_gap(q1, q2, _tangential(ms, 2), _tangential(ms, 3), ms)
     assert abs(out["lhs"]) > 1.0  # both sides genuinely nonzero
     assert out["gap"] <= 1e-6
+
+
+def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
+    """Volume side on an alias-free FFT grid in the horizontal plane (reference)."""
+    sol1 = solve_qpbvp(profile1, f, ms)
+    sol3 = solve_qpbvp(profile2.conjugate(), g, ms)
+    bounds = np.unique(np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()]))
+    deg = max(s.coeffs.degree for s in profile1.slabs + profile2.slabs)
+    G = 4 * ms.N + 2 * deg + 9
+    x1 = 2.0 * np.pi * np.arange(G) / G
+
+    def grid_values(c):
+        spec = np.zeros((G, G, 3), dtype=complex)
+        spec[ms.n1 % G, ms.n2 % G, :] = c
+        return np.fft.ifft2(spec, axes=(0, 1)) * (G * G)
+
+    lhs = 0.0 + 0.0j
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        nodes, weights = _gauss_nodes(lo, hi, _N_GAUSS)
+        for x3, w in zip(nodes, weights):
+            dq = profile2.q_at(x1, x3) - profile1.q_at(x1, x3)
+            v1 = grid_values(sol1.field.mode_coefficients(x3)[0])
+            v2 = grid_values(sol3.field.mode_coefficients(x3)[0])
+            lhs += w * np.sum(dq[:, None] * np.sum(v1 * np.conj(v2), axis=2)) * (2.0 * np.pi / G) ** 2
+    return K * K * lhs
+
+
+@pytest.mark.parametrize("N", [0, 4])
+def test_gap_lhs_matches_grid_quadrature(N):
+    # one slab against two slabs split at 0.3: three x3 segments, a different
+    # q difference on each
+    ms = _modeset(N)
+    one = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.12 + 0.03j, -1: 0.12 - 0.03j}, B)
+    two = MediumProfile([Slab(0.3, {0: 1.6 + 0.12j, 2: 0.05, -2: 0.05}),
+                         Slab(B - 0.3, {0: 1.45 + 0.08j, 1: 0.2j, -1: -0.2j})])
+    for p1, p2, seed in ((one, two, 6), (two, one, 8)):
+        f, g = _tangential(ms, seed), _tangential(ms, seed + 1)
+        out = reciprocity_gap(p1, p2, f, g, ms)
+        ref = _grid_quadrature_lhs(p1, p2, f, g, ms)
+        assert abs(ref) > 1e3 * out["floor"]
+        assert abs(out["lhs"] - ref) <= 1e-13 * abs(ref)
+        assert out["gap"] <= 1e-6
 
 
 def test_gap_linearity_in_f():
@@ -206,7 +250,6 @@ def test_swapped_moments_match_direct_quadrature():
 
 
 def test_multi_height_profile_rejected():
-    from gratescat.forward import Slab
     stacked = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}), Slab(0.4, {0: 1.8 + 0.1j})])
     with pytest.raises(NotOneDirectional):
         extract_moments(stacked, stacked, 1, (16, 24), k=K, alpha=ALPHA)

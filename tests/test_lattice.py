@@ -157,3 +157,27 @@ def test_trigpoly_normalises_and_degree_mean():
     assert all(type(j) is int and type(c) is complex for j, c in q.items())
     assert q.degree == 3 and q.mean == 2.5
     assert q == {-3: 1.0, 0: 2.5}
+
+
+def test_trigpoly_overlap_matches_trapezoid_quadrature():
+    # (1/2pi) int q a conj(b) dx1 with trailing axes summed; the quadrature
+    # grid resolves every product of degree <= 9 + 3 + 5 exactly
+    rng = np.random.default_rng(17)
+    Ma, Mb = 3, 5
+    a = rng.normal(size=(2 * Ma + 1, 3, 2)) + 1j * rng.normal(size=(2 * Ma + 1, 3, 2))
+    b = rng.normal(size=(2 * Mb + 1, 3, 2)) + 1j * rng.normal(size=(2 * Mb + 1, 3, 2))
+    q = TrigPoly({0: 1.3 + 0.2j, 2: 0.4 - 0.1j, -2: 0.3j, 4: -0.25, -7: 0.15 + 0.05j})
+    far = TrigPoly({9: 0.7 - 0.3j, -9: 0.2})  # |j| > Ma + Mb: no index-matched term
+    x = 2.0 * np.pi * np.arange(64) / 64
+
+    def values(c):
+        M = (len(c) - 1) // 2
+        return np.tensordot(np.exp(1j * np.outer(x, np.arange(-M, M + 1))), c, axes=1)
+
+    va, vb = values(a), values(b)
+    for poly in (q, far, q - far):
+        ref = np.mean(poly(x)[:, None, None] * va * np.conj(vb), axis=0).sum()
+        for got in (poly.overlap(a, b), np.conj(poly.conj().overlap(b, a))):
+            assert abs(got - ref) <= 1e-13 * np.abs(q(x)).max() * np.abs(va).max() * np.abs(vb).max()
+    assert far.overlap(a, b) == 0
+    assert (q - far).overlap(a, b) == q.overlap(a, b)
