@@ -61,8 +61,13 @@ from .errors import (EigenFailure, IllConditionedBasis, SingularMatch,
 from .lattice import ModeSet, TrigPoly
 from .rayleigh_dtn import RayleighField, TangentialField
 
+# Largest condition number any guarded matrix may have, read as the LAPACK
+# gecon 1-norm estimate from the LU factors that its solve uses (Higham, ACM
+# TOMS 14:381, 1988); see ``_guard``.
 COND_LIMIT = 1e12
 _PROFILE_GRID = 512
+_getrf, _gecon, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                                       dtype=complex)
 
 
 def _sqrt_up(z):
@@ -187,7 +192,8 @@ class ModalBasis:
     W: np.ndarray
     V: np.ndarray
     gamma: np.ndarray
-    cond: float         # largest condition number of W over the blocks
+    Qinv: np.ndarray    # inverse of the slab's Toeplitz factor Q, for E3
+    cond: float         # largest 1-norm condition estimate of W over the blocks
 
     def exponents(self) -> np.ndarray:
         """All propagation exponents, both signs, flattened over blocks."""
@@ -229,20 +235,47 @@ def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
     return where if slab is None else f"slab {slab}, {where}"
 
 
-def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch) -> float:
-    """Largest condition number over a stack of matrices, refused above COND_LIMIT.
+def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch,
+           overwrite: bool = False):
+    """LU factors of a stack of matrices and their largest condition estimate.
 
-    COND_LIMIT is read at call time.  A non-finite condition or one above the
-    limit raises ``error`` naming the stage, the slab (when known) and the
-    first failing n2 block.
+    Each block is factored once with LAPACK getrf, and gecon estimates its
+    1-norm condition number from those factors (Hager 1984; Higham, ACM TOMS
+    14:381, 1988).  The estimate of ||A^-1||_1 is a lower bound, so the
+    reading never exceeds kappa_1(A) beyond rounding.  COND_LIMIT is read at
+    call time.  A non-finite block, an exact zero pivot or an estimate above
+    the limit raises ``error`` naming the stage, the slab (when known) and the
+    first failing n2 block.  Returns the largest estimate and the per-block
+    (lu, piv) factors that ``_lu_solve`` takes.  With ``overwrite``, blocks
+    laid out by ``_fortran_blocks`` are factored in place.
     """
-    conds = np.linalg.cond(mats)
-    bad = np.flatnonzero(~(conds <= COND_LIMIT))
-    if bad.size:
-        ib = int(bad[0])
-        raise error(f"{stage} condition {conds[ib]:.2e} exceeds {COND_LIMIT:g} at "
-                    f"{_block_label(ib, len(conds), slab)}")
-    return float(np.max(conds))
+    anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
+    worst, factors = 1.0, []
+    for ib, (a, anorm) in enumerate(zip(mats, anorms)):
+        cond = anorm            # nan or inf for a non-finite block
+        if np.isfinite(anorm):
+            lu, piv, info = _getrf(a, overwrite_a=overwrite)
+            rcond = _gecon(lu, anorm)[0] if info == 0 else 0.0
+            cond = 1.0 / rcond if rcond > 0 else np.inf
+        if not cond <= COND_LIMIT:
+            raise error(f"{stage} condition {cond:.2e} exceeds {COND_LIMIT:g} at "
+                        f"{_block_label(ib, len(mats), slab)}")
+        worst = max(worst, cond)
+        factors.append((lu, piv))
+    return float(worst), factors
+
+
+def _fortran_blocks(shape) -> np.ndarray:
+    """Empty complex stack whose square blocks are Fortran-ordered, as getrf stores them."""
+    return np.empty(shape, dtype=complex).transpose(0, 2, 1)
+
+
+def _lu_solve(factors, rhs):
+    """Solve each block against its ``_guard`` factors; rhs is (nb, n) or (nb, n, nrhs)."""
+    out = np.empty(rhs.shape, dtype=complex)
+    for ib, ((lu, piv), b) in enumerate(zip(factors, rhs)):
+        out[ib] = _getrs(lu, piv, b)[0]
+    return out
 
 
 def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
@@ -304,18 +337,18 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
             "forward.solve_layer_modes: solver expects q = q(x1); swap the profile direction first")
     slab = profile.slabs[slab_index]
     ms = modeset
+    k = ms.k
+    mb = ms.block_size
+    Q = slab.coeffs.toeplitz(mb)
+    Qinv = _toeplitz_inverse(slab, Q, slab_index)
     if slab.is_uniform:
         _, B = _block_operators(slab, ms, slab_index)
         a1, a2 = _wavenumbers(ms)
-        g = _sqrt_up(ms.k ** 2 * slab.coeffs.mean - a1 ** 2 - a2 ** 2)
+        g = _sqrt_up(k ** 2 * slab.coeffs.mean - a1 ** 2 - a2 ** 2)
         gamma = np.concatenate([g, g], axis=1)
-        W = np.broadcast_to(np.eye(2 * ms.block_size, dtype=complex), B.shape)
-        return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, 1.0)
-    k = ms.k
-    mb = ms.block_size
+        W = np.broadcast_to(np.eye(2 * mb, dtype=complex), B.shape)
+        return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, Qinv, 1.0)
     d1, a2 = _wavenumbers(ms)
-    Q = slab.coeffs.toeplitz(mb)
-    Qinv = _toeplitz_inverse(slab, Q, slab_index)
     Qinv_d1 = Qinv * d1
     try:
         kte, e = scipy.linalg.eig(k * k * Q - np.diag(d1 * d1))
@@ -345,17 +378,18 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     W[:, :mb, mb:] = x * ((ktm / k) * tm_scale / g_tm)[:, None, :]
     W[:, mb:, mb:] = y * (-(a2 / k) * tm_scale / g_tm)[:, None, :]
     V[:, mb:, mb:] = h * tm_scale[:, None, :]
-    cond = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, IllConditionedBasis)
-    return ModalBasis(ms, slab_index, slab, W, V, gamma, cond)
+    cond, _ = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, IllConditionedBasis)
+    return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, cond)
 
 
 class _Stack:
     """Reflection recursion through the slab stack, batched over the n2 blocks.
 
     Per slab j, ``r[j]`` is the reflection matrix at the slab's bottom face
-    and ``phi[j]`` its one-slab propagation factors; ``P[j]`` maps downgoing
-    amplitudes at the top face to tangential E there, and ``top_H`` does the
-    same for tangential H at the top of the stack.
+    and ``phi[j]`` its one-slab propagation factors.  ``P_lu[j]`` holds the
+    per-block LU factors of the map from downgoing amplitudes at slab j's top
+    face to tangential E there, for every slab below the top one; ``top_P``
+    and ``top_H`` map them to tangential E and H at the top of the stack.
     """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
@@ -367,37 +401,41 @@ class _Stack:
         self.modeset = modeset
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
-        self.qlu = [scipy.linalg.lu_factor(s.coeffs.toeplitz(modeset.block_size))
-                    for s in profile.slabs]
         self.max_cond = 1.0
-        self.r, self.phi, self.P = [], [], []
+        self.r, self.phi, self.P_lu = [], [], []
         eye = np.eye(2 * modeset.block_size)
         r = -eye
         for j, (slab, basis) in enumerate(zip(profile.slabs, self.bases)):
             if j > 0:
-                self.max_cond = max(self.max_cond,
-                                    _guard(self.P[-1], "forward: interface admittance", j))
-                YW = H @ np.linalg.solve(self.P[-1], basis.W)
-                r = self.solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
+                cond, lu = _guard(P, "forward: interface admittance", j)
+                self.max_cond = max(self.max_cond, cond)
+                self.P_lu.append(lu)
+                YW = H @ _lu_solve(lu, basis.W)
+                r = self.solve(np.subtract(basis.V, YW, out=_fortran_blocks(YW.shape)),
+                               basis.V + YW, "forward: interface match", j)
             phi = np.exp(1j * basis.gamma * slab.height)
             r_top = (phi[:, :, None] * r) * phi[:, None, :]
             self.r.append(r)
             self.phi.append(phi)
-            self.P.append(basis.W @ (r_top + eye))
+            P = basis.W @ (r_top + eye)
             H = basis.V @ (r_top - eye)
+        self.top_P = P
         self.top_H = H
 
     def solve(self, mats, rhs, stage: str, slab: int | None = None):
-        """Guarded batched solve; a stack of vectors ``rhs`` gives vectors back."""
-        self.max_cond = max(self.max_cond, _guard(mats, stage, slab))
-        if rhs.shape == mats.shape[:-1]:
-            return np.linalg.solve(mats, rhs[..., None])[..., 0]
-        return np.linalg.solve(mats, rhs)
+        """Guarded batched solve on one LU per block; vectors ``rhs`` give vectors back.
+
+        Blocks of ``mats`` laid out by ``_fortran_blocks`` are overwritten by
+        their factors; any other layout is copied.
+        """
+        cond, lu = _guard(mats, stage, slab, overwrite=True)
+        self.max_cond = max(self.max_cond, cond)
+        return _lu_solve(lu, rhs)
 
     def downward_amplitudes(self, d):
         """Per-slab (u, d) amplitude pairs, top slab included, from the top-face d.
 
-        The interface matrices were guarded when the stack was built.
+        The interface matrices were guarded and factored when the stack was built.
         """
         amps = [None] * len(self.profile.slabs)
         for j in range(len(amps) - 1, -1, -1):
@@ -405,7 +443,7 @@ class _Stack:
             amps[j] = (u, d)
             if j > 0:
                 et_bot = np.matvec(self.bases[j].W, u + self.phi[j] * d)
-                d = np.linalg.solve(self.P[j - 1], et_bot[..., None])[..., 0]
+                d = _lu_solve(self.P_lu[j - 1], et_bot)
         return amps
 
 
@@ -436,7 +474,7 @@ class LayerField:
         ht = np.matvec(basis.V, ep * u - em * d)
         a1, a2 = _wavenumbers(ms)
         rhs = (a1 * ht[:, mb:] - a2 * ht[:, :mb]).T
-        e3 = -scipy.linalg.lu_solve(self.stack.qlu[j], rhs).T / ms.k
+        e3 = -(basis.Qinv @ rhs).T / ms.k
         h3 = (a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k
         E = _from_blocks(ms, et)
         H = _from_blocks(ms, ht)
@@ -504,7 +542,7 @@ class LayerField:
 class QpbvpResult:
     field: LayerField
     trace: TangentialField       # T(f), tangential curl at Gamma_b
-    condition: float
+    condition: float             # largest 1-norm condition estimate of any guarded matrix
 
 
 @dataclass
@@ -540,7 +578,7 @@ def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) ->
     stack = _Stack(profile, modeset)
     top = len(profile.slabs) - 1
     et = f.coeffs[:, [1, 0]] * [1, -1]     # f = e3 x E  =>  E_t = (f2, -f1)
-    d = stack.solve(stack.P[top], _to_blocks(modeset, et), "forward.solve_qpbvp: trace match", top)
+    d = stack.solve(stack.top_P, _to_blocks(modeset, et), "forward.solve_qpbvp: trace match", top)
     trace = _from_blocks(modeset, 1j * modeset.k * np.matvec(stack.top_H, d))
     return QpbvpResult(LayerField(stack, stack.downward_amplitudes(d)),
                        TangentialField(modeset, trace, profile.b), stack.max_cond)
@@ -556,8 +594,9 @@ def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> DtnMap:
     # J maps block [f1; f2] to block [E1; E2] = [f2; -f1].
     J = np.kron([[0, 1], [-1, 0]], np.eye(mb))
     top = len(profile.slabs) - 1
-    blocks = 1j * ms.k * stack.top_H @ stack.solve(stack.P[top], J,
-                                                   "forward.assemble_dtn: trace match", top)
+    PinvJ = stack.solve(stack.top_P, np.broadcast_to(J, stack.top_P.shape),
+                        "forward.assemble_dtn: trace match", top)
+    blocks = 1j * ms.k * stack.top_H @ PinvJ
     # Matrix rows and columns split as (component, block, n1): scatter the
     # diagonal of the block axis.
     matrix = np.zeros((2 * m, 2 * m), dtype=complex)
@@ -572,7 +611,7 @@ class ScatteringResult:
     scattered: RayleighField     # upgoing Rayleigh sequence, referenced at b
     incident: RayleighField      # downgoing expansion, referenced at 0
     trace_total: TangentialField
-    condition: float
+    condition: float             # largest 1-norm condition estimate of any guarded matrix
 
 
 def _rho_diagonals(modeset: ModeSet):
@@ -637,11 +676,12 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     g1 = 1j * (a2 * C[:, 2] + beta * C[:, 1]) - (r11 * C[:, 0] + r12 * C[:, 1])
     g2 = 1j * (-beta * C[:, 0] - a1 * C[:, 2]) - (r21 * C[:, 0] + r22 * C[:, 1])
     nb = 2 * ms.N + 1
-    P = stack.P[-1]
+    P = stack.top_P
     r11, r12, r21, r22 = (r.reshape(nb, mb, 1) for r in (r11, r12, r21, r22))
     rho_P = np.concatenate([r11 * P[:, :mb] + r12 * P[:, mb:],
                             r21 * P[:, :mb] + r22 * P[:, mb:]], axis=1)
-    d = stack.solve(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
+    match = np.subtract(1j * ms.k * stack.top_H, rho_P, out=_fortran_blocks(rho_P.shape))
+    d = stack.solve(match, _to_blocks(ms, np.column_stack([g1, g2])),
                     "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
     trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]

@@ -1,3 +1,6 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -112,7 +115,8 @@ def test_basis_condition_guard_threshold(monkeypatch):
     basis = solve_layer_modes(prof, 0, ms)
     worst = basis.cond
     assert worst > 1.0
-    ib = int(np.argmax(np.linalg.cond(basis.W)))
+    ib = int(np.argmax([forward._guard(basis.W[i:i + 1], "probe")[0]
+                        for i in range(len(basis.W))]))
     # The guard reads COND_LIMIT when it runs, so patching the module
     # constant moves the threshold for every caller.
     monkeypatch.setattr(forward, "COND_LIMIT", worst * (1 - 1e-9))
@@ -137,14 +141,21 @@ LIFT_SLABS = {
 }
 
 
+def _three_slab_stack():
+    """Two non-uniform slabs around a uniform one: 7 guarded stacks per solve."""
+    return MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),
+                          Slab(B - 0.5, LIFT_SLABS["lossless"])])
+
+
 def _dense_layer_modes(profile, slab_index, modeset):
     """Reference basis: one dense eigensolve of A B per n2 block."""
     slab = profile.slabs[slab_index]
     A, Bm = forward._block_operators(slab, modeset, slab_index)
     w2, W = scipy.linalg.eig(A @ Bm)
     gamma = forward._sqrt_up(w2)
+    Qinv = forward._toeplitz_inverse(slab, slab.coeffs.toeplitz(modeset.block_size), slab_index)
     return forward.ModalBasis(modeset, slab_index, slab, W, (Bm @ W) / gamma[:, None, :],
-                              gamma, float(np.max(np.linalg.cond(W))))
+                              gamma, Qinv, float(np.max(np.linalg.cond(W))))
 
 
 @pytest.mark.parametrize("kind", sorted(LIFT_SLABS))
@@ -198,9 +209,7 @@ def test_two_eigensolves_of_order_mb_per_nonuniform_slab(monkeypatch, N):
     for mod in (scipy.linalg, np.linalg):
         for name in ("eig", "eigvals"):
             monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
-    prof = MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),
-                          Slab(B - 0.5, LIFT_SLABS["lossless"])])
-    solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
+    solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
     assert orders == [ms.block_size] * 4
 
 
@@ -231,6 +240,78 @@ def test_qpbvp_condition_guard_threshold(monkeypatch):
     assert "slab " in msg and "(n2 = " in msg
     monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 + 1e-9))
     assert solve_qpbvp(prof, f, ms).condition == reported
+
+
+@pytest.mark.parametrize("bad", ["nan", "zero"])
+def test_guard_raises_typed_error_on_non_finite_or_singular_block(bad):
+    rng = np.random.default_rng(12)
+    mats = rng.normal(size=(3, 6, 6)) + 1j * rng.normal(size=(3, 6, 6)) + 8 * np.eye(6)
+    if bad == "nan":
+        mats[1, 2, 4] = np.nan
+    else:
+        mats[1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatch) as err:
+            forward._guard(mats, "forward: probe", 2)
+    msg = str(err.value)
+    assert msg.startswith("forward: probe condition ")
+    assert msg.endswith("at slab 2, block 1 (n2 = 0)")
+
+
+def test_condition_estimate_brackets_exact_one_norm_condition(monkeypatch):
+    ms = _modeset(8)
+    guard = forward._guard
+    seen = []
+
+    def recording(mats, stage, *args, **kwargs):
+        seen.append((stage, np.array(mats)))
+        return guard(mats, stage, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "_guard", recording)
+    res = solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2),
+                           ms)
+    assert len(seen) == 7
+    worst = 0.0
+    for stage, mats in seen:
+        assert len(mats) == 2 * ms.N + 1
+        for a in mats:
+            est = guard(a[None], stage)[0]
+            exact = np.linalg.cond(a, 1)
+            assert exact / 3 <= est <= exact * (1 + 1e-12), stage
+            worst = max(worst, est)
+    # the solve sums the boundary-match norms in another memory order
+    assert res.condition == pytest.approx(worst, rel=1e-13)
+
+
+def test_one_lu_per_guarded_block_and_no_svd_or_dense_solve(monkeypatch):
+    ms = _modeset(8)
+    calls = {}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod, names in ((np.linalg, ("svd", "cond", "solve")),
+                       (scipy.linalg, ("svd", "solve", "lu_factor", "lu_solve"))):
+        for name in names:
+            monkeypatch.setattr(mod, name, counting(f"{mod.__name__}.{name}",
+                                                    getattr(mod, name)))
+    factored = []
+    getrf = forward._getrf
+
+    def recording_getrf(a, *args, **kwargs):
+        factored.append(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest())
+        return getrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(forward, "_getrf", recording_getrf)
+    solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
+    assert calls == {}
+    # 2 eigenbases, 2 interface admittances, 2 interface matches, 1 boundary match
+    assert len(factored) == 7 * (2 * ms.N + 1)
+    assert len(set(factored)) == len(factored)
 
 
 def test_qpbvp_zero_data():
