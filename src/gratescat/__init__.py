@@ -24,6 +24,6 @@ from .forward import (DtnMap, LayerField, MediumProfile, ModalBasis, Slab, assem
 from .sturm import SLProblem, SLSpectrum, check_asymptotics, solve_sl
 from .separable import SeparableSolution, TransverseFactor, build_separable, build_u, moment_kernels
 from .inverse import (MomentTable, ReconstructionResult, extract_moments, reciprocity_gap,
-                      reconstruct_difference, swap_direction)
+                      reconstruct_difference)
 
 __version__ = "0.1.0"

@@ -214,13 +214,9 @@ def _run_dtn(sc: Scenario) -> None:
 
 
 def _run_sturm(sc: Scenario) -> None:
-    prof = sc.profile
-    _require(prof is not None, "cli.run: scenario needs a [profile] section")
-    alpha = sc.alpha
-    if prof.direction == "x2":
-        prof, alpha = inverse.swap_direction(prof, alpha)
-    coeffs = inverse.one_directional_coeffs(prof, "profile")
-    prob = sturm.SLProblem(coeffs, sc.k, alpha.alpha1, sc.M)
+    _require(sc.profile is not None, "cli.run: scenario needs a [profile] section")
+    coeffs, along, _ = inverse.one_directional_coeffs(sc.profile, sc.alpha, "profile")
+    prob = sturm.SLProblem(coeffs, sc.k, along, sc.M)
     spec = sturm.solve_sl(prob)
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues", "eigenvalues.csv"))
     rep = sturm.check_asymptotics(spec, prob)
@@ -236,16 +232,10 @@ def _run_sturm(sc: Scenario) -> None:
 
 
 def _moment_table(sc: Scenario):
-    q1 = sc.profile
-    q2 = sc.profile2
-    _require(q1 is not None and q2 is not None,
+    _require(sc.profile is not None and sc.profile2 is not None,
              "cli.run: moments scenario needs [profile] and [profile2]")
-    alpha = sc.alpha
-    if q1.direction == "x2" and q2.direction == "x2":
-        q1, alpha = inverse.swap_direction(q1, alpha)
-        q2 = inverse.swap_direction(q2)
-    return inverse.extract_moments(q1, q2, sc.L, sc.m_schedule, k=sc.k, alpha=alpha,
-                                   a2_floor=sc.a2_floor)
+    return inverse.extract_moments(sc.profile, sc.profile2, sc.L, sc.m_schedule, k=sc.k,
+                                   alpha=sc.alpha, a2_floor=sc.a2_floor)
 
 
 def _run_moments(sc: Scenario) -> None:

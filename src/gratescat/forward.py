@@ -59,7 +59,7 @@ import scipy.linalg
 from .errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                      TruncationMismatch, ValidationError)
 from .lattice import ModeSet, TrigPoly
-from .rayleigh_dtn import RayleighField, TangentialField
+from .rayleigh_dtn import RayleighField, TangentialField, _r_entries
 
 # Largest condition number any guarded matrix may have, read as the LAPACK
 # gecon 1-norm estimate from the LU factors that its solve uses (Higham, ACM
@@ -235,8 +235,7 @@ def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
     return where if slab is None else f"slab {slab}, {where}"
 
 
-def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch,
-           overwrite: bool = False):
+def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch):
     """LU factors of a stack of matrices and their largest condition estimate.
 
     Each block is factored once with LAPACK getrf, and gecon estimates its
@@ -246,15 +245,14 @@ def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch,
     call time.  A non-finite block, an exact zero pivot or an estimate above
     the limit raises ``error`` naming the stage, the slab (when known) and the
     first failing n2 block.  Returns the largest estimate and the per-block
-    (lu, piv) factors that ``_lu_solve`` takes.  With ``overwrite``, blocks
-    laid out by ``_fortran_blocks`` are factored in place.
+    (lu, piv) factors that ``_lu_solve`` takes.
     """
     anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
     worst, factors = 1.0, []
     for ib, (a, anorm) in enumerate(zip(mats, anorms)):
         cond = anorm            # nan or inf for a non-finite block
         if np.isfinite(anorm):
-            lu, piv, info = _getrf(a, overwrite_a=overwrite)
+            lu, piv, info = _getrf(a)
             rcond = _gecon(lu, anorm)[0] if info == 0 else 0.0
             cond = 1.0 / rcond if rcond > 0 else np.inf
         if not cond <= COND_LIMIT:
@@ -263,11 +261,6 @@ def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch,
         worst = max(worst, cond)
         factors.append((lu, piv))
     return float(worst), factors
-
-
-def _fortran_blocks(shape) -> np.ndarray:
-    """Empty complex stack whose square blocks are Fortran-ordered, as getrf stores them."""
-    return np.empty(shape, dtype=complex).transpose(0, 2, 1)
 
 
 def _lu_solve(factors, rhs):
@@ -334,7 +327,7 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     """
     if profile.direction != "x1":
         raise ValidationError(
-            "forward.solve_layer_modes: solver expects q = q(x1); swap the profile direction first")
+            "forward.solve_layer_modes: solver expects q = q(x1), got a profile in x2")
     slab = profile.slabs[slab_index]
     ms = modeset
     k = ms.k
@@ -394,9 +387,6 @@ class _Stack:
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
         profile.validate()
-        if profile.direction != "x1":
-            raise ValidationError(
-                "forward: solver expects q = q(x1); swap the profile direction first")
         self.profile = profile
         self.modeset = modeset
         self.bases = [solve_layer_modes(profile, j, modeset)
@@ -411,8 +401,7 @@ class _Stack:
                 self.max_cond = max(self.max_cond, cond)
                 self.P_lu.append(lu)
                 YW = H @ _lu_solve(lu, basis.W)
-                r = self.solve(np.subtract(basis.V, YW, out=_fortran_blocks(YW.shape)),
-                               basis.V + YW, "forward: interface match", j)
+                r = self.solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
             phi = np.exp(1j * basis.gamma * slab.height)
             r_top = (phi[:, :, None] * r) * phi[:, None, :]
             self.r.append(r)
@@ -423,12 +412,8 @@ class _Stack:
         self.top_H = H
 
     def solve(self, mats, rhs, stage: str, slab: int | None = None):
-        """Guarded batched solve on one LU per block; vectors ``rhs`` give vectors back.
-
-        Blocks of ``mats`` laid out by ``_fortran_blocks`` are overwritten by
-        their factors; any other layout is copied.
-        """
-        cond, lu = _guard(mats, stage, slab, overwrite=True)
+        """Guarded batched solve on one LU per block; vectors ``rhs`` give vectors back."""
+        cond, lu = _guard(mats, stage, slab)
         self.max_cond = max(self.max_cond, cond)
         return _lu_solve(lu, rhs)
 
@@ -485,18 +470,6 @@ class LayerField:
             dH = _from_blocks(ms, np.matvec(basis.V, 1j * basis.gamma * (ep * u + em * d)))
             return E, H, dE, dH
         return E, H
-
-    def values(self, points) -> np.ndarray:
-        """Electric field values at (x1, x2, x3) points; shape (P, 3)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ms = self.modeset
-        out = np.zeros((pts.shape[0], 3), dtype=complex)
-        for i, pt in enumerate(pts):
-            E, _ = self.mode_coefficients(pt[2])
-            ph = (ms.phases(pt[:2][None, :])[0]
-                  * np.exp(1j * (ms.alpha.alpha1 * pt[0] + ms.alpha.alpha2 * pt[1])))
-            out[i] = ph @ E
-        return out
 
     def residual_report(self, points) -> dict:
         """Pointwise residual of (curl curl - k^2 q) E, relative to the field scale.
@@ -614,19 +587,6 @@ class ScatteringResult:
     condition: float             # largest 1-norm condition estimate of any guarded matrix
 
 
-def _rho_diagonals(modeset: ModeSet):
-    """Per-mode 2x2 entries of the map E_t -> [R(e3 x E)]_t."""
-    ms = modeset
-    a1 = ms.alpha_n[:, 0]
-    a2 = ms.alpha_n[:, 1]
-    ib = 1.0 / (1j * ms.beta)
-    r11 = a1 * a2 * ib
-    r12 = (ms.k ** 2 - a1 ** 2) * ib
-    r21 = -(ms.k ** 2 - a2 ** 2) * ib
-    r22 = -a1 * a2 * ib
-    return r11, r12, r21, r22
-
-
 def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:
     """Downgoing modal expansion of a plane wave or dipole-sheet incidence."""
     from .greens import DipoleDensity, PlaneWaveIncidence, incident_from_density
@@ -671,7 +631,9 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     a1 = ms.alpha_n[:, 0]
     a2 = ms.alpha_n[:, 1]
     beta = ms.beta
-    r11, r12, r21, r22 = _rho_diagonals(ms)
+    # rho maps E_t to R(e3 x E) = R(-E2, E1): R's columns swapped, the second negated.
+    c11, c12, c22, ib = _r_entries(ms)
+    r11, r12, r21, r22 = c12 * ib, -c11 * ib, c22 * ib, -c12 * ib
     # Tangential curl of the incident field minus R applied to its rotated trace.
     g1 = 1j * (a2 * C[:, 2] + beta * C[:, 1]) - (r11 * C[:, 0] + r12 * C[:, 1])
     g2 = 1j * (-beta * C[:, 0] - a1 * C[:, 2]) - (r21 * C[:, 0] + r22 * C[:, 1])
@@ -680,8 +642,7 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     r11, r12, r21, r22 = (r.reshape(nb, mb, 1) for r in (r11, r12, r21, r22))
     rho_P = np.concatenate([r11 * P[:, :mb] + r12 * P[:, mb:],
                             r21 * P[:, :mb] + r22 * P[:, mb:]], axis=1)
-    match = np.subtract(1j * ms.k * stack.top_H, rho_P, out=_fortran_blocks(rho_P.shape))
-    d = stack.solve(match, _to_blocks(ms, np.column_stack([g1, g2])),
+    d = stack.solve(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
                     "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
     trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]

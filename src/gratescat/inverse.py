@@ -29,9 +29,12 @@ Three pieces:
    the difference, (q1 - q2)(x1) = (1/2pi) sum_l M_l e^{-i l x1}, with the
    sign convention pinned by the constant-difference calibration case.
 
-q1, q2, conj(q2) and the difference are all :class:`TrigPoly` values; the
-moment pipeline needs each profile to depend on x1 alone
-(:func:`one_directional_coeffs`).
+q1, q2, conj(q2) and the difference are all :class:`TrigPoly` values.  The
+moment pipeline needs each profile to vary along one horizontal axis, x1 or
+x2, and both along the same one; :func:`one_directional_coeffs` is the one
+place that reads the axis.  The quasimomentum component along it is the
+Sturm-Liouville shift, and the component across it enters the transverse
+factor.  Below, "x1" names the axis q varies along.
 """
 
 from __future__ import annotations
@@ -138,17 +141,22 @@ class MomentTable:
         raise ValidationError(f"inverse.MomentTable: no entry (l={l}, m={m})")
 
 
-def one_directional_coeffs(profile: MediumProfile, name: str) -> TrigPoly:
-    """q(x1) of a profile that depends on x1 alone: every slab must carry it."""
-    if profile.direction != "x1":
-        raise NotOneDirectional(
-            f"inverse: {name} depends on x2; apply swap_direction first")
+def one_directional_coeffs(profile: MediumProfile, alpha: Quasimomentum, name: str):
+    """q of a profile that varies along one horizontal axis, and alpha split by it.
+
+    Every slab must carry the same q.  Returns ``(q, along, across)``: the
+    slab's :class:`TrigPoly`, alpha's component along the profile's axis
+    (``alpha1`` for an x1 profile, ``alpha2`` for x2) and its component
+    across it.
+    """
     first = profile.slabs[0].coeffs
     for s in profile.slabs[1:]:
         if s.coeffs != first:
             raise NotOneDirectional(
                 f"inverse: {name} varies with height, so it depends on more than one direction")
-    return first
+    if profile.direction == "x1":
+        return first, alpha.alpha1, alpha.alpha2
+    return first, alpha.alpha2, alpha.alpha1
 
 
 def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
@@ -160,21 +168,27 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     (m + l, m) eigenpair product of the q1-spectrum against the conj(q2)-
     spectrum is overlapped with the difference; the per-l moment estimate is
     the intercept of an a + b/m fit over the schedule.  Both transverse
-    factors use the growth preset c2 = exp(2 pi sqrt(mu)).
+    factors use the growth preset c2 = exp(2 pi sqrt(mu)).  q1 and q2 may
+    vary along x1 or x2, but along the same axis; a mixed pair raises
+    :class:`NotOneDirectional`.
     """
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
     if len(m_schedule) < 2:
         raise ValidationError("inverse.extract_moments: schedule needs at least two entries")
     if m_schedule[0] - L < 1:
         raise ValidationError("inverse.extract_moments: schedule too low for requested degree")
-    c1 = one_directional_coeffs(q1, "q1")
-    c2 = one_directional_coeffs(q2, "q2")
+    c1, along, across = one_directional_coeffs(q1, alpha, "q1")
+    c2, _, _ = one_directional_coeffs(q2, alpha, "q2")
+    if q1.direction != q2.direction:
+        raise NotOneDirectional(
+            f"inverse.extract_moments: q1 varies along {q1.direction} and q2 along "
+            f"{q2.direction}, so q1 - q2 depends on both directions")
     if M is None:
         M = 2 * (m_schedule[-1] + L) + 8
     if m_schedule[-1] > M // 2:
         raise ValidationError("inverse.extract_moments: schedule exceeds half the truncation")
-    spec1 = solve_sl(SLProblem(c1, k, alpha.alpha1, M))
-    spec2 = solve_sl(SLProblem(c2.conj(), k, alpha.alpha1, M))
+    spec1 = solve_sl(SLProblem(c1, k, along, M))
+    spec2 = solve_sl(SLProblem(c2.conj(), k, along, M))
     qdiff = c1 - c2
     table = MomentTable(L, m_schedule, a2_floor)
     log_floor = math.log10(a2_floor)
@@ -187,8 +201,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
             e_m = spec2.entry(1, m)
             mu_n = -e_n.lam
             mu_m = -e_m.lam
-            u_n = build_u(mu_n, alpha.alpha2, growth_c2(mu_n))
-            u_m = build_u(mu_m, alpha.alpha2, growth_c2(mu_m))
+            u_n = build_u(mu_n, across, growth_c2(mu_n))
+            u_m = build_u(mu_m, across, growth_c2(mu_m))
             kern = moment_kernels(spec1, e_n, spec2, e_m, u_n, u_m, qdiff)
             ok = kern.a2_log10 > log_floor
             table.entries.append(MomentEntry(l, m, kern.A1, kern.A2, kern.a2_log10, ok))
@@ -236,20 +250,6 @@ def reconstruct_difference(table: MomentTable, L: int | None = None) -> Reconstr
                    "fit_slopes": dict(table.fit_slopes),
                    "a2_floor": table.a2_floor}
     return ReconstructionResult(TrigPoly(coeffs), errors, diagnostics)
-
-
-def swap_direction(profile: MediumProfile, alpha: Quasimomentum | None = None):
-    """Relabel the horizontal coordinates of a one-directional profile.
-
-    A profile in x2 becomes the same trigonometric polynomial in x1 (and vice
-    versa).  When a quasimomentum is supplied its components are swapped too
-    and the pair is returned.
-    """
-    swapped = MediumProfile(list(profile.slabs),
-                            "x1" if profile.direction == "x2" else "x2")
-    if alpha is None:
-        return swapped
-    return swapped, Quasimomentum(alpha.alpha2, alpha.alpha1)
 
 
 def write_moment_csv(table: MomentTable, path) -> None:

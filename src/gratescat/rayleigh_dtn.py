@@ -121,11 +121,6 @@ class RayleighField:
         shift = np.exp(1j * self._beta_signed * (height - self.height))
         return RayleighField(self.modeset, self.coeffs * shift[:, None], height, self.direction)
 
-    def tangential(self) -> TangentialField:
-        out = self.coeffs.copy()
-        out[:, 2] = 0.0
-        return TangentialField(self.modeset, out, self.height)
-
     def values(self, points) -> np.ndarray:
         """Field values at (x1, x2, x3) points; shape (P, 3)."""
         ms = self.modeset
@@ -142,16 +137,27 @@ def inner(a: TangentialField, b: TangentialField) -> complex:
     return CELL_AREA * complex(np.sum(a.coeffs * np.conj(b.coeffs)))
 
 
+def _r_entries(modeset: ModeSet):
+    """Per-mode entries of R on (F1, F2): (R F)_n = s_n [[c11, c12], [c12, c22]]_n F_n.
+
+    Returns ``(c11, c12, c22, s)`` with c11 = a1^2 - k^2, c12 = a1 a2,
+    c22 = a2^2 - k^2 and s = 1 / (i beta_n), where (a1, a2) = alpha_n.
+    """
+    a1 = modeset.alpha_n[:, 0]
+    a2 = modeset.alpha_n[:, 1]
+    k2 = modeset.k ** 2
+    return -(k2 - a1 ** 2), a1 * a2, -(k2 - a2 ** 2), 1.0 / (1j * modeset.beta)
+
+
 def apply_R(field: TangentialField, modeset: ModeSet | None = None) -> TangentialField:
     """Apply the transparent-boundary operator mode by mode."""
     if modeset is not None:
         field.modeset.require_same(modeset, "rayleigh_dtn.apply_R")
     ms = field.modeset
-    adot = np.sum(field.coeffs * ms.alpha_n, axis=1)
-    bracket = ms.k ** 2 * field.coeffs - adot[:, None] * ms.alpha_n
-    out = -bracket / (1j * ms.beta)[:, None]
-    out[:, 2] = 0.0
-    return TangentialField(ms, out, field.height)
+    c11, c12, c22, s = _r_entries(ms)
+    f1, f2 = field.coeffs[:, 0], field.coeffs[:, 1]
+    return TangentialField.from_components(ms, s * (c11 * f1 + c12 * f2),
+                                           s * (c12 * f1 + c22 * f2), field.height)
 
 
 def energy_forms(field: TangentialField, modeset: ModeSet | None = None) -> dict:

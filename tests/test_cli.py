@@ -329,6 +329,42 @@ qcoef =
     assert head.startswith("l,m,re_A1")
 
 
+def test_moments_mixed_axis_pair_rejected(tmp_path, capsys):
+    text = f"""
+[physics]
+k = {K}
+theta1 = {THETA1}
+theta2 = {THETA2}
+
+[numerics]
+L = 1
+m_schedule = 16 24
+
+[profile]
+direction = x1
+slabs = 0.7
+qcoef =
+    0 1.5 0.1
+    1 0.12 0
+    -1 0.12 0
+
+[profile2]
+direction = x2
+slabs = 0.7
+qcoef =
+    0 1.4 0.1
+    1 0.12 0
+    -1 0.12 0
+"""
+    cfg = _write(tmp_path, "mixed.ini", text)
+    assert main(["moments", cfg, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "[NotOneDirectional]" in err
+    assert "depends on both directions" in err
+    assert "swap" not in err
+    assert not (tmp_path / "moments.csv").exists()
+
+
 def test_dtn_csv_lists_nonzero_entries_in_row_major_order(tmp_path):
     qcoef = "0 1.5 0.1\n1 0.12 0\n-1 0.12 0"
     cfg = _write(tmp_path, "dtn.ini", f"""

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_modeset,
-                       extract_moments, reciprocity_gap, reconstruct_difference,
-                       swap_direction)
+                       extract_moments, reciprocity_gap, reconstruct_difference)
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional
 from gratescat.forward import Slab, solve_qpbvp
-from gratescat.inverse import (_N_GAUSS, _gauss_nodes, write_moment_csv,
-                               write_reconstruction_csv)
+from gratescat.inverse import (_N_GAUSS, _gauss_nodes, one_directional_coeffs,
+                               write_moment_csv, write_reconstruction_csv)
 
 K = 1.2
 ALPHA = Quasimomentum(0.23, 0.11)
@@ -218,20 +217,44 @@ def test_a2_floor_threshold():
     assert min(sum(e.a2_ok for e in kept.entries if e.l == l) for l in (-1, 0, 1)) == 2
 
 
-def test_swap_direction():
-    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 1.0}, B, direction="x2")
-    swapped, alpha = swap_direction(prof, ALPHA)
-    assert swapped.direction == "x1"
-    assert swapped.slabs[0].coeffs == prof.slabs[0].coeffs
-    assert (alpha.alpha1, alpha.alpha2) == (ALPHA.alpha2, ALPHA.alpha1)
-    back = swap_direction(swapped)
-    assert back.direction == "x2"
-    assert back.slabs[0].coeffs == prof.slabs[0].coeffs
+def test_one_directional_coeffs_component_order():
+    # (q, along, across): alpha's component along the profile's axis comes first
+    coeffs = {0: 1.5 + 0.1j, 1: 1.0}
+    for direction, along, across in (("x1", ALPHA.alpha1, ALPHA.alpha2),
+                                     ("x2", ALPHA.alpha2, ALPHA.alpha1)):
+        prof = MediumProfile.from_coeffs(coeffs, B, direction=direction)
+        q, a, c = one_directional_coeffs(prof, ALPHA, "q")
+        assert q == prof.slabs[0].coeffs
+        assert (a, c) == (along, across)
+
+
+def test_x2_pair_moments_equal_x1_pair_with_swapped_alpha():
+    base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
+    diff = {0: 0.06, 1: 0.11, -1: 0.09}
+    q1c = {j: base.get(j, 0) + diff.get(j, 0) for j in {**base, **diff}}
+    swapped = Quasimomentum(ALPHA.alpha2, ALPHA.alpha1)
+    tabs = [extract_moments(MediumProfile.from_coeffs(q1c, B, direction=d),
+                            MediumProfile.from_coeffs(base, B, direction=d),
+                            1, SCHEDULE, k=K, alpha=alpha)
+            for d, alpha in (("x2", ALPHA), ("x1", swapped))]
+    assert [(e.l, e.m, e.A1, e.A2) for e in tabs[0].entries] == \
+        [(e.l, e.m, e.A1, e.A2) for e in tabs[1].entries]
+    assert tabs[0].estimates == tabs[1].estimates
+
+
+def test_mixed_axis_pair_rejected():
+    q1 = MediumProfile.from_coeffs({0: 1.6 + 0.12j, 1: 0.2, -1: 0.2}, B, direction="x1")
+    q2 = MediumProfile.from_coeffs({0: 1.6 + 0.12j, 1: 0.1, -1: 0.1}, B, direction="x2")
+    for a, b in ((q1, q2), (q2, q1)):
+        with pytest.raises(NotOneDirectional) as err:
+            extract_moments(a, b, 1, (16, 24), k=K, alpha=ALPHA)
+        assert "depends on both directions" in str(err.value)
+        assert "swap" not in str(err.value)
 
 
 def test_swapped_moments_match_direct_quadrature():
-    # profiles in x2: swap, run the x1 pipeline, compare against direct
-    # quadrature of the difference in its original variable
+    # profiles in x2 go straight into the pipeline; compare against direct
+    # quadrature of the difference in its own variable
     base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
     diff = {0: 0.06, 1: 0.11, -1: 0.09}
     q1c = dict(base)
@@ -239,9 +262,7 @@ def test_swapped_moments_match_direct_quadrature():
         q1c[j] = q1c.get(j, 0) + c
     p1 = MediumProfile.from_coeffs(q1c, B, direction="x2")
     p2 = MediumProfile.from_coeffs(base, B, direction="x2")
-    s1, alpha = swap_direction(p1, ALPHA)
-    s2 = swap_direction(p2)
-    tab = extract_moments(s1, s2, 1, SCHEDULE, k=K, alpha=alpha)
+    tab = extract_moments(p1, p2, 1, SCHEDULE, k=K, alpha=ALPHA)
     x2 = np.linspace(0, 2 * np.pi, 4097)[:-1]
     dq = sum(c * np.exp(1j * j * x2) for j, c in diff.items())
     for l in (-1, 0, 1):
