@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`gratescat.lattice`       mode lattice, quasimomentum, cell Fourier analysis
+- :mod:`gratescat.lattice`       mode lattice, quasimomentum, q's Fourier coefficients
 - :mod:`gratescat.greens`        quasi-periodic Green's function, dipole-sheet incidence
 - :mod:`gratescat.rayleigh_dtn`  Rayleigh sequences, transparent-boundary operator
 - :mod:`gratescat.forward`       layer solver, boundary map, scattering solve
@@ -13,8 +13,7 @@ Library layout:
 """
 
 from . import errors
-from .lattice import (CellFunction, ModeSet, Quasimomentum, TrigPoly, analyze, build_modeset,
-                      synthesize)
+from .lattice import ModeSet, Quasimomentum, TrigPoly, build_modeset
 from .rayleigh_dtn import (RayleighField, TangentialField, apply_R, efficiencies,
                            energy_forms, inner)
 from .greens import (DipoleDensity, PlaneWaveIncidence, green_eval, helmholtz_residual,

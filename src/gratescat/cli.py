@@ -8,8 +8,8 @@ message names the originating module and operation on stderr.
 Config grammar (sections and keys; angles in radians):
 
     [scenario]  kind, seed
-    [physics]   k, theta1, theta2, a, b
-    [numerics]  N, M, L, wood_tol, m_schedule, cases, a2_floor
+    [physics]   k, theta1, theta2, b
+    [numerics]  N, M (sturm only), L, wood_tol, m_schedule, cases, a2_floor
     [profile]   direction, slabs, qcoef (lines of "j re im"; qcoef2... per slab,
                 a slab without its own qcoefK reuses slab 1's qcoef)
     [profile2]  second profile for moments / reconstruct / gapcheck
@@ -53,7 +53,6 @@ class Scenario:
         self.k = float(self._get("physics", "k", "1.0"))
         self.theta1 = float(self._get("physics", "theta1", "1.5707963267948966"))
         self.theta2 = float(self._get("physics", "theta2", "0.0"))
-        self.a = self._maybe_float("physics", "a")
         self.b = self._maybe_float("physics", "b")
         self.N = int(self._get("numerics", "N", "8"))
         self.M = int(self._get("numerics", "M", "64"))
@@ -75,9 +74,6 @@ class Scenario:
                     f"cli.run: physics b = {self.b:g} does not equal the slab total "
                     f"{self.profile.b:g}")
             self.b = self.profile.b
-        if self.a is not None and self.b is not None and self.a <= self.b:
-            raise ValidationError(
-                f"cli.run: measurement plane a = {self.a:g} must exceed layer height b = {self.b:g}")
         for prof in (self.profile, self.profile2):
             if prof is not None:
                 prof.validate()
@@ -115,7 +111,7 @@ class Scenario:
         stream = stream if stream is not None else sys.stdout
         print(f"kind = {self.kind}", file=stream)
         print(f"seed = {self.seed}", file=stream)
-        for name in ("k", "theta1", "theta2", "a", "b"):
+        for name in ("k", "theta1", "theta2", "b"):
             print(f"{name} = {getattr(self, name)}", file=stream)
         print(f"alpha = ({self.alpha.alpha1!r}, {self.alpha.alpha2!r})", file=stream)
         for name in ("N", "M", "L", "cases", "wood_tol", "a2_floor"):
@@ -199,11 +195,12 @@ def _run_dtn(sc: Scenario) -> None:
     _require(sc.profile is not None, "cli.run: dtn scenario needs a [profile] section")
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
     dtn = forward.assemble_dtn(sc.profile, ms)
+    rows, cols = np.nonzero(dtn.matrix)
+    vals = dtn.matrix[rows, cols]
     with open(sc.out_path("dtn", "dtn.csv"), "w", newline="") as fh:
         fh.write("row,col,re,im\n")
-        for i, row in enumerate(dtn.matrix):
-            for j in np.flatnonzero(row).tolist():
-                fh.write(f"{i},{j},{row[j].real:.17g},{row[j].imag:.17g}\n")
+        fh.writelines(f"{i},{j},{re:.17g},{im:.17g}\n" for i, j, re, im in zip(
+            rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist()))
     _write_summary(sc.out_path("summary", "summary.txt"), [
         ("kind", "dtn"),
         ("profile_digest", dtn.profile_digest),

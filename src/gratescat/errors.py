@@ -43,10 +43,6 @@ class WoodAnomaly(SolverError):
         self.mode = mode
 
 
-class GridTooCoarse(ValidationError):
-    """Sampling grid is below the alias-free bound for the truncation."""
-
-
 class PointsTooClose(SolverError):
     """Source and evaluation point are too close for the modal series."""
 

@@ -58,6 +58,7 @@ import scipy.linalg
 
 from .errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                      TruncationMismatch, ValidationError)
+from .greens import DipoleDensity, PlaneWaveIncidence, incident_from_density
 from .lattice import ModeSet, TrigPoly
 from .rayleigh_dtn import RayleighField, TangentialField, _r_entries
 
@@ -491,8 +492,7 @@ class LayerField:
             curl_h[:, 0] = 1j * a2 * H[:, 2] - dH[:, 1]
             curl_h[:, 1] = dH[:, 0] - 1j * a1 * H[:, 2]
             curl_h[:, 2] = 1j * a1 * H[:, 1] - 1j * a2 * H[:, 0]
-            ph = (ms.phases(pt[:2][None, :])[0]
-                  * np.exp(1j * (ms.alpha.alpha1 * pt[0] + ms.alpha.alpha2 * pt[1])))
+            ph = ms.phases(pt)[0]
             ev = ph @ E
             cv = ph @ curl_h
             q = complex(self.profile.q_at(pt[0], pt[2]))
@@ -589,7 +589,6 @@ class ScatteringResult:
 
 def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:
     """Downgoing modal expansion of a plane wave or dipole-sheet incidence."""
-    from .greens import DipoleDensity, PlaneWaveIncidence, incident_from_density
     if isinstance(incidence, PlaneWaveIncidence):
         if abs(incidence.k - modeset.k) > 1e-12 * modeset.k:
             raise TruncationMismatch("forward.expand_incidence: wavenumber mismatch")
@@ -603,10 +602,6 @@ def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:
         return RayleighField(modeset, coeffs, height=0.0, direction="down")
     if isinstance(incidence, DipoleDensity):
         return incident_from_density(incidence, modeset)
-    if isinstance(incidence, RayleighField):
-        if incidence.direction != "down":
-            raise ValidationError("forward.expand_incidence: incident field must be downgoing")
-        return incidence
     raise ValidationError(f"forward.expand_incidence: unsupported incidence {type(incidence)!r}")
 
 
@@ -617,7 +612,6 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     form of the transparent-boundary operator; the right-hand side carries the
     incident tangential curl and rotated trace.
     """
-    from .greens import DipoleDensity
     if isinstance(incidence, DipoleDensity) and incidence.height <= profile.b:
         raise ValidationError(
             f"forward.solve_scattering: dipole plane a = {incidence.height:g} must lie "

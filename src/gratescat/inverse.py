@@ -131,7 +131,6 @@ class MomentTable:
     a2_floor: float
     entries: list = field(default_factory=list)
     estimates: dict = field(default_factory=dict)      # l -> extrapolated moment
-    fit_slopes: dict = field(default_factory=dict)     # l -> fitted b of a + b/m
     fit_residuals: dict = field(default_factory=dict)  # l -> rms residual of the fit
 
     def entry(self, l: int, m: int) -> MomentEntry:
@@ -161,7 +160,7 @@ def one_directional_coeffs(profile: MediumProfile, alpha: Quasimomentum, name: s
 
 def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
                     m_schedule=DEFAULT_SCHEDULE, *, k: float, alpha: Quasimomentum,
-                    M: int | None = None, a2_floor: float = DEFAULT_A2_FLOOR) -> MomentTable:
+                    a2_floor: float = DEFAULT_A2_FLOOR) -> MomentTable:
     """Build the moment table for the difference q1 - q2.
 
     For each l in [-L, L] and each branch index m in the schedule, the
@@ -170,7 +169,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     the intercept of an a + b/m fit over the schedule.  Both transverse
     factors use the growth preset c2 = exp(2 pi sqrt(mu)).  q1 and q2 may
     vary along x1 or x2, but along the same axis; a mixed pair raises
-    :class:`NotOneDirectional`.
+    :class:`NotOneDirectional`.  The Sturm-Liouville truncation follows from
+    the schedule, M = 2 (max m + L) + 8.
     """
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
     if len(m_schedule) < 2:
@@ -183,10 +183,7 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
         raise NotOneDirectional(
             f"inverse.extract_moments: q1 varies along {q1.direction} and q2 along "
             f"{q2.direction}, so q1 - q2 depends on both directions")
-    if M is None:
-        M = 2 * (m_schedule[-1] + L) + 8
-    if m_schedule[-1] > M // 2:
-        raise ValidationError("inverse.extract_moments: schedule exceeds half the truncation")
+    M = 2 * (m_schedule[-1] + L) + 8
     spec1 = solve_sl(SLProblem(c1, k, along, M))
     spec2 = solve_sl(SLProblem(c2.conj(), k, along, M))
     qdiff = c1 - c2
@@ -217,7 +214,6 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
         sol, *_ = np.linalg.lstsq(design, np.asarray(a1_vals), rcond=None)
         resid = np.asarray(a1_vals) - design @ sol
         table.estimates[l] = complex(sol[0])
-        table.fit_slopes[l] = complex(sol[1])
         table.fit_residuals[l] = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
     return table
 
@@ -228,7 +224,6 @@ class ReconstructionResult:
 
     coeffs: TrigPoly
     errors: dict
-    diagnostics: dict
 
 
 def reconstruct_difference(table: MomentTable, L: int | None = None) -> ReconstructionResult:
@@ -246,10 +241,7 @@ def reconstruct_difference(table: MomentTable, L: int | None = None) -> Reconstr
                 f"inverse.reconstruct_difference: no moment estimate for l={-j}")
         coeffs[j] = table.estimates[-j] / (2.0 * np.pi)
         errors[j] = table.fit_residuals[-j] / (2.0 * np.pi)
-    diagnostics = {"m_schedule": table.m_schedule,
-                   "fit_slopes": dict(table.fit_slopes),
-                   "a2_floor": table.a2_floor}
-    return ReconstructionResult(TrigPoly(coeffs), errors, diagnostics)
+    return ReconstructionResult(TrigPoly(coeffs), errors)
 
 
 def write_moment_csv(table: MomentTable, path) -> None:

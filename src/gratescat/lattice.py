@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, TruncationMismatch, ValidationError, WoodAnomaly
+from .errors import TruncationMismatch, ValidationError, WoodAnomaly
 
 
 class TrigPoly(dict):
@@ -156,15 +156,15 @@ class ModeSet:
                            self.N, self.wood_tol]).tobytes())
         return h.hexdigest()[:16]
 
-    def grid(self, size: int):
-        """Uniform periodic grid (size x size) over the cell; returns X1, X2."""
-        x = 2.0 * np.pi * np.arange(size) / size
-        return np.meshgrid(x, x, indexing="ij")
-
-    # Quasi-periodic phase of the cell expansion at arbitrary points.
     def phases(self, points) -> np.ndarray:
+        """Quasi-periodic phases exp(i alpha_n . x') at points; shape (P, num_modes).
+
+        Only the first two columns (x1, x2) of ``points`` are read, so a field
+        with coefficients c_n takes the values ``phases(points) @ c`` there.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.exp(1j * (np.outer(pts[:, 0], self.n1) + np.outer(pts[:, 1], self.n2)))
+        return np.exp(1j * (np.outer(pts[:, 0], self.alpha_n[:, 0])
+                            + np.outer(pts[:, 1], self.alpha_n[:, 1])))
 
 
 def build_modeset(k: float, alpha: Quasimomentum, N: int,
@@ -202,41 +202,3 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int,
             f"lattice.build_modeset: |beta| <= {wood_tol:g} at mode ({n1[j]},{n2[j]})",
             mode=(int(n1[j]), int(n2[j])))
     return ModeSet(k, alpha, N, wood_tol, n1, n2, alpha_n, beta, propagating)
-
-
-class CellFunction:
-    """A 2pi-biperiodic scalar as Fourier coefficients over a ModeSet."""
-
-    def __init__(self, modeset: ModeSet, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (modeset.num_modes,):
-            raise ValidationError("lattice.CellFunction: coefficient shape does not match mode set")
-        self.modeset = modeset
-        self.coeffs = coeffs
-
-
-def analyze(modeset: ModeSet, samples) -> CellFunction:
-    """Fourier-analyze uniform-grid samples of a periodic function.
-
-    ``samples[i, j]`` must be the value at ``(2pi i/G1, 2pi j/G2)``.  Both grid
-    sizes must be at least ``2N + 1`` so degree-N trigonometric polynomials are
-    captured alias-free.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim != 2:
-        raise ValidationError("lattice.analyze: samples must be a 2-d grid")
-    g1, g2 = samples.shape
-    need = 2 * modeset.N + 1
-    if g1 < need or g2 < need:
-        raise GridTooCoarse(
-            f"lattice.analyze: grid {g1}x{g2} below alias-free bound {need} for N={modeset.N}")
-    spec = np.fft.fft2(samples) / (g1 * g2)
-    coeffs = spec[modeset.n1 % g1, modeset.n2 % g2]
-    return CellFunction(modeset, coeffs)
-
-
-def synthesize(cellfn: CellFunction, points) -> np.ndarray:
-    """Evaluate a CellFunction at arbitrary (x1, x2) points."""
-    ms = cellfn.modeset
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return ms.phases(pts[:, :2]) @ cellfn.coeffs

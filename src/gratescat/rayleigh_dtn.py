@@ -47,21 +47,9 @@ class TangentialField:
         coeffs[:, 1] = c2
         return cls(modeset, coeffs, height)
 
-    def div_sobolev_norm(self) -> float:
-        """H_t^{-1/2}(div) norm: sum (1+|alpha_n|^2)^{-1/2} (|F_n|^2 + |F_n.alpha_n|^2)."""
-        ms = self.modeset
-        a2 = np.sum(ms.alpha_n ** 2, axis=1)
-        dot = np.abs(np.sum(self.coeffs * ms.alpha_n, axis=1)) ** 2
-        mag = np.sum(np.abs(self.coeffs) ** 2, axis=1)
-        return float(np.sqrt(np.sum((1.0 + a2) ** -0.5 * (mag + dot))))
-
     def values(self, points) -> np.ndarray:
         """Quasi-periodic values at (x1, x2) points; shape (P, 3)."""
-        ms = self.modeset
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phase = ms.phases(pts) * np.exp(
-            1j * (ms.alpha.alpha1 * pts[:, 0] + ms.alpha.alpha2 * pts[:, 1]))[:, None]
-        return phase @ self.coeffs
+        return self.modeset.phases(points) @ self.coeffs
 
     def __add__(self, other):
         self.modeset.require_same(other.modeset, "rayleigh_dtn.TangentialField.__add__")
@@ -123,12 +111,9 @@ class RayleighField:
 
     def values(self, points) -> np.ndarray:
         """Field values at (x1, x2, x3) points; shape (P, 3)."""
-        ms = self.modeset
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        phase = ms.phases(pts) * np.exp(
-            1j * (ms.alpha.alpha1 * pts[:, 0] + ms.alpha.alpha2 * pts[:, 1]))[:, None]
         vert = np.exp(1j * np.outer(pts[:, 2] - self.height, self._beta_signed))
-        return (phase * vert) @ self.coeffs
+        return (self.modeset.phases(pts) * vert) @ self.coeffs
 
 
 def inner(a: TangentialField, b: TangentialField) -> complex:

@@ -121,11 +121,6 @@ class SeparableSolution:
     def lam(self) -> complex:
         return self.entry.lam
 
-    def plate_trace(self, points) -> np.ndarray:
-        """nu x E on the conducting plate: identically zero for a vertical field."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.zeros((pts.shape[0], 3), dtype=complex)
-
     def residual_report(self, points) -> dict:
         """Pointwise residual of -Lap E3 - k^2 q E3, relative to the field scale."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -174,14 +169,13 @@ class MomentKernels:
     """Longitudinal and transverse overlap integrals of two separable solutions.
 
     ``A2`` may overflow the float range under the growth preset; ``a2_log``
-    (natural log of |A2|) and ``a2_phase`` are always finite and are what the
-    moment pipeline consumes.
+    (natural log of |A2|) is always finite and is what the moment pipeline
+    consumes.
     """
 
     A1: complex
     A2: complex
     a2_log: float
-    a2_phase: float
 
     @property
     def a2_log10(self) -> float:
@@ -189,7 +183,7 @@ class MomentKernels:
 
 
 def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor) -> tuple:
-    """Closed-form integral of u_n(x2) conj(u_m(x2)) over the cell, log-scaled."""
+    """Closed-form integral of u_n(x2) conj(u_m(x2)) over the cell and the log of its modulus."""
     terms = []
     for cn, sn_sign in ((u_n.c1, 1.0), (u_n.c2, -1.0)):
         for cm, sm_sign in ((u_m.c1, 1.0), (u_m.c2, -1.0)):
@@ -199,20 +193,19 @@ def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor) -> tuple:
             logc = np.log(complex(cn)) + np.conj(np.log(complex(cm)))
             terms.append(logc + _log_interval_integral(w))
     if not terms:
-        return complex(0.0), -np.inf, 0.0
+        return complex(0.0), -np.inf
     logs = np.array(terms, dtype=complex)
     lmax = float(np.max(logs.real))
     total = complex(np.sum(np.exp(logs - lmax)))
     if total == 0:
-        return complex(0.0), -np.inf, 0.0
+        return complex(0.0), -np.inf
     log_a2 = lmax + np.log(total)
-    phase = float(log_a2.imag)
     mag = float(log_a2.real)
     if mag > _EXP_LIMIT:
         value = complex(np.inf, 0.0)
     else:
         value = complex(np.exp(log_a2))
-    return value, mag, phase
+    return value, mag
 
 
 def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
@@ -229,5 +222,5 @@ def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
     A1 = complex(TWO_PI * TrigPoly(qdiff).overlap(entry_n.coeffs, entry_m.coeffs))
-    A2, a2_log, a2_phase = transverse_overlap(u_n, u_m)
-    return MomentKernels(A1, A2, a2_log, a2_phase)
+    A2, a2_log = transverse_overlap(u_n, u_m)
+    return MomentKernels(A1, A2, a2_log)

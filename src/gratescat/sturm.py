@@ -168,10 +168,8 @@ class AsymptoticsReport:
     mean_term_exact: complex
     eigenvalue_decay_exponent: float | None
     eigenfunction_decay_exponent: float | None
-    n_range: tuple
     shift_degenerate: bool
     eigenvalue_remainders: dict
-    eigenfunction_deviations: dict
 
 
 def _loglog_slope(ns, vals) -> float | None:
@@ -256,8 +254,7 @@ def check_asymptotics(spectrum: SLSpectrum, problem: SLProblem | None = None,
         shift_convention=best, shift_value=float(s),
         mean_term_fitted=mean_fitted, mean_term_exact=complex(mean_exact),
         eigenvalue_decay_exponent=ev_exp, eigenfunction_decay_exponent=ef_exp,
-        n_range=(n_min, n_max), shift_degenerate=degenerate,
-        eigenvalue_remainders=rem, eigenfunction_deviations=devs)
+        shift_degenerate=degenerate, eigenvalue_remainders=rem)
 
 
 def write_spectrum_csv(spectrum: SLSpectrum, path) -> None:

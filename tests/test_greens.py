@@ -4,6 +4,7 @@ import pytest
 from gratescat import (DipoleDensity, PlaneWaveIncidence, Quasimomentum, build_modeset,
                        green_eval, helmholtz_residual, incident_from_density)
 from gratescat.errors import PointsTooClose, ValidationError
+from gratescat.greens import DELTA_MIN
 
 K = 1.2
 ALPHA = Quasimomentum(0.25, 0.15)
@@ -40,6 +41,19 @@ def test_points_too_close():
     ms = build_modeset(K, ALPHA, 4)
     with pytest.raises(PointsTooClose):
         green_eval(np.array([0.4, 0.7, 0.205]), Y, ms)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_points_too_close_threshold(factor):
+    # the guard's limit is |x3 - y3| = DELTA_MIN itself: 1e-9 below raises, 1e-9 above evaluates
+    ms = build_modeset(K, ALPHA, 4)
+    x = np.array([0.4, 0.7, DELTA_MIN * factor])
+    y = np.array([0.1, 0.3, 0.0])
+    if factor < 1:
+        with pytest.raises(PointsTooClose):
+            green_eval(x, y, ms)
+    else:
+        assert np.isfinite(green_eval(x, y, ms))
 
 
 def test_helmholtz_residual_and_h2_decay():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gratescat import Quasimomentum, TrigPoly, analyze, build_modeset, synthesize
-from gratescat.errors import GridTooCoarse, ValidationError, WoodAnomaly
-from gratescat.lattice import CellFunction
+from gratescat import Quasimomentum, TrigPoly, build_modeset
+from gratescat.errors import ValidationError, WoodAnomaly
 
 
 def test_mode_law_trivial_cases():
@@ -66,51 +65,39 @@ def test_quasimomentum_from_angles():
         Quasimomentum.from_angles(1.0, -0.1, 0.0)
 
 
-def test_analyze_constant_and_single_mode():
-    ms = build_modeset(1.3, Quasimomentum(0.0, 0.0), 2)
-    x1, x2 = ms.grid(9)
-    const = analyze(ms, np.ones_like(x1))
-    assert abs(const.coeffs[ms.mode0] - 1.0) < 1e-14
-    others = np.delete(const.coeffs, ms.mode0)
-    assert np.max(np.abs(others)) < 1e-14
-
-    mode = analyze(ms, np.exp(1j * x1))
-    assert abs(mode.coeffs[ms.index_of(1, 0)] - 1.0) < 1e-13
-    rest = np.delete(mode.coeffs, ms.index_of(1, 0))
-    assert np.max(np.abs(rest)) < 1e-13
+def _cell_grid(g):
+    x = 2.0 * np.pi * np.arange(g) / g
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    return x1, x2, np.column_stack([x1.ravel(), x2.ravel()])
 
 
 def test_round_trip_random_trig_polynomial():
+    # phases(x) = exp(i alpha_n . x): with the Bloch factor exp(i alpha . x)
+    # divided out, grid samples are a trigonometric polynomial that the FFT
+    # recovers mode by mode
     rng = np.random.default_rng(3)
-    ms = build_modeset(1.3, Quasimomentum(0.0, 0.0), 2)
+    alpha = Quasimomentum(0.31, -0.17)
+    ms = build_modeset(1.3, alpha, 2)
     coeffs = rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes)
-    fn = CellFunction(ms, coeffs)
     for g in (5, 8, 16):
-        x1, x2 = ms.grid(g)
-        pts = np.column_stack([x1.ravel(), x2.ravel()])
-        samples = synthesize(fn, pts).reshape(g, g)
-        back = analyze(ms, samples)
-        rel = np.max(np.abs(back.coeffs - coeffs)) / np.max(np.abs(coeffs))
+        x1, x2, pts = _cell_grid(g)
+        samples = (ms.phases(pts) @ coeffs).reshape(g, g)
+        periodic = samples * np.exp(-1j * (alpha.alpha1 * x1 + alpha.alpha2 * x2))
+        back = (np.fft.fft2(periodic) / g ** 2)[ms.n1 % g, ms.n2 % g]
+        rel = np.max(np.abs(back - coeffs)) / np.max(np.abs(coeffs))
         assert rel <= 1e-12
 
 
 def test_parseval_on_grid():
     rng = np.random.default_rng(11)
-    ms = build_modeset(1.3, Quasimomentum(0.0, 0.0), 3)
+    ms = build_modeset(1.3, Quasimomentum(0.31, -0.17), 3)
     coeffs = rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes)
-    fn = CellFunction(ms, coeffs)
     g = 11
-    x1, x2 = ms.grid(g)
-    vals = synthesize(fn, np.column_stack([x1.ravel(), x2.ravel()]))
+    _, _, pts = _cell_grid(g)
+    vals = ms.phases(pts) @ coeffs
     lhs = np.sum(np.abs(vals) ** 2) / g ** 2
     rhs = np.sum(np.abs(coeffs) ** 2)
     assert abs(lhs - rhs) / rhs <= 1e-12
-
-
-def test_grid_too_coarse():
-    ms = build_modeset(1.3, Quasimomentum(0.0, 0.0), 3)
-    with pytest.raises(GridTooCoarse):
-        analyze(ms, np.ones((6, 6)))  # need 2N+1 = 7
 
 
 # Non-Hermitian on purpose: c_{-j} != conj(c_j), and one key beyond every n below.

@@ -104,17 +104,6 @@ def test_mode_sum_matches_quadrature():
     assert abs(modal - (forms["re_form"] + 1j * forms["im_form"])) / abs(modal) <= 1e-10
 
 
-def test_div_sobolev_norm_single_mode():
-    ms = _modeset(2)
-    coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
-    j = ms.index_of(1, -2)
-    coeffs[j, 0] = 2.0
-    f = TangentialField(ms, coeffs)
-    a = ms.alpha_n[j]
-    expected = np.sqrt((1 + a[0] ** 2 + a[1] ** 2) ** -0.5 * (4.0 + abs(2.0 * a[0]) ** 2))
-    np.testing.assert_allclose(f.div_sobolev_norm(), expected, rtol=1e-14)
-
-
 def test_tangential_field_rejects_vertical_component():
     ms = _modeset(2)
     coeffs = np.zeros((ms.num_modes, 3), dtype=complex)

@@ -43,6 +43,35 @@ def test_build_u_guards():
         build_u(-(ALPHA2 ** 2), ALPHA2)
 
 
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_zero_lambda_threshold(factor):
+    # |mu| < 1e-14 is refused; the limit itself sits between these two cases
+    mu = 1e-14 * factor * np.exp(0.7j)
+    if factor < 1:
+        with pytest.raises(ZeroLambda):
+            build_u(mu, ALPHA2)
+    else:
+        u = build_u(mu, ALPHA2)
+        assert u.mu == mu and np.isfinite(u.c1)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2])
+def test_degenerate_denominator_threshold(factor):
+    # sqrt(mu) = i alpha2 + log1p(1e-12 f) / 2pi puts |e^{2 pi i alpha2} - e^{2 pi sqrt(mu)}|
+    # at 1e-12 f, against the guard's 1e-12; squaring into mu and back moves the
+    # offset by about 1e-4 relative, inside the 1% margin
+    s = 1j * ALPHA2 + np.log1p(1e-12 * factor) / TWO_PI
+    mu = s * s
+    denom = abs(np.exp(1j * TWO_PI * ALPHA2) - np.exp(TWO_PI * np.sqrt(complex(mu))))
+    assert abs(denom / (1e-12 * factor) - 1) <= 1e-3
+    if factor < 1:
+        with pytest.raises(DegenerateDenominator):
+            build_u(mu, ALPHA2)
+    else:
+        u = build_u(mu, ALPHA2)
+        assert np.isfinite(u.c1)
+
+
 def test_separable_constant_q_closed_form():
     q0 = 1.5 + 0.1j
     prob = SLProblem({0: q0}, K, ALPHA1, 16)
@@ -53,7 +82,6 @@ def test_separable_constant_q_closed_form():
     rng = np.random.default_rng(1)
     pts = np.column_stack([rng.uniform(0, TWO_PI, 100), rng.uniform(0.03, TWO_PI - 0.03, 100)])
     assert sol.residual_report(pts)["max_relative"] <= 1e-10
-    assert np.max(np.abs(sol.plate_trace(pts))) == 0.0
 
 
 def test_separable_lambda_mismatch():
@@ -120,7 +148,7 @@ def test_transverse_overlap_matches_quadrature():
     for mu_n, mu_m in ((1.3 + 0.2j, 2.1 - 0.0j), (-3.0 + 0.4j, 1.7 + 0.1j)):
         u_n = build_u(mu_n, ALPHA2, c2=0.7 + 0.2j)
         u_m = build_u(mu_m, ALPHA2, c2=1.1 - 0.4j)
-        val, log_mag, phase = transverse_overlap(u_n, u_m)
+        val, log_mag = transverse_overlap(u_n, u_m)
         x = np.linspace(0.0, TWO_PI, 2_000_001)
         integrand = u_n.values(x) * np.conj(u_m.values(x))
         quad = np.trapezoid(integrand, x)
