@@ -5,19 +5,11 @@ kind; the config may repeat the kind under ``[scenario]`` for cross-checking.
 Exit codes: 0 success, 1 validation failure, 2 solver failure; every error
 message names the originating module and operation on stderr.
 
-Config grammar (sections and keys; angles in radians):
-
-    [scenario]  kind, seed
-    [physics]   k, theta1, theta2, b
-    [numerics]  N, M (sturm only), L, wood_tol, m_schedule, cases, a2_floor
-    [profile]   direction, slabs, qcoef (lines of "j re im"; qcoef2... per slab,
-                a slab without its own qcoefK reuses slab 1's qcoef)
-    [profile2]  second profile for moments / reconstruct / gapcheck
-    [incidence] pol_seed ("x y z") or p1/p2/p3 (complex literals)
-    [green]     x, y ("x1 x2 x3"), h
-    [output]    one filename per artifact (modes, green, rayleigh,
-                efficiencies, dtn, eigenvalues, moments, coefficients, gap,
-                summary); defaults derive from the kind
+The config grammar is ``_GRAMMAR``: every section and key the CLI reads, with
+its parser and its default (angles in radians).  A section or key it does not
+list is rejected before anything runs.  A profile section also takes
+``qcoefK`` for slab K, 2 <= K <= its slab count; a slab without its own
+``qcoefK`` reuses slab 1's ``qcoef``.
 """
 
 from __future__ import annotations
@@ -35,34 +27,78 @@ from .greens import PlaneWaveIncidence, green_eval, helmholtz_residual
 from .lattice import Quasimomentum, build_modeset
 
 KINDS = ("modes", "green", "forward", "dtn", "sturm", "moments", "reconstruct", "gapcheck")
+_REQUIRED = object()
+
+
+def _words(parse):
+    return lambda raw: tuple(parse(tok) for tok in raw.split())
+
+
+def _optional_float(raw):
+    return float(raw) if raw else None
+
+
+def _qcoef(raw):
+    """Fourier coefficients of q, one ``j re im`` line each."""
+    coeffs = {}
+    for line in filter(str.strip, raw.splitlines()):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValidationError(f"cli.run: qcoef line '{line}' is not 'j re im'")
+        coeffs[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
+    return coeffs
+
+
+# q's axis, the slab heights bottom to top, and slab 1's coefficients of q
+_PROFILE = {"direction": (str, "x1"), "slabs": (_words(float), _REQUIRED),
+            "qcoef": (_qcoef, _REQUIRED)}
+# section -> key -> (parser of the stripped text, default or _REQUIRED)
+_GRAMMAR = {
+    "scenario": {"kind": (str, None), "seed": (int, 0)},
+    "physics": {"k": (float, 1.0), "theta1": (float, np.pi / 2), "theta2": (float, 0.0),
+                "b": (_optional_float, None)},
+    "numerics": {"N": (int, 8), "M": (int, 64), "L": (int, 2), "cases": (int, 5),
+                 "wood_tol": (_optional_float, None),
+                 "a2_floor": (float, inverse.DEFAULT_A2_FLOOR),
+                 "m_schedule": (_words(int), (16, 24, 32, 48, 64))},
+    "profile": _PROFILE,
+    "profile2": _PROFILE,
+    # projected orthogonal to the incidence direction d
+    "incidence": {"pol_seed": (_words(complex), (0, 1, 0))},
+    "green": {"x": (_words(float), _REQUIRED), "y": (_words(float), _REQUIRED),
+              "h": (float, 1e-3)},
+    # one artifact file name per key
+    "output": {key: (str, f"{key}.csv") for key in (
+        "modes", "green", "rayleigh", "efficiencies", "dtn", "eigenvalues", "moments",
+        "coefficients", "gap")} | {"summary": (str, "summary.txt")},
+}
 
 
 class Scenario:
-    """Resolved scenario: kind, physics, numerics, profiles, outputs."""
+    """Resolved scenario; each [physics] and [numerics] key is an attribute."""
 
     def __init__(self, kind: str, config: configparser.ConfigParser,
                  output_dir: str, seed: int | None):
         self.kind = kind
         self.cfg = config
         self.output_dir = output_dir
-        cfg_kind = self._get("scenario", "kind", None)
+        for section in config.sections():
+            if section not in _GRAMMAR:
+                raise ValidationError(f"cli.run: unknown section [{section}]")
+            known = {config.optionxform(key) for key in _GRAMMAR[section]}
+            if _GRAMMAR[section] is _PROFILE:
+                known |= {f"qcoef{K}" for K in range(2, len(self.value(section, "slabs")) + 1)}
+            unknown = [key for key in config.options(section) if key not in known]
+            if unknown:
+                raise ValidationError(f"cli.run: unknown key '{unknown[0]}' in [{section}]")
+        cfg_kind = self.value("scenario", "kind")
         if cfg_kind is not None and cfg_kind != kind:
             raise ValidationError(
                 f"cli.run: config kind '{cfg_kind}' does not match subcommand '{kind}'")
-        self.seed = seed if seed is not None else int(self._get("scenario", "seed", "0"))
-        self.k = float(self._get("physics", "k", "1.0"))
-        self.theta1 = float(self._get("physics", "theta1", "1.5707963267948966"))
-        self.theta2 = float(self._get("physics", "theta2", "0.0"))
-        self.b = self._maybe_float("physics", "b")
-        self.N = int(self._get("numerics", "N", "8"))
-        self.M = int(self._get("numerics", "M", "64"))
-        self.L = int(self._get("numerics", "L", "2"))
-        self.cases = int(self._get("numerics", "cases", "5"))
-        self.a2_floor = float(self._get("numerics", "a2_floor", str(inverse.DEFAULT_A2_FLOOR)))
-        wt = self._get("numerics", "wood_tol", "")
-        self.wood_tol = float(wt) if wt else None
-        sched = self._get("numerics", "m_schedule", "16 24 32 48 64")
-        self.m_schedule = tuple(int(tok) for tok in sched.split())
+        self.seed = seed if seed is not None else self.value("scenario", "seed")
+        for section in ("physics", "numerics"):
+            for key in _GRAMMAR[section]:
+                setattr(self, key, self.value(section, key))
         if self.k <= 0 or self.N < 0 or self.M <= 0 or self.L < 0 or self.cases <= 0:
             raise ValidationError("cli.run: numerical parameters must be positive")
         self.alpha = Quasimomentum.from_angles(self.k, self.theta1, self.theta2)
@@ -74,38 +110,35 @@ class Scenario:
                     f"cli.run: physics b = {self.b:g} does not equal the slab total "
                     f"{self.profile.b:g}")
             self.b = self.profile.b
-        for prof in (self.profile, self.profile2):
-            if prof is not None:
-                prof.validate()
 
-    def _get(self, section, key, default):
+    def value(self, section, key):
+        """The key's parsed value, or its ``_GRAMMAR`` default when absent."""
+        parse, default = _GRAMMAR[section][key]
         if self.cfg.has_option(section, key):
-            return self.cfg.get(section, key).strip()
+            return parse(self.cfg.get(section, key).strip())
+        if default is _REQUIRED:
+            raise ValidationError(f"cli.run: [{section}] needs key '{key}'")
         return default
-
-    def _maybe_float(self, section, key):
-        raw = self._get(section, key, "")
-        return float(raw) if raw else None
 
     def _profile(self, section):
         if not self.cfg.has_section(section):
             return None
-        return forward.profile_from_mapping(dict(self.cfg.items(section)))
+        first = self.value(section, "qcoef")
+        slabs = []
+        for i, height in enumerate(self.value(section, "slabs"), 1):
+            own = i > 1 and self.cfg.has_option(section, f"qcoef{i}")
+            slabs.append(forward.Slab(height, _qcoef(self.cfg.get(section, f"qcoef{i}"))
+                                      if own else first))
+        profile = forward.MediumProfile(slabs, self.value(section, "direction"))
+        profile.validate()
+        return profile
 
     def incidence(self) -> PlaneWaveIncidence:
-        if self.cfg.has_section("incidence") and self.cfg.has_option("incidence", "p1"):
-            p = np.array([complex(self._get("incidence", f"p{i}", "0")) for i in (1, 2, 3)])
-            d = np.array([np.cos(self.theta1) * np.cos(self.theta2),
-                          np.cos(self.theta1) * np.sin(self.theta2),
-                          -np.sin(self.theta1)])
-            return PlaneWaveIncidence(p, d, self.k)
-        seed = self._get("incidence", "pol_seed", "0 1 0")
         return PlaneWaveIncidence.from_angles(self.k, self.theta1, self.theta2,
-                                              tuple(float(t) for t in seed.split()))
+                                              self.value("incidence", "pol_seed"))
 
-    def out_path(self, key: str, default: str) -> str:
-        name = self._get("output", key, default)
-        return os.path.join(self.output_dir, name)
+    def out_path(self, key: str) -> str:
+        return os.path.join(self.output_dir, self.value("output", key))
 
     def echo(self, stream=None) -> None:
         stream = stream if stream is not None else sys.stdout
@@ -146,7 +179,7 @@ def _require(cond, message):
 
 def _run_modes(sc: Scenario) -> None:
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
-    with open(sc.out_path("modes", "modes.csv"), "w", newline="") as fh:
+    with open(sc.out_path("modes"), "w", newline="") as fh:
         fh.write("n1,n2,alpha1,alpha2,re_beta,im_beta,propagating\n")
         for j in range(ms.num_modes):
             fh.write(f"{ms.n1[j]},{ms.n2[j]},{ms.alpha_n[j, 0]:.17g},{ms.alpha_n[j, 1]:.17g},"
@@ -155,17 +188,15 @@ def _run_modes(sc: Scenario) -> None:
 
 
 def _run_green(sc: Scenario) -> None:
-    _require(sc.cfg.has_section("green"), "cli.run: green scenario needs a [green] section")
-    x = np.array([float(t) for t in sc.cfg.get("green", "x").split()])
-    y = np.array([float(t) for t in sc.cfg.get("green", "y").split()])
-    h = float(sc.cfg.get("green", "h", fallback="1e-3"))
+    x, y = (np.array(sc.value("green", key)) for key in ("x", "y"))
+    h = sc.value("green", "h")
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
     g = green_eval(x, y, ms)
     shifted = green_eval(x + np.array([2 * np.pi, 0, 0]), y, ms)
     qp_defect = abs(shifted - np.exp(2j * np.pi * sc.alpha.alpha1) * g) / abs(g)
     res_h = helmholtz_residual(x, y, ms, h)
     res_2h = helmholtz_residual(x, y, ms, 2 * h)
-    with open(sc.out_path("green", "green.csv"), "w", newline="") as fh:
+    with open(sc.out_path("green"), "w", newline="") as fh:
         fh.write("re_G,im_G,qp_defect,residual_h,residual_2h,decay_ratio\n")
         fh.write(f"{g.real:.17g},{g.imag:.17g},{qp_defect:.17g},"
                  f"{res_h:.17g},{res_2h:.17g},{res_2h / res_h:.17g}\n")
@@ -176,13 +207,13 @@ def _run_forward(sc: Scenario) -> None:
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
     inc = sc.incidence()
     result = forward.solve_scattering(sc.profile, inc, ms)
-    rayleigh_dtn.write_rayleigh_csv(result.scattered, sc.out_path("rayleigh", "rayleigh.csv"))
+    rayleigh_dtn.write_rayleigh_csv(result.scattered, sc.out_path("rayleigh"))
     eff = rayleigh_dtn.efficiencies(result.scattered, inc)
-    with open(sc.out_path("efficiencies", "efficiencies.csv"), "w", newline="") as fh:
+    with open(sc.out_path("efficiencies"), "w", newline="") as fh:
         fh.write("n1,n2,efficiency\n")
         for (n1, n2) in sorted(eff):
             fh.write(f"{n1},{n2},{eff[(n1, n2)]:.17g}\n")
-    _write_summary(sc.out_path("summary", "summary.txt"), [
+    _write_summary(sc.out_path("summary"), [
         ("kind", "forward"),
         ("total_efficiency", sum(eff.values())),
         ("propagating_modes", len(eff)),
@@ -197,11 +228,11 @@ def _run_dtn(sc: Scenario) -> None:
     dtn = forward.assemble_dtn(sc.profile, ms)
     rows, cols = np.nonzero(dtn.matrix)
     vals = dtn.matrix[rows, cols]
-    with open(sc.out_path("dtn", "dtn.csv"), "w", newline="") as fh:
+    with open(sc.out_path("dtn"), "w", newline="") as fh:
         fh.write("row,col,re,im\n")
         fh.writelines(f"{i},{j},{re:.17g},{im:.17g}\n" for i, j, re, im in zip(
             rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist()))
-    _write_summary(sc.out_path("summary", "summary.txt"), [
+    _write_summary(sc.out_path("summary"), [
         ("kind", "dtn"),
         ("profile_digest", dtn.profile_digest),
         ("modeset_digest", dtn.modeset_digest),
@@ -215,9 +246,9 @@ def _run_sturm(sc: Scenario) -> None:
     coeffs, along, _ = inverse.one_directional_coeffs(sc.profile, sc.alpha, "profile")
     prob = sturm.SLProblem(coeffs, sc.k, along, sc.M)
     spec = sturm.solve_sl(prob)
-    sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues", "eigenvalues.csv"))
+    sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues"))
     rep = sturm.check_asymptotics(spec, prob)
-    _write_summary(sc.out_path("summary", "summary.txt"), [
+    _write_summary(sc.out_path("summary"), [
         ("kind", "sturm"),
         ("shift_convention", rep.shift_convention),
         ("shift_value", rep.shift_value),
@@ -237,24 +268,24 @@ def _moment_table(sc: Scenario):
 
 def _run_moments(sc: Scenario) -> None:
     table = _moment_table(sc)
-    inverse.write_moment_csv(table, sc.out_path("moments", "moments.csv"))
+    inverse.write_moment_csv(table, sc.out_path("moments"))
     rows = [("kind", "moments"), ("L", table.L),
             ("m_schedule", " ".join(str(m) for m in table.m_schedule))]
     for l in sorted(table.estimates):
         rows.append((f"estimate_{l}", table.estimates[l]))
         rows.append((f"fit_residual_{l}", table.fit_residuals[l]))
-    _write_summary(sc.out_path("summary", "summary.txt"), rows)
+    _write_summary(sc.out_path("summary"), rows)
 
 
 def _run_reconstruct(sc: Scenario) -> None:
     table = _moment_table(sc)
-    inverse.write_moment_csv(table, sc.out_path("moments", "moments.csv"))
+    inverse.write_moment_csv(table, sc.out_path("moments"))
     rec = inverse.reconstruct_difference(table)
-    inverse.write_reconstruction_csv(rec, sc.out_path("coefficients", "coefficients.csv"))
+    inverse.write_reconstruction_csv(rec, sc.out_path("coefficients"))
     rows = [("kind", "reconstruct"), ("L", table.L)]
     for j in sorted(rec.coeffs):
         rows.append((f"coeff_{j}", rec.coeffs[j]))
-    _write_summary(sc.out_path("summary", "summary.txt"), rows)
+    _write_summary(sc.out_path("summary"), rows)
 
 
 def _run_gapcheck(sc: Scenario) -> None:
@@ -272,12 +303,12 @@ def _run_gapcheck(sc: Scenario) -> None:
         out = inverse.reciprocity_gap(sc.profile, sc.profile2, tf(), tf(), ms)
         rows.append((case, out))
         worst = max(worst, out["gap"])
-    with open(sc.out_path("gap", "gap.csv"), "w", newline="") as fh:
+    with open(sc.out_path("gap"), "w", newline="") as fh:
         fh.write("case,re_lhs,im_lhs,re_rhs,im_rhs,gap\n")
         for case, out in rows:
             fh.write(f"{case},{out['lhs'].real:.17g},{out['lhs'].imag:.17g},"
                      f"{out['rhs'].real:.17g},{out['rhs'].imag:.17g},{out['gap']:.17g}\n")
-    _write_summary(sc.out_path("summary", "summary.txt"), [
+    _write_summary(sc.out_path("summary"), [
         ("kind", "gapcheck"), ("cases", sc.cases), ("seed", sc.seed), ("max_gap", worst)])
 
 

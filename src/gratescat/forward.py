@@ -647,34 +647,3 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     scattered = RayleighField(ms, scat, height=profile.b, direction="up")
     return ScatteringResult(LayerField(stack, stack.downward_amplitudes(d)), scattered, incident0,
                             trace_total, stack.max_cond)
-
-
-def profile_from_mapping(mapping: dict) -> MediumProfile:
-    """Build a MediumProfile from a flat text mapping (CLI config section).
-
-    Keys: ``direction`` ('x1' or 'x2'), ``slabs`` (whitespace-separated heights),
-    ``qcoef`` (lines of ``j re im``, one Fourier coefficient per line; repeated
-    per slab via ``qcoef2``, ``qcoef3``, ... when the stack is layered).  A slab
-    with no ``qcoefK`` of its own reuses slab 1's ``qcoef``, not the previous
-    slab's coefficients.
-    """
-    direction = mapping.get("direction", "x1").strip()
-    heights = [float(tok) for tok in mapping["slabs"].split()]
-    if not heights:
-        raise ValidationError("forward.profile_from_mapping: no slab heights given")
-    slabs = []
-    for i, h in enumerate(heights):
-        key = "qcoef" if i == 0 else f"qcoef{i + 1}"
-        if key not in mapping and i > 0:
-            key = "qcoef"  # fall back to slab 1, not the previous slab
-        coeffs = {}
-        for line in mapping[key].strip().splitlines():
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValidationError(
-                    f"forward.profile_from_mapping: qcoef line '{line}' is not 'j re im'")
-            coeffs[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
-        slabs.append(Slab(h, coeffs))
-    return MediumProfile(slabs, direction)

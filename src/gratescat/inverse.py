@@ -83,8 +83,10 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
 
     # Volume side: Gauss-Legendre in x3 per slab segment; in the horizontal
     # plane the exact Fourier pairing of E1 and E2 weighted by the segment's
-    # q2 - q1, summed over n2 and the components.
-    bounds = np.unique(np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()]))
+    # q2 - q1, summed over n2 and the components.  The segments end at the
+    # lower of the two heights, which may differ by round-off.
+    bounds = np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()])
+    bounds = np.unique(np.minimum(bounds, min(profile1.b, profile2.b)))
     lhs = 0.0 + 0.0j
     c1max = 0.0
     c2max = 0.0

@@ -118,12 +118,10 @@ def _assign_branches(problem: SLProblem, lams, vecs):
         anchors = {m: problem.k ** 2 * problem.coeffs.mean - (m + problem.alpha1) ** 2
                    for m in range(-M, M + 1) if m not in claimed}
         for j in unresolved:
-            if not anchors:
-                raise EigenFailure("sturm.solve_sl: branch assignment exhausted anchors")
             best = min(anchors, key=lambda m: abs(lams[j] - anchors[m]))
             claimed[best] = j
             del anchors[best]
-    return {m: j for m, j in claimed.items()}
+    return claimed
 
 
 def solve_sl(problem: SLProblem, normalize: bool = True) -> SLSpectrum:

@@ -5,7 +5,7 @@ import pytest
 
 from gratescat import Quasimomentum, build_modeset
 from gratescat.cli import main
-from gratescat.forward import Slab, assemble_dtn, profile_from_mapping
+from gratescat.forward import MediumProfile, Slab, assemble_dtn
 from gratescat.sturm import SLProblem, solve_sl, write_spectrum_csv
 
 K = 1.2
@@ -372,7 +372,8 @@ qcoef =
 """ + "".join(f"    {line}\n" for line in qcoef.splitlines()))
     assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
     ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 2)
-    matrix = assemble_dtn(profile_from_mapping({"slabs": "0.7", "qcoef": qcoef}), ms).matrix
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.12 + 0j, -1: 0.12 + 0j}, 0.7)
+    matrix = assemble_dtn(prof, ms).matrix
     want = ["row,col,re,im"]
     for i in range(matrix.shape[0]):
         for j in range(matrix.shape[1]):
@@ -391,3 +392,186 @@ def test_readme_config_example_runs(tmp_path, capsys):
     code = main(["forward", cfg, "--output-dir", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     assert (tmp_path / "rayleigh.csv").is_file()
+
+
+def _show_config(tmp_path, capsys, kind, text):
+    cfg = _write(tmp_path, f"{kind}.ini", text)
+    code = main([kind, cfg, "--output-dir", str(tmp_path), "--show-config"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+LAYERED_PROFILE = """
+[profile]
+direction = x1
+slabs = 0.3 0.5
+qcoef =
+    0 1.5 0.1
+    1 0.15 0
+    -1 0.15 0
+qcoef2 =
+    0 1.9 0.2
+"""
+
+
+def test_profile_section_builds_layered_stack(tmp_path, capsys):
+    code, out, _ = _show_config(tmp_path, capsys, "sturm", STURM_CONFIG.split("[profile]")[0]
+                                + LAYERED_PROFILE)
+    assert code == 0
+    assert "b = 0.8\n" in out
+    assert "profile.slabs = 0.3 0.5\n" in out
+    assert "profile.qcoef[0] = -1:(0.15+0j) 0:(1.5+0.1j) 1:(0.15+0j)\n" in out
+    assert "profile.qcoef[1] = 0:(1.9+0.2j)\n" in out
+    code, _, err = _show_config(tmp_path, capsys, "sturm",
+                                STURM_CONFIG.replace("    0 1.5 0.1\n", "    0 1.5\n"))
+    assert code == 1
+    assert "qcoef line '0 1.5' is not 'j re im'" in err
+
+
+def test_profile_slab_without_own_qcoef_reuses_first(tmp_path, capsys):
+    text = (STURM_CONFIG.split("[profile]")[0]
+            + LAYERED_PROFILE.replace("slabs = 0.3 0.5", "slabs = 0.2 0.3 0.4"))
+    code, out, _ = _show_config(tmp_path, capsys, "sturm", text)
+    assert code == 0
+    first = "-1:(0.15+0j) 0:(1.5+0.1j) 1:(0.15+0j)"
+    assert f"profile.qcoef[0] = {first}\n" in out
+    assert "profile.qcoef[1] = 0:(1.9+0.2j)\n" in out
+    assert f"profile.qcoef[2] = {first}\n" in out
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("theta1 = ", "theta_1 = ", "unknown key 'theta_1' in [physics]"),
+    ("[output]", "[outputs]", "unknown section [outputs]"),
+    ("[output]", "qcoef1 =\n    0 1.6 0.1\n\n[output]", "unknown key 'qcoef1' in [profile]"),
+    ("[output]", "qcoef2 =\n    0 1.6 0.1\n\n[output]", "unknown key 'qcoef2' in [profile]"),
+    ("[output]", "[incidence]\np1 = 1\n\n[output]", "unknown key 'p1' in [incidence]"),
+    ("[output]", "[green]\nx = 0 0 1\ny = 0 0 0\nz = 1\n\n[output]",
+     "unknown key 'z' in [green]"),
+], ids=["misspelled", "section", "qcoef1", "qcoefK-beyond-slabs", "incidence-p1", "green-z"])
+def test_unknown_section_or_key_rejected(tmp_path, capsys, old, new, message):
+    cfg = _write(tmp_path, "bad.ini", STURM_CONFIG.replace(old, new))
+    code = main(["sturm", cfg, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"[ValidationError]: cli.run: {message}" in err
+    assert not (tmp_path / "eig.csv").exists()
+
+
+def test_qcoefk_accepted_up_to_slab_count(tmp_path, capsys):
+    text = STURM_CONFIG.replace("slabs = 0.7", "slabs = 0.3 0.4").replace(
+        "[output]", "qcoef2 =\n    0 1.6 0.1\n\n[output]")
+    code, out, _ = _show_config(tmp_path, capsys, "sturm", text)
+    assert code == 0
+    assert "profile.qcoef[1] = 0:(1.6+0.1j)\n" in out
+    code, _, err = _show_config(tmp_path, capsys, "sturm",
+                                text.replace("qcoef2 =", "qcoef3 ="))
+    assert code == 1
+    assert "unknown key 'qcoef3' in [profile]" in err
+
+
+def _numerics_config(**values):
+    vals = {"k": K, "N": 3, "M": 24, "L": 1, "cases": 2} | values
+    return (f"[physics]\nk = {vals['k']}\ntheta1 = {THETA1}\ntheta2 = {THETA2}\n\n[numerics]\n"
+            + "".join(f"{key} = {vals[key]}\n" for key in ("N", "M", "L", "cases")))
+
+
+@pytest.mark.parametrize("key, outside, inside", [
+    ("k", "0", "5e-324"), ("N", "-1", "0"), ("M", "0", "1"), ("L", "-1", "0"),
+    ("cases", "0", "1"),
+])
+def test_numerical_parameter_limits(tmp_path, capsys, key, outside, inside):
+    code, out, _ = _show_config(tmp_path, capsys, "modes", _numerics_config(**{key: inside}))
+    assert code == 0
+    assert f"{key} = {float(inside) if key == 'k' else int(inside)}\n" in out
+    code, _, err = _show_config(tmp_path, capsys, "modes", _numerics_config(**{key: outside}))
+    assert code == 1
+    assert "numerical parameters must be positive" in err
+
+
+@pytest.mark.parametrize("delta, code", [(0.5e-12, 0), (-0.5e-12, 0), (2e-12, 1), (-2e-12, 1)])
+def test_physics_b_must_match_slab_total(tmp_path, capsys, delta, code):
+    text = STURM_CONFIG.replace("[numerics]", f"b = {0.7 + delta!r}\n\n[numerics]")
+    got, out, err = _show_config(tmp_path, capsys, "sturm", text)
+    assert got == code
+    if code == 0:
+        assert "b = 0.7\n" in out  # the slab total replaces the given b
+    else:
+        assert "does not equal the slab total" in err
+
+
+FORWARD_CONFIG = f"""
+[physics]
+k = {K}
+theta1 = {THETA1}
+theta2 = {THETA2}
+
+[numerics]
+N = 3
+
+[profile]
+slabs = 0.8
+qcoef =
+    0 1.0 0
+
+[incidence]
+pol_seed = SEED
+"""
+
+
+def _rayleigh(tmp_path, name, seed):
+    cfg = _write(tmp_path, f"{name}.ini", FORWARD_CONFIG.replace("SEED", seed))
+    assert main(["forward", cfg, "--output-dir", str(tmp_path / name)]) == 0
+    rows = (tmp_path / name / "rayleigh.csv").read_text().splitlines()[1:]
+    return np.array([[float(v) for v in row.split(",")[2:8]] for row in rows]).view(complex)
+
+
+def test_pol_seed_takes_complex_literals(tmp_path):
+    # the seed is projected orthogonal to d, and the solve is linear in it
+    e1 = _rayleigh(tmp_path, "e1", "1 0 0")
+    e2 = _rayleigh(tmp_path, "e2", "0 1 0")
+    mixed = _rayleigh(tmp_path, "mixed", "1 1j 0")
+    np.testing.assert_allclose(mixed, e1 + 1j * e2, rtol=0, atol=1e-13)
+    assert np.array_equal(_rayleigh(tmp_path, "real", "0.3 0.9 0.2"),
+                          _rayleigh(tmp_path, "cplx", "0.3+0j 0.9+0j 0.2-0j"))
+
+
+def test_gapcheck_slab_totals_one_ulp_apart(tmp_path):
+    text = f"""
+[physics]
+k = {K}
+theta1 = {THETA1}
+theta2 = {THETA2}
+
+[numerics]
+N = 3
+cases = 1
+
+[profile]
+slabs = 0.1 0.2
+qcoef =
+    0 1.5 0.1
+    1 0.12 0
+    -1 0.12 0
+
+[profile2]
+slabs = 0.3
+qcoef =
+    0 1.5 0.1
+    1 0.22 0
+    -1 0.12 0
+"""
+    cfg = _write(tmp_path, "ulp.ini", text)
+    assert 0.1 + 0.2 != 0.3
+    assert main(["gapcheck", cfg, "--output-dir", str(tmp_path), "--seed", "5"]) == 0
+    row = (tmp_path / "gap.csv").read_text().splitlines()[1]
+    assert float(row.split(",")[-1]) <= 1e-6
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("green", _numerics_config(), "[green] needs key 'x'"),
+    ("sturm", STURM_CONFIG.replace("slabs = 0.7\n", ""), "[profile] needs key 'slabs'"),
+], ids=["green-x", "profile-slabs"])
+def test_required_key_missing(tmp_path, capsys, kind, text, message):
+    cfg = _write(tmp_path, "missing.ini", text)
+    assert main([kind, cfg, "--output-dir", str(tmp_path)]) == 1
+    assert f"[ValidationError]: cli.run: {message}" in capsys.readouterr().err

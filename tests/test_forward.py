@@ -11,7 +11,7 @@ from gratescat import (DipoleDensity, MediumProfile, PlaneWaveIncidence, Quasimo
 from gratescat import forward
 from gratescat.errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                               TruncationMismatch, ValidationError)
-from gratescat.forward import Slab, profile_from_mapping
+from gratescat.forward import Slab
 
 K = 1.25
 THETA1 = 1.05
@@ -549,35 +549,31 @@ def test_incidence_quasimomentum_mismatch():
         solve_scattering(MediumProfile.uniform(1.0, B), bad, ms)
 
 
+def test_incidence_wavenumber_mismatch_threshold():
+    # |k_inc - k| <= 1e-12 k is accepted; 2e-12 k is a different problem
+    ms = _modeset(3)
+    for rel in (0.5e-12, -0.5e-12):
+        inc = PlaneWaveIncidence.from_angles(K * (1 + rel), THETA1, THETA2)
+        assert forward.expand_incidence(inc, ms).coeffs[ms.mode0] == pytest.approx(inc.p)
+    with pytest.raises(TruncationMismatch, match="wavenumber mismatch"):
+        forward.expand_incidence(PlaneWaveIncidence.from_angles(K * (1 + 2e-12), THETA1, THETA2),
+                                 ms)
+
+
+def test_dipole_plane_must_lie_above_layer():
+    ms = _modeset(3)
+    coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
+    coeffs[ms.mode0, :2] = (1.0, 0.5j)
+    prof = MediumProfile.uniform(1.0, B)
+    with pytest.raises(ValidationError, match="dipole plane"):
+        solve_scattering(prof, DipoleDensity(ms, B, coeffs), ms)
+    res = solve_scattering(prof, DipoleDensity(ms, B + 1e-9, coeffs), ms)
+    assert np.all(np.isfinite(res.scattered.coeffs))
+
+
 def test_x2_profile_rejected_by_solver():
     ms = _modeset(3)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.1, -1: 0.1}, B, direction="x2")
     f = _tangential(ms, {(0, 0): (1.0, 0.0)})
     with pytest.raises(ValidationError):
         solve_qpbvp(prof, f, ms)
-
-
-def test_profile_from_mapping():
-    prof = profile_from_mapping({
-        "direction": "x1",
-        "slabs": "0.3 0.5",
-        "qcoef": "0 1.5 0.1\n1 0.15 0\n-1 0.15 0",
-        "qcoef2": "0 1.9 0.2",
-    })
-    assert len(prof.slabs) == 2
-    assert prof.b == pytest.approx(0.8)
-    assert prof.slabs[0].coeffs[1] == 0.15
-    assert prof.slabs[1].coeffs[0] == 1.9 + 0.2j
-    with pytest.raises(ValidationError):
-        profile_from_mapping({"slabs": "0.5", "qcoef": "0 1.5"})
-
-
-def test_profile_from_mapping_falls_back_to_first_slab():
-    prof = profile_from_mapping({
-        "slabs": "0.2 0.3 0.4",
-        "qcoef": "0 1.5 0.1\n1 0.15 0\n-1 0.15 0",
-        "qcoef2": "0 1.9 0.2",
-    })
-    assert len(prof.slabs) == 3
-    assert prof.slabs[1].coeffs == {0: 1.9 + 0.2j}
-    assert prof.slabs[2].coeffs == prof.slabs[0].coeffs

@@ -3,7 +3,7 @@ import pytest
 
 from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_modeset,
                        extract_moments, reciprocity_gap, reconstruct_difference)
-from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional
+from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
 from gratescat.forward import Slab, solve_qpbvp
 from gratescat.inverse import (_N_GAUSS, _gauss_nodes, one_directional_coeffs,
                                write_moment_csv, write_reconstruction_csv)
@@ -46,6 +46,33 @@ def test_gap_different_profiles():
     out = reciprocity_gap(q1, q2, _tangential(ms, 2), _tangential(ms, 3), ms)
     assert abs(out["lhs"]) > 1.0  # both sides genuinely nonzero
     assert out["gap"] <= 1e-6
+
+
+def _stacks(heights1, heights2):
+    q1 = MediumProfile([Slab(h, {0: 1.5 + 0.1j, 1: 0.12, -1: 0.12}) for h in heights1])
+    q2 = MediumProfile([Slab(h, {0: 1.5 + 0.1j, 1: 0.22, -1: 0.12}) for h in heights2])
+    return q1, q2
+
+
+@pytest.mark.parametrize("heights1, heights2", [
+    ((0.1, 0.2), (0.3,)),  # slab totals one ulp apart
+    ((0.35, 0.35), (0.7 + 0.5e-12,)),
+    ((0.7 + 0.5e-12,), (0.35, 0.35)),
+], ids=["one-ulp", "second-higher", "first-higher"])
+def test_gap_accepts_heights_within_tolerance(heights1, heights2):
+    # the volume segments end at the lower top, so no midpoint leaves a profile
+    ms = _modeset(3)
+    q1, q2 = _stacks(heights1, heights2)
+    assert 0 < abs(q1.b - q2.b) <= 1e-12
+    out = reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
+    assert out["gap"] <= 1e-6
+
+
+def test_gap_rejects_heights_beyond_tolerance():
+    ms = _modeset(3)
+    q1, q2 = _stacks((0.35, 0.35), (0.7 + 2e-12,))
+    with pytest.raises(ValidationError, match="different layer heights"):
+        reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
 
 
 def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
@@ -268,6 +295,17 @@ def test_swapped_moments_match_direct_quadrature():
     for l in (-1, 0, 1):
         direct = np.sum(dq * np.exp(1j * l * x2)) * 2 * np.pi / x2.size
         assert abs(tab.estimates[l] - direct) <= 1e-3
+
+
+def test_schedule_start_threshold():
+    # the lowest schedule entry must exceed L, so every branch m + l is >= 1
+    base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
+    q1, q2 = _planted(base, {0: 0.1})
+    with pytest.raises(ValidationError, match="schedule too low"):
+        extract_moments(q1, q2, 2, (2, 3), k=K, alpha=ALPHA)
+    tab = extract_moments(q1, q2, 2, (3, 4), k=K, alpha=ALPHA)
+    assert tab.m_schedule == (3, 4)
+    assert len(tab.entries) == 5 * 2
 
 
 def test_multi_height_profile_rejected():
