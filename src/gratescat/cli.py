@@ -60,7 +60,7 @@ _GRAMMAR = {
     "numerics": {"N": (int, 8), "M": (int, 64), "L": (int, 2), "cases": (int, 5),
                  "wood_tol": (_optional_float, None),
                  "a2_floor": (float, inverse.DEFAULT_A2_FLOOR),
-                 "m_schedule": (_words(int), (16, 24, 32, 48, 64))},
+                 "m_schedule": (_words(int), inverse.DEFAULT_SCHEDULE)},
     "profile": _PROFILE,
     "profile2": _PROFILE,
     # projected orthogonal to the incidence direction d

@@ -186,8 +186,9 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
             f"inverse.extract_moments: q1 varies along {q1.direction} and q2 along "
             f"{q2.direction}, so q1 - q2 depends on both directions")
     M = 2 * (m_schedule[-1] + L) + 8
-    spec1 = solve_sl(SLProblem(c1, k, along, M))
-    spec2 = solve_sl(SLProblem(c2.conj(), k, along, M))
+    spec1 = solve_sl(SLProblem(c1, k, along, M),
+                     branches=[(1, m + l) for m in m_schedule for l in range(-L, L + 1)])
+    spec2 = solve_sl(SLProblem(c2.conj(), k, along, M), branches=[(1, m) for m in m_schedule])
     qdiff = c1 - c2
     table = MomentTable(L, m_schedule, a2_floor)
     log_floor = math.log10(a2_floor)

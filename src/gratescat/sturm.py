@@ -6,6 +6,16 @@ v = sum_{|m| <= M} c_m exp(i (m + alpha1) x1) turns the problem into the dense
 matrix A[m, m'] = -(m + alpha1)^2 delta + k^2 Qhat_{m - m'}, whose second term
 is k^2 times the Toeplitz matrix of the potential's :class:`TrigPoly`.
 
+:func:`solve_sl` has two paths.  The dense one runs one non-Hermitian
+eigensolve and labels all 2M+1 pairs by their dominant Fourier index.  The
+targeted one computes only the branches asked for: A is banded with
+half-bandwidth deg q, and the branch-m eigenvalue lies in the Gershgorin disc
+of radius k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.
+Anchors whose discs overlap form a cluster, which shifted inverse iteration
+with LAPACK's band LU (gbtrf/gbtrs) solves as one block; the label comes from
+that construction.  Inverse iteration for a few eigenpairs: Ipsen, SIAM
+Review 39 (1997) 254.
+
 Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
 like (n + shift)^2 - k^2 qbar for large |m|; :func:`check_asymptotics` fits
@@ -15,6 +25,7 @@ alpha1 / 2pi) the spectrum follows, instead of assuming one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +36,8 @@ from .errors import (EigenFailure, FitInconclusive, NormalizationDegenerate,
 from .lattice import TrigPoly
 
 _NORM_TOL = 1e-10
+_RESIDUAL_TOL = 1e-14  # targeted pairs: stop once every scaled residual is at or below this
+_MAX_STEPS = 30        # targeted pairs: inverse-iteration steps before a cluster fails
 
 
 @dataclass
@@ -38,6 +51,8 @@ class SLProblem:
 
     def __post_init__(self):
         self.coeffs = TrigPoly(self.coeffs)
+        if not (math.isfinite(self.k) and math.isfinite(self.alpha1)):
+            raise ValidationError("sturm.SLProblem: k and alpha1 must be finite")
         if self.k <= 0:
             raise ValidationError("sturm.SLProblem: k must be > 0")
         deg = self.coeffs.degree
@@ -64,8 +79,13 @@ class SLEntry:
 
 @dataclass
 class SLSpectrum:
-    """Branch-labelled eigenpairs; ``matrix_norm`` is the spectral radius
-    max |lambda| <= ||A||_2 of the Galerkin matrix, which scales each ``residual``."""
+    """Branch-labelled eigenpairs; ``matrix_norm`` scales each ``residual``.
+
+    On a dense spectrum ``matrix_norm`` is the spectral radius
+    max |lambda| <= ||A||_2 of the Galerkin matrix.  On a targeted one it is
+    the Gershgorin bound max_m |k^2 q0 - (m + alpha1)^2| + k^2 sum_{j != 0} |q_j|,
+    which is at least the spectral radius and needs no full spectrum.
+    """
 
     problem: SLProblem
     entries: dict = field(default_factory=dict)   # (sign, n) -> SLEntry
@@ -124,13 +144,17 @@ def _assign_branches(problem: SLProblem, lams, vecs):
     return claimed
 
 
-def solve_sl(problem: SLProblem, normalize: bool = True) -> SLSpectrum:
-    """Dense non-Hermitian Galerkin eigensolve; all 2M+1 pairs returned.
+def _key(m: int) -> tuple:
+    """Branch key (sign, n) of Fourier index m, as in :attr:`SLSpectrum.entries`."""
+    return (1 if m >= 0 else -1, abs(m))
 
-    Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``;
-    a pair whose boundary value is numerically zero raises
-    :class:`NormalizationDegenerate` (the paper-style scaling is impossible).
-    """
+
+def _names(ms) -> str:
+    return ", ".join("({:+d}, {})".format(*_key(int(m))) for m in ms)
+
+
+def _dense_pairs(problem: SLProblem):
+    """Every eigenpair of the dense Galerkin matrix, labelled by :func:`_assign_branches`."""
     A = problem.matrix()
     try:
         lams, vecs = scipy.linalg.eig(A)
@@ -142,9 +166,146 @@ def solve_sl(problem: SLProblem, normalize: bool = True) -> SLSpectrum:
     residuals = (np.linalg.norm(A @ vecs - vecs * lams, axis=0)
                  / (np.linalg.norm(vecs, axis=0) * anorm))
     assignment = _assign_branches(problem, lams, vecs)
+    return [(m, lams[j], vecs[:, j].copy(), residuals[j])
+            for m, j in sorted(assignment.items())], anorm
+
+
+def _band_apply(problem: SLProblem, anchors: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X from q's coefficients: (A X)[a] = anchor_a X[a] + k^2 sum_{j != 0} q_j X[a - j]."""
+    k2 = problem.k ** 2
+    out = anchors[:, None] * X
+    for j, c in problem.coeffs.items():
+        if j > 0:
+            out[j:] += k2 * c * X[:-j]
+        elif j < 0:
+            out[:j] += k2 * c * X[-j:]
+    return out
+
+
+def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
+                   anorm: float, members: np.ndarray, wanted):
+    """Eigenpairs of one Gershgorin cluster by Ritz-shifted block inverse iteration.
+
+    The block starts as the unit vectors e_m of the members, so the first
+    shifts are the Ritz values of their diagonal block.  Each step solves
+    (A - theta_i) x_i = y_i for every Ritz pair with the band LU, orthonormalises
+    the block and projects A onto it.  Each eigenvector is labelled by the
+    member index that dominates it, as an isolated Gershgorin disc forces.
+    """
+    d = problem.coeffs.degree
+    p = members.size
+    rows = members + problem.M
+    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    X = np.zeros((anchors.size, p), dtype=complex)
+    X[rows, np.arange(p)] = 1.0
+    for step in range(_MAX_STEPS + 1):
+        AX = _band_apply(problem, anchors, X)
+        H = X.conj().T @ AX
+        theta, Z = (H[0], np.ones((1, 1))) if p == 1 else scipy.linalg.eig(H)
+        Y = X @ Z
+        res = np.linalg.norm(AX @ Z - Y * theta, axis=0) / (np.linalg.norm(Y, axis=0) * anorm)
+        if np.all(res <= _RESIDUAL_TOL):
+            break
+        if step == _MAX_STEPS:
+            raise EigenFailure(
+                f"sturm.solve_sl: branches {_names(members)} not converged in {_MAX_STEPS} "
+                f"steps (scaled residual {np.max(res):.2e} > {_RESIDUAL_TOL:g})")
+        for i in range(p):
+            # a shift equal to an eigenvalue to the last bit (a triangular A has
+            # its anchors as eigenvalues) makes the LU exactly singular: nudge it
+            for shift in (theta[i], theta[i] + _RESIDUAL_TOL * anorm):
+                shifted = ab.copy()
+                shifted[2 * d] -= shift
+                lu, piv, info = gbtrf(shifted, d, d, overwrite_ab=True)
+                if info == 0:
+                    break
+            else:
+                raise EigenFailure(f"sturm.solve_sl: singular band LU at branches {_names(members)}")
+            X[:, i] = gbtrs(lu, d, d, Y[:, i], piv)[0]
+        X = X / np.linalg.norm(X) if p == 1 else np.linalg.qr(X)[0]
+    outside = np.min(np.abs(theta - anchors[rows][:, None]), axis=0) > radius + _RESIDUAL_TOL * anorm
+    if np.any(outside):
+        raise EigenFailure(
+            f"sturm.solve_sl: an eigenvalue left the Gershgorin discs of branches {_names(members)}")
+    # Label each Ritz vector by the member it weighs most on.  With residual at
+    # most _RESIDUAL_TOL * anorm it is known to that over its gap to the other
+    # Ritz values (Davis-Kahan), so its top two member weights must differ by
+    # more than twice that.
+    weights = np.abs(Y[rows])   # weights[j, i]: modulus of Ritz vector i at member j
+    top = np.argmax(weights, axis=0)
+    second = np.sort(np.vstack([weights, np.zeros(p)]), axis=0)[-2]
+    gap = np.min(np.abs(theta[:, None] - theta) + np.diag(np.full(p, np.inf)), axis=0)
+    clear = (weights[top, np.arange(p)] - second) * gap > 2 * _RESIDUAL_TOL * anorm
+    pairs, undecided = [], []
+    for j in (j for j, m in enumerate(members) if m in wanted):
+        owners = np.flatnonzero(top == j)
+        if owners.size != 1 or not clear[owners[0]]:
+            undecided.append(members[j])
+            continue
+        y = Y[:, owners[0]]
+        big = y[np.argmax(np.abs(y))]
+        # unit norm with the largest component real, as LAPACK's geev returns it
+        pairs.append((int(members[j]), theta[owners[0]],
+                      y * (np.conj(big) / (abs(big) * np.linalg.norm(y))), res[owners[0]]))
+    if undecided:
+        raise EigenFailure(
+            f"sturm.solve_sl: cannot label branches {_names(undecided)} in the cluster "
+            f"{_names(members)}: no eigenvector is clearly dominated by each")
+    return pairs
+
+
+def _targeted_pairs(problem: SLProblem, branches):
+    """The requested eigenpairs, each solved with its Gershgorin cluster."""
+    M = problem.M
+    wanted = set()
+    for key in branches:
+        sign, n = key
+        if sign not in (1, -1) or n not in range(M + 1) or (sign, n) == (-1, 0):
+            raise ValidationError(f"sturm.solve_sl: no branch {key!r} at truncation M={M}")
+        wanted.add(sign * n)
+    m = np.arange(-M, M + 1)
+    anchors = problem.k ** 2 * problem.coeffs.mean - (m + problem.alpha1) ** 2
+    radius = problem.k ** 2 * sum(abs(c) for j, c in problem.coeffs.items() if j != 0)
+    anorm = float(np.max(np.abs(anchors)) + radius)
+    # The anchors share one imaginary part, so two discs overlap where the real
+    # parts lie within 2 radius; a cluster is a run of such overlaps.
+    order = np.argsort(anchors.real, kind="stable")
+    cluster = np.empty(m.size, dtype=int)
+    cluster[order] = np.concatenate(([0], np.cumsum(np.diff(anchors.real[order]) > 2 * radius)))
+    d = problem.coeffs.degree
+    ab = np.zeros((3 * d + 1, m.size), dtype=complex, order="F")
+    for j, c in problem.coeffs.items():
+        ab[2 * d + j] = problem.k ** 2 * c
+    ab[2 * d] = anchors
+    pairs = []
+    for cid in sorted({cluster[mw + M] for mw in wanted}):
+        members = np.flatnonzero(cluster == cid) - M
+        pairs += _solve_cluster(problem, ab, anchors, radius, anorm, members, wanted)
+    return sorted(pairs, key=lambda pr: pr[0]), anorm
+
+
+def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpectrum:
+    """Galerkin eigenpairs, labelled by branch: all 2M+1 of them, or the ``branches`` asked for.
+
+    With ``branches=None`` a dense non-Hermitian eigensolve returns every pair.
+    Otherwise ``branches`` is an iterable of ``(sign, n)`` keys, as in
+    :attr:`SLSpectrum.entries`, and only those pairs are computed, by
+    shifted inverse iteration on the band matrix; each key is solved together
+    with the anchors whose Gershgorin discs overlap its own, and an
+    eigenvector whose label those anchors cannot decide raises
+    :class:`EigenFailure`, as does a branch whose scaled residual stays above
+    ``_RESIDUAL_TOL`` for ``_MAX_STEPS`` steps.
+
+    Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``;
+    a pair whose boundary value is numerically zero raises
+    :class:`NormalizationDegenerate` (the paper-style scaling is impossible).
+    """
+    if branches is None:
+        pairs, anorm = _dense_pairs(problem)
+    else:
+        pairs, anorm = _targeted_pairs(problem, branches)
     spectrum = SLSpectrum(problem, matrix_norm=anorm)
-    for m, j in sorted(assignment.items()):
-        c = vecs[:, j].copy()
+    for m, lam, c, residual in pairs:
         if normalize:
             v0 = np.sum(c)
             if abs(v0) < _NORM_TOL * np.linalg.norm(c):
@@ -152,9 +313,9 @@ def solve_sl(problem: SLProblem, normalize: bool = True) -> SLSpectrum:
                     f"sturm.solve_sl: |v(0)| = {abs(v0):.2e} at branch index {m}; "
                     "scaling to v(0) = 1 impossible")
             c = c / v0
-        sign = 1 if m >= 0 else -1
-        spectrum.entries[(sign, abs(m))] = SLEntry(sign, abs(m), complex(lams[j]), c,
-                                                   float(residuals[j]), bool(normalize))
+        sign, n = _key(m)
+        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam), c,
+                                              float(residual), bool(normalize))
     return spectrum
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_modeset,
                        extract_moments, reciprocity_gap, reconstruct_difference)
+from gratescat import sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
 from gratescat.forward import Slab, solve_qpbvp
 from gratescat.inverse import (_N_GAUSS, _gauss_nodes, one_directional_coeffs,
@@ -305,6 +306,16 @@ def test_schedule_start_threshold():
         extract_moments(q1, q2, 2, (2, 3), k=K, alpha=ALPHA)
     tab = extract_moments(q1, q2, 2, (3, 4), k=K, alpha=ALPHA)
     assert tab.m_schedule == (3, 4)
+    assert len(tab.entries) == 5 * 2
+
+
+def test_moment_table_never_runs_the_dense_eigensolve(monkeypatch):
+    # extract_moments asks solve_sl for the branches the table reads only
+    def dense(problem):
+        raise AssertionError("dense Sturm-Liouville eigensolve on the moment path")
+    monkeypatch.setattr(sturm, "_dense_pairs", dense)
+    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
+    tab = extract_moments(q1, q2, 2, (3, 4), k=K, alpha=ALPHA)
     assert len(tab.entries) == 5 * 2
 
 

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from gratescat import SLProblem, check_asymptotics, solve_sl
-from gratescat.errors import (FitInconclusive, NormalizationDegenerate,
+from gratescat import sturm
+from gratescat.errors import (EigenFailure, FitInconclusive, NormalizationDegenerate,
                               ValidationError)
 from gratescat.sturm import write_spectrum_csv
 
@@ -50,9 +53,15 @@ def test_matrix_norm_is_spectral_radius():
     for coeffs, M in cases:
         prob = SLProblem(coeffs, K, ALPHA1, M)
         spec = solve_sl(prob)
-        assert spec.matrix_norm == np.max(np.abs(spec.lambdas()))
+        rho = np.max(np.abs([e.lam for e in spec.entries.values()]))
+        assert spec.matrix_norm == rho
         assert spec.matrix_norm <= np.linalg.norm(prob.matrix(), 2) * (1.0 + 1e-14)
         assert max(e.residual for e in spec.entries.values()) <= 1e-12
+        # a targeted spectrum scales by the Gershgorin bound on rho(A) instead
+        radius = K ** 2 * sum(abs(c) for j, c in coeffs.items() if j != 0)
+        targeted = solve_sl(prob, branches=[(1, M // 2), (-1, M // 2 + 1)])
+        assert rho <= targeted.matrix_norm <= rho + 2 * radius
+        assert max(e.residual for e in targeted.entries.values()) <= 1e-12
 
 
 def test_matrix_matches_galerkin_definition():
@@ -69,7 +78,7 @@ def test_matrix_matches_galerkin_definition():
 def test_real_potential_real_spectrum():
     prob = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 48)
     spec = solve_sl(prob)
-    lams = spec.lambdas()
+    lams = np.array([e.lam for e in spec.entries.values()])
     assert np.max(np.abs(lams.imag)) <= 1e-10 * max(1.0, np.max(np.abs(lams)))
 
 
@@ -107,6 +116,13 @@ def test_weyl_count():
     for R in (100.0, 400.0, 900.0):
         count = int(np.sum(neg <= R))
         assert abs(count - 2.0 * np.sqrt(R)) <= 2.0
+
+
+@pytest.mark.parametrize("k, alpha1", [(float("nan"), ALPHA1), (float("inf"), ALPHA1),
+                                       (K, float("nan"))])
+def test_non_finite_k_or_alpha_rejected(k, alpha1):
+    with pytest.raises(ValidationError, match="finite"):
+        SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, k, alpha1, 24)
 
 
 def test_truncation_floor_validation():
@@ -158,3 +174,103 @@ def test_csv_dump(tmp_path):
     assert (n, branch) == ("0", "+")
     np.testing.assert_allclose(float(re_l) + 1j * float(im_l),
                                _constant_lambda(1.5 + 0.1j, ALPHA1, 0), rtol=1e-15)
+
+
+_COMPLEX_Q = {0: 1.4 + 0.05j, 1: 0.2 + 0.02j, -1: 0.15 - 0.02j, 2: 0.05j}
+
+
+def _name(key):
+    return re.escape("({:+d}, {})".format(*key))
+
+
+def _decided_by_peak(spectrum):
+    """Keys whose eigenvector, alone in the spectrum, peaks at the key's own index."""
+    M = spectrum.problem.M
+    peaks = {key: int(np.argmax(np.abs(e.coeffs))) - M for key, e in spectrum.entries.items()}
+    shared = [m for m in peaks.values() if list(peaks.values()).count(m) > 1]
+    return [key for key, m in peaks.items() if m == key[0] * key[1] and m not in shared]
+
+
+def _assert_same_pair(targeted, dense):
+    # unit-norm vectors with the largest component real on both paths
+    assert abs(targeted.lam - dense.lam) <= 1e-12 * abs(dense.lam)
+    np.testing.assert_allclose(targeted.coeffs, dense.coeffs, rtol=0, atol=1e-11)
+    assert targeted.residual <= 1e-14
+
+
+@pytest.mark.parametrize("coeffs, k, alpha1, M", [
+    # the q1 spectrum of the (3, 4), L = 2 schedule in test_schedule_start_threshold
+    ({0: 1.7 + 0.12j, 1: 0.15, -1: 0.15}, K, 0.23, 20),
+    # alpha1 near 0 and near 1/2: the low mirror pairs share clusters
+    (_COMPLEX_Q, K, 0.03, 40),
+    (_COMPLEX_Q, K, 0.47, 40),
+    # high contrast: the anchors |m| <= 17 form one cluster
+    ({0: 9.0 + 2.0j, 1: 3.0, -1: 2.5 + 1.0j, 2: 1.0}, K, ALPHA1, 96),
+    # one-sided q: A is triangular, so every anchor is an exact eigenvalue
+    ({0: 1.4 + 0.05j, 1: 0.3, 2: 0.1j}, K, ALPHA1, 24),
+])
+def test_targeted_matches_dense(coeffs, k, alpha1, M):
+    # The targeted path labels exactly the branches whose dense eigenvector is
+    # the only one peaking at the branch's own index, and returns the dense
+    # pair for them; every other dense label is a fallback by eigenvalue distance.
+    prob = SLProblem(coeffs, k, alpha1, M)
+    dense = solve_sl(prob, normalize=False)
+    decided = _decided_by_peak(dense)
+    targeted = solve_sl(prob, normalize=False, branches=decided)
+    assert list(targeted.entries) == sorted(decided, key=lambda t: t[0] * t[1])
+    for key in decided:
+        _assert_same_pair(targeted.entries[key], dense.entries[key])
+    for key in set(dense.entries) - set(decided):
+        with pytest.raises(EigenFailure, match="cannot label branches " + _name(key)):
+            solve_sl(prob, branches=[key])
+
+
+@pytest.mark.parametrize("alpha1, partner", [(0.0, lambda n: n), (0.5, lambda n: n + 1)])
+def test_targeted_at_coincident_anchors(alpha1, partner):
+    # At alpha1 = 0 (1/2) the anchors of m and -m (-m-1) coincide, and the
+    # pair's eigenvalues agree to rounding: no eigenvector decides its label.
+    prob = SLProblem(_COMPLEX_Q, K, alpha1, 40)
+    dense = solve_sl(prob, normalize=False)
+    for n in range(1, 13):
+        pattern = f"cannot label branches {_name((1, n))} in the cluster .*{_name((-1, partner(n)))}"
+        with pytest.raises(EigenFailure, match=pattern):
+            solve_sl(prob, normalize=False, branches=[(1, n)])
+    if alpha1 == 0.0:
+        # the unpaired anchor m = 0 sits alone in its Gershgorin disc
+        alone = solve_sl(prob, normalize=False, branches=[(1, 0)])
+        _assert_same_pair(alone.entries[(1, 0)], dense.entries[(1, 0)])
+
+
+@pytest.mark.parametrize("coeffs, alpha1, key, cluster", [
+    # even q at alpha1 = 0: the eigenvectors are cos and sin, equal weights on +-1
+    ({0: 1.4, 1: 0.2, -1: 0.2}, 0.0, (1, 1), [(-1, 1), (1, 0), (1, 1)]),
+    # both eigenvectors of the cluster {0, -1} peak at index 0
+    (_COMPLEX_Q, 0.47, (1, 0), [(-1, 1), (1, 0)]),
+])
+def test_targeted_inseparable_cluster_raises(coeffs, alpha1, key, cluster):
+    prob = SLProblem(coeffs, K, alpha1, 24)
+    names = ", ".join(map(_name, cluster))
+    with pytest.raises(EigenFailure, match=f"branches {_name(key)} in the cluster {names}:"):
+        solve_sl(prob, branches=[key])
+
+
+def test_targeted_iteration_cap(monkeypatch):
+    monkeypatch.setattr(sturm, "_MAX_STEPS", 1)
+    prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
+    with pytest.raises(EigenFailure, match=_name((1, 5)) + " not converged in 1 steps"):
+        solve_sl(prob, branches=[(1, 5)])
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (1, 25), (2, 3), (1, 2.5)])
+def test_targeted_rejects_unknown_branch(key):
+    with pytest.raises(ValidationError, match="no branch"):
+        solve_sl(SLProblem(_COMPLEX_Q, K, ALPHA1, 24), branches=[key])
+
+
+def test_targeted_constant_q_is_exact():
+    # A is diagonal: e_m is an exact eigenvector, so no inverse-iteration step runs
+    q0 = 1.5 + 0.1j
+    spec = solve_sl(SLProblem({0: q0}, K, ALPHA1, 24), branches=[(1, 3), (-1, 7)])
+    for (sign, n), e in spec.entries.items():
+        assert e.lam == _constant_lambda(q0, ALPHA1, sign * n)
+        assert e.residual == 0.0
