@@ -172,7 +172,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     factors use the growth preset c2 = exp(2 pi sqrt(mu)).  q1 and q2 may
     vary along x1 or x2, but along the same axis; a mixed pair raises
     :class:`NotOneDirectional`.  The Sturm-Liouville truncation follows from
-    the schedule, M = 2 (max m + L) + 8.
+    the schedule, M = 2 (max m + L) + 8, and only the branches the table
+    reads are solved (``solve_sl(..., branches=...)``).
     """
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
     if len(m_schedule) < 2:

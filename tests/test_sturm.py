@@ -210,9 +210,10 @@ def _assert_same_pair(targeted, dense):
     ({0: 1.4 + 0.05j, 1: 0.3, 2: 0.1j}, K, ALPHA1, 24),
 ])
 def test_targeted_matches_dense(coeffs, k, alpha1, M):
-    # The targeted path labels exactly the branches whose dense eigenvector is
-    # the only one peaking at the branch's own index, and returns the dense
-    # pair for them; every other dense label is a fallback by eigenvalue distance.
+    # Where no two anchors coincide, the targeted path labels exactly the
+    # branches whose dense eigenvector is the only one peaking at the branch's
+    # own index, and returns the dense pair for them; every other dense label
+    # is a fallback by eigenvalue distance.
     prob = SLProblem(coeffs, k, alpha1, M)
     dense = solve_sl(prob, normalize=False)
     decided = _decided_by_peak(dense)
