@@ -230,12 +230,14 @@ def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radi
     # Label each Ritz vector by the member it weighs most on.  With residual at
     # most _RESIDUAL_TOL * anorm it is known to that over its gap to the other
     # Ritz values (Davis-Kahan), so its top two member weights must differ by
-    # more than twice that.
+    # more than twice that, unless it has no weight on the other members at all
+    # (a diagonal block: constant q, where equal anchors are equal eigenvalues).
     weights = np.abs(Y[rows])   # weights[j, i]: modulus of Ritz vector i at member j
     top = np.argmax(weights, axis=0)
     second = np.sort(np.vstack([weights, np.zeros(p)]), axis=0)[-2]
     gap = np.min(np.abs(theta[:, None] - theta) + np.diag(np.full(p, np.inf)), axis=0)
-    clear = (weights[top, np.arange(p)] - second) * gap > 2 * _RESIDUAL_TOL * anorm
+    clear = (second == 0) | ((weights[top, np.arange(p)] - second) * gap
+                             > 2 * _RESIDUAL_TOL * anorm)
     pairs, undecided = [], []
     for j in (j for j, m in enumerate(members) if m in wanted):
         owners = np.flatnonzero(top == j)

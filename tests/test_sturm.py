@@ -268,10 +268,14 @@ def test_targeted_rejects_unknown_branch(key):
         solve_sl(SLProblem(_COMPLEX_Q, K, ALPHA1, 24), branches=[key])
 
 
-def test_targeted_constant_q_is_exact():
-    # A is diagonal: e_m is an exact eigenvector, so no inverse-iteration step runs
+@pytest.mark.parametrize("alpha1", [ALPHA1, 0.0, 0.5])
+def test_targeted_constant_q_is_exact(alpha1):
+    # A is diagonal: e_m is an exact eigenvector, so no inverse-iteration step
+    # runs; at alpha1 = 0 and 1/2 the mirror anchors are equal eigenvalues and
+    # e_m still carries its label, as on the dense path
     q0 = 1.5 + 0.1j
-    spec = solve_sl(SLProblem({0: q0}, K, ALPHA1, 24), branches=[(1, 3), (-1, 7)])
+    spec = solve_sl(SLProblem({0: q0}, K, alpha1, 24), branches=[(1, 3), (-1, 7)])
     for (sign, n), e in spec.entries.items():
-        assert e.lam == _constant_lambda(q0, ALPHA1, sign * n)
+        assert e.lam == _constant_lambda(q0, alpha1, sign * n)
         assert e.residual == 0.0
+        assert np.argmax(np.abs(e.coeffs)) - 24 == sign * n
