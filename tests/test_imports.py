@@ -12,7 +12,8 @@ def test_import_loads_no_public_scipy_subpackage_but_linalg():
             "print(*sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}"
             " & set(scipy.__all__)))")
     src = os.path.dirname(os.path.dirname(gratescat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True, timeout=120)
     assert out.stdout.split() == ["linalg"]

@@ -233,7 +233,8 @@ def test_targeted_at_coincident_anchors(alpha1, partner):
     prob = SLProblem(_COMPLEX_Q, K, alpha1, 40)
     dense = solve_sl(prob, normalize=False)
     for n in range(1, 13):
-        pattern = f"cannot label branches {_name((1, n))} in the cluster .*{_name((-1, partner(n)))}"
+        pattern = (f"cannot label branches {_name((1, n))} "
+                   f"in the cluster .*{_name((-1, partner(n)))}")
         with pytest.raises(EigenFailure, match=pattern):
             solve_sl(prob, normalize=False, branches=[(1, n)])
     if alpha1 == 0.0:
@@ -259,6 +260,20 @@ def test_targeted_iteration_cap(monkeypatch):
     monkeypatch.setattr(sturm, "_MAX_STEPS", 1)
     prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
     with pytest.raises(EigenFailure, match=_name((1, 5)) + " not converged in 1 steps"):
+        solve_sl(prob, branches=[(1, 5)])
+
+
+def test_targeted_eigenvalue_outside_discs_raises(monkeypatch):
+    # with the discs shrunk to their centres the converged eigenvalue lies
+    # outside them, so its label would not follow from the construction
+    prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
+    solve = sturm._solve_cluster
+
+    def shrunk(problem, ab, anchors, radius, *rest):
+        return solve(problem, ab, anchors, 0.0, *rest)
+    monkeypatch.setattr(sturm, "_solve_cluster", shrunk)
+    pattern = "left the Gershgorin discs of branches " + _name((1, 5))
+    with pytest.raises(EigenFailure, match=pattern):
         solve_sl(prob, branches=[(1, 5)])
 
 
