@@ -50,6 +50,7 @@ factorization is warranted.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -116,12 +117,16 @@ class MediumProfile:
         self.slabs = list(slabs)
         self.direction = direction
         self.b = float(sum(s.height for s in self.slabs))
+
+    @functools.cached_property
+    def _samples(self) -> np.ndarray:
+        """q of every slab on the sampling grid; computed on first use."""
         grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
-        samples = np.concatenate([s.coeffs(grid) for s in self.slabs])
-        self.gamma_lower = float(np.min(samples.real))
-        self.q_inf = float(np.max(np.abs(samples)))
-        self._im_min = float(np.min(samples.imag))
-        self._im_max = float(np.max(samples.imag))
+        return np.concatenate([s.coeffs(grid) for s in self.slabs])
+
+    @property
+    def q_inf(self) -> float:
+        return float(np.max(np.abs(self._samples)))
 
     @classmethod
     def uniform(cls, q0: complex, height: float) -> "MediumProfile":
@@ -133,14 +138,17 @@ class MediumProfile:
 
     def validate(self, require_absorbing: bool = False) -> None:
         tol = 1e-12 * max(1.0, self.q_inf)
-        if self.gamma_lower <= 0:
+        gamma_lower = float(np.min(self._samples.real))
+        im_min = float(np.min(self._samples.imag))
+        im_max = float(np.max(self._samples.imag))
+        if gamma_lower <= 0:
             raise ValidationError(
-                f"forward.MediumProfile: Re q must have a positive lower bound, found {self.gamma_lower:g}")
-        if self._im_min < -tol and self._im_max > tol:
+                f"forward.MediumProfile: Re q must have a positive lower bound, found {gamma_lower:g}")
+        if im_min < -tol and im_max > tol:
             raise ValidationError(
                 "forward.MediumProfile: Im q changes sign; neither the profile nor its "
                 "conjugate is admissible")
-        if require_absorbing and self._im_max <= tol:
+        if require_absorbing and im_max <= tol:
             raise ValidationError(
                 "forward.MediumProfile: absorbing medium required (Im q > 0 somewhere)")
 

@@ -23,7 +23,7 @@ Three pieces:
    M_l = int (q1 - q2) e^{i l x1} dx1, at rate O(1/m); a Richardson fit
    a + b/m over an increasing branch schedule extrapolates the limit.  The
    transverse overlap A2 is kept away from zero by the growth preset
-   c2 = exp(2 pi sqrt(mu)).
+   c2 = exp(2 pi sqrt(mu)), and is carried as log|A2| + i arg A2.
 
 3. Reconstruction: the extrapolated moments are the Fourier coefficients of
    the difference, (q1 - q2)(x1) = (1/2pi) sum_l M_l e^{-i l x1}, with the
@@ -49,7 +49,7 @@ from .errors import (A2Floor, InsufficientDegree, NotOneDirectional,
 from .forward import MediumProfile, solve_qpbvp
 from .lattice import ModeSet, Quasimomentum, TrigPoly
 from .rayleigh_dtn import CELL_AREA, TangentialField, inner
-from .separable import build_u, growth_c2, moment_kernels
+from .separable import build_u, moment_kernels
 from .sturm import SLProblem, solve_sl
 
 DEFAULT_SCHEDULE = (16, 24, 32, 48, 64)
@@ -119,8 +119,8 @@ class MomentEntry:
     l: int
     m: int
     A1: complex
-    A2: complex
-    a2_log10: float
+    a2_log10: float  # log10 |A2|
+    a2_arg: float    # arg A2 in (-pi, pi]
     a2_ok: bool
 
 
@@ -169,7 +169,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     (m + l, m) eigenpair product of the q1-spectrum against the conj(q2)-
     spectrum is overlapped with the difference; the per-l moment estimate is
     the intercept of an a + b/m fit over the schedule.  Both transverse
-    factors use the growth preset c2 = exp(2 pi sqrt(mu)).  q1 and q2 may
+    factors use the growth preset c2 = exp(2 pi sqrt(mu)) (:func:`build_u`),
+    so |A2| is recorded as ``a2_log10`` and never overflows.  q1 and q2 may
     vary along x1 or x2, but along the same axis; a mixed pair raises
     :class:`NotOneDirectional`.  The Sturm-Liouville truncation follows from
     the schedule, M = 2 (max m + L) + 8, and only the branches the table
@@ -200,13 +201,11 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
             n = m + l
             e_n = spec1.entry(1, n)
             e_m = spec2.entry(1, m)
-            mu_n = -e_n.lam
-            mu_m = -e_m.lam
-            u_n = build_u(mu_n, across, growth_c2(mu_n))
-            u_m = build_u(mu_m, across, growth_c2(mu_m))
+            u_n = build_u(-e_n.lam, across)
+            u_m = build_u(-e_m.lam, across)
             kern = moment_kernels(spec1, e_n, spec2, e_m, u_n, u_m, qdiff)
             ok = kern.a2_log10 > log_floor
-            table.entries.append(MomentEntry(l, m, kern.A1, kern.A2, kern.a2_log10, ok))
+            table.entries.append(MomentEntry(l, m, kern.A1, kern.a2_log10, kern.a2_log.imag, ok))
             if ok:
                 a1_vals.append(kern.A1)
                 ms_used.append(m)
@@ -249,13 +248,13 @@ def reconstruct_difference(table: MomentTable, L: int | None = None) -> Reconstr
 
 
 def write_moment_csv(table: MomentTable, path) -> None:
-    """Moment table rows: l, m, overlaps, and the per-l extrapolated estimate."""
+    """Moment table rows: l, m, A1, log10 |A2| and arg A2, and the per-l estimate."""
     with open(path, "w", newline="") as fh:
-        fh.write("l,m,re_A1,im_A1,re_A2,im_A2,re_estimate,im_estimate\n")
+        fh.write("l,m,re_A1,im_A1,log10_abs_A2,arg_A2,re_estimate,im_estimate\n")
         for e in sorted(table.entries, key=lambda t: (t.l, t.m)):
             est = table.estimates.get(e.l, 0.0 + 0.0j)
             fh.write(f"{e.l},{e.m},{e.A1.real:.17g},{e.A1.imag:.17g},"
-                     f"{e.A2.real:.17g},{e.A2.imag:.17g},"
+                     f"{e.a2_log10:.17g},{e.a2_arg:.17g},"
                      f"{est.real:.17g},{est.imag:.17g}\n")
 
 

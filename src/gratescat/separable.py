@@ -20,6 +20,13 @@ the quasi-periodic value condition only through the coefficient relation
 which pins continuity of the phase-shifted periodic extension at the cell
 seam; u is evaluated as that extension, so value quasi-periodicity holds by
 construction while u' may jump across the seam.
+
+The normalisation is fixed to the growth preset c2 = e^{2 pi sqrt(mu)}, which
+keeps the transverse overlap A2 away from zero.  Divided through by the
+preset, the seam relation leaves c1 of order one; c2 is kept as its log,
+2 pi sqrt(mu), and A2 as log|A2| + i arg A2.  The preset grows without bound
+in the branch index, and neither it nor A2 is ever exponentiated, so every
+stored transverse number stays in the float range.
 """
 
 from __future__ import annotations
@@ -29,84 +36,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, LambdaMismatch, ValidationError,
-                     ZeroLambda)
+from .errors import DegenerateDenominator, LambdaMismatch, ValidationError, ZeroLambda
 from .lattice import TrigPoly
 from .sturm import SLEntry, SLSpectrum
 
 TWO_PI = 2.0 * np.pi
-_EXP_LIMIT = 690.0  # stay clear of float64 exp overflow
-
-
-def principal_sqrt(z: complex) -> complex:
-    """Square root with Re >= 0 (branch cut on the negative real axis)."""
-    return complex(np.sqrt(complex(z)))
-
-
-def growth_c2(mu: complex) -> complex:
-    """The non-vanishing-overlap preset c2 = exp(2 pi sqrt(mu))."""
-    s = principal_sqrt(mu)
-    if TWO_PI * s.real > _EXP_LIMIT:
-        raise ValidationError(
-            f"separable.growth_c2: exp(2 pi sqrt(mu)) overflows (Re sqrt = {s.real:g})")
-    return complex(np.exp(TWO_PI * s))
 
 
 @dataclass
 class TransverseFactor:
-    """Exponential factor u(x2) with transverse parameter mu (u'' = mu u)."""
+    """Exponential factor u(x2) with transverse parameter mu (u'' = mu u).
+
+    ``c1`` is the coefficient of e^{sqrt(mu) x2}; ``log_c2`` is the log of the
+    preset c2 = e^{2 pi sqrt(mu)}, i.e. 2 pi sqrt(mu).
+    """
 
     mu: complex
     sqrt_mu: complex
     c1: complex
-    c2: complex
+    log_c2: complex
     alpha2: float
+
+    def _cell_values(self, x2):
+        s = self.sqrt_mu
+        return self.c1 * np.exp(s * x2) + np.exp(self.log_c2 - s * x2)
 
     def values(self, x2) -> np.ndarray:
         """Quasi-periodic extension: cell values times the per-period phase."""
         x2 = np.asarray(x2, dtype=float)
         period = np.floor(x2 / TWO_PI)
-        base = x2 - TWO_PI * period
         phase = np.exp(1j * TWO_PI * self.alpha2 * period)
-        s = self.sqrt_mu
-        return phase * (self.c1 * np.exp(s * base) + self.c2 * np.exp(-s * base))
+        return phase * self._cell_values(x2 - TWO_PI * period)
 
     def derivative2_residual(self, x2) -> float:
         """max |u'' - mu u| / max |mu u| on sample points inside the cell."""
-        x2 = np.asarray(x2, dtype=float)
-        s = self.sqrt_mu
-        u = self.c1 * np.exp(s * x2) + self.c2 * np.exp(-s * x2)
-        upp = s * s * (self.c1 * np.exp(s * x2) + self.c2 * np.exp(-s * x2))
+        u = self._cell_values(np.asarray(x2, dtype=float))
+        upp = self.sqrt_mu * self.sqrt_mu * u
         scale = float(np.max(np.abs(self.mu * u))) + 1e-300
         return float(np.max(np.abs(upp - self.mu * u))) / scale
 
     def seam_defect(self) -> float:
         """|u(2pi) - e^{2 pi i alpha2} u(0)| relative to the endpoint scale."""
-        s = self.sqrt_mu
-        u0 = self.c1 + self.c2
-        u1 = self.c1 * np.exp(TWO_PI * s) + self.c2 * np.exp(-TWO_PI * s)
+        u0, u1 = self._cell_values(np.array([0.0, TWO_PI]))
         scale = max(abs(u0), abs(u1), 1e-300)
         return abs(u1 - np.exp(1j * TWO_PI * self.alpha2) * u0) / scale
 
 
-def build_u(mu: complex, alpha2: float, c2: complex = 1.0 + 0.0j) -> TransverseFactor:
-    """Build the transverse factor for parameter mu; c1 follows from the seam relation."""
+def build_u(mu: complex, alpha2: float) -> TransverseFactor:
+    """Build the transverse factor for parameter mu under the growth preset.
+
+    With d = e^{-2 pi sqrt(mu)} (|d| <= 1 on the principal branch) the seam
+    relation reads c1 = (d - e^{2 pi i alpha2}) / (e^{2 pi i alpha2} d - 1).
+    The resonance guard is |e^{2 pi i alpha2} - e^{2 pi sqrt(mu)}| <= 1e-12,
+    evaluated as |e^{2 pi i alpha2} d - 1| <= 1e-12 |d|.
+    """
     mu = complex(mu)
     if abs(mu) < 1e-14:
         raise ZeroLambda("separable.build_u: transverse parameter must be nonzero")
-    s = principal_sqrt(mu)
-    if TWO_PI * abs(s.real) > _EXP_LIMIT:
-        raise ValidationError(
-            f"separable.build_u: exp(2 pi sqrt(mu)) out of float range (Re sqrt = {s.real:g})")
+    s = complex(np.sqrt(mu))
     qp = np.exp(1j * TWO_PI * alpha2)
-    denom = qp - np.exp(TWO_PI * s)
-    if abs(denom) <= 1e-12:
+    d = np.exp(-TWO_PI * s)
+    denom = qp * d - 1.0
+    if abs(denom) <= 1e-12 * abs(d):
         raise DegenerateDenominator(
             f"separable.build_u: quasimomentum resonance, |e^(2 pi i alpha2) - e^(2 pi sqrt(mu))| "
-            f"= {abs(denom):.3e}")
-    c2 = complex(c2)
-    c1 = c2 * (np.exp(-TWO_PI * s) - qp) / denom
-    return TransverseFactor(mu, complex(s), complex(c1), c2, float(alpha2))
+            f"= {abs(denom / d):.3e}")
+    return TransverseFactor(mu, s, complex((d - qp) / denom), TWO_PI * s, float(alpha2))
 
 
 @dataclass
@@ -168,44 +163,32 @@ def _log_interval_integral(w: complex) -> complex:
 class MomentKernels:
     """Longitudinal and transverse overlap integrals of two separable solutions.
 
-    ``A2`` may overflow the float range under the growth preset; ``a2_log``
-    (natural log of |A2|) is always finite and is what the moment pipeline
-    consumes.
+    ``a2_log`` is log|A2| + i arg A2 with arg in (-pi, pi]; under the growth
+    preset |A2| leaves the float range, so A2 itself is never formed.
     """
 
     A1: complex
-    A2: complex
-    a2_log: float
+    a2_log: complex
 
     @property
     def a2_log10(self) -> float:
-        return self.a2_log / math.log(10.0)
+        return self.a2_log.real / math.log(10.0)
 
 
-def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor) -> tuple:
-    """Closed-form integral of u_n(x2) conj(u_m(x2)) over the cell and the log of its modulus."""
+def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor) -> complex:
+    """log of the closed-form integral of u_n(x2) conj(u_m(x2)) over the cell.
+
+    Each of the four exponential products integrates in closed form in log
+    space; the terms are summed relative to the largest one.
+    """
     terms = []
-    for cn, sn_sign in ((u_n.c1, 1.0), (u_n.c2, -1.0)):
-        for cm, sm_sign in ((u_m.c1, 1.0), (u_m.c2, -1.0)):
-            if cn == 0 or cm == 0:
-                continue
+    for logc_n, sn_sign in ((np.log(u_n.c1), 1.0), (u_n.log_c2, -1.0)):
+        for logc_m, sm_sign in ((np.log(u_m.c1), 1.0), (u_m.log_c2, -1.0)):
             w = sn_sign * u_n.sqrt_mu + sm_sign * np.conj(u_m.sqrt_mu)
-            logc = np.log(complex(cn)) + np.conj(np.log(complex(cm)))
-            terms.append(logc + _log_interval_integral(w))
-    if not terms:
-        return complex(0.0), -np.inf
-    logs = np.array(terms, dtype=complex)
+            terms.append(logc_n + np.conj(logc_m) + _log_interval_integral(w))
+    logs = np.array(terms)
     lmax = float(np.max(logs.real))
-    total = complex(np.sum(np.exp(logs - lmax)))
-    if total == 0:
-        return complex(0.0), -np.inf
-    log_a2 = lmax + np.log(total)
-    mag = float(log_a2.real)
-    if mag > _EXP_LIMIT:
-        value = complex(np.inf, 0.0)
-    else:
-        value = complex(np.exp(log_a2))
-    return value, mag
+    return complex(lmax + np.log(np.sum(np.exp(logs - lmax))))
 
 
 def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
@@ -217,10 +200,9 @@ def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
     sum over Fourier coefficients, 2 pi sum_j dq_j sum_b c_n[b - j] conj(c_m[b])
     (:meth:`TrigPoly.overlap`): the quasimomentum phases cancel, which needs
     both spectra to share alpha1, and only index-matched terms survive.
-    ``A2`` is the closed-form transverse overlap.
+    ``a2_log`` is the log of the closed-form transverse overlap A2.
     """
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
     A1 = complex(TWO_PI * TrigPoly(qdiff).overlap(entry_n.coeffs, entry_m.coeffs))
-    A2, a2_log = transverse_overlap(u_n, u_m)
-    return MomentKernels(A1, A2, a2_log)
+    return MomentKernels(A1, transverse_overlap(u_n, u_m))

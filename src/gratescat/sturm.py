@@ -97,9 +97,6 @@ class SLSpectrum:
             raise ValidationError(f"sturm.SLSpectrum: no entry for branch ({sign:+d}, {n})")
         return self.entries[key]
 
-    def lambdas(self) -> np.ndarray:
-        return np.array([e.lam for e in self.entries.values()])
-
     def eigenfunction_values(self, entry: SLEntry, x1) -> np.ndarray:
         m = np.arange(-self.problem.M, self.problem.M + 1)
         x1 = np.asarray(x1, dtype=float)

@@ -16,7 +16,6 @@ from gratescat import (MediumProfile, PlaneWaveIncidence, Quasimomentum, SLProbl
                        reciprocity_gap, reconstruct_difference, solve_qpbvp,
                        solve_scattering, solve_sl)
 from gratescat.errors import WoodAnomaly
-from gratescat.separable import growth_c2
 
 
 def _report(num, text):
@@ -226,7 +225,7 @@ def test_criterion_07_separable_solutions():
     worst_qp = 0.0
     for (sign, n) in ((1, 1), (-1, 3), (1, 6)):
         entry = spec.entry(sign, n)
-        u = build_u(-entry.lam, a2, growth_c2(-entry.lam))
+        u = build_u(-entry.lam, a2)
         sol = build_separable(spec, entry, u)
         worst_res = max(worst_res, sol.residual_report(pts)["max_relative"])
         worst_seam = max(worst_seam, u.seam_defect())
@@ -310,15 +309,21 @@ def test_criterion_09_moment_convergence():
             f"; |A2| growth monotone ({elapsed:.1f} s)")
 
 
+_DIFF_10 = {0: 0.1, 1: 0.06, -1: 0.12, 2: 0.05, -2: 0.08,
+            3: 0.04, -3: 0.05, 4: 0.03, -4: 0.04}
+
+
+def _criterion_10_pair():
+    q1c = dict(_MOMENT_BASE)
+    for j, c in _DIFF_10.items():
+        q1c[j] = q1c.get(j, 0) + c
+    return MediumProfile.from_coeffs(q1c, 0.7), MediumProfile.from_coeffs(_MOMENT_BASE, 0.7)
+
+
 def test_criterion_10_end_to_end_uniqueness():
     t0 = time.perf_counter()
-    diff = {0: 0.1, 1: 0.06, -1: 0.12, 2: 0.05, -2: 0.08,
-            3: 0.04, -3: 0.05, 4: 0.03, -4: 0.04}
-    q1c = dict(_MOMENT_BASE)
-    for j, c in diff.items():
-        q1c[j] = q1c.get(j, 0) + c
-    q1 = MediumProfile.from_coeffs(q1c, 0.7)
-    q2 = MediumProfile.from_coeffs(_MOMENT_BASE, 0.7)
+    diff = _DIFF_10
+    q1, q2 = _criterion_10_pair()
     q1.validate()
     q2.validate()
     tab = extract_moments(q1, q2, 4, _SCHEDULE, k=_MOMENT_K, alpha=_MOMENT_ALPHA)
@@ -332,3 +337,15 @@ def test_criterion_10_end_to_end_uniqueness():
     assert elapsed < 300.0
     _report(10, f"degree-4 difference recovered, max coefficient error {worst:.2e}; "
                 f"identical profiles give {null:.1e} ({elapsed:.1f} s)")
+
+
+def test_criterion_10_schedule_past_the_float_range_of_the_preset():
+    # m = 128 puts Re sqrt(mu) near 128, where the growth preset
+    # e^{2 pi sqrt(mu)} is about 1e349; the transverse factors keep it as a log
+    q1, q2 = _criterion_10_pair()
+    tab = extract_moments(q1, q2, 4, (32, 48, 64, 96, 128), k=_MOMENT_K, alpha=_MOMENT_ALPHA)
+    assert all(np.isfinite(e.a2_log10) and e.a2_ok for e in tab.entries)
+    assert max(e.a2_log10 for e in tab.entries) > 308.0
+    rec = reconstruct_difference(tab)
+    worst = max(abs(rec.coeffs[j] - complex(_DIFF_10.get(j, 0.0))) for j in rec.coeffs)
+    assert worst <= 1e-3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gratescat import Quasimomentum, build_modeset
-from gratescat.cli import main
+from gratescat.cli import KINDS, main
 from gratescat.forward import MediumProfile, Slab, assemble_dtn
 from gratescat.sturm import SLProblem, solve_sl, write_spectrum_csv
 
@@ -182,8 +182,7 @@ def test_show_config_echo(tmp_path, capsys):
     assert not (tmp_path / "eig.csv").exists()
 
 
-def test_gapcheck_scenario(tmp_path):
-    text = f"""
+GAPCHECK_CONFIG = f"""
 [physics]
 k = {K}
 theta1 = {THETA1}
@@ -211,7 +210,10 @@ qcoef =
 gap = gap.csv
 summary = gsum.txt
 """
-    cfg = _write(tmp_path, "gap.ini", text)
+
+
+def test_gapcheck_scenario(tmp_path):
+    cfg = _write(tmp_path, "gap.ini", GAPCHECK_CONFIG)
     assert main(["gapcheck", cfg, "--output-dir", str(tmp_path), "--seed", "5"]) == 0
     lines = (tmp_path / "gap.csv").read_text().splitlines()
     assert lines[0] == "case,re_lhs,im_lhs,re_rhs,im_rhs,gap"
@@ -220,8 +222,7 @@ summary = gsum.txt
         assert float(ln.split(",")[-1]) <= 1e-6
 
 
-def test_reconstruct_scenario(tmp_path):
-    text = f"""
+RECONSTRUCT_CONFIG = f"""
 [physics]
 k = 1.6
 theta1 = 1.05
@@ -250,7 +251,10 @@ moments = m.csv
 coefficients = c.csv
 summary = rsum.txt
 """
-    cfg = _write(tmp_path, "rec.ini", text)
+
+
+def test_reconstruct_scenario(tmp_path):
+    cfg = _write(tmp_path, "rec.ini", RECONSTRUCT_CONFIG)
     assert main(["reconstruct", cfg, "--output-dir", str(tmp_path)]) == 0
     rows = (tmp_path / "c.csv").read_text().splitlines()[1:]
     coeffs = {int(r.split(",")[0]): float(r.split(",")[1]) + 1j * float(r.split(",")[2])
@@ -265,8 +269,17 @@ def test_missing_config_rejected(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_modes_green_dtn_moments_kinds(tmp_path):
-    common = f"""
+PROFILE_SECTION = """
+[profile]
+slabs = 0.7
+qcoef =
+    0 1.5 0.1
+    1 0.12 0
+    -1 0.12 0
+"""
+
+
+COMMON_CONFIG = f"""
 [physics]
 k = {K}
 theta1 = {THETA1}
@@ -278,35 +291,33 @@ M = 24
 L = 1
 m_schedule = 16 24
 """
-    modes_cfg = _write(tmp_path, "modes.ini", common)
-    assert main(["modes", modes_cfg, "--output-dir", str(tmp_path)]) == 0
-    lines = (tmp_path / "modes.csv").read_text().splitlines()
-    assert len(lines) == 1 + 49
 
-    green_cfg = _write(tmp_path, "green.ini", common + """
+
+GREEN_SECTION = """
 [green]
 x = 0.4 0.7 1.9
 y = 0.1 0.3 0.2
 h = 1e-3
-""")
+"""
+
+
+def test_modes_green_dtn_moments_kinds(tmp_path):
+    modes_cfg = _write(tmp_path, "modes.ini", COMMON_CONFIG)
+    assert main(["modes", modes_cfg, "--output-dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "modes.csv").read_text().splitlines()
+    assert len(lines) == 1 + 49
+
+    green_cfg = _write(tmp_path, "green.ini", COMMON_CONFIG + GREEN_SECTION)
     assert main(["green", green_cfg, "--output-dir", str(tmp_path)]) == 0
     row = (tmp_path / "green.csv").read_text().splitlines()[1].split(",")
     assert float(row[2]) <= 1e-10  # quasi-periodicity defect column
 
-    profile = """
-[profile]
-slabs = 0.7
-qcoef =
-    0 1.5 0.1
-    1 0.12 0
-    -1 0.12 0
-"""
-    dtn_cfg = _write(tmp_path, "dtn.ini", common + profile)
+    dtn_cfg = _write(tmp_path, "dtn.ini", COMMON_CONFIG + PROFILE_SECTION)
     assert main(["dtn", dtn_cfg, "--output-dir", str(tmp_path)]) == 0
     head = (tmp_path / "dtn.csv").read_text().splitlines()[0]
     assert head == "row,col,re,im"
 
-    moments_cfg = _write(tmp_path, "moments.ini", common + profile + """
+    moments_cfg = _write(tmp_path, "moments.ini", COMMON_CONFIG + PROFILE_SECTION + """
 [profile2]
 slabs = 0.7
 qcoef =
@@ -575,3 +586,39 @@ def test_required_key_missing(tmp_path, capsys, kind, text, message):
     cfg = _write(tmp_path, "missing.ini", text)
     assert main([kind, cfg, "--output-dir", str(tmp_path)]) == 1
     assert f"[ValidationError]: cli.run: {message}" in capsys.readouterr().err
+
+
+def _fields(path):
+    """(where, word) for each field of a CSV body or each value word of a summary."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        return [(f"{path.name} line {i}", word)
+                for i, row in enumerate(lines[1:], 2) for word in row.split(",")]
+    # "key = value" lines; a digest is an identifier, not a number
+    return [(f"{path.name} {key}", word)
+            for key, _, value in (line.partition(" = ") for line in lines)
+            if not key.endswith("_digest") for word in value.split()]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cli_artifacts_hold_no_inf_or_nan(tmp_path, kind):
+    # moments and reconstruct run at the default schedule, which reaches m = 64
+    configs = {"modes": COMMON_CONFIG, "green": COMMON_CONFIG + GREEN_SECTION,
+               "forward": FORWARD_CONFIG.replace("SEED", "0.3 0.9 0.2"),
+               "dtn": COMMON_CONFIG + PROFILE_SECTION, "sturm": STURM_CONFIG,
+               "gapcheck": GAPCHECK_CONFIG,
+               "moments": RECONSTRUCT_CONFIG.replace("m_schedule = 16 24 32\n", ""),
+               "reconstruct": RECONSTRUCT_CONFIG.replace("m_schedule = 16 24 32\n", "")}
+    cfg = _write(tmp_path, f"{kind}.ini", configs[kind])
+    out = tmp_path / "out"
+    assert main([kind, cfg, "--output-dir", str(out)]) == 0
+    numeric = 0
+    for path in sorted(out.iterdir()):
+        for where, word in _fields(path):
+            try:
+                value = complex(word)
+            except ValueError:
+                continue  # a label: the kind, a branch sign, a convention name
+            numeric += 1
+            assert np.isfinite(value), f"{where}: {word}"
+    assert numeric > 0

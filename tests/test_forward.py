@@ -12,6 +12,7 @@ from gratescat import forward
 from gratescat.errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                               TruncationMismatch, ValidationError)
 from gratescat.forward import Slab
+from gratescat.lattice import TrigPoly
 
 K = 1.25
 THETA1 = 1.05
@@ -464,6 +465,19 @@ def test_profile_validation():
     with pytest.raises(ValidationError):
         Slab(-0.1, {0: 1.0})
     MediumProfile.from_coeffs({0: 1.5 + 0.1j}, B).validate(require_absorbing=True)
+
+
+def test_profile_samples_q_once_on_first_use(monkeypatch):
+    calls = []
+    sample = TrigPoly.__call__
+    monkeypatch.setattr(TrigPoly, "__call__",
+                        lambda self, x1: calls.append(len(x1)) or sample(self, x1))
+    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}), Slab(0.4, {0: 1.8 + 0.1j})])
+    assert calls == []  # building a profile samples nothing
+    prof.validate()
+    prof.validate(require_absorbing=True)
+    np.testing.assert_allclose(prof.q_inf, abs(1.9 + 0.1j), rtol=1e-12)
+    assert calls == [forward._PROFILE_GRID] * 2  # one grid per slab, once
 
 
 def test_scattering_pec_mirror():

@@ -265,8 +265,8 @@ def test_x2_pair_moments_equal_x1_pair_with_swapped_alpha():
                             MediumProfile.from_coeffs(base, B, direction=d),
                             1, SCHEDULE, k=K, alpha=alpha)
             for d, alpha in (("x2", ALPHA), ("x1", swapped))]
-    assert [(e.l, e.m, e.A1, e.A2) for e in tabs[0].entries] == \
-        [(e.l, e.m, e.A1, e.A2) for e in tabs[1].entries]
+    assert [(e.l, e.m, e.A1, e.a2_log10, e.a2_arg) for e in tabs[0].entries] == \
+        [(e.l, e.m, e.A1, e.a2_log10, e.a2_arg) for e in tabs[1].entries]
     assert tabs[0].estimates == tabs[1].estimates
 
 
@@ -332,7 +332,7 @@ def test_csv_writers(tmp_path):
     mpath = tmp_path / "moments.csv"
     write_moment_csv(tab, mpath)
     lines = mpath.read_text().splitlines()
-    assert lines[0] == "l,m,re_A1,im_A1,re_A2,im_A2,re_estimate,im_estimate"
+    assert lines[0] == "l,m,re_A1,im_A1,log10_abs_A2,arg_A2,re_estimate,im_estimate"
     assert len(lines) == 1 + 3 * 3
     rec = reconstruct_difference(tab)
     rpath = tmp_path / "coeffs.csv"

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from gratescat import SLProblem, build_separable, build_u, moment_kernels, solve_sl
-from gratescat.errors import (DegenerateDenominator, LambdaMismatch, ValidationError,
-                              ZeroLambda)
-from gratescat.separable import _EXP_LIMIT, growth_c2, transverse_overlap
+from gratescat.errors import DegenerateDenominator, LambdaMismatch, ZeroLambda
+from gratescat.separable import transverse_overlap
 
 K = 1.2
 ALPHA1 = 0.3
@@ -13,22 +12,23 @@ TWO_PI = 2.0 * np.pi
 
 
 def test_coefficient_relation_reference_case():
-    # mu = 1, alpha2 = 0: c1 = c2 (e^{-2pi} - 1)/(1 - e^{2pi})
-    u = build_u(1.0, 0.0, c2=1.0)
-    expected = (np.exp(-TWO_PI) - 1.0) / (1.0 - np.exp(TWO_PI))
+    # mu = 1, alpha2 = 0: c1 = c2 (e^{-2pi} - 1)/(1 - e^{2pi}) with the preset c2 = e^{2pi}
+    u = build_u(1.0, 0.0)
+    assert u.log_c2 == TWO_PI
+    expected = np.exp(TWO_PI) * (np.exp(-TWO_PI) - 1.0) / (1.0 - np.exp(TWO_PI))
     np.testing.assert_allclose(u.c1, expected, rtol=1e-15)
 
 
 def test_ode_and_seam():
     for mu in (1.0, -2.3, 0.7 + 0.4j, -9.0 + 0.5j):
-        u = build_u(mu, ALPHA2, c2=0.8 - 0.3j)
+        u = build_u(mu, ALPHA2)
         x = np.linspace(0.05, TWO_PI - 0.05, 41)
         assert u.derivative2_residual(x) <= 1e-12
         assert u.seam_defect() <= 1e-12
 
 
 def test_value_quasi_periodicity_of_extension():
-    u = build_u(-4.0 + 0.3j, ALPHA2, c2=1.0)
+    u = build_u(-4.0 + 0.3j, ALPHA2)
     x = np.linspace(0.0, TWO_PI, 23)
     lhs = u.values(x + TWO_PI)
     rhs = np.exp(1j * TWO_PI * ALPHA2) * u.values(x)
@@ -146,14 +146,16 @@ def test_transverse_overlap_matches_quadrature():
     # the closed form is the production path; a dense trapezoid rule is the
     # independent cross-check (O(h^2), so it needs a fine grid to reach 1e-10)
     for mu_n, mu_m in ((1.3 + 0.2j, 2.1 - 0.0j), (-3.0 + 0.4j, 1.7 + 0.1j)):
-        u_n = build_u(mu_n, ALPHA2, c2=0.7 + 0.2j)
-        u_m = build_u(mu_m, ALPHA2, c2=1.1 - 0.4j)
-        val, log_mag = transverse_overlap(u_n, u_m)
+        u_n = build_u(mu_n, ALPHA2)
+        u_m = build_u(mu_m, ALPHA2)
+        log_a2 = transverse_overlap(u_n, u_m)
         x = np.linspace(0.0, TWO_PI, 2_000_001)
         integrand = u_n.values(x) * np.conj(u_m.values(x))
         quad = np.trapezoid(integrand, x)
-        np.testing.assert_allclose(val, quad, rtol=1e-10)
-        np.testing.assert_allclose(np.exp(log_mag), abs(val), rtol=1e-12)
+        np.testing.assert_allclose(np.exp(log_a2), quad, rtol=1e-10)
+        # log A2 is log|A2| + i arg A2 with the principal argument
+        np.testing.assert_allclose(np.exp(log_a2.real), abs(quad), rtol=1e-10)
+        assert abs(log_a2.imag - np.angle(quad)) <= 1e-10
 
 
 def test_a2_growth_under_preset():
@@ -165,20 +167,24 @@ def test_a2_growth_under_preset():
     logs = []
     for m in range(4, 20, 2):
         e_n, e_m = spec.entry(1, m + 1), spec.entry(1, m)
-        u_n = build_u(-e_n.lam, ALPHA2, growth_c2(-e_n.lam))
-        u_m = build_u(-e_m.lam, ALPHA2, growth_c2(-e_m.lam))
+        u_n = build_u(-e_n.lam, ALPHA2)
+        u_m = build_u(-e_m.lam, ALPHA2)
         kern = moment_kernels(spec, e_n, spec, e_m, u_n, u_m, {0: 1.0})
         logs.append(kern.a2_log10)
     assert np.all(np.diff(logs) > 0)
 
 
-def test_growth_preset_overflow_guard():
-    s_limit = _EXP_LIMIT / TWO_PI  # the guard binds at Re sqrt(mu) = s_limit
-    for mu in (200.0 ** 2, (s_limit * (1.0 + 1e-9)) ** 2):
-        with pytest.raises(ValidationError):
-            growth_c2(mu)
-    c2 = growth_c2((s_limit * (1.0 - 1e-9)) ** 2)
-    assert np.isfinite(c2) and abs(c2) > 1e299
+def test_build_u_far_beyond_float_range_of_preset():
+    # at Re sqrt(mu) = 200 the preset e^{2 pi sqrt(mu)} is about 1e546; it is
+    # kept as its log and c1 stays of order one
+    s = 200.0 + 0.3j
+    u = build_u(s * s, ALPHA2)
+    np.testing.assert_allclose(u.log_c2, TWO_PI * s, rtol=1e-15)
+    # c1 -> e^{2 pi i alpha2} as e^{-2 pi sqrt(mu)} underflows
+    assert np.isfinite(u.c1)
+    np.testing.assert_allclose(u.c1, np.exp(1j * TWO_PI * ALPHA2), rtol=1e-15)
+    log_a2 = transverse_overlap(u, build_u((s + 1.0) ** 2, ALPHA2))
+    assert np.isfinite(log_a2) and log_a2.real > 2000.0
 
 
 def _a1_trapezoid(spec1, e_n, spec2, e_m, qdiff):
@@ -220,7 +226,7 @@ def test_branch_swap_symmetry():
     # relation coefficients satisfy ratio(s) * ratio(-s) = 1, so the same
     # two-exponential family comes out either way
     mu = 2.7 + 0.9j
-    u = build_u(mu, ALPHA2, c2=0.6 - 0.2j)
+    u = build_u(mu, ALPHA2)
     s = u.sqrt_mu
     qp = np.exp(1j * TWO_PI * ALPHA2)
     ratio_pos = (np.exp(-TWO_PI * s) - qp) / (qp - np.exp(TWO_PI * s))
@@ -228,5 +234,5 @@ def test_branch_swap_symmetry():
     np.testing.assert_allclose(ratio_pos * ratio_neg, 1.0, rtol=1e-12)
     # rebuild on the flipped branch with swapped coefficients: same function
     x = np.linspace(0.1, TWO_PI - 0.1, 17)
-    manual = u.c2 * np.exp(-s * x) + u.c1 * np.exp(s * x)
+    manual = np.exp(u.log_c2) * np.exp(-s * x) + u.c1 * np.exp(s * x)
     np.testing.assert_allclose(u.values(x), manual, rtol=1e-13)
