@@ -58,6 +58,7 @@ class TransverseFactor:
     alpha2: float
 
     def _cell_values(self, x2):
+        """c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2}, the second term formed from log_c2."""
         s = self.sqrt_mu
         return self.c1 * np.exp(s * x2) + np.exp(self.log_c2 - s * x2)
 
