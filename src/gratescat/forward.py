@@ -119,14 +119,16 @@ class MediumProfile:
         self.b = float(sum(s.height for s in self.slabs))
 
     @functools.cached_property
-    def _samples(self) -> np.ndarray:
-        """q of every slab on the sampling grid; computed on first use."""
+    def _sample_bounds(self) -> tuple:
+        """(min Re q, max |q|, min Im q, max Im q) on the sampling grid, on first use."""
         grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
-        return np.concatenate([s.coeffs(grid) for s in self.slabs])
+        q = np.concatenate([s.coeffs(grid) for s in self.slabs])
+        return (float(np.min(q.real)), float(np.max(np.abs(q))),
+                float(np.min(q.imag)), float(np.max(q.imag)))
 
     @property
     def q_inf(self) -> float:
-        return float(np.max(np.abs(self._samples)))
+        return self._sample_bounds[1]
 
     @classmethod
     def uniform(cls, q0: complex, height: float) -> "MediumProfile":
@@ -137,10 +139,8 @@ class MediumProfile:
         return cls([Slab(height, coeffs)], direction)
 
     def validate(self, require_absorbing: bool = False) -> None:
-        tol = 1e-12 * max(1.0, self.q_inf)
-        gamma_lower = float(np.min(self._samples.real))
-        im_min = float(np.min(self._samples.imag))
-        im_max = float(np.max(self._samples.imag))
+        gamma_lower, q_inf, im_min, im_max = self._sample_bounds
+        tol = 1e-12 * max(1.0, q_inf)
         if gamma_lower <= 0:
             raise ValidationError(
                 f"forward.MediumProfile: Re q must have a positive lower bound, found {gamma_lower:g}")
