@@ -322,13 +322,12 @@ def _criterion_10_pair():
 
 def test_criterion_10_end_to_end_uniqueness():
     t0 = time.perf_counter()
-    diff = _DIFF_10
     q1, q2 = _criterion_10_pair()
     q1.validate()
     q2.validate()
     tab = extract_moments(q1, q2, 4, _SCHEDULE, k=_MOMENT_K, alpha=_MOMENT_ALPHA)
     rec = reconstruct_difference(tab)
-    worst = max(abs(rec.coeffs[j] - complex(diff.get(j, 0.0))) for j in rec.coeffs)
+    worst = max(abs(rec.coeffs[j] - complex(_DIFF_10.get(j, 0.0))) for j in rec.coeffs)
     assert worst <= 1e-3
     tab0 = extract_moments(q2, q2, 4, _SCHEDULE, k=_MOMENT_K, alpha=_MOMENT_ALPHA)
     null = max(abs(v) for v in tab0.estimates.values())

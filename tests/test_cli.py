@@ -603,12 +603,12 @@ def _fields(path):
 @pytest.mark.parametrize("kind", KINDS)
 def test_cli_artifacts_hold_no_inf_or_nan(tmp_path, kind):
     # moments and reconstruct run at the default schedule, which reaches m = 64
+    default_schedule = RECONSTRUCT_CONFIG.replace("m_schedule = 16 24 32\n", "")
     configs = {"modes": COMMON_CONFIG, "green": COMMON_CONFIG + GREEN_SECTION,
                "forward": FORWARD_CONFIG.replace("SEED", "0.3 0.9 0.2"),
                "dtn": COMMON_CONFIG + PROFILE_SECTION, "sturm": STURM_CONFIG,
-               "gapcheck": GAPCHECK_CONFIG,
-               "moments": RECONSTRUCT_CONFIG.replace("m_schedule = 16 24 32\n", ""),
-               "reconstruct": RECONSTRUCT_CONFIG.replace("m_schedule = 16 24 32\n", "")}
+               "gapcheck": GAPCHECK_CONFIG, "moments": default_schedule,
+               "reconstruct": default_schedule}
     cfg = _write(tmp_path, f"{kind}.ini", configs[kind])
     out = tmp_path / "out"
     assert main([kind, cfg, "--output-dir", str(out)]) == 0
