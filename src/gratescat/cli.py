@@ -262,6 +262,10 @@ def _run_sturm(sc: Scenario) -> None:
 def _moment_table(sc: Scenario):
     _require(sc.profile is not None and sc.profile2 is not None,
              "cli.run: moments scenario needs [profile] and [profile2]")
+    _, along, _ = inverse.one_directional_coeffs(sc.profile, sc.alpha, "profile")
+    _require(abs(along - round(2 * along) / 2) > 1e-9,
+             f"cli.run: alpha along the profile axis is {along!r}, within 1e-9 of a multiple of "
+             "1/2; theta1 = pi/2, or any alpha1 in Z/2, makes the mirror branches coincide")
     return inverse.extract_moments(sc.profile, sc.profile2, sc.L, sc.m_schedule, k=sc.k,
                                    alpha=sc.alpha, a2_floor=sc.a2_floor)
 

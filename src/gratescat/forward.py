@@ -157,15 +157,18 @@ class MediumProfile:
                              self.direction)
 
     def slab_bounds(self):
-        z = np.concatenate([[0.0], np.cumsum([s.height for s in self.slabs])])
-        return z
+        return np.concatenate([[0.0], np.cumsum([s.height for s in self.slabs])])
 
-    def slab_of(self, x3: float) -> int:
-        z = self.slab_bounds()
-        if x3 < 0 or x3 > self.b:
-            raise ValidationError(f"forward.MediumProfile: x3 = {x3:g} outside [0, {self.b:g}]")
-        j = int(np.searchsorted(z, x3, side="right")) - 1
-        return min(max(j, 0), len(self.slabs) - 1)
+    def slab_of(self, x3):
+        """Slab index of height x3 (a face goes to the slab above), an index array for an array."""
+        x = np.asarray(x3, dtype=float)
+        outside = ~((0 <= x) & (x <= self.b))
+        if np.any(outside):
+            raise ValidationError(
+                f"forward.MediumProfile: x3 = {x[outside][0]:g} outside [0, {self.b:g}]")
+        j = np.minimum(np.searchsorted(self.slab_bounds(), x, side="right") - 1,
+                       len(self.slabs) - 1)
+        return int(j) if j.ndim == 0 else j
 
     def q_at(self, x1, x3: float) -> np.ndarray:
         return self.slabs[self.slab_of(x3)].coeffs(x1)
@@ -451,34 +454,41 @@ class LayerField:
         self.amplitudes = amplitudes
         self._bounds = stack.profile.slab_bounds()
 
-    def mode_coefficients(self, x3: float, derivatives: bool = False):
-        """Modal E and H coefficient arrays (m, 3) at height x3.
+    def mode_coefficients(self, x3, derivatives: bool = False):
+        """Modal E and H coefficient arrays at height x3, each (m, 3) for a float x3.
 
-        With ``derivatives=True`` also returns dE_t/dx3 and dH_t/dx3 packed in
-        (m, 3) arrays whose third column holds H3-free values (zeros).
+        A 1-D array of P heights gives (m, 3, P) arrays, the height axis last,
+        in one batched pass per slab (heights grouped as by ``MediumProfile.slab_of``).
+        With ``derivatives=True`` also returns dE_t/dx3 and dH_t/dx3, third column zero.
         """
         ms = self.modeset
         mb = ms.block_size
-        j = self.profile.slab_of(x3)
-        basis = self.stack.bases[j]
-        u, d = self.amplitudes[j]
-        ep = np.exp(1j * basis.gamma * (x3 - self._bounds[j]))
-        em = np.exp(1j * basis.gamma * (self._bounds[j + 1] - x3))
-        et = np.matvec(basis.W, ep * u + em * d)
-        ht = np.matvec(basis.V, ep * u - em * d)
-        a1, a2 = _wavenumbers(ms)
-        rhs = (a1 * ht[:, mb:] - a2 * ht[:, :mb]).T
-        e3 = -(basis.Qinv @ rhs).T / ms.k
-        h3 = (a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k
-        E = _from_blocks(ms, et)
-        H = _from_blocks(ms, ht)
-        E[:, 2] = e3.reshape(-1)
-        H[:, 2] = h3.reshape(-1)
-        if derivatives:
-            dE = _from_blocks(ms, np.matvec(basis.W, 1j * basis.gamma * (ep * u - em * d)))
-            dH = _from_blocks(ms, np.matvec(basis.V, 1j * basis.gamma * (ep * u + em * d)))
-            return E, H, dE, dH
-        return E, H
+        heights = np.asarray(x3, dtype=float)
+        slab = np.atleast_1d(self.profile.slab_of(heights))
+        a1, a2 = (w[..., None] for w in _wavenumbers(ms))
+        out = np.zeros((4 if derivatives else 2, ms.num_modes, 3, slab.size), dtype=complex)
+        # tangential components as (field, n2, n1, component, height)
+        tangential = out[:, :, :2].reshape(len(out), 2 * ms.N + 1, mb, 2, slab.size)
+        for j in np.unique(slab):
+            at = np.flatnonzero(slab == j)
+            # a run of consecutive heights scatters as a slice, not an index array
+            at = slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
+            h = heights.reshape(-1)[at]
+            basis = self.stack.bases[j]
+            u, d = self.amplitudes[j]
+            g = basis.gamma[:, :, None]
+            up = np.exp(1j * g * (h - self._bounds[j])) * u[:, :, None]
+            dn = np.exp(1j * g * (self._bounds[j + 1] - h)) * d[:, :, None]
+            vecs = [basis.W @ (up + dn), basis.V @ (up - dn)]
+            if derivatives:
+                vecs += [basis.W @ (1j * g * (up - dn)), basis.V @ (1j * g * (up + dn))]
+            for field, vec in zip(tangential, vecs):
+                field[..., at] = vec.reshape(-1, 2, mb, h.size).swapaxes(1, 2)
+            et, ht = vecs[:2]
+            e3 = -(basis.Qinv @ (a1 * ht[:, mb:] - a2 * ht[:, :mb])) / ms.k
+            out[0, :, 2][:, at] = e3.reshape(-1, h.size)
+            out[1, :, 2][:, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
+        return tuple(out[..., 0] if heights.ndim == 0 else out)
 
     def residual_report(self, points) -> dict:
         """Pointwise residual of (curl curl - k^2 q) E, relative to the field scale.
@@ -490,33 +500,28 @@ class LayerField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ms = self.modeset
         k = ms.k
-        res = np.zeros(pts.shape[0])
-        escale = 0.0
-        for i, pt in enumerate(pts):
-            E, H, dE, dH = self.mode_coefficients(pt[2], derivatives=True)
-            a1 = ms.alpha_n[:, 0]
-            a2 = ms.alpha_n[:, 1]
-            curl_h = np.empty_like(H)
-            curl_h[:, 0] = 1j * a2 * H[:, 2] - dH[:, 1]
-            curl_h[:, 1] = dH[:, 0] - 1j * a1 * H[:, 2]
-            curl_h[:, 2] = 1j * a1 * H[:, 1] - 1j * a2 * H[:, 0]
-            ph = ms.phases(pt)[0]
-            ev = ph @ E
-            cv = ph @ curl_h
-            q = complex(self.profile.q_at(pt[0], pt[2]))
-            r = 1j * k * cv - k * k * q * ev
-            res[i] = float(np.linalg.norm(r))
-            escale = max(escale, float(np.linalg.norm(ev)))
+        E, H, dE, dH = self.mode_coefficients(pts[:, 2], derivatives=True)
+        a1, a2 = ms.alpha_n[:, 0, None], ms.alpha_n[:, 1, None]
+        curl_h = np.empty_like(H)
+        curl_h[:, 0] = 1j * a2 * H[:, 2] - dH[:, 1]
+        curl_h[:, 1] = dH[:, 0] - 1j * a1 * H[:, 2]
+        curl_h[:, 2] = 1j * a1 * H[:, 1] - 1j * a2 * H[:, 0]
+        ph = ms.phases(pts)
+        ev = np.einsum("pm,mcp->pc", ph, E)
+        cv = np.einsum("pm,mcp->pc", ph, curl_h)
+        q = np.array([s.coeffs(pts[:, 0]) for s in self.profile.slabs])
+        q = q[self.profile.slab_of(pts[:, 2]), np.arange(len(pts))]
+        res = np.linalg.norm(1j * k * cv - k * k * q[:, None] * ev, axis=1)
+        escale = float(np.max(np.linalg.norm(ev, axis=1)))
         scale = k * k * self.profile.q_inf * max(escale, 1e-300)
         return {"max_relative": float(np.max(res)) / scale,
                 "pointwise": res, "scale": scale}
 
     def pec_residual(self) -> float:
         """Norm of the tangential trace at the conducting plate, relative to scale."""
-        E, _ = self.mode_coefficients(0.0)
-        top, _ = self.mode_coefficients(self.profile.b)
-        scale = max(float(np.max(np.abs(top))), float(np.max(np.abs(E))), 1e-300)
-        return float(np.max(np.abs(E[:, :2]))) / scale
+        E, _ = self.mode_coefficients(np.array([0.0, self.profile.b]))
+        scale = max(float(np.max(np.abs(E))), 1e-300)
+        return float(np.max(np.abs(E[:, :2, 0]))) / scale
 
 
 @dataclass

@@ -14,8 +14,9 @@ Three pieces:
    quantitatively with independent volume and boundary quadratures.  Both
    sides are Fourier sums over the cell: q2 - q1 depends on x1 alone, so the
    horizontal integral of the volume side is the exact coefficient pairing
-   :meth:`TrigPoly.overlap`, with Gauss-Legendre nodes in x3 per slab segment;
-   the boundary side is the L^2_t inner product of the coefficient vectors.
+   :meth:`TrigPoly.overlap`, one per slab segment over its Gauss-Legendre
+   nodes in x3, whose weights ride on E1 along the node axis; the boundary
+   side is the L^2_t inner product of the coefficient vectors.
 
 2. Moment extraction.  Pairing eigen-solutions of the longitudinal problems
    for q1 and conj(q2) through the separable family, the longitudinal overlap
@@ -55,11 +56,11 @@ from .sturm import SLProblem, solve_sl
 DEFAULT_SCHEDULE = (16, 24, 32, 48, 64)
 DEFAULT_A2_FLOOR = 1e-6
 _N_GAUSS = 48  # Gauss-Legendre nodes in x3 per slab segment of the gap's volume side
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_N_GAUSS)
 
 
-def _gauss_nodes(a: float, b: float, n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+def _gauss_nodes(a: float, b: float):
+    return 0.5 * (b - a) * _GAUSS_X + 0.5 * (a + b), 0.5 * (b - a) * _GAUSS_W
 
 
 def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
@@ -70,7 +71,8 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     ``gap = |lhs - rhs| / max(|lhs|, |rhs|, floor)``.  The floor is
     ``1e-10 k^2 b CELL_AREA max|c1|_2 max|c2|_2``, the maxima of the
     coefficient 2-norms of E1 and E2 over the Gauss nodes: by Parseval and
-    Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.
+    Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.  Each x3
+    segment is one ``TrigPoly.overlap`` of both fields at all of its nodes.
     """
     if abs(profile1.b - profile2.b) > 1e-12:
         raise ValidationError("inverse.reciprocity_gap: profiles have different layer heights")
@@ -79,29 +81,27 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     sol3 = solve_qpbvp(profile2.conjugate(), g, modeset)
     ms = modeset
     k = ms.k
-    shape = (ms.block_size, ms.block_size, 3)  # (n2, n1, component)
+    shape = (ms.block_size, ms.block_size, 3, _N_GAUSS)  # (n2, n1, component, node)
 
-    # Volume side: Gauss-Legendre in x3 per slab segment; in the horizontal
-    # plane the exact Fourier pairing of E1 and E2 weighted by the segment's
-    # q2 - q1, summed over n2 and the components.  The segments end at the
-    # lower of the two heights, which may differ by round-off.
+    # Volume side: per slab segment, the exact Fourier pairing of E1 and E2
+    # weighted by the segment's q2 - q1, summed over n2, the components and
+    # the Gauss-Legendre nodes in x3.  The segments end at the lower of the
+    # two heights, which may differ by round-off.
     bounds = np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()])
     bounds = np.unique(np.minimum(bounds, min(profile1.b, profile2.b)))
     lhs = 0.0 + 0.0j
-    c1max = 0.0
-    c2max = 0.0
+    c1max = c2max = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (lo + hi)
         dq = (profile2.slabs[profile2.slab_of(mid)].coeffs
               - profile1.slabs[profile1.slab_of(mid)].coeffs)
-        nodes, weights = _gauss_nodes(lo, hi, _N_GAUSS)
-        for x3, w in zip(nodes, weights):
-            c1, _ = sol1.field.mode_coefficients(x3)
-            c2, _ = sol3.field.mode_coefficients(x3)
-            lhs += w * dq.overlap(c1.reshape(shape).swapaxes(0, 1),
-                                  c2.reshape(shape).swapaxes(0, 1))
-            c1max = max(c1max, float(np.linalg.norm(c1)))
-            c2max = max(c2max, float(np.linalg.norm(c2)))
+        nodes, weights = _gauss_nodes(lo, hi)
+        c1, _ = sol1.field.mode_coefficients(nodes)
+        c2, _ = sol3.field.mode_coefficients(nodes)
+        lhs += dq.overlap((c1 * weights).reshape(shape).swapaxes(0, 1),
+                          c2.reshape(shape).swapaxes(0, 1))
+        c1max = max(c1max, float(np.max(np.linalg.norm(c1, axis=(0, 1)))))
+        c2max = max(c2max, float(np.max(np.linalg.norm(c2, axis=(0, 1)))))
     lhs *= k * k * CELL_AREA
 
     # Boundary side: E2's tangential trace is (g2, -g1) = -(e3 x g) and e3 x

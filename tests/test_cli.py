@@ -264,6 +264,30 @@ def test_reconstruct_scenario(tmp_path):
     assert abs(coeffs[1] - 0.1) <= 2e-3
 
 
+@pytest.mark.parametrize("alpha1, code", [
+    (0.5 + 1e-9 * (1 - 1e-3), 1), (0.5 + 1e-9 * (1 + 1e-3), 0),
+    (-1e-9 * (1 - 1e-3), 1), (-1e-9 * (1 + 1e-3), 0)])
+def test_moment_kinds_alpha1_near_half_integer_threshold(tmp_path, capsys, alpha1, code):
+    # alpha1 = k cos(theta1) at theta2 = 0; within 1e-9 of Z/2 the mirror
+    # branches coincide and the run stops before any solve
+    theta1 = float(np.arccos(alpha1 / 1.6))
+    text = (RECONSTRUCT_CONFIG.replace("theta1 = 1.05", f"theta1 = {theta1!r}")
+            .replace("theta2 = 0.4", "theta2 = 0.0"))
+    cfg = _write(tmp_path, "rec.ini", text)
+    assert main(["reconstruct", cfg, "--output-dir", str(tmp_path)]) == code
+    assert (tmp_path / "c.csv").exists() == (code == 0)
+    if code:
+        assert "within 1e-9 of a multiple of 1/2" in capsys.readouterr().err
+
+
+def test_moment_kinds_reject_default_normal_incidence(tmp_path, capsys):
+    cfg = _write(tmp_path, "rec.ini", RECONSTRUCT_CONFIG.replace("theta1 = 1.05\n", ""))
+    assert main(["moments", cfg, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "[ValidationError]" in err and "theta1 = pi/2" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_missing_config_rejected(tmp_path, capsys):
     assert main(["modes", str(tmp_path / "nope.ini")]) == 1
     assert "cannot read" in capsys.readouterr().err

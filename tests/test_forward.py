@@ -419,6 +419,50 @@ def test_multi_slab_consistency():
     np.testing.assert_allclose(Ha[:, :2], Hb[:, :2], atol=1e-9 * np.max(np.abs(Hb)))
 
 
+def _random_trace_solution(profile, ms, seed):
+    rng = np.random.default_rng(seed)
+    f = TangentialField.from_components(
+        ms, rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes),
+        rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes), profile.b)
+    return solve_qpbvp(profile, f, ms), rng
+
+
+@pytest.mark.parametrize("slabs", [1, 3])
+@pytest.mark.parametrize("derivatives", [False, True])
+def test_mode_coefficients_array_matches_scalar(slabs, derivatives):
+    ms = _modeset(4)
+    prof = (MediumProfile.from_coeffs(LIFT_SLABS["absorbing"], B) if slabs == 1
+            else _three_slab_stack())
+    sol, rng = _random_trace_solution(prof, ms, 31)
+    faces = prof.slab_bounds()[1:-1]
+    heights = np.concatenate([rng.uniform(0, prof.b, 12), [0.0, prof.b], faces,
+                              faces - 1e-12, faces + 1e-12])
+    scalar = [sol.field.mode_coefficients(float(x3), derivatives) for x3 in heights]
+    # shuffled heights scatter by index, sorted ones by slab-wise runs
+    for order in (rng.permutation(len(heights)), np.argsort(heights)):
+        batched = sol.field.mode_coefficients(heights[order], derivatives)
+        assert len(batched) == (4 if derivatives else 2)
+        for i, arr in enumerate(batched):
+            assert arr.shape == (ms.num_modes, 3, len(heights))
+            ref = np.stack([scalar[p][i] for p in order], axis=-1)
+            assert scalar[0][i].shape == (ms.num_modes, 3)
+            assert np.max(np.abs(arr - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_non_finite_or_outside_height_rejected():
+    ms = _modeset(2)
+    prof = _three_slab_stack()
+    sol, _ = _random_trace_solution(prof, ms, 5)
+    assert sol.field.mode_coefficients(np.array([0.0, prof.b]))[0].shape == (ms.num_modes, 3, 2)
+    for bad in (float("nan"), float("inf"), -float("inf"), np.nextafter(0.0, -1.0),
+                np.nextafter(prof.b, 2.0)):
+        for x3 in (bad, np.array([0.1, bad, 0.5])):
+            with pytest.raises(ValidationError, match=r"outside \[0, "):
+                prof.slab_of(x3)
+            with pytest.raises(ValidationError, match=r"outside \[0, "):
+                sol.field.mode_coefficients(x3)
+
+
 def test_dtn_block_diagonal_and_deterministic():
     ms = _modeset(3)
     q0 = 1.6 + 0.25j

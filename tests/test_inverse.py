@@ -5,7 +5,7 @@ from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_mode
                        extract_moments, reciprocity_gap, reconstruct_difference)
 from gratescat import sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
-from gratescat.forward import Slab, solve_qpbvp
+from gratescat.forward import LayerField, Slab, solve_qpbvp
 from gratescat.inverse import (_N_GAUSS, _gauss_nodes, one_directional_coeffs,
                                write_moment_csv, write_reconstruction_csv)
 
@@ -76,6 +76,24 @@ def test_gap_rejects_heights_beyond_tolerance():
         reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
 
 
+def test_gap_evaluates_each_field_once_per_segment(monkeypatch):
+    # slabs split at 0.3 and 0.45: three x3 segments, one batched call per
+    # field and segment at all of its Gauss nodes
+    ms = _modeset(3)
+    q1, q2 = _stacks((0.3, 0.4), (0.45, 0.25))
+    calls = []
+    evaluate = LayerField.mode_coefficients
+
+    def counting(self, x3, derivatives=False):
+        calls.append(np.shape(x3))
+        return evaluate(self, x3, derivatives)
+
+    monkeypatch.setattr(LayerField, "mode_coefficients", counting)
+    out = reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
+    assert calls == [(_N_GAUSS,)] * 6
+    assert out["gap"] <= 1e-6
+
+
 def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
     """Volume side on an alias-free FFT grid in the horizontal plane (reference)."""
     sol1 = solve_qpbvp(profile1, f, ms)
@@ -92,7 +110,7 @@ def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
 
     lhs = 0.0 + 0.0j
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        nodes, weights = _gauss_nodes(lo, hi, _N_GAUSS)
+        nodes, weights = _gauss_nodes(lo, hi)
         for x3, w in zip(nodes, weights):
             dq = profile2.q_at(x1, x3) - profile1.q_at(x1, x3)
             v1 = grid_values(sol1.field.mode_coefficients(x3)[0])
