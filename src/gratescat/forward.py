@@ -466,9 +466,10 @@ class LayerField:
         heights = np.asarray(x3, dtype=float)
         slab = np.atleast_1d(self.profile.slab_of(heights))
         a1, a2 = (w[..., None] for w in _wavenumbers(ms))
-        out = np.zeros((4 if derivatives else 2, ms.num_modes, 3, slab.size), dtype=complex)
-        # tangential components as (field, n2, n1, component, height)
-        tangential = out[:, :, :2].reshape(len(out), 2 * ms.N + 1, mb, 2, slab.size)
+        out = [np.zeros((ms.num_modes, 3, slab.size), dtype=complex)
+               for _ in range(4 if derivatives else 2)]
+        # an array per field (E does not pin H); tangential views are (n2, n1, component, height)
+        tangential = [o[:, :2].reshape(2 * ms.N + 1, mb, 2, slab.size) for o in out]
         for j in np.unique(slab):
             at = np.flatnonzero(slab == j)
             # a run of consecutive heights scatters as a slice, not an index array
@@ -486,9 +487,9 @@ class LayerField:
                 field[..., at] = vec.reshape(-1, 2, mb, h.size).swapaxes(1, 2)
             et, ht = vecs[:2]
             e3 = -(basis.Qinv @ (a1 * ht[:, mb:] - a2 * ht[:, :mb])) / ms.k
-            out[0, :, 2][:, at] = e3.reshape(-1, h.size)
-            out[1, :, 2][:, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
-        return tuple(out[..., 0] if heights.ndim == 0 else out)
+            out[0][:, 2, at] = e3.reshape(-1, h.size)
+            out[1][:, 2, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
+        return tuple(o[..., 0] if heights.ndim == 0 else o for o in out)
 
     def residual_report(self, points) -> dict:
         """Pointwise residual of (curl curl - k^2 q) E, relative to the field scale.

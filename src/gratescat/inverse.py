@@ -96,8 +96,8 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
         dq = (profile2.slabs[profile2.slab_of(mid)].coeffs
               - profile1.slabs[profile1.slab_of(mid)].coeffs)
         nodes, weights = _gauss_nodes(lo, hi)
-        c1, _ = sol1.field.mode_coefficients(nodes)
-        c2, _ = sol3.field.mode_coefficients(nodes)
+        c1 = sol1.field.mode_coefficients(nodes)[0]
+        c2 = sol3.field.mode_coefficients(nodes)[0]
         lhs += dq.overlap((c1 * weights).reshape(shape).swapaxes(0, 1),
                           c2.reshape(shape).swapaxes(0, 1))
         c1max = max(c1max, float(np.max(np.linalg.norm(c1, axis=(0, 1)))))
