@@ -160,7 +160,7 @@ class MediumProfile:
         return np.concatenate([[0.0], np.cumsum([s.height for s in self.slabs])])
 
     def slab_of(self, x3):
-        """Slab index of height x3 (a face goes to the slab above), an index array for an array."""
+        """Slab index of height x3 (an index array for an array); a face goes to the slab above."""
         x = np.asarray(x3, dtype=float)
         outside = ~((0 <= x) & (x <= self.b))
         if np.any(outside):
