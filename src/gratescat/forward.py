@@ -170,8 +170,10 @@ class MediumProfile:
                        len(self.slabs) - 1)
         return int(j) if j.ndim == 0 else j
 
-    def q_at(self, x1, x3: float) -> np.ndarray:
-        return self.slabs[self.slab_of(x3)].coeffs(x1)
+    def q_at(self, x1, x3) -> np.ndarray:
+        """q at the points x1 and height x3 (a float, or an array as long as x1)."""
+        q = np.array([s.coeffs(x1) for s in self.slabs])
+        return q[self.slab_of(x3), np.arange(len(x1))]
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -230,9 +232,10 @@ def _to_blocks(modeset: ModeSet, coeffs) -> np.ndarray:
 
 
 def _from_blocks(modeset: ModeSet, vecs) -> np.ndarray:
-    """(2N+1, 2mb) block vectors -> (m, 3) coefficients with a zero third column."""
-    out = np.zeros((modeset.num_modes, 3), dtype=complex)
-    out[:, :2] = vecs.reshape(-1, 2, modeset.block_size).transpose(0, 2, 1).reshape(-1, 2)
+    """(2N+1, 2mb, *rest) block vectors -> (m, 3, *rest) coefficients, third column zero."""
+    m, rest = modeset.num_modes, vecs.shape[2:]
+    out = np.zeros((m, 3, *rest), dtype=complex)
+    out[:, :2] = vecs.reshape(-1, 2, modeset.block_size, *rest).swapaxes(1, 2).reshape(m, 2, *rest)
     return out
 
 
@@ -466,14 +469,11 @@ class LayerField:
         heights = np.asarray(x3, dtype=float)
         slab = np.atleast_1d(self.profile.slab_of(heights))
         a1, a2 = (w[..., None] for w in _wavenumbers(ms))
-        out = [np.zeros((ms.num_modes, 3, slab.size), dtype=complex)
+        # an array per field, so that a caller keeping E does not keep H alive
+        out = [np.empty((ms.num_modes, 3, slab.size), dtype=complex)
                for _ in range(4 if derivatives else 2)]
-        # an array per field (E does not pin H); tangential views are (n2, n1, component, height)
-        tangential = [o[:, :2].reshape(2 * ms.N + 1, mb, 2, slab.size) for o in out]
         for j in np.unique(slab):
             at = np.flatnonzero(slab == j)
-            # a run of consecutive heights scatters as a slice, not an index array
-            at = slice(at[0], at[-1] + 1) if at[-1] - at[0] < at.size else at
             h = heights.reshape(-1)[at]
             basis = self.stack.bases[j]
             u, d = self.amplitudes[j]
@@ -483,8 +483,8 @@ class LayerField:
             vecs = [basis.W @ (up + dn), basis.V @ (up - dn)]
             if derivatives:
                 vecs += [basis.W @ (1j * g * (up - dn)), basis.V @ (1j * g * (up + dn))]
-            for field, vec in zip(tangential, vecs):
-                field[..., at] = vec.reshape(-1, 2, mb, h.size).swapaxes(1, 2)
+            for o, vec in zip(out, vecs):
+                o[..., at] = _from_blocks(ms, vec)
             et, ht = vecs[:2]
             e3 = -(basis.Qinv @ (a1 * ht[:, mb:] - a2 * ht[:, :mb])) / ms.k
             out[0][:, 2, at] = e3.reshape(-1, h.size)
@@ -510,8 +510,7 @@ class LayerField:
         ph = ms.phases(pts)
         ev = np.einsum("pm,mcp->pc", ph, E)
         cv = np.einsum("pm,mcp->pc", ph, curl_h)
-        q = np.array([s.coeffs(pts[:, 0]) for s in self.profile.slabs])
-        q = q[self.profile.slab_of(pts[:, 2]), np.arange(len(pts))]
+        q = self.profile.q_at(pts[:, 0], pts[:, 2])
         res = np.linalg.norm(1j * k * cv - k * k * q[:, None] * ev, axis=1)
         escale = float(np.max(np.linalg.norm(ev, axis=1)))
         scale = k * k * self.profile.q_inf * max(escale, 1e-300)
