@@ -46,10 +46,21 @@ their exponential is largest, so no growing factor is ever formed.
 The product Q E uses the plain Laurent rule (direct coefficient convolution);
 q enters only as a zeroth-order coefficient here, so no inverse-rule
 factorization is warranted.
+
+``solve_qpbvp``, ``assemble_dtn`` and ``solve_scattering`` get their stack
+(slab eigenbases, interface recursion, lazily the trace-match LU) from
+``_stack``, which serves it from a least-recently-used memo of 4 stacks keyed
+by ``(profile.digest(), modeset.digest())``.  The key is recomputed on every
+request, since a slab's coefficients are a mutable dict.  A stack enters the
+memo on the second request for its key only, so a run of one-off profiles
+keeps no stack alive: one holds about 2.5 MiB at N = 8 with 2 slabs and
+10.7 MiB at N = 12 with 3 slabs.  A built stack never changes, apart from
+its trace-match LU, which is computed once on first use.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -70,6 +81,9 @@ COND_LIMIT = 1e12
 _PROFILE_GRID = 512
 _getrf, _gecon, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"),
                                                        dtype=complex)
+_MEMO_SIZE = 4
+_STACKS = collections.OrderedDict()        # key -> _Stack, least recently used first
+_SEEN = collections.deque(maxlen=_MEMO_SIZE)  # keys requested once and not admitted
 
 
 def _sqrt_up(z):
@@ -286,6 +300,12 @@ def _lu_solve(factors, rhs):
     return out
 
 
+def _solve(mats, rhs, stage: str, slab: int | None = None):
+    """Guarded batched solve on one LU per block: (condition estimate, solution)."""
+    cond, lu = _guard(mats, stage, slab)
+    return cond, _lu_solve(lu, rhs)
+
+
 def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
     """Inverse of the slab's Toeplitz factor Q; a singular Q raises EigenFailure."""
     if slab.is_uniform:
@@ -396,48 +416,66 @@ class _Stack:
     Per slab j, ``r[j]`` is the reflection matrix at the slab's bottom face
     and ``phi[j]`` its one-slab propagation factors.  ``P_lu[j]`` holds the
     per-block LU factors of the map from downgoing amplitudes at slab j's top
-    face to tangential E there, for every slab below the top one; ``top_P``
-    and ``top_H`` map them to tangential E and H at the top of the stack.
+    face to tangential E there, for every slab below the top one; ``top_H``
+    maps them to tangential H at the top of the stack, and ``top_P()`` to
+    tangential E there.  ``top_P()`` is recomputed per call rather than kept,
+    which keeps a memoised stack one array smaller.  ``max_cond`` is the
+    largest condition estimate of the interface stages.
     """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
-        profile.validate()
-        self.profile = profile
         self.modeset = modeset
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
         self.max_cond = 1.0
         self.r, self.phi, self.P_lu = [], [], []
+        self._trace = None
         eye = np.eye(2 * modeset.block_size)
         r = -eye
         for j, (slab, basis) in enumerate(zip(profile.slabs, self.bases)):
             if j > 0:
                 cond, lu = _guard(P, "forward: interface admittance", j)
-                self.max_cond = max(self.max_cond, cond)
                 self.P_lu.append(lu)
                 YW = H @ _lu_solve(lu, basis.W)
-                r = self.solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
-            phi = np.exp(1j * basis.gamma * slab.height)
-            r_top = (phi[:, :, None] * r) * phi[:, None, :]
+                match, r = _solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
+                self.max_cond = max(self.max_cond, cond, match)
             self.r.append(r)
-            self.phi.append(phi)
-            P = basis.W @ (r_top + eye)
+            self.phi.append(np.exp(1j * basis.gamma * slab.height))
+            r_top = self._r_top(j)
             H = basis.V @ (r_top - eye)
-        self.top_P = P
+            if j + 1 < len(self.bases):
+                P = basis.W @ (r_top + eye)
         self.top_H = H
 
-    def solve(self, mats, rhs, stage: str, slab: int | None = None):
-        """Guarded batched solve on one LU per block; vectors ``rhs`` give vectors back."""
-        cond, lu = _guard(mats, stage, slab)
-        self.max_cond = max(self.max_cond, cond)
-        return _lu_solve(lu, rhs)
+    def _r_top(self, j: int):
+        """Reflection matrix at the top face of slab j."""
+        r_top = self.phi[j][:, :, None] * self.r[j]
+        r_top *= self.phi[j][:, None, :]
+        return r_top
+
+    def top_P(self):
+        """Map from downgoing amplitudes at the top face to tangential E there."""
+        return self.bases[-1].W @ (self._r_top(-1) + np.eye(2 * self.modeset.block_size))
+
+    def trace_match(self, stage: str):
+        """Condition estimate and LU factors of ``top_P()``, guarded once under ``stage``."""
+        if self._trace is None:
+            self._trace = _guard(self.top_P(), stage, len(self.bases) - 1)
+        return self._trace
+
+    def within_limit(self) -> bool:
+        """Whether every guard this stack passed still passes under today's COND_LIMIT."""
+        conds = [self.max_cond, *(b.cond for b in self.bases)]
+        if self._trace is not None:
+            conds.append(self._trace[0])
+        return max(conds) <= COND_LIMIT
 
     def downward_amplitudes(self, d):
         """Per-slab (u, d) amplitude pairs, top slab included, from the top-face d.
 
         The interface matrices were guarded and factored when the stack was built.
         """
-        amps = [None] * len(self.profile.slabs)
+        amps = [None] * len(self.bases)
         for j in range(len(amps) - 1, -1, -1):
             u = np.matvec(self.r[j], self.phi[j] * d)
             amps[j] = (u, d)
@@ -447,15 +485,41 @@ class _Stack:
         return amps
 
 
+def _stack(profile: MediumProfile, modeset: ModeSet) -> _Stack:
+    """The profile's stack on ``modeset``, from the memo where it holds one.
+
+    The profile is validated on every request.  A memo hit whose stored
+    conditions exceed today's COND_LIMIT is rebuilt outside the memo, so the
+    failing guard raises as it would on a fresh build.
+    """
+    profile.validate()
+    key = (profile.digest(), modeset.digest())
+    stack = _STACKS.get(key)
+    if stack is not None:
+        if not stack.within_limit():
+            return _Stack(profile, modeset)
+        _STACKS.move_to_end(key)
+        return stack
+    stack = _Stack(profile, modeset)
+    if key in _SEEN:
+        _SEEN.remove(key)
+        _STACKS[key] = stack
+        if len(_STACKS) > _MEMO_SIZE:
+            _STACKS.popitem(last=False)
+    else:
+        _SEEN.append(key)
+    return stack
+
+
 class LayerField:
     """Modal representation of a field inside the layer stack."""
 
-    def __init__(self, stack: _Stack, amplitudes):
+    def __init__(self, profile: MediumProfile, stack: _Stack, amplitudes):
         self.stack = stack
         self.modeset = stack.modeset
-        self.profile = stack.profile
+        self.profile = profile
         self.amplitudes = amplitudes
-        self._bounds = stack.profile.slab_bounds()
+        self._bounds = profile.slab_bounds()
 
     def mode_coefficients(self, x3, derivatives: bool = False):
         """Modal E and H coefficient arrays at height x3, each (m, 3) for a float x3.
@@ -561,27 +625,26 @@ def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) ->
     interior field and T(f), the tangential trace of curl E on Gamma_b.
     """
     f.modeset.require_same(modeset, "forward.solve_qpbvp")
-    stack = _Stack(profile, modeset)
-    top = len(profile.slabs) - 1
+    stack = _stack(profile, modeset)
     et = f.coeffs[:, [1, 0]] * [1, -1]     # f = e3 x E  =>  E_t = (f2, -f1)
-    d = stack.solve(stack.top_P, _to_blocks(modeset, et), "forward.solve_qpbvp: trace match", top)
+    cond, lu = stack.trace_match("forward.solve_qpbvp: trace match")
+    d = _lu_solve(lu, _to_blocks(modeset, et))
     trace = _from_blocks(modeset, 1j * modeset.k * np.matvec(stack.top_H, d))
-    return QpbvpResult(LayerField(stack, stack.downward_amplitudes(d)),
-                       TangentialField(modeset, trace, profile.b), stack.max_cond)
+    return QpbvpResult(LayerField(profile, stack, stack.downward_amplitudes(d)),
+                       TangentialField(modeset, trace, profile.b), max(stack.max_cond, cond))
 
 
 def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> DtnMap:
     """Assemble the dense boundary-map matrix, one 2mb x 2mb block per n2."""
-    stack = _Stack(profile, modeset)
+    stack = _stack(profile, modeset)
     ms = modeset
     m = ms.num_modes
     mb = ms.block_size
     nb = 2 * ms.N + 1
     # J maps block [f1; f2] to block [E1; E2] = [f2; -f1].
     J = np.kron([[0, 1], [-1, 0]], np.eye(mb))
-    top = len(profile.slabs) - 1
-    PinvJ = stack.solve(stack.top_P, np.broadcast_to(J, stack.top_P.shape),
-                        "forward.assemble_dtn: trace match", top)
+    _, lu = stack.trace_match("forward.assemble_dtn: trace match")
+    PinvJ = _lu_solve(lu, np.broadcast_to(J, stack.top_H.shape))
     blocks = 1j * ms.k * stack.top_H @ PinvJ
     # Matrix rows and columns split as (component, block, n1): scatter the
     # diagonal of the block axis.
@@ -629,7 +692,7 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
         raise ValidationError(
             f"forward.solve_scattering: dipole plane a = {incidence.height:g} must lie "
             f"above the layer height b = {profile.b:g}")
-    stack = _Stack(profile, modeset)
+    stack = _stack(profile, modeset)
     ms = modeset
     mb = ms.block_size
     incident0 = expand_incidence(incidence, ms)
@@ -645,12 +708,12 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     g1 = 1j * (a2 * C[:, 2] + beta * C[:, 1]) - (r11 * C[:, 0] + r12 * C[:, 1])
     g2 = 1j * (-beta * C[:, 0] - a1 * C[:, 2]) - (r21 * C[:, 0] + r22 * C[:, 1])
     nb = 2 * ms.N + 1
-    P = stack.top_P
+    P = stack.top_P()
     r11, r12, r21, r22 = (r.reshape(nb, mb, 1) for r in (r11, r12, r21, r22))
     rho_P = np.concatenate([r11 * P[:, :mb] + r12 * P[:, mb:],
                             r21 * P[:, :mb] + r22 * P[:, mb:]], axis=1)
-    d = stack.solve(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
-                    "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
+    cond, d = _solve(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
+                     "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
     trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta
@@ -658,5 +721,5 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     scat[:, :2] = s_t
     scat[:, 2] = s3
     scattered = RayleighField(ms, scat, height=profile.b, direction="up")
-    return ScatteringResult(LayerField(stack, stack.downward_amplitudes(d)), scattered, incident0,
-                            trace_total, stack.max_cond)
+    return ScatteringResult(LayerField(profile, stack, stack.downward_amplitudes(d)), scattered,
+                            incident0, trace_total, max(stack.max_cond, cond))

@@ -98,8 +98,9 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
         nodes, weights = _gauss_nodes(lo, hi)
         c1 = sol1.field.mode_coefficients(nodes)[0]
         c2 = sol3.field.mode_coefficients(nodes)[0]
-        lhs += dq.overlap((c1 * weights).reshape(shape).swapaxes(0, 1),
-                          c2.reshape(shape).swapaxes(0, 1))
+        # contiguous n1-major operands, so that overlap's slices along n1 are too
+        lhs += dq.overlap(np.multiply(c1.reshape(shape).swapaxes(0, 1), weights, order="C"),
+                          np.ascontiguousarray(c2.reshape(shape).swapaxes(0, 1)))
         c1max = max(c1max, float(np.max(np.linalg.norm(c1, axis=(0, 1)))))
         c2max = max(c2max, float(np.max(np.linalg.norm(c2, axis=(0, 1)))))
     lhs *= k * k * CELL_AREA

@@ -120,15 +120,21 @@ def test_basis_condition_guard_threshold(monkeypatch):
                         for i in range(len(basis.W))]))
     # The guard reads COND_LIMIT when it runs, so patching the module
     # constant moves the threshold for every caller.
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    for _ in range(2):              # the second request admits the stack to the memo
+        solve_scattering(prof, inc, ms)
+    assert len(forward._STACKS) == 1
     monkeypatch.setattr(forward, "COND_LIMIT", worst * (1 - 1e-9))
     with pytest.raises(IllConditionedBasis) as err:
         solve_layer_modes(prof, 0, ms)
     msg = str(err.value)
     assert "forward.solve_layer_modes: eigenbasis" in msg
     assert f"slab 0, block {ib} (n2 = {ib - ms.N})" in msg
-    # Through the full solve the basis guard fires before any match stage.
-    with pytest.raises(IllConditionedBasis):
-        solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
+    # Through the full solve the basis guard fires before any match stage,
+    # also when the memo holds a stack built under the old limit.
+    with pytest.raises(IllConditionedBasis) as err:
+        solve_scattering(prof, inc, ms)
+    assert str(err.value) == msg
     monkeypatch.setattr(forward, "COND_LIMIT", worst * (1 + 1e-9))
     assert solve_layer_modes(prof, 0, ms).cond == worst
 
@@ -189,6 +195,7 @@ def test_lifted_basis_matches_dense_reference(monkeypatch, heights):
     dtn = assemble_dtn(prof, ms).matrix
     scat = solve_scattering(prof, inc, ms).scattered.coeffs
     monkeypatch.setattr(forward, "solve_layer_modes", _dense_layer_modes)
+    forward._STACKS.clear()    # the second solve above memoised the lifted stack
     dtn_ref = assemble_dtn(prof, ms).matrix
     scat_ref = solve_scattering(prof, inc, ms).scattered.coeffs
     assert np.max(np.abs(dtn - dtn_ref)) <= 1e-10 * np.max(np.abs(dtn_ref))
@@ -223,24 +230,49 @@ def test_singular_toeplitz_raises_eigen_failure():
     assert msg.startswith("forward.solve_layer_modes: q Toeplitz factor singular at slab 0")
 
 
-def test_qpbvp_condition_guard_threshold(monkeypatch):
+def _check_qpbvp_guard_threshold(monkeypatch, prof, stage):
+    """A limit just under the reported condition trips ``stage``, fresh and on a memo hit."""
     ms = _modeset(4)
-    # A uniform bottom slab keeps every eigenbasis condition below the match
-    # conditions, so a limit just under the reported value trips a match stage.
-    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}),
-                          Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
     f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
     reported = solve_qpbvp(prof, f, ms).condition
     assert reported > 1.0
-    assert max(solve_layer_modes(prof, j, ms).cond for j in range(2)) < reported * (1 - 1e-9)
+    assert max(solve_layer_modes(prof, j, ms).cond
+               for j in range(len(prof.slabs))) < reported * (1 - 1e-9)
+    for _ in range(2):              # admitted to the memo, then served from it
+        assert solve_qpbvp(prof, f, ms).condition == reported
+    assert len(forward._STACKS) == 1
     monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 - 1e-9))
     with pytest.raises(SingularMatch) as err:
         solve_qpbvp(prof, f, ms)
     msg = str(err.value)
-    assert msg.startswith("forward")
+    assert msg.startswith(stage)
     assert "slab " in msg and "(n2 = " in msg
+    forward._STACKS.clear()
+    with pytest.raises(SingularMatch) as fresh:
+        solve_qpbvp(prof, f, ms)
+    assert str(fresh.value) == msg
     monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 + 1e-9))
     assert solve_qpbvp(prof, f, ms).condition == reported
+    return reported
+
+
+def test_qpbvp_condition_guard_threshold(monkeypatch):
+    # A uniform bottom slab keeps every eigenbasis condition below the match
+    # conditions, so a limit just under the reported value trips a match stage.
+    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}),
+                          Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
+    _check_qpbvp_guard_threshold(monkeypatch, prof, "forward: interface")
+
+
+def test_trace_match_guard_threshold_on_a_memo_hit(monkeypatch):
+    # One uniform slab has no interface, so the worst stage is the trace
+    # match, whose LU the memo keeps and assemble_dtn shares.
+    prof = MediumProfile.uniform(1.6 + 0.05j, B)
+    reported = _check_qpbvp_guard_threshold(monkeypatch, prof, "forward.solve_qpbvp: trace match")
+    assert len(forward._STACKS) == 1
+    monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 - 1e-9))
+    with pytest.raises(SingularMatch, match=r"^forward\.assemble_dtn: trace match"):
+        assemble_dtn(prof, _modeset(4))
 
 
 @pytest.mark.parametrize("bad", ["nan", "zero"])
@@ -312,6 +344,107 @@ def test_one_lu_per_guarded_block_and_no_svd_or_dense_solve(monkeypatch):
     # 2 eigenbases, 2 interface admittances, 2 interface matches, 1 boundary match
     assert len(factored) == 7 * (2 * ms.N + 1)
     assert len(set(factored)) == len(factored)
+
+
+def _counting_layer_modes(monkeypatch) -> list:
+    """Slab index of every ``solve_layer_modes`` call from now on, i.e. of every stack build."""
+    calls = []
+    solve = forward.solve_layer_modes
+
+    def counting(profile, slab_index, modeset):
+        calls.append(slab_index)
+        return solve(profile, slab_index, modeset)
+
+    monkeypatch.setattr(forward, "solve_layer_modes", counting)
+    return calls
+
+
+def test_third_request_is_served_from_the_memo(monkeypatch):
+    ms = _modeset(4)
+    prof = _three_slab_stack()
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
+    builds = _counting_layer_modes(monkeypatch)
+    results = []
+    for want in ([0, 1, 2], [0, 1, 2], []):    # built, built and admitted, served
+        builds.clear()
+        results.append(solve_qpbvp(prof.conjugate().conjugate(), f, ms))
+        assert builds == want
+    for res in results[1:]:
+        assert np.array_equal(res.trace.coeffs, results[0].trace.coeffs)
+        assert res.condition == results[0].condition
+    # The served stack's trace-match LU is shared with assemble_dtn: no guard runs.
+    guarded = []
+    guard = forward._guard
+    monkeypatch.setattr(forward, "_guard",
+                        lambda mats, stage, *args: guarded.append(stage) or guard(mats, stage, *args))
+    dtn = assemble_dtn(prof, ms).matrix
+    assert guarded == [] and builds == []
+    forward._STACKS.clear()
+    assert np.array_equal(dtn, assemble_dtn(prof, ms).matrix)
+    # a fresh build: 2 eigenbases, 2 interface admittances, 2 interface matches
+    assert len(guarded) == 7 and guarded[-1] == "forward.assemble_dtn: trace match"
+
+
+def test_one_off_profiles_leave_the_memo_empty():
+    ms = _modeset(3)
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    for i in range(6):
+        prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j, 1: 0.1 + 0.01 * i, -1: 0.1}),
+                              Slab(B - 0.3, {0: 1.8 + 0.05j})])
+        solve_scattering(prof, inc, ms)
+    assert len(forward._STACKS) == 0
+
+
+def test_fifth_admitted_stack_evicts_the_least_recently_used(monkeypatch):
+    ms = _modeset(2)
+    profiles = [MediumProfile.uniform(1.4 + 0.1 * i + 0.1j, B) for i in range(5)]
+    keys = [(p.digest(), ms.digest()) for p in profiles]
+    for p in profiles[:4]:
+        assemble_dtn(p, ms)
+        assemble_dtn(p, ms)
+    assert list(forward._STACKS) == keys[:4]
+    assemble_dtn(profiles[0], ms)              # served: now the most recently used
+    assemble_dtn(profiles[4], ms)
+    assemble_dtn(profiles[4], ms)
+    assert list(forward._STACKS) == [keys[2], keys[3], keys[0], keys[4]]
+    builds = _counting_layer_modes(monkeypatch)
+    assemble_dtn(profiles[0], ms)
+    assert builds == []
+    assemble_dtn(profiles[1], ms)
+    assert builds == [0]
+
+
+def test_changed_slab_coefficient_gives_a_fresh_stack():
+    ms = _modeset(3)
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
+    old = solve_qpbvp(prof, f, ms).trace.coeffs
+    solve_qpbvp(prof, f, ms)
+    assert len(forward._STACKS) == 1
+    prof.slabs[0].coeffs[1] = 0.3 + 0j
+    new = solve_qpbvp(prof, f, ms).trace.coeffs
+    forward._STACKS.clear()
+    want = solve_qpbvp(MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.3, -1: 0.2}, B), f, ms)
+    assert np.array_equal(new, want.trace.coeffs)
+    assert np.max(np.abs(new - old)) > 1e-3 * np.max(np.abs(old))
+
+
+def test_condition_is_reported_per_call_on_a_shared_stack():
+    ms = _modeset(4)
+    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}),
+                          Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    lone = solve_qpbvp(prof, f, ms).condition
+    forward._STACKS.clear()
+    forward._SEEN.clear()
+    scattering = [solve_scattering(prof, inc, ms).condition for _ in range(2)]
+    assert len(forward._STACKS) == 1
+    # The boundary match of the scattering solve is the worst stage here, so
+    # a stack that kept it would report it from the trace solve as well.
+    assert scattering[0] > lone
+    assert solve_qpbvp(prof, f, ms).condition == lone
+    assert solve_scattering(prof, inc, ms).condition == scattering[0] == scattering[1]
 
 
 def test_qpbvp_zero_data():
