@@ -367,6 +367,7 @@ def test_third_request_is_served_from_the_memo(monkeypatch):
     results = []
     for want in ([0, 1, 2], [0, 1, 2], []):    # built, built and admitted, served
         builds.clear()
+        # a new but equal profile object each time: the key is the content
         results.append(solve_qpbvp(prof.conjugate().conjugate(), f, ms))
         assert builds == want
     for res in results[1:]:
