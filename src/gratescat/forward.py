@@ -50,12 +50,16 @@ factorization is warranted.
 ``solve_qpbvp``, ``assemble_dtn`` and ``solve_scattering`` get their stack
 (slab eigenbases, interface recursion, lazily the trace-match LU) from
 ``_stack``, which serves it from a least-recently-used memo of 4 stacks keyed
-by ``(profile.digest(), modeset.digest())``.  The key is recomputed on every
-request, since a slab's coefficients are a mutable dict.  A stack enters the
-memo on the second request for its key only, so a run of one-off profiles
-keeps no stack alive: one holds about 2.5 MiB at N = 8 with 2 slabs and
-10.7 MiB at N = 12 with 3 slabs.  A built stack never changes, apart from
-its trace-match LU, which is computed once on first use.
+by ``(profile.digest(), modeset, COND_LIMIT)``.  The profile digest is
+recomputed on every request, since a slab's coefficients are a mutable dict.
+The mode set enters the key as the object itself, so stacks are shared only
+by callers that pass the same ModeSet, and a caller that builds its own mode
+set does the same work whatever ran before it in the process.  A stack
+enters the memo on the second request for its key only, so a run of one-off
+profiles keeps no stack alive: one holds about 2.5 MiB at N = 8 with 2 slabs
+and 10.7 MiB at N = 12 with 3 slabs.  A built stack never changes, apart
+from its trace-match LU, which is computed once on first use, under the
+COND_LIMIT of its key.
 """
 
 from __future__ import annotations
@@ -463,13 +467,6 @@ class _Stack:
             self._trace = _guard(self.top_P(), stage, len(self.bases) - 1)
         return self._trace
 
-    def within_limit(self) -> bool:
-        """Whether every guard this stack passed still passes under today's COND_LIMIT."""
-        conds = [self.max_cond, *(b.cond for b in self.bases)]
-        if self._trace is not None:
-            conds.append(self._trace[0])
-        return max(conds) <= COND_LIMIT
-
     def downward_amplitudes(self, d):
         """Per-slab (u, d) amplitude pairs, top slab included, from the top-face d.
 
@@ -488,16 +485,14 @@ class _Stack:
 def _stack(profile: MediumProfile, modeset: ModeSet) -> _Stack:
     """The profile's stack on ``modeset``, from the memo where it holds one.
 
-    The profile is validated on every request.  A memo hit whose stored
-    conditions exceed today's COND_LIMIT is rebuilt outside the memo, so the
-    failing guard raises as it would on a fresh build.
+    The profile is validated on every request.  The key holds COND_LIMIT as
+    it reads now, so after a change of the limit the stack is built afresh
+    and its guards raise as on a first build.
     """
     profile.validate()
-    key = (profile.digest(), modeset.digest())
+    key = (profile.digest(), modeset, COND_LIMIT)
     stack = _STACKS.get(key)
     if stack is not None:
-        if not stack.within_limit():
-            return _Stack(profile, modeset)
         _STACKS.move_to_end(key)
         return stack
     stack = _Stack(profile, modeset)

@@ -230,9 +230,8 @@ def test_singular_toeplitz_raises_eigen_failure():
     assert msg.startswith("forward.solve_layer_modes: q Toeplitz factor singular at slab 0")
 
 
-def _check_qpbvp_guard_threshold(monkeypatch, prof, stage):
-    """A limit just under the reported condition trips ``stage``, fresh and on a memo hit."""
-    ms = _modeset(4)
+def _check_qpbvp_guard_threshold(monkeypatch, prof, ms, stage):
+    """A limit just under the reported condition trips ``stage``, also with the stack memoised."""
     f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
     reported = solve_qpbvp(prof, f, ms).condition
     assert reported > 1.0
@@ -261,18 +260,20 @@ def test_qpbvp_condition_guard_threshold(monkeypatch):
     # conditions, so a limit just under the reported value trips a match stage.
     prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}),
                           Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
-    _check_qpbvp_guard_threshold(monkeypatch, prof, "forward: interface")
+    _check_qpbvp_guard_threshold(monkeypatch, prof, _modeset(4), "forward: interface")
 
 
 def test_trace_match_guard_threshold_on_a_memo_hit(monkeypatch):
     # One uniform slab has no interface, so the worst stage is the trace
     # match, whose LU the memo keeps and assemble_dtn shares.
     prof = MediumProfile.uniform(1.6 + 0.05j, B)
-    reported = _check_qpbvp_guard_threshold(monkeypatch, prof, "forward.solve_qpbvp: trace match")
+    ms = _modeset(4)
+    reported = _check_qpbvp_guard_threshold(monkeypatch, prof, ms,
+                                            "forward.solve_qpbvp: trace match")
     assert len(forward._STACKS) == 1
     monkeypatch.setattr(forward, "COND_LIMIT", reported * (1 - 1e-9))
     with pytest.raises(SingularMatch, match=r"^forward\.assemble_dtn: trace match"):
-        assemble_dtn(prof, _modeset(4))
+        assemble_dtn(prof, ms)
 
 
 @pytest.mark.parametrize("bad", ["nan", "zero"])
@@ -399,7 +400,7 @@ def test_one_off_profiles_leave_the_memo_empty():
 def test_fifth_admitted_stack_evicts_the_least_recently_used(monkeypatch):
     ms = _modeset(2)
     profiles = [MediumProfile.uniform(1.4 + 0.1 * i + 0.1j, B) for i in range(5)]
-    keys = [(p.digest(), ms.digest()) for p in profiles]
+    keys = [(p.digest(), ms, forward.COND_LIMIT) for p in profiles]
     for p in profiles[:4]:
         assemble_dtn(p, ms)
         assemble_dtn(p, ms)
@@ -413,6 +414,21 @@ def test_fifth_admitted_stack_evicts_the_least_recently_used(monkeypatch):
     assert builds == []
     assemble_dtn(profiles[1], ms)
     assert builds == [0]
+
+
+def test_an_equal_but_separate_mode_set_builds_its_own_stack(monkeypatch):
+    ms, other = _modeset(3), _modeset(3)
+    assert other.digest() == ms.digest()
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
+    for _ in range(2):
+        assemble_dtn(prof, ms)
+    assert len(forward._STACKS) == 1
+    builds = _counting_layer_modes(monkeypatch)
+    for want in ([0], [0], []):                # the same three steps as on ms
+        builds.clear()
+        assemble_dtn(prof, other)
+        assert builds == want
+    assert len(forward._STACKS) == 2
 
 
 def test_changed_slab_coefficient_gives_a_fresh_stack():
