@@ -65,7 +65,6 @@ COND_LIMIT of its key.
 from __future__ import annotations
 
 import collections
-import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -135,18 +134,25 @@ class MediumProfile:
         self.slabs = list(slabs)
         self.direction = direction
         self.b = float(sum(s.height for s in self.slabs))
+        self._bounds = None  # (digest, sampled bounds), see _sample_bounds
 
-    @functools.cached_property
     def _sample_bounds(self) -> tuple:
-        """(min Re q, max |q|, min Im q, max Im q) on the sampling grid, on first use."""
-        grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
-        q = np.concatenate([s.coeffs(grid) for s in self.slabs])
-        return (float(np.min(q.real)), float(np.max(np.abs(q))),
-                float(np.min(q.imag)), float(np.max(q.imag)))
+        """(min Re q, max |q|, min Im q, max Im q) on the sampling grid.
+
+        q is sampled on first use and again only when ``digest()`` changes,
+        since a slab's coefficients are a mutable dict.
+        """
+        digest = self.digest()
+        if self._bounds is None or self._bounds[0] != digest:
+            grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
+            q = np.concatenate([s.coeffs(grid) for s in self.slabs])
+            self._bounds = (digest, (float(np.min(q.real)), float(np.max(np.abs(q))),
+                                     float(np.min(q.imag)), float(np.max(q.imag))))
+        return self._bounds[1]
 
     @property
     def q_inf(self) -> float:
-        return self._sample_bounds[1]
+        return self._sample_bounds()[1]
 
     @classmethod
     def uniform(cls, q0: complex, height: float) -> "MediumProfile":
@@ -157,7 +163,7 @@ class MediumProfile:
         return cls([Slab(height, coeffs)], direction)
 
     def validate(self, require_absorbing: bool = False) -> None:
-        gamma_lower, q_inf, im_min, im_max = self._sample_bounds
+        gamma_lower, q_inf, im_min, im_max = self._sample_bounds()
         tol = 1e-12 * max(1.0, q_inf)
         if gamma_lower <= 0:
             raise ValidationError(
@@ -424,14 +430,14 @@ class _Stack:
     maps them to tangential H at the top of the stack, and ``top_P()`` to
     tangential E there.  ``top_P()`` is recomputed per call rather than kept,
     which keeps a memoised stack one array smaller.  ``max_cond`` is the
-    largest condition estimate of the interface stages.
+    largest condition estimate of the slab eigenbases and the interface stages.
     """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
         self.modeset = modeset
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
-        self.max_cond = 1.0
+        self.max_cond = max(basis.cond for basis in self.bases)
         self.r, self.phi, self.P_lu = [], [], []
         self._trace = None
         eye = np.eye(2 * modeset.block_size)
@@ -549,6 +555,10 @@ class LayerField:
             out[0][:, 2, at] = e3.reshape(-1, h.size)
             out[1][:, 2, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
         return tuple(o[..., 0] if heights.ndim == 0 else o for o in out)
+
+    def max_exponent(self, x3: float) -> float:
+        """Largest |gamma| of the slab holding height x3: the field there sums e^{+-i gamma x3}."""
+        return float(np.max(np.abs(self.stack.bases[self.profile.slab_of(x3)].gamma)))
 
     def residual_report(self, points) -> dict:
         """Pointwise residual of (curl curl - k^2 q) E, relative to the field scale.

@@ -16,7 +16,12 @@ Three pieces:
    horizontal integral of the volume side is the exact coefficient pairing
    :meth:`TrigPoly.overlap`, one per slab segment over its Gauss-Legendre
    nodes in x3, whose weights ride on E1 along the node axis; the boundary
-   side is the L^2_t inner product of the coefficient vectors.
+   side is the L^2_t inner product of the coefficient vectors.  In a segment
+   the integrand is a sum of exponentials e^{z x3} with |z| <= c, the largest
+   |gamma| of E1's slab plus that of E2's, so each segment takes the smallest
+   order n whose Gauss-Legendre remainder bound K_n (c L / 2)^(2n), L the
+   segment length, is at most 1e-16 (about 12 nodes at N = 8 on a segment
+   of 0.35).
 
 2. Moment extraction.  Pairing eigen-solutions of the longitudinal problems
    for q1 and conj(q2) through the separable family, the longitudinal overlap
@@ -40,6 +45,7 @@ factor.  Below, "x1" names the axis q varies along.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,12 +61,34 @@ from .sturm import SLProblem, solve_sl
 
 DEFAULT_SCHEDULE = (16, 24, 32, 48, 64)
 DEFAULT_A2_FLOOR = 1e-6
-_N_GAUSS = 48  # Gauss-Legendre nodes in x3 per slab segment of the gap's volume side
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_N_GAUSS)
+_GAUSS_TOL = 1e-16  # bound on the Gauss-Legendre remainder of each x3 segment of the gap
 
 
-def _gauss_nodes(a: float, b: float):
-    return 0.5 * (b - a) * _GAUSS_X + 0.5 * (a + b), 0.5 * (b - a) * _GAUSS_W
+def _gauss_order(c: float) -> int:
+    """Smallest Gauss-Legendre order n with K_n c^(2n) <= _GAUSS_TOL.
+
+    K_n = 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) is the remainder constant of
+    the n-node rule on [-1, 1], whose error is K_n f^(2n)(xi) (Davis &
+    Rabinowitz, Methods of Numerical Integration, 1984, section 2.7).  For
+    f(t) = e^{z t} with |z| <= c the derivative is bounded by c^(2n) times
+    the size of f.  The bound is evaluated in log space, where it cannot
+    overflow.
+    """
+    log_tol = math.log(_GAUSS_TOL)
+    log_c = math.log(c) if c > 0 else -math.inf
+    n = 1
+    while ((2 * n + 1) * math.log(2.0) + 4 * math.lgamma(n + 1) - math.log(2 * n + 1)
+           - 3 * math.lgamma(2 * n + 1) + 2 * n * log_c > log_tol):
+        n += 1
+    return n
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_rule(n: int):
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], read-only and built once."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
@@ -73,6 +101,13 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     coefficient 2-norms of E1 and E2 over the Gauss nodes: by Parseval and
     Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.  Each x3
     segment is one ``TrigPoly.overlap`` of both fields at all of its nodes.
+
+    Each segment gets its own Gauss-Legendre order.  In a segment the
+    integrand is a finite sum of exponentials e^{z x3} with |z| at most the
+    largest |gamma| of E1's slab plus that of E2's slab
+    (``LayerField.max_exponent``).  So the order is the smallest n with
+    K_n c^(2n) <= 1e-16, where c is that sum times half the segment length
+    and K_n the Gauss-Legendre remainder constant (``_gauss_order``).
     """
     if abs(profile1.b - profile2.b) > 1e-12:
         raise ValidationError("inverse.reciprocity_gap: profiles have different layer heights")
@@ -81,12 +116,13 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     sol3 = solve_qpbvp(profile2.conjugate(), g, modeset)
     ms = modeset
     k = ms.k
-    shape = (ms.block_size, ms.block_size, 3, _N_GAUSS)  # (n2, n1, component, node)
+    mb = ms.block_size
 
     # Volume side: per slab segment, the exact Fourier pairing of E1 and E2
     # weighted by the segment's q2 - q1, summed over n2, the components and
-    # the Gauss-Legendre nodes in x3.  The segments end at the lower of the
-    # two heights, which may differ by round-off.
+    # the Gauss-Legendre nodes in x3, of an order sized to the segment's
+    # exponents.  The segments end at the lower of the two heights, which
+    # may differ by round-off.
     bounds = np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()])
     bounds = np.unique(np.minimum(bounds, min(profile1.b, profile2.b)))
     lhs = 0.0 + 0.0j
@@ -95,7 +131,11 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
         mid = 0.5 * (lo + hi)
         dq = (profile2.slabs[profile2.slab_of(mid)].coeffs
               - profile1.slabs[profile1.slab_of(mid)].coeffs)
-        nodes, weights = _gauss_nodes(lo, hi)
+        half = 0.5 * (hi - lo)
+        x, w = _gauss_rule(_gauss_order(
+            (sol1.field.max_exponent(mid) + sol3.field.max_exponent(mid)) * half))
+        nodes, weights = half * x + mid, half * w
+        shape = (mb, mb, 3, len(x))  # (n2, n1, component, node)
         c1 = sol1.field.mode_coefficients(nodes)[0]
         c2 = sol3.field.mode_coefficients(nodes)[0]
         # contiguous n1-major operands, so that overlap's slices along n1 are too

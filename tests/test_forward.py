@@ -673,6 +673,42 @@ def test_profile_samples_q_once_on_first_use(monkeypatch):
     assert calls == [forward._PROFILE_GRID] * 2  # one grid per slab, once
 
 
+def test_validation_follows_a_changed_coefficient(monkeypatch):
+    calls = []
+    sample = TrigPoly.__call__
+    monkeypatch.setattr(TrigPoly, "__call__",
+                        lambda self, x1: calls.append(len(x1)) or sample(self, x1))
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j}, B)
+    prof.validate()
+    ms = _modeset(2)
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j)})
+    for _ in range(3):              # memo miss, admission, hit
+        solve_qpbvp(prof, f, ms)
+    assert calls == [forward._PROFILE_GRID]  # unchanged coefficients are not resampled
+    np.testing.assert_allclose(prof.q_inf, abs(1.5 + 0.1j), rtol=1e-12)
+    prof.slabs[0].coeffs[0] = -1.0 + 0j
+    with pytest.raises(ValidationError, match="positive lower bound"):
+        prof.validate()
+    with pytest.raises(ValidationError, match="positive lower bound"):
+        solve_qpbvp(prof, f, ms)
+    np.testing.assert_allclose(prof.q_inf, 1.0, rtol=1e-12)
+    assert calls == [forward._PROFILE_GRID] * 2
+
+
+def test_condition_includes_the_eigenbasis_guard():
+    # one slab whose eigenbasis guard (131.72) reads above its trace match
+    # (131.02); a scattering solve's boundary match reads above both here
+    ms = _modeset(4)
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.4, -1: 0.4}, 0.5)
+    basis = solve_layer_modes(prof, 0, ms).cond
+    trace_match, _ = forward._guard(forward._stack(prof, ms).top_P(), "probe")
+    assert trace_match < basis
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j)}, height=0.5)
+    assert solve_qpbvp(prof, f, ms).condition == basis
+    assert solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2),
+                            ms).condition >= basis
+
+
 def test_scattering_pec_mirror():
     ms = _modeset(6)
     inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2, pol_seed=(0.3, 0.9, 0.2))

@@ -1,13 +1,16 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
 from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_modeset,
                        extract_moments, reciprocity_gap, reconstruct_difference)
-from gratescat import sturm
+from gratescat import inverse, sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
-from gratescat.forward import LayerField, Slab, solve_qpbvp
-from gratescat.inverse import (_N_GAUSS, _gauss_nodes, one_directional_coeffs,
-                               write_moment_csv, write_reconstruction_csv)
+from gratescat.forward import LayerField, Slab, solve_layer_modes, solve_qpbvp
+from gratescat.inverse import (_gauss_order, one_directional_coeffs, write_moment_csv,
+                               write_reconstruction_csv)
 
 K = 1.2
 ALPHA = Quasimomentum(0.23, 0.11)
@@ -78,7 +81,8 @@ def test_gap_rejects_heights_beyond_tolerance():
 
 def test_gap_evaluates_each_field_once_per_segment(monkeypatch):
     # slabs split at 0.3 and 0.45: three x3 segments, one batched call per
-    # field and segment at all of its Gauss nodes
+    # field and segment at all of its Gauss nodes, as many as the order rule
+    # gives for the largest exponents of the two slabs there
     ms = _modeset(3)
     q1, q2 = _stacks((0.3, 0.4), (0.45, 0.25))
     calls = []
@@ -90,12 +94,61 @@ def test_gap_evaluates_each_field_once_per_segment(monkeypatch):
 
     monkeypatch.setattr(LayerField, "mode_coefficients", counting)
     out = reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
-    assert calls == [(_N_GAUSS,)] * 6
+    g1 = [np.max(np.abs(solve_layer_modes(q1, j, ms).gamma)) for j in range(2)]
+    g2 = [np.max(np.abs(solve_layer_modes(q2.conjugate(), j, ms).gamma)) for j in range(2)]
+    orders = [_gauss_order((g1[j1] + g2[j2]) * 0.5 * (hi - lo))
+              for lo, hi, j1, j2 in ((0.0, 0.3, 0, 0), (0.3, 0.45, 1, 0), (0.45, 0.7, 1, 1))]
+    assert calls == [(n,) for n in orders for _ in range(2)]
+    assert len(set(orders)) > 1
     assert out["gap"] <= 1e-6
 
 
+def _remainder_bound(n, c):
+    """K_n c^(2n) of the n-node Gauss-Legendre rule, in exact rational arithmetic."""
+    K = Fraction(2 ** (2 * n + 1) * factorial(n) ** 4, (2 * n + 1) * factorial(2 * n) ** 3)
+    return K * Fraction(c) ** (2 * n)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.444, 1.0, 3.5, 4.03, 12.0, 24.0, 60.0])
+def test_gauss_order_is_the_smallest_meeting_the_bound(c):
+    n = _gauss_order(c)
+    assert _remainder_bound(n, c) <= Fraction(1e-16)
+    assert n == 1 or _remainder_bound(n - 1, c) > Fraction(1e-16)
+
+
+def _evanescent(ms, height):
+    """Boundary data with all weight on the mode of largest |alpha_n|."""
+    c = np.zeros(ms.num_modes, dtype=complex)
+    c[np.argmax(np.linalg.norm(ms.alpha_n[:, :2], axis=1))] = 1.0
+    return TangentialField.from_components(ms, c, 0.5j * c, height)
+
+
+@pytest.mark.parametrize("N, heights1, heights2", [
+    (8, (0.35, 0.35), (0.4, 0.3)),
+    (8, (1.5, 1.0), (0.9, 1.6)),
+    (24, (0.7,), (0.7,)),
+], ids=["N8-b0.7", "N8-b2.5", "N24-b0.7"])
+def test_gap_lhs_matches_a_160_node_reference(monkeypatch, N, heights1, heights2):
+    # q2 - q1 has a mean, so the corner mode pairs with itself.  Without one,
+    # lhs on the evanescent data at N = 24 falls 4e5 below the field scale,
+    # and 48 to 320 fixed nodes scatter by 5e-12 of it from round-off alone.
+    ms = _modeset(N)
+    q1 = MediumProfile([Slab(h, {0: 1.5 + 0.1j, 1: 0.12, -1: 0.12}) for h in heights1])
+    q2 = MediumProfile([Slab(h, {0: 1.55 + 0.12j, 1: 0.22, -1: 0.12}) for h in heights2])
+    data = [(_tangential(ms, 10), _tangential(ms, 11)), (_evanescent(ms, q1.b),) * 2]
+    outs = [reciprocity_gap(q1, q2, f, g, ms) for f, g in data]
+    monkeypatch.setattr(inverse, "_gauss_order", lambda c: 160)
+    for (f, g), out in zip(data, outs):
+        ref = reciprocity_gap(q1, q2, f, g, ms)["lhs"]
+        assert abs(out["lhs"] - ref) <= 1e-12 * max(abs(ref), out["floor"])
+        assert out["gap"] <= 1e-6
+
+
+_GRID_X, _GRID_W = np.polynomial.legendre.leggauss(48)  # the grid reference's own x3 rule
+
+
 def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
-    """Volume side on an alias-free FFT grid in the horizontal plane (reference)."""
+    """Volume side on an alias-free FFT grid in the horizontal plane, 48 Gauss nodes per segment (reference)."""
     sol1 = solve_qpbvp(profile1, f, ms)
     sol3 = solve_qpbvp(profile2.conjugate(), g, ms)
     bounds = np.unique(np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()]))
@@ -110,7 +163,7 @@ def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
 
     lhs = 0.0 + 0.0j
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        nodes, weights = _gauss_nodes(lo, hi)
+        nodes, weights = 0.5 * (hi - lo) * _GRID_X + 0.5 * (lo + hi), 0.5 * (hi - lo) * _GRID_W
         for x3, w in zip(nodes, weights):
             dq = profile2.q_at(x1, x3) - profile1.q_at(x1, x3)
             v1 = grid_values(sol1.field.mode_coefficients(x3)[0])
