@@ -556,9 +556,9 @@ class LayerField:
             out[1][:, 2, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
         return tuple(o[..., 0] if heights.ndim == 0 else o for o in out)
 
-    def max_exponent(self, x3: float) -> float:
-        """Largest |gamma| of the slab holding height x3: the field there sums e^{+-i gamma x3}."""
-        return float(np.max(np.abs(self.stack.bases[self.profile.slab_of(x3)].gamma)))
+    def max_exponent(self, slab: int) -> float:
+        """Largest |gamma| of a slab's modes: the field in the slab sums e^{+-i gamma x3}."""
+        return float(np.max(np.abs(self.stack.bases[slab].gamma)))
 
     def residual_report(self, points) -> dict:
         """Pointwise residual of (curl curl - k^2 q) E, relative to the field scale.

@@ -129,11 +129,11 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     c1max = c2max = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mid = 0.5 * (lo + hi)
-        dq = (profile2.slabs[profile2.slab_of(mid)].coeffs
-              - profile1.slabs[profile1.slab_of(mid)].coeffs)
+        j1, j2 = profile1.slab_of(mid), profile2.slab_of(mid)
+        dq = profile2.slabs[j2].coeffs - profile1.slabs[j1].coeffs
         half = 0.5 * (hi - lo)
         x, w = _gauss_rule(_gauss_order(
-            (sol1.field.max_exponent(mid) + sol3.field.max_exponent(mid)) * half))
+            (sol1.field.max_exponent(j1) + sol3.field.max_exponent(j2)) * half))
         nodes, weights = half * x + mid, half * w
         shape = (mb, mb, 3, len(x))  # (n2, n1, component, node)
         c1 = sol1.field.mode_coefficients(nodes)[0]

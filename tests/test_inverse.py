@@ -144,11 +144,15 @@ def test_gap_lhs_matches_a_160_node_reference(monkeypatch, N, heights1, heights2
         assert out["gap"] <= 1e-6
 
 
-_GRID_X, _GRID_W = np.polynomial.legendre.leggauss(48)  # the grid reference's own x3 rule
+_GRID_X, _GRID_W = np.polynomial.legendre.leggauss(48)
 
 
 def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
-    """Volume side on an alias-free FFT grid in the horizontal plane, 48 Gauss nodes per segment (reference)."""
+    """Volume side on an alias-free FFT grid in the horizontal plane (reference).
+
+    Its x3 rule is a fixed 48 Gauss nodes per segment, independent of the
+    order rule that ``reciprocity_gap`` uses.
+    """
     sol1 = solve_qpbvp(profile1, f, ms)
     sol3 = solve_qpbvp(profile2.conjugate(), g, ms)
     bounds = np.unique(np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()]))
