@@ -51,7 +51,8 @@ factorization is warranted.
 (slab eigenbases, interface recursion, lazily the trace-match LU) from
 ``_stack``, which serves it from a least-recently-used memo of 4 stacks keyed
 by ``(profile.digest(), modeset, COND_LIMIT)``.  The profile digest is
-recomputed on every request, since a slab's coefficients are a mutable dict.
+recomputed on every request, since a slab's coefficients are a mutable dict;
+``validate()`` computes it once and returns it.
 The mode set enters the key as the object itself, so stacks are shared only
 by callers that pass the same ModeSet, and a caller that builds its own mode
 set does the same work whatever ran before it in the process.  A stack
@@ -162,7 +163,8 @@ class MediumProfile:
     def from_coeffs(cls, coeffs: dict, height: float, direction: str = "x1") -> "MediumProfile":
         return cls([Slab(height, coeffs)], direction)
 
-    def validate(self, require_absorbing: bool = False) -> None:
+    def validate(self, require_absorbing: bool = False) -> str:
+        """Check admissibility; return the digest the check was made against."""
         gamma_lower, q_inf, im_min, im_max = self._sample_bounds()
         tol = 1e-12 * max(1.0, q_inf)
         if gamma_lower <= 0:
@@ -175,10 +177,18 @@ class MediumProfile:
         if require_absorbing and im_max <= tol:
             raise ValidationError(
                 "forward.MediumProfile: absorbing medium required (Im q > 0 somewhere)")
+        return self._bounds[0]
 
     def conjugate(self) -> "MediumProfile":
-        return MediumProfile([Slab(s.height, s.coeffs.conj()) for s in self.slabs],
-                             self.direction)
+        """The profile of conj(q), its sampled bounds taken from this profile's.
+
+        conj(q) on the grid is q's samples conjugated bit for bit, so min Re q
+        and max |q| carry over and the Im q bounds swap and change sign.
+        """
+        re_min, q_inf, im_min, im_max = self._sample_bounds()
+        conj = MediumProfile([Slab(s.height, s.coeffs.conj()) for s in self.slabs], self.direction)
+        conj._bounds = (conj.digest(), (re_min, q_inf, -im_max, -im_min))
+        return conj
 
     def slab_bounds(self):
         return np.concatenate([[0.0], np.cumsum([s.height for s in self.slabs])])
@@ -495,8 +505,7 @@ def _stack(profile: MediumProfile, modeset: ModeSet) -> _Stack:
     it reads now, so after a change of the limit the stack is built afresh
     and its guards raise as on a first build.
     """
-    profile.validate()
-    key = (profile.digest(), modeset, COND_LIMIT)
+    key = (profile.validate(), modeset, COND_LIMIT)
     stack = _STACKS.get(key)
     if stack is not None:
         _STACKS.move_to_end(key)

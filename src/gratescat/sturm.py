@@ -38,6 +38,7 @@ from .lattice import TrigPoly
 _NORM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-14  # targeted pairs: stop once every scaled residual is at or below this
 _MAX_STEPS = 30        # targeted pairs: inverse-iteration steps before a cluster fails
+_gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
 
 
 @dataclass
@@ -179,6 +180,65 @@ def _band_apply(problem: SLProblem, anchors: np.ndarray, X: np.ndarray) -> np.nd
     return out
 
 
+def _shifted_solve(ab, d, theta, anorm, y, members):
+    """x with (A - theta) x = y from the band LU of A - theta.
+
+    A shift equal to an eigenvalue to the last bit (a triangular A has its
+    anchors as eigenvalues) makes the LU exactly singular: it is then nudged
+    by ``_RESIDUAL_TOL * anorm``.
+    """
+    for shift in (theta, theta + _RESIDUAL_TOL * anorm):
+        shifted = ab.copy()
+        shifted[2 * d] -= shift
+        lu, piv, info = _gbtrf(shifted, d, d, overwrite_ab=True)
+        if info == 0:
+            return _gbtrs(lu, d, d, y, piv)[0]
+    raise EigenFailure(f"sturm.solve_sl: singular band LU at branches {_names(members)}")
+
+
+def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
+                    anorm: float, ms: np.ndarray):
+    """Eigenpairs of anchors alone in their Gershgorin discs, advanced as one block.
+
+    Column i of the block starts as e_m for m = ms[i] and runs its own
+    Rayleigh-shifted inverse iteration: each step applies A to every column
+    still iterating at once, and only the shifted band LU and solve are per
+    column.  A column stops once its scaled residual is at most
+    ``_RESIDUAL_TOL``.  Its disc holds exactly one eigenvalue, so that
+    eigenvalue is branch m's and needs no dominance test.
+    """
+    d = problem.coeffs.degree
+    p = ms.size
+    X = np.zeros((anchors.size, p), dtype=complex)
+    X[ms + problem.M, np.arange(p)] = 1.0
+    theta = np.empty(p, dtype=complex)
+    res = np.empty(p)
+    active = np.arange(p)
+    for step in range(_MAX_STEPS + 1):
+        Xa = X[:, active]   # unit columns
+        AX = _band_apply(problem, anchors, Xa)
+        theta[active] = np.einsum("ij,ij->j", Xa.conj(), AX)
+        res[active] = np.linalg.norm(AX - Xa * theta[active], axis=0) / anorm
+        active = active[res[active] > _RESIDUAL_TOL]
+        if active.size == 0:
+            break
+        if step == _MAX_STEPS:
+            raise EigenFailure(
+                f"sturm.solve_sl: branches {_names(ms[active])} not converged in {_MAX_STEPS} "
+                f"steps (scaled residual {np.max(res[active]):.2e} > {_RESIDUAL_TOL:g})")
+        for i in active:
+            x = _shifted_solve(ab, d, theta[i], anorm, X[:, i], ms[i:i + 1])
+            X[:, i] = x / np.linalg.norm(x)
+    outside = np.abs(theta - anchors[ms + problem.M]) > radius + _RESIDUAL_TOL * anorm
+    if np.any(outside):
+        raise EigenFailure(
+            f"sturm.solve_sl: an eigenvalue left the Gershgorin discs of branches {_names(ms[outside])}")
+    # unit norm with the largest component real, as LAPACK's geev returns it
+    big = X[np.argmax(np.abs(X), axis=0), np.arange(p)]
+    X *= np.conj(big) / np.abs(big)
+    return [(int(m), theta[i], X[:, i], res[i]) for i, m in enumerate(ms)]
+
+
 def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
                    anorm: float, members: np.ndarray, wanted):
     """Eigenpairs of one Gershgorin cluster by Ritz-shifted block inverse iteration.
@@ -192,13 +252,12 @@ def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radi
     d = problem.coeffs.degree
     p = members.size
     rows = members + problem.M
-    gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     X = np.zeros((anchors.size, p), dtype=complex)
     X[rows, np.arange(p)] = 1.0
     for step in range(_MAX_STEPS + 1):
         AX = _band_apply(problem, anchors, X)
         H = X.conj().T @ AX
-        theta, Z = (H[0], np.ones((1, 1))) if p == 1 else scipy.linalg.eig(H)
+        theta, Z = scipy.linalg.eig(H)
         Y = X @ Z
         res = np.linalg.norm(AX @ Z - Y * theta, axis=0) / (np.linalg.norm(Y, axis=0) * anorm)
         if np.all(res <= _RESIDUAL_TOL):
@@ -208,18 +267,8 @@ def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radi
                 f"sturm.solve_sl: branches {_names(members)} not converged in {_MAX_STEPS} "
                 f"steps (scaled residual {np.max(res):.2e} > {_RESIDUAL_TOL:g})")
         for i in range(p):
-            # a shift equal to an eigenvalue to the last bit (a triangular A has
-            # its anchors as eigenvalues) makes the LU exactly singular: nudge it
-            for shift in (theta[i], theta[i] + _RESIDUAL_TOL * anorm):
-                shifted = ab.copy()
-                shifted[2 * d] -= shift
-                lu, piv, info = gbtrf(shifted, d, d, overwrite_ab=True)
-                if info == 0:
-                    break
-            else:
-                raise EigenFailure(f"sturm.solve_sl: singular band LU at branches {_names(members)}")
-            X[:, i] = gbtrs(lu, d, d, Y[:, i], piv)[0]
-        X = X / np.linalg.norm(X) if p == 1 else np.linalg.qr(X)[0]
+            X[:, i] = _shifted_solve(ab, d, theta[i], anorm, Y[:, i], members)
+        X = np.linalg.qr(X)[0]
     outside = np.min(np.abs(theta - anchors[rows][:, None]), axis=0) > radius + _RESIDUAL_TOL * anorm
     if np.any(outside):
         raise EigenFailure(
@@ -276,8 +325,12 @@ def _targeted_pairs(problem: SLProblem, branches):
     for j, c in problem.coeffs.items():
         ab[2 * d + j] = problem.k ** 2 * c
     ab[2 * d] = anchors
-    pairs = []
-    for cid in sorted({cluster[mw + M] for mw in wanted}):
+    # Wanted anchors alone in their clusters share one block; each larger
+    # cluster is solved on its own.
+    alone = np.bincount(cluster)[cluster] == 1
+    isolated = np.array(sorted(mw for mw in wanted if alone[mw + M]), dtype=int)
+    pairs = _solve_isolated(problem, ab, anchors, radius, anorm, isolated) if isolated.size else []
+    for cid in sorted({cluster[mw + M] for mw in wanted if not alone[mw + M]}):
         members = np.flatnonzero(cluster == cid) - M
         pairs += _solve_cluster(problem, ab, anchors, radius, anorm, members, wanted)
     return sorted(pairs, key=lambda pr: pr[0]), anorm

@@ -419,6 +419,34 @@ qcoef =
     assert (tmp_path / "dtn.csv").read_text().splitlines() == want
 
 
+def test_dtn_csv_bytes_match_one_format_per_row(tmp_path):
+    cfg = _write(tmp_path, "dtn.ini", f"""
+[physics]
+k = {K}
+theta1 = {THETA1}
+theta2 = {THETA2}
+
+[numerics]
+N = 1
+
+[profile]
+slabs = 0.4 0.3
+qcoef =
+    0 1.5 0.1
+    1 0.05 -0.02
+qcoef2 =
+    0 1.8 0.05
+""")
+    assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
+    ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 1)
+    prof = MediumProfile([Slab(0.4, {0: 1.5 + 0.1j, 1: 0.05 - 0.02j}), Slab(0.3, {0: 1.8 + 0.05j})])
+    matrix = assemble_dtn(prof, ms).matrix
+    rows, cols = np.nonzero(matrix)
+    want = "row,col,re,im\n" + "".join(
+        f"{i},{j},{v.real:.17g},{v.imag:.17g}\n" for i, j, v in zip(rows, cols, matrix[rows, cols]))
+    assert (tmp_path / "dtn.csv").read_bytes() == want.encode()
+
+
 def test_readme_config_example_runs(tmp_path, capsys):
     # the README's config block, as written, is a valid forward scenario
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -695,6 +695,37 @@ def test_validation_follows_a_changed_coefficient(monkeypatch):
     assert calls == [forward._PROFILE_GRID] * 2
 
 
+def test_conjugate_takes_its_bounds_from_the_parent(monkeypatch):
+    calls = []
+    sample = TrigPoly.__call__
+    monkeypatch.setattr(TrigPoly, "__call__",
+                        lambda self, x1: calls.append(len(x1)) or sample(self, x1))
+    slabs = [(0.3, {0: 1.5 + 0.1j, 1: 0.2 - 0.03j, -1: 0.15, 2: 0.04j}), (0.4, {0: 1.8 + 0.02j})]
+    prof = MediumProfile([Slab(h, c) for h, c in slabs])
+    conj = prof.conjugate()
+    assert calls == [forward._PROFILE_GRID] * 2  # the parent's grid, once
+    conj.validate()
+    fresh = MediumProfile([Slab(h, TrigPoly(c).conj()) for h, c in slabs])
+    assert conj._sample_bounds() == fresh._sample_bounds()
+    assert calls == [forward._PROFILE_GRID] * 4  # only the fresh profile sampled again
+    conj.slabs[1].coeffs[0] = -1.0 + 0j  # an edited conjugate is sampled afresh
+    with pytest.raises(ValidationError, match="positive lower bound"):
+        conj.validate()
+    assert calls == [forward._PROFILE_GRID] * 6
+
+
+def test_stack_request_hashes_the_profile_once(monkeypatch):
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
+    ms = _modeset(2)
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j)})
+    calls = []
+    digest = MediumProfile.digest
+    monkeypatch.setattr(MediumProfile, "digest", lambda self: calls.append(1) or digest(self))
+    for n in range(1, 4):  # memo miss, admission, hit
+        solve_qpbvp(prof, f, ms)
+        assert len(calls) == n
+
+
 def test_condition_includes_the_eigenbasis_guard():
     # one slab whose eigenbasis guard (131.72) reads above its trace match
     # (131.02); a scattering solve's boundary match reads above both here

@@ -267,14 +267,54 @@ def test_targeted_eigenvalue_outside_discs_raises(monkeypatch):
     # with the discs shrunk to their centres the converged eigenvalue lies
     # outside them, so its label would not follow from the construction
     prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
-    solve = sturm._solve_cluster
+    solve = sturm._solve_isolated
 
     def shrunk(problem, ab, anchors, radius, *rest):
         return solve(problem, ab, anchors, 0.0, *rest)
-    monkeypatch.setattr(sturm, "_solve_cluster", shrunk)
+    monkeypatch.setattr(sturm, "_solve_isolated", shrunk)
     pattern = "left the Gershgorin discs of branches " + _name((1, 5))
     with pytest.raises(EigenFailure, match=pattern):
         solve_sl(prob, branches=[(1, 5)])
+
+
+@pytest.mark.parametrize("alpha1, path", [
+    # anchors 0 and -1 lie 1 - 2 alpha1 = 0.5 = 2 radius apart: their discs touch
+    (0.25, "_solve_cluster"),
+    # just past 2 radius: two singletons, advanced in one block
+    (0.25 - 2.0 ** -20, "_solve_isolated"),
+])
+def test_targeted_cluster_threshold(monkeypatch, alpha1, path):
+    # k = 1 and dyadic coefficients make the anchor gap and 2 radius exact
+    prob = SLProblem({0: 2.0 + 0.25j, 1: 0.125, -1: 0.125j}, 1.0, alpha1, 8)
+    seen = []
+    for name in ("_solve_cluster", "_solve_isolated"):
+        def spy(problem, ab, anchors, radius, anorm, ms, *rest, solve=getattr(sturm, name), name=name):
+            seen.append((name, [int(m) for m in ms]))
+            return solve(problem, ab, anchors, radius, anorm, ms, *rest)
+        monkeypatch.setattr(sturm, name, spy)
+    keys = [(-1, 1), (1, 0)]
+    targeted = solve_sl(prob, normalize=False, branches=keys)
+    assert seen == [(path, [-1, 0])]
+    dense = solve_sl(prob, normalize=False)
+    for key in keys:
+        _assert_same_pair(targeted.entries[key], dense.entries[key])
+
+
+def test_isolated_block_matches_one_branch_solves(monkeypatch):
+    # the 43 q1 branches of an L = 4 table on the schedule (16, ..., 64), on
+    # the reconstruct benchmark's base profile at its truncation M = 144
+    prob = SLProblem({0: 1.7 + 0.15j, 1: 0.3, -1: 0.3, 2: 0.15, -2: 0.15}, 1.6, 0.3, 144)
+    keys = sorted({(1, m + l) for m in (16, 24, 32, 48, 64) for l in range(-4, 5)})
+    assert len(keys) == 43
+    calls = []
+    apply = sturm._band_apply
+    monkeypatch.setattr(sturm, "_band_apply", lambda *args: calls.append(1) or apply(*args))
+    spec = solve_sl(prob, normalize=False, branches=keys)
+    assert len(calls) <= sturm._MAX_STEPS + 1  # one band apply per step, not per branch
+    for key in keys:
+        alone = solve_sl(prob, normalize=False, branches=[key]).entries[key]
+        assert abs(spec.entries[key].lam - alone.lam) <= 1e-14 * spec.matrix_norm
+        np.testing.assert_allclose(spec.entries[key].coeffs, alone.coeffs, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (1, 25), (2, 3), (1, 2.5)])
