@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import os
 import sys
 
@@ -228,13 +229,15 @@ def _run_dtn(sc: Scenario) -> None:
     dtn = forward.assemble_dtn(sc.profile, ms)
     rows, cols = np.nonzero(dtn.matrix)
     vals = dtn.matrix[rows, cols]
-    # one %-format over the interleaved rows is cheaper than one format per row
-    flat = [None] * (4 * rows.size)
-    flat[0::4], flat[1::4] = rows.tolist(), cols.tolist()
-    flat[2::4], flat[3::4] = vals.real.tolist(), vals.imag.tolist()
+    cells = (rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist())
     with open(sc.out_path("dtn"), "w", newline="") as fh:
         fh.write("row,col,re,im\n")
-        fh.write(("%d,%d,%.17g,%.17g\n" * rows.size) % tuple(flat))
+        # one %-format per 1024 rows: cheaper than one format per row, and the
+        # string it builds stays small (one string for the whole file raised
+        # the process's peak memory by the file's size)
+        for a in range(0, rows.size, 1024):
+            part = tuple(itertools.chain.from_iterable(zip(*(c[a:a + 1024] for c in cells))))
+            fh.write(("%d,%d,%.17g,%.17g\n" * (len(part) // 4)) % part)
     _write_summary(sc.out_path("summary"), [
         ("kind", "dtn"),
         ("profile_digest", dtn.profile_digest),

@@ -13,8 +13,10 @@ half-bandwidth deg q, and the branch-m eigenvalue lies in the Gershgorin disc
 of radius k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.
 Anchors whose discs overlap form a cluster, which shifted inverse iteration
 with LAPACK's band LU (gbtrf/gbtrs) solves as one block; the label comes from
-that construction.  Inverse iteration for a few eigenpairs: Ipsen, SIAM
-Review 39 (1997) 254.
+that construction.  The wanted anchors that sit alone in their discs are
+advanced together as the columns of one block: each step applies A once to
+every column still iterating, and only the shifted band LU stays per column.
+Inverse iteration for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
 
 Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
@@ -346,7 +348,10 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
     with the anchors whose Gershgorin discs overlap its own, and an
     eigenvector whose label those anchors cannot decide raises
     :class:`EigenFailure`, as does a branch whose scaled residual stays above
-    ``_RESIDUAL_TOL`` for ``_MAX_STEPS`` steps.
+    ``_RESIDUAL_TOL`` for ``_MAX_STEPS`` steps.  The keys whose disc meets no
+    other are iterated side by side as the columns of one block, each column
+    stopping at its own residual, so a spectrum of isolated branches costs
+    one band apply per step, not one per branch.
 
     Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``;
     a pair whose boundary value is numerically zero raises

@@ -427,7 +427,7 @@ theta1 = {THETA1}
 theta2 = {THETA2}
 
 [numerics]
-N = 1
+N = 4
 
 [profile]
 slabs = 0.4 0.3
@@ -438,10 +438,11 @@ qcoef2 =
     0 1.8 0.05
 """)
     assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
-    ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 1)
+    ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 4)
     prof = MediumProfile([Slab(0.4, {0: 1.5 + 0.1j, 1: 0.05 - 0.02j}), Slab(0.3, {0: 1.8 + 0.05j})])
     matrix = assemble_dtn(prof, ms).matrix
     rows, cols = np.nonzero(matrix)
+    assert rows.size > 1024  # the rows take two formatting calls
     want = "row,col,re,im\n" + "".join(
         f"{i},{j},{v.real:.17g},{v.imag:.17g}\n" for i, j, v in zip(rows, cols, matrix[rows, cols]))
     assert (tmp_path / "dtn.csv").read_bytes() == want.encode()

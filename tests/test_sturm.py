@@ -277,6 +277,19 @@ def test_targeted_eigenvalue_outside_discs_raises(monkeypatch):
         solve_sl(prob, branches=[(1, 5)])
 
 
+def test_cluster_eigenvalue_outside_discs_raises(monkeypatch):
+    # the same check on a cluster of two: anchors 0 and -1 at alpha1 = 0.47
+    prob = SLProblem(_COMPLEX_Q, K, 0.47, 24)
+    solve = sturm._solve_cluster
+
+    def shrunk(problem, ab, anchors, radius, *rest):
+        return solve(problem, ab, anchors, 0.0, *rest)
+    monkeypatch.setattr(sturm, "_solve_cluster", shrunk)
+    pattern = "left the Gershgorin discs of branches " + _name((-1, 1)) + ", " + _name((1, 0))
+    with pytest.raises(EigenFailure, match=pattern):
+        solve_sl(prob, branches=[(1, 0)])
+
+
 @pytest.mark.parametrize("alpha1, path", [
     # anchors 0 and -1 lie 1 - 2 alpha1 = 0.5 = 2 radius apart: their discs touch
     (0.25, "_solve_cluster"),
