@@ -10,6 +10,7 @@ Library layout:
 - :mod:`gratescat.separable`     separable solutions and overlap kernels
 - :mod:`gratescat.inverse`       reciprocity-gap identity, moments, reconstruction
 - :mod:`gratescat.cli`           batch front-end (``gratescat`` command)
+- :mod:`gratescat.tables`        the artifact format of every CSV table and summary
 """
 
 from . import errors

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import itertools
 import os
 import sys
 
@@ -26,6 +25,7 @@ from . import forward, inverse, rayleigh_dtn, sturm
 from .errors import SolverError, ValidationError
 from .greens import PlaneWaveIncidence, green_eval, helmholtz_residual
 from .lattice import Quasimomentum, build_modeset
+from .tables import write_csv, write_summary
 
 KINDS = ("modes", "green", "forward", "dtn", "sturm", "moments", "reconstruct", "gapcheck")
 _REQUIRED = object()
@@ -162,17 +162,6 @@ class Scenario:
         print(f"output_dir = {self.output_dir}", file=stream)
 
 
-def _write_summary(path, pairs) -> None:
-    with open(path, "w", newline="") as fh:
-        for key, val in pairs:
-            if isinstance(val, complex):
-                fh.write(f"{key} = {val.real:.17g}{val.imag:+.17g}j\n")
-            elif isinstance(val, float):
-                fh.write(f"{key} = {val:.17g}\n")
-            else:
-                fh.write(f"{key} = {val}\n")
-
-
 def _require(cond, message):
     if not cond:
         raise ValidationError(message)
@@ -180,12 +169,10 @@ def _require(cond, message):
 
 def _run_modes(sc: Scenario) -> None:
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
-    with open(sc.out_path("modes"), "w", newline="") as fh:
-        fh.write("n1,n2,alpha1,alpha2,re_beta,im_beta,propagating\n")
-        for j in range(ms.num_modes):
-            fh.write(f"{ms.n1[j]},{ms.n2[j]},{ms.alpha_n[j, 0]:.17g},{ms.alpha_n[j, 1]:.17g},"
-                     f"{ms.beta[j].real:.17g},{ms.beta[j].imag:.17g},"
-                     f"{1 if ms.propagating[j] else 0}\n")
+    write_csv(sc.out_path("modes"), "n1,n2,alpha1,alpha2,re_beta,im_beta,propagating",
+              "%d,%d,%.17g,%.17g,%.17g,%.17g,%d",
+              zip(ms.n1, ms.n2, ms.alpha_n[:, 0], ms.alpha_n[:, 1], ms.beta.real, ms.beta.imag,
+                  ms.propagating))
 
 
 def _run_green(sc: Scenario) -> None:
@@ -197,10 +184,8 @@ def _run_green(sc: Scenario) -> None:
     qp_defect = abs(shifted - np.exp(2j * np.pi * sc.alpha.alpha1) * g) / abs(g)
     res_h = helmholtz_residual(x, y, ms, h)
     res_2h = helmholtz_residual(x, y, ms, 2 * h)
-    with open(sc.out_path("green"), "w", newline="") as fh:
-        fh.write("re_G,im_G,qp_defect,residual_h,residual_2h,decay_ratio\n")
-        fh.write(f"{g.real:.17g},{g.imag:.17g},{qp_defect:.17g},"
-                 f"{res_h:.17g},{res_2h:.17g},{res_2h / res_h:.17g}\n")
+    write_csv(sc.out_path("green"), "re_G,im_G,qp_defect,residual_h,residual_2h,decay_ratio",
+              "%.17g" + ",%.17g" * 5, [(g.real, g.imag, qp_defect, res_h, res_2h, res_2h / res_h)])
 
 
 def _run_forward(sc: Scenario) -> None:
@@ -210,11 +195,9 @@ def _run_forward(sc: Scenario) -> None:
     result = forward.solve_scattering(sc.profile, inc, ms)
     rayleigh_dtn.write_rayleigh_csv(result.scattered, sc.out_path("rayleigh"))
     eff = rayleigh_dtn.efficiencies(result.scattered, inc)
-    with open(sc.out_path("efficiencies"), "w", newline="") as fh:
-        fh.write("n1,n2,efficiency\n")
-        for (n1, n2) in sorted(eff):
-            fh.write(f"{n1},{n2},{eff[(n1, n2)]:.17g}\n")
-    _write_summary(sc.out_path("summary"), [
+    write_csv(sc.out_path("efficiencies"), "n1,n2,efficiency", "%d,%d,%.17g",
+              ((n1, n2, eff[(n1, n2)]) for (n1, n2) in sorted(eff)))
+    write_summary(sc.out_path("summary"), [
         ("kind", "forward"),
         ("total_efficiency", sum(eff.values())),
         ("propagating_modes", len(eff)),
@@ -229,16 +212,9 @@ def _run_dtn(sc: Scenario) -> None:
     dtn = forward.assemble_dtn(sc.profile, ms)
     rows, cols = np.nonzero(dtn.matrix)
     vals = dtn.matrix[rows, cols]
-    cells = (rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist())
-    with open(sc.out_path("dtn"), "w", newline="") as fh:
-        fh.write("row,col,re,im\n")
-        # one %-format per 1024 rows: cheaper than one format per row, and the
-        # string it builds stays small (one string for the whole file raised
-        # the process's peak memory by the file's size)
-        for a in range(0, rows.size, 1024):
-            part = tuple(itertools.chain.from_iterable(zip(*(c[a:a + 1024] for c in cells))))
-            fh.write(("%d,%d,%.17g,%.17g\n" * (len(part) // 4)) % part)
-    _write_summary(sc.out_path("summary"), [
+    write_csv(sc.out_path("dtn"), "row,col,re,im", "%d,%d,%.17g,%.17g",
+              zip(rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist()))
+    write_summary(sc.out_path("summary"), [
         ("kind", "dtn"),
         ("profile_digest", dtn.profile_digest),
         ("modeset_digest", dtn.modeset_digest),
@@ -254,7 +230,7 @@ def _run_sturm(sc: Scenario) -> None:
     spec = sturm.solve_sl(prob)
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues"))
     rep = sturm.check_asymptotics(spec, prob)
-    _write_summary(sc.out_path("summary"), [
+    write_summary(sc.out_path("summary"), [
         ("kind", "sturm"),
         ("shift_convention", rep.shift_convention),
         ("shift_value", rep.shift_value),
@@ -284,7 +260,7 @@ def _run_moments(sc: Scenario) -> None:
     for l in sorted(table.estimates):
         rows.append((f"estimate_{l}", table.estimates[l]))
         rows.append((f"fit_residual_{l}", table.fit_residuals[l]))
-    _write_summary(sc.out_path("summary"), rows)
+    write_summary(sc.out_path("summary"), rows)
 
 
 def _run_reconstruct(sc: Scenario) -> None:
@@ -292,10 +268,8 @@ def _run_reconstruct(sc: Scenario) -> None:
     inverse.write_moment_csv(table, sc.out_path("moments"))
     rec = inverse.reconstruct_difference(table)
     inverse.write_reconstruction_csv(rec, sc.out_path("coefficients"))
-    rows = [("kind", "reconstruct"), ("L", table.L)]
-    for j in sorted(rec.coeffs):
-        rows.append((f"coeff_{j}", rec.coeffs[j]))
-    _write_summary(sc.out_path("summary"), rows)
+    write_summary(sc.out_path("summary"), [("kind", "reconstruct"), ("L", table.L)]
+                  + [(f"coeff_{j}", c) for j, c in sorted(rec.coeffs.items())])
 
 
 def _run_gapcheck(sc: Scenario) -> None:
@@ -303,23 +277,19 @@ def _run_gapcheck(sc: Scenario) -> None:
              "cli.run: gapcheck scenario needs [profile] and [profile2]")
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
     rng = np.random.default_rng(sc.seed)
-    rows = []
-    worst = 0.0
-    for case in range(sc.cases):
-        def tf():
-            c1 = rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes)
-            c2 = rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes)
-            return rayleigh_dtn.TangentialField.from_components(ms, c1, c2, sc.profile.b)
-        out = inverse.reciprocity_gap(sc.profile, sc.profile2, tf(), tf(), ms)
-        rows.append((case, out))
-        worst = max(worst, out["gap"])
-    with open(sc.out_path("gap"), "w", newline="") as fh:
-        fh.write("case,re_lhs,im_lhs,re_rhs,im_rhs,gap\n")
-        for case, out in rows:
-            fh.write(f"{case},{out['lhs'].real:.17g},{out['lhs'].imag:.17g},"
-                     f"{out['rhs'].real:.17g},{out['rhs'].imag:.17g},{out['gap']:.17g}\n")
-    _write_summary(sc.out_path("summary"), [
-        ("kind", "gapcheck"), ("cases", sc.cases), ("seed", sc.seed), ("max_gap", worst)])
+
+    def tf():
+        c1 = rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes)
+        c2 = rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes)
+        return rayleigh_dtn.TangentialField.from_components(ms, c1, c2, sc.profile.b)
+    outs = [inverse.reciprocity_gap(sc.profile, sc.profile2, tf(), tf(), ms)
+            for _ in range(sc.cases)]
+    write_csv(sc.out_path("gap"), "case,re_lhs,im_lhs,re_rhs,im_rhs,gap", "%d" + ",%.17g" * 5,
+              ((case, out["lhs"].real, out["lhs"].imag, out["rhs"].real, out["rhs"].imag,
+                out["gap"]) for case, out in enumerate(outs)))
+    write_summary(sc.out_path("summary"), [
+        ("kind", "gapcheck"), ("cases", sc.cases), ("seed", sc.seed),
+        ("max_gap", max(out["gap"] for out in outs))])
 
 
 _RUNNERS = {

@@ -34,6 +34,8 @@ def green_eval(x, y, modeset: ModeSet) -> complex:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape != (3,) or y.shape != (3,) or not np.isfinite([x, y]).all():
+        raise ValidationError("greens.green_eval: x and y must be finite 3-vectors")
     dz = abs(x[2] - y[2])
     if dz < DELTA_MIN:
         raise PointsTooClose(
@@ -50,6 +52,8 @@ def helmholtz_residual(x, y, modeset: ModeSet, h: float) -> float:
     A correctness probe: the truncated series satisfies the Helmholtz equation
     exactly, so the residual is pure finite-difference error, O(h^2).
     """
+    if not math.isfinite(h) or h * h == 0:
+        raise ValidationError("greens.helmholtz_residual: step h must be finite with h^2 > 0")
     x = np.asarray(x, dtype=float)
     g0 = green_eval(x, y, modeset)
     lap = -6.0 * g0

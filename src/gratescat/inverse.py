@@ -58,6 +58,7 @@ from .lattice import ModeSet, Quasimomentum, TrigPoly
 from .rayleigh_dtn import CELL_AREA, TangentialField, inner
 from .separable import build_u, moment_kernels
 from .sturm import SLProblem, solve_sl
+from .tables import write_csv
 
 DEFAULT_SCHEDULE = (16, 24, 32, 48, 64)
 DEFAULT_A2_FLOOR = 1e-6
@@ -218,8 +219,11 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     reads are solved (``solve_sl(..., branches=...)``).
     """
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
-    if len(m_schedule) < 2:
-        raise ValidationError("inverse.extract_moments: schedule needs at least two entries")
+    if len(m_schedule) < 2 or len(set(m_schedule)) < len(m_schedule):
+        raise ValidationError(f"inverse.extract_moments: schedule {m_schedule} needs at least "
+                              "two entries, none repeated")
+    if not 0 < a2_floor < math.inf:
+        raise ValidationError("inverse.extract_moments: a2_floor must be finite and > 0")
     if m_schedule[0] - L < 1:
         raise ValidationError("inverse.extract_moments: schedule too low for requested degree")
     c1, along, across = one_directional_coeffs(q1, alpha, "q1")
@@ -290,18 +294,14 @@ def reconstruct_difference(table: MomentTable, L: int | None = None) -> Reconstr
 
 def write_moment_csv(table: MomentTable, path) -> None:
     """Moment table rows: l, m, A1, log10 |A2| and arg A2, and the per-l estimate."""
-    with open(path, "w", newline="") as fh:
-        fh.write("l,m,re_A1,im_A1,log10_abs_A2,arg_A2,re_estimate,im_estimate\n")
-        for e in sorted(table.entries, key=lambda t: (t.l, t.m)):
-            est = table.estimates.get(e.l, 0.0 + 0.0j)
-            fh.write(f"{e.l},{e.m},{e.A1.real:.17g},{e.A1.imag:.17g},"
-                     f"{e.a2_log10:.17g},{e.a2_arg:.17g},"
-                     f"{est.real:.17g},{est.imag:.17g}\n")
+    rows = []
+    for e in sorted(table.entries, key=lambda t: (t.l, t.m)):
+        est = table.estimates.get(e.l, 0.0 + 0.0j)
+        rows.append((e.l, e.m, e.A1.real, e.A1.imag, e.a2_log10, e.a2_arg, est.real, est.imag))
+    write_csv(path, "l,m,re_A1,im_A1,log10_abs_A2,arg_A2,re_estimate,im_estimate",
+              "%d,%d" + ",%.17g" * 6, rows)
 
 
 def write_reconstruction_csv(result: ReconstructionResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("j,re_coeff,im_coeff,error\n")
-        for j in sorted(result.coeffs):
-            c = result.coeffs[j]
-            fh.write(f"{j},{c.real:.17g},{c.imag:.17g},{result.errors[j]:.17g}\n")
+    write_csv(path, "j,re_coeff,im_coeff,error", "%d,%.17g,%.17g,%.17g",
+              ((j, c.real, c.imag, result.errors[j]) for j, c in sorted(result.coeffs.items())))

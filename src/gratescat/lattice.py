@@ -180,8 +180,8 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int,
         raise ValidationError("lattice.build_modeset: N must be >= 0")
     if wood_tol is None:
         wood_tol = 1e-8 * k
-    if wood_tol <= 0:
-        raise ValidationError("lattice.build_modeset: wood_tol must be > 0")
+    if not 0 < wood_tol < math.inf:
+        raise ValidationError("lattice.build_modeset: wood_tol must be finite and > 0")
 
     idx = np.arange(-N, N + 1)
     n2, n1 = np.meshgrid(idx, idx, indexing="ij")  # n2-major, n1 fastest

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DivergenceViolation, ValidationError
 from .lattice import ModeSet
+from .tables import write_csv
 
 CELL_AREA = 4.0 * np.pi ** 2
 
@@ -190,15 +191,8 @@ def efficiencies(scattered: RayleighField, incidence) -> dict:
 def write_rayleigh_csv(field: RayleighField, path) -> None:
     """Dump a Rayleigh sequence: one row per mode, full-precision floats."""
     ms = field.modeset
-    with open(path, "w", newline="") as fh:
-        fh.write("n1,n2,re_E1,im_E1,re_E2,im_E2,re_E3,im_E3,re_beta,im_beta,propagating\n")
-        for j in range(ms.num_modes):
-            c = field.coeffs[j]
-            row = [str(ms.n1[j]), str(ms.n2[j])]
-            for comp in c:
-                row.append(f"{comp.real:.17g}")
-                row.append(f"{comp.imag:.17g}")
-            row.append(f"{ms.beta[j].real:.17g}")
-            row.append(f"{ms.beta[j].imag:.17g}")
-            row.append("1" if ms.propagating[j] else "0")
-            fh.write(",".join(row) + "\n")
+    parts = np.ascontiguousarray(field.coeffs).view(float)  # re_E1, im_E1, re_E2, ...
+    write_csv(path, "n1,n2,re_E1,im_E1,re_E2,im_E2,re_E3,im_E3,re_beta,im_beta,propagating",
+              "%d,%d" + ",%.17g" * 8 + ",%d",
+              zip(ms.n1.tolist(), ms.n2.tolist(), *parts.T.tolist(), ms.beta.real.tolist(),
+                  ms.beta.imag.tolist(), ms.propagating.tolist()))

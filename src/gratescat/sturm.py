@@ -36,6 +36,7 @@ import scipy.linalg
 from .errors import (EigenFailure, FitInconclusive, NormalizationDegenerate,
                      ValidationError)
 from .lattice import TrigPoly
+from .tables import write_csv
 
 _NORM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-14  # targeted pairs: stop once every scaled residual is at or below this
@@ -475,9 +476,7 @@ def check_asymptotics(spectrum: SLSpectrum, problem: SLProblem | None = None,
 
 def write_spectrum_csv(spectrum: SLSpectrum, path) -> None:
     """Eigenvalue table: one row per branch entry, deterministic order."""
-    with open(path, "w", newline="") as fh:
-        fh.write("n,branch,re_lambda,im_lambda,residual\n")
-        for (sign, n) in sorted(spectrum.entries, key=lambda t: (t[1], -t[0])):
-            e = spectrum.entries[(sign, n)]
-            fh.write(f"{n},{'+' if sign > 0 else '-'},"
-                     f"{e.lam.real:.17g},{e.lam.imag:.17g},{e.residual:.17g}\n")
+    entries = sorted(spectrum.entries.items(), key=lambda t: (t[0][1], -t[0][0]))
+    write_csv(path, "n,branch,re_lambda,im_lambda,residual", "%d,%s,%.17g,%.17g,%.17g",
+              ((n, "+" if sign > 0 else "-", e.lam.real, e.lam.imag, e.residual)
+               for (sign, n), e in entries))

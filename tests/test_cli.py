@@ -1,3 +1,5 @@
+import configparser
+import re
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,15 @@ N = 1
     err = capsys.readouterr().err
     assert code == 2
     assert "WoodAnomaly" in err
+
+
+def test_wood_tol_nan_rejected(tmp_path, capsys):
+    # beta = 0 exactly at k = 1, normal incidence; |beta| <= nan is never true
+    cfg = _write(tmp_path, "wood.ini", _numerics_config(k=1.0, N=2).replace(
+        f"theta1 = {THETA1}", "theta1 = 1.5707963267948966") + "wood_tol = nan\n")
+    assert main(["modes", cfg, "--output-dir", str(tmp_path)]) == 1
+    assert "[ValidationError]: lattice.build_modeset: wood_tol" in capsys.readouterr().err
+    assert not (tmp_path / "modes.csv").exists()
 
 
 def test_kind_mismatch_rejected(tmp_path, capsys):
@@ -352,6 +363,30 @@ qcoef =
     assert main(["moments", moments_cfg, "--output-dir", str(tmp_path)]) == 0
     head = (tmp_path / "moments.csv").read_text().splitlines()[0]
     assert head.startswith("l,m,re_A1")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("x = 0.4 0.7 1.9", "x = 0.1 0.2"), ("x = 0.4 0.7 1.9", "x = nan 0.2 0.5"),
+    ("h = 1e-3", "h = 0"), ("h = 1e-3", "h = 1e-200"), ("h = 1e-3", "h = nan"),
+])
+def test_green_bad_point_or_step_rejected(tmp_path, capsys, old, new):
+    cfg = _write(tmp_path, "green.ini", COMMON_CONFIG + GREEN_SECTION.replace(old, new))
+    assert main(["green", cfg, "--output-dir", str(tmp_path)]) == 1
+    assert "[ValidationError]: greens." in capsys.readouterr().err
+    assert not (tmp_path / "green.csv").exists()
+
+
+@pytest.mark.parametrize("numerics, message", [
+    ("m_schedule = 16 16", "none repeated"), ("a2_floor = 0", "a2_floor must be"),
+    ("a2_floor = nan", "a2_floor must be"),
+])
+def test_moment_schedule_and_floor_rejected(tmp_path, capsys, numerics, message):
+    text = RECONSTRUCT_CONFIG.replace("m_schedule = 16 24 32", numerics)
+    cfg = _write(tmp_path, "bad.ini", text)
+    assert main(["moments", cfg, "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "[ValidationError]: inverse.extract_moments" in err and message in err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_moments_mixed_axis_pair_rejected(tmp_path, capsys):
@@ -653,6 +688,14 @@ def _fields(path):
             if not key.endswith("_digest") for word in value.split()]
 
 
+def _documented_columns():
+    """[output] key -> CSV header, from the README's table of artifacts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\|[^|]*\| `([\w,]+)` \|$", readme, re.MULTILINE)
+    assert len(rows) == 9
+    return dict(rows)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_cli_artifacts_hold_no_inf_or_nan(tmp_path, kind):
     # moments and reconstruct run at the default schedule, which reaches m = 64
@@ -665,8 +708,17 @@ def test_cli_artifacts_hold_no_inf_or_nan(tmp_path, kind):
     cfg = _write(tmp_path, f"{kind}.ini", configs[kind])
     out = tmp_path / "out"
     assert main([kind, cfg, "--output-dir", str(out)]) == 0
+    # the [output] key of each renamed file; a default name is the key plus .csv
+    parser = configparser.ConfigParser()
+    parser.read_string(configs[kind])
+    keys = {name: key for key, name in (parser.items("output") if parser.has_section("output")
+                                        else ())}
+    columns = _documented_columns()
     numeric = 0
     for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            header = path.read_text().splitlines()[0]
+            assert header == columns[keys.get(path.name, path.stem)], path.name
         for where, word in _fields(path):
             try:
                 value = complex(word)
@@ -674,4 +726,6 @@ def test_cli_artifacts_hold_no_inf_or_nan(tmp_path, kind):
                 continue  # a label: the kind, a branch sign, a convention name
             numeric += 1
             assert np.isfinite(value), f"{where}: {word}"
+            if path.suffix == ".csv":  # integers pass: "%.17g" % 3.0 == "3"
+                assert word == "%.17g" % float(word), f"{where}: {word}"
     assert numeric > 0

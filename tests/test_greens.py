@@ -56,6 +56,24 @@ def test_points_too_close_threshold(factor):
         assert np.isfinite(green_eval(x, y, ms))
 
 
+@pytest.mark.parametrize("x, y", [
+    ([0.4, 0.7, np.nan], Y), (X, [0.1, np.inf, 0.2]), ([0.4, 0.7], Y), (X, [[0.1, 0.3, 0.2]]),
+], ids=["nan-x", "inf-y", "short-x", "matrix-y"])
+def test_green_eval_rejects_points_that_are_not_finite_3_vectors(x, y):
+    with pytest.raises(ValidationError, match="greens.green_eval: x and y must be finite"):
+        green_eval(x, y, build_modeset(K, ALPHA, 4))
+
+
+def test_helmholtz_step_threshold():
+    # h is rejected when it is not finite or when h^2 underflows to 0
+    ms = build_modeset(K, ALPHA, 4)
+    for h in (0.0, 1e-162, 1e-200, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="greens.helmholtz_residual: step h"):
+            helmholtz_residual(X, Y, ms, h)
+    assert 1e-162 ** 2 == 0 < 3e-162 ** 2
+    assert isinstance(helmholtz_residual(X, Y, ms, 3e-162), float)
+
+
 def test_helmholtz_residual_and_h2_decay():
     ms = build_modeset(K, ALPHA, 10)
     r = helmholtz_residual(X, Y, ms, 1e-3)

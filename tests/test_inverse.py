@@ -384,6 +384,26 @@ def test_schedule_start_threshold():
     assert len(tab.entries) == 5 * 2
 
 
+@pytest.mark.parametrize("schedule", [(16, 16), (16, 24, 24)])
+def test_schedule_repeated_entry_rejected(schedule):
+    # a repeated m makes the a + b/m fit rank-deficient and its error bar false
+    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
+    with pytest.raises(ValidationError, match="none repeated"):
+        extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA)
+
+
+def test_a2_floor_must_be_finite_and_positive():
+    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
+    for floor in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValidationError, match="a2_floor must be finite and > 0"):
+            extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA, a2_floor=floor)
+    # the extreme admissible floors: every entry retained, or none
+    tab = extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA, a2_floor=5e-324)
+    assert all(e.a2_ok for e in tab.entries)
+    with pytest.raises(A2Floor):
+        extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA, a2_floor=np.finfo(float).max)
+
+
 def test_moment_table_never_runs_the_dense_eigensolve(monkeypatch):
     # extract_moments asks solve_sl for the branches the table reads only
     def dense(problem):

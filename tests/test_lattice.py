@@ -38,6 +38,17 @@ def test_wood_anomaly_guard():
         assert raised == should_raise
 
 
+@pytest.mark.parametrize("tol, error", [
+    (0.0, ValidationError), (np.nan, ValidationError), (np.inf, ValidationError),
+    (5e-324, WoodAnomaly), (np.finfo(float).max, WoodAnomaly),
+])
+def test_wood_tol_must_be_finite_and_positive(tol, error):
+    # k = 1 at normal incidence gives beta = 0 exactly at (1, 0): every finite
+    # tolerance > 0 trips the guard, and a nan one must not switch it off
+    with pytest.raises(error, match="lattice.build_modeset"):
+        build_modeset(1.0, Quasimomentum(0.0, 0.0), 2, wood_tol=tol)
+
+
 def test_mode_law_randomized():
     rng = np.random.default_rng(7)
     trials = 10_000
