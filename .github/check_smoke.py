@@ -14,6 +14,9 @@ per failed condition. The same line carries the traced per-op metrics:
 - gapcheck field evaluations (LayerField.mode_coefficients calls): exactly 6,
   one batched call per field and x3 segment at all of the segment's Gauss
   nodes;
+- reconstruct's Sturm-Liouville matrix order (sturm.matrix_order, 2M+1)
+  must read 289, the order that the schedule's truncation M = 144 fixes, so a
+  faster eigensolve cannot come from a smaller truncation;
 - every "*.errors" metric must read 0, so an error that is raised and then
   recovered from inside an op does not pass quietly.
 """
@@ -38,6 +41,9 @@ def failures(workload: str, result: dict) -> list:
     if workload == "gapcheck" and fields != 6:
         out.append("%s: %g field evaluations (mode_coefficients calls) per op, expected 6"
                    % (workload, fields))
+    if workload == "reconstruct" and metrics["sturm.matrix_order"]["value"] != 289:
+        out.append("%s: Sturm-Liouville matrix order %g, expected 289"
+                   % (workload, metrics["sturm.matrix_order"]["value"]))
     bad = {k: m["value"] for k, m in metrics.items() if k.endswith(".errors") and m["value"] != 0}
     if bad:
         out.append("%s: nonzero error counts %s" % (workload, bad))

@@ -50,12 +50,18 @@ def helmholtz_residual(x, y, modeset: ModeSet, h: float) -> float:
     """Relative central-difference Helmholtz residual |(D_h + k^2) G| / |G|.
 
     A correctness probe: the truncated series satisfies the Helmholtz equation
-    exactly, so the residual is pure finite-difference error, O(h^2).
+    exactly, so the residual is pure finite-difference error, O(h^2).  The
+    step must be finite with h^2 > 0, and x + h and x - h must differ from x
+    in every coordinate: a step that rounds away divides a zero difference
+    by h^2.
     """
     if not math.isfinite(h) or h * h == 0:
         raise ValidationError("greens.helmholtz_residual: step h must be finite with h^2 > 0")
     x = np.asarray(x, dtype=float)
     g0 = green_eval(x, y, modeset)
+    if np.any(x + h == x) or np.any(x - h == x):
+        raise ValidationError(
+            f"greens.helmholtz_residual: step h = {h:g} does not move every coordinate of x")
     lap = -6.0 * g0
     for axis in range(3):
         step = np.zeros(3)

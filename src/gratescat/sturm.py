@@ -16,6 +16,9 @@ with LAPACK's band LU (gbtrf/gbtrs) solves as one block; the label comes from
 that construction.  The wanted anchors that sit alone in their discs are
 advanced together as the columns of one block: each step applies A once to
 every column still iterating, and only the shifted band LU stays per column.
+That LU is of a principal band submatrix, the window outside which an a-priori
+decay bound puts the branch's eigenvector below 2^-60; the Rayleigh quotients,
+residuals and every acceptance test stay on the full matrix.
 Inverse iteration for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
 
 Sign caution: with the equation written this way the constant-coefficient
@@ -41,6 +44,7 @@ from .tables import write_csv
 _NORM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-14  # targeted pairs: stop once every scaled residual is at or below this
 _MAX_STEPS = 30        # targeted pairs: inverse-iteration steps before a cluster fails
+_WINDOW_CUT = 2.0 ** -60  # isolated branches: solve where the eigenvector's bound is at least this
 _gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
 
 
@@ -191,7 +195,7 @@ def _shifted_solve(ab, d, theta, anorm, y, members):
     by ``_RESIDUAL_TOL * anorm``.
     """
     for shift in (theta, theta + _RESIDUAL_TOL * anorm):
-        shifted = ab.copy()
+        shifted = ab.copy(order="F")   # Fortran order, so gbtrf factors it in place
         shifted[2 * d] -= shift
         lu, piv, info = _gbtrf(shifted, d, d, overwrite_ab=True)
         if info == 0:
@@ -199,14 +203,44 @@ def _shifted_solve(ab, d, theta, anorm, y, members):
     raise EigenFailure(f"sturm.solve_sl: singular band LU at branches {_names(members)}")
 
 
+def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
+    """Row ranges [lo, hi) outside which each isolated eigenvector is below ``_WINDOW_CUT``.
+
+    Row a != r of (A - lambda) x = 0 gives |x_a| <= rho_a max_{0<|b-a|<=d} |x_b|,
+    with rho_a = radius / (|anchor_a - anchor_r| - radius) < 1 for a disc
+    alone around anchor_r.  So x has no local maximum away from r, and the
+    largest |x_b| beyond any run of d indices, walking outward from r, is at
+    most the largest rho of that run times the largest |x_b| beyond the
+    previous run.  For a unit x the products of the runs' largest rho bound
+    each run and all that lies beyond it; the window ends before the first run
+    whose bound is below the cut, or at the matrix edge.  (Decay of band
+    inverses: Demko, Moss & Smith, Math. Comp. 43 (1984) 491.)
+    """
+    n = anchors.size
+    run = max(d, 1)   # constant q: radius 0, so every rho is 0 and the window is row r
+    offsets = np.arange(1, -(-n // run) * run + 1)
+    ends = []
+    for sign in (1, -1):
+        idx = rows[:, None] + sign * offsets
+        inside = (idx >= 0) & (idx < n)
+        gap = np.abs(anchors[np.where(inside, idx, 0)] - anchors[rows, None]) - radius
+        rho = np.divide(radius, gap, out=np.zeros(gap.shape), where=inside)
+        bound = np.cumprod(rho.reshape(rows.size, -1, run).max(axis=2), axis=1)
+        ends.append(rows + sign * run * np.count_nonzero(bound >= _WINDOW_CUT, axis=1))
+    return np.maximum(ends[1], 0), np.minimum(ends[0] + 1, n)
+
+
 def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
-                    anorm: float, ms: np.ndarray):
+                    anorm: float, ms: np.ndarray, windows):
     """Eigenpairs of anchors alone in their Gershgorin discs, advanced as one block.
 
     Column i of the block starts as e_m for m = ms[i] and runs its own
     Rayleigh-shifted inverse iteration: each step applies A to every column
     still iterating at once, and only the shifted band LU and solve are per
-    column.  A column stops once its scaled residual is at most
+    column.  That solve runs on the principal band submatrix of rows
+    ``windows[0][i] <= row < windows[1][i]`` (see :func:`_windows`), and the
+    column is zero outside it; the Rayleigh quotients and residuals use the
+    full matrix.  A column stops once its scaled residual is at most
     ``_RESIDUAL_TOL``.  Its disc holds exactly one eigenvalue, so that
     eigenvalue is branch m's and needs no dominance test.
     """
@@ -230,8 +264,9 @@ def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
                 f"sturm.solve_sl: branches {_names(ms[active])} not converged in {_MAX_STEPS} "
                 f"steps (scaled residual {np.max(res[active]):.2e} > {_RESIDUAL_TOL:g})")
         for i in active:
-            x = _shifted_solve(ab, d, theta[i], anorm, X[:, i], ms[i:i + 1])
-            X[:, i] = x / np.linalg.norm(x)
+            w = slice(windows[0][i], windows[1][i])
+            x = _shifted_solve(ab[:, w], d, theta[i], anorm, X[w, i], ms[i:i + 1])
+            X[w, i] = x / np.linalg.norm(x)
     outside = np.abs(theta - anchors[ms + problem.M]) > radius + _RESIDUAL_TOL * anorm
     if np.any(outside):
         raise EigenFailure(
@@ -332,7 +367,10 @@ def _targeted_pairs(problem: SLProblem, branches):
     # cluster is solved on its own.
     alone = np.bincount(cluster)[cluster] == 1
     isolated = np.array(sorted(mw for mw in wanted if alone[mw + M]), dtype=int)
-    pairs = _solve_isolated(problem, ab, anchors, radius, anorm, isolated) if isolated.size else []
+    pairs = []
+    if isolated.size:
+        windows = _windows(anchors, radius, d, isolated + M)
+        pairs = _solve_isolated(problem, ab, anchors, radius, anorm, isolated, windows)
     for cid in sorted({cluster[mw + M] for mw in wanted if not alone[mw + M]}):
         members = np.flatnonzero(cluster == cid) - M
         pairs += _solve_cluster(problem, ab, anchors, radius, anorm, members, wanted)
@@ -352,7 +390,9 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
     ``_RESIDUAL_TOL`` for ``_MAX_STEPS`` steps.  The keys whose disc meets no
     other are iterated side by side as the columns of one block, each column
     stopping at its own residual, so a spectrum of isolated branches costs
-    one band apply per step, not one per branch.
+    one band apply per step, not one per branch; each such column's shifted
+    solve runs on its decay window only (29-77 rows, not 289, on the
+    ``reconstruct`` benchmark's spectra at M = 144).
 
     Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``;
     a pair whose boundary value is numerically zero raises

@@ -368,6 +368,7 @@ qcoef =
 @pytest.mark.parametrize("old, new", [
     ("x = 0.4 0.7 1.9", "x = 0.1 0.2"), ("x = 0.4 0.7 1.9", "x = nan 0.2 0.5"),
     ("h = 1e-3", "h = 0"), ("h = 1e-3", "h = 1e-200"), ("h = 1e-3", "h = nan"),
+    ("h = 1e-3", "h = 2.3e-162"),
 ])
 def test_green_bad_point_or_step_rejected(tmp_path, capsys, old, new):
     cfg = _write(tmp_path, "green.ini", COMMON_CONFIG + GREEN_SECTION.replace(old, new))

@@ -65,13 +65,21 @@ def test_green_eval_rejects_points_that_are_not_finite_3_vectors(x, y):
 
 
 def test_helmholtz_step_threshold():
-    # h is rejected when it is not finite or when h^2 underflows to 0
+    # h is rejected when it is not finite, when h^2 underflows to 0, or when
+    # x + h or x - h rounds back to x on some axis
     ms = build_modeset(K, ALPHA, 4)
-    for h in (0.0, 1e-162, 1e-200, np.nan, np.inf, -np.inf):
+    assert 1e-162 ** 2 == 0 < 3e-162 ** 2
+    for h in (0.0, 1e-162, 3e-162, 1e-200, np.nan, np.inf, -np.inf):
         with pytest.raises(ValidationError, match="greens.helmholtz_residual: step h"):
             helmholtz_residual(X, Y, ms, h)
-    assert 1e-162 ** 2 == 0 < 3e-162 ** 2
-    assert isinstance(helmholtz_residual(X, Y, ms, 3e-162), float)
+    # the smallest step that moves every coordinate of X passes; the double
+    # below it raises
+    h = np.spacing(np.max(np.abs(X))) / 2
+    while np.any(X + h == X) or np.any(X - h == X):
+        h = np.nextafter(h, np.inf)
+    assert np.isfinite(helmholtz_residual(X, Y, ms, h))
+    with pytest.raises(ValidationError, match="does not move every coordinate of x"):
+        helmholtz_residual(X, Y, ms, np.nextafter(h, 0.0))
 
 
 def test_helmholtz_residual_and_h2_decay():

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gratescat import SLProblem, check_asymptotics, solve_sl
 from gratescat import sturm
@@ -198,7 +199,7 @@ def _assert_same_pair(targeted, dense):
     assert targeted.residual <= 1e-14
 
 
-@pytest.mark.parametrize("coeffs, k, alpha1, M", [
+_DENSE_CASES = [
     # the q1 spectrum of the (3, 4), L = 2 schedule in test_schedule_start_threshold
     ({0: 1.7 + 0.12j, 1: 0.15, -1: 0.15}, K, 0.23, 20),
     # alpha1 near 0 and near 1/2: the low mirror pairs share clusters
@@ -208,7 +209,14 @@ def _assert_same_pair(targeted, dense):
     ({0: 9.0 + 2.0j, 1: 3.0, -1: 2.5 + 1.0j, 2: 1.0}, K, ALPHA1, 96),
     # one-sided q: A is triangular, so every anchor is an exact eigenvalue
     ({0: 1.4 + 0.05j, 1: 0.3, 2: 0.1j}, K, ALPHA1, 24),
-])
+]
+# the reconstruct benchmark's base profile at its truncation M = 144, and the
+# 43 q1 branches of an L = 4 table on the schedule (16, ..., 64)
+_RECONSTRUCT_CASE = ({0: 1.7 + 0.15j, 1: 0.3, -1: 0.3, 2: 0.15, -2: 0.15}, 1.6, 0.3, 144)
+_RECONSTRUCT_KEYS = sorted({(1, m + l) for m in (16, 24, 32, 48, 64) for l in range(-4, 5)})
+
+
+@pytest.mark.parametrize("coeffs, k, alpha1, M", _DENSE_CASES)
 def test_targeted_matches_dense(coeffs, k, alpha1, M):
     # Where no two anchors coincide, the targeted path labels exactly the
     # branches whose dense eigenvector is the only one peaking at the branch's
@@ -314,20 +322,60 @@ def test_targeted_cluster_threshold(monkeypatch, alpha1, path):
 
 
 def test_isolated_block_matches_one_branch_solves(monkeypatch):
-    # the 43 q1 branches of an L = 4 table on the schedule (16, ..., 64), on
-    # the reconstruct benchmark's base profile at its truncation M = 144
-    prob = SLProblem({0: 1.7 + 0.15j, 1: 0.3, -1: 0.3, 2: 0.15, -2: 0.15}, 1.6, 0.3, 144)
-    keys = sorted({(1, m + l) for m in (16, 24, 32, 48, 64) for l in range(-4, 5)})
-    assert len(keys) == 43
-    calls = []
-    apply = sturm._band_apply
-    monkeypatch.setattr(sturm, "_band_apply", lambda *args: calls.append(1) or apply(*args))
-    spec = solve_sl(prob, normalize=False, branches=keys)
-    assert len(calls) <= sturm._MAX_STEPS + 1  # one band apply per step, not per branch
-    for key in keys:
+    prob = SLProblem(*_RECONSTRUCT_CASE)
+    assert len(_RECONSTRUCT_KEYS) == 43 and 2 * prob.M + 1 == 289
+    applied, factored = [], []
+    apply, gbtrf = sturm._band_apply, sturm._gbtrf
+    monkeypatch.setattr(sturm, "_band_apply",
+                        lambda *args: applied.append(args[2].shape[0]) or apply(*args))
+    monkeypatch.setattr(sturm, "_gbtrf",
+                        lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
+    spec = solve_sl(prob, normalize=False, branches=_RECONSTRUCT_KEYS)
+    # one band apply per step, not per branch, on full columns; each band LU
+    # is of one branch's window, not of the order-289 matrix
+    assert len(applied) <= sturm._MAX_STEPS + 1 and set(applied) == {289}
+    assert len(factored) >= 43 and max(factored) <= 45
+    for key in _RECONSTRUCT_KEYS:
         alone = solve_sl(prob, normalize=False, branches=[key]).entries[key]
         assert abs(spec.entries[key].lam - alone.lam) <= 1e-14 * spec.matrix_norm
         np.testing.assert_allclose(spec.entries[key].coeffs, alone.coeffs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("coeffs, k, alpha1, M", _DENSE_CASES + [_RECONSTRUCT_CASE])
+def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, alpha1, M):
+    # Every branch alone in its disc is solved on a window outside which its
+    # eigenvector is below 2^-60.  The oracle is the dense eigenpair, refined
+    # by three inverse-iteration steps with a dense LU of the full matrix (the
+    # dense vector alone has round-off up to 2.1e-15 at the top of these
+    # spectra); the windowed pair must also be the dense one.
+    prob = SLProblem(coeffs, k, alpha1, M)
+    dense = solve_sl(prob, normalize=False)
+    decided = _decided_by_peak(dense)
+    seen = []
+    solve = sturm._solve_isolated
+
+    def spy(problem, ab, anchors, radius, anorm, ms, windows):
+        seen.append((ms, windows))
+        return solve(problem, ab, anchors, radius, anorm, ms, windows)
+    monkeypatch.setattr(sturm, "_solve_isolated", spy)
+    targeted = solve_sl(prob, normalize=False, branches=decided)
+    [(ms, (lo, hi))] = seen
+    keys = [sturm._key(int(m)) for m in ms]
+    if M == 144:
+        assert set(_RECONSTRUCT_KEYS) <= set(keys)
+    A = prob.matrix()
+    for m, key, a, b in zip(ms, keys, lo, hi):
+        _assert_same_pair(targeted.entries[key], dense.entries[key])
+        # a shift 1e-13 |A| off the eigenvalue damps every other eigenvector
+        # by at least 1e-9 per step
+        lu = scipy.linalg.lu_factor(A - (dense.entries[key].lam + 1e-13 * dense.matrix_norm)
+                                    * np.eye(2 * M + 1))
+        x = np.eye(2 * M + 1)[m + M]
+        for _ in range(3):
+            x = scipy.linalg.lu_solve(lu, x)
+            x /= np.linalg.norm(x)
+        outside = np.abs(np.concatenate((x[:a], x[b:])))
+        assert np.max(outside, initial=0.0) <= sturm._WINDOW_CUT
 
 
 @pytest.mark.parametrize("key", [(-1, 0), (1, 25), (2, 3), (1, 2.5)])
