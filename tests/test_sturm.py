@@ -361,7 +361,7 @@ def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, al
     targeted = solve_sl(prob, normalize=False, branches=decided)
     [(ms, (lo, hi))] = seen
     keys = [sturm._key(int(m)) for m in ms]
-    if M == 144:
+    if (coeffs, k, alpha1, M) == _RECONSTRUCT_CASE:
         assert set(_RECONSTRUCT_KEYS) <= set(keys)
     A = prob.matrix()
     for m, key, a, b in zip(ms, keys, lo, hi):
