@@ -287,9 +287,12 @@ def _run_gapcheck(sc: Scenario) -> None:
     write_csv(sc.out_path("gap"), "case,re_lhs,im_lhs,re_rhs,im_rhs,gap", "%d" + ",%.17g" * 5,
               ((case, out["lhs"].real, out["lhs"].imag, out["rhs"].real, out["rhs"].imag,
                 out["gap"]) for case, out in enumerate(outs)))
+    # rhs_scale / |rhs|: how far the boundary side's two inner products
+    # cancel, inf where they cancel exactly
+    ratios = [out["rhs_scale"] / abs(out["rhs"]) if out["rhs"] else np.inf for out in outs]
     write_summary(sc.out_path("summary"), [
         ("kind", "gapcheck"), ("cases", sc.cases), ("seed", sc.seed),
-        ("max_gap", max(out["gap"] for out in outs))])
+        ("max_gap", max(out["gap"] for out in outs)), ("max_rhs_scale_ratio", max(ratios))])
 
 
 _RUNNERS = {

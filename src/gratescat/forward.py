@@ -78,9 +78,11 @@ from .greens import DipoleDensity, PlaneWaveIncidence, incident_from_density
 from .lattice import ModeSet, TrigPoly
 from .rayleigh_dtn import RayleighField, TangentialField, _r_entries
 
-# Largest condition number any guarded matrix may have, read as the LAPACK
-# gecon 1-norm estimate from the LU factors that its solve uses (Higham, ACM
-# TOMS 14:381, 1988); see ``_guard``.
+# Largest 1-norm condition number any guarded matrix may have.  A slab
+# eigenbasis reads its exact condition from the TE/TM lift's shared factors
+# (``_lift_condition``); every matrix that is solved reads the LAPACK gecon
+# estimate from the LU factors its solve uses (Higham, ACM TOMS 14:381, 1988;
+# see ``_guard``).
 COND_LIMIT = 1e12
 _PROFILE_GRID = 512
 _getrf, _gecon, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"),
@@ -241,7 +243,7 @@ class ModalBasis:
     V: np.ndarray
     gamma: np.ndarray
     Qinv: np.ndarray    # inverse of the slab's Toeplitz factor Q, for E3
-    cond: float         # largest 1-norm condition estimate of W over the blocks
+    cond: float         # largest exact 1-norm condition of W over the blocks, at least 1
 
     def exponents(self) -> np.ndarray:
         """All propagation exponents, both signs, flattened over blocks."""
@@ -284,15 +286,18 @@ def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
     return where if slab is None else f"slab {slab}, {where}"
 
 
-def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch):
+def _guard(mats, stage: str, slab: int | None = None):
     """LU factors of a stack of matrices and their largest condition estimate.
 
+    Guards every matrix that is solved: the interface admittances and
+    matches, the trace match and the boundary match.  The slab eigenbases
+    are not solved and read their exact condition from ``_lift_condition``.
     Each block is factored once with LAPACK getrf, and gecon estimates its
     1-norm condition number from those factors (Hager 1984; Higham, ACM TOMS
     14:381, 1988).  The estimate of ||A^-1||_1 is a lower bound, so the
     reading never exceeds kappa_1(A) beyond rounding.  COND_LIMIT is read at
     call time.  A non-finite block, an exact zero pivot or an estimate above
-    the limit raises ``error`` naming the stage, the slab (when known) and the
+    the limit raises SingularMatch naming the stage, the slab (when known) and the
     first failing n2 block.  Returns the largest estimate and the per-block
     (lu, piv) factors that ``_lu_solve`` takes.
     """
@@ -305,8 +310,8 @@ def _guard(mats, stage: str, slab: int | None = None, error=SingularMatch):
             rcond = _gecon(lu, anorm)[0] if info == 0 else 0.0
             cond = 1.0 / rcond if rcond > 0 else np.inf
         if not cond <= COND_LIMIT:
-            raise error(f"{stage} condition {cond:.2e} exceeds {COND_LIMIT:g} at "
-                        f"{_block_label(ib, len(mats), slab)}")
+            raise SingularMatch(f"{stage} condition {cond:.2e} exceeds {COND_LIMIT:g} at "
+                                f"{_block_label(ib, len(mats), slab)}")
         worst = max(worst, cond)
         factors.append((lu, piv))
     return float(worst), factors
@@ -362,6 +367,35 @@ def _block_operators(slab: Slab, modeset: ModeSet, slab_index: int):
     return A, B
 
 
+def _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index: int) -> np.ndarray:
+    """Exact 1-norm condition of every block of the lifted basis W, shape (2N+1,).
+
+    W_b = [[0, x S1_b], [e, y S2_b]] with S1_b = diag(s1[b]), S2_b = diag(s2[b]),
+    and W_b^-1 follows from e^-1, x^-1 and one product that every block shares
+    (``solve_layer_modes``), so no block is factored.  A singular e or x, or a
+    block whose condition is not <= COND_LIMIT (nan and inf included), raises
+    IllConditionedBasis naming the slab and, for a block, the first one over.
+    """
+    try:
+        e_inv, x_inv = np.linalg.inv(e), np.linalg.inv(x)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedBasis(
+            f"forward.solve_layer_modes: eigenbasis singular at slab {slab_index} ({exc})")
+    g_colsum = np.sum(np.abs(e_inv @ (y / ktm) @ x_inv), axis=0)
+    winv_norm = np.maximum(np.max(np.sum(np.abs(e_inv), axis=0)),
+                           np.max(np.abs(a2) * g_colsum + (1 / np.abs(s1)) @ np.abs(x_inv), axis=1))
+    w_norm = np.maximum(np.max(np.sum(np.abs(e), axis=0)),
+                        np.max(np.abs(s1) * np.sum(np.abs(x), axis=0)
+                               + np.abs(s2) * np.sum(np.abs(y), axis=0), axis=1))
+    cond = w_norm * winv_norm
+    over = np.flatnonzero(~(cond <= COND_LIMIT))
+    if over.size:
+        raise IllConditionedBasis(
+            f"forward.solve_layer_modes: eigenbasis condition {cond[over[0]]:.2e} exceeds "
+            f"{COND_LIMIT:g} at {_block_label(int(over[0]), len(cond), slab_index)}")
+    return cond
+
+
 def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet) -> ModalBasis:
     """Eigen-decompose the transverse propagation system of one slab.
 
@@ -379,6 +413,23 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     A V = W gamma and B W = V gamma exactly (for TM via
     Q^-1 T_M = k^2 - D1 Q^-1 D1).  Each W column is scaled to unit 2-norm and
     its V column by the same factor.
+
+    So block b of W is W_b = [[0, X S1_b], [E, Y S2_b]], where E holds the
+    normalised TE eigenvectors, X = Q^-1 h and Y = Q^-1 D1 h are shared by
+    every block, and S1_b = diag((kappa_TM^2/k) s_b / gamma_TM) and
+    S2_b = diag(-(a2_b/k) s_b / gamma_TM), with s_b the TM column scales, are
+    diagonal.  Since S2_b S1_b^-1 = -a2_b diag(1/kappa_TM^2),
+
+        W_b^-1 = [[a2_b G, E^-1], [S1_b^-1 X^-1, 0]],
+        G = E^-1 Y diag(1/kappa_TM^2) X^-1,
+
+    and ``_lift_condition`` reads every block's exact 1-norm condition
+    ||W_b||_1 ||W_b^-1||_1 from E^-1, X^-1 and G, formed once per slab: the
+    column sums of W_b^-1 are colsum|E^-1|, shared, and
+    |a2_b| colsum|G| + |S1_b^-1| |X^-1|, one product for all blocks.  The
+    factor a2_b / kappa_TM^2 is where the lift loses its conditioning near a
+    TE/TM coincidence.  ``ModalBasis.cond`` is the largest reading, at
+    least 1; a uniform slab keeps W = I and reads 1.
     """
     if profile.direction != "x1":
         raise ValidationError(
@@ -423,11 +474,12 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     W[:, mb:, :mb] = e
     V[:, :mb, :mb] = e * (-(kte / k) / g_te)[:, None, :]
     V[:, mb:, :mb] = (d1[:, None] * e) * ((a2 / k) / g_te)[:, None, :]
-    W[:, :mb, mb:] = x * ((ktm / k) * tm_scale / g_tm)[:, None, :]
-    W[:, mb:, mb:] = y * (-(a2 / k) * tm_scale / g_tm)[:, None, :]
+    s1, s2 = (ktm / k) * tm_scale / g_tm, -(a2 / k) * tm_scale / g_tm
+    W[:, :mb, mb:] = x * s1[:, None, :]
+    W[:, mb:, mb:] = y * s2[:, None, :]
     V[:, mb:, mb:] = h * tm_scale[:, None, :]
-    cond, _ = _guard(W, "forward.solve_layer_modes: eigenbasis", slab_index, IllConditionedBasis)
-    return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, cond)
+    cond = _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index)
+    return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, max(1.0, float(np.max(cond))))
 
 
 class _Stack:
@@ -440,7 +492,9 @@ class _Stack:
     maps them to tangential H at the top of the stack, and ``top_P()`` to
     tangential E there.  ``top_P()`` is recomputed per call rather than kept,
     which keeps a memoised stack one array smaller.  ``max_cond`` is the
-    largest condition estimate of the slab eigenbases and the interface stages.
+    largest condition reading of the slab eigenbases (exact 1-norm condition,
+    from the lift's shared factors) and of the interface stages (gecon
+    estimates from their LU factors).
     """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
@@ -606,7 +660,7 @@ class LayerField:
 class QpbvpResult:
     field: LayerField
     trace: TangentialField       # T(f), tangential curl at Gamma_b
-    condition: float             # largest 1-norm condition estimate of any guarded matrix
+    condition: float             # largest 1-norm condition: exact for eigenbases, gecon elsewhere
 
 
 @dataclass
@@ -674,7 +728,7 @@ class ScatteringResult:
     scattered: RayleighField     # upgoing Rayleigh sequence, referenced at b
     incident: RayleighField      # downgoing expansion, referenced at 0
     trace_total: TangentialField
-    condition: float             # largest 1-norm condition estimate of any guarded matrix
+    condition: float             # largest 1-norm condition: exact for eigenbases, gecon elsewhere
 
 
 def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:

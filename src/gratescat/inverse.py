@@ -96,12 +96,18 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
                     f: TangentialField, g: TangentialField, modeset: ModeSet) -> dict:
     """Evaluate both sides of the reciprocity-gap identity and their mismatch.
 
-    Returns ``{'lhs', 'rhs', 'gap', 'floor'}`` with
+    Returns ``{'lhs', 'rhs', 'gap', 'floor', 'rhs_scale'}`` with
     ``gap = |lhs - rhs| / max(|lhs|, |rhs|, floor)``.  The floor is
     ``1e-10 k^2 b CELL_AREA max|c1|_2 max|c2|_2``, the maxima of the
     coefficient 2-norms of E1 and E2 over the Gauss nodes: by Parseval and
     Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.  Each x3
     segment is one ``TrigPoly.overlap`` of both fields at all of its nodes.
+
+    ``rhs = -<T2 f - T1 f, g>`` is a difference of two inner products, and
+    ``rhs_scale = |<T2 f, g>| + |<T1 f, g>|`` is the size of the terms it
+    cancels: round-off in rhs is of order u * rhs_scale (u the unit
+    round-off), so ``rhs_scale / |rhs|`` says how many digits the boundary
+    side lost.  It enters neither the gap nor its floor.
 
     Each segment gets its own Gauss-Legendre order.  In a segment the
     integrand is a finite sum of exponentials e^{z x3} with |z| at most the
@@ -150,10 +156,11 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     # preserves the pairing, so (e3 x (T2 f - T1 f)) . conj(E2) sums to
     # -<T2 f - T1 f, g>.
     rhs = -inner(sol2.trace - sol1.trace, g)
+    rhs_scale = abs(inner(sol2.trace, g)) + abs(inner(sol1.trace, g))
 
     floor = max(1e-300, 1e-10 * k * k * profile1.b * CELL_AREA * c1max * c2max)
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor)
-    return {"lhs": lhs, "rhs": rhs, "gap": float(gap), "floor": floor}
+    return {"lhs": lhs, "rhs": rhs, "gap": float(gap), "floor": floor, "rhs_scale": rhs_scale}
 
 
 @dataclass

@@ -231,6 +231,10 @@ def test_gapcheck_scenario(tmp_path):
     assert len(lines) == 3
     for ln in lines[1:]:
         assert float(ln.split(",")[-1]) <= 1e-6
+    summary = dict(ln.split(" = ") for ln in (tmp_path / "gsum.txt").read_text().splitlines())
+    assert list(summary) == ["kind", "cases", "seed", "max_gap", "max_rhs_scale_ratio"]
+    # the boundary side subtracts two inner products larger than their difference
+    assert 1.0 < float(summary["max_rhs_scale_ratio"]) < 1e6
 
 
 RECONSTRUCT_CONFIG = f"""

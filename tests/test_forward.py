@@ -110,14 +110,28 @@ def test_layer_modes_eigen_residual_and_condition():
     assert np.isfinite(basis.cond)
 
 
+def _recording_lift_condition(monkeypatch) -> list:
+    """Every per-block eigenbasis reading of ``forward._lift_condition`` from now on."""
+    seen = []
+    lift_condition = forward._lift_condition
+
+    def recording(*args):
+        seen.append(lift_condition(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(forward, "_lift_condition", recording)
+    return seen
+
+
 def test_basis_condition_guard_threshold(monkeypatch):
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.4, -1: 0.4}, B)
+    seen = _recording_lift_condition(monkeypatch)
     basis = solve_layer_modes(prof, 0, ms)
     worst = basis.cond
     assert worst > 1.0
-    ib = int(np.argmax([forward._guard(basis.W[i:i + 1], "probe")[0]
-                        for i in range(len(basis.W))]))
+    ib = int(np.argmax(seen[0]))
+    assert seen[0][ib] == worst
     # The guard reads COND_LIMIT when it runs, so patching the module
     # constant moves the threshold for every caller.
     inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
@@ -148,8 +162,83 @@ LIFT_SLABS = {
 }
 
 
+def _forward_sweep_stack(seed):
+    """A 3-slab stack and N = 12 mode set drawn as the forward-sweep benchmark draws them."""
+    rng = np.random.default_rng(seed)
+
+    def ripple(scale):
+        return scale * (rng.random() + 1j * rng.random())
+
+    slabs = []
+    for _ in range(3):
+        h = 0.2 + 0.2 * rng.random()
+        q0 = complex(1.3 + 0.4 * rng.random(), 0.05 + 0.15 * rng.random())
+        c1, c2 = ripple(0.1), ripple(0.06)
+        slabs.append(Slab(h, {0: q0, 1: c1, -1: np.conj(c1), 2: c2, -2: np.conj(c2)}))
+    alpha = Quasimomentum.from_angles(K, rng.uniform(0.5, 1.3), rng.uniform(0.0, 2.0 * np.pi))
+    return MediumProfile(slabs), build_modeset(K, alpha, 12)
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_SLABS) + ["forward-sweep"])
+def test_eigenbasis_condition_is_exact_on_every_block(monkeypatch, case):
+    # the reading from the lift's shared factors against a dense inverse of
+    # every block; gecon's estimate may read lower, never this
+    if case == "forward-sweep":
+        prof, ms = _forward_sweep_stack(19)
+    else:
+        prof, ms = MediumProfile.from_coeffs(LIFT_SLABS[case], B), _modeset(6)
+    seen = _recording_lift_condition(monkeypatch)
+    for j in range(len(prof.slabs)):
+        basis = solve_layer_modes(prof, j, ms)
+        exact = np.linalg.cond(basis.W, 1)
+        assert seen[-1].shape == (2 * ms.N + 1,)
+        assert np.max(np.abs(seen[-1] - exact) / exact) <= 1e-13
+        assert basis.cond == max(1.0, np.max(seen[-1]))
+    assert len(seen) == len(prof.slabs)
+
+
+@pytest.mark.parametrize("singular", ["e", "x"])
+def test_singular_lift_factor_raises_ill_conditioned_basis(singular):
+    rng = np.random.default_rng(23)
+    nb, mb = 5, 4
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    factors = {"e": cplx(mb, mb), "x": cplx(mb, mb)}
+    factors[singular][:, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IllConditionedBasis) as err:
+            forward._lift_condition(factors["e"], factors["x"], cplx(mb, mb), cplx(mb),
+                                    cplx(nb, 1), cplx(nb, mb), cplx(nb, mb), 2)
+    assert str(err.value).startswith("forward.solve_layer_modes: eigenbasis singular at slab 2 ")
+
+
+def test_singular_tm_lift_raises_through_the_solver(monkeypatch):
+    # an eigensolve that returns a zero TM eigenvector for the top slab makes
+    # its X = Q^-1 h singular; slab 1 is uniform and solves no eigenproblem
+    eig = scipy.linalg.eig
+    calls = []
+
+    def zero_tm_vector(a, *args, **kwargs):
+        w, v = eig(a, *args, **kwargs)
+        calls.append(a)
+        if len(calls) == 4:
+            v[:, 0] = 0.0
+        return w, v
+
+    monkeypatch.setattr(scipy.linalg, "eig", zero_tm_vector)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(IllConditionedBasis,
+                           match=r"^forward\.solve_layer_modes: eigenbasis singular at slab 2 "):
+            solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2),
+                             _modeset(4))
+    assert len(calls) == 4
+
+
 def _three_slab_stack():
-    """Two non-uniform slabs around a uniform one: 7 guarded stacks per solve."""
+    """Two non-uniform slabs around a uniform one: 5 guarded stacks per solve."""
     return MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),
                           Slab(B - 0.5, LIFT_SLABS["lossless"])])
 
@@ -303,10 +392,12 @@ def test_condition_estimate_brackets_exact_one_norm_condition(monkeypatch):
         return guard(mats, stage, *args, **kwargs)
 
     monkeypatch.setattr(forward, "_guard", recording)
-    res = solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2),
-                           ms)
-    assert len(seen) == 7
-    worst = 0.0
+    prof = _three_slab_stack()
+    res = solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
+    # 2 interface admittances, 2 interface matches, 1 boundary match; the
+    # eigenbases read their exact condition from the lift (no guard)
+    assert len(seen) == 5
+    worst = max(solve_layer_modes(prof, j, ms).cond for j in range(len(prof.slabs)))
     for stage, mats in seen:
         assert len(mats) == 2 * ms.N + 1
         for a in mats:
@@ -342,8 +433,9 @@ def test_one_lu_per_guarded_block_and_no_svd_or_dense_solve(monkeypatch):
     monkeypatch.setattr(forward, "_getrf", recording_getrf)
     solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
     assert calls == {}
-    # 2 eigenbases, 2 interface admittances, 2 interface matches, 1 boundary match
-    assert len(factored) == 7 * (2 * ms.N + 1)
+    # 2 interface admittances, 2 interface matches, 1 boundary match; the
+    # eigenbases' condition comes from the lift's shared factors, with no LU
+    assert len(factored) == 5 * (2 * ms.N + 1)
     assert len(set(factored)) == len(factored)
 
 
@@ -383,8 +475,9 @@ def test_third_request_is_served_from_the_memo(monkeypatch):
     assert guarded == [] and builds == []
     forward._STACKS.clear()
     assert np.array_equal(dtn, assemble_dtn(prof, ms).matrix)
-    # a fresh build: 2 eigenbases, 2 interface admittances, 2 interface matches
-    assert len(guarded) == 7 and guarded[-1] == "forward.assemble_dtn: trace match"
+    # a fresh build: 2 interface admittances, 2 interface matches, and the
+    # trace match (the eigenbases are not guarded by _guard)
+    assert len(guarded) == 5 and guarded[-1] == "forward.assemble_dtn: trace match"
 
 
 def test_one_off_profiles_leave_the_memo_empty():
@@ -727,8 +820,9 @@ def test_stack_request_hashes_the_profile_once(monkeypatch):
 
 
 def test_condition_includes_the_eigenbasis_guard():
-    # one slab whose eigenbasis guard (131.72) reads above its trace match
-    # (131.02); a scattering solve's boundary match reads above both here
+    # one slab whose eigenbasis condition (138.54, exact; gecon's estimate
+    # read 131.72) is above its trace match (131.02); a scattering solve's
+    # boundary match reads above both here
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.4, -1: 0.4}, 0.5)
     basis = solve_layer_modes(prof, 0, ms).cond

@@ -41,6 +41,7 @@ def test_gap_identical_profiles():
     out = reciprocity_gap(q1, q1, _tangential(ms, 0), _tangential(ms, 1), ms)
     assert out["lhs"] == 0.0  # q2 - q1 has only zero coefficients
     assert abs(out["rhs"]) == 0.0  # identical solves, exact cancellation
+    assert out["rhs_scale"] > 0.0  # of two equal, nonzero inner products
     assert out["gap"] <= 1e-10
 
 
@@ -121,6 +122,22 @@ def _evanescent(ms, height):
     c = np.zeros(ms.num_modes, dtype=complex)
     c[np.argmax(np.linalg.norm(ms.alpha_n[:, :2], axis=1))] = 1.0
     return TangentialField.from_components(ms, c, 0.5j * c, height)
+
+
+def test_gap_round_off_is_bounded_by_the_cancelled_boundary_terms():
+    # Corner-mode data on the (0.35, 0.35) / (0.4, 0.3) pair at N = 32: q2 - q1
+    # has no mean, so lhs is 4e-6 while each boundary inner product is about
+    # 1.1e3, and rhs = -<T2 f - T1 f, g> cancels 8.7 digits.  |lhs - rhs|
+    # measured 17.1 u rhs_scale (OpenBLAS, one thread); the bound allows 32.
+    # The gap there is round-off, so its value is pinned only to 10%.
+    ms = _modeset(32)
+    q1, q2 = _stacks((0.35, 0.35), (0.4, 0.3))
+    f = _evanescent(ms, B)
+    out = reciprocity_gap(q1, q2, f, f, ms)
+    u = np.finfo(float).eps / 2
+    assert out["rhs_scale"] / abs(out["rhs"]) >= 1e8
+    assert abs(out["lhs"] - out["rhs"]) <= 32 * u * out["rhs_scale"]
+    assert out["gap"] == pytest.approx(1.064e-6, rel=0.1)
 
 
 @pytest.mark.parametrize("N, heights1, heights2", [
