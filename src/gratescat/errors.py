@@ -55,11 +55,25 @@ class EigenFailure(SolverError):
     """Dense eigen-decomposition did not converge."""
 
 
-class IllConditionedBasis(SolverError):
+class _GuardRefusal(SolverError):
+    """A condition guard refused a matrix.
+
+    Carries the guarded ``.stage``, the ``.slab`` and n2 ``.block`` index
+    (None where the refusal is not tied to one), the condition ``.value``
+    read there (inf for a singular factor) and the ``.limit`` it was held to.
+    """
+
+    def __init__(self, message, stage=None, slab=None, block=None, value=None, limit=None):
+        super().__init__(message)
+        self.stage, self.slab, self.block = stage, slab, block
+        self.value, self.limit = value, limit
+
+
+class IllConditionedBasis(_GuardRefusal):
     """Modal eigenbasis is numerically rank deficient."""
 
 
-class SingularMatch(SolverError):
+class SingularMatch(_GuardRefusal):
     """Layer matching system is near-singular (reported, not regularized)."""
 
 

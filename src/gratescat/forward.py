@@ -41,7 +41,21 @@ slab costs two mb x mb eigensolves whatever the number of blocks.
 Slabs are joined by a reflection-matrix recursion started at the conducting
 plate (r = -I), which is the stable S-matrix composition for a stack with no
 transmission channel.  Amplitudes are always referenced at the face where
-their exponential is largest, so no growing factor is ever formed.
+their exponential is largest, so no growing factor is ever formed.  At the
+face between slab j-1 and slab j above it, the slab below presents
+tangential fields E_t = P' d and H_t = H' d for its downgoing amplitudes d
+there, with P' = W_{j-1}(r'_top + I) and H' = V_{j-1}(r'_top - I).  E_t
+continuity gives W_j^-1 P' d = (r_j + I) x for slab j's downgoing
+amplitudes x at that face, so H_t continuity reads M d = 2 V_j x with the
+match M = V_j A - H' and A = W_j^-1 P', and
+
+    r_j = 2 A (M^-1 V_j) - I,    d = 2 M^-1 V_j x
+
+(the transfer form of the enhanced-transmittance recursion: Moharam, Grann,
+Pommet & Gaylord, JOSA A 12:1077, 1995; L. Li, JOSA A 13:1024, 1996).
+W_j^-1 comes in closed form from the lift's shared factors
+(``ModalBasis.solve_W``), so each interface factors one matrix, M, which its
+guard checks; P' is never solved, and V_j^-1 is formed nowhere.
 
 The product Q E uses the plain Laurent rule (direct coefficient convolution);
 q enters only as a zeroth-order coefficient here, so no inverse-rule
@@ -80,9 +94,10 @@ from .rayleigh_dtn import RayleighField, TangentialField, _r_entries
 
 # Largest 1-norm condition number any guarded matrix may have.  A slab
 # eigenbasis reads its exact condition from the TE/TM lift's shared factors
-# (``_lift_condition``); every matrix that is solved reads the LAPACK gecon
-# estimate from the LU factors its solve uses (Higham, ACM TOMS 14:381, 1988;
-# see ``_guard``).
+# (``_lift_condition``); every matrix that is factored and solved (the
+# interface matches, the trace match and the boundary match) reads the LAPACK
+# gecon estimate from the LU factors its solve uses (Higham, ACM TOMS 14:381,
+# 1988; see ``_guard``).
 COND_LIMIT = 1e12
 _PROFILE_GRID = 512
 _getrf, _gecon, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"),
@@ -233,7 +248,9 @@ class ModalBasis:
     gamma[ib, j].  For a non-uniform slab columns 0..mb-1 are the TE family
     (E1 = 0) and columns mb..2mb-1 the TM family (H1 = 0), each in the order
     of its eigensolve; every W column has unit 2-norm.  A uniform slab has
-    W = I.
+    W = I.  ``E_inv``, ``X_inv`` and ``G`` (mb x mb) and ``s1`` (2N+1, mb)
+    are the lift's shared factors of W^-1 (see ``solve_layer_modes``), None
+    on a uniform slab.
     """
 
     modeset: ModeSet
@@ -244,6 +261,27 @@ class ModalBasis:
     gamma: np.ndarray
     Qinv: np.ndarray    # inverse of the slab's Toeplitz factor Q, for E3
     cond: float         # largest exact 1-norm condition of W over the blocks, at least 1
+    E_inv: np.ndarray | None = None
+    X_inv: np.ndarray | None = None
+    G: np.ndarray | None = None
+    s1: np.ndarray | None = None
+
+    def solve_W(self, rhs) -> np.ndarray:
+        """W_b^-1 rhs_b for every block b; rhs is (2N+1, 2mb, ncols).
+
+        W_b^-1 = [[a2_b G, E^-1], [S1_b^-1 X^-1, 0]] applies with three mb x mb
+        factors shared by every block, so no block is factored or inverted.
+        A uniform slab has W = I and returns rhs itself.
+        """
+        if self.G is None:
+            return rhs
+        mb = self.modeset.block_size
+        top, bottom = rhs[:, :mb], rhs[:, mb:]
+        _, a2 = _wavenumbers(self.modeset)
+        out = np.empty(rhs.shape, dtype=complex)
+        out[:, :mb] = a2[:, :, None] * (self.G @ top) + self.E_inv @ bottom
+        out[:, mb:] = (self.X_inv @ top) / self.s1[:, :, None]
+        return out
 
     def exponents(self) -> np.ndarray:
         """All propagation exponents, both signs, flattened over blocks."""
@@ -289,17 +327,18 @@ def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
 def _guard(mats, stage: str, slab: int | None = None):
     """LU factors of a stack of matrices and their largest condition estimate.
 
-    Guards every matrix that is solved: the interface admittances and
-    matches, the trace match and the boundary match.  The slab eigenbases
-    are not solved and read their exact condition from ``_lift_condition``.
-    Each block is factored once with LAPACK getrf, and gecon estimates its
-    1-norm condition number from those factors (Hager 1984; Higham, ACM TOMS
-    14:381, 1988).  The estimate of ||A^-1||_1 is a lower bound, so the
-    reading never exceeds kappa_1(A) beyond rounding.  COND_LIMIT is read at
-    call time.  A non-finite block, an exact zero pivot or an estimate above
-    the limit raises SingularMatch naming the stage, the slab (when known) and the
-    first failing n2 block.  Returns the largest estimate and the per-block
-    (lu, piv) factors that ``_lu_solve`` takes.
+    Guards every matrix that is solved: the interface matches, the trace
+    match and the boundary match.  The slab eigenbases are not factored:
+    they read their exact condition from ``_lift_condition`` and are inverted
+    through ``ModalBasis.solve_W``.  Each block is factored once with LAPACK
+    getrf, and gecon estimates its 1-norm condition number from those factors
+    (Hager 1984; Higham, ACM TOMS 14:381, 1988).  The estimate of ||A^-1||_1
+    is a lower bound, so the reading never exceeds kappa_1(A) beyond
+    rounding.  COND_LIMIT is read at call time.  A non-finite block, an exact
+    zero pivot or an estimate above the limit raises SingularMatch naming the
+    stage, the slab (when known) and the first failing n2 block, in its
+    message and its attributes.  Returns the largest estimate and the
+    per-block (lu, piv) factors that ``_lu_solve`` takes.
     """
     anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
     worst, factors = 1.0, []
@@ -311,7 +350,8 @@ def _guard(mats, stage: str, slab: int | None = None):
             cond = 1.0 / rcond if rcond > 0 else np.inf
         if not cond <= COND_LIMIT:
             raise SingularMatch(f"{stage} condition {cond:.2e} exceeds {COND_LIMIT:g} at "
-                                f"{_block_label(ib, len(mats), slab)}")
+                                f"{_block_label(ib, len(mats), slab)}",
+                                stage, slab, ib, float(cond), COND_LIMIT)
         worst = max(worst, cond)
         factors.append((lu, piv))
     return float(worst), factors
@@ -323,12 +363,6 @@ def _lu_solve(factors, rhs):
     for ib, ((lu, piv), b) in enumerate(zip(factors, rhs)):
         out[ib] = _getrs(lu, piv, b)[0]
     return out
-
-
-def _solve(mats, rhs, stage: str, slab: int | None = None):
-    """Guarded batched solve on one LU per block: (condition estimate, solution)."""
-    cond, lu = _guard(mats, stage, slab)
-    return cond, _lu_solve(lu, rhs)
 
 
 def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
@@ -367,33 +401,39 @@ def _block_operators(slab: Slab, modeset: ModeSet, slab_index: int):
     return A, B
 
 
-def _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index: int) -> np.ndarray:
-    """Exact 1-norm condition of every block of the lifted basis W, shape (2N+1,).
+def _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index: int):
+    """Exact 1-norm condition of every block of the lifted basis W, and W^-1's shared factors.
 
     W_b = [[0, x S1_b], [e, y S2_b]] with S1_b = diag(s1[b]), S2_b = diag(s2[b]),
-    and W_b^-1 follows from e^-1, x^-1 and one product that every block shares
-    (``solve_layer_modes``), so no block is factored.  A singular e or x, or a
-    block whose condition is not <= COND_LIMIT (nan and inf included), raises
-    IllConditionedBasis naming the slab and, for a block, the first one over.
+    and W_b^-1 follows from e^-1, x^-1 and G = e^-1 y diag(1/ktm) x^-1, which
+    every block shares (``solve_layer_modes``), so no block is factored.
+    Returns the per-block conditions, shape (2N+1,), and (e^-1, x^-1, G).  A
+    singular e or x, or a block whose condition is not <= COND_LIMIT (nan and
+    inf included), raises IllConditionedBasis naming the slab and, for a
+    block, the first one over.
     """
+    stage = "forward.solve_layer_modes: eigenbasis"
     try:
         e_inv, x_inv = np.linalg.inv(e), np.linalg.inv(x)
     except np.linalg.LinAlgError as exc:
-        raise IllConditionedBasis(
-            f"forward.solve_layer_modes: eigenbasis singular at slab {slab_index} ({exc})")
-    g_colsum = np.sum(np.abs(e_inv @ (y / ktm) @ x_inv), axis=0)
+        raise IllConditionedBasis(f"{stage} singular at slab {slab_index} ({exc})",
+                                  stage, slab_index, None, np.inf, COND_LIMIT)
+    g = e_inv @ (y / ktm) @ x_inv
     winv_norm = np.maximum(np.max(np.sum(np.abs(e_inv), axis=0)),
-                           np.max(np.abs(a2) * g_colsum + (1 / np.abs(s1)) @ np.abs(x_inv), axis=1))
+                           np.max(np.abs(a2) * np.sum(np.abs(g), axis=0)
+                                  + (1 / np.abs(s1)) @ np.abs(x_inv), axis=1))
     w_norm = np.maximum(np.max(np.sum(np.abs(e), axis=0)),
                         np.max(np.abs(s1) * np.sum(np.abs(x), axis=0)
                                + np.abs(s2) * np.sum(np.abs(y), axis=0), axis=1))
     cond = w_norm * winv_norm
     over = np.flatnonzero(~(cond <= COND_LIMIT))
     if over.size:
+        ib = int(over[0])
         raise IllConditionedBasis(
-            f"forward.solve_layer_modes: eigenbasis condition {cond[over[0]]:.2e} exceeds "
-            f"{COND_LIMIT:g} at {_block_label(int(over[0]), len(cond), slab_index)}")
-    return cond
+            f"{stage} condition {cond[ib]:.2e} exceeds {COND_LIMIT:g} at "
+            f"{_block_label(ib, len(cond), slab_index)}",
+            stage, slab_index, ib, float(cond[ib]), COND_LIMIT)
+    return cond, (e_inv, x_inv, g)
 
 
 def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet) -> ModalBasis:
@@ -478,23 +518,25 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     W[:, :mb, mb:] = x * s1[:, None, :]
     W[:, mb:, mb:] = y * s2[:, None, :]
     V[:, mb:, mb:] = h * tm_scale[:, None, :]
-    cond = _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index)
-    return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, max(1.0, float(np.max(cond))))
+    cond, (e_inv, x_inv, g) = _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index)
+    return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, max(1.0, float(np.max(cond))),
+                      e_inv, x_inv, g, s1)
 
 
 class _Stack:
     """Reflection recursion through the slab stack, batched over the n2 blocks.
 
     Per slab j, ``r[j]`` is the reflection matrix at the slab's bottom face
-    and ``phi[j]`` its one-slab propagation factors.  ``P_lu[j]`` holds the
-    per-block LU factors of the map from downgoing amplitudes at slab j's top
-    face to tangential E there, for every slab below the top one; ``top_H``
-    maps them to tangential H at the top of the stack, and ``top_P()`` to
-    tangential E there.  ``top_P()`` is recomputed per call rather than kept,
-    which keeps a memoised stack one array smaller.  ``max_cond`` is the
-    largest condition reading of the slab eigenbases (exact 1-norm condition,
-    from the lift's shared factors) and of the interface stages (gecon
-    estimates from their LU factors).
+    and ``phi[j]`` its one-slab propagation factors.  ``match_lu[j - 1]``
+    holds the per-block LU factors of the match M = V_j W_j^-1 P' - H' at
+    the face below slab j (module docstring), the one matrix each interface
+    factors; ``downward_amplitudes`` reuses them.  ``top_H`` maps the
+    downgoing amplitudes at the top of the stack to tangential H there, and
+    ``top_P()`` to tangential E.  ``top_P()`` is recomputed per call rather
+    than kept, which keeps a memoised stack one array smaller.  ``max_cond``
+    is the largest condition reading of the slab eigenbases (exact 1-norm
+    condition, from the lift's shared factors) and of the interface matches
+    (gecon estimates from their LU factors).
     """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
@@ -502,24 +544,39 @@ class _Stack:
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
         self.max_cond = max(basis.cond for basis in self.bases)
-        self.r, self.phi, self.P_lu = [], [], []
+        self.r, self.phi, self.match_lu = [], [], []
         self._trace = None
         eye = np.eye(2 * modeset.block_size)
         r = -eye
         for j, (slab, basis) in enumerate(zip(profile.slabs, self.bases)):
             if j > 0:
-                cond, lu = _guard(P, "forward: interface admittance", j)
-                self.P_lu.append(lu)
-                YW = H @ _lu_solve(lu, basis.W)
-                match, r = _solve(basis.V - YW, basis.V + YW, "forward: interface match", j)
-                self.max_cond = max(self.max_cond, cond, match)
+                r, lu, cond = self._join(j)
+                self.match_lu.append(lu)
+                self.max_cond = max(self.max_cond, cond)
             self.r.append(r)
             self.phi.append(np.exp(1j * basis.gamma * slab.height))
-            r_top = self._r_top(j)
-            H = basis.V @ (r_top - eye)
-            if j + 1 < len(self.bases):
-                P = basis.W @ (r_top + eye)
-        self.top_H = H
+        self.top_H = self.bases[-1].V @ (self._r_top(-1) - eye)
+
+    def _join(self, j: int):
+        """Reflection matrix at the bottom face of slab j > 0, with its match's LU and condition.
+
+        Slab j - 1 presents P' = W_{j-1}(r'_top + I) and H' = V_{j-1}(r'_top - I)
+        (module docstring).  The step is a method of its own, and works in
+        place where it can, so that its (2N+1, 2mb, 2mb) temporaries are freed
+        before the next interface's.
+        """
+        below, basis = self.bases[j - 1], self.bases[j]
+        r_top = self._r_top(j - 1)
+        eye = np.eye(r_top.shape[-1])
+        A = basis.solve_W(below.W @ (r_top + eye))
+        M = basis.V @ A
+        M -= below.V @ (r_top - eye)
+        cond, lu = _guard(M, "forward: interface match", j)
+        Y = _lu_solve(lu, basis.V)
+        Y *= 2
+        r = A @ Y
+        r -= eye
+        return r, lu, cond
 
     def _r_top(self, j: int):
         """Reflection matrix at the top face of slab j."""
@@ -540,15 +597,15 @@ class _Stack:
     def downward_amplitudes(self, d):
         """Per-slab (u, d) amplitude pairs, top slab included, from the top-face d.
 
-        The interface matrices were guarded and factored when the stack was built.
+        Below slab j the downgoing amplitudes are 2 M^-1 V_j phi_j d, on the
+        match factors guarded when the stack was built.
         """
         amps = [None] * len(self.bases)
         for j in range(len(amps) - 1, -1, -1):
-            u = np.matvec(self.r[j], self.phi[j] * d)
-            amps[j] = (u, d)
+            d_bot = self.phi[j] * d
+            amps[j] = (np.matvec(self.r[j], d_bot), d)
             if j > 0:
-                et_bot = np.matvec(self.bases[j].W, u + self.phi[j] * d)
-                d = _lu_solve(self.P_lu[j - 1], et_bot)
+                d = _lu_solve(self.match_lu[j - 1], 2 * np.matvec(self.bases[j].V, d_bot))
         return amps
 
 
@@ -780,8 +837,9 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     r11, r12, r21, r22 = (r.reshape(nb, mb, 1) for r in (r11, r12, r21, r22))
     rho_P = np.concatenate([r11 * P[:, :mb] + r12 * P[:, mb:],
                             r21 * P[:, :mb] + r22 * P[:, mb:]], axis=1)
-    cond, d = _solve(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
-                     "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
+    cond, lu = _guard(1j * ms.k * stack.top_H - rho_P, "forward.solve_scattering: boundary match",
+                      len(profile.slabs) - 1)
+    d = _lu_solve(lu, _to_blocks(ms, np.column_stack([g1, g2])))
     trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta

@@ -116,8 +116,9 @@ def _recording_lift_condition(monkeypatch) -> list:
     lift_condition = forward._lift_condition
 
     def recording(*args):
-        seen.append(lift_condition(*args))
-        return seen[-1]
+        out = lift_condition(*args)
+        seen.append(out[0])
+        return out
 
     monkeypatch.setattr(forward, "_lift_condition", recording)
     return seen
@@ -144,6 +145,9 @@ def test_basis_condition_guard_threshold(monkeypatch):
     msg = str(err.value)
     assert "forward.solve_layer_modes: eigenbasis" in msg
     assert f"slab 0, block {ib} (n2 = {ib - ms.N})" in msg
+    assert (err.value.stage, err.value.slab, err.value.block) == (
+        "forward.solve_layer_modes: eigenbasis", 0, ib)
+    assert err.value.value == worst and err.value.limit == worst * (1 - 1e-9)
     # Through the full solve the basis guard fires before any match stage,
     # also when the memo holds a stack built under the old limit.
     with pytest.raises(IllConditionedBasis) as err:
@@ -213,6 +217,7 @@ def test_singular_lift_factor_raises_ill_conditioned_basis(singular):
             forward._lift_condition(factors["e"], factors["x"], cplx(mb, mb), cplx(mb),
                                     cplx(nb, 1), cplx(nb, mb), cplx(nb, mb), 2)
     assert str(err.value).startswith("forward.solve_layer_modes: eigenbasis singular at slab 2 ")
+    assert (err.value.slab, err.value.block, err.value.value) == (2, None, np.inf)
 
 
 def test_singular_tm_lift_raises_through_the_solver(monkeypatch):
@@ -238,9 +243,16 @@ def test_singular_tm_lift_raises_through_the_solver(monkeypatch):
 
 
 def _three_slab_stack():
-    """Two non-uniform slabs around a uniform one: 5 guarded stacks per solve."""
+    """Two non-uniform slabs around a uniform one: 3 guarded stacks per solve."""
     return MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),
                           Slab(B - 0.5, LIFT_SLABS["lossless"])])
+
+
+class _DenseBasis(forward.ModalBasis):
+    """A basis with no lift factors: W^-1 by a dense solve of every block."""
+
+    def solve_W(self, rhs):
+        return np.linalg.solve(self.W, rhs)
 
 
 def _dense_layer_modes(profile, slab_index, modeset):
@@ -250,8 +262,27 @@ def _dense_layer_modes(profile, slab_index, modeset):
     w2, W = scipy.linalg.eig(A @ Bm)
     gamma = forward._sqrt_up(w2)
     Qinv = forward._toeplitz_inverse(slab, slab.coeffs.toeplitz(modeset.block_size), slab_index)
-    return forward.ModalBasis(modeset, slab_index, slab, W, (Bm @ W) / gamma[:, None, :],
-                              gamma, Qinv, float(np.max(np.linalg.cond(W))))
+    return _DenseBasis(modeset, slab_index, slab, W, (Bm @ W) / gamma[:, None, :],
+                       gamma, Qinv, float(np.max(np.linalg.cond(W))))
+
+
+@pytest.mark.parametrize("case", sorted(LIFT_SLABS) + ["uniform", "forward-sweep"])
+def test_solve_w_matches_a_dense_solve_of_every_block(case):
+    if case == "forward-sweep":
+        prof, ms = _forward_sweep_stack(20)
+    elif case == "uniform":
+        prof, ms = MediumProfile.uniform(1.6 + 0.05j, B), _modeset(6)
+    else:
+        prof, ms = MediumProfile.from_coeffs(LIFT_SLABS[case], B), _modeset(6)
+    rng = np.random.default_rng(41)
+    shape = (2 * ms.N + 1, 2 * ms.block_size, 2 * ms.block_size)
+    rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for j in range(len(prof.slabs)):
+        basis = solve_layer_modes(prof, j, ms)
+        want = np.linalg.solve(basis.W, rhs)
+        got = basis.solve_W(rhs)
+        assert got.shape == rhs.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind", sorted(LIFT_SLABS))
@@ -335,6 +366,9 @@ def _check_qpbvp_guard_threshold(monkeypatch, prof, ms, stage):
     msg = str(err.value)
     assert msg.startswith(stage)
     assert "slab " in msg and "(n2 = " in msg
+    assert msg.startswith(err.value.stage) and err.value.stage.startswith(stage)
+    assert f"at slab {err.value.slab}, block {err.value.block} (n2 = " in msg
+    assert err.value.value == reported and err.value.limit == reported * (1 - 1e-9)
     forward._STACKS.clear()
     with pytest.raises(SingularMatch) as fresh:
         solve_qpbvp(prof, f, ms)
@@ -345,11 +379,13 @@ def _check_qpbvp_guard_threshold(monkeypatch, prof, ms, stage):
 
 
 def test_qpbvp_condition_guard_threshold(monkeypatch):
-    # A uniform bottom slab keeps every eigenbasis condition below the match
-    # conditions, so a limit just under the reported value trips a match stage.
-    prof = MediumProfile([Slab(0.3, {0: 1.5 + 0.1j}),
-                          Slab(B - 0.3, {0: 1.9 + 0.2j, 1: 0.1, -1: 0.1})])
-    _check_qpbvp_guard_threshold(monkeypatch, prof, _modeset(4), "forward: interface")
+    # A uniform bottom slab of low index under a high-index top slab: the
+    # interface match (81.48 at N = 4) reads above the eigenbases (26.28)
+    # and the trace match (26.29), so a limit just under the reported value
+    # trips the interface match.
+    prof = MediumProfile([Slab(0.3, {0: 1.2 + 0.02j}),
+                          Slab(B - 0.3, {0: 2.5 + 0.05j, 1: 0.2, -1: 0.2})])
+    _check_qpbvp_guard_threshold(monkeypatch, prof, _modeset(4), "forward: interface match")
 
 
 def test_trace_match_guard_threshold_on_a_memo_hit(monkeypatch):
@@ -380,6 +416,9 @@ def test_guard_raises_typed_error_on_non_finite_or_singular_block(bad):
     msg = str(err.value)
     assert msg.startswith("forward: probe condition ")
     assert msg.endswith("at slab 2, block 1 (n2 = 0)")
+    assert (err.value.stage, err.value.slab, err.value.block) == ("forward: probe", 2, 1)
+    assert err.value.limit == forward.COND_LIMIT
+    assert not err.value.value <= err.value.limit
 
 
 def test_condition_estimate_brackets_exact_one_norm_condition(monkeypatch):
@@ -394,9 +433,9 @@ def test_condition_estimate_brackets_exact_one_norm_condition(monkeypatch):
     monkeypatch.setattr(forward, "_guard", recording)
     prof = _three_slab_stack()
     res = solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
-    # 2 interface admittances, 2 interface matches, 1 boundary match; the
-    # eigenbases read their exact condition from the lift (no guard)
-    assert len(seen) == 5
+    # 2 interface matches, 1 boundary match; the eigenbases read their exact
+    # condition from the lift (no guard), and no interface solves P'
+    assert len(seen) == 3
     worst = max(solve_layer_modes(prof, j, ms).cond for j in range(len(prof.slabs)))
     for stage, mats in seen:
         assert len(mats) == 2 * ms.N + 1
@@ -433,9 +472,9 @@ def test_one_lu_per_guarded_block_and_no_svd_or_dense_solve(monkeypatch):
     monkeypatch.setattr(forward, "_getrf", recording_getrf)
     solve_scattering(_three_slab_stack(), PlaneWaveIncidence.from_angles(K, THETA1, THETA2), ms)
     assert calls == {}
-    # 2 interface admittances, 2 interface matches, 1 boundary match; the
-    # eigenbases' condition comes from the lift's shared factors, with no LU
-    assert len(factored) == 5 * (2 * ms.N + 1)
+    # 2 interface matches, 1 boundary match; the eigenbases' condition and
+    # inverse come from the lift's shared factors, with no LU
+    assert len(factored) == 3 * (2 * ms.N + 1)
     assert len(set(factored)) == len(factored)
 
 
@@ -475,9 +514,9 @@ def test_third_request_is_served_from_the_memo(monkeypatch):
     assert guarded == [] and builds == []
     forward._STACKS.clear()
     assert np.array_equal(dtn, assemble_dtn(prof, ms).matrix)
-    # a fresh build: 2 interface admittances, 2 interface matches, and the
-    # trace match (the eigenbases are not guarded by _guard)
-    assert len(guarded) == 5 and guarded[-1] == "forward.assemble_dtn: trace match"
+    # a fresh build: 2 interface matches and the trace match (the eigenbases
+    # are not guarded by _guard)
+    assert len(guarded) == 3 and guarded[-1] == "forward.assemble_dtn: trace match"
 
 
 def test_one_off_profiles_leave_the_memo_empty():
@@ -832,6 +871,24 @@ def test_condition_includes_the_eigenbasis_guard():
     assert solve_qpbvp(prof, f, ms).condition == basis
     assert solve_scattering(prof, PlaneWaveIncidence.from_angles(K, THETA1, THETA2),
                             ms).condition >= basis
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-6])
+def test_resonant_bottom_slab_is_not_refused(offset):
+    # A lossless uniform slab on the plate whose height puts gamma h = pi for
+    # the (0, 0) mode: its downgoing and upgoing waves cancel in E_t at its
+    # top face, so the map P' from amplitudes to E_t there is singular on
+    # that mode (gecon read 1.73e15 at offset 0 and 6.7e8 at 1e-9).  The
+    # physics is regular, and the interface step never solves P'.
+    ms = _modeset(6)
+    a1, a2 = ms.alpha_n[ms.mode0, :2]
+    gam = np.sqrt(K * K * 1.6 - a1 * a1 - a2 * a2)
+    prof = MediumProfile([Slab(np.pi / gam * (1 + offset), {0: 1.6}),
+                          Slab(0.4, {0: 1.9, 1: 0.1, -1: 0.1})])
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    res = solve_scattering(prof, inc, ms)
+    assert res.condition <= 1e3
+    assert abs(sum(efficiencies(res.scattered, inc).values()) - 1.0) <= 1e-12
 
 
 def test_scattering_pec_mirror():
