@@ -436,13 +436,30 @@ def _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index: int):
     return cond, (e_inv, x_inv, g)
 
 
+def _exponents(w2, k: float, slab_index: int) -> np.ndarray:
+    """Propagation exponents gamma = sqrt(w2), Im >= 0, of a slab's (block, mode) table.
+
+    Both bases divide by gamma, so a non-finite w2 or |gamma| < 1e-12 k
+    raises :class:`EigenFailure`, naming slab and block, before any division.
+    """
+    gamma = _sqrt_up(w2)
+    bad = np.flatnonzero(~np.all(np.isfinite(w2), axis=1)
+                         | np.any(np.abs(gamma) < 1e-12 * k, axis=1))
+    if bad.size:
+        raise EigenFailure(
+            "forward.solve_layer_modes: non-finite or vanishing propagation exponent "
+            f"(degenerate slab) at {_block_label(int(bad[0]), len(w2), slab_index)}")
+    return gamma
+
+
 def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet) -> ModalBasis:
     """Eigen-decompose the transverse propagation system of one slab.
 
     For a uniform slab the system is already diagonal and the exponents are
     the mode constants of the shifted wavenumber k^2 -> k^2 q0.  Otherwise
     the TE and TM eigenproblems (module docstring) are solved once, and
-    their eigenvectors are lifted to every n2 block in closed form:
+    their eigenvectors are lifted to every n2 block in closed form (both
+    paths check their exponents in ``_exponents`` before dividing by them):
 
         TE (T_E e = kappa^2 e):  W = [0; e],
                                  V = [-(kappa^2/k) e; (a2/k) D1 e] / gamma;
@@ -483,8 +500,8 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     if slab.is_uniform:
         _, B = _block_operators(slab, ms, slab_index)
         a1, a2 = _wavenumbers(ms)
-        g = _sqrt_up(k ** 2 * slab.coeffs.mean - a1 ** 2 - a2 ** 2)
-        gamma = np.concatenate([g, g], axis=1)
+        w2 = k ** 2 * slab.coeffs.mean - a1 ** 2 - a2 ** 2
+        gamma = _exponents(np.concatenate([w2, w2], axis=1), k, slab_index)
         W = np.broadcast_to(np.eye(2 * mb, dtype=complex), B.shape)
         return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, Qinv, 1.0)
     d1, a2 = _wavenumbers(ms)
@@ -495,14 +512,7 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     except (np.linalg.LinAlgError, ValueError) as exc:  # non-convergence, non-finite q
         raise EigenFailure(
             f"forward.solve_layer_modes: eigensolve failed at slab {slab_index} ({exc})")
-    w2 = np.concatenate([kte, ktm]) - a2 * a2
-    gamma = _sqrt_up(w2)
-    bad = np.flatnonzero(~np.all(np.isfinite(w2), axis=1)
-                         | np.any(np.abs(gamma) < 1e-12 * k, axis=1))
-    if bad.size:
-        raise EigenFailure(
-            "forward.solve_layer_modes: non-finite or vanishing propagation exponent "
-            f"(degenerate slab) at {_block_label(int(bad[0]), len(w2), slab_index)}")
+    gamma = _exponents(np.concatenate([kte, ktm]) - a2 * a2, k, slab_index)
     g_te, g_tm = gamma[:, :mb], gamma[:, mb:]
     e = e / np.linalg.norm(e, axis=0)
     x, y = Qinv @ h, Qinv_d1 @ h

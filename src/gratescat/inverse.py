@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,17 +215,26 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
                     a2_floor: float = DEFAULT_A2_FLOOR) -> MomentTable:
     """Build the moment table for the difference q1 - q2.
 
-    For each l in [-L, L] and each branch index m in the schedule, the
-    (m + l, m) eigenpair product of the q1-spectrum against the conj(q2)-
-    spectrum is overlapped with the difference; the per-l moment estimate is
-    the intercept of an a + b/m fit over the schedule.  Both transverse
-    factors use the growth preset c2 = exp(2 pi sqrt(mu)) (:func:`build_u`),
-    so |A2| is recorded as ``a2_log10`` and never overflows.  q1 and q2 may
-    vary along x1 or x2, but along the same axis; a mixed pair raises
+    For each l in [-L, L] (L an integer >= 0) and each branch index m in the
+    schedule, the (m + l, m) eigenpair product of the q1-spectrum against the
+    conj(q2)-spectrum is overlapped with the difference; the per-l moment
+    estimate is the intercept of an a + b/m fit over the schedule.  q1 and q2
+    may vary along x1 or x2, but along the same axis; a mixed pair raises
     :class:`NotOneDirectional`.  The Sturm-Liouville truncation follows from
     the schedule, M = 2 (max m + L) + 8, and only the branches the table
     reads are solved (``solve_sl(..., branches=...)``).
+
+    The table is one batched pass over its (2L + 1) x len(schedule) pairs.
+    :func:`build_u` builds the transverse factor of each distinct branch
+    once, under the growth preset c2 = exp(2 pi sqrt(mu)), so |A2| is
+    recorded as ``a2_log10`` and never overflows; one :func:`moment_kernels`
+    call gives every A1 and A2.  The fits of all l that keep every entry
+    share one design and are one least-squares solve; an l that loses
+    entries to ``a2_floor`` is fitted on its own, and fewer than two retained
+    entries at any l raise :class:`A2Floor`.
     """
+    if not isinstance(L, numbers.Integral) or L < 0:
+        raise ValidationError(f"inverse.extract_moments: degree L must be an integer >= 0, got {L!r}")
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
     if len(m_schedule) < 2 or len(set(m_schedule)) < len(m_schedule):
         raise ValidationError(f"inverse.extract_moments: schedule {m_schedule} needs at least "
@@ -240,37 +250,51 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
             f"inverse.extract_moments: q1 varies along {q1.direction} and q2 along "
             f"{q2.direction}, so q1 - q2 depends on both directions")
     M = 2 * (m_schedule[-1] + L) + 8
-    spec1 = solve_sl(SLProblem(c1, k, along, M),
-                     branches=[(1, m + l) for m in m_schedule for l in range(-L, L + 1)])
+    ls = range(-L, L + 1)
+    S = len(m_schedule)
+    pairs = [(m + l, m) for l in ls for m in m_schedule]
+    ns = sorted({n for n, _ in pairs})
+    spec1 = solve_sl(SLProblem(c1, k, along, M), branches=[(1, n) for n in ns])
     spec2 = solve_sl(SLProblem(c2.conj(), k, along, M), branches=[(1, m) for m in m_schedule])
-    qdiff = c1 - c2
+    # one factor per distinct branch: spec1's branches ns, then spec2's schedule
+    u = build_u(-np.array([spec1.entry(1, n).lam for n in ns]
+                          + [spec2.entry(1, m).lam for m in m_schedule]), across)
+    row = {n: i for i, n in enumerate(ns)}
+    A1, a2_log = moment_kernels(
+        spec1, [spec1.entry(1, n) for n, _ in pairs], spec2, [spec2.entry(1, m) for _, m in pairs],
+        u[[row[n] for n, _ in pairs]], u[[len(ns) + m_schedule.index(m) for _, m in pairs]],
+        c1 - c2)
+    A1, a2_log = A1.reshape(len(ls), S), a2_log.reshape(len(ls), S)
+    a2_log10 = a2_log.real / math.log(10.0)
+    ok = a2_log10 > math.log10(a2_floor)
     table = MomentTable(L, m_schedule, a2_floor)
-    log_floor = math.log10(a2_floor)
-    for l in range(-L, L + 1):
-        a1_vals = []
-        ms_used = []
-        for m in m_schedule:
-            n = m + l
-            e_n = spec1.entry(1, n)
-            e_m = spec2.entry(1, m)
-            u_n = build_u(-e_n.lam, across)
-            u_m = build_u(-e_m.lam, across)
-            kern = moment_kernels(spec1, e_n, spec2, e_m, u_n, u_m, qdiff)
-            ok = kern.a2_log10 > log_floor
-            table.entries.append(MomentEntry(l, m, kern.A1, kern.a2_log10, kern.a2_log.imag, ok))
-            if ok:
-                a1_vals.append(kern.A1)
-                ms_used.append(m)
-        if len(ms_used) < 2:
-            raise A2Floor(
-                f"inverse.extract_moments: fewer than two retained entries at l={l} "
-                f"(floor {a2_floor:g})")
-        design = np.stack([np.ones(len(ms_used)), 1.0 / np.asarray(ms_used, dtype=float)], axis=1)
-        sol, *_ = np.linalg.lstsq(design, np.asarray(a1_vals), rcond=None)
-        resid = np.asarray(a1_vals) - design @ sol
-        table.estimates[l] = complex(sol[0])
-        table.fit_residuals[l] = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
+    table.entries = [MomentEntry(l, m, complex(A1[i, j]), float(a2_log10[i, j]),
+                                 float(a2_log.imag[i, j]), bool(ok[i, j]))
+                     for i, l in enumerate(ls) for j, m in enumerate(m_schedule)]
+    short = np.flatnonzero(ok.sum(axis=1) < 2)
+    if short.size:
+        raise A2Floor(
+            f"inverse.extract_moments: fewer than two retained entries at l={ls[short[0]]} "
+            f"(floor {a2_floor:g})")
+    inv_m = 1.0 / np.asarray(m_schedule, dtype=float)
+    estimates = np.empty(len(ls), dtype=complex)
+    residuals = np.empty(len(ls))
+    full = ok.all(axis=1)
+    if full.any():
+        estimates[full], residuals[full] = _richardson_fit(inv_m, A1[full].T)
+    for i in np.flatnonzero(~full):
+        estimates[i], residuals[i] = _richardson_fit(inv_m[ok[i]], A1[i, ok[i]])
+    table.estimates = {l: complex(estimates[i]) for i, l in enumerate(ls)}
+    table.fit_residuals = {l: float(residuals[i]) for i, l in enumerate(ls)}
     return table
+
+
+def _richardson_fit(inv_m, values):
+    """Intercept and rms residual of the a + b/m least-squares fit, per column of ``values``."""
+    design = np.stack([np.ones(len(inv_m)), inv_m], axis=1)
+    sol, *_ = np.linalg.lstsq(design, values, rcond=None)
+    resid = values - design @ sol
+    return sol[0], np.sqrt(np.mean(np.abs(resid) ** 2, axis=0))
 
 
 @dataclass
@@ -285,6 +309,9 @@ def reconstruct_difference(table: MomentTable, L: int | None = None) -> Reconstr
     """Invert the moment table: coefficient of e^{i j x1} is M_{-j} / 2pi."""
     if L is None:
         L = table.L
+    if not isinstance(L, numbers.Integral) or L < 0:
+        raise ValidationError(
+            f"inverse.reconstruct_difference: degree L must be an integer >= 0, got {L!r}")
     if L > table.L:
         raise InsufficientDegree(
             f"inverse.reconstruct_difference: degree {L} exceeds available moments {table.L}")

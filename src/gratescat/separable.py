@@ -27,17 +27,21 @@ preset, the seam relation leaves c1 of order one; c2 is kept as its log,
 2 pi sqrt(mu), and A2 as log|A2| + i arg A2.  The preset grows without bound
 in the branch index, and neither it nor A2 is ever exponentiated, so every
 stored transverse number stays in the float range.
+
+The kernels work on batches, because a moment table pairs many branches:
+:func:`build_u` builds any number of factors in one call,
+:func:`transverse_overlap` takes batches of factors elementwise, and
+:func:`moment_kernels` returns A1 and log A2 for a whole list of pairs.  One
+factor or one pair is a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDenominator, LambdaMismatch, ValidationError, ZeroLambda
-from .lattice import TrigPoly
 from .sturm import SLEntry, SLSpectrum
 
 TWO_PI = 2.0 * np.pi
@@ -48,7 +52,10 @@ class TransverseFactor:
     """Exponential factor u(x2) with transverse parameter mu (u'' = mu u).
 
     ``c1`` is the coefficient of e^{sqrt(mu) x2}; ``log_c2`` is the log of the
-    preset c2 = e^{2 pi sqrt(mu)}, i.e. 2 pi sqrt(mu).
+    preset c2 = e^{2 pi sqrt(mu)}, i.e. 2 pi sqrt(mu).  The fields are scalars
+    for one factor, or arrays of one shape for a batch (:func:`build_u`);
+    indexing a batch selects factors from it.  The evaluation methods take
+    one factor.
     """
 
     mu: complex
@@ -56,6 +63,11 @@ class TransverseFactor:
     c1: complex
     log_c2: complex
     alpha2: float
+
+    def __getitem__(self, index) -> "TransverseFactor":
+        """The factors at ``index`` of a batch."""
+        return TransverseFactor(self.mu[index], self.sqrt_mu[index], self.c1[index],
+                                self.log_c2[index], self.alpha2)
 
     def _cell_values(self, x2):
         """c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2}, the second term formed from log_c2."""
@@ -83,26 +95,39 @@ class TransverseFactor:
         return abs(u1 - np.exp(1j * TWO_PI * self.alpha2) * u0) / scale
 
 
-def build_u(mu: complex, alpha2: float) -> TransverseFactor:
-    """Build the transverse factor for parameter mu under the growth preset.
+def build_u(mu, alpha2: float) -> TransverseFactor:
+    """Build the transverse factors for parameters mu under the growth preset.
 
-    With d = e^{-2 pi sqrt(mu)} (|d| <= 1 on the principal branch) the seam
-    relation reads c1 = (d - e^{2 pi i alpha2}) / (e^{2 pi i alpha2} d - 1).
-    The resonance guard is |e^{2 pi i alpha2} - e^{2 pi sqrt(mu)}| <= 1e-12,
-    evaluated as |e^{2 pi i alpha2} d - 1| <= 1e-12 |d|.
+    ``mu`` is a scalar or an array; every field of the result has its shape,
+    so one call builds a whole batch of factors.  With d = e^{-2 pi sqrt(mu)}
+    (|d| <= 1 on the principal branch) the seam relation reads
+    c1 = (d - e^{2 pi i alpha2}) / (e^{2 pi i alpha2} d - 1).  The guards
+    hold for every element, and an error names the first one that fails:
+    |mu| < 1e-14 raises :class:`ZeroLambda`, and the resonance
+    |e^{2 pi i alpha2} - e^{2 pi sqrt(mu)}| <= 1e-12, evaluated as
+    |e^{2 pi i alpha2} d - 1| <= 1e-12 |d|, raises
+    :class:`DegenerateDenominator`.
     """
-    mu = complex(mu)
-    if abs(mu) < 1e-14:
-        raise ZeroLambda("separable.build_u: transverse parameter must be nonzero")
-    s = complex(np.sqrt(mu))
+    mu = np.asarray(mu, dtype=complex)
+    zero = np.abs(mu) < 1e-14
+    if zero.any():
+        i = int(np.argmax(zero.ravel()))
+        raise ZeroLambda("separable.build_u: transverse parameter must be nonzero, "
+                         f"got mu = {mu.ravel()[i]:.6g} at element {i}")
+    s = np.sqrt(mu)
     qp = np.exp(1j * TWO_PI * alpha2)
     d = np.exp(-TWO_PI * s)
     denom = qp * d - 1.0
-    if abs(denom) <= 1e-12 * abs(d):
+    resonant = np.abs(denom) <= 1e-12 * np.abs(d)
+    if resonant.any():
+        i = int(np.argmax(resonant.ravel()))
         raise DegenerateDenominator(
             f"separable.build_u: quasimomentum resonance, |e^(2 pi i alpha2) - e^(2 pi sqrt(mu))| "
-            f"= {abs(denom / d):.3e}")
-    return TransverseFactor(mu, s, complex((d - qp) / denom), TWO_PI * s, float(alpha2))
+            f"= {abs(denom.ravel()[i] / d.ravel()[i]):.3e} at element {i} "
+            f"(mu = {mu.ravel()[i]:.6g})")
+    # [()] turns a 0-d result into a scalar and leaves an array as it is
+    return TransverseFactor(mu[()], s[()], ((d - qp) / denom)[()], (TWO_PI * s)[()],
+                            float(alpha2))
 
 
 @dataclass
@@ -148,62 +173,76 @@ def build_separable(spectrum: SLSpectrum, entry: SLEntry,
     return SeparableSolution(spectrum, entry, u)
 
 
-def _log_interval_integral(w: complex) -> complex:
-    """Principal log of J(w) = integral_0^{2pi} e^{w t} dt = (e^{2 pi w} - 1)/w."""
-    a = TWO_PI * w
-    if abs(a) < 1e-4:
-        return complex(np.log(TWO_PI) + np.log1p(a / 2.0 + a * a / 6.0 + a ** 3 / 24.0))
-    if a.real > 50.0:
-        return complex(a + np.log1p(-np.exp(-a)) - np.log(w))
-    if a.real < -50.0:
-        return complex(1j * np.pi - np.log(w) + np.log1p(-np.exp(a)))
-    return complex(np.log((np.exp(a) - 1.0) / w))
+def _log_interval_integral(w):
+    """Principal log of J(w) = integral_0^{2pi} e^{w t} dt = (e^{2 pi w} - 1)/w, elementwise.
 
-
-@dataclass
-class MomentKernels:
-    """Longitudinal and transverse overlap integrals of two separable solutions.
-
-    ``a2_log`` is log|A2| + i arg A2 with arg in (-pi, pi]; under the growth
-    preset |A2| leaves the float range, so A2 itself is never formed.
+    Four forms, each evaluated on its own elements only, so that no branch
+    forms an exponential that overflows: a series near w = 0, the large
+    factor e^{2 pi w} taken out in log space for Re 2 pi w > 50, the
+    vanishing one dropped to log1p for Re 2 pi w < -50, and the direct
+    formula in between.
     """
+    w = np.asarray(w, dtype=complex)
+    a = TWO_PI * w
+    out = np.empty_like(a)
+    small = np.abs(a) < 1e-4
+    high = ~small & (a.real > 50.0)
+    low = ~small & (a.real < -50.0)
+    mid = ~(small | high | low)
+    x = a[small]
+    out[small] = np.log(TWO_PI) + np.log1p(x / 2.0 + x * x / 6.0 + x ** 3 / 24.0)
+    x, v = a[high], w[high]
+    out[high] = x + np.log1p(-np.exp(-x)) - np.log(v)
+    x, v = a[low], w[low]
+    out[low] = 1j * np.pi - np.log(v) + np.log1p(-np.exp(x))
+    x, v = a[mid], w[mid]
+    out[mid] = np.log((np.exp(x) - 1.0) / v)
+    return out
 
-    A1: complex
-    a2_log: complex
 
-    @property
-    def a2_log10(self) -> float:
-        return self.a2_log.real / math.log(10.0)
-
-
-def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor) -> complex:
+def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor):
     """log of the closed-form integral of u_n(x2) conj(u_m(x2)) over the cell.
 
-    Each of the four exponential products integrates in closed form in log
-    space; the terms are summed relative to the largest one.
+    Elementwise over batches of factors of one shape.  Each of the four
+    exponential products integrates in closed form in log space; the terms
+    are summed relative to the largest one.  The result is log|A2| + i arg A2
+    with arg in (-pi, pi]; under the growth preset |A2| leaves the float
+    range, so A2 itself is never formed.
     """
     terms = []
     for logc_n, sn_sign in ((np.log(u_n.c1), 1.0), (u_n.log_c2, -1.0)):
         for logc_m, sm_sign in ((np.log(u_m.c1), 1.0), (u_m.log_c2, -1.0)):
             w = sn_sign * u_n.sqrt_mu + sm_sign * np.conj(u_m.sqrt_mu)
             terms.append(logc_n + np.conj(logc_m) + _log_interval_integral(w))
-    logs = np.array(terms)
-    lmax = float(np.max(logs.real))
-    return complex(lmax + np.log(np.sum(np.exp(logs - lmax))))
+    logs = np.stack(terms, axis=-1)
+    lmax = np.max(logs.real, axis=-1, keepdims=True)
+    return (lmax[..., 0] + np.log(np.sum(np.exp(logs - lmax), axis=-1)))[()]
 
 
-def moment_kernels(spec1: SLSpectrum, entry_n: SLEntry, spec2: SLSpectrum,
-                   entry_m: SLEntry, u_n: TransverseFactor, u_m: TransverseFactor,
-                   qdiff: TrigPoly) -> MomentKernels:
-    """Overlap kernels of the (n, m) separable pair against a profile difference.
+def moment_kernels(spec1: SLSpectrum, entries_n, spec2: SLSpectrum, entries_m,
+                   u_n: TransverseFactor, u_m: TransverseFactor, qdiff: dict):
+    """Overlap kernels of a batch of separable pairs (n_p, m_p) against a profile difference.
 
+    ``entries_n`` and ``entries_m`` are sequences of :class:`SLEntry` of
+    spec1 and spec2, paired by position, and ``u_n``, ``u_m`` the batches of
+    their transverse factors.  Returns ``(A1, a2_log)``, one element per pair.
     ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) exactly as a finite
     sum over Fourier coefficients, 2 pi sum_j dq_j sum_b c_n[b - j] conj(c_m[b])
-    (:meth:`TrigPoly.overlap`): the quasimomentum phases cancel, which needs
-    both spectra to share alpha1, and only index-matched terms survive.
-    ``a2_log`` is the log of the closed-form transverse overlap A2.
+    (the per-row form of :meth:`TrigPoly.overlap`), one shifted-slice product
+    over the stacked eigenvectors per coefficient dq_j: the quasimomentum
+    phases cancel, which needs both spectra to share alpha1, and only
+    index-matched terms survive.  ``a2_log`` is the log of the closed-form
+    transverse overlap A2 (:func:`transverse_overlap`).
     """
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
-    A1 = complex(TWO_PI * TrigPoly(qdiff).overlap(entry_n.coeffs, entry_m.coeffs))
-    return MomentKernels(A1, transverse_overlap(u_n, u_m))
+    cn = np.stack([e.coeffs for e in entries_n])
+    cm = np.conj(np.stack([e.coeffs for e in entries_m]))
+    Mn, Mm = (cn.shape[1] - 1) // 2, (cm.shape[1] - 1) // 2
+    A1 = np.zeros(len(cn), dtype=complex)
+    for j, c in qdiff.items():
+        lo, hi = max(-Mm, j - Mn), min(Mm, j + Mn)
+        if lo <= hi:
+            A1 += c * np.einsum("pi,pi->p", cm[:, lo + Mm:hi + Mm + 1],
+                                cn[:, lo - j + Mn:hi - j + Mn + 1])
+    return TWO_PI * A1, transverse_overlap(u_n, u_m)

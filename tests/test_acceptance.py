@@ -8,6 +8,7 @@ here, not configurable.
 import time
 
 import numpy as np
+import pytest
 
 from gratescat import (MediumProfile, PlaneWaveIncidence, Quasimomentum, SLProblem,
                        TangentialField, apply_R, build_modeset, build_separable,
@@ -285,6 +286,7 @@ _MOMENT_K = 1.6
 _SCHEDULE = (16, 24, 32, 48, 64)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_09_moment_convergence():
     t0 = time.perf_counter()
     diff = {0: 0.15, -1: 0.25, -2: 0.12, 1: 0.05, 2: 0.03}
@@ -320,6 +322,7 @@ def _criterion_10_pair():
     return MediumProfile.from_coeffs(q1c, 0.7), MediumProfile.from_coeffs(_MOMENT_BASE, 0.7)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_10_end_to_end_uniqueness():
     t0 = time.perf_counter()
     q1, q2 = _criterion_10_pair()
@@ -338,6 +341,7 @@ def test_criterion_10_end_to_end_uniqueness():
                 f"identical profiles give {null:.1e} ({elapsed:.1f} s)")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_criterion_10_schedule_past_the_float_range_of_the_preset():
     # m = 128 puts Re sqrt(mu) near 128, where the growth preset
     # e^{2 pi sqrt(mu)} is about 1e349; the transverse factors keep it as a log

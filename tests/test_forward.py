@@ -891,6 +891,32 @@ def test_resonant_bottom_slab_is_not_refused(offset):
     assert abs(sum(efficiencies(res.scattered, inc).values()) - 1.0) <= 1e-12
 
 
+def _gamma_zero_case(q0_scale, *slabs_above):
+    # k = 1.5 at normal incidence puts k^2 q0 = 4 = |alpha_n|^2 on the modes
+    # with n1^2 + n2^2 = 4 of a uniform q0 = 16/9 slab, so their gamma is 0
+    k = 1.5
+    inc = PlaneWaveIncidence.from_angles(k, np.pi / 2, 0.0)
+    ms = build_modeset(k, Quasimomentum.from_angles(k, np.pi / 2, 0.0), 3)
+    prof = MediumProfile([Slab(0.4, {0: 16 / 9 * q0_scale}), *slabs_above])
+    return prof, inc, ms
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniform_slab_refuses_a_vanishing_exponent_before_dividing():
+    prof, inc, ms = _gamma_zero_case(1.0)
+    with pytest.raises(EigenFailure, match=r"vanishing propagation exponent .* at slab 0, "
+                                           r"block 1 \(n2 = -2\)"):
+        solve_scattering(prof, inc, ms)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_uniform_slab_near_a_vanishing_exponent_still_solves():
+    prof, inc, ms = _gamma_zero_case(1 + 1e-6, Slab(0.3, {0: 1.9, 1: 0.2, -1: 0.2}))
+    res = solve_scattering(prof, inc, ms)
+    assert res.condition <= 1e7  # reads 9.7e5: it grows as 1 / |q0 offset|
+    assert abs(sum(efficiencies(res.scattered, inc).values()) - 1.0) <= 1e-12
+
+
 def test_scattering_pec_mirror():
     ms = _modeset(6)
     inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2, pol_seed=(0.3, 0.9, 0.2))

@@ -296,6 +296,7 @@ def test_real_difference_conjugate_moments():
         assert abs(tab.estimates[l] - np.conj(tab.estimates[-l])) <= 1e-3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reconstruct_constant_difference():
     base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
     c = 0.17
@@ -307,6 +308,7 @@ def test_reconstruct_constant_difference():
     assert abs(rec.coeffs[1]) <= 1e-3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_reconstruct_zero_and_insufficient_degree():
     base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
     q = MediumProfile.from_coeffs(base, B)
@@ -362,6 +364,43 @@ def test_a2_floor_threshold():
     kept = extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA,
                            a2_floor=10.0 ** (second - 1e-9))
     assert min(sum(e.a2_ok for e in kept.entries if e.l == l) for l in (-1, 0, 1)) == 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mixed_fit_path_matches_per_l_fits():
+    # a floor just above the lowest |A2| drops that one entry: its l is fitted
+    # on its own, and the l that keep every entry share one solve
+    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1, 1: 0.05, -1: 0.07})
+    low = min(e.a2_log10 for e in extract_moments(q1, q2, 2, SCHEDULE, k=K, alpha=ALPHA).entries)
+    tab = extract_moments(q1, q2, 2, SCHEDULE, k=K, alpha=ALPHA, a2_floor=10.0 ** (low + 1e-9))
+    kept = {l: [e for e in tab.entries if e.l == l and e.a2_ok] for l in range(-2, 3)}
+    assert sorted(len(v) for v in kept.values()) == [4, 5, 5, 5, 5]
+    for l, entries in kept.items():
+        inv_m = np.array([1.0 / e.m for e in entries])
+        design = np.stack([np.ones_like(inv_m), inv_m], axis=1)
+        a1 = np.array([e.A1 for e in entries])
+        sol, *_ = np.linalg.lstsq(design, a1, rcond=None)
+        rms = np.sqrt(np.mean(np.abs(a1 - design @ sol) ** 2))
+        assert abs(tab.estimates[l] - sol[0]) <= 1e-13 * abs(sol[0])
+        assert abs(tab.fit_residuals[l] - rms) <= 1e-13 * rms
+
+
+@pytest.mark.parametrize("L", [-1, 1.5, "2"])
+def test_degree_must_be_a_nonnegative_integer(L):
+    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
+    with pytest.raises(ValidationError, match="degree L must be an integer >= 0"):
+        extract_moments(q1, q2, L, (16, 24), k=K, alpha=ALPHA)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_degree_zero_still_solves():
+    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
+    tab = extract_moments(q1, q2, 0, SCHEDULE, k=K, alpha=ALPHA)
+    assert [(e.l, e.m) for e in tab.entries] == [(0, m) for m in SCHEDULE]
+    rec = reconstruct_difference(tab)
+    assert list(rec.coeffs) == [0] and abs(rec.coeffs[0] - 0.1) <= 1e-3
+    with pytest.raises(ValidationError, match="degree L must be an integer >= 0"):
+        reconstruct_difference(tab, L=-1)
 
 
 def test_one_directional_coeffs_component_order():

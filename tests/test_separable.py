@@ -3,7 +3,8 @@ import pytest
 
 from gratescat import SLProblem, build_separable, build_u, moment_kernels, solve_sl
 from gratescat.errors import DegenerateDenominator, LambdaMismatch, ZeroLambda
-from gratescat.separable import transverse_overlap
+from gratescat.lattice import TrigPoly
+from gratescat.separable import _log_interval_integral, transverse_overlap
 
 K = 1.2
 ALPHA1 = 0.3
@@ -122,6 +123,13 @@ def test_nonconstant_profile_residual():
         assert sol.residual_report(pts)["max_relative"] <= 1e-8
 
 
+def _one_pair(sp_n, e_n, sp_m, e_m, qdiff):
+    # moment_kernels on a batch of one pair; returns that pair's A1 and log A2
+    A1, a2_log = moment_kernels(sp_n, [e_n], sp_m, [e_m], build_u([-e_n.lam], ALPHA2),
+                                build_u([-e_m.lam], ALPHA2), qdiff)
+    return A1[0], a2_log[0]
+
+
 def test_moment_kernel_orthogonality_cases():
     q0 = 1.5 + 0.1j
     prob = SLProblem({0: q0}, K, ALPHA1, 24)
@@ -129,17 +137,15 @@ def test_moment_kernel_orthogonality_cases():
     l = 2
     n, m = 7, 5  # n - m = l
     e_n, e_m = spec.entry(1, n), spec.entry(1, m)
-    u_n = build_u(-e_n.lam, ALPHA2)
-    u_m = build_u(-e_m.lam, ALPHA2)
     # difference e^{-i l x1} against exact exponential eigenfunctions picks 2pi
-    kern = moment_kernels(spec, e_n, spec, e_m, u_n, u_m, {-l: 1.0})
-    np.testing.assert_allclose(kern.A1, TWO_PI, rtol=1e-12)
+    A1, _ = _one_pair(spec, e_n, spec, e_m, {-l: 1.0})
+    np.testing.assert_allclose(A1, TWO_PI, rtol=1e-12)
     # any other offset integrates to zero
-    kern0 = moment_kernels(spec, e_n, spec, e_m, u_n, u_m, {-l + 1: 1.0})
-    assert abs(kern0.A1) <= 1e-12
+    A1_0, _ = _one_pair(spec, e_n, spec, e_m, {-l + 1: 1.0})
+    assert abs(A1_0) <= 1e-12
     # zero difference: exactly zero
-    kern_z = moment_kernels(spec, e_n, spec, e_m, u_n, u_m, {})
-    assert kern_z.A1 == 0.0
+    A1_z, _ = _one_pair(spec, e_n, spec, e_m, {})
+    assert A1_z == 0.0
 
 
 def test_transverse_overlap_matches_quadrature():
@@ -167,13 +173,12 @@ def test_a2_growth_under_preset():
     logs = []
     for m in range(4, 20, 2):
         e_n, e_m = spec.entry(1, m + 1), spec.entry(1, m)
-        u_n = build_u(-e_n.lam, ALPHA2)
-        u_m = build_u(-e_m.lam, ALPHA2)
-        kern = moment_kernels(spec, e_n, spec, e_m, u_n, u_m, {0: 1.0})
-        logs.append(kern.a2_log10)
+        _, a2_log = _one_pair(spec, e_n, spec, e_m, {0: 1.0})
+        logs.append(a2_log.real / np.log(10.0))
     assert np.all(np.diff(logs) > 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_u_far_beyond_float_range_of_preset():
     # at Re sqrt(mu) = 200 the preset e^{2 pi sqrt(mu)} is about 1e546; it is
     # kept as its log and c1 stays of order one
@@ -210,14 +215,13 @@ def test_moment_kernel_a1_matches_trapezoid_reference():
              (spec1, (-1, 40), spec2, (-1, 42)))
     for sp_n, (sn, n), sp_m, (sm, m) in cases:
         e_n, e_m = sp_n.entry(sn, n), sp_m.entry(sm, m)
-        u_n, u_m = build_u(-e_n.lam, ALPHA2), build_u(-e_m.lam, ALPHA2)
-        kern = moment_kernels(sp_n, e_n, sp_m, e_m, u_n, u_m, qdiff)
+        A1, _ = _one_pair(sp_n, e_n, sp_m, e_m, qdiff)
         ref = _a1_trapezoid(sp_n, e_n, sp_m, e_m, qdiff)
-        np.testing.assert_allclose(kern.A1, ref, rtol=1e-12)
-        with_far = moment_kernels(sp_n, e_n, sp_m, e_m, u_n, u_m, {**qdiff, far: 1.0})
-        assert with_far.A1 == kern.A1
-        alone = moment_kernels(sp_n, e_n, sp_m, e_m, u_n, u_m, {far: 1.0})
-        assert alone.A1 == 0.0
+        np.testing.assert_allclose(A1, ref, rtol=1e-12)
+        with_far, _ = _one_pair(sp_n, e_n, sp_m, e_m, {**qdiff, far: 1.0})
+        assert with_far == A1
+        alone, _ = _one_pair(sp_n, e_n, sp_m, e_m, {far: 1.0})
+        assert alone == 0.0
         assert abs(_a1_trapezoid(sp_n, e_n, sp_m, e_m, {far: 1.0})) <= 1e-12  # round-off
 
 
@@ -236,3 +240,60 @@ def test_branch_swap_symmetry():
     x = np.linspace(0.1, TWO_PI - 0.1, 17)
     manual = np.exp(u.log_c2) * np.exp(-s * x) + u.c1 * np.exp(s * x)
     np.testing.assert_allclose(u.values(x), manual, rtol=1e-13)
+
+
+def _reconstruct_pairs():
+    # the spectra and the 45 (m + l, m) pairs of a degree-4 moment table on
+    # the reconstruct benchmark's profiles, as extract_moments builds them
+    base = {0: 1.7 + 0.15j, 1: 0.3, -1: 0.3, 2: 0.15, -2: 0.15}
+    diff = {0: 0.1, 1: 0.06, -1: 0.12, 2: 0.05, -2: 0.08, 3: 0.04, -3: 0.05, 4: 0.03, -4: 0.04}
+    q1 = TrigPoly({j: base.get(j, 0) + diff.get(j, 0) for j in {**base, **diff}})
+    q2 = TrigPoly(base)
+    schedule, L = (16, 24, 32, 48, 64), 4
+    pairs = [(m + l, m) for l in range(-L, L + 1) for m in schedule]
+    M = 2 * (schedule[-1] + L) + 8
+    spec1 = solve_sl(SLProblem(q1, 1.6, 0.3, M), branches=[(1, n) for n, _ in pairs])
+    spec2 = solve_sl(SLProblem(q2.conj(), 1.6, 0.3, M), branches=[(1, m) for m in schedule])
+    return (spec1, [spec1.entry(1, n) for n, _ in pairs],
+            spec2, [spec2.entry(1, m) for _, m in pairs], q1 - q2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_batched_kernels_equal_one_pair_calls():
+    spec1, entries_n, spec2, entries_m, qdiff = _reconstruct_pairs()
+    u_n = build_u([-e.lam for e in entries_n], 0.14)
+    u_m = build_u([-e.lam for e in entries_m], 0.14)
+    A1, a2_log = moment_kernels(spec1, entries_n, spec2, entries_m, u_n, u_m, qdiff)
+    assert A1.shape == a2_log.shape == (45,)
+    for p, (e_n, e_m) in enumerate(zip(entries_n, entries_m)):
+        one_n, one_m = build_u([-e_n.lam], 0.14), build_u([-e_m.lam], 0.14)
+        assert one_n.c1[0] == u_n.c1[p] and one_m.c1[0] == u_m.c1[p]
+        A1_p, a2_p = moment_kernels(spec1, [e_n], spec2, [e_m], one_n, one_m, qdiff)
+        assert abs(A1_p[0] - A1[p]) <= 1e-13 * abs(A1_p[0])
+        assert a2_p[0] == a2_log[p]
+    # a batch indexed out of a larger one is the same batch
+    assert np.array_equal(u_n[[3, 0]].log_c2, build_u([-entries_n[3].lam, -entries_n[0].lam],
+                                                      0.14).log_c2)
+
+
+def test_batch_guards_name_the_offending_element():
+    ok = [1.0, 2.1 - 0.3j, -4.0 + 0.2j]
+    with pytest.raises(DegenerateDenominator, match=r"at element 2 \(mu = "):
+        build_u(ok[:2] + [-(ALPHA2 ** 2)] + ok[2:], ALPHA2)
+    with pytest.raises(ZeroLambda, match=r"got mu = 0\+0j at element 1"):
+        build_u(ok[:1] + [0.0] + ok[1:], ALPHA2)
+    assert build_u(ok, ALPHA2).c1.shape == (3,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_interval_integral_branches_are_evaluated_apart():
+    # one batch through all four forms (series, Re 2 pi w > 50, < -50, direct)
+    # equals each element alone, and no form sees another's elements: their
+    # exponentials would overflow there
+    w = np.array([1e-6 + 2e-6j, 120.0 + 3.0j, -130.0 + 0.5j, 0.7 - 1.1j, -300.0, 400.0 - 2j])
+    batch = _log_interval_integral(w)
+    for i, wi in enumerate(w):
+        assert _log_interval_integral(wi) == batch[i]
+    mid = w[3]
+    np.testing.assert_allclose(np.exp(batch[3]), (np.exp(TWO_PI * mid) - 1) / mid, rtol=1e-14)
+    np.testing.assert_allclose(batch[4], 1j * np.pi - np.log(w[4] + 0j), rtol=1e-14)
