@@ -234,7 +234,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     entries at any l raise :class:`A2Floor`.
     """
     if not isinstance(L, numbers.Integral) or L < 0:
-        raise ValidationError(f"inverse.extract_moments: degree L must be an integer >= 0, got {L!r}")
+        raise ValidationError(
+            f"inverse.extract_moments: degree L must be an integer >= 0, got {L!r}")
     m_schedule = tuple(sorted(int(m) for m in m_schedule))
     if len(m_schedule) < 2 or len(set(m_schedule)) < len(m_schedule):
         raise ValidationError(f"inverse.extract_moments: schedule {m_schedule} needs at least "
