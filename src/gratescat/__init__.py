@@ -7,7 +7,7 @@ Library layout:
 - :mod:`gratescat.rayleigh_dtn`  Rayleigh sequences, transparent-boundary operator
 - :mod:`gratescat.forward`       layer solver, boundary map, scattering solve
 - :mod:`gratescat.sturm`         quasi-periodic Sturm-Liouville eigensystem
-- :mod:`gratescat.separable`     separable solutions and overlap kernels
+- :mod:`gratescat.separable`     transverse factors and overlap kernels of separable fields
 - :mod:`gratescat.inverse`       reciprocity-gap identity, moments, reconstruction
 - :mod:`gratescat.cli`           batch front-end (``gratescat`` command)
 - :mod:`gratescat.tables`        the artifact format of every CSV table and summary
@@ -22,7 +22,7 @@ from .greens import (DipoleDensity, PlaneWaveIncidence, green_eval, helmholtz_re
 from .forward import (DtnMap, LayerField, MediumProfile, ModalBasis, Slab, assemble_dtn,
                       solve_layer_modes, solve_qpbvp, solve_scattering)
 from .sturm import SLProblem, SLSpectrum, check_asymptotics, solve_sl
-from .separable import SeparableSolution, TransverseFactor, build_separable, build_u, moment_kernels
+from .separable import TransverseFactor, build_u, moment_kernels
 from .inverse import (MomentTable, ReconstructionResult, extract_moments, reciprocity_gap,
                       reconstruct_difference)
 

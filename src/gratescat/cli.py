@@ -229,7 +229,7 @@ def _run_sturm(sc: Scenario) -> None:
     prob = sturm.SLProblem(coeffs, sc.k, along, sc.M)
     spec = sturm.solve_sl(prob)
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues"))
-    rep = sturm.check_asymptotics(spec, prob)
+    rep = sturm.check_asymptotics(spec)
     write_summary(sc.out_path("summary"), [
         ("kind", "sturm"),
         ("shift_convention", rep.shift_convention),

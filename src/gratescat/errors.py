@@ -93,9 +93,5 @@ class DegenerateDenominator(SolverError):
     """Quasi-momentum resonance in the transverse coefficient relation."""
 
 
-class LambdaMismatch(ValidationError):
-    """Transverse factor and eigenpair were built from inconsistent values."""
-
-
 class A2Floor(SolverError):
     """Transverse overlap stayed below the retention floor."""

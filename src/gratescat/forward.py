@@ -221,11 +221,6 @@ class MediumProfile:
                        len(self.slabs) - 1)
         return int(j) if j.ndim == 0 else j
 
-    def q_at(self, x1, x3) -> np.ndarray:
-        """q at the points x1 and height x3 (a float, or an array as long as x1)."""
-        q = np.array([s.coeffs(x1) for s in self.slabs])
-        return q[self.slab_of(x3), np.arange(len(x1))]
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(self.direction.encode())
@@ -282,10 +277,6 @@ class ModalBasis:
         out[:, :mb] = a2[:, :, None] * (self.G @ top) + self.E_inv @ bottom
         out[:, mb:] = (self.X_inv @ top) / self.s1[:, :, None]
         return out
-
-    def exponents(self) -> np.ndarray:
-        """All propagation exponents, both signs, flattened over blocks."""
-        return np.concatenate([self.gamma.ravel(), -self.gamma.ravel()])
 
     def eigen_residual(self) -> float:
         """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| over the full eigen set."""
@@ -690,32 +681,6 @@ class LayerField:
         """Largest |gamma| of a slab's modes: the field in the slab sums e^{+-i gamma x3}."""
         return float(np.max(np.abs(self.stack.bases[slab].gamma)))
 
-    def residual_report(self, points) -> dict:
-        """Pointwise residual of (curl curl - k^2 q) E, relative to the field scale.
-
-        curl E = i k H holds identically in the modal representation, so the
-        residual reduces to i k curl H - k^2 q E with q evaluated pointwise;
-        what remains is the spectral aliasing of the q-product.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ms = self.modeset
-        k = ms.k
-        E, H, dE, dH = self.mode_coefficients(pts[:, 2], derivatives=True)
-        a1, a2 = ms.alpha_n[:, 0, None], ms.alpha_n[:, 1, None]
-        curl_h = np.empty_like(H)
-        curl_h[:, 0] = 1j * a2 * H[:, 2] - dH[:, 1]
-        curl_h[:, 1] = dH[:, 0] - 1j * a1 * H[:, 2]
-        curl_h[:, 2] = 1j * a1 * H[:, 1] - 1j * a2 * H[:, 0]
-        ph = ms.phases(pts)
-        ev = np.einsum("pm,mcp->pc", ph, E)
-        cv = np.einsum("pm,mcp->pc", ph, curl_h)
-        q = self.profile.q_at(pts[:, 0], pts[:, 2])
-        res = np.linalg.norm(1j * k * cv - k * k * q[:, None] * ev, axis=1)
-        escale = float(np.max(np.linalg.norm(ev, axis=1)))
-        scale = k * k * self.profile.q_inf * max(escale, 1e-300)
-        return {"max_relative": float(np.max(res)) / scale,
-                "pointwise": res, "scale": scale}
-
     def pec_residual(self) -> float:
         """Norm of the tangential trace at the conducting plate, relative to scale."""
         E, _ = self.mode_coefficients(np.array([0.0, self.profile.b]))
@@ -743,14 +708,6 @@ class DtnMap:
     modeset: ModeSet
     profile_digest: str
     modeset_digest: str
-
-    def apply(self, f: TangentialField) -> TangentialField:
-        f.modeset.require_same(self.modeset, "forward.DtnMap.apply")
-        vec = np.concatenate([f.coeffs[:, 0], f.coeffs[:, 1]])
-        out = self.matrix @ vec
-        m = self.modeset.num_modes
-        return TangentialField.from_components(self.modeset, out[:m], out[m:],
-                                               height=f.height)
 
 
 def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) -> QpbvpResult:

@@ -185,12 +185,6 @@ class MomentTable:
     estimates: dict = field(default_factory=dict)      # l -> extrapolated moment
     fit_residuals: dict = field(default_factory=dict)  # l -> rms residual of the fit
 
-    def entry(self, l: int, m: int) -> MomentEntry:
-        for e in self.entries:
-            if e.l == l and e.m == m:
-                return e
-        raise ValidationError(f"inverse.MomentTable: no entry (l={l}, m={m})")
-
 
 def one_directional_coeffs(profile: MediumProfile, alpha: Quasimomentum, name: str):
     """q of a profile that varies along one horizontal axis, and alpha split by it.

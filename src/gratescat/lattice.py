@@ -174,6 +174,9 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int,
     ``wood_tol`` defaults to ``1e-8 * k``; construction fails with
     :class:`WoodAnomaly` if any mode constant satisfies ``|beta_n| <= wood_tol``.
     """
+    if not math.isfinite(float(k) * float(k)):   # k^2 enters every beta_n
+        raise ValidationError(
+            f"lattice.build_modeset: k must be finite with a finite square, got {float(k)!r}")
     if k <= 0:
         raise ValidationError("lattice.build_modeset: k must be > 0")
     if N < 0:

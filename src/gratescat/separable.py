@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, LambdaMismatch, ValidationError, ZeroLambda
-from .sturm import SLEntry, SLSpectrum
+from .errors import DegenerateDenominator, ValidationError, ZeroLambda
+from .sturm import SLSpectrum
 
 TWO_PI = 2.0 * np.pi
 
@@ -81,19 +81,6 @@ class TransverseFactor:
         phase = np.exp(1j * TWO_PI * self.alpha2 * period)
         return phase * self._cell_values(x2 - TWO_PI * period)
 
-    def derivative2_residual(self, x2) -> float:
-        """max |u'' - mu u| / max |mu u| on sample points inside the cell."""
-        u = self._cell_values(np.asarray(x2, dtype=float))
-        upp = self.sqrt_mu * self.sqrt_mu * u
-        scale = float(np.max(np.abs(self.mu * u))) + 1e-300
-        return float(np.max(np.abs(upp - self.mu * u))) / scale
-
-    def seam_defect(self) -> float:
-        """|u(2pi) - e^{2 pi i alpha2} u(0)| relative to the endpoint scale."""
-        u0, u1 = self._cell_values(np.array([0.0, TWO_PI]))
-        scale = max(abs(u0), abs(u1), 1e-300)
-        return abs(u1 - np.exp(1j * TWO_PI * self.alpha2) * u0) / scale
-
 
 def build_u(mu, alpha2: float) -> TransverseFactor:
     """Build the transverse factors for parameters mu under the growth preset.
@@ -128,49 +115,6 @@ def build_u(mu, alpha2: float) -> TransverseFactor:
     # [()] turns a 0-d result into a scalar and leaves an array as it is
     return TransverseFactor(mu[()], s[()], ((d - qp) / denom)[()], (TWO_PI * s)[()],
                             float(alpha2))
-
-
-@dataclass
-class SeparableSolution:
-    """E = (0, 0, v(x1) u(x2)); the trace on the plate vanishes identically."""
-
-    spectrum: SLSpectrum
-    entry: SLEntry
-    u: TransverseFactor
-
-    @property
-    def lam(self) -> complex:
-        return self.entry.lam
-
-    def residual_report(self, points) -> dict:
-        """Pointwise residual of -Lap E3 - k^2 q E3, relative to the field scale."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        prob = self.spectrum.problem
-        v = self.spectrum.eigenfunction_values(self.entry, pts[:, 0])
-        vpp = self.spectrum.eigenfunction_derivative2(self.entry, pts[:, 0])
-        uu = self.u.values(pts[:, 1])
-        upp = self.u.mu * uu
-        q = prob.coeffs(pts[:, 0])
-        res = -(vpp * uu + v * upp) - prob.k ** 2 * q * v * uu
-        scale = prob.k ** 2 * float(np.max(np.abs(q)) * np.max(np.abs(v * uu))) + 1e-300
-        return {"max_relative": float(np.max(np.abs(res))) / scale,
-                "pointwise": np.abs(res), "scale": scale}
-
-
-def build_separable(spectrum: SLSpectrum, entry: SLEntry,
-                    u: TransverseFactor) -> SeparableSolution:
-    """Pair a longitudinal eigenfunction with its transverse factor.
-
-    The transverse parameter must be the negative of the eigenvalue
-    (opposite-sign separation constants); anything else leaves a nonzero
-    cell residual and is rejected.
-    """
-    tol = 1e-8 * max(1.0, abs(entry.lam))
-    if abs(u.mu + entry.lam) > tol:
-        raise LambdaMismatch(
-            f"separable.build_separable: transverse parameter {u.mu!r} is not the "
-            f"negative of the eigenvalue {entry.lam!r}")
-    return SeparableSolution(spectrum, entry, u)
 
 
 def _log_interval_integral(w):

@@ -30,6 +30,7 @@ alpha1 / 2pi) the spectrum follows, instead of assuming one.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -59,8 +60,14 @@ class SLProblem:
 
     def __post_init__(self):
         self.coeffs = TrigPoly(self.coeffs)
-        if not (math.isfinite(self.k) and math.isfinite(self.alpha1)):
-            raise ValidationError("sturm.SLProblem: k and alpha1 must be finite")
+        if not math.isfinite(float(self.k) * float(self.k)):   # k^2 scales the whole matrix
+            raise ValidationError(
+                f"sturm.SLProblem: k must be finite with a finite square, got {float(self.k)!r}")
+        if not math.isfinite(self.alpha1):
+            raise ValidationError(f"sturm.SLProblem: alpha1 must be finite, got {self.alpha1!r}")
+        for j, c in self.coeffs.items():
+            if not cmath.isfinite(c):
+                raise ValidationError(f"sturm.SLProblem: coefficient q_{j} = {c!r} is not finite")
         if self.k <= 0:
             raise ValidationError("sturm.SLProblem: k must be > 0")
         deg = self.coeffs.degree
@@ -109,12 +116,6 @@ class SLSpectrum:
         m = np.arange(-self.problem.M, self.problem.M + 1)
         x1 = np.asarray(x1, dtype=float)
         return np.exp(1j * np.outer(x1, m + self.problem.alpha1)) @ entry.coeffs
-
-    def eigenfunction_derivative2(self, entry: SLEntry, x1) -> np.ndarray:
-        m = np.arange(-self.problem.M, self.problem.M + 1)
-        x1 = np.asarray(x1, dtype=float)
-        w = -(m + self.problem.alpha1) ** 2
-        return np.exp(1j * np.outer(x1, m + self.problem.alpha1)) @ (w * entry.coeffs)
 
 
 def _assign_branches(problem: SLProblem, lams, vecs):
@@ -439,8 +440,8 @@ def _loglog_slope(ns, vals) -> float | None:
     return float(-coef[0])
 
 
-def check_asymptotics(spectrum: SLSpectrum, problem: SLProblem | None = None,
-                      n_min: int = 4, n_max: int | None = None) -> AsymptoticsReport:
+def check_asymptotics(spectrum: SLSpectrum, n_min: int = 4,
+                      n_max: int | None = None) -> AsymptoticsReport:
     """Fit -lambda_n against (n + s)^2 - k^2 qbar and resolve the shift convention.
 
     Candidates are s = alpha1 (forced by the quasi-period factor) and
@@ -449,11 +450,10 @@ def check_asymptotics(spectrum: SLSpectrum, problem: SLProblem | None = None,
     eigenvalue remainder and of the sup-norm eigenfunction deviation.
     Raises :class:`FitInconclusive` if neither candidate matches.
     """
-    if problem is None:
-        problem = spectrum.problem
+    problem = spectrum.problem
     avail = sorted(n for (s, n) in spectrum.entries if s == 1)
     if n_max is None:
-        n_max = max(avail) // 2
+        n_max = max(avail, default=0) // 2
     ns = [n for n in avail if n_min <= n <= n_max and (-1, n) in spectrum.entries]
     if len(ns) < 8:
         raise ValidationError("sturm.check_asymptotics: need at least 8 branch pairs in range")

@@ -109,6 +109,15 @@ def test_non_finite_profile_values_rejected(tmp_path, capsys, old, new):
     assert not (tmp_path / "eig.csv").exists()
 
 
+def test_sturm_refuses_k_with_overflowing_square(tmp_path, capsys):
+    cfg = _write(tmp_path, "big.ini", STURM_CONFIG.replace(f"k = {K}", "k = 1e160"))
+    code = main(["sturm", cfg, "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("validation failure [ValidationError]: sturm.SLProblem: k must be finite")
+    assert not (tmp_path / "eig.csv").exists()
+
+
 def test_wood_anomaly_exit_code(tmp_path, capsys):
     text = f"""
 [scenario]

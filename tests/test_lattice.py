@@ -1,3 +1,7 @@
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,6 +51,23 @@ def test_wood_tol_must_be_finite_and_positive(tol, error):
     # tolerance > 0 trips the guard, and a nan one must not switch it off
     with pytest.raises(error, match="lattice.build_modeset"):
         build_modeset(1.0, Quasimomentum(0.0, 0.0), 2, wood_tol=tol)
+
+
+@pytest.mark.parametrize("wood_tol", [None, 1e-8])
+@pytest.mark.parametrize("k", [np.nan, np.inf, 1e200])
+def test_non_finite_k_or_k_squared_rejected(k, wood_tol):
+    # nan used to reach beta (or blame wood_tol), inf and 1e200 gave an inf beta
+    with pytest.raises(ValidationError, match=f"lattice.build_modeset: k must be finite.*{re.escape(repr(k))}"):
+        build_modeset(k, Quasimomentum(0.1, 0.2), 2, wood_tol)
+
+
+def test_k_squared_threshold():
+    # the largest k whose square is finite builds; the next float up is refused
+    k = math.sqrt(sys.float_info.max)
+    ms = build_modeset(k, Quasimomentum(0.1, 0.2), 1)
+    assert np.all(np.isfinite(ms.beta))
+    with pytest.raises(ValidationError, match="finite square"):
+        build_modeset(float(np.nextafter(k, math.inf)), Quasimomentum(0.1, 0.2), 1)
 
 
 def test_mode_law_randomized():

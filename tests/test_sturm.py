@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +129,22 @@ def test_non_finite_k_or_alpha_rejected(k, alpha1):
         SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, k, alpha1, 24)
 
 
+def test_k_squared_threshold():
+    # the largest k whose square is finite is accepted; the next float up and
+    # 1e160 (whose k ** 2 used to overflow inside solve_sl) are refused here
+    k = math.sqrt(sys.float_info.max)
+    SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, k, ALPHA1, 24)
+    for big in (float(np.nextafter(k, math.inf)), 1e160):
+        with pytest.raises(ValidationError, match="sturm.SLProblem: k must be finite with a finite square"):
+            SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, big, ALPHA1, 24)
+
+
+@pytest.mark.parametrize("c", [float("nan"), complex(0.2, float("inf"))])
+def test_non_finite_coefficient_rejected(c):
+    with pytest.raises(ValidationError, match=r"sturm.SLProblem: coefficient q_1 = .* is not finite"):
+        SLProblem({0: 1.4, 1: c, -1: 0.2}, K, ALPHA1, 24)
+
+
 def test_truncation_floor_validation():
     with pytest.raises(ValidationError):
         SLProblem({0: 1.0, 2: 0.1, -2: 0.1}, K, ALPHA1, 6)  # M < 2 deg + 4
@@ -133,7 +152,7 @@ def test_truncation_floor_validation():
 
 def test_asymptotics_constant_q():
     prob = SLProblem({0: 1.5 + 0.1j}, K, ALPHA1, 32)
-    rep = check_asymptotics(solve_sl(prob), prob, n_min=4, n_max=14)
+    rep = check_asymptotics(solve_sl(prob), n_min=4, n_max=14)
     assert rep.shift_convention == "alpha1"
     assert rep.eigenvalue_decay_exponent is None  # remainder at round-off
     assert max(abs(v) for v in rep.eigenvalue_remainders.values()) <= 1e-10
@@ -142,7 +161,7 @@ def test_asymptotics_constant_q():
 
 def test_asymptotics_perturbed_profile():
     prob = SLProblem({0: 1.3 + 0.08j, 1: 0.15 + 0.02j, -1: 0.15 - 0.02j}, K, ALPHA1, 96)
-    rep = check_asymptotics(solve_sl(prob), prob, n_min=6, n_max=44)
+    rep = check_asymptotics(solve_sl(prob), n_min=6, n_max=44)
     assert rep.shift_convention == "alpha1"
     assert not rep.shift_degenerate
     # eigenfunction deviation carries the tight O(1/n) law
@@ -158,7 +177,14 @@ def test_asymptotics_inconclusive_on_mismatched_problem():
     spec = solve_sl(SLProblem({0: 1.3}, K, 0.37, 48))
     wrong = SLProblem({0: 1.3}, K, 0.12, 48)
     with pytest.raises(FitInconclusive):
-        check_asymptotics(spec, wrong, n_min=4, n_max=20)
+        check_asymptotics(dataclasses.replace(spec, problem=wrong), n_min=4, n_max=20)
+
+
+def test_asymptotics_refuses_a_spectrum_without_plus_branches():
+    prob = SLProblem({0: 1.3, 1: 0.1, -1: 0.1}, K, ALPHA1, 24)
+    spec = solve_sl(prob, branches=[(-1, n) for n in range(1, 12)])
+    with pytest.raises(ValidationError, match="need at least 8 branch pairs"):
+        check_asymptotics(spec)
 
 
 def test_csv_dump(tmp_path):
