@@ -507,9 +507,18 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     g_te, g_tm = gamma[:, :mb], gamma[:, mb:]
     e = e / np.linalg.norm(e, axis=0)
     x, y = Qinv @ h, Qinv_d1 @ h
-    # 1 / ||W column|| of each TM mode in each block, before scaling
-    tm_scale = k * np.abs(g_tm) / np.sqrt(np.abs(ktm) ** 2 * np.sum(np.abs(x) ** 2, axis=0)
-                                          + np.abs(a2) ** 2 * np.sum(np.abs(y) ** 2, axis=0))
+    # 1 / ||W column|| of each TM mode in each block, before scaling; at a
+    # huge k its square |kappa_TM^2|^2 ||x||^2 + |a2|^2 ||y||^2 overflows
+    try:
+        with np.errstate(over="raise"):
+            tm_norm2 = (np.abs(ktm) ** 2 * np.sum(np.abs(x) ** 2, axis=0)
+                        + np.abs(a2) ** 2 * np.sum(np.abs(y) ** 2, axis=0))
+    except FloatingPointError:
+        stage = "forward.solve_layer_modes: eigenbasis"
+        raise IllConditionedBasis(
+            f"{stage} TM column scale overflows at slab {slab_index} (k = {k:.3g})",
+            stage, slab_index, None, np.inf, COND_LIMIT) from None
+    tm_scale = k * np.abs(g_tm) / np.sqrt(tm_norm2)
     W = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
     V = np.zeros_like(W)
     W[:, mb:, :mb] = e

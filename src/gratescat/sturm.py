@@ -14,12 +14,15 @@ of radius k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.
 Anchors whose discs overlap form a cluster, which shifted inverse iteration
 with LAPACK's band LU (gbtrf/gbtrs) solves as one block; the label comes from
 that construction.  The wanted anchors that sit alone in their discs are
-advanced together as the columns of one block: each step applies A once to
-every column still iterating, and only the shifted band LU stays per column.
-That LU is of a principal band submatrix, the window outside which an a-priori
-decay bound puts the branch's eigenvector below 2^-60; the Rayleigh quotients,
-residuals and every acceptance test stay on the full matrix.
-Inverse iteration for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
+advanced together as the columns of one block.  Each column lives on a
+principal band submatrix, the window outside which an a-priori decay bound
+puts the branch's eigenvector below 2^-60.  Each step applies A once to every
+column still iterating, on the rows their windows span, and factors all their
+shifted windows at once as one block-diagonal band matrix.  A column is zero
+outside its window, so its Rayleigh quotient and residual are those of the
+full matrix, and every acceptance test holds there.  A cluster's Ritz solves
+go through the same block-diagonal band LU, with the full matrix as each
+block.  Inverse iteration for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
 
 Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
@@ -74,6 +77,20 @@ class SLProblem:
         if self.M < 2 * deg + 4:
             raise ValidationError(
                 f"sturm.SLProblem: truncation M={self.M} below 2*deg(q)+4 = {2 * deg + 4}")
+        with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned about
+            bound = self.gershgorin()[2]
+        if not math.isfinite(bound):
+            raise ValidationError(
+                "sturm.SLProblem: the Gershgorin bound max_m |k^2 q0 - (m + alpha1)^2| "
+                f"+ k^2 sum_(j != 0) |q_j| is not finite (k = {float(self.k)!r}, M = {self.M})")
+
+    def gershgorin(self):
+        """Disc centres k^2 q0 - (m + alpha1)^2 (m = -M..M), their common radius
+        k^2 sum_{j != 0} |q_j|, and the bound max |centre| + radius on the spectral radius."""
+        m = np.arange(-self.M, self.M + 1)
+        anchors = self.k ** 2 * self.coeffs.mean - (m + self.alpha1) ** 2
+        radius = self.k ** 2 * sum(abs(c) for j, c in self.coeffs.items() if j != 0)
+        return anchors, radius, float(np.max(np.abs(anchors)) + radius)
 
     def matrix(self) -> np.ndarray:
         m = np.arange(-self.M, self.M + 1)
@@ -188,20 +205,40 @@ def _band_apply(problem: SLProblem, anchors: np.ndarray, X: np.ndarray) -> np.nd
     return out
 
 
-def _shifted_solve(ab, d, theta, anorm, y, members):
-    """x with (A - theta) x = y from the band LU of A - theta.
+def _band_solve(ab, d, lo, hi, theta, anorm, Y, names):
+    """Solve (A_i - theta_i) x_i = y_i on every window i of A in one band LU.
 
-    A shift equal to an eigenvalue to the last bit (a triangular A has its
-    anchors as eigenvalues) makes the LU exactly singular: it is then nudged
-    by ``_RESIDUAL_TOL * anorm``.
+    A_i is the principal band submatrix of A on rows ``lo[i] <= row < hi[i]``,
+    and y_i is column i of ``Y`` on those rows; the returned array holds x_i
+    there and is zero elsewhere.  The shifted windows sit side by side as one
+    block-diagonal band matrix, whose band entries that would couple one
+    window to the next are zeroed, so partial pivoting never leaves a block:
+    one gbtrf and one gbtrs serve them all.  A shift equal to an eigenvalue to
+    the last bit (a triangular A has its anchors as eigenvalues) leaves a zero
+    on U's diagonal; the shifts of those blocks are nudged by
+    ``_RESIDUAL_TOL * anorm`` once.  A block still singular raises
+    :class:`EigenFailure` naming the branches in its row of ``names``.
     """
-    for shift in (theta, theta + _RESIDUAL_TOL * anorm):
-        shifted = ab.copy(order="F")   # Fortran order, so gbtrf factors it in place
-        shifted[2 * d] -= shift
-        lu, piv, info = _gbtrf(shifted, d, d, overwrite_ab=True)
-        if info == 0:
-            return _gbtrs(lu, d, d, y, piv)[0]
-    raise EigenFailure(f"sturm.solve_sl: singular band LU at branches {_names(members)}")
+    width = hi - lo
+    block = np.repeat(np.arange(width.size), width)
+    local = np.arange(block.size) - np.repeat(np.cumsum(width) - width, width)
+    rows = lo[block] + local
+    stacked = ab.T[rows].T   # Fortran order, so gbtrf factors its copies in place
+    t = local + np.arange(-d, d + 1)[:, None]   # local row of each band entry
+    stacked[d:][(t < 0) | (t >= width[block])] = 0.0
+    shift = np.array(theta, dtype=complex)
+    for _ in range(2):
+        band = stacked.copy(order="F")
+        band[2 * d] -= shift[block]
+        lu, piv, _ = _gbtrf(band, d, d, overwrite_ab=True)
+        singular = np.unique(block[lu[2 * d] == 0])
+        if singular.size == 0:
+            X = np.zeros(Y.shape, dtype=complex)
+            X[rows, block] = _gbtrs(lu, d, d, Y[rows, block], piv)[0]
+            return X
+        shift[singular] += _RESIDUAL_TOL * anorm
+    raise EigenFailure(
+        f"sturm.solve_sl: singular band LU at branches {_names(np.unique(names[singular]))}")
 
 
 def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
@@ -215,20 +252,30 @@ def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
     previous run.  For a unit x the products of the runs' largest rho bound
     each run and all that lies beyond it; the window ends before the first run
     whose bound is below the cut, or at the matrix edge.  (Decay of band
-    inverses: Demko, Moss & Smith, Math. Comp. 43 (1984) 491.)
+    inverses: Demko, Moss & Smith, Math. Comp. 43 (1984) 491.)  The products
+    never grow, so the walk doubles its reach only until every row's last
+    product is below the cut.
     """
     n = anchors.size
     run = max(d, 1)   # constant q: radius 0, so every rho is 0 and the window is row r
-    offsets = np.arange(1, -(-n // run) * run + 1)
-    ends = []
-    for sign in (1, -1):
-        idx = rows[:, None] + sign * offsets
-        inside = (idx >= 0) & (idx < n)
-        gap = np.abs(anchors[np.where(inside, idx, 0)] - anchors[rows, None]) - radius
-        rho = np.divide(radius, gap, out=np.zeros(gap.shape), where=inside)
-        bound = np.cumprod(rho.reshape(rows.size, -1, run).max(axis=2), axis=1)
-        ends.append(rows + sign * run * np.count_nonzero(bound >= _WINDOW_CUT, axis=1))
-    return np.maximum(ends[1], 0), np.minimum(ends[0] + 1, n)
+    # The anchors share one imaginary part, so their distances are those of
+    # the real parts; rows past either edge sit at infinity, where rho is 0.
+    full = -(-n // run)
+    past = np.full(full * run, np.inf)
+    line = np.concatenate((past, anchors.real, past))
+    centre = anchors.real[rows, None]
+    outward = np.array([1, -1])[:, None, None]
+    runs = 1
+    while True:
+        idx = (rows + full * run)[:, None] + outward * np.arange(1, runs * run + 1)
+        # rho falls as the distance grows, so a run's largest rho is at its nearest anchor
+        near = np.abs(line[idx] - centre).reshape(2, rows.size, runs, run).min(axis=3)
+        bound = np.cumprod(radius / (near - radius), axis=2)
+        if runs == full or np.all(bound[..., -1] < _WINDOW_CUT):
+            break
+        runs = min(2 * runs, full)
+    reach = run * np.count_nonzero(bound >= _WINDOW_CUT, axis=2)
+    return np.maximum(rows - reach[1], 0), np.minimum(rows + reach[0] + 1, n)
 
 
 def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
@@ -236,25 +283,28 @@ def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
     """Eigenpairs of anchors alone in their Gershgorin discs, advanced as one block.
 
     Column i of the block starts as e_m for m = ms[i] and runs its own
-    Rayleigh-shifted inverse iteration: each step applies A to every column
-    still iterating at once, and only the shifted band LU and solve are per
-    column.  That solve runs on the principal band submatrix of rows
-    ``windows[0][i] <= row < windows[1][i]`` (see :func:`_windows`), and the
-    column is zero outside it; the Rayleigh quotients and residuals use the
-    full matrix.  A column stops once its scaled residual is at most
+    Rayleigh-shifted inverse iteration on the principal band submatrix of rows
+    ``windows[0][i] <= row < windows[1][i]`` (see :func:`_windows`); the column
+    is zero outside it.  Each step applies A once to every column still
+    iterating, on the rows their windows span widened by deg q (A X is zero
+    beyond, so the Rayleigh quotients and residuals are those of the full
+    matrix), and solves all their shifted windows with one band LU
+    (:func:`_band_solve`).  A column stops once its scaled residual is at most
     ``_RESIDUAL_TOL``.  Its disc holds exactly one eigenvalue, so that
     eigenvalue is branch m's and needs no dominance test.
     """
     d = problem.coeffs.degree
-    p = ms.size
-    X = np.zeros((anchors.size, p), dtype=complex)
+    n, p = anchors.size, ms.size
+    lo, hi = windows
+    X = np.zeros((n, p), dtype=complex, order="F")   # columns contiguous: X[:, active] is fast
     X[ms + problem.M, np.arange(p)] = 1.0
     theta = np.empty(p, dtype=complex)
     res = np.empty(p)
     active = np.arange(p)
     for step in range(_MAX_STEPS + 1):
-        Xa = X[:, active]   # unit columns
-        AX = _band_apply(problem, anchors, Xa)
+        span = slice(max(np.min(lo[active]) - d, 0), min(np.max(hi[active]) + d, n))
+        Xa = X[span, active]   # unit columns
+        AX = _band_apply(problem, anchors[span], Xa)
         theta[active] = np.einsum("ij,ij->j", Xa.conj(), AX)
         res[active] = np.linalg.norm(AX - Xa * theta[active], axis=0) / anorm
         active = active[res[active] > _RESIDUAL_TOL]
@@ -264,10 +314,9 @@ def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
             raise EigenFailure(
                 f"sturm.solve_sl: branches {_names(ms[active])} not converged in {_MAX_STEPS} "
                 f"steps (scaled residual {np.max(res[active]):.2e} > {_RESIDUAL_TOL:g})")
-        for i in active:
-            w = slice(windows[0][i], windows[1][i])
-            x = _shifted_solve(ab[:, w], d, theta[i], anorm, X[w, i], ms[i:i + 1])
-            X[w, i] = x / np.linalg.norm(x)
+        x = _band_solve(ab, d, lo[active], hi[active], theta[active], anorm, X[:, active],
+                        ms[active, None])
+        X[:, active] = x / np.linalg.norm(x, axis=0)
     outside = np.abs(theta - anchors[ms + problem.M]) > radius + _RESIDUAL_TOL * anorm
     if np.any(outside):
         raise EigenFailure(
@@ -305,8 +354,8 @@ def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radi
             raise EigenFailure(
                 f"sturm.solve_sl: branches {_names(members)} not converged in {_MAX_STEPS} "
                 f"steps (scaled residual {np.max(res):.2e} > {_RESIDUAL_TOL:g})")
-        for i in range(p):
-            X[:, i] = _shifted_solve(ab, d, theta[i], anorm, Y[:, i], members)
+        X = _band_solve(ab, d, np.zeros(p, dtype=int), np.full(p, anchors.size), theta, anorm,
+                        Y, np.tile(members, (p, 1)))
         X = np.linalg.qr(X)[0]
     outside = np.min(np.abs(theta - anchors[rows][:, None]), axis=0) > radius + _RESIDUAL_TOL * anorm
     if np.any(outside):
@@ -351,9 +400,7 @@ def _targeted_pairs(problem: SLProblem, branches):
             raise ValidationError(f"sturm.solve_sl: no branch {key!r} at truncation M={M}")
         wanted.add(sign * n)
     m = np.arange(-M, M + 1)
-    anchors = problem.k ** 2 * problem.coeffs.mean - (m + problem.alpha1) ** 2
-    radius = problem.k ** 2 * sum(abs(c) for j, c in problem.coeffs.items() if j != 0)
-    anorm = float(np.max(np.abs(anchors)) + radius)
+    anchors, radius, anorm = problem.gershgorin()
     # The anchors share one imaginary part, so two discs overlap where the real
     # parts lie within 2 radius; a cluster is a run of such overlaps.
     order = np.argsort(anchors.real, kind="stable")
@@ -391,9 +438,11 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
     ``_RESIDUAL_TOL`` for ``_MAX_STEPS`` steps.  The keys whose disc meets no
     other are iterated side by side as the columns of one block, each column
     stopping at its own residual, so a spectrum of isolated branches costs
-    one band apply per step, not one per branch; each such column's shifted
-    solve runs on its decay window only (29-77 rows, not 289, on the
-    ``reconstruct`` benchmark's spectra at M = 144).
+    one band apply and one band LU per step, not one per branch: each
+    column's shifted solve runs on its decay window only (29-77 rows, not
+    289, on the ``reconstruct`` benchmark's spectra at M = 144), and the
+    windows of all columns still iterating are factored as one
+    block-diagonal band matrix.
 
     Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``;
     a pair whose boundary value is numerically zero raises
@@ -404,14 +453,17 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
     else:
         pairs, anorm = _targeted_pairs(problem, branches)
     spectrum = SLSpectrum(problem, matrix_norm=anorm)
-    for m, lam, c, residual in pairs:
-        if normalize:
-            v0 = np.sum(c)
-            if abs(v0) < _NORM_TOL * np.linalg.norm(c):
-                raise NormalizationDegenerate(
-                    f"sturm.solve_sl: |v(0)| = {abs(v0):.2e} at branch index {m}; "
-                    "scaling to v(0) = 1 impossible")
-            c = c / v0
+    C = np.array([c for _, _, c, _ in pairs], dtype=complex).reshape(len(pairs), 2 * problem.M + 1)
+    if normalize:
+        v0 = np.sum(C, axis=1)
+        flat = np.flatnonzero(np.abs(v0) < _NORM_TOL * np.linalg.norm(C, axis=1))
+        if flat.size:
+            j = flat[0]
+            raise NormalizationDegenerate(
+                f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {pairs[j][0]}; "
+                "scaling to v(0) = 1 impossible")
+        C /= v0[:, None]
+    for (m, lam, _, residual), c in zip(pairs, C):
         sign, n = _key(m)
         spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam), c,
                                               float(residual), bool(normalize))

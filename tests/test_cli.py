@@ -118,6 +118,16 @@ def test_sturm_refuses_k_with_overflowing_square(tmp_path, capsys):
     assert not (tmp_path / "eig.csv").exists()
 
 
+def test_sturm_refuses_q_whose_k_squared_multiple_overflows(tmp_path, capsys):
+    # k^2 = 1e20 and q0 = 1e300 are finite, k^2 q0 is not
+    text = STURM_CONFIG.replace(f"k = {K}", "k = 1e10").replace("0 1.5 0.1", "0 1e300 0")
+    code = main(["sturm", _write(tmp_path, "big.ini", text), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("validation failure [ValidationError]: sturm.SLProblem: the Gershgorin bound")
+    assert not (tmp_path / "eig.csv").exists()
+
+
 def test_wood_anomaly_exit_code(tmp_path, capsys):
     text = f"""
 [scenario]

@@ -244,6 +244,21 @@ def test_singular_tm_lift_raises_through_the_solver(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("k", [1e100, 1e150])
+def test_huge_k_refused_before_the_tm_column_scale_overflows(k):
+    # build_modeset takes any k with a finite square, but |kappa_TM^2|^2 in
+    # the TM column scale overflows: the solver refuses with a typed error and
+    # no numpy warning (the suite turns every warning into an error)
+    profile = MediumProfile.from_coeffs({0: 1.5, 1: 0.2, -1: 0.2}, 0.5)
+    modeset = build_modeset(k, Quasimomentum.from_angles(k, 1.0, 0.3), 1)
+    with pytest.raises(IllConditionedBasis,
+                       match=r"^forward\.solve_layer_modes: eigenbasis TM column scale "
+                             r"overflows at slab 0 ") as err:
+        solve_layer_modes(profile, 0, modeset)
+    assert err.value.stage == "forward.solve_layer_modes: eigenbasis"
+    assert (err.value.slab, err.value.block, err.value.value) == (0, None, np.inf)
+
+
 def _three_slab_stack():
     """Two non-uniform slabs around a uniform one: 3 guarded stacks per solve."""
     return MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),

@@ -130,13 +130,36 @@ def test_non_finite_k_or_alpha_rejected(k, alpha1):
 
 
 def test_k_squared_threshold():
-    # the largest k whose square is finite is accepted; the next float up and
-    # 1e160 (whose k ** 2 used to overflow inside solve_sl) are refused here
+    # the largest k whose square is finite is accepted (with a q small enough
+    # that k^2 q stays finite too); the next float up and 1e160 (whose k ** 2
+    # used to overflow inside solve_sl) are refused here
     k = math.sqrt(sys.float_info.max)
-    SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, k, ALPHA1, 24)
+    SLProblem({0: 0.5, 1: 0.1, -1: 0.1}, k, ALPHA1, 24)
     for big in (float(np.nextafter(k, math.inf)), 1e160):
         with pytest.raises(ValidationError, match="sturm.SLProblem: k must be finite with a finite square"):
             SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, big, ALPHA1, 24)
+
+
+_GERSHGORIN_REFUSED = "sturm.SLProblem: the Gershgorin bound .* is not finite"
+
+
+def test_gershgorin_bound_threshold():
+    # k = 1: the bound is max|q0 - (m + alpha1)^2| + sum |q_j|.  With q0 the
+    # largest float it is finite at q_1 = 0 and overflows once q_1 adds an ulp
+    big = sys.float_info.max
+    SLProblem({0: big, 1: 0.0}, 1.0, 0.0, 24)
+    ulp = big - float(np.nextafter(big, 0.0))
+    with pytest.raises(ValidationError, match=_GERSHGORIN_REFUSED):
+        SLProblem({0: big, 1: ulp}, 1.0, 0.0, 24)
+
+
+@pytest.mark.parametrize("branches", [None, [(1, 1)]])
+def test_k_squared_q_overflow_refused_on_both_paths(branches):
+    # k^2 = 1e20 is finite and so is q0 = 1e300, but k^2 q0 is not: both
+    # solve_sl paths used to warn and then raise an untyped ValueError or an
+    # EigenFailure; the problem is now refused before any arithmetic warns
+    with pytest.raises(ValidationError, match=_GERSHGORIN_REFUSED):
+        solve_sl(SLProblem({0: 1e300}, 1e10, ALPHA1, 24), branches=branches)
 
 
 @pytest.mark.parametrize("c", [float("nan"), complex(0.2, float("inf"))])
@@ -350,17 +373,32 @@ def test_targeted_cluster_threshold(monkeypatch, alpha1, path):
 def test_isolated_block_matches_one_branch_solves(monkeypatch):
     prob = SLProblem(*_RECONSTRUCT_CASE)
     assert len(_RECONSTRUCT_KEYS) == 43 and 2 * prob.M + 1 == 289
-    applied, factored = [], []
+    d = prob.coeffs.degree
+    applied, factored, windows, solved = [], [], [], []
     apply, gbtrf = sturm._band_apply, sturm._gbtrf
+    isolated, band_solve = sturm._solve_isolated, sturm._band_solve
     monkeypatch.setattr(sturm, "_band_apply",
                         lambda *args: applied.append(args[2].shape[0]) or apply(*args))
     monkeypatch.setattr(sturm, "_gbtrf",
                         lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
+    monkeypatch.setattr(sturm, "_solve_isolated",
+                        lambda *args: windows.append(args[-1]) or isolated(*args))
+    monkeypatch.setattr(sturm, "_band_solve",
+                        lambda ab, d, lo, hi, *args: solved.append((lo, hi))
+                        or band_solve(ab, d, lo, hi, *args))
     spec = solve_sl(prob, normalize=False, branches=_RECONSTRUCT_KEYS)
-    # one band apply per step, not per branch, on full columns; each band LU
-    # is of one branch's window, not of the order-289 matrix
-    assert len(applied) <= sturm._MAX_STEPS + 1 and set(applied) == {289}
-    assert len(factored) >= 43 and max(factored) <= 45
+    [(lo, hi)] = windows
+    # each branch is solved on its own window, not on the order-289 matrix
+    assert max(hi - lo) <= 45
+    # one band apply per step, not per branch; every step but the last makes
+    # one band LU, whose columns are the windows of the columns still iterating
+    assert len(applied) <= sturm._MAX_STEPS + 1
+    assert len(factored) == len(solved) == len(applied) - 1 >= 1
+    for (a, b), columns in zip(solved, factored):
+        assert set(zip(a, b)) <= set(zip(lo, hi)) and columns == np.sum(b - a)
+    # each band apply runs on the rows the active windows span, widened by deg q
+    for (a, b), rows in zip([(lo, hi)] + solved, applied):
+        assert rows == min(np.max(b) + d, 289) - max(np.min(a) - d, 0) <= 289
     for key in _RECONSTRUCT_KEYS:
         alone = solve_sl(prob, normalize=False, branches=[key]).entries[key]
         assert abs(spec.entries[key].lam - alone.lam) <= 1e-14 * spec.matrix_norm
@@ -421,3 +459,80 @@ def test_targeted_constant_q_is_exact(alpha1):
         assert e.lam == _constant_lambda(q0, alpha1, sign * n)
         assert e.residual == 0.0
         assert np.argmax(np.abs(e.coeffs)) - 24 == sign * n
+
+
+def _band_storage(A, d):
+    """LAPACK band storage with kl = ku = d and d fill rows: ab[2d + i - j, j] = A[i, j]."""
+    n = len(A)
+    ab = np.zeros((3 * d + 1, n), dtype=complex, order="F")
+    for i, j in zip(*np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= d)):
+        ab[2 * d + i - j, j] = A[i, j]
+    return ab
+
+
+def _window_solve(A, d, lo, hi, shift, y):
+    """The reference: scipy's banded solve of (A - shift) x = y on rows lo..hi-1 alone."""
+    w = A[lo:hi, lo:hi] - shift * np.eye(hi - lo)
+    return scipy.linalg.solve_banded((d, d), _band_storage(w, d)[d:], y[lo:hi])
+
+
+# windows of the order-49 matrix at M = 24: two touch row 0, two touch row 2M,
+# one is the whole matrix (as a cluster's Ritz solves use it), two overlap
+_BLOCK_WINDOWS = (np.array([0, 0, 5, 30, 40, 17]), np.array([12, 49, 20, 49, 49, 22]))
+
+
+def test_block_diagonal_solve_matches_a_banded_solve_per_window():
+    prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
+    A, d = prob.matrix(), prob.coeffs.degree
+    anorm = prob.gershgorin()[2]
+    lo, hi = _BLOCK_WINDOWS
+    rng = np.random.default_rng(5)
+    theta = rng.normal(size=lo.size) * 3 + 1j * rng.normal(size=lo.size)
+    Y = rng.normal(size=(49, lo.size)) + 1j * rng.normal(size=(49, lo.size))
+    X = sturm._band_solve(_band_storage(A, d), d, lo, hi, theta, anorm, Y, np.arange(lo.size)[:, None])
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        ref = _window_solve(A, d, a, b, theta[i], Y[:, i])
+        np.testing.assert_allclose(X[a:b, i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
+        assert not np.any(X[:a, i]) and not np.any(X[b:, i])
+
+
+def test_block_diagonal_solve_nudges_every_exact_eigenvalue_shift(monkeypatch):
+    # the one-sided q of _DENSE_CASES: A is lower triangular, so each anchor is
+    # an exact eigenvalue and every window's first shift leaves a zero pivot
+    coeffs, k, alpha1, M = _DENSE_CASES[-1]
+    prob = SLProblem(coeffs, k, alpha1, M)
+    A, d = prob.matrix(), prob.coeffs.degree
+    anchors, radius, anorm = prob.gershgorin()
+    lo, hi = _BLOCK_WINDOWS
+    rows = np.array([3, 30, 10, 45, 44, 20])   # one row of each window
+    factored = []
+    gbtrf = sturm._gbtrf
+    monkeypatch.setattr(sturm, "_gbtrf",
+                        lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
+    Y = np.eye(2 * M + 1)[:, rows]
+    X = sturm._band_solve(_band_storage(A, d), d, lo, hi, anchors[rows], anorm, Y, rows[:, None])
+    # one factorization finds the zero pivots, one more runs with every shift nudged
+    assert factored == [np.sum(hi - lo)] * 2
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        ref = _window_solve(A, d, a, b, anchors[rows[i]] + sturm._RESIDUAL_TOL * anorm, Y[:, i])
+        np.testing.assert_allclose(X[a:b, i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("alpha1, branches, names", [
+    # two isolated branches: the first window is the first block of the stacked band
+    (ALPHA1, [(1, 5), (1, 9)], [(1, 5)]),
+    # a cluster of two: each of its Ritz solves names the whole cluster
+    (0.47, [(1, 0)], [(-1, 1), (1, 0)]),
+])
+def test_singular_band_lu_names_only_its_blocks(monkeypatch, alpha1, branches, names):
+    # a factorization that keeps U's first diagonal entry zero, nudge or not
+    gbtrf = sturm._gbtrf
+
+    def singular_first_block(ab, kl, ku, **kw):
+        lu, piv, info = gbtrf(ab, kl, ku, **kw)
+        lu[kl + ku, 0] = 0.0
+        return lu, piv, info
+    monkeypatch.setattr(sturm, "_gbtrf", singular_first_block)
+    pattern = "singular band LU at branches " + ", ".join(map(_name, names)) + "$"
+    with pytest.raises(EigenFailure, match=pattern):
+        solve_sl(SLProblem(_COMPLEX_Q, K, alpha1, 24), branches=branches)
