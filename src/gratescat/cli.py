@@ -238,6 +238,7 @@ def _run_sturm(sc: Scenario) -> None:
         ("mean_term_exact", rep.mean_term_exact),
         ("eigenvalue_decay_exponent", rep.eigenvalue_decay_exponent),
         ("eigenfunction_decay_exponent", rep.eigenfunction_decay_exponent),
+        ("undecided_branches", len(spec.undecided)),
     ])
 
 

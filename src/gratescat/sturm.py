@@ -6,23 +6,24 @@ v = sum_{|m| <= M} c_m exp(i (m + alpha1) x1) turns the problem into the dense
 matrix A[m, m'] = -(m + alpha1)^2 delta + k^2 Qhat_{m - m'}, whose second term
 is k^2 times the Toeplitz matrix of the potential's :class:`TrigPoly`.
 
-:func:`solve_sl` has two paths.  The dense one runs one non-Hermitian
-eigensolve and labels all 2M+1 pairs by their dominant Fourier index.  The
-targeted one computes only the branches asked for: A is banded with
-half-bandwidth deg q, and the branch-m eigenvalue lies in the Gershgorin disc
-of radius k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.
-Anchors whose discs overlap form a cluster, which shifted inverse iteration
-with LAPACK's band LU (gbtrf/gbtrs) solves as one block; the label comes from
-that construction.  The wanted anchors that sit alone in their discs are
-advanced together as the columns of one block.  Each column lives on a
-principal band submatrix, the window outside which an a-priori decay bound
-puts the branch's eigenvector below 2^-60.  Each step applies A once to every
-column still iterating, on the rows their windows span, and factors all their
-shifted windows at once as one block-diagonal band matrix.  A column is zero
-outside its window, so its Rayleigh quotient and residual are those of the
-full matrix, and every acceptance test holds there.  A cluster's Ritz solves
-go through the same block-diagonal band LU, with the full matrix as each
-block.  Inverse iteration for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
+:func:`solve_sl` computes the branches asked for, all 2M+1 by default, by
+shifted inverse iteration on the band matrix: A has half-bandwidth deg q, and
+the branch-m eigenvalue lies in the Gershgorin disc of radius
+k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.  Anchors
+whose discs overlap form a cluster, which shifted inverse iteration with
+LAPACK's band LU (gbtrf/gbtrs) solves as one block; an eigenvector takes the
+label of the member that clearly dominates it, and a member that no
+eigenvector decides is listed as undecided, not guessed.  The wanted anchors
+that sit alone in their discs are advanced together as the columns of one
+block.  Each column lives on a principal band submatrix, the window outside
+which an a-priori decay bound puts the branch's eigenvector below 2^-60.  Each
+step applies A once to every column still iterating, on the rows their windows
+span, and factors all their shifted windows at once as one block-diagonal band
+matrix.  A column is zero outside its window, so its Rayleigh quotient and
+residual are those of the full matrix, and every acceptance test holds there.
+A cluster's Ritz solves go through the same block-diagonal band LU, with the
+full matrix as each block.  Inverse iteration for a few eigenpairs: Ipsen,
+SIAM Review 39 (1997) 254.
 
 Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
@@ -92,12 +93,6 @@ class SLProblem:
         radius = self.k ** 2 * sum(abs(c) for j, c in self.coeffs.items() if j != 0)
         return anchors, radius, float(np.max(np.abs(anchors)) + radius)
 
-    def matrix(self) -> np.ndarray:
-        m = np.arange(-self.M, self.M + 1)
-        A = self.k ** 2 * self.coeffs.toeplitz(m.size)
-        A[m + self.M, m + self.M] -= (m + self.alpha1) ** 2
-        return A
-
 
 @dataclass
 class SLEntry:
@@ -113,18 +108,22 @@ class SLEntry:
 class SLSpectrum:
     """Branch-labelled eigenpairs; ``matrix_norm`` scales each ``residual``.
 
-    On a dense spectrum ``matrix_norm`` is the spectral radius
-    max |lambda| <= ||A||_2 of the Galerkin matrix.  On a targeted one it is
-    the Gershgorin bound max_m |k^2 q0 - (m + alpha1)^2| + k^2 sum_{j != 0} |q_j|,
-    which is at least the spectral radius and needs no full spectrum.
+    ``matrix_norm`` is the Gershgorin bound
+    max_m |k^2 q0 - (m + alpha1)^2| + k^2 sum_{j != 0} |q_j| on the spectral
+    radius of the Galerkin matrix.  A requested branch whose Gershgorin cluster
+    cannot decide its label is kept out of ``entries``; ``undecided`` maps its
+    key to the reason, and :meth:`entry` raises :class:`EigenFailure` with it.
     """
 
     problem: SLProblem
-    entries: dict = field(default_factory=dict)   # (sign, n) -> SLEntry
+    entries: dict = field(default_factory=dict)     # (sign, n) -> SLEntry
     matrix_norm: float = 0.0
+    undecided: dict = field(default_factory=dict)   # (sign, n) -> why no label
 
     def entry(self, sign: int, n: int) -> SLEntry:
         key = (sign, n)
+        if key in self.undecided:
+            raise EigenFailure(self.undecided[key])
         if key not in self.entries:
             raise ValidationError(f"sturm.SLSpectrum: no entry for branch ({sign:+d}, {n})")
         return self.entries[key]
@@ -135,38 +134,6 @@ class SLSpectrum:
         return np.exp(1j * np.outer(x1, m + self.problem.alpha1)) @ entry.coeffs
 
 
-def _assign_branches(problem: SLProblem, lams, vecs):
-    """Label eigenpairs by nearest constant-coefficient anchor.
-
-    First pass claims the dominant Fourier index of each eigenvector; ties and
-    collisions fall back to eigenvalue distance from the unclaimed anchors.
-    """
-    M = problem.M
-    count = 2 * M + 1
-    dominant = np.argmax(np.abs(vecs), axis=0) - M
-    claimed = {}
-    unresolved = []
-    for j in range(count):
-        m = int(dominant[j])
-        if m not in claimed:
-            claimed[m] = j
-        else:
-            rival = claimed[m]
-            if abs(vecs[m + M, j]) > abs(vecs[m + M, rival]):
-                claimed[m] = j
-                unresolved.append(rival)
-            else:
-                unresolved.append(j)
-    if unresolved:
-        anchors = {m: problem.k ** 2 * problem.coeffs.mean - (m + problem.alpha1) ** 2
-                   for m in range(-M, M + 1) if m not in claimed}
-        for j in unresolved:
-            best = min(anchors, key=lambda m: abs(lams[j] - anchors[m]))
-            claimed[best] = j
-            del anchors[best]
-    return claimed
-
-
 def _key(m: int) -> tuple:
     """Branch key (sign, n) of Fourier index m, as in :attr:`SLSpectrum.entries`."""
     return (1 if m >= 0 else -1, abs(m))
@@ -174,23 +141,6 @@ def _key(m: int) -> tuple:
 
 def _names(ms) -> str:
     return ", ".join("({:+d}, {})".format(*_key(int(m))) for m in ms)
-
-
-def _dense_pairs(problem: SLProblem):
-    """Every eigenpair of the dense Galerkin matrix, labelled by :func:`_assign_branches`."""
-    A = problem.matrix()
-    try:
-        lams, vecs = scipy.linalg.eig(A)
-    except Exception as exc:
-        raise EigenFailure(f"sturm.solve_sl: dense eigensolve failed ({exc})")
-    if not np.all(np.isfinite(lams)):
-        raise EigenFailure("sturm.solve_sl: non-finite eigenvalues")
-    anorm = float(np.max(np.abs(lams)))
-    residuals = (np.linalg.norm(A @ vecs - vecs * lams, axis=0)
-                 / (np.linalg.norm(vecs, axis=0) * anorm))
-    assignment = _assign_branches(problem, lams, vecs)
-    return [(m, lams[j], vecs[:, j].copy(), residuals[j])
-            for m, j in sorted(assignment.items())], anorm
 
 
 def _band_apply(problem: SLProblem, anchors: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -336,6 +286,8 @@ def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radi
     (A - theta_i) x_i = y_i for every Ritz pair with the band LU, orthonormalises
     the block and projects A onto it.  Each eigenvector is labelled by the
     member index that dominates it, as an isolated Gershgorin disc forces.
+    Returns the pairs of the ``wanted`` members so labelled, and a dict that
+    maps the key of every other wanted member to why it has no label.
     """
     d = problem.coeffs.degree
     p = members.size
@@ -372,29 +324,46 @@ def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radi
     gap = np.min(np.abs(theta[:, None] - theta) + np.diag(np.full(p, np.inf)), axis=0)
     clear = (second == 0) | ((weights[top, np.arange(p)] - second) * gap
                              > 2 * _RESIDUAL_TOL * anorm)
-    pairs, undecided = [], []
+    pairs, undecided = [], {}
     for j in (j for j, m in enumerate(members) if m in wanted):
         owners = np.flatnonzero(top == j)
         if owners.size != 1 or not clear[owners[0]]:
-            undecided.append(members[j])
+            undecided[_key(int(members[j]))] = (
+                f"sturm.solve_sl: cannot label branches {_names(members[j:j + 1])} in the "
+                f"cluster {_names(members)}: no eigenvector is clearly dominated by each")
             continue
         y = Y[:, owners[0]]
         big = y[np.argmax(np.abs(y))]
         # unit norm with the largest component real, as LAPACK's geev returns it
         pairs.append((int(members[j]), theta[owners[0]],
                       y * (np.conj(big) / (abs(big) * np.linalg.norm(y))), res[owners[0]]))
-    if undecided:
-        raise EigenFailure(
-            f"sturm.solve_sl: cannot label branches {_names(undecided)} in the cluster "
-            f"{_names(members)}: no eigenvector is clearly dominated by each")
-    return pairs
+    return pairs, undecided
 
 
-def _targeted_pairs(problem: SLProblem, branches):
-    """The requested eigenpairs, each solved with its Gershgorin cluster."""
+def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpectrum:
+    """Galerkin eigenpairs, labelled by branch: all 2M+1 of them, or the ``branches`` asked for.
+
+    ``branches`` is an iterable of ``(sign, n)`` keys, as in
+    :attr:`SLSpectrum.entries`; None asks for (+1, 0..M) and (-1, 1..M).
+    Each pair is computed by shifted inverse iteration on the band matrix,
+    with the anchors whose Gershgorin discs overlap its own.  A key whose
+    eigenvector those anchors cannot decide is listed in
+    :attr:`SLSpectrum.undecided`, not in ``entries``.  A scaled residual above
+    ``_RESIDUAL_TOL`` after ``_MAX_STEPS`` steps, a band LU that stays
+    singular, or an eigenvalue outside its Gershgorin disc raises
+    :class:`EigenFailure`.  The keys whose disc meets no other are iterated
+    side by side as the columns of one block, each stopping at its own
+    residual: one band apply and one band LU per step, each column's shifted
+    solve on its decay window only (29-77 rows, not 289, on the
+    ``reconstruct`` benchmark's spectra at M = 144).
+
+    Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``; a
+    labelled pair with |v(0)| <= ``_NORM_TOL`` ||c|| raises
+    :class:`NormalizationDegenerate` (the paper-style scaling is impossible).
+    """
     M = problem.M
     wanted = set()
-    for key in branches:
+    for key in map(_key, range(-M, M + 1)) if branches is None else branches:
         sign, n = key
         if sign not in (1, -1) or n not in range(M + 1) or (sign, n) == (-1, 0):
             raise ValidationError(f"sturm.solve_sl: no branch {key!r} at truncation M={M}")
@@ -415,56 +384,29 @@ def _targeted_pairs(problem: SLProblem, branches):
     # cluster is solved on its own.
     alone = np.bincount(cluster)[cluster] == 1
     isolated = np.array(sorted(mw for mw in wanted if alone[mw + M]), dtype=int)
+    spectrum = SLSpectrum(problem, matrix_norm=anorm)
     pairs = []
     if isolated.size:
         windows = _windows(anchors, radius, d, isolated + M)
         pairs = _solve_isolated(problem, ab, anchors, radius, anorm, isolated, windows)
     for cid in sorted({cluster[mw + M] for mw in wanted if not alone[mw + M]}):
         members = np.flatnonzero(cluster == cid) - M
-        pairs += _solve_cluster(problem, ab, anchors, radius, anorm, members, wanted)
-    return sorted(pairs, key=lambda pr: pr[0]), anorm
-
-
-def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpectrum:
-    """Galerkin eigenpairs, labelled by branch: all 2M+1 of them, or the ``branches`` asked for.
-
-    With ``branches=None`` a dense non-Hermitian eigensolve returns every pair.
-    Otherwise ``branches`` is an iterable of ``(sign, n)`` keys, as in
-    :attr:`SLSpectrum.entries`, and only those pairs are computed, by
-    shifted inverse iteration on the band matrix; each key is solved together
-    with the anchors whose Gershgorin discs overlap its own, and an
-    eigenvector whose label those anchors cannot decide raises
-    :class:`EigenFailure`, as does a branch whose scaled residual stays above
-    ``_RESIDUAL_TOL`` for ``_MAX_STEPS`` steps.  The keys whose disc meets no
-    other are iterated side by side as the columns of one block, each column
-    stopping at its own residual, so a spectrum of isolated branches costs
-    one band apply and one band LU per step, not one per branch: each
-    column's shifted solve runs on its decay window only (29-77 rows, not
-    289, on the ``reconstruct`` benchmark's spectra at M = 144), and the
-    windows of all columns still iterating are factored as one
-    block-diagonal band matrix.
-
-    Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``;
-    a pair whose boundary value is numerically zero raises
-    :class:`NormalizationDegenerate` (the paper-style scaling is impossible).
-    """
-    if branches is None:
-        pairs, anorm = _dense_pairs(problem)
-    else:
-        pairs, anorm = _targeted_pairs(problem, branches)
-    spectrum = SLSpectrum(problem, matrix_norm=anorm)
-    C = np.array([c for _, _, c, _ in pairs], dtype=complex).reshape(len(pairs), 2 * problem.M + 1)
+        found, undecided = _solve_cluster(problem, ab, anchors, radius, anorm, members, wanted)
+        pairs += found
+        spectrum.undecided.update(undecided)
+    pairs.sort(key=lambda pr: pr[0])
+    C = np.array([c for _, _, c, _ in pairs], dtype=complex).reshape(len(pairs), m.size)
     if normalize:
         v0 = np.sum(C, axis=1)
-        flat = np.flatnonzero(np.abs(v0) < _NORM_TOL * np.linalg.norm(C, axis=1))
+        flat = np.flatnonzero(np.abs(v0) / np.linalg.norm(C, axis=1) <= _NORM_TOL)
         if flat.size:
             j = flat[0]
             raise NormalizationDegenerate(
                 f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {pairs[j][0]}; "
                 "scaling to v(0) = 1 impossible")
         C /= v0[:, None]
-    for (m, lam, _, residual), c in zip(pairs, C):
-        sign, n = _key(m)
+    for (index, lam, _, residual), c in zip(pairs, C):
+        sign, n = _key(index)
         spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam), c,
                                               float(residual), bool(normalize))
     return spectrum
@@ -500,15 +442,21 @@ def check_asymptotics(spectrum: SLSpectrum, n_min: int = 4,
     s = alpha1 / 2pi (the printed convention); the empirically matching one is
     reported together with the fitted mean term and the decay exponents of the
     eigenvalue remainder and of the sup-norm eigenfunction deviation.
+    The fit reads the pairs (+-1, n), n_min <= n <= n_max (default M // 2, clear
+    of the truncation), whose labels are both decided; fewer than 8 raise
+    :class:`ValidationError`, which counts the pairs in range left undecided.
     Raises :class:`FitInconclusive` if neither candidate matches.
     """
     problem = spectrum.problem
     avail = sorted(n for (s, n) in spectrum.entries if s == 1)
     if n_max is None:
-        n_max = max(avail, default=0) // 2
+        n_max = problem.M // 2
     ns = [n for n in avail if n_min <= n <= n_max and (-1, n) in spectrum.entries]
     if len(ns) < 8:
-        raise ValidationError("sturm.check_asymptotics: need at least 8 branch pairs in range")
+        undecided = {n for (_, n) in spectrum.undecided if n_min <= n <= n_max}
+        raise ValidationError(
+            f"sturm.check_asymptotics: need at least 8 branch pairs in range, got {len(ns)}; "
+            f"{len(undecided)} pairs in range {n_min}..{n_max} have an undecided label")
     mean_exact = problem.k ** 2 * problem.coeffs.mean
     a1 = problem.alpha1
     candidates = {"alpha1": a1, "alpha1_over_2pi": a1 / (2.0 * np.pi)}
@@ -567,7 +515,11 @@ def check_asymptotics(spectrum: SLSpectrum, n_min: int = 4,
 
 
 def write_spectrum_csv(spectrum: SLSpectrum, path) -> None:
-    """Eigenvalue table: one row per branch entry, deterministic order."""
+    """Eigenvalue table: one row per labelled branch entry, deterministic order.
+
+    ``residual`` is ||A v - lambda v|| / (||v|| ``matrix_norm``); the keys in
+    ``spectrum.undecided`` have no row.
+    """
     entries = sorted(spectrum.entries.items(), key=lambda t: (t[0][1], -t[0][0]))
     write_csv(path, "n,branch,re_lambda,im_lambda,residual", "%d,%s,%.17g,%.17g,%.17g",
               ((n, "+" if sign > 0 else "-", e.lam.real, e.lam.imag, e.residual)

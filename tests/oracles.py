@@ -1,19 +1,23 @@
-"""Pointwise oracles for the tests: checks that the runtime pipeline never runs.
+"""Oracles for the tests: checks and reference solvers that the runtime pipeline never runs.
 
 The pipeline uses the separable fields E = (0, 0, v(x1) u(x2)) and the layer
 fields only through closed-form overlaps and modal coefficients.  The
 functions here evaluate those fields at points and report how well they
-satisfy their equations, which only a test needs.  Test modules import this
-file as ``oracles``; pytest does not collect it.
+satisfy their equations, which only a test needs.  The Sturm-Liouville
+spectrum has a dense reference too: one eigensolve of the full Galerkin
+matrix, against which the band solver of :mod:`gratescat.sturm` is checked.
+Test modules import this file as ``oracles``; pytest does not collect it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from gratescat.errors import ValidationError
+from gratescat.forward import _block_operators
 from gratescat.separable import TWO_PI, TransverseFactor
-from gratescat.sturm import SLEntry, SLSpectrum
+from gratescat.sturm import SLEntry, SLProblem, SLSpectrum, _key
 
 
 class LambdaMismatch(ValidationError):
@@ -115,6 +119,18 @@ def layer_residual(field, points) -> dict:
             "pointwise": res, "scale": scale}
 
 
+def eigen_residual(basis) -> float:
+    """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| of a ModalBasis over its full eigen set."""
+    A, B = _block_operators(basis.slab, basis.modeset, basis.slab_index)
+    mnorm = np.maximum(np.linalg.matrix_norm(A, ord=2), np.linalg.matrix_norm(B, ord=2))
+    g = basis.gamma[:, None, :]
+    ra = A @ basis.V - basis.W * g
+    rb = B @ basis.W - basis.V * g
+    res = np.sqrt(np.sum(np.abs(ra) ** 2, axis=1) + np.sum(np.abs(rb) ** 2, axis=1))
+    scale = np.sqrt(np.sum(np.abs(basis.W) ** 2, axis=1) + np.sum(np.abs(basis.V) ** 2, axis=1))
+    return float(np.max(res / (scale * mnorm[:, None])))
+
+
 def exponents(basis) -> np.ndarray:
     """All propagation exponents of a ModalBasis, both signs, flattened over blocks."""
     return np.concatenate([basis.gamma.ravel(), -basis.gamma.ravel()])
@@ -126,3 +142,42 @@ def moment_entry(table, l: int, m: int):
         if e.l == l and e.m == m:
             return e
     raise ValidationError(f"oracles.moment_entry: no entry (l={l}, m={m})")
+
+
+def sl_matrix(problem: SLProblem) -> np.ndarray:
+    """The dense Galerkin matrix A[m, m'] = -(m + alpha1)^2 delta + k^2 qhat_{m - m'}, m = -M..M."""
+    m = np.arange(-problem.M, problem.M + 1)
+    A = problem.k ** 2 * problem.coeffs.toeplitz(m.size)
+    A[m + problem.M, m + problem.M] -= (m + problem.alpha1) ** 2
+    return A
+
+
+def decided_by_peak(vecs) -> dict:
+    """{column j: row} for each eigenvector column that alone peaks at its row."""
+    peaks = np.argmax(np.abs(vecs), axis=0)
+    count = np.bincount(peaks, minlength=len(vecs))
+    return {j: int(row) for j, row in enumerate(peaks) if count[row] == 1}
+
+
+def dense_spectrum(problem: SLProblem) -> SLSpectrum:
+    """Every eigenpair of the dense Galerkin matrix, from one scipy.linalg.eig.
+
+    A pair is labelled (sign, n) only where its eigenvector alone peaks at the
+    index m = sign n (:func:`decided_by_peak`); every other key is listed in
+    ``undecided``.  Vectors have unit norm with the largest component real,
+    as geev returns them, and are not scaled to v(0) = 1.  ``matrix_norm`` is
+    the spectral radius max |lambda|, which scales each ``residual``.
+    """
+    A = sl_matrix(problem)
+    lams, vecs = scipy.linalg.eig(A)
+    rho = float(np.max(np.abs(lams)))
+    residuals = np.linalg.norm(A @ vecs - vecs * lams, axis=0) / rho   # geev's vectors: unit norm
+    spectrum = SLSpectrum(problem, matrix_norm=rho)
+    for j, row in sorted(decided_by_peak(vecs).items(), key=lambda t: t[1]):
+        sign, n = _key(row - problem.M)
+        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lams[j]), vecs[:, j].copy(),
+                                              float(residuals[j]), False)
+    for m in range(-problem.M, problem.M + 1):
+        if _key(m) not in spectrum.entries:
+            spectrum.undecided[_key(m)] = "oracles.dense_spectrum: no eigenvector alone peaks here"
+    return spectrum

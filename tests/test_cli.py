@@ -59,6 +59,33 @@ def test_sturm_scenario_matches_closed_form(tmp_path):
         expected = K * K * q0 - (m + alpha1) ** 2
         assert abs(lam - expected) <= 1e-10
     assert (tmp_path / "sturm_summary.txt").read_text().find("shift_convention") >= 0
+    assert "\nundecided_branches = 0\n" in (tmp_path / "sturm_summary.txt").read_text()
+
+
+def test_sturm_huge_k_exits_2(tmp_path, capsys):
+    # the band iteration does not converge at k = 1e70: a solver failure
+    text = (STURM_CONFIG.replace(f"k = {K}", "k = 1e70")
+            .replace("    0 1.5 0.1\n", "    0 1.4 0\n    1 0.2 0\n    -1 0.2 0\n"))
+    code = main(["sturm", _write(tmp_path, "huge.ini", text), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("solver failure [EigenFailure]: sturm.solve_sl: branches ")
+    assert "not converged in 30 steps" in err
+    assert not (tmp_path / "eig.csv").exists()
+
+
+def test_sturm_symmetric_profile_at_default_theta1_exits_1(tmp_path, capsys):
+    # theta1 = pi/2 puts the mirror anchors together; an even q splits each
+    # mirror pair into an even and an odd eigenfunction, whose labels no
+    # eigenvector decides, so the asymptotic fit has no pair left to read
+    text = (STURM_CONFIG.replace(f"theta1 = {THETA1}\n", "")
+            .replace("    0 1.5 0.1\n", "    0 1.5 0.1\n    1 0.2 0\n    -1 0.2 0\n"))
+    code = main(["sturm", _write(tmp_path, "sym.ini", text), "--output-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert ("[ValidationError]: sturm.check_asymptotics: need at least 8 branch pairs in "
+            "range, got 0; 9 pairs in range 4..12 have an undecided label") in err
+    assert not (tmp_path / "sturm_summary.txt").exists()
 
 
 def test_sturm_rejects_height_dependent_profile(tmp_path, capsys):

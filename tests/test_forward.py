@@ -108,7 +108,7 @@ def test_layer_modes_eigen_residual_and_condition():
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
     basis = solve_layer_modes(prof, 0, ms)
-    assert basis.eigen_residual() <= 1e-10
+    assert oracles.eigen_residual(basis) <= 1e-10
     assert np.isfinite(basis.cond)
 
 
@@ -259,6 +259,42 @@ def test_huge_k_refused_before_the_tm_column_scale_overflows(k):
     assert (err.value.slab, err.value.block, err.value.value) == (0, None, np.inf)
 
 
+@pytest.mark.parametrize("k, refused", [(1e68, False), (1e70, True)])
+def test_huge_k_wrong_eigenbasis_refused(k, refused):
+    # At k = 1e70 geev returns a TE/TM basis whose scaled residual reads
+    # about 0.9 while its lift condition stays small, so no other guard saw it
+    profile = MediumProfile.from_coeffs({0: 1.5, 1: 0.2, -1: 0.2}, 0.5)
+    modeset = build_modeset(k, Quasimomentum.from_angles(k, 1.0, 0.3), 1)
+    if not refused:
+        assert oracles.eigen_residual(solve_layer_modes(profile, 0, modeset)) <= 1e-14
+        return
+    with pytest.raises(EigenFailure, match=r"^forward\.solve_layer_modes: TE eigensolve "
+                                           r"residual .* exceeds 1e-12 at slab 0$"):
+        solve_layer_modes(profile, 0, modeset)
+
+
+def test_eigen_residual_threshold(monkeypatch):
+    # the slab is accepted with _EIG_TOL at its largest TE/TM defect and
+    # refused one ulp below, naming the family that reads it
+    profile = MediumProfile.from_coeffs(LIFT_SLABS["absorbing"], 0.5)
+    modeset = _modeset(4)
+    defects = []
+    defect = forward._eigen_defect
+    monkeypatch.setattr(forward, "_eigen_defect",
+                        lambda *args: defects.append(defect(*args)) or defects[-1])
+    solve_layer_modes(profile, 0, modeset)
+    te, tm = defects
+    worst = max(te, tm)
+    assert 0 < worst <= 1e-14
+    monkeypatch.setattr(forward, "_EIG_TOL", worst)
+    solve_layer_modes(profile, 0, modeset)
+    assert defects[2:] == [te, tm]
+    monkeypatch.setattr(forward, "_EIG_TOL", float(np.nextafter(worst, 0.0)))
+    family = "TE" if te == worst else "TM"
+    with pytest.raises(EigenFailure, match=f"{family} eigensolve residual .* at slab 0$"):
+        solve_layer_modes(profile, 0, modeset)
+
+
 def _three_slab_stack():
     """Two non-uniform slabs around a uniform one: 3 guarded stacks per solve."""
     return MediumProfile([Slab(0.3, LIFT_SLABS["absorbing"]), Slab(0.2, {0: 1.9 + 0.1j}),
@@ -316,7 +352,7 @@ def test_layer_modes_lift_matches_dense_block_spectrum(kind):
         cost = np.abs(got[:, None] - want[ib][None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10 * np.max(np.abs(want[ib]))
-    assert basis.eigen_residual() <= 1e-12
+    assert oracles.eigen_residual(basis) <= 1e-12
     np.testing.assert_allclose(np.linalg.norm(basis.W, axis=1), 1.0, atol=1e-13)
     # column order: TE modes (W = [0; e], no E1 part) first, then TM
     assert np.max(np.abs(basis.W[:, :mb, :mb])) == 0.0

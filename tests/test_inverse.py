@@ -490,13 +490,20 @@ def test_a2_floor_must_be_finite_and_positive():
 
 
 def test_moment_table_never_runs_the_dense_eigensolve(monkeypatch):
-    # extract_moments asks solve_sl for the branches the table reads only
-    def dense(problem):
-        raise AssertionError("dense Sturm-Liouville eigensolve on the moment path")
-    monkeypatch.setattr(sturm, "_dense_pairs", dense)
+    # extract_moments asks solve_sl for the branches the table reads only, and
+    # no eigensolve in sturm has the order 2M + 1 of the Galerkin matrix
+    orders = []
+    eig = sturm.scipy.linalg.eig
+
+    def spy(a, *args, **kwargs):
+        orders.append(len(a))
+        return eig(a, *args, **kwargs)
+    monkeypatch.setattr(sturm.scipy.linalg, "eig", spy)
     q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
     tab = extract_moments(q1, q2, 2, (3, 4), k=K, alpha=ALPHA)
     assert len(tab.entries) == 5 * 2
+    M = 2 * (4 + 2) + 8
+    assert 2 * M + 1 not in orders
 
 
 def test_multi_height_profile_rejected():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from gratescat import SLProblem, check_asymptotics, solve_sl
 from gratescat import sturm
 from gratescat.errors import (EigenFailure, FitInconclusive, NormalizationDegenerate,
@@ -50,29 +51,30 @@ def test_galerkin_residuals():
 
 
 def test_matrix_norm_is_spectral_radius():
-    # rho(A) <= ||A||_2; the computed pair may cross by a few ulps when equal
+    # The dense oracle scales by the spectral radius rho(A) <= ||A||_2 (the
+    # computed pair may cross by a few ulps when equal); solve_sl scales every
+    # spectrum, whole or partial, by the Gershgorin bound on rho(A) instead
     cases = (({0: 1.4, 1: 0.2, -1: 0.2}, 12),
              ({0: 1.4 + 0.05j, 1: 0.2 + 0.02j, -1: 0.2 - 0.02j, -3: 0.3j}, 40),
              ({0: 9.0 + 2.0j, 1: 3.0, -1: 2.5 + 1.0j, 2: 1.0}, 96))
     for coeffs, M in cases:
         prob = SLProblem(coeffs, K, ALPHA1, M)
-        spec = solve_sl(prob)
-        rho = np.max(np.abs([e.lam for e in spec.entries.values()]))
-        assert spec.matrix_norm == rho
-        assert spec.matrix_norm <= np.linalg.norm(prob.matrix(), 2) * (1.0 + 1e-14)
-        assert max(e.residual for e in spec.entries.values()) <= 1e-12
-        # a targeted spectrum scales by the Gershgorin bound on rho(A) instead
+        dense = oracles.dense_spectrum(prob)
+        rho = dense.matrix_norm
+        assert rho <= np.linalg.norm(oracles.sl_matrix(prob), 2) * (1.0 + 1e-14)
+        assert max(e.residual for e in dense.entries.values()) <= 1e-12
         radius = K ** 2 * sum(abs(c) for j, c in coeffs.items() if j != 0)
-        targeted = solve_sl(prob, branches=[(1, M // 2), (-1, M // 2 + 1)])
-        assert rho <= targeted.matrix_norm <= rho + 2 * radius
-        assert max(e.residual for e in targeted.entries.values()) <= 1e-12
+        for spec in (solve_sl(prob), solve_sl(prob, branches=[(1, M // 2), (-1, M // 2 + 1)])):
+            assert spec.matrix_norm == prob.gershgorin()[2]
+            assert rho <= spec.matrix_norm <= rho + 2 * radius
+            assert max(e.residual for e in spec.entries.values()) <= 1e-12
 
 
 def test_matrix_matches_galerkin_definition():
     # A[m, m'] = -(m + alpha1)^2 delta + k^2 qhat_{m - m'}, entry by entry
     coeffs = {0: 1.4 + 0.05j, 1: 0.2 + 0.02j, -1: 0.2 - 0.02j, -3: 0.3j}
     M = 10
-    A = SLProblem(coeffs, K, ALPHA1, M).matrix()
+    A = oracles.sl_matrix(SLProblem(coeffs, K, ALPHA1, M))
     ms = range(-M, M + 1)
     ref = np.array([[K ** 2 * coeffs.get(m - mp, 0.0) - (m == mp) * (m + ALPHA1) ** 2
                      for mp in ms] for m in ms])
@@ -91,12 +93,30 @@ def test_normalization_and_degenerate_case():
     spec = solve_sl(prob)
     for e in spec.entries.values():
         assert abs(np.sum(e.coeffs) - 1.0) <= 1e-12
-    # alpha1 = 0 with an even potential has odd eigenfunctions vanishing at 0
+    # alpha1 = 0 with an even potential: each mirror pair (+-1, n) has an
+    # even and an odd eigenfunction, with equal weights on +-n, so neither
+    # label is decided; the odd ones would vanish at 0
     bad = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, 0.0, 24)
-    with pytest.raises(NormalizationDegenerate):
-        solve_sl(bad)
-    spec_raw = solve_sl(bad, normalize=False)
-    assert len(spec_raw.entries) == 49
+    for spec_bad in (solve_sl(bad), solve_sl(bad, normalize=False)):
+        assert list(spec_bad.entries) == [(1, 0)]
+        assert set(spec_bad.undecided) == {(s, n) for s in (1, -1) for n in range(1, 25)}
+        for key in spec_bad.undecided:
+            with pytest.raises(EigenFailure, match="cannot label branches " + _name(key)):
+                spec_bad.entry(*key)
+    assert len(spec_bad.entries) + len(spec_bad.undecided) == 49
+
+
+def test_normalization_tolerance_threshold(monkeypatch):
+    # A decided pair raises once _NORM_TOL reaches its |v(0)| / ||c|| and
+    # passes one ulp below it
+    prob = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 24)
+    c = solve_sl(prob, normalize=False, branches=[(1, 5)]).entry(1, 5).coeffs[None, :]
+    ratio = float((np.abs(np.sum(c, axis=1)) / np.linalg.norm(c, axis=1))[0])
+    monkeypatch.setattr(sturm, "_NORM_TOL", ratio)
+    with pytest.raises(NormalizationDegenerate, match="at branch index 5;"):
+        solve_sl(prob, branches=[(1, 5)])
+    monkeypatch.setattr(sturm, "_NORM_TOL", float(np.nextafter(ratio, 0.0)))
+    assert abs(np.sum(solve_sl(prob, branches=[(1, 5)]).entry(1, 5).coeffs) - 1.0) <= 1e-12
 
 
 def test_gauge_invariance():
@@ -155,9 +175,9 @@ def test_gershgorin_bound_threshold():
 
 @pytest.mark.parametrize("branches", [None, [(1, 1)]])
 def test_k_squared_q_overflow_refused_on_both_paths(branches):
-    # k^2 = 1e20 is finite and so is q0 = 1e300, but k^2 q0 is not: both
-    # solve_sl paths used to warn and then raise an untyped ValueError or an
-    # EigenFailure; the problem is now refused before any arithmetic warns
+    # k^2 = 1e20 is finite and so is q0 = 1e300, but k^2 q0 is not: a solve of
+    # every branch or of one used to warn and then raise an untyped ValueError
+    # or an EigenFailure; the problem is now refused before any arithmetic warns
     with pytest.raises(ValidationError, match=_GERSHGORIN_REFUSED):
         solve_sl(SLProblem({0: 1e300}, 1e10, ALPHA1, 24), branches=branches)
 
@@ -233,14 +253,6 @@ def _name(key):
     return re.escape("({:+d}, {})".format(*key))
 
 
-def _decided_by_peak(spectrum):
-    """Keys whose eigenvector, alone in the spectrum, peaks at the key's own index."""
-    M = spectrum.problem.M
-    peaks = {key: int(np.argmax(np.abs(e.coeffs))) - M for key, e in spectrum.entries.items()}
-    shared = [m for m in peaks.values() if list(peaks.values()).count(m) > 1]
-    return [key for key, m in peaks.items() if m == key[0] * key[1] and m not in shared]
-
-
 def _assert_same_pair(targeted, dense):
     # unit-norm vectors with the largest component real on both paths
     assert abs(targeted.lam - dense.lam) <= 1e-12 * abs(dense.lam)
@@ -267,20 +279,23 @@ _RECONSTRUCT_KEYS = sorted({(1, m + l) for m in (16, 24, 32, 48, 64) for l in ra
 
 @pytest.mark.parametrize("coeffs, k, alpha1, M", _DENSE_CASES)
 def test_targeted_matches_dense(coeffs, k, alpha1, M):
-    # Where no two anchors coincide, the targeted path labels exactly the
-    # branches whose dense eigenvector is the only one peaking at the branch's
-    # own index, and returns the dense pair for them; every other dense label
-    # is a fallback by eigenvalue distance.
+    # Where no two anchors coincide, solve_sl labels exactly the branches
+    # whose dense eigenvector is the only one peaking at the branch's own
+    # index, and returns the dense pair for them; every other key is undecided.
     prob = SLProblem(coeffs, k, alpha1, M)
-    dense = solve_sl(prob, normalize=False)
-    decided = _decided_by_peak(dense)
+    dense = oracles.dense_spectrum(prob)
+    decided = list(dense.entries)
+    spec = solve_sl(prob, normalize=False)
+    assert set(spec.entries) == set(decided)
+    assert set(spec.undecided) == set(dense.undecided)
     targeted = solve_sl(prob, normalize=False, branches=decided)
     assert list(targeted.entries) == sorted(decided, key=lambda t: t[0] * t[1])
     for key in decided:
         _assert_same_pair(targeted.entries[key], dense.entries[key])
-    for key in set(dense.entries) - set(decided):
+        _assert_same_pair(spec.entries[key], dense.entries[key])
+    for key in dense.undecided:
         with pytest.raises(EigenFailure, match="cannot label branches " + _name(key)):
-            solve_sl(prob, branches=[key])
+            spec.entry(*key)
 
 
 @pytest.mark.parametrize("alpha1, partner", [(0.0, lambda n: n), (0.5, lambda n: n + 1)])
@@ -288,16 +303,18 @@ def test_targeted_at_coincident_anchors(alpha1, partner):
     # At alpha1 = 0 (1/2) the anchors of m and -m (-m-1) coincide, and the
     # pair's eigenvalues agree to rounding: no eigenvector decides its label.
     prob = SLProblem(_COMPLEX_Q, K, alpha1, 40)
-    dense = solve_sl(prob, normalize=False)
+    dense = oracles.dense_spectrum(prob)
+    spec = solve_sl(prob, normalize=False)
     for n in range(1, 13):
         pattern = (f"cannot label branches {_name((1, n))} "
                    f"in the cluster .*{_name((-1, partner(n)))}")
         with pytest.raises(EigenFailure, match=pattern):
-            solve_sl(prob, normalize=False, branches=[(1, n)])
+            spec.entry(1, n)
     if alpha1 == 0.0:
         # the unpaired anchor m = 0 sits alone in its Gershgorin disc
         alone = solve_sl(prob, normalize=False, branches=[(1, 0)])
         _assert_same_pair(alone.entries[(1, 0)], dense.entries[(1, 0)])
+        _assert_same_pair(spec.entries[(1, 0)], dense.entries[(1, 0)])
 
 
 @pytest.mark.parametrize("coeffs, alpha1, key, cluster", [
@@ -310,7 +327,24 @@ def test_targeted_inseparable_cluster_raises(coeffs, alpha1, key, cluster):
     prob = SLProblem(coeffs, K, alpha1, 24)
     names = ", ".join(map(_name, cluster))
     with pytest.raises(EigenFailure, match=f"branches {_name(key)} in the cluster {names}:"):
-        solve_sl(prob, branches=[key])
+        solve_sl(prob, branches=[key]).entry(*key)
+
+
+def test_huge_k_not_converged():
+    # At k = 1e70 the band iteration does not converge (the spectrum it used to
+    # return through a dense eigensolve was about 100x too small, with scaled
+    # residuals near 93): solve_sl raises instead of labelling it
+    with pytest.raises(EigenFailure, match=r"not converged in 30 steps \(scaled residual"):
+        solve_sl(SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, 1e70, 0.3, 24))
+
+
+def test_asymptotics_counts_undecided_pairs():
+    # even q at alpha1 = 0: every mirror pair is undecided, so the fit has no
+    # pair in range and says how many of those were left out
+    spec = solve_sl(SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, 0.0, 24))
+    with pytest.raises(ValidationError, match="need at least 8 branch pairs in range, got 0; "
+                                              "9 pairs in range 4..12 have an undecided label"):
+        check_asymptotics(spec)
 
 
 def test_targeted_iteration_cap(monkeypatch):
@@ -365,7 +399,7 @@ def test_targeted_cluster_threshold(monkeypatch, alpha1, path):
     keys = [(-1, 1), (1, 0)]
     targeted = solve_sl(prob, normalize=False, branches=keys)
     assert seen == [(path, [-1, 0])]
-    dense = solve_sl(prob, normalize=False)
+    dense = oracles.dense_spectrum(prob)
     for key in keys:
         _assert_same_pair(targeted.entries[key], dense.entries[key])
 
@@ -413,8 +447,8 @@ def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, al
     # dense vector alone has round-off up to 2.1e-15 at the top of these
     # spectra); the windowed pair must also be the dense one.
     prob = SLProblem(coeffs, k, alpha1, M)
-    dense = solve_sl(prob, normalize=False)
-    decided = _decided_by_peak(dense)
+    dense = oracles.dense_spectrum(prob)
+    decided = list(dense.entries)
     seen = []
     solve = sturm._solve_isolated
 
@@ -427,7 +461,7 @@ def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, al
     keys = [sturm._key(int(m)) for m in ms]
     if (coeffs, k, alpha1, M) == _RECONSTRUCT_CASE:
         assert set(_RECONSTRUCT_KEYS) <= set(keys)
-    A = prob.matrix()
+    A = oracles.sl_matrix(prob)
     for m, key, a, b in zip(ms, keys, lo, hi):
         _assert_same_pair(targeted.entries[key], dense.entries[key])
         # a shift 1e-13 |A| off the eigenvalue damps every other eigenvector
@@ -483,7 +517,7 @@ _BLOCK_WINDOWS = (np.array([0, 0, 5, 30, 40, 17]), np.array([12, 49, 20, 49, 49,
 
 def test_block_diagonal_solve_matches_a_banded_solve_per_window():
     prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
-    A, d = prob.matrix(), prob.coeffs.degree
+    A, d = oracles.sl_matrix(prob), prob.coeffs.degree
     anorm = prob.gershgorin()[2]
     lo, hi = _BLOCK_WINDOWS
     rng = np.random.default_rng(5)
@@ -501,7 +535,7 @@ def test_block_diagonal_solve_nudges_every_exact_eigenvalue_shift(monkeypatch):
     # an exact eigenvalue and every window's first shift leaves a zero pivot
     coeffs, k, alpha1, M = _DENSE_CASES[-1]
     prob = SLProblem(coeffs, k, alpha1, M)
-    A, d = prob.matrix(), prob.coeffs.degree
+    A, d = oracles.sl_matrix(prob), prob.coeffs.degree
     anchors, radius, anorm = prob.gershgorin()
     lo, hi = _BLOCK_WINDOWS
     rows = np.array([3, 30, 10, 45, 44, 20])   # one row of each window
