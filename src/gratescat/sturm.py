@@ -2,7 +2,7 @@
 
 Solves  v'' + k^2 q(x1) v = lambda v  with the quasi-periodicity conditions
 v(x1 + 2pi) = e^{2 pi i alpha1} v(x1) (and likewise v') by Fourier-Galerkin:
-v = sum_{|m| <= M} c_m exp(i (m + alpha1) x1) turns the problem into the dense
+v = sum_{|m| <= M} c_m exp(i (m + alpha1) x1) turns the problem into the
 matrix A[m, m'] = -(m + alpha1)^2 delta + k^2 Qhat_{m - m'}, whose second term
 is k^2 times the Toeplitz matrix of the potential's :class:`TrigPoly`.
 
