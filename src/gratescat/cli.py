@@ -228,8 +228,8 @@ def _run_sturm(sc: Scenario) -> None:
     coeffs, along, _ = inverse.one_directional_coeffs(sc.profile, sc.alpha, "profile")
     prob = sturm.SLProblem(coeffs, sc.k, along, sc.M)
     spec = sturm.solve_sl(prob)
+    rep = sturm.check_asymptotics(spec)   # before any artifact, so a refused fit leaves none
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues"))
-    rep = sturm.check_asymptotics(spec)
     write_summary(sc.out_path("summary"), [
         ("kind", "sturm"),
         ("shift_convention", rep.shift_convention),

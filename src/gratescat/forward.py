@@ -359,31 +359,6 @@ def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
             f"forward.solve_layer_modes: q Toeplitz factor singular at slab {slab_index} ({exc})")
 
 
-def _block_operators(slab: Slab, modeset: ModeSet, slab_index: int):
-    """Assemble A, B stacked over the n2 blocks: (2N+1, 2mb, 2mb) each."""
-    ms = modeset
-    mb = ms.block_size
-    k = ms.k
-    d1, a2 = _wavenumbers(ms)
-    c2 = a2[:, :, None]
-    Q = slab.coeffs.toeplitz(mb)
-    eye = np.eye(mb, dtype=complex)
-    Qinv = _toeplitz_inverse(slab, Q, slab_index)
-    A = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
-    B = np.zeros_like(A)
-    d1Qinv = d1[:, None] * Qinv
-    A[:, :mb, :mb] = (c2 / k) * d1Qinv
-    A[:, :mb, mb:] = k * eye - (d1Qinv * d1[None, :]) / k
-    A[:, mb:, :mb] = (c2 * c2 / k) * Qinv - k * eye
-    A[:, mb:, mb:] = -(c2 / k) * (Qinv * d1[None, :])
-    diag = np.arange(mb)
-    B[:, diag, diag] = -(a2 / k) * d1
-    B[:, :mb, mb:] = np.diag(d1 * d1 / k) - k * Q
-    B[:, mb:, :mb] = k * Q - (c2 * c2 / k) * eye
-    B[:, mb + diag, mb + diag] = (a2 / k) * d1
-    return A, B
-
-
 def _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index: int):
     """Exact 1-norm condition of every block of the lifted basis W, and W^-1's shared factors.
 
@@ -489,14 +464,22 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     mb = ms.block_size
     Q = slab.coeffs.toeplitz(mb)
     Qinv = _toeplitz_inverse(slab, Q, slab_index)
-    if slab.is_uniform:
-        _, B = _block_operators(slab, ms, slab_index)
-        a1, a2 = _wavenumbers(ms)
-        w2 = k ** 2 * slab.coeffs.mean - a1 ** 2 - a2 ** 2
-        gamma = _exponents(np.concatenate([w2, w2], axis=1), k, slab_index)
-        W = np.broadcast_to(np.eye(2 * mb, dtype=complex), B.shape)
-        return ModalBasis(ms, slab_index, slab, W, B / gamma[:, None, :], gamma, Qinv, 1.0)
     d1, a2 = _wavenumbers(ms)
+    if slab.is_uniform:
+        q0 = slab.coeffs.mean
+        w2 = k ** 2 * q0 - d1 ** 2 - a2 ** 2
+        gamma = _exponents(np.concatenate([w2, w2], axis=1), k, slab_index)
+        g_e, g_h = gamma[:, :mb], gamma[:, mb:]
+        # V = B / gamma, where B = [[-(a2/k) D1, D1^2/k - k q0], [k q0 - a2^2/k, (a2/k) D1]]
+        # has four diagonal mb x mb blocks
+        V = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
+        e, h = np.arange(mb), mb + np.arange(mb)
+        V[:, e, e] = -(a2 / k) * d1 / g_e
+        V[:, e, h] = (d1 * d1 / k - k * q0) / g_h
+        V[:, h, e] = (k * q0 - a2 * a2 / k) / g_e
+        V[:, h, h] = (a2 / k) * d1 / g_h
+        W = np.broadcast_to(np.eye(2 * mb, dtype=complex), V.shape)
+        return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, 1.0)
     Qinv_d1 = Qinv * d1
     t_te, t_tm = k * k * Q - np.diag(d1 * d1), k * k * Q - Q @ (d1[:, None] * Qinv_d1)
     try:

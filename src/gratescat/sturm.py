@@ -10,20 +10,20 @@ is k^2 times the Toeplitz matrix of the potential's :class:`TrigPoly`.
 shifted inverse iteration on the band matrix: A has half-bandwidth deg q, and
 the branch-m eigenvalue lies in the Gershgorin disc of radius
 k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.  Anchors
-whose discs overlap form a cluster, which shifted inverse iteration with
-LAPACK's band LU (gbtrf/gbtrs) solves as one block; an eigenvector takes the
-label of the member that clearly dominates it, and a member that no
-eigenvector decides is listed as undecided, not guessed.  The wanted anchors
-that sit alone in their discs are advanced together as the columns of one
-block.  Each column lives on a principal band submatrix, the window outside
-which an a-priori decay bound puts the branch's eigenvector below 2^-60.  Each
-step applies A once to every column still iterating, on the rows their windows
-span, and factors all their shifted windows at once as one block-diagonal band
-matrix.  A column is zero outside its window, so its Rayleigh quotient and
-residual are those of the full matrix, and every acceptance test holds there.
-A cluster's Ritz solves go through the same block-diagonal band LU, with the
-full matrix as each block.  Inverse iteration for a few eigenpairs: Ipsen,
-SIAM Review 39 (1997) 254.
+whose discs overlap form a cluster, and every cluster that holds a wanted
+anchor is a run of columns of one block, iterated with LAPACK's band LU
+(gbtrf/gbtrs).  An anchor alone in its disc is a cluster of one; its column
+lives on a principal band submatrix, the window outside which an a-priori
+decay bound puts the branch's eigenvector below 2^-60, and takes its
+Rayleigh quotient.  A larger cluster spans every row and takes the Ritz
+pairs of A projected on its columns.  Each step applies A once to every
+column still iterating, on the rows their windows span, and factors all
+their shifted windows at once as one block-diagonal band matrix.  A column
+is zero outside its window, so its quotients and residual are those of the
+full matrix, and every acceptance test holds there.  An eigenvector takes
+the label of the member that clearly dominates it, and a member that no
+eigenvector decides is listed as undecided, not guessed.  Inverse iteration
+for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
 
 Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
@@ -49,7 +49,7 @@ from .tables import write_csv
 _NORM_TOL = 1e-10
 _RESIDUAL_TOL = 1e-14  # targeted pairs: stop once every scaled residual is at or below this
 _MAX_STEPS = 30        # targeted pairs: inverse-iteration steps before a cluster fails
-_WINDOW_CUT = 2.0 ** -60  # isolated branches: solve where the eigenvector's bound is at least this
+_WINDOW_CUT = 2.0 ** -60  # clusters of one: solve where the eigenvector's bound is at least this
 _gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.complex128)
 
 
@@ -181,7 +181,7 @@ def _band_solve(ab, d, lo, hi, theta, anorm, Y, names):
         band = stacked.copy(order="F")
         band[2 * d] -= shift[block]
         lu, piv, _ = _gbtrf(band, d, d, overwrite_ab=True)
-        singular = np.unique(block[lu[2 * d] == 0])
+        singular = block[lu[2 * d] == 0]   # a block once per zero pivot; += nudges it once
         if singular.size == 0:
             X = np.zeros(Y.shape, dtype=complex)
             X[rows, block] = _gbtrs(lu, d, d, Y[rows, block], piv)[0]
@@ -192,7 +192,7 @@ def _band_solve(ab, d, lo, hi, theta, anorm, Y, names):
 
 
 def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
-    """Row ranges [lo, hi) outside which each isolated eigenvector is below ``_WINDOW_CUT``.
+    """Row ranges [lo, hi) outside which each lone anchor's eigenvector is below ``_WINDOW_CUT``.
 
     Row a != r of (A - lambda) x = 0 gives |x_a| <= rho_a max_{0<|b-a|<=d} |x_b|,
     with rho_a = radius / (|anchor_a - anchor_r| - radius) < 1 for a disc
@@ -228,116 +228,100 @@ def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
     return np.maximum(rows - reach[1], 0), np.minimum(rows + reach[0] + 1, n)
 
 
-def _solve_isolated(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
-                    anorm: float, ms: np.ndarray, windows):
-    """Eigenpairs of anchors alone in their Gershgorin discs, advanced as one block.
+def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
+                    anorm: float, ms: np.ndarray, starts: np.ndarray, windows):
+    """Eigenpairs of the Gershgorin clusters ``ms[starts[c]:starts[c + 1]]``, all in one block.
 
-    Column i of the block starts as e_m for m = ms[i] and runs its own
-    Rayleigh-shifted inverse iteration on the principal band submatrix of rows
-    ``windows[0][i] <= row < windows[1][i]`` (see :func:`_windows`); the column
-    is zero outside it.  Each step applies A once to every column still
-    iterating, on the rows their windows span widened by deg q (A X is zero
-    beyond, so the Rayleigh quotients and residuals are those of the full
-    matrix), and solves all their shifted windows with one band LU
-    (:func:`_band_solve`).  A column stops once its scaled residual is at most
-    ``_RESIDUAL_TOL``.  Its disc holds exactly one eigenvalue, so that
-    eigenvalue is branch m's and needs no dominance test.
+    Column i starts as e_m for m = ms[i] and is zero outside the rows
+    ``windows[0][i] <= row < windows[1][i]``, every row for a cluster of more
+    than one.  Each step applies A to the columns of every cluster still
+    iterating, on the rows their windows span widened by deg q, and takes
+    their Ritz pairs: a cluster of one its Rayleigh quotient, a larger one the
+    eigenpairs of A projected on its columns, which are orthonormalised after
+    the solve.  One band LU then solves all their shifted windows
+    (:func:`_band_solve`).  A cluster stops once each of its scaled residuals
+    is at most ``_RESIDUAL_TOL``.
+
+    Each Ritz vector is labelled by the member it weighs most on.  With
+    residual at most ``_RESIDUAL_TOL * anorm`` it is known to that over its
+    gap to the other Ritz values of its cluster (Davis-Kahan), so its top two
+    member weights must differ by more than twice that, unless it has no
+    weight on the other members at all: a cluster of one, or a diagonal block
+    (constant q, where equal anchors are equal eigenvalues).  Returns the
+    Fourier indices of the members so labelled with their eigenvalues, unit
+    eigenvectors (rows, largest component real as LAPACK's geev returns them)
+    and scaled residuals, and a dict that maps the key of every other member
+    to why it has no label.
     """
     d = problem.coeffs.degree
     n, p = anchors.size, ms.size
     lo, hi = windows
+    size = starts[1:] - starts[:-1]
+    cid = np.repeat(np.arange(size.size), size)   # cluster of each column
+    # names[i]: the members of column i's cluster, padded with its last one
+    names = ms[np.minimum(starts[cid, None] + np.arange(size.max()), starts[cid + 1, None] - 1)]
+    larger = [tuple(starts[c:c + 2]) for c in np.flatnonzero(size > 1)]
     X = np.zeros((n, p), dtype=complex, order="F")   # columns contiguous: X[:, active] is fast
     X[ms + problem.M, np.arange(p)] = 1.0
     theta = np.empty(p, dtype=complex)
     res = np.empty(p)
-    active = np.arange(p)
+    active, ritz = np.arange(p), larger   # ritz: the larger clusters still iterating
     for step in range(_MAX_STEPS + 1):
-        span = slice(max(np.min(lo[active]) - d, 0), min(np.max(hi[active]) + d, n))
-        Xa = X[span, active]   # unit columns
+        span = slice(max(lo[active].min() - d, 0), min(hi[active].max() + d, n))
+        Xa = X[span, active]   # orthonormal columns within each cluster
         AX = _band_apply(problem, anchors[span], Xa)
         theta[active] = np.einsum("ij,ij->j", Xa.conj(), AX)
+        at = [slice(*np.searchsorted(active, se)) for se in ritz]   # their columns in Xa
+        for (s, e), c in zip(ritz, at):
+            theta[s:e], Z = scipy.linalg.eig(Xa[:, c].conj().T @ AX[:, c])
+            X[:, s:e] = Xa[:, c] = Xa[:, c] @ Z   # the span is every row while it iterates
+            AX[:, c] = AX[:, c] @ Z
         res[active] = np.linalg.norm(AX - Xa * theta[active], axis=0) / anorm
-        active = active[res[active] > _RESIDUAL_TOL]
+        going = res[active] > _RESIDUAL_TOL
+        for c in at:
+            going[c] = going[c].any()   # a cluster stops only once all its residuals pass
+        ritz = [se for se, c in zip(ritz, at) if going[c.start]]
+        active = active[going]
         if active.size == 0:
             break
         if step == _MAX_STEPS:
             raise EigenFailure(
-                f"sturm.solve_sl: branches {_names(ms[active])} not converged in {_MAX_STEPS} "
-                f"steps (scaled residual {np.max(res[active]):.2e} > {_RESIDUAL_TOL:g})")
+                f"sturm.solve_sl: branches {_names(np.sort(ms[active]))} not converged in "
+                f"{_MAX_STEPS} steps (scaled residual {np.max(res[active]):.2e} > {_RESIDUAL_TOL:g})")
         x = _band_solve(ab, d, lo[active], hi[active], theta[active], anorm, X[:, active],
-                        ms[active, None])
+                        names[active])
         X[:, active] = x / np.linalg.norm(x, axis=0)
-    outside = np.abs(theta - anchors[ms + problem.M]) > radius + _RESIDUAL_TOL * anorm
-    if np.any(outside):
-        raise EigenFailure(
-            f"sturm.solve_sl: an eigenvalue left the Gershgorin discs of branches {_names(ms[outside])}")
-    # unit norm with the largest component real, as LAPACK's geev returns it
-    big = X[np.argmax(np.abs(X), axis=0), np.arange(p)]
-    X *= np.conj(big) / np.abs(big)
-    return [(int(m), theta[i], X[:, i], res[i]) for i, m in enumerate(ms)]
-
-
-def _solve_cluster(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
-                   anorm: float, members: np.ndarray, wanted):
-    """Eigenpairs of one Gershgorin cluster by Ritz-shifted block inverse iteration.
-
-    The block starts as the unit vectors e_m of the members, so the first
-    shifts are the Ritz values of their diagonal block.  Each step solves
-    (A - theta_i) x_i = y_i for every Ritz pair with the band LU, orthonormalises
-    the block and projects A onto it.  Each eigenvector is labelled by the
-    member index that dominates it, as an isolated Gershgorin disc forces.
-    Returns the pairs of the ``wanted`` members so labelled, and a dict that
-    maps the key of every other wanted member to why it has no label.
-    """
-    d = problem.coeffs.degree
-    p = members.size
-    rows = members + problem.M
-    X = np.zeros((anchors.size, p), dtype=complex)
-    X[rows, np.arange(p)] = 1.0
-    for step in range(_MAX_STEPS + 1):
-        AX = _band_apply(problem, anchors, X)
-        H = X.conj().T @ AX
-        theta, Z = scipy.linalg.eig(H)
-        Y = X @ Z
-        res = np.linalg.norm(AX @ Z - Y * theta, axis=0) / (np.linalg.norm(Y, axis=0) * anorm)
-        if np.all(res <= _RESIDUAL_TOL):
-            break
-        if step == _MAX_STEPS:
-            raise EigenFailure(
-                f"sturm.solve_sl: branches {_names(members)} not converged in {_MAX_STEPS} "
-                f"steps (scaled residual {np.max(res):.2e} > {_RESIDUAL_TOL:g})")
-        X = _band_solve(ab, d, np.zeros(p, dtype=int), np.full(p, anchors.size), theta, anorm,
-                        Y, np.tile(members, (p, 1)))
-        X = np.linalg.qr(X)[0]
-    outside = np.min(np.abs(theta - anchors[rows][:, None]), axis=0) > radius + _RESIDUAL_TOL * anorm
-    if np.any(outside):
-        raise EigenFailure(
-            f"sturm.solve_sl: an eigenvalue left the Gershgorin discs of branches {_names(members)}")
-    # Label each Ritz vector by the member it weighs most on.  With residual at
-    # most _RESIDUAL_TOL * anorm it is known to that over its gap to the other
-    # Ritz values (Davis-Kahan), so its top two member weights must differ by
-    # more than twice that, unless it has no weight on the other members at all
-    # (a diagonal block: constant q, where equal anchors are equal eigenvalues).
-    weights = np.abs(Y[rows])   # weights[j, i]: modulus of Ritz vector i at member j
-    top = np.argmax(weights, axis=0)
-    second = np.sort(np.vstack([weights, np.zeros(p)]), axis=0)[-2]
-    gap = np.min(np.abs(theta[:, None] - theta) + np.diag(np.full(p, np.inf)), axis=0)
-    clear = (second == 0) | ((weights[top, np.arange(p)] - second) * gap
-                             > 2 * _RESIDUAL_TOL * anorm)
-    pairs, undecided = [], {}
-    for j in (j for j, m in enumerate(members) if m in wanted):
-        owners = np.flatnonzero(top == j)
-        if owners.size != 1 or not clear[owners[0]]:
-            undecided[_key(int(members[j]))] = (
-                f"sturm.solve_sl: cannot label branches {_names(members[j:j + 1])} in the "
-                f"cluster {_names(members)}: no eigenvector is clearly dominated by each")
-            continue
-        y = Y[:, owners[0]]
-        big = y[np.argmax(np.abs(y))]
-        # unit norm with the largest component real, as LAPACK's geev returns it
-        pairs.append((int(members[j]), theta[owners[0]],
-                      y * (np.conj(big) / (abs(big) * np.linalg.norm(y))), res[owners[0]]))
-    return pairs, undecided
+        for s, e in ritz:
+            X[:, s:e] = np.linalg.qr(x[:, slice(*np.searchsorted(active, (s, e)))])[0]
+    outside = (np.abs(theta[:, None] - anchors[names + problem.M]).min(axis=1)
+               > radius + _RESIDUAL_TOL * anorm)
+    if outside.any():
+        raise EigenFailure("sturm.solve_sl: an eigenvalue left the Gershgorin discs of branches "
+                           f"{_names(np.unique(names[outside]))}")
+    owner = np.arange(p)   # the column of the Ritz vector that labels each member, or -1
+    undecided = {}
+    for s, e in larger:   # a cluster of one labels its column
+        weights = np.abs(X[ms[s:e] + problem.M, s:e])   # [j, i]: Ritz vector i at member j
+        top = np.argmax(weights, axis=0)
+        second = np.sort(np.vstack([weights, np.zeros(e - s)]), axis=0)[-2]
+        gap = np.min(np.abs(theta[s:e, None] - theta[s:e]) + np.diag(np.full(e - s, np.inf)), axis=0)
+        clear = (second == 0) | ((weights[top, np.arange(e - s)] - second) * gap
+                                 > 2 * _RESIDUAL_TOL * anorm)
+        for j in range(s, e):
+            owners = np.flatnonzero(top == j - s)
+            if owners.size == 1 and clear[owners[0]]:
+                owner[j] = s + owners[0]
+                continue
+            owner[j] = -1
+            undecided[_key(int(ms[j]))] = (
+                f"sturm.solve_sl: cannot label branches {_names(ms[j:j + 1])} in the "
+                f"cluster {_names(ms[s:e])}: no eigenvector is clearly dominated by each")
+    decided = owner >= 0
+    i = owner[decided]
+    C = X.T[i]
+    big = C[np.arange(i.size), np.abs(C).argmax(axis=1)]
+    C *= (np.conj(big) / np.abs(big))[:, None]
+    return ms[decided], theta[i], C, res[i], undecided
 
 
 def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpectrum:
@@ -345,17 +329,16 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
 
     ``branches`` is an iterable of ``(sign, n)`` keys, as in
     :attr:`SLSpectrum.entries`; None asks for (+1, 0..M) and (-1, 1..M).
-    Each pair is computed by shifted inverse iteration on the band matrix,
-    with the anchors whose Gershgorin discs overlap its own.  A key whose
-    eigenvector those anchors cannot decide is listed in
-    :attr:`SLSpectrum.undecided`, not in ``entries``.  A scaled residual above
-    ``_RESIDUAL_TOL`` after ``_MAX_STEPS`` steps, a band LU that stays
+    Every Gershgorin cluster that holds a wanted anchor is solved whole by
+    :func:`_solve_clusters`, all of them side by side in one block: one band
+    apply and one band LU per step.  An anchor alone in its disc is a
+    cluster of one, and its shifted solve runs on its decay window only
+    (29-77 rows, not 289, on the ``reconstruct`` benchmark's spectra at
+    M = 144).  A key whose eigenvector its cluster cannot decide is listed in
+    :attr:`SLSpectrum.undecided`, not in ``entries``.  A scaled residual
+    above ``_RESIDUAL_TOL`` after ``_MAX_STEPS`` steps, a band LU that stays
     singular, or an eigenvalue outside its Gershgorin disc raises
-    :class:`EigenFailure`.  The keys whose disc meets no other are iterated
-    side by side as the columns of one block, each stopping at its own
-    residual: one band apply and one band LU per step, each column's shifted
-    solve on its decay window only (29-77 rows, not 289, on the
-    ``reconstruct`` benchmark's spectra at M = 144).
+    :class:`EigenFailure`.
 
     Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``; a
     labelled pair with |v(0)| <= ``_NORM_TOL`` ||c|| raises
@@ -368,47 +351,53 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
         if sign not in (1, -1) or n not in range(M + 1) or (sign, n) == (-1, 0):
             raise ValidationError(f"sturm.solve_sl: no branch {key!r} at truncation M={M}")
         wanted.add(sign * n)
-    m = np.arange(-M, M + 1)
     anchors, radius, anorm = problem.gershgorin()
+    spectrum = SLSpectrum(problem, matrix_norm=anorm)
+    if not wanted:
+        return spectrum
+    want = np.zeros(anchors.size, dtype=bool)
+    want[np.fromiter(wanted, dtype=int) + M] = True
     # The anchors share one imaginary part, so two discs overlap where the real
     # parts lie within 2 radius; a cluster is a run of such overlaps.
     order = np.argsort(anchors.real, kind="stable")
-    cluster = np.empty(m.size, dtype=int)
+    cluster = np.empty(anchors.size, dtype=int)
     cluster[order] = np.concatenate(([0], np.cumsum(np.diff(anchors.real[order]) > 2 * radius)))
     d = problem.coeffs.degree
-    ab = np.zeros((3 * d + 1, m.size), dtype=complex, order="F")
+    ab = np.zeros((3 * d + 1, anchors.size), dtype=complex, order="F")
     for j, c in problem.coeffs.items():
         ab[2 * d + j] = problem.k ** 2 * c
     ab[2 * d] = anchors
-    # Wanted anchors alone in their clusters share one block; each larger
-    # cluster is solved on its own.
-    alone = np.bincount(cluster)[cluster] == 1
-    isolated = np.array(sorted(mw for mw in wanted if alone[mw + M]), dtype=int)
-    spectrum = SLSpectrum(problem, matrix_norm=anorm)
-    pairs = []
-    if isolated.size:
-        windows = _windows(anchors, radius, d, isolated + M)
-        pairs = _solve_isolated(problem, ab, anchors, radius, anorm, isolated, windows)
-    for cid in sorted({cluster[mw + M] for mw in wanted if not alone[mw + M]}):
-        members = np.flatnonzero(cluster == cid) - M
-        found, undecided = _solve_cluster(problem, ab, anchors, radius, anorm, members, wanted)
-        pairs += found
-        spectrum.undecided.update(undecided)
-    pairs.sort(key=lambda pr: pr[0])
-    C = np.array([c for _, _, c, _ in pairs], dtype=complex).reshape(len(pairs), m.size)
+    # Every cluster with a wanted anchor is a run of columns in order of m,
+    # and the runs are in order of their first member.
+    hit = np.zeros(anchors.size, dtype=bool)
+    hit[cluster[want]] = True
+    rows = np.flatnonzero(hit[cluster])
+    first = np.unique(cluster, return_index=True)[1]   # the first row of each cluster
+    rows = rows[np.argsort(first[cluster[rows]], kind="stable")]
+    runs = cluster[rows]
+    starts = np.concatenate(([0], np.flatnonzero(runs[1:] != runs[:-1]) + 1, [rows.size]))
+    lone = starts[:-1][np.diff(starts) == 1]
+    lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, anchors.size)
+    lo[lone], hi[lone] = _windows(anchors, radius, d, rows[lone])
+    index, lam, C, residual, undecided = _solve_clusters(
+        problem, ab, anchors, radius, anorm, rows - M, starts, (lo, hi))
+    spectrum.undecided = {key: why for key, why in undecided.items() if want[key[0] * key[1] + M]}
+    keep = np.argsort(index)
+    keep = keep[want[index[keep] + M]]
+    index, lam, C, residual = index[keep], lam[keep], C[keep], residual[keep]
     if normalize:
         v0 = np.sum(C, axis=1)
         flat = np.flatnonzero(np.abs(v0) / np.linalg.norm(C, axis=1) <= _NORM_TOL)
         if flat.size:
             j = flat[0]
             raise NormalizationDegenerate(
-                f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {pairs[j][0]}; "
+                f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {index[j]}; "
                 "scaling to v(0) = 1 impossible")
         C /= v0[:, None]
-    for (index, lam, _, residual), c in zip(pairs, C):
-        sign, n = _key(index)
-        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam), c,
-                                              float(residual), bool(normalize))
+    for m, lam_m, c, res_m in zip(index, lam, C, residual):
+        sign, n = _key(int(m))
+        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam_m), c,
+                                              float(res_m), bool(normalize))
     return spectrum
 
 

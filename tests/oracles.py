@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from gratescat.errors import ValidationError
-from gratescat.forward import _block_operators
+from gratescat.forward import _toeplitz_inverse, _wavenumbers
 from gratescat.separable import TWO_PI, TransverseFactor
 from gratescat.sturm import SLEntry, SLProblem, SLSpectrum, _key
 
@@ -119,9 +119,37 @@ def layer_residual(field, points) -> dict:
             "pointwise": res, "scale": scale}
 
 
+def block_operators(slab, modeset, slab_index: int):
+    """The slab's propagation operators A, B stacked over the n2 blocks: (2N+1, 2mb, 2mb) each.
+
+    Each mode of a ModalBasis satisfies A V = W gamma and B W = V gamma.
+    """
+    ms = modeset
+    mb = ms.block_size
+    k = ms.k
+    d1, a2 = _wavenumbers(ms)
+    c2 = a2[:, :, None]
+    Q = slab.coeffs.toeplitz(mb)
+    eye = np.eye(mb, dtype=complex)
+    Qinv = _toeplitz_inverse(slab, Q, slab_index)
+    A = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
+    B = np.zeros_like(A)
+    d1Qinv = d1[:, None] * Qinv
+    A[:, :mb, :mb] = (c2 / k) * d1Qinv
+    A[:, :mb, mb:] = k * eye - (d1Qinv * d1[None, :]) / k
+    A[:, mb:, :mb] = (c2 * c2 / k) * Qinv - k * eye
+    A[:, mb:, mb:] = -(c2 / k) * (Qinv * d1[None, :])
+    diag = np.arange(mb)
+    B[:, diag, diag] = -(a2 / k) * d1
+    B[:, :mb, mb:] = np.diag(d1 * d1 / k) - k * Q
+    B[:, mb:, :mb] = k * Q - (c2 * c2 / k) * eye
+    B[:, mb + diag, mb + diag] = (a2 / k) * d1
+    return A, B
+
+
 def eigen_residual(basis) -> float:
     """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| of a ModalBasis over its full eigen set."""
-    A, B = _block_operators(basis.slab, basis.modeset, basis.slab_index)
+    A, B = block_operators(basis.slab, basis.modeset, basis.slab_index)
     mnorm = np.maximum(np.linalg.matrix_norm(A, ord=2), np.linalg.matrix_norm(B, ord=2))
     g = basis.gamma[:, None, :]
     ra = A @ basis.V - basis.W * g

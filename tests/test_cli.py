@@ -86,6 +86,7 @@ def test_sturm_symmetric_profile_at_default_theta1_exits_1(tmp_path, capsys):
     assert ("[ValidationError]: sturm.check_asymptotics: need at least 8 branch pairs in "
             "range, got 0; 9 pairs in range 4..12 have an undecided label") in err
     assert not (tmp_path / "sturm_summary.txt").exists()
+    assert not (tmp_path / "eig.csv").exists()
 
 
 def test_sturm_rejects_height_dependent_profile(tmp_path, capsys):

@@ -311,7 +311,7 @@ class _DenseBasis(forward.ModalBasis):
 def _dense_layer_modes(profile, slab_index, modeset):
     """Reference basis: one dense eigensolve of A B per n2 block."""
     slab = profile.slabs[slab_index]
-    A, Bm = forward._block_operators(slab, modeset, slab_index)
+    A, Bm = oracles.block_operators(slab, modeset, slab_index)
     w2, W = scipy.linalg.eig(A @ Bm)
     gamma = forward._sqrt_up(w2)
     Qinv = forward._toeplitz_inverse(slab, slab.coeffs.toeplitz(modeset.block_size), slab_index)
@@ -345,7 +345,7 @@ def test_layer_modes_lift_matches_dense_block_spectrum(kind):
     ms = _modeset(4)
     mb = ms.block_size
     basis = solve_layer_modes(MediumProfile.from_coeffs(LIFT_SLABS[kind], B), 0, ms)
-    A, Bm = forward._block_operators(basis.slab, ms, 0)
+    A, Bm = oracles.block_operators(basis.slab, ms, 0)
     want = np.linalg.eigvals(A @ Bm)
     for ib in range(2 * ms.N + 1):
         got = basis.gamma[ib] ** 2

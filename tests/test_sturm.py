@@ -311,7 +311,8 @@ def test_targeted_at_coincident_anchors(alpha1, partner):
         with pytest.raises(EigenFailure, match=pattern):
             spec.entry(1, n)
     if alpha1 == 0.0:
-        # the unpaired anchor m = 0 sits alone in its Gershgorin disc
+        # the unpaired anchor m = 0 shares a cluster with m = -1 and 1, and
+        # its eigenvector still peaks clearly at its own index
         alone = solve_sl(prob, normalize=False, branches=[(1, 0)])
         _assert_same_pair(alone.entries[(1, 0)], dense.entries[(1, 0)])
         _assert_same_pair(spec.entries[(1, 0)], dense.entries[(1, 0)])
@@ -354,15 +355,19 @@ def test_targeted_iteration_cap(monkeypatch):
         solve_sl(prob, branches=[(1, 5)])
 
 
+def _shrink_discs(monkeypatch):
+    solve = sturm._solve_clusters
+
+    def shrunk(problem, ab, anchors, radius, *rest):
+        return solve(problem, ab, anchors, 0.0, *rest)
+    monkeypatch.setattr(sturm, "_solve_clusters", shrunk)
+
+
 def test_targeted_eigenvalue_outside_discs_raises(monkeypatch):
     # with the discs shrunk to their centres the converged eigenvalue lies
     # outside them, so its label would not follow from the construction
     prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
-    solve = sturm._solve_isolated
-
-    def shrunk(problem, ab, anchors, radius, *rest):
-        return solve(problem, ab, anchors, 0.0, *rest)
-    monkeypatch.setattr(sturm, "_solve_isolated", shrunk)
+    _shrink_discs(monkeypatch)
     pattern = "left the Gershgorin discs of branches " + _name((1, 5))
     with pytest.raises(EigenFailure, match=pattern):
         solve_sl(prob, branches=[(1, 5)])
@@ -371,34 +376,49 @@ def test_targeted_eigenvalue_outside_discs_raises(monkeypatch):
 def test_cluster_eigenvalue_outside_discs_raises(monkeypatch):
     # the same check on a cluster of two: anchors 0 and -1 at alpha1 = 0.47
     prob = SLProblem(_COMPLEX_Q, K, 0.47, 24)
-    solve = sturm._solve_cluster
-
-    def shrunk(problem, ab, anchors, radius, *rest):
-        return solve(problem, ab, anchors, 0.0, *rest)
-    monkeypatch.setattr(sturm, "_solve_cluster", shrunk)
+    _shrink_discs(monkeypatch)
     pattern = "left the Gershgorin discs of branches " + _name((-1, 1)) + ", " + _name((1, 0))
     with pytest.raises(EigenFailure, match=pattern):
         solve_sl(prob, branches=[(1, 0)])
 
 
-@pytest.mark.parametrize("alpha1, path", [
+def _spy_clusters(monkeypatch):
+    """Record the clusters, as lists of Fourier indices, of each _solve_clusters call."""
+    seen = []
+    solve = sturm._solve_clusters
+
+    def spy(problem, ab, anchors, radius, anorm, ms, starts, windows):
+        seen.append([c.tolist() for c in np.split(ms, starts[1:-1])])
+        return solve(problem, ab, anchors, radius, anorm, ms, starts, windows)
+    monkeypatch.setattr(sturm, "_solve_clusters", spy)
+    return seen
+
+
+def _spy_windows(monkeypatch):
+    """Record the rows and the windows of each _windows call."""
+    seen = []
+    windows = sturm._windows
+
+    def spy(anchors, radius, d, rows):
+        seen.append((rows, windows(anchors, radius, d, rows)))
+        return seen[-1][1]
+    monkeypatch.setattr(sturm, "_windows", spy)
+    return seen
+
+
+@pytest.mark.parametrize("alpha1, clusters", [
     # anchors 0 and -1 lie 1 - 2 alpha1 = 0.5 = 2 radius apart: their discs touch
-    (0.25, "_solve_cluster"),
-    # just past 2 radius: two singletons, advanced in one block
-    (0.25 - 2.0 ** -20, "_solve_isolated"),
+    pytest.param(0.25, [[-1, 0]], id="0.25-one_cluster_of_two"),
+    # just past 2 radius: two clusters of one, each on its window
+    pytest.param(0.25 - 2.0 ** -20, [[-1], [0]], id="0.2499990463256836-two_clusters_of_one"),
 ])
-def test_targeted_cluster_threshold(monkeypatch, alpha1, path):
+def test_targeted_cluster_threshold(monkeypatch, alpha1, clusters):
     # k = 1 and dyadic coefficients make the anchor gap and 2 radius exact
     prob = SLProblem({0: 2.0 + 0.25j, 1: 0.125, -1: 0.125j}, 1.0, alpha1, 8)
-    seen = []
-    for name in ("_solve_cluster", "_solve_isolated"):
-        def spy(problem, ab, anchors, radius, anorm, ms, *rest, solve=getattr(sturm, name), name=name):
-            seen.append((name, [int(m) for m in ms]))
-            return solve(problem, ab, anchors, radius, anorm, ms, *rest)
-        monkeypatch.setattr(sturm, name, spy)
+    seen = _spy_clusters(monkeypatch)
     keys = [(-1, 1), (1, 0)]
     targeted = solve_sl(prob, normalize=False, branches=keys)
-    assert seen == [(path, [-1, 0])]
+    assert seen == [clusters]
     dense = oracles.dense_spectrum(prob)
     for key in keys:
         _assert_same_pair(targeted.entries[key], dense.entries[key])
@@ -408,20 +428,19 @@ def test_isolated_block_matches_one_branch_solves(monkeypatch):
     prob = SLProblem(*_RECONSTRUCT_CASE)
     assert len(_RECONSTRUCT_KEYS) == 43 and 2 * prob.M + 1 == 289
     d = prob.coeffs.degree
-    applied, factored, windows, solved = [], [], [], []
-    apply, gbtrf = sturm._band_apply, sturm._gbtrf
-    isolated, band_solve = sturm._solve_isolated, sturm._band_solve
+    applied, factored, solved = [], [], []
+    apply, gbtrf, band_solve = sturm._band_apply, sturm._gbtrf, sturm._band_solve
     monkeypatch.setattr(sturm, "_band_apply",
                         lambda *args: applied.append(args[2].shape[0]) or apply(*args))
     monkeypatch.setattr(sturm, "_gbtrf",
                         lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
-    monkeypatch.setattr(sturm, "_solve_isolated",
-                        lambda *args: windows.append(args[-1]) or isolated(*args))
     monkeypatch.setattr(sturm, "_band_solve",
                         lambda ab, d, lo, hi, *args: solved.append((lo, hi))
                         or band_solve(ab, d, lo, hi, *args))
+    windows = _spy_windows(monkeypatch)
     spec = solve_sl(prob, normalize=False, branches=_RECONSTRUCT_KEYS)
-    [(lo, hi)] = windows
+    [(rows, (lo, hi))] = windows
+    assert [sturm._key(int(r) - prob.M) for r in rows] == _RECONSTRUCT_KEYS
     # each branch is solved on its own window, not on the order-289 matrix
     assert max(hi - lo) <= 45
     # one band apply per step, not per branch; every step but the last makes
@@ -439,6 +458,31 @@ def test_isolated_block_matches_one_branch_solves(monkeypatch):
         np.testing.assert_allclose(spec.entries[key].coeffs, alone.coeffs, rtol=0, atol=1e-13)
 
 
+def test_every_cluster_shares_one_band_lu_per_step(monkeypatch):
+    # At alpha1 = 0 the mirror anchors of each n >= 2 form a cluster of two
+    # (and -1, 0, 1 one of three).  Each step makes one band apply and one
+    # band LU for every cluster still iterating, not one per cluster.
+    prob = SLProblem(_COMPLEX_Q, K, 0.0, 24)
+    applied, factored = [], []
+    apply, gbtrf = sturm._band_apply, sturm._gbtrf
+    monkeypatch.setattr(sturm, "_band_apply", lambda *args: applied.append(1) or apply(*args))
+    monkeypatch.setattr(sturm, "_gbtrf",
+                        lambda *args, **kw: factored.append(1) or gbtrf(*args, **kw))
+    seen = _spy_clusters(monkeypatch)
+    spec = solve_sl(prob)
+    [clusters] = seen
+    assert sorted(clusters) == sorted([[-1, 0, 1]] + [[-n, n] for n in range(2, 25)])
+    assert len(factored) == len(applied) - 1 >= 1
+    assert list(spec.entries) == [(1, 0)] and len(spec.undecided) == 48
+
+
+def test_no_branches_asked_gives_an_empty_spectrum():
+    prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
+    spec = solve_sl(prob, branches=[])
+    assert spec.entries == {} and spec.undecided == {}
+    assert spec.matrix_norm == prob.gershgorin()[2]
+
+
 @pytest.mark.parametrize("coeffs, k, alpha1, M", _DENSE_CASES + [_RECONSTRUCT_CASE])
 def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, alpha1, M):
     # Every branch alone in its disc is solved on a window outside which its
@@ -449,15 +493,10 @@ def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, al
     prob = SLProblem(coeffs, k, alpha1, M)
     dense = oracles.dense_spectrum(prob)
     decided = list(dense.entries)
-    seen = []
-    solve = sturm._solve_isolated
-
-    def spy(problem, ab, anchors, radius, anorm, ms, windows):
-        seen.append((ms, windows))
-        return solve(problem, ab, anchors, radius, anorm, ms, windows)
-    monkeypatch.setattr(sturm, "_solve_isolated", spy)
+    seen = _spy_windows(monkeypatch)
     targeted = solve_sl(prob, normalize=False, branches=decided)
-    [(ms, (lo, hi))] = seen
+    [(rows, (lo, hi))] = seen
+    ms = rows - M
     keys = [sturm._key(int(m)) for m in ms]
     if (coeffs, k, alpha1, M) == _RECONSTRUCT_CASE:
         assert set(_RECONSTRUCT_KEYS) <= set(keys)
