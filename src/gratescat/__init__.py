@@ -19,7 +19,7 @@ from .rayleigh_dtn import (RayleighField, TangentialField, apply_R, efficiencies
                            energy_forms, inner)
 from .greens import (DipoleDensity, PlaneWaveIncidence, green_eval, helmholtz_residual,
                      incident_from_density)
-from .forward import (DtnMap, LayerField, MediumProfile, ModalBasis, Slab, assemble_dtn,
+from .forward import (LayerField, MediumProfile, ModalBasis, Slab, assemble_dtn,
                       solve_layer_modes, solve_qpbvp, solve_scattering)
 from .sturm import SLProblem, SLSpectrum, check_asymptotics, solve_sl
 from .separable import TransverseFactor, build_u, moment_kernels

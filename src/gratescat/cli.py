@@ -209,17 +209,22 @@ def _run_forward(sc: Scenario) -> None:
 def _run_dtn(sc: Scenario) -> None:
     _require(sc.profile is not None, "cli.run: dtn scenario needs a [profile] section")
     ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
-    dtn = forward.assemble_dtn(sc.profile, ms)
-    rows, cols = np.nonzero(dtn.matrix)
-    vals = dtn.matrix[rows, cols]
+    blocks = forward.assemble_dtn(sc.profile, ms)
+    m, mb, nb = ms.num_modes, ms.block_size, blocks.shape[0]
+    # assemble_dtn's dense indices; C order of (c, b, i, c', i') is their row-major order
+    vals = blocks.reshape(nb, 2, mb, 2, mb).transpose(1, 0, 2, 3, 4)
+    c, b, i, c2, i2 = np.ogrid[:2, :nb, :mb, :2, :mb]
+    rows, cols = np.broadcast_arrays(c * m + b * mb + i, c2 * m + b * mb + i2)
+    keep = vals != 0      # the exact zeros inside a block stay out, as off the n2 diagonal
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     write_csv(sc.out_path("dtn"), "row,col,re,im", "%d,%d,%.17g,%.17g",
               zip(rows.tolist(), cols.tolist(), vals.real.tolist(), vals.imag.tolist()))
     write_summary(sc.out_path("summary"), [
         ("kind", "dtn"),
-        ("profile_digest", dtn.profile_digest),
-        ("modeset_digest", dtn.modeset_digest),
-        ("matrix_norm", float(np.linalg.norm(dtn.matrix))),
-        ("size", dtn.matrix.shape[0]),
+        ("profile_digest", sc.profile.digest()),
+        ("modeset_digest", ms.digest()),
+        ("matrix_norm", float(np.linalg.norm(blocks))),
+        ("size", 2 * m),
     ])
 
 

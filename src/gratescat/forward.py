@@ -696,21 +696,6 @@ class QpbvpResult:
     condition: float             # largest 1-norm condition: exact for eigenbases, gecon elsewhere
 
 
-@dataclass
-class DtnMap:
-    """Dense matrix of the boundary map on tangential coefficients.
-
-    Layout: a tangential field with coefficients (m, 3) is flattened as
-    [all first components; all second components] (length 2m); the matrix maps
-    the flattened boundary datum f = e3 x E to the flattened tangential curl.
-    """
-
-    matrix: np.ndarray
-    modeset: ModeSet
-    profile_digest: str
-    modeset_digest: str
-
-
 def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) -> QpbvpResult:
     """Solve the layer problem with conducting plate below and trace f above.
 
@@ -727,24 +712,21 @@ def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) ->
                        TangentialField(modeset, trace, profile.b), max(stack.max_cond, cond))
 
 
-def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> DtnMap:
-    """Assemble the dense boundary-map matrix, one 2mb x 2mb block per n2."""
+def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> np.ndarray:
+    """Boundary map on tangential coefficients as its (2N+1, 2mb, 2mb) n2 blocks.
+
+    Block b maps f = e3 x E on modes j = b mb + i, ordered [f1 over i; f2 over i], to
+    the tangential curl in the same order.  The dense 2m x 2m map on [all f1; all f2]
+    (``dtn.csv``) has entry (c m + b mb + i, c' m + b mb + i') = blocks[b, c mb + i, c' mb + i'],
+    and is zero off the n2 diagonal, since q = q(x1) couples no two n2 blocks.
+    """
     stack = _stack(profile, modeset)
-    ms = modeset
-    m = ms.num_modes
-    mb = ms.block_size
-    nb = 2 * ms.N + 1
+    mb = modeset.block_size
     # J maps block [f1; f2] to block [E1; E2] = [f2; -f1].
     J = np.kron([[0, 1], [-1, 0]], np.eye(mb))
     _, lu = stack.trace_match("forward.assemble_dtn: trace match")
     PinvJ = _lu_solve(lu, np.broadcast_to(J, stack.top_H.shape))
-    blocks = 1j * ms.k * stack.top_H @ PinvJ
-    # Matrix rows and columns split as (component, block, n1): scatter the
-    # diagonal of the block axis.
-    matrix = np.zeros((2 * m, 2 * m), dtype=complex)
-    ib = np.arange(nb)
-    matrix.reshape(2, nb, mb, 2, nb, mb)[:, ib, :, :, ib, :] = blocks.reshape(nb, 2, mb, 2, mb)
-    return DtnMap(matrix, ms, profile.digest(), ms.digest())
+    return 1j * modeset.k * stack.top_H @ PinvJ
 
 
 @dataclass

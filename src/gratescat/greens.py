@@ -72,6 +72,14 @@ def helmholtz_residual(x, y, modeset: ModeSet, h: float) -> float:
     return abs(lap + modeset.k ** 2 * g0) / abs(g0)
 
 
+def _require_finite_norm(v: np.ndarray, what: str) -> None:
+    """Refuse a vector whose squared norm sum |v_j|^2 is NaN or overflows."""
+    with np.errstate(over="ignore"):      # an overflow is refused below, not warned
+        sq = float(np.sum(np.abs(v) ** 2))
+    if not math.isfinite(sq):
+        raise ValidationError(f"{what} must be finite with a finite squared norm, got {v!r}")
+
+
 @dataclass
 class PlaneWaveIncidence:
     """Downgoing plane wave p exp(i k x . d) with transversal polarization."""
@@ -83,10 +91,12 @@ class PlaneWaveIncidence:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=complex)
         self.d = np.asarray(self.d, dtype=float)
-        if self.k <= 0:
-            raise ValidationError("greens.PlaneWaveIncidence: k must be > 0")
+        if not 0 < self.k < math.inf:
+            raise ValidationError("greens.PlaneWaveIncidence: k must be finite and > 0")
         if self.p.shape != (3,) or self.d.shape != (3,):
             raise ValidationError("greens.PlaneWaveIncidence: p and d must be 3-vectors")
+        _require_finite_norm(self.p, "greens.PlaneWaveIncidence: p")
+        _require_finite_norm(self.d, "greens.PlaneWaveIncidence: d")
         if abs(np.linalg.norm(self.d) - 1.0) > 1e-12:
             raise ValidationError("greens.PlaneWaveIncidence: |d| must be 1")
         if self.d[2] >= 0:
@@ -102,6 +112,7 @@ class PlaneWaveIncidence:
                       math.cos(theta1) * math.sin(theta2),
                       -math.sin(theta1)])
         seed = np.asarray(pol_seed, dtype=complex)
+        _require_finite_norm(seed, "greens.PlaneWaveIncidence.from_angles: pol_seed")
         p = seed - np.dot(seed, d) * d
         if np.linalg.norm(p) < 1e-12:
             raise ValidationError("greens.PlaneWaveIncidence.from_angles: pol_seed parallel to d")

@@ -99,7 +99,7 @@ class RayleighField:
         scale = np.linalg.norm(self.coeffs, axis=1) + np.max(
             np.abs(self.coeffs), initial=0.0) * 1e-3 + 1e-300
         worst = np.max(res / scale, initial=0.0)
-        if worst > tol:
+        if not worst <= tol:      # a NaN residual fails too
             j = int(np.argmax(res / scale))
             raise DivergenceViolation(
                 "rayleigh_dtn.RayleighField: divergence constraint violated at mode "

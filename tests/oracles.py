@@ -147,6 +147,17 @@ def block_operators(slab, modeset, slab_index: int):
     return A, B
 
 
+def dtn_matrix(blocks, modeset) -> np.ndarray:
+    """Dense 2m x 2m boundary map on [all f1; all f2] from ``assemble_dtn``'s n2 blocks."""
+    m, mb, nb = modeset.num_modes, modeset.block_size, 2 * modeset.N + 1
+    matrix = np.zeros((2 * m, 2 * m), dtype=complex)
+    # Matrix rows and columns split as (component, block, n1): scatter the
+    # diagonal of the block axis.
+    ib = np.arange(nb)
+    matrix.reshape(2, nb, mb, 2, nb, mb)[:, ib, :, :, ib, :] = blocks.reshape(nb, 2, mb, 2, mb)
+    return matrix
+
+
 def eigen_residual(basis) -> float:
     """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| of a ModalBasis over its full eigen set."""
     A, B = block_operators(basis.slab, basis.modeset, basis.slab_index)

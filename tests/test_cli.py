@@ -10,6 +10,8 @@ from gratescat.cli import KINDS, main
 from gratescat.forward import MediumProfile, Slab, assemble_dtn
 from gratescat.sturm import SLProblem, solve_sl, write_spectrum_csv
 
+import oracles
+
 K = 1.2
 THETA1 = 1.05
 THETA2 = 0.4
@@ -495,7 +497,7 @@ qcoef =
     assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
     ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 2)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.12 + 0j, -1: 0.12 + 0j}, 0.7)
-    matrix = assemble_dtn(prof, ms).matrix
+    matrix = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
     want = ["row,col,re,im"]
     for i in range(matrix.shape[0]):
         for j in range(matrix.shape[1]):
@@ -527,9 +529,36 @@ qcoef2 =
     assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
     ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 4)
     prof = MediumProfile([Slab(0.4, {0: 1.5 + 0.1j, 1: 0.05 - 0.02j}), Slab(0.3, {0: 1.8 + 0.05j})])
-    matrix = assemble_dtn(prof, ms).matrix
+    matrix = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
     rows, cols = np.nonzero(matrix)
     assert rows.size > 1024  # the rows take two formatting calls
+    want = "row,col,re,im\n" + "".join(
+        f"{i},{j},{v.real:.17g},{v.imag:.17g}\n" for i, j, v in zip(rows, cols, matrix[rows, cols]))
+    assert (tmp_path / "dtn.csv").read_bytes() == want.encode()
+
+
+def test_dtn_csv_drops_in_block_zeros_of_a_uniform_slab(tmp_path):
+    # A uniform slab couples only the two components of one mode: each n2 block
+    # is 2x2 per mode, so most of its entries are exact zeros and stay out.
+    cfg = _write(tmp_path, "dtn.ini", f"""
+[physics]
+k = {K}
+theta1 = {THETA1}
+theta2 = {THETA2}
+
+[numerics]
+N = 3
+
+[profile]
+slabs = 0.7
+qcoef =
+    0 1.6 0.25
+""")
+    assert main(["dtn", cfg, "--output-dir", str(tmp_path)]) == 0
+    ms = build_modeset(K, Quasimomentum.from_angles(K, THETA1, THETA2), 3)
+    matrix = oracles.dtn_matrix(assemble_dtn(MediumProfile.uniform(1.6 + 0.25j, 0.7), ms), ms)
+    rows, cols = np.nonzero(matrix)
+    assert 0 < rows.size <= 4 * ms.num_modes < (2 * ms.N + 1) * (2 * ms.block_size) ** 2
     want = "row,col,re,im\n" + "".join(
         f"{i},{j},{v.real:.17g},{v.imag:.17g}\n" for i, j, v in zip(rows, cols, matrix[rows, cols]))
     assert (tmp_path / "dtn.csv").read_bytes() == want.encode()
@@ -684,6 +713,17 @@ def test_pol_seed_takes_complex_literals(tmp_path):
     np.testing.assert_allclose(mixed, e1 + 1j * e2, rtol=0, atol=1e-13)
     assert np.array_equal(_rayleigh(tmp_path, "real", "0.3 0.9 0.2"),
                           _rayleigh(tmp_path, "cplx", "0.3+0j 0.9+0j 0.2-0j"))
+
+
+@pytest.mark.parametrize("seed", ["nan 0 1", "1e308 1e308 1e308", "0 inf 0"])
+def test_non_finite_or_overflowing_pol_seed_exits_1(tmp_path, capsys, seed):
+    cfg = _write(tmp_path, "bad.ini", FORWARD_CONFIG.replace("SEED", seed))
+    out = tmp_path / "out"
+    assert main(["forward", cfg, "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation failure [ValidationError]: greens.PlaneWaveIncidence.from_angles: "
+        "pol_seed must be finite with a finite squared norm")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_gapcheck_slab_totals_one_ulp_apart(tmp_path):

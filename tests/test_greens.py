@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -107,6 +110,37 @@ def test_plane_wave_validation():
         PlaneWaveIncidence(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 1.5)  # d3 >= 0
     with pytest.raises(ValidationError):
         PlaneWaveIncidence(np.array([0, 0, 1.0]), np.array([0, 0, -1.0]), 1.5)  # p.d != 0
+
+
+@pytest.mark.parametrize("p, d, k, what", [
+    ((np.nan, 0, 0), (0, 0, -1.0), 1.5, "p"),
+    ((1.0, np.inf, 0), (0, 0, -1.0), 1.5, "p"),
+    ((1.0, 0, 0), (0, np.nan, -1.0), 1.5, "d"),
+    ((1.0, 0, 0), (0, 0, -np.inf), 1.5, "d"),
+    ((1.0, 0, 0), (0, 0, -1.0), np.nan, "k"),
+    ((1.0, 0, 0), (0, 0, -1.0), np.inf, "k"),
+], ids=["p_nan", "p_inf", "d_nan", "d_inf", "k_nan", "k_inf"])
+def test_plane_wave_refuses_non_finite_input(p, d, k, what):
+    with pytest.raises(ValidationError, match=rf"^greens\.PlaneWaveIncidence: {what} must be finite"):
+        PlaneWaveIncidence(np.array(p), np.array(d), k)
+
+
+def test_plane_wave_squared_norm_threshold():
+    # |p|^2 = x^2 is the largest finite square; the next float up overflows.
+    x = math.sqrt(sys.float_info.max)
+    over = math.nextafter(x, math.inf)
+    assert math.isfinite(x * x) and math.isinf(over * over)
+    inc = PlaneWaveIncidence(np.array([x, 0, 0]), np.array([0, 0, -1.0]), 1.5)
+    assert inc.p[0] == x
+    with pytest.raises(ValidationError, match=r"^greens\.PlaneWaveIncidence: p must be finite "
+                                              r"with a finite squared norm"):
+        PlaneWaveIncidence(np.array([over, 0, 0]), np.array([0, 0, -1.0]), 1.5)
+    # from_angles refuses the seed before projecting it, so no overflow warning is raised
+    assert np.isfinite(PlaneWaveIncidence.from_angles(1.5, 1.1, 0.3, (0, x, 0)).p).all()
+    for seed in ((0, over, 0), (1e308, 1e308, 1e308), (np.nan, 0, 1)):
+        with pytest.raises(ValidationError, match=r"^greens\.PlaneWaveIncidence\.from_angles: "
+                                                  r"pol_seed must be finite"):
+            PlaneWaveIncidence.from_angles(1.5, 1.1, 0.3, seed)
 
 
 def _single_mode_density(ms, height, n1, n2, vec):

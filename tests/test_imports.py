@@ -7,7 +7,7 @@ import gratescat
 # Every public name of a freshly imported ``gratescat``, its submodules
 # included.  Adding or dropping an export means editing this list.
 PUBLIC_API = [
-    "DipoleDensity", "DtnMap", "LayerField", "MediumProfile", "ModalBasis", "ModeSet",
+    "DipoleDensity", "LayerField", "MediumProfile", "ModalBasis", "ModeSet",
     "MomentTable", "PlaneWaveIncidence", "Quasimomentum", "RayleighField",
     "ReconstructionResult", "SLProblem", "SLSpectrum", "Slab", "TangentialField",
     "TransverseFactor", "TrigPoly", "apply_R", "assemble_dtn", "build_modeset", "build_u",

@@ -139,6 +139,15 @@ def test_efficiencies_divergence_guard():
         efficiencies(bad, inc)
 
 
+def test_divergence_guard_refuses_a_nan_coefficient():
+    ms = _modeset(3)
+    fld = _upgoing_field(ms, 4)
+    fld.validate_divergence()
+    fld.coeffs[ms.index_of(1, -1), 2] = np.nan
+    with pytest.raises(DivergenceViolation, match=r"constraint violated at mode .*: nan > 1e-10$"):
+        fld.validate_divergence()
+
+
 def test_rayleigh_values_and_rebase():
     ms = _modeset(3)
     fld = _upgoing_field(ms, 3)
