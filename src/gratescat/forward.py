@@ -80,6 +80,7 @@ COND_LIMIT of its key.
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -108,6 +109,17 @@ _getrf, _gecon, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs
 _MEMO_SIZE = 4
 _STACKS = collections.OrderedDict()        # key -> _Stack, least recently used first
 _SEEN = collections.deque(maxlen=_MEMO_SIZE)  # keys requested once and not admitted
+
+
+def _slab_index(bounds, x3):
+    """Slab index of height x3 (an index array for an array) between the faces ``bounds``."""
+    x = np.asarray(x3, dtype=float)
+    outside = ~((0 <= x) & (x <= bounds[-1]))
+    if np.any(outside):
+        raise ValidationError(
+            f"forward.MediumProfile: x3 = {x[outside][0]:g} outside [0, {bounds[-1]:g}]")
+    j = np.minimum(np.searchsorted(bounds, x, side="right") - 1, len(bounds) - 2)
+    return int(j) if j.ndim == 0 else j
 
 
 def _sqrt_up(z):
@@ -215,14 +227,7 @@ class MediumProfile:
 
     def slab_of(self, x3):
         """Slab index of height x3 (an index array for an array); a face goes to the slab above."""
-        x = np.asarray(x3, dtype=float)
-        outside = ~((0 <= x) & (x <= self.b))
-        if np.any(outside):
-            raise ValidationError(
-                f"forward.MediumProfile: x3 = {x[outside][0]:g} outside [0, {self.b:g}]")
-        j = np.minimum(np.searchsorted(self.slab_bounds(), x, side="right") - 1,
-                       len(self.slabs) - 1)
-        return int(j) if j.ndim == 0 else j
+        return _slab_index(self.slab_bounds(), x3)
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -635,58 +640,55 @@ def _stack(profile: MediumProfile, modeset: ModeSet) -> _Stack:
 
 
 class LayerField:
-    """Modal representation of a field inside the layer stack."""
+    """Modal E field in the layer stack, held as the downgoing amplitudes at its top face.
 
-    def __init__(self, profile: MediumProfile, stack: _Stack, amplitudes):
+    The per-slab (u, d) amplitudes are recursed down the stack on the first
+    evaluation, so a solve whose field is never evaluated skips the recursion.
+    """
+
+    def __init__(self, profile: MediumProfile, stack: _Stack, top_amplitudes):
         self.stack = stack
         self.modeset = stack.modeset
         self.profile = profile
-        self.amplitudes = amplitudes
+        self._top = top_amplitudes
         self._bounds = profile.slab_bounds()
 
-    def mode_coefficients(self, x3, derivatives: bool = False):
-        """Modal E and H coefficient arrays at height x3, each (m, 3) for a float x3.
+    @functools.cached_property
+    def amplitudes(self):
+        return self.stack.downward_amplitudes(self._top)
 
-        A 1-D array of P heights gives (m, 3, P) arrays, the height axis last,
-        in one batched pass per slab (heights grouped as by ``MediumProfile.slab_of``).
-        With ``derivatives=True`` also returns dE_t/dx3 and dH_t/dx3, third column zero.
+    def mode_coefficients(self, x3) -> np.ndarray:
+        """Modal E coefficients at height x3: (m, 3) for a float, (m, 3, P) for P heights.
+
+        One batched pass per slab, a face going to the slab above; where the slab
+        indices do not decrease (sorted heights), a slab's heights are one slice.
+        H_t is formed for E3 = -(1/k) Q^-1 (D1 H2 - D2 H1) only.
         """
         ms = self.modeset
         mb = ms.block_size
-        heights = np.asarray(x3, dtype=float)
-        slab = np.atleast_1d(self.profile.slab_of(heights))
+        flat = np.asarray(x3, dtype=float).reshape(-1)
+        slab = _slab_index(self._bounds, flat)
+        runs = bool(np.all(slab[1:] >= slab[:-1]))
         a1, a2 = (w[..., None] for w in _wavenumbers(ms))
-        # an array per field, so that a caller keeping E does not keep H alive
-        out = [np.empty((ms.num_modes, 3, slab.size), dtype=complex)
-               for _ in range(4 if derivatives else 2)]
+        out = np.empty((ms.num_modes, 3, flat.size), dtype=complex)
+        blocks = out.reshape(-1, mb, 3, flat.size)  # (n2, n1, component, height), a view
         for j in np.unique(slab):
-            at = np.flatnonzero(slab == j)
-            h = heights.reshape(-1)[at]
+            at = slice(*np.searchsorted(slab, (j, j + 1))) if runs else np.flatnonzero(slab == j)
+            h = flat[at]
             basis = self.stack.bases[j]
             u, d = self.amplitudes[j]
             g = basis.gamma[:, :, None]
             up = np.exp(1j * g * (h - self._bounds[j])) * u[:, :, None]
             dn = np.exp(1j * g * (self._bounds[j + 1] - h)) * d[:, :, None]
-            vecs = [basis.W @ (up + dn), basis.V @ (up - dn)]
-            if derivatives:
-                vecs += [basis.W @ (1j * g * (up - dn)), basis.V @ (1j * g * (up + dn))]
-            for o, vec in zip(out, vecs):
-                o[..., at] = _from_blocks(ms, vec)
-            et, ht = vecs[:2]
-            e3 = -(basis.Qinv @ (a1 * ht[:, mb:] - a2 * ht[:, :mb])) / ms.k
-            out[0][:, 2, at] = e3.reshape(-1, h.size)
-            out[1][:, 2, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
-        return tuple(o[..., 0] if heights.ndim == 0 else o for o in out)
+            et, ht = basis.W @ (up + dn), basis.V @ (up - dn)
+            blocks[:, :, 0, at] = et[:, :mb]
+            blocks[:, :, 1, at] = et[:, mb:]
+            blocks[:, :, 2, at] = -(basis.Qinv @ (a1 * ht[:, mb:] - a2 * ht[:, :mb])) / ms.k
+        return out if np.ndim(x3) else out[..., 0]
 
     def max_exponent(self, slab: int) -> float:
         """Largest |gamma| of a slab's modes: the field in the slab sums e^{+-i gamma x3}."""
         return float(np.max(np.abs(self.stack.bases[slab].gamma)))
-
-    def pec_residual(self) -> float:
-        """Norm of the tangential trace at the conducting plate, relative to scale."""
-        E, _ = self.mode_coefficients(np.array([0.0, self.profile.b]))
-        scale = max(float(np.max(np.abs(E))), 1e-300)
-        return float(np.max(np.abs(E[:, :2, 0]))) / scale
 
 
 @dataclass
@@ -708,7 +710,7 @@ def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) ->
     cond, lu = stack.trace_match("forward.solve_qpbvp: trace match")
     d = _lu_solve(lu, _to_blocks(modeset, et))
     trace = _from_blocks(modeset, 1j * modeset.k * np.matvec(stack.top_H, d))
-    return QpbvpResult(LayerField(profile, stack, stack.downward_amplitudes(d)),
+    return QpbvpResult(LayerField(profile, stack, d),
                        TangentialField(modeset, trace, profile.b), max(stack.max_cond, cond))
 
 
@@ -771,8 +773,7 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     ms = modeset
     mb = ms.block_size
     incident0 = expand_incidence(incidence, ms)
-    inc_b = incident0.rebase(profile.b)
-    C = inc_b.coeffs
+    C = incident0.rebase(profile.b).coeffs
     a1 = ms.alpha_n[:, 0]
     a2 = ms.alpha_n[:, 1]
     beta = ms.beta
@@ -793,9 +794,6 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta
-    scat = np.zeros((ms.num_modes, 3), dtype=complex)
-    scat[:, :2] = s_t
-    scat[:, 2] = s3
-    scattered = RayleighField(ms, scat, height=profile.b, direction="up")
-    return ScatteringResult(LayerField(profile, stack, stack.downward_amplitudes(d)), scattered,
+    scattered = RayleighField(ms, np.column_stack([s_t, s3]), height=profile.b, direction="up")
+    return ScatteringResult(LayerField(profile, stack, d), scattered,
                             incident0, trace_total, max(stack.max_cond, cond))

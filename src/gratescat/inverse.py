@@ -133,19 +133,19 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     # may differ by round-off.
     bounds = np.concatenate([profile1.slab_bounds(), profile2.slab_bounds()])
     bounds = np.unique(np.minimum(bounds, min(profile1.b, profile2.b)))
+    mids = 0.5 * (bounds[:-1] + bounds[1:])
     lhs = 0.0 + 0.0j
     c1max = c2max = 0.0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mid = 0.5 * (lo + hi)
-        j1, j2 = profile1.slab_of(mid), profile2.slab_of(mid)
+    for lo, hi, mid, j1, j2 in zip(bounds[:-1], bounds[1:], mids,
+                                   profile1.slab_of(mids), profile2.slab_of(mids)):
         dq = profile2.slabs[j2].coeffs - profile1.slabs[j1].coeffs
         half = 0.5 * (hi - lo)
         x, w = _gauss_rule(_gauss_order(
             (sol1.field.max_exponent(j1) + sol3.field.max_exponent(j2)) * half))
         nodes, weights = half * x + mid, half * w
         shape = (mb, mb, 3, len(x))  # (n2, n1, component, node)
-        c1 = sol1.field.mode_coefficients(nodes)[0]
-        c2 = sol3.field.mode_coefficients(nodes)[0]
+        c1 = sol1.field.mode_coefficients(nodes)
+        c2 = sol3.field.mode_coefficients(nodes)
         # contiguous n1-major operands, so that overlap's slices along n1 are too
         lhs += dq.overlap(np.multiply(c1.reshape(shape).swapaxes(0, 1), weights, order="C"),
                           np.ascontiguousarray(c2.reshape(shape).swapaxes(0, 1)))

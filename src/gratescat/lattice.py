@@ -107,10 +107,9 @@ class Quasimomentum:
         """
         if k <= 0:
             raise ValidationError("lattice.Quasimomentum.from_angles: k must be > 0")
-        if not (0.0 < theta1 < math.pi):
-            raise ValidationError(
-                "lattice.Quasimomentum.from_angles: need 0 < theta1 < pi for a downgoing wave"
-            )
+        if not (0.0 < theta1 < math.pi and math.isfinite(theta2)):
+            raise ValidationError("lattice.Quasimomentum.from_angles: need 0 < theta1 < pi (a "
+                                  f"downgoing wave) and a finite theta2, got {theta1!r}, {theta2!r}")
         return cls(k * math.cos(theta1) * math.cos(theta2),
                    k * math.cos(theta1) * math.sin(theta2))
 

@@ -95,12 +95,14 @@ class RayleighField:
                       + self._beta_signed * self.coeffs[:, 2])
 
     def validate_divergence(self, tol: float = 1e-10) -> None:
-        res = self.divergence_residuals()
-        scale = np.linalg.norm(self.coeffs, axis=1) + np.max(
-            np.abs(self.coeffs), initial=0.0) * 1e-3 + 1e-300
-        worst = np.max(res / scale, initial=0.0)
+        # hypot: a 2-norm that does not overflow; a NaN left out of the max fails only its own mode
+        a = np.abs(self.coeffs)
+        scale = np.hypot(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
+        ratio = self.divergence_residuals() / (
+            scale + np.max(a, initial=0.0, where=~np.isnan(a)) * 1e-3 + 1e-300)
+        worst = np.max(ratio, initial=0.0)
         if not worst <= tol:      # a NaN residual fails too
-            j = int(np.argmax(res / scale))
+            j = int(np.argmax(ratio))   # the first NaN, if any
             raise DivergenceViolation(
                 "rayleigh_dtn.RayleighField: divergence constraint violated at mode "
                 f"({self.modeset.n1[j]},{self.modeset.n2[j]}): {worst:.3e} > {tol:g}")
@@ -176,16 +178,17 @@ def efficiencies(scattered: RayleighField, incidence) -> dict:
     scattered.validate_divergence()
     ms = scattered.modeset
     beta_inc = ms.beta[ms.mode0].real
-    pnorm = float(np.sum(np.abs(np.asarray(incidence.p, dtype=complex)) ** 2))
-    if pnorm == 0.0:
+    p = np.abs(np.asarray(incidence.p, dtype=complex))
+    if not np.any(p):
         raise ValidationError("rayleigh_dtn.efficiencies: zero incident polarization")
+    # Efficiencies are ratios: scaled by 2^-s ~ 1 / max |p_j|, |p|^2 and |E_n|^2 do
+    # not overflow, and a power of 2 changes no rounding outside the subnormal range.
+    s = np.frexp(np.max(p))[1]
+    pnorm = float(np.sum(np.ldexp(p, -s) ** 2))
     prop = np.flatnonzero(ms.propagating)
-    weights = {}
-    for j in prop:
-        e = float(ms.beta[j].real * np.sum(np.abs(scattered.coeffs[j]) ** 2)
-                  / (beta_inc * pnorm))
-        weights[(int(ms.n1[j]), int(ms.n2[j]))] = e
-    return weights
+    e = (ms.beta[prop].real * np.sum(np.ldexp(np.abs(scattered.coeffs[prop]), -s) ** 2, axis=1)
+         / (beta_inc * pnorm))
+    return {(int(ms.n1[j]), int(ms.n2[j])): float(v) for j, v in zip(prop, e)}
 
 
 def write_rayleigh_csv(field: RayleighField, path) -> None:

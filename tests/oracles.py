@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from gratescat.errors import ValidationError
-from gratescat.forward import _toeplitz_inverse, _wavenumbers
+from gratescat.forward import _from_blocks, _toeplitz_inverse, _wavenumbers
 from gratescat.separable import TWO_PI, TransverseFactor
 from gratescat.sturm import SLEntry, SLProblem, SLSpectrum, _key
 
@@ -92,6 +92,49 @@ def q_at(profile, x1, x3) -> np.ndarray:
     return q[profile.slab_of(x3), np.arange(len(x1))]
 
 
+def layer_fields(field, x3, derivatives: bool = False):
+    """Modal E and H of a LayerField at x3, each (m, 3) for a float x3 and (m, 3, P) for P heights.
+
+    With ``derivatives`` also dE_t/dx3 and dH_t/dx3, third column zero.  The
+    heights are grouped by ``MediumProfile.slab_of`` and gathered by index,
+    and H3 = (1/k)(D1 E2 - D2 E1); E takes the arithmetic of
+    ``LayerField.mode_coefficients``, so the two agree bit for bit.
+    """
+    ms = field.modeset
+    mb = ms.block_size
+    heights = np.asarray(x3, dtype=float)
+    slab = np.atleast_1d(field.profile.slab_of(heights))
+    bounds = field.profile.slab_bounds()
+    a1, a2 = (w[..., None] for w in _wavenumbers(ms))
+    out = [np.empty((ms.num_modes, 3, slab.size), dtype=complex)
+           for _ in range(4 if derivatives else 2)]
+    for j in np.unique(slab):
+        at = np.flatnonzero(slab == j)
+        h = heights.reshape(-1)[at]
+        basis = field.stack.bases[j]
+        u, d = field.amplitudes[j]
+        g = basis.gamma[:, :, None]
+        up = np.exp(1j * g * (h - bounds[j])) * u[:, :, None]
+        dn = np.exp(1j * g * (bounds[j + 1] - h)) * d[:, :, None]
+        vecs = [basis.W @ (up + dn), basis.V @ (up - dn)]
+        if derivatives:
+            vecs += [basis.W @ (1j * g * (up - dn)), basis.V @ (1j * g * (up + dn))]
+        for o, vec in zip(out, vecs):
+            o[..., at] = _from_blocks(ms, vec)
+        et, ht = vecs[:2]
+        e3 = -(basis.Qinv @ (a1 * ht[:, mb:] - a2 * ht[:, :mb])) / ms.k
+        out[0][:, 2, at] = e3.reshape(-1, h.size)
+        out[1][:, 2, at] = ((a1 * et[:, mb:] - a2 * et[:, :mb]) / ms.k).reshape(-1, h.size)
+    return tuple(o[..., 0] if heights.ndim == 0 else o for o in out)
+
+
+def pec_residual(field) -> float:
+    """Norm of a LayerField's tangential E trace at the conducting plate, relative to scale."""
+    E = layer_fields(field, np.array([0.0, field.profile.b]))[0]
+    scale = max(float(np.max(np.abs(E))), 1e-300)
+    return float(np.max(np.abs(E[:, :2, 0]))) / scale
+
+
 def layer_residual(field, points) -> dict:
     """Pointwise residual of (curl curl - k^2 q) E of a LayerField, relative to the field scale.
 
@@ -102,7 +145,7 @@ def layer_residual(field, points) -> dict:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ms = field.modeset
     k = ms.k
-    E, H, dE, dH = field.mode_coefficients(pts[:, 2], derivatives=True)
+    E, H, dE, dH = layer_fields(field, pts[:, 2], derivatives=True)
     a1, a2 = ms.alpha_n[:, 0, None], ms.alpha_n[:, 1, None]
     curl_h = np.empty_like(H)
     curl_h[:, 0] = 1j * a2 * H[:, 2] - dH[:, 1]

@@ -726,6 +726,16 @@ def test_non_finite_or_overflowing_pol_seed_exits_1(tmp_path, capsys, seed):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_non_finite_theta2_exits_1(tmp_path, capsys):
+    text = FORWARD_CONFIG.replace("SEED", "0 1 0").replace(f"theta2 = {THETA2}", "theta2 = inf")
+    out = tmp_path / "out"
+    assert main(["forward", _write(tmp_path, "bad.ini", text), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "validation failure [ValidationError]: lattice.Quasimomentum.from_angles: need "
+        f"0 < theta1 < pi (a downgoing wave) and a finite theta2, got {THETA1!r}, inf")
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_gapcheck_slab_totals_one_ulp_apart(tmp_path):
     text = f"""
 [physics]

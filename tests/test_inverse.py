@@ -13,7 +13,7 @@ from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_mode
                        extract_moments, reciprocity_gap, reconstruct_difference)
 from gratescat import inverse, sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
-from gratescat.forward import LayerField, Slab, solve_layer_modes, solve_qpbvp
+from gratescat.forward import LayerField, Slab, _Stack, solve_layer_modes, solve_qpbvp
 from gratescat.inverse import (_gauss_order, one_directional_coeffs, write_moment_csv,
                                write_reconstruction_csv)
 
@@ -96,9 +96,9 @@ def test_gap_evaluates_each_field_once_per_segment(monkeypatch):
     calls = []
     evaluate = LayerField.mode_coefficients
 
-    def counting(self, x3, derivatives=False):
+    def counting(self, x3):
         calls.append(np.shape(x3))
-        return evaluate(self, x3, derivatives)
+        return evaluate(self, x3)
 
     monkeypatch.setattr(LayerField, "mode_coefficients", counting)
     out = reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
@@ -109,6 +109,24 @@ def test_gap_evaluates_each_field_once_per_segment(monkeypatch):
     assert calls == [(n,) for n in orders for _ in range(2)]
     assert len(set(orders)) > 1
     assert out["gap"] <= 1e-6
+
+
+def test_gap_recurses_amplitudes_of_the_two_evaluated_fields_only(monkeypatch):
+    # three trace solves, but only E1 and E2 are evaluated: the T2 f solve
+    # feeds the boundary side alone, so its amplitudes are never recursed
+    ms = _modeset(3)
+    q1, q2 = _stacks((0.3, 0.4), (0.45, 0.25))
+    recursions = []
+    recurse = _Stack.downward_amplitudes
+
+    def counting(self, d):
+        recursions.append(d.shape)
+        return recurse(self, d)
+
+    monkeypatch.setattr(_Stack, "downward_amplitudes", counting)
+    for calls in (2, 4):
+        assert reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)["gap"] <= 1e-6
+        assert len(recursions) == calls
 
 
 def _remainder_bound(n, c):
@@ -216,8 +234,8 @@ def _grid_quadrature_lhs(profile1, profile2, f, g, ms):
         nodes, weights = 0.5 * (hi - lo) * _GRID_X + 0.5 * (lo + hi), 0.5 * (hi - lo) * _GRID_W
         for x3, w in zip(nodes, weights):
             dq = oracles.q_at(profile2, x1, x3) - oracles.q_at(profile1, x1, x3)
-            v1 = grid_values(sol1.field.mode_coefficients(x3)[0])
-            v2 = grid_values(sol3.field.mode_coefficients(x3)[0])
+            v1 = grid_values(sol1.field.mode_coefficients(x3))
+            v2 = grid_values(sol3.field.mode_coefficients(x3))
             lhs += w * np.sum(dq[:, None] * np.sum(v1 * np.conj(v2), axis=2)) * (2.0 * np.pi / G) ** 2
     return K * K * lhs
 

@@ -97,6 +97,15 @@ def test_quasimomentum_from_angles():
         Quasimomentum.from_angles(1.0, -0.1, 0.0)
 
 
+@pytest.mark.parametrize("theta1, theta2", [(1.05, math.inf), (1.05, -math.inf), (1.05, math.nan),
+                                            (math.inf, 0.4), (math.nan, 0.4)])
+def test_from_angles_refuses_a_non_finite_angle_by_value(theta1, theta2):
+    # refused by value before math.cos can raise its bare "math domain error"
+    with pytest.raises(ValidationError, match=re.escape(
+            f"need 0 < theta1 < pi (a downgoing wave) and a finite theta2, got {theta1!r}, {theta2!r}")):
+        Quasimomentum.from_angles(1.2, theta1, theta2)
+
+
 def _cell_grid(g):
     x = 2.0 * np.pi * np.arange(g) / g
     x1, x2 = np.meshgrid(x, x, indexing="ij")

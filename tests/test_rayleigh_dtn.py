@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,26 @@ def test_divergence_guard_refuses_a_nan_coefficient():
     fld = _upgoing_field(ms, 4)
     fld.validate_divergence()
     fld.coeffs[ms.index_of(1, -1), 2] = np.nan
-    with pytest.raises(DivergenceViolation, match=r"constraint violated at mode .*: nan > 1e-10$"):
+    with pytest.raises(DivergenceViolation, match=r"constraint violated at mode \(1,-1\): nan > 1e-10$"):
         fld.validate_divergence()
+
+
+@pytest.mark.parametrize("s", [1e154, 1e-154])
+def test_efficiencies_scale_free_in_the_polarization(s):
+    # |s p|^2 and |s E_n|^2 overflow (or lose digits to underflow) unless
+    # p and E_n are rescaled before squaring
+    ms = _modeset(3)
+    inc = PlaneWaveIncidence.from_angles(K, 1.05, 0.4, pol_seed=(0.3, 1.0, 0.2))
+    fld = _upgoing_field(ms, 6)
+    ref = efficiencies(fld, inc)
+    scaled = PlaneWaveIncidence(s * inc.p, inc.d, inc.k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        eff = efficiencies(RayleighField(ms, s * fld.coeffs, direction="up"), scaled)
+    assert eff.keys() == ref.keys()
+    assert max(ref.values()) > 0
+    for key, e in ref.items():
+        assert abs(eff[key] - e) <= 1e-12 * e
 
 
 def test_rayleigh_values_and_rebase():
