@@ -671,8 +671,9 @@ class LayerField:
         runs = bool(np.all(slab[1:] >= slab[:-1]))
         a1, a2 = (w[..., None] for w in _wavenumbers(ms))
         out = np.empty((ms.num_modes, 3, flat.size), dtype=complex)
-        blocks = out.reshape(-1, mb, 3, flat.size)  # (n2, n1, component, height), a view
+        blocks = out.reshape(2 * ms.N + 1, mb, 3, flat.size)  # (n2, n1, component, height), a view
         for j in np.unique(slab):
+            # a slice writes this strided view faster than an index array (gapcheck: ~10%)
             at = slice(*np.searchsorted(slab, (j, j + 1))) if runs else np.flatnonzero(slab == j)
             h = flat[at]
             basis = self.stack.bases[j]
@@ -773,7 +774,8 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     ms = modeset
     mb = ms.block_size
     incident0 = expand_incidence(incidence, ms)
-    C = incident0.rebase(profile.b).coeffs
+    inc_b = incident0.rebase(profile.b)
+    C = inc_b.coeffs
     a1 = ms.alpha_n[:, 0]
     a2 = ms.alpha_n[:, 1]
     beta = ms.beta
@@ -794,6 +796,9 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
     s_t = trace_total.coeffs[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta
-    scattered = RayleighField(ms, np.column_stack([s_t, s3]), height=profile.b, direction="up")
+    scat = np.zeros((ms.num_modes, 3), dtype=complex)
+    scat[:, :2] = s_t
+    scat[:, 2] = s3
+    scattered = RayleighField(ms, scat, height=profile.b, direction="up")
     return ScatteringResult(LayerField(profile, stack, d), scattered,
                             incident0, trace_total, max(stack.max_cond, cond))

@@ -186,9 +186,12 @@ def efficiencies(scattered: RayleighField, incidence) -> dict:
     s = np.frexp(np.max(p))[1]
     pnorm = float(np.sum(np.ldexp(p, -s) ** 2))
     prop = np.flatnonzero(ms.propagating)
-    e = (ms.beta[prop].real * np.sum(np.ldexp(np.abs(scattered.coeffs[prop]), -s) ** 2, axis=1)
-         / (beta_inc * pnorm))
-    return {(int(ms.n1[j]), int(ms.n2[j])): float(v) for j, v in zip(prop, e)}
+    weights = {}
+    for j in prop:
+        e = float(ms.beta[j].real * np.sum(np.ldexp(np.abs(scattered.coeffs[j]), -s) ** 2)
+                  / (beta_inc * pnorm))
+        weights[(int(ms.n1[j]), int(ms.n2[j]))] = e
+    return weights
 
 
 def write_rayleigh_csv(field: RayleighField, path) -> None:

@@ -786,8 +786,8 @@ def test_mode_coefficients_array_matches_scalar(slabs, derivatives):
 
 
 def test_mode_coefficients_is_the_oracle_e_bitwise():
-    # sorted heights take one slice per slab, unsorted ones an index gather;
-    # both must give the oracle's E bit for bit, faces and their neighbours included
+    # sorted heights take one slice per slab, unsorted ones an index gather; both,
+    # and empty and scalar heights, give the oracle's E bit for bit, faces included
     ms = _modeset(4)
     prof = _three_slab_stack()
     sol, rng = _random_trace_solution(prof, ms, 37)
@@ -795,7 +795,7 @@ def test_mode_coefficients_is_the_oracle_e_bitwise():
     near = np.concatenate([faces, faces[1:-1] - 1e-12, faces[1:-1] + 1e-12])
     heights = np.sort(np.concatenate([rng.uniform(0, prof.b, 9), near]))
     for x3 in (heights, heights[rng.permutation(len(heights))], near, np.sort(near),
-               heights[:1], *(float(h) for h in near)):
+               heights[:1], np.array([]), *(float(h) for h in near)):
         E = sol.field.mode_coefficients(x3)
         assert E.shape == (ms.num_modes, 3, *np.shape(x3))
         assert np.array_equal(E, oracles.layer_fields(sol.field, x3)[0])
