@@ -25,7 +25,7 @@ class NotOneDirectional(ValidationError):
 
 
 class InsufficientDegree(ValidationError):
-    """Requested reconstruction degree exceeds the available moments."""
+    """The moment table lacks an estimate that the reconstruction needs."""
 
 
 class SolverError(GratescatError):

@@ -188,12 +188,8 @@ class MediumProfile:
         return self._sample_bounds()[1]
 
     @classmethod
-    def uniform(cls, q0: complex, height: float) -> "MediumProfile":
-        return cls([Slab(height, {0: q0})])
-
-    @classmethod
-    def from_coeffs(cls, coeffs: dict, height: float, direction: str = "x1") -> "MediumProfile":
-        return cls([Slab(height, coeffs)], direction)
+    def from_coeffs(cls, coeffs: dict, height: float) -> "MediumProfile":
+        return cls([Slab(height, coeffs)])
 
     def validate(self, require_absorbing: bool = False) -> str:
         """Check admissibility; return the digest the check was made against."""
@@ -737,7 +733,6 @@ class ScatteringResult:
     field: LayerField            # total field inside the layer
     scattered: RayleighField     # upgoing Rayleigh sequence, referenced at b
     incident: RayleighField      # downgoing expansion, referenced at 0
-    trace_total: TangentialField
     condition: float             # largest 1-norm condition: exact for eigenbases, gecon elsewhere
 
 
@@ -793,12 +788,12 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     cond, lu = _guard(1j * ms.k * stack.top_H - rho_P, "forward.solve_scattering: boundary match",
                       len(profile.slabs) - 1)
     d = _lu_solve(lu, _to_blocks(ms, np.column_stack([g1, g2])))
-    trace_total = TangentialField(ms, _from_blocks(ms, np.matvec(P, d)), profile.b)
-    s_t = trace_total.coeffs[:, :2] - C[:, :2]
+    trace_total = _from_blocks(ms, np.matvec(P, d))   # tangential E of the total field at b
+    s_t = trace_total[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta
     scat = np.zeros((ms.num_modes, 3), dtype=complex)
     scat[:, :2] = s_t
     scat[:, 2] = s3
     scattered = RayleighField(ms, scat, height=profile.b, direction="up")
     return ScatteringResult(LayerField(profile, stack, d), scattered,
-                            incident0, trace_total, max(stack.max_cond, cond))
+                            incident0, max(stack.max_cond, cond))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PointsTooClose, ValidationError
-from .lattice import ModeSet
+from .lattice import ModeSet, _check_angles
 from .rayleigh_dtn import RayleighField
 
 DELTA_MIN = 1e-2
@@ -108,6 +108,7 @@ class PlaneWaveIncidence:
     def from_angles(cls, k: float, theta1: float, theta2: float,
                     pol_seed=(0.0, 1.0, 0.0)) -> "PlaneWaveIncidence":
         """Build a transversal polarization by projecting pol_seed orthogonal to d."""
+        _check_angles("greens.PlaneWaveIncidence.from_angles", theta1, theta2)
         d = np.array([math.cos(theta1) * math.cos(theta2),
                       math.cos(theta1) * math.sin(theta2),
                       -math.sin(theta1)])

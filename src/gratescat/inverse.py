@@ -222,10 +222,10 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     :func:`build_u` builds the transverse factor of each distinct branch
     once, under the growth preset c2 = exp(2 pi sqrt(mu)), so |A2| is
     recorded as ``a2_log10`` and never overflows; one :func:`moment_kernels`
-    call gives every A1 and A2.  The fits of all l that keep every entry
-    share one design and are one least-squares solve; an l that loses
-    entries to ``a2_floor`` is fitted on its own, and fewer than two retained
-    entries at any l raise :class:`A2Floor`.
+    call gives every A1 and A2.  The l that keep the same entries above
+    ``a2_floor`` share one design and one least-squares solve, so a full
+    table is one solve; fewer than two retained entries at any l raise
+    :class:`A2Floor`.
     """
     if not isinstance(L, numbers.Integral) or L < 0:
         raise ValidationError(
@@ -274,11 +274,13 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     inv_m = 1.0 / np.asarray(m_schedule, dtype=float)
     estimates = np.empty(len(ls), dtype=complex)
     residuals = np.empty(len(ls))
-    full = ok.all(axis=1)
-    if full.any():
-        estimates[full], residuals[full] = _richardson_fit(inv_m, A1[full].T)
-    for i in np.flatnonzero(~full):
-        estimates[i], residuals[i] = _richardson_fit(inv_m[ok[i]], A1[i, ok[i]])
+    # one fit per retention pattern (np.unique(ok, axis=0) alone costs more than a full fit)
+    patterns = {}
+    for i, kept in enumerate(ok.tolist()):
+        patterns.setdefault(tuple(kept), []).append(i)
+    for kept, rows in patterns.items():
+        kept = np.array(kept)
+        estimates[rows], residuals[rows] = _richardson_fit(inv_m[kept], A1[rows][:, kept].T)
     table.estimates = {l: complex(estimates[i]) for i, l in enumerate(ls)}
     table.fit_residuals = {l: float(residuals[i]) for i, l in enumerate(ls)}
     return table
@@ -300,19 +302,14 @@ class ReconstructionResult:
     errors: dict
 
 
-def reconstruct_difference(table: MomentTable, L: int | None = None) -> ReconstructionResult:
-    """Invert the moment table: coefficient of e^{i j x1} is M_{-j} / 2pi."""
-    if L is None:
-        L = table.L
-    if not isinstance(L, numbers.Integral) or L < 0:
-        raise ValidationError(
-            f"inverse.reconstruct_difference: degree L must be an integer >= 0, got {L!r}")
-    if L > table.L:
-        raise InsufficientDegree(
-            f"inverse.reconstruct_difference: degree {L} exceeds available moments {table.L}")
+def reconstruct_difference(table: MomentTable) -> ReconstructionResult:
+    """Invert the moment table to degree ``table.L``: coefficient of e^{i j x1} is M_{-j} / 2pi.
+
+    A missing estimate for some |l| <= ``table.L`` raises :class:`InsufficientDegree`.
+    """
     coeffs = {}
     errors = {}
-    for j in range(-L, L + 1):
+    for j in range(-table.L, table.L + 1):
         if -j not in table.estimates:
             raise InsufficientDegree(
                 f"inverse.reconstruct_difference: no moment estimate for l={-j}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,13 @@ class TrigPoly(dict):
         return band[d[:, None] - d[None, :] + n - 1]
 
 
+def _check_angles(where: str, theta1: float, theta2: float) -> None:
+    """Refuse a non-finite direction angle, on which math.cos raises or returns NaN."""
+    if not (math.isfinite(theta1) and math.isfinite(theta2)):
+        raise ValidationError(
+            f"{where}: the angles theta1, theta2 must be finite, got {theta1!r}, {theta2!r}")
+
+
 @dataclass(frozen=True)
 class Quasimomentum:
     """Horizontal quasimomentum (alpha1, alpha2) of the incident field."""
@@ -107,9 +115,10 @@ class Quasimomentum:
         """
         if k <= 0:
             raise ValidationError("lattice.Quasimomentum.from_angles: k must be > 0")
-        if not (0.0 < theta1 < math.pi and math.isfinite(theta2)):
-            raise ValidationError("lattice.Quasimomentum.from_angles: need 0 < theta1 < pi (a "
-                                  f"downgoing wave) and a finite theta2, got {theta1!r}, {theta2!r}")
+        _check_angles("lattice.Quasimomentum.from_angles", theta1, theta2)
+        if not 0.0 < theta1 < math.pi:
+            raise ValidationError("lattice.Quasimomentum.from_angles: need 0 < theta1 < pi "
+                                  f"(a downgoing wave), got theta1 = {theta1!r}")
         return cls(k * math.cos(theta1) * math.cos(theta2),
                    k * math.cos(theta1) * math.sin(theta2))
 
@@ -178,8 +187,8 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int,
             f"lattice.build_modeset: k must be finite with a finite square, got {float(k)!r}")
     if k <= 0:
         raise ValidationError("lattice.build_modeset: k must be > 0")
-    if N < 0:
-        raise ValidationError("lattice.build_modeset: N must be >= 0")
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise ValidationError(f"lattice.build_modeset: N must be an integer >= 0, got {N!r}")
     if wood_tol is None:
         wood_tol = 1e-8 * k
     if not 0 < wood_tol < math.inf:

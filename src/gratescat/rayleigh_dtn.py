@@ -21,6 +21,7 @@ from .lattice import ModeSet
 from .tables import write_csv
 
 CELL_AREA = 4.0 * np.pi ** 2
+_DIVERGENCE_TOL = 1e-10  # largest scaled residual RayleighField.validate_divergence accepts
 
 
 def _check_coeffs(modeset: ModeSet, coeffs) -> np.ndarray:
@@ -94,18 +95,19 @@ class RayleighField:
         return np.abs(np.sum(self.coeffs[:, :2] * ms.alpha_n[:, :2], axis=1)
                       + self._beta_signed * self.coeffs[:, 2])
 
-    def validate_divergence(self, tol: float = 1e-10) -> None:
+    def validate_divergence(self) -> None:
+        """Refuse a mode whose scaled divergence residual exceeds ``_DIVERGENCE_TOL`` or is NaN."""
         # hypot: a 2-norm that does not overflow; a NaN left out of the max fails only its own mode
         a = np.abs(self.coeffs)
         scale = np.hypot(np.hypot(a[:, 0], a[:, 1]), a[:, 2])
         ratio = self.divergence_residuals() / (
             scale + np.max(a, initial=0.0, where=~np.isnan(a)) * 1e-3 + 1e-300)
         worst = np.max(ratio, initial=0.0)
-        if not worst <= tol:      # a NaN residual fails too
+        if not worst <= _DIVERGENCE_TOL:      # a NaN residual fails too
             j = int(np.argmax(ratio))   # the first NaN, if any
             raise DivergenceViolation(
                 "rayleigh_dtn.RayleighField: divergence constraint violated at mode "
-                f"({self.modeset.n1[j]},{self.modeset.n2[j]}): {worst:.3e} > {tol:g}")
+                f"({self.modeset.n1[j]},{self.modeset.n2[j]}): {worst:.3e} > {_DIVERGENCE_TOL:g}")
 
     def rebase(self, height: float) -> "RayleighField":
         """Re-express the coefficients at another reference height."""
@@ -137,10 +139,8 @@ def _r_entries(modeset: ModeSet):
     return -(k2 - a1 ** 2), a1 * a2, -(k2 - a2 ** 2), 1.0 / (1j * modeset.beta)
 
 
-def apply_R(field: TangentialField, modeset: ModeSet | None = None) -> TangentialField:
-    """Apply the transparent-boundary operator mode by mode."""
-    if modeset is not None:
-        field.modeset.require_same(modeset, "rayleigh_dtn.apply_R")
+def apply_R(field: TangentialField) -> TangentialField:
+    """Apply the transparent-boundary operator mode by mode, over the field's own mode set."""
     ms = field.modeset
     c11, c12, c22, s = _r_entries(ms)
     f1, f2 = field.coeffs[:, 0], field.coeffs[:, 1]
@@ -148,15 +148,13 @@ def apply_R(field: TangentialField, modeset: ModeSet | None = None) -> Tangentia
                                            s * (c12 * f1 + c22 * f2), field.height)
 
 
-def energy_forms(field: TangentialField, modeset: ModeSet | None = None) -> dict:
-    """Real/imaginary quadratic forms of R on a tangential field.
+def energy_forms(field: TangentialField) -> dict:
+    """Real/imaginary quadratic forms of R on a tangential field, over its own mode set.
 
     Returns ``{'re_form': ..., 'im_form': ...}`` where the real part sums the
     evanescent modes with weight 1/|beta_n| and the imaginary part sums the
     propagating modes with weight 1/beta_n; the latter is nonnegative.
     """
-    if modeset is not None:
-        field.modeset.require_same(modeset, "rayleigh_dtn.energy_forms")
     ms = field.modeset
     bracket = (ms.k ** 2 * np.sum(np.abs(field.coeffs) ** 2, axis=1)
                - np.abs(np.sum(field.coeffs * ms.alpha_n, axis=1)) ** 2)

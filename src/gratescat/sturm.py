@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +75,9 @@ class SLProblem:
                 raise ValidationError(f"sturm.SLProblem: coefficient q_{j} = {c!r} is not finite")
         if self.k <= 0:
             raise ValidationError("sturm.SLProblem: k must be > 0")
+        if not isinstance(self.M, numbers.Integral):
+            raise ValidationError(
+                f"sturm.SLProblem: truncation M must be an integer, got {self.M!r}")
         deg = self.coeffs.degree
         if self.M < 2 * deg + 4:
             raise ValidationError(
@@ -96,12 +100,13 @@ class SLProblem:
 
 @dataclass
 class SLEntry:
+    """One labelled eigenpair; :func:`solve_sl` scales its eigenfunction to v(0) = sum_m c_m = 1."""
+
     sign: int           # +1 or -1 branch
     n: int              # branch index >= 0
     lam: complex
     coeffs: np.ndarray  # Fourier coefficients c_m, m = -M..M
     residual: float
-    normalized: bool
 
 
 @dataclass
@@ -324,7 +329,7 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
     return ms[decided], theta[i], C, res[i], undecided
 
 
-def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpectrum:
+def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
     """Galerkin eigenpairs, labelled by branch: all 2M+1 of them, or the ``branches`` asked for.
 
     ``branches`` is an iterable of ``(sign, n)`` keys, as in
@@ -340,9 +345,10 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
     singular, or an eigenvalue outside its Gershgorin disc raises
     :class:`EigenFailure`.
 
-    Eigenfunctions are scaled to v(0) = 1 unless ``normalize=False``; a
-    labelled pair with |v(0)| <= ``_NORM_TOL`` ||c|| raises
-    :class:`NormalizationDegenerate` (the paper-style scaling is impossible).
+    Every eigenfunction is scaled to v(0) = 1, as the paper's pairing of
+    the q1 and conj(q2) spectra assumes; a labelled pair with
+    |v(0)| <= ``_NORM_TOL`` ||c|| raises :class:`NormalizationDegenerate`
+    (the scaling is impossible).
     """
     M = problem.M
     wanted = set()
@@ -385,19 +391,17 @@ def solve_sl(problem: SLProblem, normalize: bool = True, branches=None) -> SLSpe
     keep = np.argsort(index)
     keep = keep[want[index[keep] + M]]
     index, lam, C, residual = index[keep], lam[keep], C[keep], residual[keep]
-    if normalize:
-        v0 = np.sum(C, axis=1)
-        flat = np.flatnonzero(np.abs(v0) / np.linalg.norm(C, axis=1) <= _NORM_TOL)
-        if flat.size:
-            j = flat[0]
-            raise NormalizationDegenerate(
-                f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {index[j]}; "
-                "scaling to v(0) = 1 impossible")
-        C /= v0[:, None]
+    v0 = np.sum(C, axis=1)
+    flat = np.flatnonzero(np.abs(v0) / np.linalg.norm(C, axis=1) <= _NORM_TOL)
+    if flat.size:
+        j = flat[0]
+        raise NormalizationDegenerate(
+            f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {index[j]}; "
+            "scaling to v(0) = 1 impossible")
+    C /= v0[:, None]
     for m, lam_m, c, res_m in zip(index, lam, C, residual):
         sign, n = _key(int(m))
-        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam_m), c,
-                                              float(res_m), bool(normalize))
+        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam_m), c, float(res_m))
     return spectrum
 
 

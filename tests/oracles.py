@@ -258,7 +258,7 @@ def dense_spectrum(problem: SLProblem) -> SLSpectrum:
     for j, row in sorted(decided_by_peak(vecs).items(), key=lambda t: t[1]):
         sign, n = _key(row - problem.M)
         spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lams[j]), vecs[:, j].copy(),
-                                              float(residuals[j]), False)
+                                              float(residuals[j]))
     for m in range(-problem.M, problem.M + 1):
         if _key(m) not in spectrum.entries:
             spectrum.undecided[_key(m)] = "oracles.dense_spectrum: no eigenvector alone peaks here"

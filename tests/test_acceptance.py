@@ -126,7 +126,7 @@ def test_criterion_04_forward_oracle():
     b = 0.8
     # analytic two-point system for a uniform conducting-backed slab
     q0 = 1.4 + 0.2j
-    prof = MediumProfile.uniform(q0, b)
+    prof = MediumProfile.from_coeffs({0: q0}, b)
     worst = 0.0
     for (n1, n2), vec in (((0, 0), (0.7 - 0.2j, -0.3 + 0.4j)),
                           ((2, -1), (1.0 + 0.5j, 0.6j)),
@@ -151,14 +151,14 @@ def test_criterion_04_forward_oracle():
     inc = PlaneWaveIncidence.from_angles(k, th1, th2, pol_seed=(0.3, 0.9, 0.2))
     pnorm = np.linalg.norm(inc.p)
     for q_lossless in (1.0, 1.45):
-        res = solve_scattering(MediumProfile.uniform(q_lossless, b), inc, ms)
+        res = solve_scattering(MediumProfile.from_coeffs({0: q_lossless}, b), inc, ms)
         scat = res.scattered.rebase(0.0)
         r_mod = np.linalg.norm(scat.coeffs[ms.mode0]) / pnorm
         assert abs(r_mod - 1.0) <= 1e-8
         eff = sum(efficiencies(res.scattered, inc).values())
         assert abs(eff - 1.0) <= 1e-8
     # absorbing: strict dissipation
-    res_a = solve_scattering(MediumProfile.uniform(1.45 + 0.15j, b), inc, ms)
+    res_a = solve_scattering(MediumProfile.from_coeffs({0: 1.45 + 0.15j}, b), inc, ms)
     eff_a = sum(efficiencies(res_a.scattered, inc).values())
     assert eff_a < 1.0
     elapsed = time.perf_counter() - t0

@@ -72,13 +72,13 @@ def test_block_layout_maps_n2_to_block_axis():
 
 def test_layer_modes_uniform_exponents():
     ms = _modeset(4)
-    basis = solve_layer_modes(MediumProfile.uniform(1.0, B), 0, ms)
+    basis = solve_layer_modes(MediumProfile.from_coeffs({0: 1.0}, B), 0, ms)
     got = np.sort_complex(oracles.exponents(basis))
     want = np.sort_complex(np.concatenate([ms.beta, ms.beta, -ms.beta, -ms.beta]))
     np.testing.assert_allclose(got, want, atol=1e-12)
 
     q0 = 1.7 + 0.3j
-    basis2 = solve_layer_modes(MediumProfile.uniform(q0, B), 0, ms)
+    basis2 = solve_layer_modes(MediumProfile.from_coeffs({0: q0}, B), 0, ms)
     got2 = np.sort_complex(oracles.exponents(basis2))
     g = _uniform_gamma(q0, ms)
     want2 = np.sort_complex(np.concatenate([g, g, -g, -g]))
@@ -89,7 +89,7 @@ def test_layer_modes_perturbation_rate():
     from scipy.optimize import linear_sum_assignment
 
     ms = _modeset(3)
-    g0 = oracles.exponents(solve_layer_modes(MediumProfile.uniform(1.5, B), 0, ms))
+    g0 = oracles.exponents(solve_layer_modes(MediumProfile.from_coeffs({0: 1.5}, B), 0, ms))
     dist = {}
     for eps in (1e-2, 1e-3):
         prof = MediumProfile.from_coeffs({0: 1.5, 1: eps / 2, -1: eps / 2}, B)
@@ -324,7 +324,7 @@ def test_solve_w_matches_a_dense_solve_of_every_block(case):
     if case == "forward-sweep":
         prof, ms = _forward_sweep_stack(20)
     elif case == "uniform":
-        prof, ms = MediumProfile.uniform(1.6 + 0.05j, B), _modeset(6)
+        prof, ms = MediumProfile.from_coeffs({0: 1.6 + 0.05j}, B), _modeset(6)
     else:
         prof, ms = MediumProfile.from_coeffs(LIFT_SLABS[case], B), _modeset(6)
     rng = np.random.default_rng(41)
@@ -444,7 +444,7 @@ def test_qpbvp_condition_guard_threshold(monkeypatch):
 def test_trace_match_guard_threshold_on_a_memo_hit(monkeypatch):
     # One uniform slab has no interface, so the worst stage is the trace
     # match, whose LU the memo keeps and assemble_dtn shares.
-    prof = MediumProfile.uniform(1.6 + 0.05j, B)
+    prof = MediumProfile.from_coeffs({0: 1.6 + 0.05j}, B)
     ms = _modeset(4)
     reported = _check_qpbvp_guard_threshold(monkeypatch, prof, ms,
                                             "forward.solve_qpbvp: trace match")
@@ -584,7 +584,7 @@ def test_one_off_profiles_leave_the_memo_empty():
 
 def test_fifth_admitted_stack_evicts_the_least_recently_used(monkeypatch):
     ms = _modeset(2)
-    profiles = [MediumProfile.uniform(1.4 + 0.1 * i + 0.1j, B) for i in range(5)]
+    profiles = [MediumProfile.from_coeffs({0: 1.4 + 0.1 * i + 0.1j}, B) for i in range(5)]
     keys = [(p.digest(), ms, forward.COND_LIMIT) for p in profiles]
     for p in profiles[:4]:
         assemble_dtn(p, ms)
@@ -662,7 +662,7 @@ def test_qpbvp_zero_data():
 def test_qpbvp_uniform_impedance_oracle():
     ms = _modeset(6)
     q0 = 1.4 + 0.2j
-    prof = MediumProfile.uniform(q0, B)
+    prof = MediumProfile.from_coeffs({0: q0}, B)
     # one propagating and one evanescent mode, arbitrary tangential data
     for (n1, n2), vec in (((0, 0), (0.7 - 0.2j, -0.3 + 0.4j)),
                           ((3, -2), (1.0 + 0.5j, 0.6j))):
@@ -687,7 +687,7 @@ def test_uniform_slab_keeps_identity_basis_where_te_and_tm_coincide():
     # columns (condition ~30/eps^2 for a ripple eps), so uniform slabs keep W = I
     q0, k = 1.6, 1.21 / np.sqrt(1.6)
     ms = build_modeset(k, Quasimomentum(0.21, 0.13), 3)
-    prof = MediumProfile.uniform(q0, B)
+    prof = MediumProfile.from_coeffs({0: q0}, B)
     assert solve_layer_modes(prof, 0, ms).cond == 1.0
     vec = (0.7 - 0.2j, -0.3 + 0.4j)
     sol = solve_qpbvp(prof, _tangential(ms, {(1, 0): vec}), ms)
@@ -818,7 +818,7 @@ def test_non_finite_or_outside_height_rejected():
 def test_dtn_block_diagonal_and_deterministic():
     ms = _modeset(3)
     q0 = 1.6 + 0.25j
-    prof = MediumProfile.uniform(q0, B)
+    prof = MediumProfile.from_coeffs({0: q0}, B)
     dtn = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
     m = ms.num_modes
     # uniform medium: strictly one 2x2 block per mode
@@ -834,7 +834,7 @@ def test_dtn_block_diagonal_and_deterministic():
         out[j] = out[m + j] = 0.0
         assert np.max(np.abs(out)) <= 1e-12 * np.max(np.abs(oracle))
     assert np.array_equal(dtn, oracles.dtn_matrix(assemble_dtn(prof, ms), ms))
-    assert prof.digest() == MediumProfile.uniform(q0, B).digest()
+    assert prof.digest() == MediumProfile.from_coeffs({0: q0}, B).digest()
 
 
 def test_dtn_apply_matches_qpbvp():
@@ -858,10 +858,36 @@ def test_profile_validation():
     with pytest.raises(ValidationError):
         MediumProfile.from_coeffs({0: 1.0, 1: 0.2j, -1: 0.2j}, B).validate()  # Im changes sign
     with pytest.raises(ValidationError):
-        MediumProfile.uniform(1.5, B).validate(require_absorbing=True)
+        MediumProfile.from_coeffs({0: 1.5}, B).validate(require_absorbing=True)
     with pytest.raises(ValidationError):
         Slab(-0.1, {0: 1.0})
     MediumProfile.from_coeffs({0: 1.5 + 0.1j}, B).validate(require_absorbing=True)
+
+
+def _two_slab(q_lower, q_upper):
+    return MediumProfile([Slab(B / 2, {0: q_lower}), Slab(B / 2, {0: q_upper})])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_profile_im_sign_tolerance_threshold(sign):
+    # Im q may cross zero by up to 1e-12 max(1, q_inf), to the last bit; the
+    # slab with |Im q| = 1e-6 alone sets q_inf, and q's samples at a constant
+    # are the coefficient exactly
+    big = 1.5 + sign * 1e-6j
+    tol = 1e-12 * max(1.0, _two_slab(big, 1.5).q_inf)
+    _two_slab(big, 1.5 - sign * tol * 1j).validate()
+    with pytest.raises(ValidationError, match="Im q changes sign"):
+        _two_slab(big, 1.5 - sign * float(np.nextafter(tol, 1.0)) * 1j).validate()
+
+
+def test_require_absorbing_threshold():
+    # absorbing means max Im q > 1e-12 max(1, q_inf): Im q = tol is refused, one ulp more passes
+    tol = 1e-12 * max(1.0, MediumProfile.from_coeffs({0: 1.5}, B).q_inf)
+    with pytest.raises(ValidationError, match="absorbing medium required"):
+        MediumProfile.from_coeffs({0: 1.5 + tol * 1j}, B).validate(require_absorbing=True)
+    up = float(np.nextafter(tol, 1.0))
+    assert MediumProfile.from_coeffs({0: 1.5 + up * 1j}, B).q_inf == 1.5
+    MediumProfile.from_coeffs({0: 1.5 + up * 1j}, B).validate(require_absorbing=True)
 
 
 def test_profile_samples_q_once_on_first_use(monkeypatch):
@@ -992,7 +1018,7 @@ def test_uniform_slab_near_a_vanishing_exponent_still_solves():
 def test_scattering_pec_mirror():
     ms = _modeset(6)
     inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2, pol_seed=(0.3, 0.9, 0.2))
-    res = solve_scattering(MediumProfile.uniform(1.0, B), inc, ms)
+    res = solve_scattering(MediumProfile.from_coeffs({0: 1.0}, B), inc, ms)
     scat = res.scattered.rebase(0.0)
     p = inc.p
     expected = np.array([-p[0], -p[1], p[2]])
@@ -1008,7 +1034,7 @@ def test_scattering_divergence_constraint():
     inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.15, -1: 0.15}, B)
     res = solve_scattering(prof, inc, ms)
-    res.scattered.validate_divergence(1e-10)
+    res.scattered.validate_divergence()
 
 
 def test_scattering_energy():
@@ -1031,7 +1057,7 @@ def test_scattering_dipole_mirror():
     coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
     coeffs[:, :2] = rng.normal(size=(ms.num_modes, 2)) + 1j * rng.normal(size=(ms.num_modes, 2))
     dens = DipoleDensity(ms, 1.6, coeffs)
-    res = solve_scattering(MediumProfile.uniform(1.0, B), dens, ms)
+    res = solve_scattering(MediumProfile.from_coeffs({0: 1.0}, B), dens, ms)
     scat = res.scattered.rebase(0.0)
     inc = res.incident
     mirror = np.column_stack([-inc.coeffs[:, 0], -inc.coeffs[:, 1], inc.coeffs[:, 2]])
@@ -1069,7 +1095,7 @@ def test_incidence_quasimomentum_mismatch():
     ms = _modeset(3)
     bad = PlaneWaveIncidence.from_angles(K, THETA1 + 0.2, THETA2)
     with pytest.raises(TruncationMismatch):
-        solve_scattering(MediumProfile.uniform(1.0, B), bad, ms)
+        solve_scattering(MediumProfile.from_coeffs({0: 1.0}, B), bad, ms)
 
 
 def test_incidence_wavenumber_mismatch_threshold():
@@ -1083,11 +1109,26 @@ def test_incidence_wavenumber_mismatch_threshold():
                                  ms)
 
 
+@pytest.mark.parametrize("component", [0, 1])
+def test_incidence_direction_mismatch_threshold(component):
+    # |k d_j - alpha_j| <= 1e-10 is accepted; 2e-10 is another quasimomentum
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    for delta, accepted in ((0.5e-10, True), (-0.5e-10, True), (2e-10, False), (-2e-10, False)):
+        alpha = [K * inc.d[0], K * inc.d[1]]
+        alpha[component] += delta
+        ms = build_modeset(K, Quasimomentum(*alpha), 3)
+        if accepted:
+            assert np.array_equal(forward.expand_incidence(inc, ms).coeffs[ms.mode0], inc.p)
+        else:
+            with pytest.raises(TruncationMismatch, match="direction does not match"):
+                forward.expand_incidence(inc, ms)
+
+
 def test_dipole_plane_must_lie_above_layer():
     ms = _modeset(3)
     coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
     coeffs[ms.mode0, :2] = (1.0, 0.5j)
-    prof = MediumProfile.uniform(1.0, B)
+    prof = MediumProfile.from_coeffs({0: 1.0}, B)
     with pytest.raises(ValidationError, match="dipole plane"):
         solve_scattering(prof, DipoleDensity(ms, B, coeffs), ms)
     res = solve_scattering(prof, DipoleDensity(ms, B + 1e-9, coeffs), ms)
@@ -1096,7 +1137,7 @@ def test_dipole_plane_must_lie_above_layer():
 
 def test_x2_profile_rejected_by_solver():
     ms = _modeset(3)
-    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.1, -1: 0.1}, B, direction="x2")
+    prof = MediumProfile([Slab(B, {0: 1.5 + 0.1j, 1: 0.1, -1: 0.1})], "x2")
     f = _tangential(ms, {(0, 0): (1.0, 0.0)})
     with pytest.raises(ValidationError):
         solve_qpbvp(prof, f, ms)

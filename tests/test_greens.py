@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -141,6 +142,28 @@ def test_plane_wave_squared_norm_threshold():
         with pytest.raises(ValidationError, match=r"^greens\.PlaneWaveIncidence\.from_angles: "
                                                   r"pol_seed must be finite"):
             PlaneWaveIncidence.from_angles(1.5, 1.1, 0.3, seed)
+
+
+@pytest.mark.parametrize("theta1, theta2", [(1.1, math.inf), (math.inf, 0.3), (-math.inf, 0.3),
+                                            (1.1, math.nan), (math.nan, 0.3)])
+def test_plane_wave_from_angles_refuses_a_non_finite_angle(theta1, theta2):
+    # math.cos(inf) raised a bare "math domain error", and a NaN angle was blamed on p
+    with pytest.raises(ValidationError, match=re.escape(
+            "greens.PlaneWaveIncidence.from_angles: the angles theta1, theta2 must be finite, "
+            f"got {theta1!r}, {theta2!r}")):
+        PlaneWaveIncidence.from_angles(1.5, theta1, theta2)
+
+
+@pytest.mark.parametrize("theta1, theta2", [(1.1, 0.3), (0.05, -7.0), (-5.0, 2.0),
+                                            (2.0 * math.pi + 1.0, 1e6)])
+def test_plane_wave_from_angles_keeps_every_finite_direction(theta1, theta2):
+    # finite angles with sin(theta1) > 0, inside (0, pi) or not, give d and p as before
+    seed = np.array([0.0, 1.0, 0.0], dtype=complex)
+    d = np.array([math.cos(theta1) * math.cos(theta2), math.cos(theta1) * math.sin(theta2),
+                  -math.sin(theta1)])
+    inc = PlaneWaveIncidence.from_angles(1.5, theta1, theta2)
+    assert np.array_equal(inc.d, d)
+    assert np.array_equal(inc.p, seed - np.dot(seed, d) * d)
 
 
 def _single_mode_density(ms, height, n1, n2, vec):

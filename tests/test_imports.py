@@ -1,6 +1,8 @@
+import inspect
 import os
 import subprocess
 import sys
+import types
 
 import gratescat
 
@@ -17,6 +19,60 @@ PUBLIC_API = [
     "reconstruct_difference", "separable", "solve_layer_modes", "solve_qpbvp",
     "solve_scattering", "solve_sl", "sturm", "tables",
 ]
+
+# Parameter names and defaults of every exported function and class
+# constructor, the classmethod constructors included.  Adding or dropping a
+# parameter, or changing a default, means editing this table.
+SIGNATURES = {
+    "DipoleDensity": "(modeset, height, coeffs)",
+    "LayerField": "(profile, stack, top_amplitudes)",
+    "MediumProfile": "(slabs, direction='x1')",
+    "MediumProfile.from_coeffs": "(coeffs, height)",
+    "ModalBasis": "(modeset, slab_index, slab, W, V, gamma, Qinv, cond, E_inv=None, X_inv=None, "
+                  "G=None, s1=None)",
+    "ModeSet": "(k, alpha, N, wood_tol, n1, n2, alpha_n, beta, propagating)",
+    "MomentTable": "(L, m_schedule, a2_floor, entries=<factory>, estimates=<factory>, "
+                   "fit_residuals=<factory>)",
+    "PlaneWaveIncidence": "(p, d, k)",
+    "PlaneWaveIncidence.from_angles": "(k, theta1, theta2, pol_seed=(0.0, 1.0, 0.0))",
+    "Quasimomentum": "(alpha1, alpha2)",
+    "Quasimomentum.from_angles": "(k, theta1, theta2)",
+    "RayleighField": "(modeset, coeffs, height=0.0, direction='up')",
+    "ReconstructionResult": "(coeffs, errors)",
+    "SLProblem": "(coeffs, k, alpha1, M)",
+    "SLSpectrum": "(problem, entries=<factory>, matrix_norm=0.0, undecided=<factory>)",
+    "Slab": "(height, coeffs)",
+    "TangentialField": "(modeset, coeffs, height=0.0)",
+    "TangentialField.from_components": "(modeset, c1, c2, height=0.0)",
+    "TransverseFactor": "(mu, sqrt_mu, c1, log_c2, alpha2)",
+    "TrigPoly": "(coeffs)",
+    "apply_R": "(field)",
+    "assemble_dtn": "(profile, modeset)",
+    "build_modeset": "(k, alpha, N, wood_tol=None)",
+    "build_u": "(mu, alpha2)",
+    "check_asymptotics": "(spectrum, n_min=4, n_max=None)",
+    "efficiencies": "(scattered, incidence)",
+    "energy_forms": "(field)",
+    "extract_moments": "(q1, q2, L, m_schedule=(16, 24, 32, 48, 64), *, k, alpha, a2_floor=1e-06)",
+    "green_eval": "(x, y, modeset)",
+    "helmholtz_residual": "(x, y, modeset, h)",
+    "incident_from_density": "(g, modeset)",
+    "inner": "(a, b)",
+    "moment_kernels": "(spec1, entries_n, spec2, entries_m, u_n, u_m, qdiff)",
+    "reciprocity_gap": "(profile1, profile2, f, g, modeset)",
+    "reconstruct_difference": "(table)",
+    "solve_layer_modes": "(profile, slab_index, modeset)",
+    "solve_qpbvp": "(profile, f, modeset)",
+    "solve_scattering": "(profile, incidence, modeset)",
+    "solve_sl": "(problem, branches=None)",
+}
+
+
+def _parameters(fn) -> str:
+    """fn's signature without annotations: names, defaults and a ``*`` before keyword-only ones."""
+    sig = inspect.signature(fn)
+    bare = [p.replace(annotation=p.empty) for p in sig.parameters.values()]
+    return str(sig.replace(parameters=bare, return_annotation=sig.empty))
 
 
 def _fresh_stdout(code):
@@ -42,3 +98,16 @@ def test_public_api_is_pinned():
     # session adds ``cli`` to the package namespace
     code = "import gratescat; print(*sorted(n for n in dir(gratescat) if not n.startswith('_')))"
     assert _fresh_stdout(code).split() == sorted(PUBLIC_API)
+
+
+def test_exported_signatures_are_pinned():
+    got = {}
+    for name in PUBLIC_API:
+        obj = getattr(gratescat, name)
+        if isinstance(obj, types.ModuleType):
+            continue
+        got[name] = _parameters(obj)
+        for attr, value in vars(obj).items() if isinstance(obj, type) else ():
+            if isinstance(value, classmethod):
+                got[f"{name}.{attr}"] = _parameters(getattr(obj, attr))
+    assert got == SIGNATURES

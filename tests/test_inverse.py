@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import gratescat
-from gratescat import (MediumProfile, Quasimomentum, TangentialField, build_modeset,
-                       extract_moments, reciprocity_gap, reconstruct_difference)
+from gratescat import (MediumProfile, MomentTable, Quasimomentum, TangentialField,
+                       build_modeset, extract_moments, reciprocity_gap, reconstruct_difference)
 from gratescat import inverse, sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
 from gratescat.forward import LayerField, Slab, _Stack, solve_layer_modes, solve_qpbvp
@@ -337,8 +338,25 @@ def test_reconstruct_zero_and_insufficient_degree():
     assert max(abs(v) for v in rec.coeffs.values()) <= 1e-8
     vals = rec.coeffs(np.linspace(0, 2 * np.pi, 7))
     assert np.max(np.abs(vals)) <= 1e-7
-    with pytest.raises(InsufficientDegree):
-        reconstruct_difference(tab, L=3)
+    short = dataclasses.replace(tab, estimates={l: v for l, v in tab.estimates.items() if l != 1})
+    with pytest.raises(InsufficientDegree, match="no moment estimate for l=1"):
+        reconstruct_difference(short)
+
+
+@pytest.mark.parametrize("missing", [None, -2, -1, 0, 1, 2])
+def test_reconstruct_reads_exactly_the_degree_of_its_table(missing):
+    # a hand-built L = 2 table: each estimate |l| <= 2 is read, and a missing one is refused
+    ls = [l for l in range(-2, 3) if l != missing]
+    tab = MomentTable(2, SCHEDULE, 1e-6, estimates={l: complex(l, 1.0) for l in ls},
+                      fit_residuals={l: 0.5 for l in ls})
+    if missing is not None:
+        with pytest.raises(InsufficientDegree, match=f"no moment estimate for l={missing}$"):
+            reconstruct_difference(tab)
+        return
+    rec = reconstruct_difference(tab)
+    assert list(rec.coeffs) == [-2, -1, 0, 1, 2]
+    assert all(rec.coeffs[j] == complex(-j, 1.0) / (2 * np.pi) for j in rec.coeffs)
+    assert all(rec.errors[j] == 0.5 / (2 * np.pi) for j in rec.errors)
 
 
 def test_moment_convergence_rate():
@@ -419,8 +437,6 @@ def test_degree_zero_still_solves():
     assert [(e.l, e.m) for e in tab.entries] == [(0, m) for m in SCHEDULE]
     rec = reconstruct_difference(tab)
     assert list(rec.coeffs) == [0] and abs(rec.coeffs[0] - 0.1) <= 1e-3
-    with pytest.raises(ValidationError, match="degree L must be an integer >= 0"):
-        reconstruct_difference(tab, L=-1)
 
 
 def test_one_directional_coeffs_component_order():
@@ -428,7 +444,7 @@ def test_one_directional_coeffs_component_order():
     coeffs = {0: 1.5 + 0.1j, 1: 1.0}
     for direction, along, across in (("x1", ALPHA.alpha1, ALPHA.alpha2),
                                      ("x2", ALPHA.alpha2, ALPHA.alpha1)):
-        prof = MediumProfile.from_coeffs(coeffs, B, direction=direction)
+        prof = MediumProfile([Slab(B, coeffs)], direction)
         q, a, c = one_directional_coeffs(prof, ALPHA, "q")
         assert q == prof.slabs[0].coeffs
         assert (a, c) == (along, across)
@@ -439,8 +455,8 @@ def test_x2_pair_moments_equal_x1_pair_with_swapped_alpha():
     diff = {0: 0.06, 1: 0.11, -1: 0.09}
     q1c = {j: base.get(j, 0) + diff.get(j, 0) for j in {**base, **diff}}
     swapped = Quasimomentum(ALPHA.alpha2, ALPHA.alpha1)
-    tabs = [extract_moments(MediumProfile.from_coeffs(q1c, B, direction=d),
-                            MediumProfile.from_coeffs(base, B, direction=d),
+    tabs = [extract_moments(MediumProfile([Slab(B, q1c)], d),
+                            MediumProfile([Slab(B, base)], d),
                             1, SCHEDULE, k=K, alpha=alpha)
             for d, alpha in (("x2", ALPHA), ("x1", swapped))]
     assert [(e.l, e.m, e.A1, e.a2_log10, e.a2_arg) for e in tabs[0].entries] == \
@@ -449,8 +465,8 @@ def test_x2_pair_moments_equal_x1_pair_with_swapped_alpha():
 
 
 def test_mixed_axis_pair_rejected():
-    q1 = MediumProfile.from_coeffs({0: 1.6 + 0.12j, 1: 0.2, -1: 0.2}, B, direction="x1")
-    q2 = MediumProfile.from_coeffs({0: 1.6 + 0.12j, 1: 0.1, -1: 0.1}, B, direction="x2")
+    q1 = MediumProfile([Slab(B, {0: 1.6 + 0.12j, 1: 0.2, -1: 0.2})], "x1")
+    q2 = MediumProfile([Slab(B, {0: 1.6 + 0.12j, 1: 0.1, -1: 0.1})], "x2")
     for a, b in ((q1, q2), (q2, q1)):
         with pytest.raises(NotOneDirectional) as err:
             extract_moments(a, b, 1, (16, 24), k=K, alpha=ALPHA)
@@ -466,8 +482,8 @@ def test_swapped_moments_match_direct_quadrature():
     q1c = dict(base)
     for j, c in diff.items():
         q1c[j] = q1c.get(j, 0) + c
-    p1 = MediumProfile.from_coeffs(q1c, B, direction="x2")
-    p2 = MediumProfile.from_coeffs(base, B, direction="x2")
+    p1 = MediumProfile([Slab(B, q1c)], "x2")
+    p2 = MediumProfile([Slab(B, base)], "x2")
     tab = extract_moments(p1, p2, 1, SCHEDULE, k=K, alpha=ALPHA)
     x2 = np.linspace(0, 2 * np.pi, 4097)[:-1]
     dq = sum(c * np.exp(1j * j * x2) for j, c in diff.items())

@@ -102,8 +102,23 @@ def test_quasimomentum_from_angles():
 def test_from_angles_refuses_a_non_finite_angle_by_value(theta1, theta2):
     # refused by value before math.cos can raise its bare "math domain error"
     with pytest.raises(ValidationError, match=re.escape(
-            f"need 0 < theta1 < pi (a downgoing wave) and a finite theta2, got {theta1!r}, {theta2!r}")):
+            "lattice.Quasimomentum.from_angles: the angles theta1, theta2 must be finite, "
+            f"got {theta1!r}, {theta2!r}")):
         Quasimomentum.from_angles(1.2, theta1, theta2)
+
+
+@pytest.mark.parametrize("N", [2.5, 2.0, "2", None, -1])
+def test_build_modeset_refuses_a_truncation_that_is_not_an_integer_ge_0(N):
+    # a float N would build 2N+1 = 6.0 modes per block and fail later in numpy
+    with pytest.raises(ValidationError, match=re.escape(
+            f"lattice.build_modeset: N must be an integer >= 0, got {N!r}")):
+        build_modeset(1.25, Quasimomentum(0.3, 0.1), N)
+
+
+@pytest.mark.parametrize("N", [2, np.int64(2), 0])
+def test_build_modeset_takes_any_integral_truncation(N):
+    ms = build_modeset(1.25, Quasimomentum(0.3, 0.1), N)
+    assert ms.block_size == 2 * N + 1 and ms.num_modes == (2 * N + 1) ** 2
 
 
 def _cell_grid(g):

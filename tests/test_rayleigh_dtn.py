@@ -27,7 +27,7 @@ def test_single_mode_formula():
     # n = 0 with alpha = 0, k = 1: beta = 1 and R(1,0,0) = (i,0,0)
     ms = build_modeset(1.0, Quasimomentum(0.0, 0.0), 0)
     f = TangentialField.from_components(ms, [1.0], [0.0])
-    out = apply_R(f, ms)
+    out = apply_R(f)
     np.testing.assert_allclose(out.coeffs[0], [1j, 0.0, 0.0], atol=1e-15)
 
 
@@ -59,8 +59,8 @@ def test_truncation_mismatch():
     ms = _modeset(3)
     other = _modeset(4)
     f = _random_tangential(ms)
-    with pytest.raises(TruncationMismatch):
-        apply_R(f, other)
+    with pytest.raises(TruncationMismatch, match="^rayleigh_dtn.inner: operands built over"):
+        inner(f, _random_tangential(other))
 
 
 def test_energy_forms_single_mode():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,8 +107,7 @@ def test_separable_residual_scales_with_eigen_perturbation():
     r0 = base.residual_report(pts)["max_relative"]
     res = {}
     for delta in (1e-6, 1e-5):
-        bent = type(entry)(entry.sign, entry.n, entry.lam + delta, entry.coeffs,
-                           entry.residual, entry.normalized)
+        bent = dataclasses.replace(entry, lam=entry.lam + delta)
         sol = oracles.build_separable(spec, bent, build_u(-(entry.lam + delta), ALPHA2))
         res[delta] = sol.residual_report(pts)["max_relative"]
     assert res[1e-5] > res[1e-6] > r0

@@ -97,20 +97,29 @@ def test_normalization_and_degenerate_case():
     # even and an odd eigenfunction, with equal weights on +-n, so neither
     # label is decided; the odd ones would vanish at 0
     bad = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, 0.0, 24)
-    for spec_bad in (solve_sl(bad), solve_sl(bad, normalize=False)):
-        assert list(spec_bad.entries) == [(1, 0)]
-        assert set(spec_bad.undecided) == {(s, n) for s in (1, -1) for n in range(1, 25)}
-        for key in spec_bad.undecided:
-            with pytest.raises(EigenFailure, match="cannot label branches " + _name(key)):
-                spec_bad.entry(*key)
+    spec_bad = solve_sl(bad)
+    assert list(spec_bad.entries) == [(1, 0)]
+    assert set(spec_bad.undecided) == {(s, n) for s in (1, -1) for n in range(1, 25)}
+    for key in spec_bad.undecided:
+        with pytest.raises(EigenFailure, match="cannot label branches " + _name(key)):
+            spec_bad.entry(*key)
     assert len(spec_bad.entries) + len(spec_bad.undecided) == 49
 
 
 def test_normalization_tolerance_threshold(monkeypatch):
     # A decided pair raises once _NORM_TOL reaches its |v(0)| / ||c|| and
-    # passes one ulp below it
+    # passes one ulp below it; c is the eigenvector before it is scaled
     prob = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 24)
-    c = solve_sl(prob, normalize=False, branches=[(1, 5)]).entry(1, 5).coeffs[None, :]
+    seen = []
+    solve = sturm._solve_clusters
+
+    def spy(*args):
+        out = solve(*args)
+        seen.append(out[2].copy())   # (index, lam, C, residual, undecided)
+        return out
+    monkeypatch.setattr(sturm, "_solve_clusters", spy)
+    solve_sl(prob, branches=[(1, 5)])
+    [c] = seen
     ratio = float((np.abs(np.sum(c, axis=1)) / np.linalg.norm(c, axis=1))[0])
     monkeypatch.setattr(sturm, "_NORM_TOL", ratio)
     with pytest.raises(NormalizationDegenerate, match="at branch index 5;"):
@@ -124,8 +133,8 @@ def test_gauge_invariance():
     # compare the central eigenvalues (truncation touches only the edges)
     coeffs = {0: 1.3, 1: 0.1, -1: 0.1}
     M = 40
-    s1 = solve_sl(SLProblem(coeffs, K, ALPHA1, M), normalize=False)
-    s2 = solve_sl(SLProblem(coeffs, K, ALPHA1 + 1.0, M), normalize=False)
+    s1 = solve_sl(SLProblem(coeffs, K, ALPHA1, M))
+    s2 = solve_sl(SLProblem(coeffs, K, ALPHA1 + 1.0, M))
     lam1 = sorted((e.lam.real for e in s1.entries.values()), reverse=True)
     lam2 = sorted((e.lam.real for e in s2.entries.values()), reverse=True)
     central = 2 * (M // 2) + 1
@@ -135,7 +144,7 @@ def test_gauge_invariance():
 
 def test_weyl_count():
     prob = SLProblem({0: 1.2, 1: 0.1, -1: 0.1}, K, ALPHA1, 64)
-    spec = solve_sl(prob, normalize=False)
+    spec = solve_sl(prob)
     neg = np.array([-e.lam.real for e in spec.entries.values()])
     for R in (100.0, 400.0, 900.0):
         count = int(np.sum(neg <= R))
@@ -191,6 +200,23 @@ def test_non_finite_coefficient_rejected(c):
 def test_truncation_floor_validation():
     with pytest.raises(ValidationError):
         SLProblem({0: 1.0, 2: 0.1, -2: 0.1}, K, ALPHA1, 6)  # M < 2 deg + 4
+
+
+@pytest.mark.parametrize("M", [30.0, 30.5, "30", None])
+def test_non_integral_truncation_rejected(M):
+    # M = 30.0 would pass here and fail in solve_sl with an untyped TypeError
+    with pytest.raises(ValidationError, match=re.escape(
+            f"sturm.SLProblem: truncation M must be an integer, got {M!r}")):
+        SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, M)
+
+
+def test_integral_truncation_of_any_type_accepted():
+    keys = [(1, 3), (-1, 4)]
+    want = solve_sl(SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 30), branches=keys)
+    got = solve_sl(SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, np.int64(30)), branches=keys)
+    for key in keys:
+        assert got.entry(*key).lam == want.entry(*key).lam
+        assert np.array_equal(got.entry(*key).coeffs, want.entry(*key).coeffs)
 
 
 def test_asymptotics_constant_q():
@@ -253,10 +279,17 @@ def _name(key):
     return re.escape("({:+d}, {})".format(*key))
 
 
+def _as_geev_returns(c):
+    """c rescaled to unit norm with its largest component real, as geev returns eigenvectors."""
+    c = c / np.linalg.norm(c)
+    big = c[np.argmax(np.abs(c))]
+    return c * (np.conj(big) / np.abs(big))
+
+
 def _assert_same_pair(targeted, dense):
-    # unit-norm vectors with the largest component real on both paths
+    # solve_sl scales to v(0) = 1 and the dense oracle to geev's unit norm
     assert abs(targeted.lam - dense.lam) <= 1e-12 * abs(dense.lam)
-    np.testing.assert_allclose(targeted.coeffs, dense.coeffs, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(_as_geev_returns(targeted.coeffs), dense.coeffs, rtol=0, atol=1e-11)
     assert targeted.residual <= 1e-14
 
 
@@ -285,10 +318,10 @@ def test_targeted_matches_dense(coeffs, k, alpha1, M):
     prob = SLProblem(coeffs, k, alpha1, M)
     dense = oracles.dense_spectrum(prob)
     decided = list(dense.entries)
-    spec = solve_sl(prob, normalize=False)
+    spec = solve_sl(prob)
     assert set(spec.entries) == set(decided)
     assert set(spec.undecided) == set(dense.undecided)
-    targeted = solve_sl(prob, normalize=False, branches=decided)
+    targeted = solve_sl(prob, branches=decided)
     assert list(targeted.entries) == sorted(decided, key=lambda t: t[0] * t[1])
     for key in decided:
         _assert_same_pair(targeted.entries[key], dense.entries[key])
@@ -304,7 +337,7 @@ def test_targeted_at_coincident_anchors(alpha1, partner):
     # pair's eigenvalues agree to rounding: no eigenvector decides its label.
     prob = SLProblem(_COMPLEX_Q, K, alpha1, 40)
     dense = oracles.dense_spectrum(prob)
-    spec = solve_sl(prob, normalize=False)
+    spec = solve_sl(prob)
     for n in range(1, 13):
         pattern = (f"cannot label branches {_name((1, n))} "
                    f"in the cluster .*{_name((-1, partner(n)))}")
@@ -313,7 +346,7 @@ def test_targeted_at_coincident_anchors(alpha1, partner):
     if alpha1 == 0.0:
         # the unpaired anchor m = 0 shares a cluster with m = -1 and 1, and
         # its eigenvector still peaks clearly at its own index
-        alone = solve_sl(prob, normalize=False, branches=[(1, 0)])
+        alone = solve_sl(prob, branches=[(1, 0)])
         _assert_same_pair(alone.entries[(1, 0)], dense.entries[(1, 0)])
         _assert_same_pair(spec.entries[(1, 0)], dense.entries[(1, 0)])
 
@@ -417,7 +450,7 @@ def test_targeted_cluster_threshold(monkeypatch, alpha1, clusters):
     prob = SLProblem({0: 2.0 + 0.25j, 1: 0.125, -1: 0.125j}, 1.0, alpha1, 8)
     seen = _spy_clusters(monkeypatch)
     keys = [(-1, 1), (1, 0)]
-    targeted = solve_sl(prob, normalize=False, branches=keys)
+    targeted = solve_sl(prob, branches=keys)
     assert seen == [clusters]
     dense = oracles.dense_spectrum(prob)
     for key in keys:
@@ -438,7 +471,7 @@ def test_isolated_block_matches_one_branch_solves(monkeypatch):
                         lambda ab, d, lo, hi, *args: solved.append((lo, hi))
                         or band_solve(ab, d, lo, hi, *args))
     windows = _spy_windows(monkeypatch)
-    spec = solve_sl(prob, normalize=False, branches=_RECONSTRUCT_KEYS)
+    spec = solve_sl(prob, branches=_RECONSTRUCT_KEYS)
     [(rows, (lo, hi))] = windows
     assert [sturm._key(int(r) - prob.M) for r in rows] == _RECONSTRUCT_KEYS
     # each branch is solved on its own window, not on the order-289 matrix
@@ -453,7 +486,7 @@ def test_isolated_block_matches_one_branch_solves(monkeypatch):
     for (a, b), rows in zip([(lo, hi)] + solved, applied):
         assert rows == min(np.max(b) + d, 289) - max(np.min(a) - d, 0) <= 289
     for key in _RECONSTRUCT_KEYS:
-        alone = solve_sl(prob, normalize=False, branches=[key]).entries[key]
+        alone = solve_sl(prob, branches=[key]).entries[key]
         assert abs(spec.entries[key].lam - alone.lam) <= 1e-14 * spec.matrix_norm
         np.testing.assert_allclose(spec.entries[key].coeffs, alone.coeffs, rtol=0, atol=1e-13)
 
@@ -494,7 +527,7 @@ def test_isolated_windows_hold_the_dense_eigenvectors(monkeypatch, coeffs, k, al
     dense = oracles.dense_spectrum(prob)
     decided = list(dense.entries)
     seen = _spy_windows(monkeypatch)
-    targeted = solve_sl(prob, normalize=False, branches=decided)
+    targeted = solve_sl(prob, branches=decided)
     [(rows, (lo, hi))] = seen
     ms = rows - M
     keys = [sturm._key(int(m)) for m in ms]
