@@ -35,18 +35,17 @@ def _words(parse):
     return lambda raw: tuple(parse(tok) for tok in raw.split())
 
 
-def _optional_float(raw):
-    return float(raw) if raw else None
-
-
 def _qcoef(raw):
-    """Fourier coefficients of q, one ``j re im`` line each."""
+    """Fourier coefficients of q, one ``j re im`` line each, no index twice."""
     coeffs = {}
     for line in filter(str.strip, raw.splitlines()):
         parts = line.split()
         if len(parts) != 3:
             raise ValidationError(f"cli.run: qcoef line '{line}' is not 'j re im'")
-        coeffs[int(parts[0])] = float(parts[1]) + 1j * float(parts[2])
+        j = int(parts[0])
+        if j in coeffs:
+            raise ValidationError(f"cli.run: qcoef line '{line}' repeats index {j}")
+        coeffs[j] = float(parts[1]) + 1j * float(parts[2])
     return coeffs
 
 
@@ -56,11 +55,8 @@ _PROFILE = {"direction": (str, "x1"), "slabs": (_words(float), _REQUIRED),
 # section -> key -> (parser of the stripped text, default or _REQUIRED)
 _GRAMMAR = {
     "scenario": {"kind": (str, None), "seed": (int, 0)},
-    "physics": {"k": (float, 1.0), "theta1": (float, np.pi / 2), "theta2": (float, 0.0),
-                "b": (_optional_float, None)},
+    "physics": {"k": (float, 1.0), "theta1": (float, np.pi / 2), "theta2": (float, 0.0)},
     "numerics": {"N": (int, 8), "M": (int, 64), "L": (int, 2), "cases": (int, 5),
-                 "wood_tol": (_optional_float, None),
-                 "a2_floor": (float, inverse.DEFAULT_A2_FLOOR),
                  "m_schedule": (_words(int), inverse.DEFAULT_SCHEDULE)},
     "profile": _PROFILE,
     "profile2": _PROFILE,
@@ -105,12 +101,6 @@ class Scenario:
         self.alpha = Quasimomentum.from_angles(self.k, self.theta1, self.theta2)
         self.profile = self._profile("profile")
         self.profile2 = self._profile("profile2")
-        if self.profile is not None:
-            if self.b is not None and abs(self.profile.b - self.b) > 1e-12:
-                raise ValidationError(
-                    f"cli.run: physics b = {self.b:g} does not equal the slab total "
-                    f"{self.profile.b:g}")
-            self.b = self.profile.b
 
     def value(self, section, key):
         """The key's parsed value, or its ``_GRAMMAR`` default when absent."""
@@ -145,12 +135,15 @@ class Scenario:
         stream = stream if stream is not None else sys.stdout
         print(f"kind = {self.kind}", file=stream)
         print(f"seed = {self.seed}", file=stream)
-        for name in ("k", "theta1", "theta2", "b"):
-            print(f"{name} = {getattr(self, name)}", file=stream)
+        for key in _GRAMMAR["physics"]:
+            print(f"{key} = {getattr(self, key)}", file=stream)
+        # derived: the layer height b is the slab total
+        print(f"b = {self.profile.b if self.profile is not None else None}", file=stream)
         print(f"alpha = ({self.alpha.alpha1!r}, {self.alpha.alpha2!r})", file=stream)
-        for name in ("N", "M", "L", "cases", "wood_tol", "a2_floor"):
-            print(f"{name} = {getattr(self, name)}", file=stream)
-        print(f"m_schedule = {' '.join(str(m) for m in self.m_schedule)}", file=stream)
+        for key in _GRAMMAR["numerics"]:
+            value = getattr(self, key)   # m_schedule, a tuple, space-joined
+            value = " ".join(str(v) for v in value) if isinstance(value, tuple) else value
+            print(f"{key} = {value}", file=stream)
         for tag, prof in (("profile", self.profile), ("profile2", self.profile2)):
             if prof is None:
                 continue
@@ -168,7 +161,7 @@ def _require(cond, message):
 
 
 def _run_modes(sc: Scenario) -> None:
-    ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
+    ms = build_modeset(sc.k, sc.alpha, sc.N)
     write_csv(sc.out_path("modes"), "n1,n2,alpha1,alpha2,re_beta,im_beta,propagating",
               "%d,%d,%.17g,%.17g,%.17g,%.17g,%d",
               zip(ms.n1, ms.n2, ms.alpha_n[:, 0], ms.alpha_n[:, 1], ms.beta.real, ms.beta.imag,
@@ -178,7 +171,7 @@ def _run_modes(sc: Scenario) -> None:
 def _run_green(sc: Scenario) -> None:
     x, y = (np.array(sc.value("green", key)) for key in ("x", "y"))
     h = sc.value("green", "h")
-    ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
+    ms = build_modeset(sc.k, sc.alpha, sc.N)
     g = green_eval(x, y, ms)
     shifted = green_eval(x + np.array([2 * np.pi, 0, 0]), y, ms)
     qp_defect = abs(shifted - np.exp(2j * np.pi * sc.alpha.alpha1) * g) / abs(g)
@@ -190,7 +183,7 @@ def _run_green(sc: Scenario) -> None:
 
 def _run_forward(sc: Scenario) -> None:
     _require(sc.profile is not None, "cli.run: forward scenario needs a [profile] section")
-    ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
+    ms = build_modeset(sc.k, sc.alpha, sc.N)
     inc = sc.incidence()
     result = forward.solve_scattering(sc.profile, inc, ms)
     rayleigh_dtn.write_rayleigh_csv(result.scattered, sc.out_path("rayleigh"))
@@ -208,7 +201,7 @@ def _run_forward(sc: Scenario) -> None:
 
 def _run_dtn(sc: Scenario) -> None:
     _require(sc.profile is not None, "cli.run: dtn scenario needs a [profile] section")
-    ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
+    ms = build_modeset(sc.k, sc.alpha, sc.N)
     blocks = forward.assemble_dtn(sc.profile, ms)
     m, mb, nb = ms.num_modes, ms.block_size, blocks.shape[0]
     # assemble_dtn's dense indices; C order of (c, b, i, c', i') is their row-major order
@@ -255,7 +248,7 @@ def _moment_table(sc: Scenario):
              f"cli.run: alpha along the profile axis is {along!r}, within 1e-9 of a multiple of "
              "1/2; theta1 = pi/2, or any alpha1 in Z/2, makes the mirror branches coincide")
     return inverse.extract_moments(sc.profile, sc.profile2, sc.L, sc.m_schedule, k=sc.k,
-                                   alpha=sc.alpha, a2_floor=sc.a2_floor)
+                                   alpha=sc.alpha)
 
 
 def _run_moments(sc: Scenario) -> None:
@@ -281,7 +274,7 @@ def _run_reconstruct(sc: Scenario) -> None:
 def _run_gapcheck(sc: Scenario) -> None:
     _require(sc.profile is not None and sc.profile2 is not None,
              "cli.run: gapcheck scenario needs [profile] and [profile2]")
-    ms = build_modeset(sc.k, sc.alpha, sc.N, sc.wood_tol)
+    ms = build_modeset(sc.k, sc.alpha, sc.N)
     rng = np.random.default_rng(sc.seed)
 
     def tf():

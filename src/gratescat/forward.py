@@ -253,8 +253,6 @@ class ModalBasis:
     """
 
     modeset: ModeSet
-    slab_index: int
-    slab: Slab
     W: np.ndarray
     V: np.ndarray
     gamma: np.ndarray
@@ -480,7 +478,7 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
         V[:, h, e] = (k * q0 - a2 * a2 / k) / g_e
         V[:, h, h] = (a2 / k) * d1 / g_h
         W = np.broadcast_to(np.eye(2 * mb, dtype=complex), V.shape)
-        return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, 1.0)
+        return ModalBasis(ms, W, V, gamma, Qinv, 1.0)
     Qinv_d1 = Qinv * d1
     t_te, t_tm = k * k * Q - np.diag(d1 * d1), k * k * Q - Q @ (d1[:, None] * Qinv_d1)
     try:
@@ -522,8 +520,7 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     W[:, mb:, mb:] = y * s2[:, None, :]
     V[:, mb:, mb:] = h * tm_scale[:, None, :]
     cond, (e_inv, x_inv, g) = _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index)
-    return ModalBasis(ms, slab_index, slab, W, V, gamma, Qinv, max(1.0, float(np.max(cond))),
-                      e_inv, x_inv, g, s1)
+    return ModalBasis(ms, W, V, gamma, Qinv, max(1.0, float(np.max(cond))), e_inv, x_inv, g, s1)
 
 
 class _Stack:

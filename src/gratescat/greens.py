@@ -107,7 +107,10 @@ class PlaneWaveIncidence:
     @classmethod
     def from_angles(cls, k: float, theta1: float, theta2: float,
                     pol_seed=(0.0, 1.0, 0.0)) -> "PlaneWaveIncidence":
-        """Build a transversal polarization by projecting pol_seed orthogonal to d."""
+        """Build a transversal polarization by projecting pol_seed orthogonal to d.
+
+        The angles follow ``Quasimomentum.from_angles``: finite, 0 < theta1 < pi.
+        """
         _check_angles("greens.PlaneWaveIncidence.from_angles", theta1, theta2)
         d = np.array([math.cos(theta1) * math.cos(theta2),
                       math.cos(theta1) * math.sin(theta2),

@@ -62,7 +62,10 @@ from .sturm import SLProblem, solve_sl
 from .tables import write_csv
 
 DEFAULT_SCHEDULE = (16, 24, 32, 48, 64)
-DEFAULT_A2_FLOOR = 1e-6
+# An entry with |A2| at or below A2_FLOOR leaves the Richardson fit: the
+# orthogonality relation identifies the moment only where A2 != 0;
+# extract_moments reads it at each call.
+A2_FLOOR = 1e-6
 _GAUSS_TOL = 1e-16  # bound on the Gauss-Legendre remainder of each x3 segment of the gap
 
 
@@ -180,7 +183,6 @@ class MomentTable:
 
     L: int
     m_schedule: tuple
-    a2_floor: float
     entries: list = field(default_factory=list)
     estimates: dict = field(default_factory=dict)      # l -> extrapolated moment
     fit_residuals: dict = field(default_factory=dict)  # l -> rms residual of the fit
@@ -205,8 +207,8 @@ def one_directional_coeffs(profile: MediumProfile, alpha: Quasimomentum, name: s
 
 
 def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
-                    m_schedule=DEFAULT_SCHEDULE, *, k: float, alpha: Quasimomentum,
-                    a2_floor: float = DEFAULT_A2_FLOOR) -> MomentTable:
+                    m_schedule=DEFAULT_SCHEDULE, *, k: float,
+                    alpha: Quasimomentum) -> MomentTable:
     """Build the moment table for the difference q1 - q2.
 
     For each l in [-L, L] (L an integer >= 0) and each branch index m in the
@@ -223,7 +225,7 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     once, under the growth preset c2 = exp(2 pi sqrt(mu)), so |A2| is
     recorded as ``a2_log10`` and never overflows; one :func:`moment_kernels`
     call gives every A1 and A2.  The l that keep the same entries above
-    ``a2_floor`` share one design and one least-squares solve, so a full
+    ``A2_FLOOR`` share one design and one least-squares solve, so a full
     table is one solve; fewer than two retained entries at any l raise
     :class:`A2Floor`.
     """
@@ -234,8 +236,6 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     if len(m_schedule) < 2 or len(set(m_schedule)) < len(m_schedule):
         raise ValidationError(f"inverse.extract_moments: schedule {m_schedule} needs at least "
                               "two entries, none repeated")
-    if not 0 < a2_floor < math.inf:
-        raise ValidationError("inverse.extract_moments: a2_floor must be finite and > 0")
     if m_schedule[0] - L < 1:
         raise ValidationError("inverse.extract_moments: schedule too low for requested degree")
     c1, along, across = one_directional_coeffs(q1, alpha, "q1")
@@ -261,8 +261,8 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
         c1 - c2)
     A1, a2_log = A1.reshape(len(ls), S), a2_log.reshape(len(ls), S)
     a2_log10 = a2_log.real / math.log(10.0)
-    ok = a2_log10 > math.log10(a2_floor)
-    table = MomentTable(L, m_schedule, a2_floor)
+    ok = a2_log10 > math.log10(A2_FLOOR)
+    table = MomentTable(L, m_schedule)
     table.entries = [MomentEntry(l, m, complex(A1[i, j]), float(a2_log10[i, j]),
                                  float(a2_log.imag[i, j]), bool(ok[i, j]))
                      for i, l in enumerate(ls) for j, m in enumerate(m_schedule)]
@@ -270,7 +270,7 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     if short.size:
         raise A2Floor(
             f"inverse.extract_moments: fewer than two retained entries at l={ls[short[0]]} "
-            f"(floor {a2_floor:g})")
+            f"(floor {A2_FLOOR:g})")
     inv_m = 1.0 / np.asarray(m_schedule, dtype=float)
     estimates = np.empty(len(ls), dtype=complex)
     residuals = np.empty(len(ls))

@@ -7,7 +7,7 @@ vertical mode constants
     beta_n = sqrt(k^2 - |alpha_n|^2)   (>= 0 real for propagating modes),
            = i sqrt(|alpha_n|^2 - k^2) (decaying for evanescent modes).
 
-Modes with ``|beta_n|`` at or below a tolerance are excluded outright:
+Modes with ``|beta_n|`` at or below ``WOOD_TOL * k`` are excluded outright:
 the degenerate frequencies are assumed away by the model, and we convert
 that assumption into a guarded error at construction time.
 
@@ -27,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationMismatch, ValidationError, WoodAnomaly
+
+# A mode with |beta_n| <= WOOD_TOL * k sits on a Wood anomaly, a degenerate
+# frequency the model assumes away; build_modeset reads it at each call.
+WOOD_TOL = 1e-8
 
 
 class TrigPoly(dict):
@@ -88,10 +92,14 @@ class TrigPoly(dict):
 
 
 def _check_angles(where: str, theta1: float, theta2: float) -> None:
-    """Refuse a non-finite direction angle, on which math.cos raises or returns NaN."""
+    """Refuse a non-finite angle, on which math.cos raises or returns NaN, and
+    a theta1 outside (0, pi), which gives no downgoing wave."""
     if not (math.isfinite(theta1) and math.isfinite(theta2)):
         raise ValidationError(
             f"{where}: the angles theta1, theta2 must be finite, got {theta1!r}, {theta2!r}")
+    if not 0.0 < theta1 < math.pi:
+        raise ValidationError(
+            f"{where}: need 0 < theta1 < pi (a downgoing wave), got theta1 = {theta1!r}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +124,6 @@ class Quasimomentum:
         if k <= 0:
             raise ValidationError("lattice.Quasimomentum.from_angles: k must be > 0")
         _check_angles("lattice.Quasimomentum.from_angles", theta1, theta2)
-        if not 0.0 < theta1 < math.pi:
-            raise ValidationError("lattice.Quasimomentum.from_angles: need 0 < theta1 < pi "
-                                  f"(a downgoing wave), got theta1 = {theta1!r}")
         return cls(k * math.cos(theta1) * math.cos(theta2),
                    k * math.cos(theta1) * math.sin(theta2))
 
@@ -130,12 +135,10 @@ class ModeSet:
     the x2-decoupled blocks of the layer solver contiguous.
     """
 
-    def __init__(self, k: float, alpha: Quasimomentum, N: int, wood_tol: float,
-                 n1, n2, alpha_n, beta, propagating):
+    def __init__(self, k: float, alpha: Quasimomentum, N: int, n1, n2, alpha_n, beta, propagating):
         self.k = k
         self.alpha = alpha
         self.N = N
-        self.wood_tol = wood_tol
         self.n1 = n1
         self.n2 = n2
         self.alpha_n = alpha_n
@@ -161,7 +164,7 @@ class ModeSet:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(np.array([self.k, self.alpha.alpha1, self.alpha.alpha2,
-                           self.N, self.wood_tol]).tobytes())
+                           self.N, WOOD_TOL * self.k]).tobytes())
         return h.hexdigest()[:16]
 
     def phases(self, points) -> np.ndarray:
@@ -175,12 +178,11 @@ class ModeSet:
                             + np.outer(pts[:, 1], self.alpha_n[:, 1])))
 
 
-def build_modeset(k: float, alpha: Quasimomentum, N: int,
-                  wood_tol: float | None = None) -> ModeSet:
+def build_modeset(k: float, alpha: Quasimomentum, N: int) -> ModeSet:
     """Build the truncated mode lattice for wavenumber k and quasimomentum alpha.
 
-    ``wood_tol`` defaults to ``1e-8 * k``; construction fails with
-    :class:`WoodAnomaly` if any mode constant satisfies ``|beta_n| <= wood_tol``.
+    Construction fails with :class:`WoodAnomaly` if any mode constant
+    satisfies ``|beta_n| <= WOOD_TOL * k``.
     """
     if not math.isfinite(float(k) * float(k)):   # k^2 enters every beta_n
         raise ValidationError(
@@ -189,10 +191,6 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int,
         raise ValidationError("lattice.build_modeset: k must be > 0")
     if not isinstance(N, numbers.Integral) or N < 0:
         raise ValidationError(f"lattice.build_modeset: N must be an integer >= 0, got {N!r}")
-    if wood_tol is None:
-        wood_tol = 1e-8 * k
-    if not 0 < wood_tol < math.inf:
-        raise ValidationError("lattice.build_modeset: wood_tol must be finite and > 0")
 
     idx = np.arange(-N, N + 1)
     n2, n1 = np.meshgrid(idx, idx, indexing="ij")  # n2-major, n1 fastest
@@ -206,10 +204,11 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int,
     beta = np.where(propagating,
                     np.sqrt(np.maximum(disc, 0.0)) + 0j,
                     1j * np.sqrt(np.maximum(-disc, 0.0)))
-    bad = np.abs(beta) <= wood_tol
+    tol = WOOD_TOL * k
+    bad = np.abs(beta) <= tol
     if np.any(bad):
         j = int(np.argmax(bad))
         raise WoodAnomaly(
-            f"lattice.build_modeset: |beta| <= {wood_tol:g} at mode ({n1[j]},{n2[j]})",
+            f"lattice.build_modeset: |beta| <= {tol:g} at mode ({n1[j]},{n2[j]})",
             mode=(int(n1[j]), int(n2[j])))
-    return ModeSet(k, alpha, N, wood_tol, n1, n2, alpha_n, beta, propagating)
+    return ModeSet(k, alpha, N, n1, n2, alpha_n, beta, propagating)

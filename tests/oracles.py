@@ -201,9 +201,9 @@ def dtn_matrix(blocks, modeset) -> np.ndarray:
     return matrix
 
 
-def eigen_residual(basis) -> float:
-    """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| of a ModalBasis over its full eigen set."""
-    A, B = block_operators(basis.slab, basis.modeset, basis.slab_index)
+def eigen_residual(basis, profile, slab_index: int) -> float:
+    """max_j ||M Phi_j - gamma_j Phi_j|| / ||M|| of a slab's ModalBasis over its full eigen set."""
+    A, B = block_operators(profile.slabs[slab_index], basis.modeset, slab_index)
     mnorm = np.maximum(np.linalg.matrix_norm(A, ord=2), np.linalg.matrix_norm(B, ord=2))
     g = basis.gamma[:, None, :]
     ra = A @ basis.V - basis.W * g

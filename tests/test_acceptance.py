@@ -13,7 +13,7 @@ import pytest
 from gratescat import (MediumProfile, PlaneWaveIncidence, Quasimomentum, SLProblem,
                        TangentialField, apply_R, build_modeset,
                        build_u, check_asymptotics, efficiencies, energy_forms,
-                       extract_moments, green_eval, helmholtz_residual, inner,
+                       extract_moments, green_eval, helmholtz_residual, inner, lattice,
                        reciprocity_gap, reconstruct_difference, solve_qpbvp,
                        solve_scattering, solve_sl)
 from gratescat.errors import WoodAnomaly
@@ -25,28 +25,31 @@ def _report(num, text):
     print(f"criterion {num:02d} PASS: {text}")
 
 
-def test_criterion_01_mode_law():
+def test_criterion_01_mode_law(monkeypatch):
     t0 = time.perf_counter()
+    monkeypatch.setattr(lattice, "WOOD_TOL", 1e-13)
     rng = np.random.default_rng(101)
     total = 0
     worst = 0.0
     while total < 10_000:
         k = rng.uniform(0.3, 3.0)
         alpha = Quasimomentum(rng.uniform(-0.7, 0.7) * k, rng.uniform(-0.7, 0.7) * k)
-        ms = build_modeset(k, alpha, 5, wood_tol=1e-13)
+        ms = build_modeset(k, alpha, 5)
         disc = ms.beta ** 2 + np.sum(ms.alpha_n ** 2, axis=1) - k ** 2
         worst = max(worst, float(np.max(np.abs(disc))))
         assert np.all(ms.beta.imag >= 0)
         total += ms.num_modes
     assert worst <= 1e-12
-    # guard triggers exactly at the threshold
-    tol = 1e-6
+    # guard triggers exactly at the threshold WOOD_TOL * k
+    monkeypatch.setattr(lattice, "WOOD_TOL", 1e-6)
+    k = 1.0
+    tol = lattice.WOOD_TOL * k
     alpha2 = 0.6
     for t, should_raise in ((0.5 * tol, True), (tol, True), (2.0 * tol, False)):
-        alpha1 = np.sqrt(1.0 - t * t - alpha2 ** 2) - 1.0
+        alpha1 = np.sqrt(k * k - t * t - alpha2 ** 2) - 1.0
         raised = False
         try:
-            build_modeset(1.0, Quasimomentum(alpha1, alpha2), 1, wood_tol=tol)
+            build_modeset(k, Quasimomentum(alpha1, alpha2), 1)
         except WoodAnomaly:
             raised = True
         assert raised == should_raise

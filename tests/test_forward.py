@@ -108,7 +108,7 @@ def test_layer_modes_eigen_residual_and_condition():
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
     basis = solve_layer_modes(prof, 0, ms)
-    assert oracles.eigen_residual(basis) <= 1e-10
+    assert oracles.eigen_residual(basis, prof, 0) <= 1e-10
     assert np.isfinite(basis.cond)
 
 
@@ -266,7 +266,7 @@ def test_huge_k_wrong_eigenbasis_refused(k, refused):
     profile = MediumProfile.from_coeffs({0: 1.5, 1: 0.2, -1: 0.2}, 0.5)
     modeset = build_modeset(k, Quasimomentum.from_angles(k, 1.0, 0.3), 1)
     if not refused:
-        assert oracles.eigen_residual(solve_layer_modes(profile, 0, modeset)) <= 1e-14
+        assert oracles.eigen_residual(solve_layer_modes(profile, 0, modeset), profile, 0) <= 1e-14
         return
     with pytest.raises(EigenFailure, match=r"^forward\.solve_layer_modes: TE eigensolve "
                                            r"residual .* exceeds 1e-12 at slab 0$"):
@@ -315,7 +315,7 @@ def _dense_layer_modes(profile, slab_index, modeset):
     w2, W = scipy.linalg.eig(A @ Bm)
     gamma = forward._sqrt_up(w2)
     Qinv = forward._toeplitz_inverse(slab, slab.coeffs.toeplitz(modeset.block_size), slab_index)
-    return _DenseBasis(modeset, slab_index, slab, W, (Bm @ W) / gamma[:, None, :],
+    return _DenseBasis(modeset, W, (Bm @ W) / gamma[:, None, :],
                        gamma, Qinv, float(np.max(np.linalg.cond(W))))
 
 
@@ -344,15 +344,16 @@ def test_layer_modes_lift_matches_dense_block_spectrum(kind):
 
     ms = _modeset(4)
     mb = ms.block_size
-    basis = solve_layer_modes(MediumProfile.from_coeffs(LIFT_SLABS[kind], B), 0, ms)
-    A, Bm = oracles.block_operators(basis.slab, ms, 0)
+    prof = MediumProfile.from_coeffs(LIFT_SLABS[kind], B)
+    basis = solve_layer_modes(prof, 0, ms)
+    A, Bm = oracles.block_operators(prof.slabs[0], ms, 0)
     want = np.linalg.eigvals(A @ Bm)
     for ib in range(2 * ms.N + 1):
         got = basis.gamma[ib] ** 2
         cost = np.abs(got[:, None] - want[ib][None, :])
         rows, cols = linear_sum_assignment(cost)
         assert cost[rows, cols].max() <= 1e-10 * np.max(np.abs(want[ib]))
-    assert oracles.eigen_residual(basis) <= 1e-12
+    assert oracles.eigen_residual(basis, prof, 0) <= 1e-12
     np.testing.assert_allclose(np.linalg.norm(basis.W, axis=1), 1.0, atol=1e-13)
     # column order: TE modes (W = [0; e], no E1 part) first, then TM
     assert np.max(np.abs(basis.W[:, :mb, :mb])) == 0.0

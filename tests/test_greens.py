@@ -154,16 +154,30 @@ def test_plane_wave_from_angles_refuses_a_non_finite_angle(theta1, theta2):
         PlaneWaveIncidence.from_angles(1.5, theta1, theta2)
 
 
-@pytest.mark.parametrize("theta1, theta2", [(1.1, 0.3), (0.05, -7.0), (-5.0, 2.0),
-                                            (2.0 * math.pi + 1.0, 1e6)])
+@pytest.mark.parametrize("theta1, theta2", [(1.1, 0.3), (0.05, -7.0), (5e-324, 0.3),
+                                            (math.nextafter(math.pi, 0.0), 1e6)])
 def test_plane_wave_from_angles_keeps_every_finite_direction(theta1, theta2):
-    # finite angles with sin(theta1) > 0, inside (0, pi) or not, give d and p as before
+    # finite angles with 0 < theta1 < pi, to the last float, give d and p by the formula
     seed = np.array([0.0, 1.0, 0.0], dtype=complex)
     d = np.array([math.cos(theta1) * math.cos(theta2), math.cos(theta1) * math.sin(theta2),
                   -math.sin(theta1)])
     inc = PlaneWaveIncidence.from_angles(1.5, theta1, theta2)
     assert np.array_equal(inc.d, d)
     assert np.array_equal(inc.p, seed - np.dot(seed, d) * d)
+
+
+@pytest.mark.parametrize("theta1, theta2", [(-5.0, 2.0), (2.0 * math.pi + 1.0, 1e6),
+                                            (0.0, 0.3), (math.pi, 0.3)])
+def test_both_from_angles_refuse_theta1_outside_0_pi(theta1, theta2):
+    # the plane wave took any theta1 with sin(theta1) > 0, pi itself included,
+    # and refused 0 only through d3 < 0; both constructors now share one rule
+    rule = f"need 0 < theta1 < pi (a downgoing wave), got theta1 = {theta1!r}"
+    with pytest.raises(ValidationError, match=re.escape(
+            f"greens.PlaneWaveIncidence.from_angles: {rule}")):
+        PlaneWaveIncidence.from_angles(1.5, theta1, theta2)
+    with pytest.raises(ValidationError, match=re.escape(
+            f"lattice.Quasimomentum.from_angles: {rule}")):
+        Quasimomentum.from_angles(1.5, theta1, theta2)
 
 
 def _single_mode_density(ms, height, n1, n2, vec):

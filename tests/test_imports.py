@@ -28,10 +28,9 @@ SIGNATURES = {
     "LayerField": "(profile, stack, top_amplitudes)",
     "MediumProfile": "(slabs, direction='x1')",
     "MediumProfile.from_coeffs": "(coeffs, height)",
-    "ModalBasis": "(modeset, slab_index, slab, W, V, gamma, Qinv, cond, E_inv=None, X_inv=None, "
-                  "G=None, s1=None)",
-    "ModeSet": "(k, alpha, N, wood_tol, n1, n2, alpha_n, beta, propagating)",
-    "MomentTable": "(L, m_schedule, a2_floor, entries=<factory>, estimates=<factory>, "
+    "ModalBasis": "(modeset, W, V, gamma, Qinv, cond, E_inv=None, X_inv=None, G=None, s1=None)",
+    "ModeSet": "(k, alpha, N, n1, n2, alpha_n, beta, propagating)",
+    "MomentTable": "(L, m_schedule, entries=<factory>, estimates=<factory>, "
                    "fit_residuals=<factory>)",
     "PlaneWaveIncidence": "(p, d, k)",
     "PlaneWaveIncidence.from_angles": "(k, theta1, theta2, pol_seed=(0.0, 1.0, 0.0))",
@@ -48,12 +47,12 @@ SIGNATURES = {
     "TrigPoly": "(coeffs)",
     "apply_R": "(field)",
     "assemble_dtn": "(profile, modeset)",
-    "build_modeset": "(k, alpha, N, wood_tol=None)",
+    "build_modeset": "(k, alpha, N)",
     "build_u": "(mu, alpha2)",
     "check_asymptotics": "(spectrum, n_min=4, n_max=None)",
     "efficiencies": "(scattered, incidence)",
     "energy_forms": "(field)",
-    "extract_moments": "(q1, q2, L, m_schedule=(16, 24, 32, 48, 64), *, k, alpha, a2_floor=1e-06)",
+    "extract_moments": "(q1, q2, L, m_schedule=(16, 24, 32, 48, 64), *, k, alpha)",
     "green_eval": "(x, y, modeset)",
     "helmholtz_residual": "(x, y, modeset, h)",
     "incident_from_density": "(g, modeset)",
@@ -65,6 +64,15 @@ SIGNATURES = {
     "solve_qpbvp": "(profile, f, modeset)",
     "solve_scattering": "(profile, incidence, modeset)",
     "solve_sl": "(problem, branches=None)",
+}
+
+# The public guard limits, read by the code at call time, and their values.
+# Changing a limit means editing this table.
+LIMITS = {
+    "forward.COND_LIMIT": 1e12,
+    "greens.DELTA_MIN": 1e-2,
+    "inverse.A2_FLOOR": 1e-6,
+    "lattice.WOOD_TOL": 1e-8,
 }
 
 
@@ -111,3 +119,11 @@ def test_exported_signatures_are_pinned():
             if isinstance(value, classmethod):
                 got[f"{name}.{attr}"] = _parameters(getattr(obj, attr))
     assert got == SIGNATURES
+
+
+def test_public_limits_are_pinned():
+    got = {}
+    for name in LIMITS:
+        module, attr = name.split(".")
+        got[name] = getattr(getattr(gratescat, module), attr)
+    assert got == LIMITS

@@ -347,7 +347,7 @@ def test_reconstruct_zero_and_insufficient_degree():
 def test_reconstruct_reads_exactly_the_degree_of_its_table(missing):
     # a hand-built L = 2 table: each estimate |l| <= 2 is read, and a missing one is refused
     ls = [l for l in range(-2, 3) if l != missing]
-    tab = MomentTable(2, SCHEDULE, 1e-6, estimates={l: complex(l, 1.0) for l in ls},
+    tab = MomentTable(2, SCHEDULE, estimates={l: complex(l, 1.0) for l in ls},
                       fit_residuals={l: 0.5 for l in ls})
     if missing is not None:
         with pytest.raises(InsufficientDegree, match=f"no moment estimate for l={missing}$"):
@@ -384,10 +384,10 @@ def test_a2_floor_bookkeeping():
     q1, q2 = _planted(base, {0: 0.1})
     tab = extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA)
     assert all(e.a2_ok for e in tab.entries)
-    assert all(e.a2_log10 > np.log10(tab.a2_floor) for e in tab.entries)
+    assert all(e.a2_log10 > np.log10(inverse.A2_FLOOR) for e in tab.entries)
 
 
-def test_a2_floor_threshold():
+def test_a2_floor_threshold(monkeypatch):
     # fewer than two retained entries at some l raises; the binding l is the
     # one whose second-largest a2_log10 is lowest
     base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
@@ -397,20 +397,22 @@ def test_a2_floor_threshold():
     top2 = {l: sorted(e.a2_log10 for e in tab.entries if e.l == l)[-2:] for l in (-1, 0, 1)}
     second, largest = min(top2.values())
     assert second + 1e-6 < largest
+    monkeypatch.setattr(inverse, "A2_FLOOR", 10.0 ** (second + 1e-9))
     with pytest.raises(A2Floor):
-        extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA, a2_floor=10.0 ** (second + 1e-9))
-    kept = extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA,
-                           a2_floor=10.0 ** (second - 1e-9))
+        extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA)
+    monkeypatch.setattr(inverse, "A2_FLOOR", 10.0 ** (second - 1e-9))
+    kept = extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA)
     assert min(sum(e.a2_ok for e in kept.entries if e.l == l) for l in (-1, 0, 1)) == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_mixed_fit_path_matches_per_l_fits():
+def test_mixed_fit_path_matches_per_l_fits(monkeypatch):
     # a floor just above the lowest |A2| drops that one entry: its l is fitted
     # on its own, and the l that keep every entry share one solve
     q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1, 1: 0.05, -1: 0.07})
     low = min(e.a2_log10 for e in extract_moments(q1, q2, 2, SCHEDULE, k=K, alpha=ALPHA).entries)
-    tab = extract_moments(q1, q2, 2, SCHEDULE, k=K, alpha=ALPHA, a2_floor=10.0 ** (low + 1e-9))
+    monkeypatch.setattr(inverse, "A2_FLOOR", 10.0 ** (low + 1e-9))
+    tab = extract_moments(q1, q2, 2, SCHEDULE, k=K, alpha=ALPHA)
     kept = {l: [e for e in tab.entries if e.l == l and e.a2_ok] for l in range(-2, 3)}
     assert sorted(len(v) for v in kept.values()) == [4, 5, 5, 5, 5]
     for l, entries in kept.items():
@@ -509,18 +511,6 @@ def test_schedule_repeated_entry_rejected(schedule):
     q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
     with pytest.raises(ValidationError, match="none repeated"):
         extract_moments(q1, q2, 1, schedule, k=K, alpha=ALPHA)
-
-
-def test_a2_floor_must_be_finite_and_positive():
-    q1, q2 = _planted({0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}, {0: 0.1})
-    for floor in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ValidationError, match="a2_floor must be finite and > 0"):
-            extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA, a2_floor=floor)
-    # the extreme admissible floors: every entry retained, or none
-    tab = extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA, a2_floor=5e-324)
-    assert all(e.a2_ok for e in tab.entries)
-    with pytest.raises(A2Floor):
-        extract_moments(q1, q2, 1, (16, 24), k=K, alpha=ALPHA, a2_floor=np.finfo(float).max)
 
 
 def test_moment_table_never_runs_the_dense_eigensolve(monkeypatch):

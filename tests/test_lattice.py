@@ -5,60 +5,60 @@ import sys
 import numpy as np
 import pytest
 
-from gratescat import Quasimomentum, TrigPoly, build_modeset
+from gratescat import Quasimomentum, TrigPoly, build_modeset, lattice
 from gratescat.errors import ValidationError, WoodAnomaly
 
 
-def test_mode_law_trivial_cases():
+def test_mode_law_trivial_cases(monkeypatch):
     ms = build_modeset(1.0, Quasimomentum(0.0, 0.0), 0)
     assert ms.beta[ms.mode0] == 1.0 + 0.0j
     assert ms.propagating[ms.mode0]
 
-    ms = build_modeset(1.0, Quasimomentum(0.3, 0.0), 1, wood_tol=1e-10)
+    monkeypatch.setattr(lattice, "WOOD_TOL", 1e-10)
+    ms = build_modeset(1.0, Quasimomentum(0.3, 0.0), 1)
     j = ms.index_of(1, 0)
     # |alpha_n|^2 = 1.3^2 = 1.69, evanescent branch
     np.testing.assert_allclose(ms.beta[j], 1j * np.sqrt(0.69), rtol=1e-15)
     assert not ms.propagating[j]
 
 
-def test_wood_anomaly_guard():
+def test_wood_anomaly_guard(monkeypatch):
     # k = 1, alpha = 0: mode (1,0) sits exactly on the circle |alpha_n| = k
     with pytest.raises(WoodAnomaly) as ex:
-        build_modeset(1.0, Quasimomentum(0.0, 0.0), 1, wood_tol=1e-8)
+        build_modeset(1.0, Quasimomentum(0.0, 0.0), 1)
     assert ex.value.mode is not None
 
-    # guard triggers exactly at |beta| <= wood_tol; every mode except the
+    # guard triggers exactly at |beta| <= WOOD_TOL * k; every mode except the
     # engineered (1,0) sits far from the resonance circle
-    tol = 1e-3
+    monkeypatch.setattr(lattice, "WOOD_TOL", 1e-3)
+    k = 1.0
+    tol = lattice.WOOD_TOL * k
     alpha2 = 0.6
     for t, should_raise in ((0.5 * tol, True), (2.0 * tol, False)):
-        k = 1.0
         alpha1 = np.sqrt(k * k - t * t - alpha2 ** 2) - 1.0  # (1,0) gets beta = t
         try:
-            build_modeset(k, Quasimomentum(alpha1, alpha2), 1, wood_tol=tol)
+            build_modeset(k, Quasimomentum(alpha1, alpha2), 1)
             raised = False
         except WoodAnomaly:
             raised = True
         assert raised == should_raise
 
 
-@pytest.mark.parametrize("tol, error", [
-    (0.0, ValidationError), (np.nan, ValidationError), (np.inf, ValidationError),
-    (5e-324, WoodAnomaly), (np.finfo(float).max, WoodAnomaly),
-])
-def test_wood_tol_must_be_finite_and_positive(tol, error):
-    # k = 1 at normal incidence gives beta = 0 exactly at (1, 0): every finite
-    # tolerance > 0 trips the guard, and a nan one must not switch it off
-    with pytest.raises(error, match="lattice.build_modeset"):
-        build_modeset(1.0, Quasimomentum(0.0, 0.0), 2, wood_tol=tol)
-
-
 @pytest.mark.parametrize("wood_tol", [None, 1e-8])
 @pytest.mark.parametrize("k", [np.nan, np.inf, 1e200])
-def test_non_finite_k_or_k_squared_rejected(k, wood_tol):
-    # nan used to reach beta (or blame wood_tol), inf and 1e200 gave an inf beta
+def test_non_finite_k_or_k_squared_rejected(monkeypatch, k, wood_tol):
+    # nan used to reach beta (or blame the tolerance), inf and 1e200 gave an
+    # inf beta; k is refused before WOOD_TOL * k is formed, whatever WOOD_TOL
+    if wood_tol is not None:
+        monkeypatch.setattr(lattice, "WOOD_TOL", wood_tol)
     with pytest.raises(ValidationError, match=f"lattice.build_modeset: k must be finite.*{re.escape(repr(k))}"):
-        build_modeset(k, Quasimomentum(0.1, 0.2), 2, wood_tol)
+        build_modeset(k, Quasimomentum(0.1, 0.2), 2)
+
+
+def test_modeset_digest_hashes_the_effective_wood_limit():
+    # (k, alpha1, alpha2, N, WOOD_TOL * k): the value the dtn summary's
+    # modeset_digest has read since the limit defaulted to 1e-8 k
+    assert build_modeset(1.25, Quasimomentum(0.3, 0.1), 2).digest() == "bf3f25bc89a37699"
 
 
 def test_k_squared_threshold():
@@ -70,7 +70,8 @@ def test_k_squared_threshold():
         build_modeset(float(np.nextafter(k, math.inf)), Quasimomentum(0.1, 0.2), 1)
 
 
-def test_mode_law_randomized():
+def test_mode_law_randomized(monkeypatch):
+    monkeypatch.setattr(lattice, "WOOD_TOL", 1e-13)
     rng = np.random.default_rng(7)
     trials = 10_000
     k = rng.uniform(0.3, 3.0, trials)
@@ -78,7 +79,7 @@ def test_mode_law_randomized():
     for i in range(100):
         ki = k[i * 100]
         alpha = Quasimomentum(rng.uniform(-ki, ki) * 0.7, rng.uniform(-ki, ki) * 0.7)
-        ms = build_modeset(ki, alpha, 9, wood_tol=1e-13)
+        ms = build_modeset(ki, alpha, 9)
         disc = ms.beta ** 2 + np.sum(ms.alpha_n ** 2, axis=1) - ki ** 2
         worst = max(worst, float(np.max(np.abs(disc))))
         assert np.all(ms.beta.imag >= 0)
