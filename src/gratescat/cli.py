@@ -49,7 +49,7 @@ def _qcoef(raw):
     return coeffs
 
 
-# q's axis, the slab heights bottom to top, and slab 1's coefficients of q
+# q's axis (x1 only), the slab heights bottom to top, and slab 1's coefficients of q
 _PROFILE = {"direction": (str, "x1"), "slabs": (_words(float), _REQUIRED),
             "qcoef": (_qcoef, _REQUIRED)}
 # section -> key -> (parser of the stripped text, default or _REQUIRED)
@@ -114,13 +114,17 @@ class Scenario:
     def _profile(self, section):
         if not self.cfg.has_section(section):
             return None
+        if self.value(section, "direction") != "x1":
+            raise ValidationError(
+                f"cli.run: [{section}] direction must be x1: q varies along x1, and a layer "
+                "that varies along x2 is the x1 layer at theta2 -> pi/2 - theta2")
         first = self.value(section, "qcoef")
         slabs = []
         for i, height in enumerate(self.value(section, "slabs"), 1):
             own = i > 1 and self.cfg.has_option(section, f"qcoef{i}")
             slabs.append(forward.Slab(height, _qcoef(self.cfg.get(section, f"qcoef{i}"))
                                       if own else first))
-        profile = forward.MediumProfile(slabs, self.value(section, "direction"))
+        profile = forward.MediumProfile(slabs)
         profile.validate()
         return profile
 
@@ -129,6 +133,7 @@ class Scenario:
                                               self.value("incidence", "pol_seed"))
 
     def out_path(self, key: str) -> str:
+        os.makedirs(self.output_dir, exist_ok=True)   # a run that writes nothing makes nothing
         return os.path.join(self.output_dir, self.value("output", key))
 
     def echo(self, stream=None) -> None:
@@ -147,7 +152,6 @@ class Scenario:
         for tag, prof in (("profile", self.profile), ("profile2", self.profile2)):
             if prof is None:
                 continue
-            print(f"{tag}.direction = {prof.direction}", file=stream)
             print(f"{tag}.slabs = {' '.join(repr(s.height) for s in prof.slabs)}", file=stream)
             for i, slab in enumerate(prof.slabs):
                 coeffs = " ".join(f"{j}:{slab.coeffs[j]!r}" for j in sorted(slab.coeffs))
@@ -223,8 +227,8 @@ def _run_dtn(sc: Scenario) -> None:
 
 def _run_sturm(sc: Scenario) -> None:
     _require(sc.profile is not None, "cli.run: scenario needs a [profile] section")
-    coeffs, along, _ = inverse.one_directional_coeffs(sc.profile, sc.alpha, "profile")
-    prob = sturm.SLProblem(coeffs, sc.k, along, sc.M)
+    coeffs = inverse.one_directional_coeffs(sc.profile, "profile")
+    prob = sturm.SLProblem(coeffs, sc.k, sc.alpha.alpha1, sc.M)
     spec = sturm.solve_sl(prob)
     rep = sturm.check_asymptotics(spec)   # before any artifact, so a refused fit leaves none
     sturm.write_spectrum_csv(spec, sc.out_path("eigenvalues"))
@@ -243,10 +247,10 @@ def _run_sturm(sc: Scenario) -> None:
 def _moment_table(sc: Scenario):
     _require(sc.profile is not None and sc.profile2 is not None,
              "cli.run: moments scenario needs [profile] and [profile2]")
-    _, along, _ = inverse.one_directional_coeffs(sc.profile, sc.alpha, "profile")
-    _require(abs(along - round(2 * along) / 2) > 1e-9,
-             f"cli.run: alpha along the profile axis is {along!r}, within 1e-9 of a multiple of "
-             "1/2; theta1 = pi/2, or any alpha1 in Z/2, makes the mirror branches coincide")
+    a1 = sc.alpha.alpha1
+    _require(abs(a1 - round(2 * a1) / 2) > 1e-9,
+             f"cli.run: alpha1 is {a1!r}, within 1e-9 of a multiple of 1/2; theta1 = pi/2, "
+             "or any alpha1 in Z/2, makes the mirror branches coincide")
     return inverse.extract_moments(sc.profile, sc.profile2, sc.L, sc.m_schedule, k=sc.k,
                                    alpha=sc.alpha)
 
@@ -314,7 +318,6 @@ def run(kind: str, config_path: str, output_dir: str = ".",
         read = parser.read(config_path)
         if not read:
             raise ValidationError(f"cli.run: cannot read config file '{config_path}'")
-        os.makedirs(output_dir, exist_ok=True)
         scenario = Scenario(kind, parser, output_dir, seed)
         if show_config:
             scenario.echo()

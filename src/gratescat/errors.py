@@ -21,7 +21,7 @@ class TruncationMismatch(ValidationError):
 
 
 class NotOneDirectional(ValidationError):
-    """The medium profile varies in more than one horizontal direction."""
+    """The medium profile varies with height as well as along x1."""
 
 
 class InsufficientDegree(ValidationError):

@@ -151,7 +151,10 @@ class Slab:
 
 
 class MediumProfile:
-    """Refractive index of the layer: a list of slabs, varying in one direction.
+    """Refractive index of the layer: a list of slabs, each with q = q(x1).
+
+    A layer that varies along x2 is the x1 problem with alpha's two
+    components swapped (theta2 -> pi/2 - theta2), so q(x1) is the only model.
 
     Admissibility: Re q >= gamma > 0 on a sampling grid, and Im q of one sign
     everywhere (nonnegative for physical media; the conjugated profiles used
@@ -159,13 +162,10 @@ class MediumProfile:
     footing, since conjugating the whole problem restores well-posedness).
     """
 
-    def __init__(self, slabs, direction: str = "x1"):
-        if direction not in ("x1", "x2"):
-            raise ValidationError("forward.MediumProfile: direction must be 'x1' or 'x2'")
+    def __init__(self, slabs):
         if not slabs:
             raise ValidationError("forward.MediumProfile: need at least one slab")
         self.slabs = list(slabs)
-        self.direction = direction
         self.b = float(sum(s.height for s in self.slabs))
         self._bounds = None  # (digest, sampled bounds), see _sample_bounds
 
@@ -214,7 +214,7 @@ class MediumProfile:
         and max |q| carry over and the Im q bounds swap and change sign.
         """
         re_min, q_inf, im_min, im_max = self._sample_bounds()
-        conj = MediumProfile([Slab(s.height, s.coeffs.conj()) for s in self.slabs], self.direction)
+        conj = MediumProfile([Slab(s.height, s.coeffs.conj()) for s in self.slabs])
         conj._bounds = (conj.digest(), (re_min, q_inf, -im_max, -im_min))
         return conj
 
@@ -227,7 +227,6 @@ class MediumProfile:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        h.update(self.direction.encode())
         for s in self.slabs:
             h.update(np.float64(s.height).tobytes())
             for j in sorted(s.coeffs):
@@ -454,9 +453,6 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     eigensolves must leave a scaled residual of at most ``_EIG_TOL``
     (``_eigen_defect``), or :class:`EigenFailure` names the family and slab.
     """
-    if profile.direction != "x1":
-        raise ValidationError(
-            "forward.solve_layer_modes: solver expects q = q(x1), got a profile in x2")
     slab = profile.slabs[slab_index]
     ms = modeset
     k = ms.k

@@ -35,12 +35,10 @@ Three pieces:
    the difference, (q1 - q2)(x1) = (1/2pi) sum_l M_l e^{-i l x1}, with the
    sign convention pinned by the constant-difference calibration case.
 
-q1, q2, conj(q2) and the difference are all :class:`TrigPoly` values.  The
-moment pipeline needs each profile to vary along one horizontal axis, x1 or
-x2, and both along the same one; :func:`one_directional_coeffs` is the one
-place that reads the axis.  The quasimomentum component along it is the
-Sturm-Liouville shift, and the component across it enters the transverse
-factor.  Below, "x1" names the axis q varies along.
+q1, q2, conj(q2) and the difference are all :class:`TrigPoly` values in x1,
+and each profile must carry the same q in every slab
+(:func:`one_directional_coeffs`).  alpha1 is the Sturm-Liouville shift, and
+alpha2 enters the transverse factor.
 """
 
 from __future__ import annotations
@@ -188,22 +186,14 @@ class MomentTable:
     fit_residuals: dict = field(default_factory=dict)  # l -> rms residual of the fit
 
 
-def one_directional_coeffs(profile: MediumProfile, alpha: Quasimomentum, name: str):
-    """q of a profile that varies along one horizontal axis, and alpha split by it.
-
-    Every slab must carry the same q.  Returns ``(q, along, across)``: the
-    slab's :class:`TrigPoly`, alpha's component along the profile's axis
-    (``alpha1`` for an x1 profile, ``alpha2`` for x2) and its component
-    across it.
-    """
+def one_directional_coeffs(profile: MediumProfile, name: str) -> TrigPoly:
+    """q(x1) of a profile that carries the same q in every slab."""
     first = profile.slabs[0].coeffs
     for s in profile.slabs[1:]:
         if s.coeffs != first:
             raise NotOneDirectional(
                 f"inverse: {name} varies with height, so it depends on more than one direction")
-    if profile.direction == "x1":
-        return first, alpha.alpha1, alpha.alpha2
-    return first, alpha.alpha2, alpha.alpha1
+    return first
 
 
 def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
@@ -214,11 +204,11 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     For each l in [-L, L] (L an integer >= 0) and each branch index m in the
     schedule, the (m + l, m) eigenpair product of the q1-spectrum against the
     conj(q2)-spectrum is overlapped with the difference; the per-l moment
-    estimate is the intercept of an a + b/m fit over the schedule.  q1 and q2
-    may vary along x1 or x2, but along the same axis; a mixed pair raises
-    :class:`NotOneDirectional`.  The Sturm-Liouville truncation follows from
-    the schedule, M = 2 (max m + L) + 8, and only the branches the table
-    reads are solved (``solve_sl(..., branches=...)``).
+    estimate is the intercept of an a + b/m fit over the schedule.  alpha1 is
+    the Sturm-Liouville shift, and alpha2 the quasimomentum of the transverse
+    factor.  The Sturm-Liouville truncation follows from the schedule,
+    M = 2 (max m + L) + 8, and only the branches the table reads are solved
+    (``solve_sl(..., branches=...)``).
 
     The table is one batched pass over its (2L + 1) x len(schedule) pairs.
     :func:`build_u` builds the transverse factor of each distinct branch
@@ -238,22 +228,18 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
                               "two entries, none repeated")
     if m_schedule[0] - L < 1:
         raise ValidationError("inverse.extract_moments: schedule too low for requested degree")
-    c1, along, across = one_directional_coeffs(q1, alpha, "q1")
-    c2, _, _ = one_directional_coeffs(q2, alpha, "q2")
-    if q1.direction != q2.direction:
-        raise NotOneDirectional(
-            f"inverse.extract_moments: q1 varies along {q1.direction} and q2 along "
-            f"{q2.direction}, so q1 - q2 depends on both directions")
+    c1, c2 = one_directional_coeffs(q1, "q1"), one_directional_coeffs(q2, "q2")
     M = 2 * (m_schedule[-1] + L) + 8
     ls = range(-L, L + 1)
     S = len(m_schedule)
     pairs = [(m + l, m) for l in ls for m in m_schedule]
     ns = sorted({n for n, _ in pairs})
-    spec1 = solve_sl(SLProblem(c1, k, along, M), branches=[(1, n) for n in ns])
-    spec2 = solve_sl(SLProblem(c2.conj(), k, along, M), branches=[(1, m) for m in m_schedule])
+    spec1 = solve_sl(SLProblem(c1, k, alpha.alpha1, M), branches=[(1, n) for n in ns])
+    spec2 = solve_sl(SLProblem(c2.conj(), k, alpha.alpha1, M),
+                     branches=[(1, m) for m in m_schedule])
     # one factor per distinct branch: spec1's branches ns, then spec2's schedule
     u = build_u(-np.array([spec1.entry(1, n).lam for n in ns]
-                          + [spec2.entry(1, m).lam for m in m_schedule]), across)
+                          + [spec2.entry(1, m).lam for m in m_schedule]), alpha.alpha2)
     row = {n: i for i, n in enumerate(ns)}
     A1, a2_log = moment_kernels(
         spec1, [spec1.entry(1, n) for n, _ in pairs], spec2, [spec2.entry(1, m) for _, m in pairs],

@@ -427,23 +427,21 @@ def _loglog_slope(ns, vals) -> float | None:
     return float(-coef[0])
 
 
-def check_asymptotics(spectrum: SLSpectrum, n_min: int = 4,
-                      n_max: int | None = None) -> AsymptoticsReport:
+def check_asymptotics(spectrum: SLSpectrum) -> AsymptoticsReport:
     """Fit -lambda_n against (n + s)^2 - k^2 qbar and resolve the shift convention.
 
     Candidates are s = alpha1 (forced by the quasi-period factor) and
     s = alpha1 / 2pi (the printed convention); the empirically matching one is
     reported together with the fitted mean term and the decay exponents of the
     eigenvalue remainder and of the sup-norm eigenfunction deviation.
-    The fit reads the pairs (+-1, n), n_min <= n <= n_max (default M // 2, clear
-    of the truncation), whose labels are both decided; fewer than 8 raise
+    The fit reads the pairs (+-1, n), 4 <= n <= M // 2 (clear of the
+    truncation), whose labels are both decided; fewer than 8 raise
     :class:`ValidationError`, which counts the pairs in range left undecided.
     Raises :class:`FitInconclusive` if neither candidate matches.
     """
     problem = spectrum.problem
     avail = sorted(n for (s, n) in spectrum.entries if s == 1)
-    if n_max is None:
-        n_max = problem.M // 2
+    n_min, n_max = 4, problem.M // 2
     ns = [n for n in avail if n_min <= n <= n_max and (-1, n) in spectrum.entries]
     if len(ns) < 8:
         undecided = {n for (_, n) in spectrum.undecided if n_min <= n <= n_max}

@@ -1,14 +1,15 @@
 import configparser
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gratescat import Quasimomentum, build_modeset
+from gratescat import Quasimomentum, build_modeset, cli
 from gratescat.cli import KINDS, main
 from gratescat.forward import MediumProfile, Slab, assemble_dtn
-from gratescat.sturm import SLProblem, solve_sl, write_spectrum_csv
 
 import oracles
 
@@ -103,26 +104,22 @@ def test_sturm_rejects_height_dependent_profile(tmp_path, capsys):
     assert not (tmp_path / "eig.csv").exists()
 
 
-def test_sturm_x2_profile_uses_alpha2(tmp_path):
-    k, theta1, theta2 = 1.3, 0.9, 0.7
-    text = (STURM_CONFIG.replace(f"k = {K}", f"k = {k}")
-            .replace(f"theta1 = {THETA1}", f"theta1 = {theta1}")
-            .replace(f"theta2 = {THETA2}", f"theta2 = {theta2}")
-            .replace("    0 1.5 0.1\n", "    0 1.5 0.1\n    1 0.2 0.05\n    -1 0.2 -0.05\n"))
-    spectra = {}
-    for direction in ("x1", "x2"):
-        cfg = _write(tmp_path, f"{direction}.ini", text.replace("direction = x1",
-                                                                f"direction = {direction}"))
-        out = tmp_path / direction
-        assert main(["sturm", cfg, "--output-dir", str(out)]) == 0
-        spectra[direction] = (out / "eig.csv").read_bytes()
-    alpha = Quasimomentum.from_angles(k, theta1, theta2)
-    assert abs(alpha.alpha1 - alpha.alpha2) > 0.05
-    coeffs = Slab(0.7, {0: 1.5 + 0.1j, 1: 0.2 + 0.05j, -1: 0.2 - 0.05j}).coeffs
-    expected = tmp_path / "expected.csv"
-    write_spectrum_csv(solve_sl(SLProblem(coeffs, k, alpha.alpha2, 24)), expected)
-    assert spectra["x2"] == expected.read_bytes()
-    assert spectra["x2"] != spectra["x1"]
+@pytest.mark.parametrize("kind", ["sturm", "moments", "forward"])
+@pytest.mark.parametrize("section", ["profile", "profile2"])
+@pytest.mark.parametrize("axis", ["x2", "X1", "y"])
+def test_profile_axis_other_than_x1_exits_1(tmp_path, capsys, kind, section, axis):
+    profile2 = "\n[profile2]\nslabs = 0.7\nqcoef =\n    0 1.4 0.1\n"
+    text = {"sturm": STURM_CONFIG.replace("direction = x1\n", "") + profile2,
+            "moments": RECONSTRUCT_CONFIG,
+            "forward": FORWARD_CONFIG.replace("SEED", "0 1 0") + profile2}[kind]
+    text = text.replace(f"[{section}]\n", f"[{section}]\ndirection = {axis}\n")
+    out = tmp_path / "out"
+    assert main([kind, _write(tmp_path, "axis.ini", text), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"validation failure [ValidationError]: cli.run: [{section}] direction must be x1: "
+        "q varies along x1, and a layer that varies along x2 is the x1 layer at "
+        "theta2 -> pi/2 - theta2")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("old, new", [
@@ -233,7 +230,7 @@ def test_show_config_echo(tmp_path, capsys):
     # every [physics] and [numerics] key, with the derived b and alpha
     assert [line.split(" = ")[0] for line in out.splitlines()] == [
         "kind", "seed", "k", "theta1", "theta2", "b", "alpha", "N", "M", "L", "cases",
-        "m_schedule", "profile.direction", "profile.slabs", "profile.qcoef[0]", "output_dir"]
+        "m_schedule", "profile.slabs", "profile.qcoef[0]", "output_dir"]
     assert "b = 0.7\nalpha = (" in out
     assert "M = 24\n" in out and "m_schedule = 16 24 32 48 64\n" in out
     assert not (tmp_path / "eig.csv").exists()
@@ -437,42 +434,6 @@ def test_moment_schedule_and_floor_rejected(tmp_path, capsys, numerics, message)
     assert not (tmp_path / "m.csv").exists()
 
 
-def test_moments_mixed_axis_pair_rejected(tmp_path, capsys):
-    text = f"""
-[physics]
-k = {K}
-theta1 = {THETA1}
-theta2 = {THETA2}
-
-[numerics]
-L = 1
-m_schedule = 16 24
-
-[profile]
-direction = x1
-slabs = 0.7
-qcoef =
-    0 1.5 0.1
-    1 0.12 0
-    -1 0.12 0
-
-[profile2]
-direction = x2
-slabs = 0.7
-qcoef =
-    0 1.4 0.1
-    1 0.12 0
-    -1 0.12 0
-"""
-    cfg = _write(tmp_path, "mixed.ini", text)
-    assert main(["moments", cfg, "--output-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "[NotOneDirectional]" in err
-    assert "depends on both directions" in err
-    assert "swap" not in err
-    assert not (tmp_path / "moments.csv").exists()
-
-
 def test_dtn_csv_lists_nonzero_entries_in_row_major_order(tmp_path):
     qcoef = "0 1.5 0.1\n1 0.12 0\n-1 0.12 0"
     cfg = _write(tmp_path, "dtn.ini", f"""
@@ -644,11 +605,12 @@ def test_profile_slab_without_own_qcoef_reuses_first(tmp_path, capsys):
         "physics-b", "wood_tol", "a2_floor"])
 def test_unknown_section_or_key_rejected(tmp_path, capsys, old, new, message):
     cfg = _write(tmp_path, "bad.ini", STURM_CONFIG.replace(old, new))
-    code = main(["sturm", cfg, "--output-dir", str(tmp_path)])
+    out = tmp_path / "out"
+    code = main(["sturm", cfg, "--output-dir", str(out)])
     err = capsys.readouterr().err
     assert code == 1
     assert f"[ValidationError]: cli.run: {message}" in err
-    assert not (tmp_path / "eig.csv").exists()
+    assert not out.exists()
 
 
 def test_qcoefk_accepted_up_to_slab_count(tmp_path, capsys):
@@ -726,7 +688,7 @@ def test_non_finite_or_overflowing_pol_seed_exits_1(tmp_path, capsys, seed):
     assert capsys.readouterr().err.startswith(
         "validation failure [ValidationError]: greens.PlaneWaveIncidence.from_angles: "
         "pol_seed must be finite with a finite squared norm")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_non_finite_theta2_exits_1(tmp_path, capsys):
@@ -736,7 +698,7 @@ def test_non_finite_theta2_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "validation failure [ValidationError]: lattice.Quasimomentum.from_angles: the angles "
         f"theta1, theta2 must be finite, got {THETA1!r}, inf")
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_gapcheck_slab_totals_one_ulp_apart(tmp_path):
@@ -834,3 +796,28 @@ def test_cli_artifacts_hold_no_inf_or_nan(tmp_path, kind):
             if path.suffix == ".csv":  # integers pass: "%.17g" % 3.0 == "3"
                 assert word == "%.17g" % float(word), f"{where}: {word}"
     assert numeric > 0
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded by path (its dataclasses need it in sys.modules)."""
+    if "perfbench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["perfbench_workloads"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_cli_configs_parse(tmp_path, capsys, seed):
+    # the cli-scenarios benchmark runs these configs; a grammar change that
+    # refuses one would fail every benchmark op
+    workload = _perfbench_workloads().CliScenarios(seed, 0, str(tmp_path))
+    try:
+        for kind in workload.KINDS:
+            out = tmp_path / f"out-{kind}"
+            code = cli.run(kind, workload.configs[kind], str(out), show_config=True)
+            assert code == 0, capsys.readouterr().err
+            assert not out.exists()
+    finally:
+        workload.close()

@@ -1136,9 +1136,36 @@ def test_dipole_plane_must_lie_above_layer():
     assert np.all(np.isfinite(res.scattered.coeffs))
 
 
-def test_x2_profile_rejected_by_solver():
-    ms = _modeset(3)
-    prof = MediumProfile([Slab(B, {0: 1.5 + 0.1j, 1: 0.1, -1: 0.1})], "x2")
-    f = _tangential(ms, {(0, 0): (1.0, 0.0)})
-    with pytest.raises(ValidationError):
-        solve_qpbvp(prof, f, ms)
+# Reciprocity of the boundary map: the bilinear Green identity for
+# curl curl E - k^2 q E = 0 with the PEC plate pairs T(alpha) with T(-alpha),
+# so in the dense layout of oracles.dtn_matrix T(alpha)^T = P T(-alpha) P,
+# where P maps mode (n1, n2) to (-n1, -n2) in each tangential component.
+# It holds for any scalar q, absorbing or not.  An even q (c_j = c_-j) makes
+# T itself symmetric, so the layered stacks carry c_j != c_-j.
+RECIPROCITY_STACKS = {
+    "uniform": [(0.8, {0: 1.5 + 0.1j})],
+    "two-slab": [(0.35, {0: 1.5 + 0.1j, 1: 0.12, -1: 0.05}),
+                 (0.45, {0: 1.4 + 0.1j, 1: 0.08, -1: 0.03, 2: 0.05, -2: 0.02})],
+    "three-slab": [(0.25, {0: 1.6 + 0.2j, 1: 0.1 + 0.03j, -1: 0.07 - 0.02j, 2: 0.04j,
+                           -2: 0.05}),
+                   (0.3, {0: 1.3 + 0.15j, 1: 0.06, -1: 0.09 + 0.01j, 2: -0.03, -2: 0.02j}),
+                   (0.2, {0: 1.8 + 0.25j, 1: -0.05j, -1: 0.11, 2: 0.06, -2: 0.03 - 0.01j})],
+}
+
+
+@pytest.mark.parametrize("alpha", [(0.21, 0.13), (0.37, -0.29)])
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("stack", sorted(RECIPROCITY_STACKS))
+def test_dtn_reciprocity_transpose_equals_mirrored_minus_alpha(stack, N, alpha):
+    prof = MediumProfile([Slab(h, c) for h, c in RECIPROCITY_STACKS[stack]])
+    prof.validate()
+    ms = build_modeset(K, Quasimomentum(*alpha), N)
+    ms_minus = build_modeset(K, Quasimomentum(-alpha[0], -alpha[1]), N)
+    T = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
+    T_minus = oracles.dtn_matrix(assemble_dtn(prof, ms_minus), ms_minus)
+    mirror = np.array([ms.index_of(-n1, -n2) for n1, n2 in zip(ms.n1, ms.n2)])
+    P = np.concatenate([mirror, mirror + ms.num_modes])
+    scale = np.linalg.norm(T)
+    assert np.linalg.norm(T.T - T_minus[np.ix_(P, P)]) <= 1e-12 * scale
+    if stack != "uniform":
+        assert np.linalg.norm(T - T.T) >= 1e-3 * scale

@@ -26,7 +26,7 @@ PUBLIC_API = [
 SIGNATURES = {
     "DipoleDensity": "(modeset, height, coeffs)",
     "LayerField": "(profile, stack, top_amplitudes)",
-    "MediumProfile": "(slabs, direction='x1')",
+    "MediumProfile": "(slabs)",
     "MediumProfile.from_coeffs": "(coeffs, height)",
     "ModalBasis": "(modeset, W, V, gamma, Qinv, cond, E_inv=None, X_inv=None, G=None, s1=None)",
     "ModeSet": "(k, alpha, N, n1, n2, alpha_n, beta, propagating)",
@@ -49,7 +49,7 @@ SIGNATURES = {
     "assemble_dtn": "(profile, modeset)",
     "build_modeset": "(k, alpha, N)",
     "build_u": "(mu, alpha2)",
-    "check_asymptotics": "(spectrum, n_min=4, n_max=None)",
+    "check_asymptotics": "(spectrum)",
     "efficiencies": "(scattered, incidence)",
     "energy_forms": "(field)",
     "extract_moments": "(q1, q2, L, m_schedule=(16, 24, 32, 48, 64), *, k, alpha)",

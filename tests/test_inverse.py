@@ -15,8 +15,7 @@ from gratescat import (MediumProfile, MomentTable, Quasimomentum, TangentialFiel
 from gratescat import inverse, sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
 from gratescat.forward import LayerField, Slab, _Stack, solve_layer_modes, solve_qpbvp
-from gratescat.inverse import (_gauss_order, one_directional_coeffs, write_moment_csv,
-                               write_reconstruction_csv)
+from gratescat.inverse import _gauss_order, write_moment_csv, write_reconstruction_csv
 
 import oracles
 
@@ -439,59 +438,6 @@ def test_degree_zero_still_solves():
     assert [(e.l, e.m) for e in tab.entries] == [(0, m) for m in SCHEDULE]
     rec = reconstruct_difference(tab)
     assert list(rec.coeffs) == [0] and abs(rec.coeffs[0] - 0.1) <= 1e-3
-
-
-def test_one_directional_coeffs_component_order():
-    # (q, along, across): alpha's component along the profile's axis comes first
-    coeffs = {0: 1.5 + 0.1j, 1: 1.0}
-    for direction, along, across in (("x1", ALPHA.alpha1, ALPHA.alpha2),
-                                     ("x2", ALPHA.alpha2, ALPHA.alpha1)):
-        prof = MediumProfile([Slab(B, coeffs)], direction)
-        q, a, c = one_directional_coeffs(prof, ALPHA, "q")
-        assert q == prof.slabs[0].coeffs
-        assert (a, c) == (along, across)
-
-
-def test_x2_pair_moments_equal_x1_pair_with_swapped_alpha():
-    base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
-    diff = {0: 0.06, 1: 0.11, -1: 0.09}
-    q1c = {j: base.get(j, 0) + diff.get(j, 0) for j in {**base, **diff}}
-    swapped = Quasimomentum(ALPHA.alpha2, ALPHA.alpha1)
-    tabs = [extract_moments(MediumProfile([Slab(B, q1c)], d),
-                            MediumProfile([Slab(B, base)], d),
-                            1, SCHEDULE, k=K, alpha=alpha)
-            for d, alpha in (("x2", ALPHA), ("x1", swapped))]
-    assert [(e.l, e.m, e.A1, e.a2_log10, e.a2_arg) for e in tabs[0].entries] == \
-        [(e.l, e.m, e.A1, e.a2_log10, e.a2_arg) for e in tabs[1].entries]
-    assert tabs[0].estimates == tabs[1].estimates
-
-
-def test_mixed_axis_pair_rejected():
-    q1 = MediumProfile([Slab(B, {0: 1.6 + 0.12j, 1: 0.2, -1: 0.2})], "x1")
-    q2 = MediumProfile([Slab(B, {0: 1.6 + 0.12j, 1: 0.1, -1: 0.1})], "x2")
-    for a, b in ((q1, q2), (q2, q1)):
-        with pytest.raises(NotOneDirectional) as err:
-            extract_moments(a, b, 1, (16, 24), k=K, alpha=ALPHA)
-        assert "depends on both directions" in str(err.value)
-        assert "swap" not in str(err.value)
-
-
-def test_swapped_moments_match_direct_quadrature():
-    # profiles in x2 go straight into the pipeline; compare against direct
-    # quadrature of the difference in its own variable
-    base = {0: 1.6 + 0.12j, 1: 0.15, -1: 0.15}
-    diff = {0: 0.06, 1: 0.11, -1: 0.09}
-    q1c = dict(base)
-    for j, c in diff.items():
-        q1c[j] = q1c.get(j, 0) + c
-    p1 = MediumProfile([Slab(B, q1c)], "x2")
-    p2 = MediumProfile([Slab(B, base)], "x2")
-    tab = extract_moments(p1, p2, 1, SCHEDULE, k=K, alpha=ALPHA)
-    x2 = np.linspace(0, 2 * np.pi, 4097)[:-1]
-    dq = sum(c * np.exp(1j * j * x2) for j, c in diff.items())
-    for l in (-1, 0, 1):
-        direct = np.sum(dq * np.exp(1j * l * x2)) * 2 * np.pi / x2.size
-        assert abs(tab.estimates[l] - direct) <= 1e-3
 
 
 def test_schedule_start_threshold():

@@ -221,7 +221,7 @@ def test_integral_truncation_of_any_type_accepted():
 
 def test_asymptotics_constant_q():
     prob = SLProblem({0: 1.5 + 0.1j}, K, ALPHA1, 32)
-    rep = check_asymptotics(solve_sl(prob), n_min=4, n_max=14)
+    rep = check_asymptotics(solve_sl(prob))
     assert rep.shift_convention == "alpha1"
     assert rep.eigenvalue_decay_exponent is None  # remainder at round-off
     assert max(abs(v) for v in rep.eigenvalue_remainders.values()) <= 1e-10
@@ -230,7 +230,7 @@ def test_asymptotics_constant_q():
 
 def test_asymptotics_perturbed_profile():
     prob = SLProblem({0: 1.3 + 0.08j, 1: 0.15 + 0.02j, -1: 0.15 - 0.02j}, K, ALPHA1, 96)
-    rep = check_asymptotics(solve_sl(prob), n_min=6, n_max=44)
+    rep = check_asymptotics(solve_sl(prob))
     assert rep.shift_convention == "alpha1"
     assert not rep.shift_degenerate
     # eigenfunction deviation carries the tight O(1/n) law
@@ -246,7 +246,7 @@ def test_asymptotics_inconclusive_on_mismatched_problem():
     spec = solve_sl(SLProblem({0: 1.3}, K, 0.37, 48))
     wrong = SLProblem({0: 1.3}, K, 0.12, 48)
     with pytest.raises(FitInconclusive):
-        check_asymptotics(dataclasses.replace(spec, problem=wrong), n_min=4, n_max=20)
+        check_asymptotics(dataclasses.replace(spec, problem=wrong))
 
 
 def test_asymptotics_refuses_a_spectrum_without_plus_branches():
