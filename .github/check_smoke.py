@@ -8,9 +8,9 @@ reads its last line, a JSON object whose "correct" is false when an op failed
 and whose "attempted" is 0 when none ran, and exits nonzero with one message
 per failed condition. The same line carries the traced per-op metrics:
 
-- stack builds (solve_layer_modes calls): gapcheck reuses its 3 memoised
-  stacks, so it must read below 1, and forward-sweep's one-off stacks bypass
-  the memo, so it reads 3;
+- stack builds (solve_layer_modes calls): gapcheck's profiles hold their 3
+  stacks from the untraced warm-up op on, so it must read exactly 0, and
+  forward-sweep builds one fresh 3-slab stack per op, so it reads 3;
 - gapcheck field evaluations (LayerField.mode_coefficients calls): exactly 6,
   one batched call per field and x3 segment at all of the segment's Gauss
   nodes;
@@ -35,7 +35,7 @@ def failures(workload: str, result: dict) -> list:
                    % (workload, result["failed"], result["attempted"]))
     metrics = result["metrics"]
     builds = metrics["forward.solve_layer_modes.calls"]["value"]
-    if not {"gapcheck": builds < 1, "forward-sweep": builds == 3}.get(workload, True):
+    if not {"gapcheck": builds == 0, "forward-sweep": builds == 3}.get(workload, True):
         out.append("%s: %g stack builds (solve_layer_modes calls) per op" % (workload, builds))
     fields = metrics["forward.LayerField.mode_coefficients.calls"]["value"]
     if workload == "gapcheck" and fields != 6:

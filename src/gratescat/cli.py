@@ -330,7 +330,7 @@ def run(kind: str, config_path: str, output_dir: str = ".",
     except SolverError as exc:
         print(f"solver failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
-    except (configparser.Error, KeyError, ValueError) as exc:
+    except (configparser.Error, KeyError, ValueError, OSError) as exc:   # OSError: --output-dir
         print(f"validation failure [{type(exc).__name__}]: cli.run: {exc}", file=sys.stderr)
         return 1
 

@@ -63,23 +63,17 @@ factorization is warranted.
 
 ``solve_qpbvp``, ``assemble_dtn`` and ``solve_scattering`` get their stack
 (slab eigenbases, interface recursion, lazily the trace-match LU) from
-``_stack``, which serves it from a least-recently-used memo of 4 stacks keyed
-by ``(profile.digest(), modeset, COND_LIMIT)``.  The profile digest is
-recomputed on every request, since a slab's coefficients are a mutable dict;
-``validate()`` computes it once and returns it.
-The mode set enters the key as the object itself, so stacks are shared only
-by callers that pass the same ModeSet, and a caller that builds its own mode
-set does the same work whatever ran before it in the process.  A stack
-enters the memo on the second request for its key only, so a run of one-off
-profiles keeps no stack alive: one holds about 2.5 MiB at N = 8 with 2 slabs
-and 10.7 MiB at N = 12 with 3 slabs.  A built stack never changes, apart
-from its trace-match LU, which is computed once on first use, under the
-COND_LIMIT of its key.
+``_stack``.  A profile is an immutable value and holds its last stack: a
+request on the same ModeSet object under the COND_LIMIT that holds now is
+served from it, and any other request validates the profile, builds a new
+stack and holds that one instead.  A stack lives as long as its profile or a
+result that holds it: about 2.5 MiB at N = 8 with 2 slabs and 10.7 MiB at
+N = 12 with 3 slabs.  A built stack never changes, apart from its trace-match
+LU, which is computed once on first use, under the stack's COND_LIMIT.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import hashlib
 from dataclasses import dataclass
@@ -106,9 +100,6 @@ _EIG_TOL = 1e-12
 _PROFILE_GRID = 512
 _getrf, _gecon, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "gecon", "getrs"),
                                                        dtype=complex)
-_MEMO_SIZE = 4
-_STACKS = collections.OrderedDict()        # key -> _Stack, least recently used first
-_SEEN = collections.deque(maxlen=_MEMO_SIZE)  # keys requested once and not admitted
 
 
 def _slab_index(bounds, x3):
@@ -128,22 +119,31 @@ def _sqrt_up(z):
     return np.where(g.imag < 0, -g, g)
 
 
+def _read_only(self, name, *value):    # __setattr__ and __delattr__ of the immutable classes
+    raise AttributeError(f"forward.{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class Slab:
-    """One x3-uniform layer: thickness and q(x1) as a :class:`TrigPoly`.
+    """One x3-uniform layer: thickness and q(x1) as a :class:`TrigPoly`, both read-only.
 
     Zero coefficients are dropped and c_0 is always present (appended last
     when the caller gave none); otherwise the caller's key order is kept.
     """
 
+    __slots__ = ("height", "coeffs")
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, height: float, coeffs: dict):
         if not (np.isfinite(height) and height > 0):
             raise ValidationError(f"forward.Slab: height must be finite and > 0, got {height!r}")
-        self.height = float(height)
-        self.coeffs = TrigPoly({j: c for j, c in coeffs.items() if c != 0})
-        if not all(np.isfinite(c) for c in self.coeffs.values()):
+        q = TrigPoly({j: c for j, c in coeffs.items() if c != 0})
+        if not all(np.isfinite(c) for c in q.values()):
             raise ValidationError("forward.Slab: Fourier coefficients of q must be finite")
-        if 0 not in self.coeffs:
-            self.coeffs[0] = 0.0 + 0.0j
+        object.__setattr__(self, "height", float(height))
+        object.__setattr__(self, "coeffs", q if 0 in q else TrigPoly({**q, 0: 0.0}))
+
+    def __reduce__(self):
+        return Slab, (self.height, self.coeffs)
 
     @property
     def is_uniform(self) -> bool:
@@ -151,10 +151,12 @@ class Slab:
 
 
 class MediumProfile:
-    """Refractive index of the layer: a list of slabs, each with q = q(x1).
+    """Refractive index of the layer: a tuple of slabs, each with q = q(x1).
 
     A layer that varies along x2 is the x1 problem with alpha's two
     components swapped (theta2 -> pi/2 - theta2), so q(x1) is the only model.
+    A profile is an immutable value.  It holds what it derives from its slabs:
+    q's sampled bounds, its conjugate and its last layer stack (``_stack``).
 
     Admissibility: Re q >= gamma > 0 on a sampling grid, and Im q of one sign
     everywhere (nonnegative for physical media; the conjugated profiles used
@@ -162,38 +164,36 @@ class MediumProfile:
     footing, since conjugating the whole problem restores well-posedness).
     """
 
+    __setattr__ = __delattr__ = _read_only
+
     def __init__(self, slabs):
+        slabs = tuple(slabs)
         if not slabs:
             raise ValidationError("forward.MediumProfile: need at least one slab")
-        self.slabs = list(slabs)
-        self.b = float(sum(s.height for s in self.slabs))
-        self._bounds = None  # (digest, sampled bounds), see _sample_bounds
+        vars(self).update(slabs=slabs, b=float(sum(s.height for s in slabs)))  # past __setattr__
 
+    def __reduce__(self):
+        return MediumProfile, (self.slabs,)
+
+    @functools.cached_property
     def _sample_bounds(self) -> tuple:
-        """(min Re q, max |q|, min Im q, max Im q) on the sampling grid.
-
-        q is sampled on first use and again only when ``digest()`` changes,
-        since a slab's coefficients are a mutable dict.
-        """
-        digest = self.digest()
-        if self._bounds is None or self._bounds[0] != digest:
-            grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
-            q = np.concatenate([s.coeffs(grid) for s in self.slabs])
-            self._bounds = (digest, (float(np.min(q.real)), float(np.max(np.abs(q))),
-                                     float(np.min(q.imag)), float(np.max(q.imag))))
-        return self._bounds[1]
+        """(min Re q, max |q|, min Im q, max Im q) on the sampling grid, sampled on first use."""
+        grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
+        q = np.concatenate([s.coeffs(grid) for s in self.slabs])
+        return (float(np.min(q.real)), float(np.max(np.abs(q))),
+                float(np.min(q.imag)), float(np.max(q.imag)))
 
     @property
     def q_inf(self) -> float:
-        return self._sample_bounds()[1]
+        return self._sample_bounds[1]
 
     @classmethod
     def from_coeffs(cls, coeffs: dict, height: float) -> "MediumProfile":
         return cls([Slab(height, coeffs)])
 
-    def validate(self, require_absorbing: bool = False) -> str:
-        """Check admissibility; return the digest the check was made against."""
-        gamma_lower, q_inf, im_min, im_max = self._sample_bounds()
+    def validate(self, require_absorbing: bool = False) -> None:
+        """Check admissibility; an inadmissible profile raises ValidationError."""
+        gamma_lower, q_inf, im_min, im_max = self._sample_bounds
         tol = 1e-12 * max(1.0, q_inf)
         if gamma_lower <= 0:
             raise ValidationError(
@@ -205,18 +205,13 @@ class MediumProfile:
         if require_absorbing and im_max <= tol:
             raise ValidationError(
                 "forward.MediumProfile: absorbing medium required (Im q > 0 somewhere)")
-        return self._bounds[0]
 
     def conjugate(self) -> "MediumProfile":
-        """The profile of conj(q), its sampled bounds taken from this profile's.
-
-        conj(q) on the grid is q's samples conjugated bit for bit, so min Re q
-        and max |q| carry over and the Im q bounds swap and change sign.
-        """
-        re_min, q_inf, im_min, im_max = self._sample_bounds()
-        conj = MediumProfile([Slab(s.height, s.coeffs.conj()) for s in self.slabs])
-        conj._bounds = (conj.digest(), (re_min, q_inf, -im_max, -im_min))
-        return conj
+        """The profile of conj(q), built on the first call and held."""
+        if "_conjugate" not in vars(self):
+            vars(self)["_conjugate"] = MediumProfile(
+                [Slab(s.height, s.coeffs.conj()) for s in self.slabs])
+        return vars(self)["_conjugate"]
 
     def slab_bounds(self):
         return np.concatenate([[0.0], np.cumsum([s.height for s in self.slabs])])
@@ -529,14 +524,16 @@ class _Stack:
     factors; ``downward_amplitudes`` reuses them.  ``top_H`` maps the
     downgoing amplitudes at the top of the stack to tangential H there, and
     ``top_P()`` to tangential E.  ``top_P()`` is recomputed per call rather
-    than kept, which keeps a memoised stack one array smaller.  ``max_cond``
+    than kept, which keeps a held stack one array smaller.  ``max_cond``
     is the largest condition reading of the slab eigenbases (exact 1-norm
     condition, from the lift's shared factors) and of the interface matches
-    (gecon estimates from their LU factors).
+    (gecon estimates from their LU factors).  ``cond_limit`` is the
+    COND_LIMIT that every guard of the stack read.
     """
 
     def __init__(self, profile: MediumProfile, modeset: ModeSet):
         self.modeset = modeset
+        self.cond_limit = COND_LIMIT
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
         self.max_cond = max(basis.cond for basis in self.bases)
@@ -606,26 +603,17 @@ class _Stack:
 
 
 def _stack(profile: MediumProfile, modeset: ModeSet) -> _Stack:
-    """The profile's stack on ``modeset``, from the memo where it holds one.
+    """The profile's stack on ``modeset``: the one it holds, if built on this
+    ModeSet object under the COND_LIMIT that holds now.
 
-    The profile is validated on every request.  The key holds COND_LIMIT as
-    it reads now, so after a change of the limit the stack is built afresh
-    and its guards raise as on a first build.
+    Otherwise the profile is validated and a new stack is built, whose guards
+    raise as on any first build, and the profile holds it from then on.
     """
-    key = (profile.validate(), modeset, COND_LIMIT)
-    stack = _STACKS.get(key)
-    if stack is not None:
-        _STACKS.move_to_end(key)
-        return stack
-    stack = _Stack(profile, modeset)
-    if key in _SEEN:
-        _SEEN.remove(key)
-        _STACKS[key] = stack
-        if len(_STACKS) > _MEMO_SIZE:
-            _STACKS.popitem(last=False)
-    else:
-        _SEEN.append(key)
-    return stack
+    held = vars(profile).get("_stack")
+    if held is None or held.modeset is not modeset or held.cond_limit != COND_LIMIT:
+        profile.validate()
+        held = vars(profile)["_stack"] = _Stack(profile, modeset)
+    return held
 
 
 class LayerField:

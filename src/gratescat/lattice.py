@@ -37,11 +37,21 @@ class TrigPoly(dict):
     """Trigonometric polynomial q(x1) = sum_j c_j e^{i j x1} as ``{j: c_j}``.
 
     A dict with int keys and complex values, kept in the caller's key order:
-    sums over the coefficients run in that order.
+    sums over the coefficients run in that order.  It is a value: every
+    in-place change raises TypeError.
     """
 
     def __init__(self, coeffs):
         super().__init__((int(j), complex(c)) for j, c in coeffs.items())
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("lattice.TrigPoly is immutable; build a new one")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    update = setdefault = pop = popitem = clear = _immutable
+
+    def __reduce__(self):
+        return TrigPoly, (dict(self),)
 
     @property
     def degree(self) -> int:

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from gratescat.errors import ValidationError
 from gratescat.forward import _from_blocks, _toeplitz_inverse, _wavenumbers
+from gratescat.lattice import TrigPoly
 from gratescat.separable import TWO_PI, TransverseFactor
 from gratescat.sturm import SLEntry, SLProblem, SLSpectrum, _key
 
@@ -263,3 +264,24 @@ def dense_spectrum(problem: SLProblem) -> SLSpectrum:
         if _key(m) not in spectrum.entries:
             spectrum.undecided[_key(m)] = "oracles.dense_spectrum: no eigenvector alone peaks here"
     return spectrum
+
+
+def dtn_n2_zero_block(q: TrigPoly, height: float, k: float, alpha1: float, N: int):
+    """Closed-form T11 and T22 of one slab's DtN block where alpha2 + n2 = 0.
+
+    There TE and TM decouple into scalar problems in q(x1), which separate
+    exactly on one x3-uniform slab over the plate.  With Q = q.toeplitz(2N+1),
+    D1 = diag(alpha1 + n1) and gamma = sqrt(kappa^2):
+    T11 = V diag(gamma cot(gamma b)) V^-1 with (kappa^2, V) = eig(k^2 Q - D1^2), and
+    T22 = k^2 H diag(cot(gamma b) / gamma) (Q^-1 H)^-1 with
+    (kappa^2, H) = eig(k^2 Q - Q D1 Q^-1 D1).  T12 and T21 vanish.
+    """
+    Q = q.toeplitz(2 * N + 1)
+    d1 = np.diag(alpha1 + np.arange(-N, N + 1))
+    Qinv = np.linalg.inv(Q)
+    kte, V = np.linalg.eig(k * k * Q - d1 @ d1)
+    ktm, H = np.linalg.eig(k * k * Q - Q @ d1 @ Qinv @ d1)
+    g_te, g_tm = np.sqrt(kte.astype(complex)), np.sqrt(ktm.astype(complex))
+    t11 = V @ np.diag(g_te / np.tan(g_te * height)) @ np.linalg.inv(V)
+    t22 = k * k * H @ np.diag(1 / (g_tm * np.tan(g_tm * height))) @ np.linalg.inv(Qinv @ H)
+    return t11, t22

@@ -351,6 +351,20 @@ def test_missing_config_rejected(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("output_dir, message", [
+    ("afile/sub", "[NotADirectoryError]: cli.run: [Errno 20] Not a directory: 'afile/sub'"),
+    ("", "[FileNotFoundError]: cli.run: [Errno 2] No such file or directory: ''"),
+], ids=["file-in-path", "empty"])
+def test_unusable_output_dir_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                                   output_dir, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    cfg = _write(tmp_path, "modes.ini", COMMON_CONFIG)
+    assert main(["modes", cfg, "--output-dir", output_dir]) == 1
+    assert capsys.readouterr().err == f"validation failure {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "modes.ini"]
+
+
 PROFILE_SECTION = """
 [profile]
 slabs = 0.7

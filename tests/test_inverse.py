@@ -12,7 +12,7 @@ import pytest
 import gratescat
 from gratescat import (MediumProfile, MomentTable, Quasimomentum, TangentialField,
                        build_modeset, extract_moments, reciprocity_gap, reconstruct_difference)
-from gratescat import inverse, sturm
+from gratescat import forward, inverse, sturm
 from gratescat.errors import A2Floor, InsufficientDegree, NotOneDirectional, ValidationError
 from gratescat.forward import LayerField, Slab, _Stack, solve_layer_modes, solve_qpbvp
 from gratescat.inverse import _gauss_order, write_moment_csv, write_reconstruction_csv
@@ -127,6 +127,21 @@ def test_gap_recurses_amplitudes_of_the_two_evaluated_fields_only(monkeypatch):
     for calls in (2, 4):
         assert reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)["gap"] <= 1e-6
         assert len(recursions) == calls
+
+
+def test_a_second_gap_on_the_same_pair_builds_no_stack(monkeypatch):
+    # q1 and q2 hold their stacks, and q2 its conjugate, which holds its own
+    ms = _modeset(3)
+    q1, q2 = _stacks((0.3, 0.4), (0.45, 0.25))
+    f, g = _tangential(ms, 4), _tangential(ms, 5)
+    first = reciprocity_gap(q1, q2, f, g, ms)
+    assert q2.conjugate() is q2.conjugate()
+    builds = []
+    monkeypatch.setattr(forward, "_Stack", lambda *args: builds.append(1) or _Stack(*args))
+    assert reciprocity_gap(q1, q2, f, g, ms) == first
+    assert builds == []
+    reciprocity_gap(MediumProfile(q1.slabs), q2, f, g, ms)
+    assert builds == [1]
 
 
 def _remainder_bound(n, c):

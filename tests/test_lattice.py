@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import sys
 
@@ -225,3 +227,29 @@ def test_trigpoly_overlap_matches_trapezoid_quadrature():
             assert abs(got - ref) <= 1e-13 * np.abs(q(x)).max() * np.abs(va).max() * np.abs(vb).max()
     assert far.overlap(a, b) == 0
     assert (q - far).overlap(a, b) == q.overlap(a, b)
+
+
+def _ior(q):
+    q |= {2: 1.0}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda q: q.__setitem__(1, 0.5), lambda q: q.__delitem__(0), lambda q: q.update({2: 1.0}),
+    lambda q: q.setdefault(3, 1.0), lambda q: q.pop(0), lambda q: q.popitem(),
+    lambda q: q.clear(), _ior,
+], ids=["setitem", "delitem", "update", "setdefault", "pop", "popitem", "clear", "ior"])
+def test_trigpoly_refuses_in_place_change(edit):
+    q = TrigPoly(TRIG)
+    with pytest.raises(TypeError, match="lattice.TrigPoly is immutable"):
+        edit(q)
+    assert list(q.items()) == list(TRIG.items())
+
+
+@pytest.mark.parametrize("copy_of", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy,
+                                     copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_trigpoly_copies_keep_the_coefficient_order(copy_of):
+    q = copy_of(TRIG)
+    assert type(q) is TrigPoly and q is not TRIG
+    assert list(q.items()) == list(TRIG.items())
+    with pytest.raises(TypeError, match="immutable"):
+        q[0] = 1.0

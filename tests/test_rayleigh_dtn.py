@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gratescat import (PlaneWaveIncidence, Quasimomentum, RayleighField, TangentialField,
-                       apply_R, build_modeset, efficiencies, energy_forms, inner)
+                       apply_R, build_modeset, efficiencies, energy_forms, inner, rayleigh_dtn)
 from gratescat.errors import DivergenceViolation, TruncationMismatch, ValidationError
 from gratescat.rayleigh_dtn import write_rayleigh_csv
 
@@ -139,6 +139,27 @@ def test_efficiencies_divergence_guard():
     bad = RayleighField(ms, coeffs, direction="up")
     with pytest.raises(DivergenceViolation):
         efficiencies(bad, inc)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-12, 1 + 1e-12])
+def test_divergence_tolerance_threshold(factor):
+    # One nonzero mode whose E_t is orthogonal to alpha_n, so alpha_n . E_t is
+    # exactly 0, and E3 = delta: its scaled residual is
+    # |beta delta| / (|E| + 1e-3 max|c| + 1e-300), set to factor * the limit.
+    ms = _modeset(3)
+    j = ms.index_of(1, -1)
+    a1, a2 = ms.alpha_n[j, :2]
+    coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
+    coeffs[j, :2] = (a2, -a1)
+    scale = np.hypot(a1, a2) + 1e-3 * max(abs(a1), abs(a2))
+    coeffs[j, 2] = factor * rayleigh_dtn._DIVERGENCE_TOL * scale / abs(ms.beta[j])
+    fld = RayleighField(ms, coeffs, direction="up")
+    if factor < 1:
+        fld.validate_divergence()
+    else:
+        with pytest.raises(DivergenceViolation,
+                           match=r"constraint violated at mode \(1,-1\): 1\.000e-10 > 1e-10$"):
+            fld.validate_divergence()
 
 
 def test_divergence_guard_refuses_a_nan_coefficient():
