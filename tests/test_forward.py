@@ -545,20 +545,18 @@ def _counting_layer_modes(monkeypatch) -> list:
     return calls
 
 
-def test_second_request_is_served_from_the_held_stack(monkeypatch):
+def test_third_request_is_served_from_the_memo(monkeypatch):
+    # The memo is the stack the profile holds: the first request builds it,
+    # every later one on the same mode set is served from it.
     ms = _modeset(4)
     prof = _three_slab_stack()
     f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
     builds = _counting_layer_modes(monkeypatch)
-    hashed = []
-    digest = MediumProfile.digest
-    monkeypatch.setattr(MediumProfile, "digest", lambda self: hashed.append(1) or digest(self))
     results = []
-    for want in ([0, 1, 2], [], []):    # built, then served
+    for want in ([0, 1, 2], [], []):    # built, served, served
         builds.clear()
         results.append(solve_qpbvp(prof, f, ms))
         assert builds == want
-    assert hashed == []                 # a request hashes nothing
     for res in results[1:]:
         assert res.field.stack is results[0].field.stack
         assert np.array_equal(res.trace.coeffs, results[0].trace.coeffs)
@@ -576,6 +574,22 @@ def test_second_request_is_served_from_the_held_stack(monkeypatch):
     assert np.array_equal(dtn, oracles.dtn_matrix(assemble_dtn(MediumProfile(prof.slabs), ms), ms))
     assert builds == [0, 1, 2]
     assert len(guarded) == 3 and guarded[-1] == "forward.assemble_dtn: trace match"
+
+
+def test_stack_request_hashes_the_profile_once(monkeypatch):
+    # At most once per request; the held stack is found without hashing at
+    # all, on the build as on the hits.
+    prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.2, -1: 0.2}, B)
+    ms = _modeset(2)
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j)})
+    builds = _counting_layer_modes(monkeypatch)
+    calls = []
+    digest = MediumProfile.digest
+    monkeypatch.setattr(MediumProfile, "digest", lambda self: calls.append(1) or digest(self))
+    for _ in range(3):  # built, served, served
+        solve_qpbvp(prof, f, ms)
+    assert builds == [0]
+    assert calls == []
 
 
 def test_a_one_off_profile_frees_its_stack_with_its_results():
