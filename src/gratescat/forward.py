@@ -55,21 +55,22 @@ match M = V_j A - H' and A = W_j^-1 P', and
 Pommet & Gaylord, JOSA A 12:1077, 1995; L. Li, JOSA A 13:1024, 1996).
 W_j^-1 comes in closed form from the lift's shared factors
 (``ModalBasis.solve_W``), so each interface factors one matrix, M, which its
-guard checks; P' is never solved, and V_j^-1 is formed nowhere.
+guard checks and solves; P' is never solved, and V_j^-1 is formed nowhere.
 
 The product Q E uses the plain Laurent rule (direct coefficient convolution);
 q enters only as a zeroth-order coefficient here, so no inverse-rule
 factorization is warranted.
 
 ``solve_qpbvp``, ``assemble_dtn`` and ``solve_scattering`` get their stack
-(slab eigenbases, interface recursion, lazily the trace-match LU) from
-``_stack``.  A profile is an immutable value and holds its last stack: a
+from ``_stack``.  A profile is an immutable value and holds its last stack: a
 request on the same ModeSet object under the COND_LIMIT that holds now is
 served from it, and any other request validates the profile, builds a new
 stack and holds that one instead.  A stack lives as long as its profile or a
 result that holds it: about 2.5 MiB at N = 8 with 2 slabs and 10.7 MiB at
-N = 12 with 3 slabs.  A built stack never changes, apart from its trace-match
-LU, which is computed once on first use, under the stack's COND_LIMIT.
+N = 12 with 3 slabs.  It holds solved operators, not LU factors (``_Stack``),
+so a request on a held stack is batched products.  A built stack never
+changes, apart from its trace-match inverse, formed once on first use under
+the stack's COND_LIMIT.
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
     return where if slab is None else f"slab {slab}, {where}"
 
 
-def _guard(mats, stage: str, slab: int | None = None):
-    """LU factors of a stack of matrices and their largest condition estimate.
+def _guard(mats, rhs, stage: str, slab: int | None = None):
+    """Solutions of a stack of matrices against ``rhs``, and their largest condition estimate.
 
     Guards every matrix that is solved: the interface matches, the trace
     match and the boundary match.  The slab eigenbases are not factored:
@@ -313,11 +314,12 @@ def _guard(mats, stage: str, slab: int | None = None):
     rounding.  COND_LIMIT is read at call time.  A non-finite block, an exact
     zero pivot or an estimate above the limit raises SingularMatch naming the
     stage, the slab (when known) and the first failing n2 block, in its
-    message and its attributes.  Returns the largest estimate and the
-    per-block (lu, piv) factors that ``_lu_solve`` takes.
+    message and its attributes.  Each block that passes is solved against
+    its slice of ``rhs``, (nb, n) or (nb, n, nrhs), on the factors just
+    checked, and no factor leaves: returns the largest estimate and the solutions.
     """
     anorms = np.max(np.sum(np.abs(mats), axis=-2), axis=-1)
-    worst, factors = 1.0, []
+    worst, out = 1.0, np.empty(rhs.shape, dtype=complex)
     for ib, (a, anorm) in enumerate(zip(mats, anorms)):
         cond = anorm            # nan or inf for a non-finite block
         if np.isfinite(anorm):
@@ -329,16 +331,8 @@ def _guard(mats, stage: str, slab: int | None = None):
                                 f"{_block_label(ib, len(mats), slab)}",
                                 stage, slab, ib, float(cond), COND_LIMIT)
         worst = max(worst, cond)
-        factors.append((lu, piv))
-    return float(worst), factors
-
-
-def _lu_solve(factors, rhs):
-    """Solve each block against its ``_guard`` factors; rhs is (nb, n) or (nb, n, nrhs)."""
-    out = np.empty(rhs.shape, dtype=complex)
-    for ib, ((lu, piv), b) in enumerate(zip(factors, rhs)):
-        out[ib] = _getrs(lu, piv, b)[0]
-    return out
+        out[ib] = _getrs(lu, piv, rhs[ib])[0]
+    return float(worst), out
 
 
 def _toeplitz_inverse(slab: Slab, Q: np.ndarray, slab_index: int) -> np.ndarray:
@@ -518,16 +512,17 @@ class _Stack:
     """Reflection recursion through the slab stack, batched over the n2 blocks.
 
     Per slab j, ``r[j]`` is the reflection matrix at the slab's bottom face
-    and ``phi[j]`` its one-slab propagation factors.  ``match_lu[j - 1]``
-    holds the per-block LU factors of the match M = V_j W_j^-1 P' - H' at
-    the face below slab j (module docstring), the one matrix each interface
-    factors; ``downward_amplitudes`` reuses them.  ``top_H`` maps the
-    downgoing amplitudes at the top of the stack to tangential H there, and
-    ``top_P()`` to tangential E.  ``top_P()`` is recomputed per call rather
-    than kept, which keeps a held stack one array smaller.  ``max_cond``
-    is the largest condition reading of the slab eigenbases (exact 1-norm
-    condition, from the lift's shared factors) and of the interface matches
-    (gecon estimates from their LU factors).  ``cond_limit`` is the
+    and ``phi[j]`` its one-slab propagation factors.  ``down[j - 1]`` is
+    Y = 2 M^-1 V_j, solved on the match M = V_j W_j^-1 P' - H' at the face
+    below slab j (module docstring), the one matrix each interface factors;
+    it maps slab j's downgoing amplitudes there to slab j-1's at its top.
+    ``top_H`` maps the downgoing amplitudes at the top of the stack to
+    tangential H there, and ``top_P()`` to tangential E; ``top_P()`` is
+    recomputed per call rather than kept, which keeps a held stack one array
+    smaller, and ``trace_match`` holds its inverse once a request needs it.
+    ``max_cond`` is the largest condition reading of the slab eigenbases
+    (exact 1-norm condition, from the lift's shared factors) and of the
+    interface matches (gecon estimates, from ``_guard``).  ``cond_limit`` is the
     COND_LIMIT that every guard of the stack read.
     """
 
@@ -537,21 +532,21 @@ class _Stack:
         self.bases = [solve_layer_modes(profile, j, modeset)
                       for j in range(len(profile.slabs))]
         self.max_cond = max(basis.cond for basis in self.bases)
-        self.r, self.phi, self.match_lu = [], [], []
+        self.r, self.phi, self.down = [], [], []
         self._trace = None
         eye = np.eye(2 * modeset.block_size)
         r = -eye
         for j, (slab, basis) in enumerate(zip(profile.slabs, self.bases)):
             if j > 0:
-                r, lu, cond = self._join(j)
-                self.match_lu.append(lu)
+                r, Y, cond = self._join(j)
+                self.down.append(Y)
                 self.max_cond = max(self.max_cond, cond)
             self.r.append(r)
             self.phi.append(np.exp(1j * basis.gamma * slab.height))
         self.top_H = self.bases[-1].V @ (self._r_top(-1) - eye)
 
     def _join(self, j: int):
-        """Reflection matrix at the bottom face of slab j > 0, with its match's LU and condition.
+        """Reflection matrix at the bottom face of slab j > 0, with Y = 2 M^-1 V_j and M's condition.
 
         Slab j - 1 presents P' = W_{j-1}(r'_top + I) and H' = V_{j-1}(r'_top - I)
         (module docstring).  The step is a method of its own, and works in
@@ -564,12 +559,11 @@ class _Stack:
         A = basis.solve_W(below.W @ (r_top + eye))
         M = basis.V @ A
         M -= below.V @ (r_top - eye)
-        cond, lu = _guard(M, "forward: interface match", j)
-        Y = _lu_solve(lu, basis.V)
+        cond, Y = _guard(M, basis.V, "forward: interface match", j)
         Y *= 2
         r = A @ Y
         r -= eye
-        return r, lu, cond
+        return r, Y, cond
 
     def _r_top(self, j: int):
         """Reflection matrix at the top face of slab j."""
@@ -582,23 +576,25 @@ class _Stack:
         return self.bases[-1].W @ (self._r_top(-1) + np.eye(2 * self.modeset.block_size))
 
     def trace_match(self, stage: str):
-        """Condition estimate and LU factors of ``top_P()``, guarded once under ``stage``."""
+        """Condition estimate and inverse of ``top_P()``, guarded once under ``stage``."""
         if self._trace is None:
-            self._trace = _guard(self.top_P(), stage, len(self.bases) - 1)
+            P = self.top_P()
+            self._trace = _guard(P, np.broadcast_to(np.eye(P.shape[-1]), P.shape), stage,
+                                 len(self.bases) - 1)
         return self._trace
 
     def downward_amplitudes(self, d):
         """Per-slab (u, d) amplitude pairs, top slab included, from the top-face d.
 
-        Below slab j the downgoing amplitudes are 2 M^-1 V_j phi_j d, on the
-        match factors guarded when the stack was built.
+        Below slab j the downgoing amplitudes are Y phi_j d, with Y = 2 M^-1 V_j
+        (``down``) solved when the stack was built.
         """
         amps = [None] * len(self.bases)
         for j in range(len(amps) - 1, -1, -1):
             d_bot = self.phi[j] * d
             amps[j] = (np.matvec(self.r[j], d_bot), d)
             if j > 0:
-                d = _lu_solve(self.match_lu[j - 1], 2 * np.matvec(self.bases[j].V, d_bot))
+                d = np.matvec(self.down[j - 1], d_bot)
         return amps
 
 
@@ -685,8 +681,8 @@ def solve_qpbvp(profile: MediumProfile, f: TangentialField, modeset: ModeSet) ->
     f.modeset.require_same(modeset, "forward.solve_qpbvp")
     stack = _stack(profile, modeset)
     et = f.coeffs[:, [1, 0]] * [1, -1]     # f = e3 x E  =>  E_t = (f2, -f1)
-    cond, lu = stack.trace_match("forward.solve_qpbvp: trace match")
-    d = _lu_solve(lu, _to_blocks(modeset, et))
+    cond, Pinv = stack.trace_match("forward.solve_qpbvp: trace match")
+    d = np.matvec(Pinv, _to_blocks(modeset, et))
     trace = _from_blocks(modeset, 1j * modeset.k * np.matvec(stack.top_H, d))
     return QpbvpResult(LayerField(profile, stack, d),
                        TangentialField(modeset, trace, profile.b), max(stack.max_cond, cond))
@@ -702,10 +698,9 @@ def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> np.ndarray:
     """
     stack = _stack(profile, modeset)
     mb = modeset.block_size
-    # J maps block [f1; f2] to block [E1; E2] = [f2; -f1].
-    J = np.kron([[0, 1], [-1, 0]], np.eye(mb))
-    _, lu = stack.trace_match("forward.assemble_dtn: trace match")
-    PinvJ = _lu_solve(lu, np.broadcast_to(J, stack.top_H.shape))
+    _, Pinv = stack.trace_match("forward.assemble_dtn: trace match")
+    # Block [f1; f2] is E_t = [f2; -f1], so P^-1 J swaps P^-1's column halves, negating one.
+    PinvJ = np.concatenate([-Pinv[..., mb:], Pinv[..., :mb]], axis=-1)
     return 1j * modeset.k * stack.top_H @ PinvJ
 
 
@@ -722,8 +717,8 @@ def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:
     if isinstance(incidence, PlaneWaveIncidence):
         if abs(incidence.k - modeset.k) > 1e-12 * modeset.k:
             raise TruncationMismatch("forward.expand_incidence: wavenumber mismatch")
-        if (abs(incidence.k * incidence.d[0] - modeset.alpha.alpha1) > 1e-10
-                or abs(incidence.k * incidence.d[1] - modeset.alpha.alpha2) > 1e-10):
+        if (abs(incidence.k * incidence.d[0] - modeset.alpha.alpha1) > 1e-12 * modeset.k
+                or abs(incidence.k * incidence.d[1] - modeset.alpha.alpha2) > 1e-12 * modeset.k):
             raise TruncationMismatch(
                 "forward.expand_incidence: plane-wave direction does not match the "
                 "mode-set quasimomentum")
@@ -766,9 +761,8 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     r11, r12, r21, r22 = (r.reshape(nb, mb, 1) for r in (r11, r12, r21, r22))
     rho_P = np.concatenate([r11 * P[:, :mb] + r12 * P[:, mb:],
                             r21 * P[:, :mb] + r22 * P[:, mb:]], axis=1)
-    cond, lu = _guard(1j * ms.k * stack.top_H - rho_P, "forward.solve_scattering: boundary match",
-                      len(profile.slabs) - 1)
-    d = _lu_solve(lu, _to_blocks(ms, np.column_stack([g1, g2])))
+    cond, d = _guard(1j * ms.k * stack.top_H - rho_P, _to_blocks(ms, np.column_stack([g1, g2])),
+                     "forward.solve_scattering: boundary match", len(profile.slabs) - 1)
     trace_total = _from_blocks(ms, np.matvec(P, d))   # tangential E of the total field at b
     s_t = trace_total[:, :2] - C[:, :2]
     s3 = -(a1 * s_t[:, 0] + a2 * s_t[:, 1]) / beta

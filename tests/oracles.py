@@ -285,3 +285,35 @@ def dtn_n2_zero_block(q: TrigPoly, height: float, k: float, alpha1: float, N: in
     t11 = V @ np.diag(g_te / np.tan(g_te * height)) @ np.linalg.inv(V)
     t22 = k * k * H @ np.diag(1 / (g_tm * np.tan(g_tm * height))) @ np.linalg.inv(Qinv @ H)
     return t11, t22
+
+
+def _carry(T, y, dy, height):
+    """(y, y') at the top of a slab of ``height`` where y'' = -T y, from (y, y') at its bottom."""
+    kappa2, V = np.linalg.eig(T)
+    g = np.sqrt(kappa2.astype(complex))[:, None]
+    a, b = np.linalg.solve(V, y), np.linalg.solve(V, dy)
+    c, s = np.cos(g * height), np.sin(g * height)
+    return V @ (c * a + (s / g) * b), V @ (c * b - (g * s) * a)
+
+
+def dtn_n2_zero_stack(slabs, k: float, alpha1: float, N: int):
+    """T11 and T22 of a slab stack's DtN block where alpha2 + n2 = 0, by transfer recursion.
+
+    ``slabs`` lists (height, q) from the plate up.  In each slab the TE field
+    u solves u'' = -(k^2 Q - D1^2) u and the TM field v solves
+    v'' = -(k^2 Q - Q D1 Q^-1 D1) v (``dtn_n2_zero_block``).  From u = 0,
+    u' = I and v = I, Q^-1 v' = 0 at the plate, (u, u') and (v, Q^-1 v') are
+    carried up each slab with cos and sin of gamma in its eigenbasis, and are
+    continuous across each face.  At the top, T11 = u' u^-1 and
+    T22 = -k^2 v (Q^-1 v')^-1.  Shares no code with the forward solver.
+    """
+    eye = np.eye(2 * N + 1, dtype=complex)
+    d1 = np.diag(alpha1 + np.arange(-N, N + 1))
+    u, du, v, w = 0 * eye, eye, eye, 0 * eye
+    for height, q in slabs:
+        Q = q.toeplitz(2 * N + 1)
+        Qinv = np.linalg.inv(Q)
+        u, du = _carry(k * k * Q - d1 @ d1, u, du, height)
+        v, dv = _carry(k * k * Q - Q @ d1 @ Qinv @ d1, v, Q @ w, height)
+        w = Qinv @ dv
+    return du @ np.linalg.inv(u), -k * k * v @ np.linalg.inv(w)

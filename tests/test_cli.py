@@ -221,6 +221,31 @@ summary = s.txt
     np.testing.assert_allclose(total, 1.0, atol=1e-8)
 
 
+def test_forward_at_large_k_accepts_its_own_plane_wave(tmp_path, capsys):
+    # k d and alpha round apart by more than 1e-10 at k = 1e6; the direction
+    # check is relative to k, so the scenario's plane wave is its own
+    text = """
+[scenario]
+kind = forward
+
+[physics]
+k = 1e6
+theta1 = 0.305
+theta2 = 0.113
+
+[numerics]
+N = 1
+
+[profile]
+slabs = 0.8
+qcoef =
+    0 1.0 0
+"""
+    code = main(["forward", _write(tmp_path, "big_k.ini", text), "--output-dir", str(tmp_path)])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "rayleigh.csv").exists()
+
+
 def test_show_config_echo(tmp_path, capsys):
     cfg = _write(tmp_path, "sturm.ini", STURM_CONFIG)
     assert main(["sturm", cfg, "--output-dir", str(tmp_path), "--show-config"]) == 0

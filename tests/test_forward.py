@@ -444,7 +444,7 @@ def test_qpbvp_condition_guard_threshold(monkeypatch):
 
 def test_trace_match_guard_threshold_on_a_memo_hit(monkeypatch):
     # One uniform slab has no interface, so the worst stage is the trace
-    # match, whose LU the held stack keeps and assemble_dtn shares.
+    # match, whose inverse the held stack keeps and assemble_dtn shares.
     prof = MediumProfile.from_coeffs({0: 1.6 + 0.05j}, B)
     ms = _modeset(4)
     reported = _check_qpbvp_guard_threshold(monkeypatch, prof, ms,
@@ -466,7 +466,7 @@ def test_guard_raises_typed_error_on_non_finite_or_singular_block(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatch) as err:
-            forward._guard(mats, "forward: probe", 2)
+            forward._guard(mats, np.ones((3, 6)), "forward: probe", 2)
     msg = str(err.value)
     assert msg.startswith("forward: probe condition ")
     assert msg.endswith("at slab 2, block 1 (n2 = 0)")
@@ -480,9 +480,9 @@ def test_condition_estimate_brackets_exact_one_norm_condition(monkeypatch):
     guard = forward._guard
     seen = []
 
-    def recording(mats, stage, *args, **kwargs):
+    def recording(mats, rhs, stage, *args, **kwargs):
         seen.append((stage, np.array(mats)))
-        return guard(mats, stage, *args, **kwargs)
+        return guard(mats, rhs, stage, *args, **kwargs)
 
     monkeypatch.setattr(forward, "_guard", recording)
     prof = _three_slab_stack()
@@ -494,7 +494,7 @@ def test_condition_estimate_brackets_exact_one_norm_condition(monkeypatch):
     for stage, mats in seen:
         assert len(mats) == 2 * ms.N + 1
         for a in mats:
-            est = guard(a[None], stage)[0]
+            est = guard(a[None], a[None, :, 0], stage)[0]
             exact = np.linalg.cond(a, 1)
             assert exact / 3 <= est <= exact * (1 + 1e-12), stage
             worst = max(worst, est)
@@ -532,6 +532,37 @@ def test_one_lu_per_guarded_block_and_no_svd_or_dense_solve(monkeypatch):
     assert len(set(factored)) == len(factored)
 
 
+def test_held_stack_requests_run_no_factorization_or_lu_solve(monkeypatch):
+    # The stack holds solved operators: after the first trace solve, every
+    # request is a product.  The build factors each guarded block once, and
+    # solves it once, inside _guard.
+    ms = _modeset(4)
+    prof = _three_slab_stack()
+    f = _tangential(ms, {(0, 0): (1.0, 0.5j), (1, -1): (0.3, -0.2)})
+    calls = {"_getrf": 0, "_gecon": 0, "_getrs": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(forward, name, counting(name, getattr(forward, name)))
+    first = solve_qpbvp(prof, f, ms)
+    # 2 interface matches and the trace match
+    assert calls == dict.fromkeys(calls, 3 * (2 * ms.N + 1))
+    calls.update(dict.fromkeys(calls, 0))
+    again = solve_qpbvp(prof, f, ms)
+    assemble_dtn(prof, ms)
+    bounds = prof.slab_bounds()
+    for field in (first.field, again.field):
+        for j in range(len(prof.slabs)):
+            field.mode_coefficients(np.linspace(bounds[j], bounds[j + 1], 3))
+    assert calls == dict.fromkeys(calls, 0)
+    assert again.field.stack is first.field.stack
+
+
 def _counting_layer_modes(monkeypatch) -> list:
     """Slab index of every ``solve_layer_modes`` call from now on, i.e. of every stack build."""
     calls = []
@@ -561,11 +592,12 @@ def test_third_request_is_served_from_the_memo(monkeypatch):
         assert res.field.stack is results[0].field.stack
         assert np.array_equal(res.trace.coeffs, results[0].trace.coeffs)
         assert res.condition == results[0].condition
-    # The held stack's trace-match LU is shared with assemble_dtn: no guard runs.
+    # The held stack's trace-match inverse is shared with assemble_dtn: no guard runs.
     guarded = []
     guard = forward._guard
     monkeypatch.setattr(forward, "_guard",
-                        lambda mats, stage, *args: guarded.append(stage) or guard(mats, stage, *args))
+                        lambda mats, rhs, stage, *args:
+                        guarded.append(stage) or guard(mats, rhs, stage, *args))
     dtn = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
     assert guarded == [] and builds == []
     # An equal but distinct profile shares nothing: a fresh build, with 2
@@ -874,6 +906,29 @@ def test_dtn_block_at_alpha2_plus_n2_zero_matches_its_closed_form(N, coeffs):
     assert np.max(np.abs(block[mb:, mb:] - t22)) <= 1e-13 * np.max(np.abs(t22))
 
 
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("stack", ["two-slab", "three-slab"])
+def test_stacked_dtn_block_at_alpha2_plus_n2_zero_matches_a_transfer_recursion(stack, N):
+    # The n2 = 0 block at alpha = (0.21, 0) of a rippled stack against an
+    # independent transfer recursion (oracles.dtn_n2_zero_stack), the one
+    # value check of the interface recursion.  Measured with one BLAS thread
+    # and with the default count alike: at most 6.6e-16 relative on T11 and
+    # 5.7e-15 on T22.
+    k = 1.25
+    slabs = [(h, TrigPoly(c)) for h, c in RECIPROCITY_CASES[stack]]
+    block = assemble_dtn(MediumProfile([Slab(h, c) for h, c in slabs]),
+                         build_modeset(k, Quasimomentum(0.21, 0.0), N))[N]
+    mb = 2 * N + 1
+    t11, t22 = oracles.dtn_n2_zero_stack(slabs, k, 0.21, N)
+    assert not np.any(block[:mb, mb:]) and not np.any(block[mb:, :mb])
+    assert np.max(np.abs(block[:mb, :mb] - t11)) <= 1e-13 * np.max(np.abs(t11))
+    assert np.max(np.abs(block[mb:, mb:] - t22)) <= 1e-13 * np.max(np.abs(t22))
+    # the recursion on one slab is the closed form
+    one = oracles.dtn_n2_zero_stack(slabs[-1:], k, 0.21, N)
+    for got, want in zip(one, oracles.dtn_n2_zero_block(slabs[-1][1], slabs[-1][0], k, 0.21, N)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_dtn_apply_matches_qpbvp():
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.15, -1: 0.15}, B)
@@ -1036,7 +1091,8 @@ def test_condition_includes_the_eigenbasis_guard():
     ms = _modeset(4)
     prof = MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.4, -1: 0.4}, 0.5)
     basis = solve_layer_modes(prof, 0, ms).cond
-    trace_match, _ = forward._guard(forward._stack(prof, ms).top_P(), "probe")
+    P = forward._stack(prof, ms).top_P()
+    trace_match, _ = forward._guard(P, P[..., 0], "probe")
     assert trace_match < basis
     f = _tangential(ms, {(0, 0): (1.0, 0.5j)}, height=0.5)
     assert solve_qpbvp(prof, f, ms).condition == basis
@@ -1182,14 +1238,16 @@ def test_incidence_wavenumber_mismatch_threshold():
                                  ms)
 
 
-@pytest.mark.parametrize("component", [0, 1])
-def test_incidence_direction_mismatch_threshold(component):
-    # |k d_j - alpha_j| <= 1e-10 is accepted; 2e-10 is another quasimomentum
-    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
-    for delta, accepted in ((0.5e-10, True), (-0.5e-10, True), (2e-10, False), (-2e-10, False)):
-        alpha = [K * inc.d[0], K * inc.d[1]]
-        alpha[component] += delta
-        ms = build_modeset(K, Quasimomentum(*alpha), 3)
+@pytest.mark.parametrize("component, k", [(0, K), (1, K), (0, 1e6), (1, 1e6)],
+                         ids=["0", "1", "k1e6-0", "k1e6-1"])
+def test_incidence_direction_mismatch_threshold(component, k):
+    # |k d_j - alpha_j| <= 1e-12 k is accepted; 2e-12 k is another
+    # quasimomentum.  At k = 1e6 the rounding of k d alone exceeds 1e-10.
+    inc = PlaneWaveIncidence.from_angles(k, THETA1, THETA2)
+    for rel, accepted in ((0.5e-12, True), (-0.5e-12, True), (2e-12, False), (-2e-12, False)):
+        alpha = [k * inc.d[0], k * inc.d[1]]
+        alpha[component] += rel * k
+        ms = build_modeset(k, Quasimomentum(*alpha), 3)
         if accepted:
             assert np.array_equal(forward.expand_incidence(inc, ms).coeffs[ms.mode0], inc.p)
         else:
@@ -1241,3 +1299,25 @@ def test_dtn_reciprocity_transpose_equals_mirrored_minus_alpha(stack, N, alpha):
     assert np.linalg.norm(T.T - T_minus[np.ix_(P, P)]) <= 1e-12 * scale
     if stack != "uniform":
         assert np.linalg.norm(T - T.T) >= 1e-3 * scale
+
+
+@pytest.mark.parametrize("alpha", [(0.21, 0.13), (0.37, -0.29)])
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("stack", sorted(RECIPROCITY_CASES))
+def test_dtn_x1_mirror_maps_q_to_its_reflection_at_minus_alpha1(stack, N, alpha):
+    # Reflecting x1 -> -x1 maps q to q~ (q~_j = q_-j), alpha1 to -alpha1, mode
+    # n1 to -n1 (P1) and flips the sign of the E1 and curl-1 components (S),
+    # so T_q(alpha1, alpha2) = S P1 T_q~(-alpha1, alpha2) P1 S.  The defect
+    # read at most 1.6e-14; S = I reads above 1.1.
+    prof = MediumProfile([Slab(h, c) for h, c in RECIPROCITY_CASES[stack]])
+    mirrored = MediumProfile([Slab(h, {-j: cj for j, cj in c.items()})
+                              for h, c in RECIPROCITY_CASES[stack]])
+    ms = build_modeset(K, Quasimomentum(*alpha), N)
+    ms_mirror = build_modeset(K, Quasimomentum(-alpha[0], alpha[1]), N)
+    T = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
+    T_mirror = oracles.dtn_matrix(assemble_dtn(mirrored, ms_mirror), ms_mirror)
+    m = ms.num_modes
+    flip = np.array([ms.index_of(-n1, n2) for n1, n2 in zip(ms.n1, ms.n2)])
+    P1 = np.concatenate([flip, flip + m])
+    S = np.concatenate([np.ones(m), -np.ones(m)])
+    assert np.linalg.norm(T - S[:, None] * T_mirror[np.ix_(P1, P1)] * S) <= 1e-12 * np.linalg.norm(T)
