@@ -14,9 +14,10 @@ Three pieces:
    quantitatively with independent volume and boundary quadratures.  Both
    sides are Fourier sums over the cell: q2 - q1 depends on x1 alone, so the
    horizontal integral of the volume side is the exact coefficient pairing
-   :meth:`TrigPoly.overlap`, one per slab segment over its Gauss-Legendre
-   nodes in x3, whose weights ride on E1 along the node axis; the boundary
-   side is the L^2_t inner product of the coefficient vectors.  In a segment
+   :meth:`TrigPoly.overlap` (as is the moment kernel A1), a batch of one per
+   slab segment over its Gauss-Legendre nodes in x3, whose weights ride on E1
+   along the node axis; the boundary side is the L^2_t inner product of the
+   coefficient vectors.  In a segment
    the integrand is a sum of exponentials e^{z x3} with |z| <= c, the largest
    |gamma| of E1's slab plus that of E2's, so each segment takes the smallest
    order n whose Gauss-Legendre remainder bound K_n (c L / 2)^(2n), L the
@@ -103,7 +104,8 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     ``1e-10 k^2 b CELL_AREA max|c1|_2 max|c2|_2``, the maxima of the
     coefficient 2-norms of E1 and E2 over the Gauss nodes: by Parseval and
     Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.  Each x3
-    segment is one ``TrigPoly.overlap`` of both fields at all of its nodes.
+    segment is one ``TrigPoly.overlap``, a batch of one, of both fields at all
+    of its nodes.
 
     ``rhs = -<T2 f - T1 f, g>`` is a difference of two inner products, and
     ``rhs_scale = |<T2 f, g>| + |<T1 f, g>|`` is the size of the terms it
@@ -144,12 +146,12 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
         x, w = _gauss_rule(_gauss_order(
             (sol1.field.max_exponent(j1) + sol3.field.max_exponent(j2)) * half))
         nodes, weights = half * x + mid, half * w
-        shape = (mb, mb, 3, len(x))  # (n2, n1, component, node)
+        shape = (1, mb, mb, 3, len(x))  # (batch of one, n2, n1, component, node)
         c1 = sol1.field.mode_coefficients(nodes)
         c2 = sol3.field.mode_coefficients(nodes)
         # contiguous n1-major operands, so that overlap's slices along n1 are too
-        lhs += dq.overlap(np.multiply(c1.reshape(shape).swapaxes(0, 1), weights, order="C"),
-                          np.ascontiguousarray(c2.reshape(shape).swapaxes(0, 1)))
+        lhs += dq.overlap(np.multiply(c1.reshape(shape).swapaxes(1, 2), weights, order="C"),
+                          np.ascontiguousarray(c2.reshape(shape).swapaxes(1, 2)))[0]
         c1max = max(c1max, float(np.max(np.linalg.norm(c1, axis=(0, 1)))))
         c2max = max(c2max, float(np.max(np.linalg.norm(c2, axis=(0, 1)))))
     lhs *= k * k * CELL_AREA
@@ -211,10 +213,10 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     (``solve_sl(..., branches=...)``).
 
     The table is one batched pass over its (2L + 1) x len(schedule) pairs.
-    :func:`build_u` builds the transverse factor of each distinct branch
-    once, under the growth preset c2 = exp(2 pi sqrt(mu)), so |A2| is
-    recorded as ``a2_log10`` and never overflows; one :func:`moment_kernels`
-    call gives every A1 and A2.  The l that keep the same entries above
+    :func:`build_u` builds one transverse factor per branch of each pair,
+    under the growth preset c2 = exp(2 pi sqrt(mu)), so |A2| is recorded as
+    ``a2_log10`` and never overflows; one :func:`moment_kernels` call gives
+    every A1 and A2.  The l that keep the same entries above
     ``A2_FLOOR`` share one design and one least-squares solve, so a full
     table is one solve; fewer than two retained entries at any l raise
     :class:`A2Floor`.
@@ -237,14 +239,9 @@ def extract_moments(q1: MediumProfile, q2: MediumProfile, L: int,
     spec1 = solve_sl(SLProblem(c1, k, alpha.alpha1, M), branches=[(1, n) for n in ns])
     spec2 = solve_sl(SLProblem(c2.conj(), k, alpha.alpha1, M),
                      branches=[(1, m) for m in m_schedule])
-    # one factor per distinct branch: spec1's branches ns, then spec2's schedule
-    u = build_u(-np.array([spec1.entry(1, n).lam for n in ns]
-                          + [spec2.entry(1, m).lam for m in m_schedule]), alpha.alpha2)
-    row = {n: i for i, n in enumerate(ns)}
-    A1, a2_log = moment_kernels(
-        spec1, [spec1.entry(1, n) for n, _ in pairs], spec2, [spec2.entry(1, m) for _, m in pairs],
-        u[[row[n] for n, _ in pairs]], u[[len(ns) + m_schedule.index(m) for _, m in pairs]],
-        c1 - c2)
+    en, em = [spec1.entry(1, n) for n, _ in pairs], [spec2.entry(1, m) for _, m in pairs]
+    A1, a2_log = moment_kernels(spec1, en, spec2, em, build_u([-e.lam for e in en], alpha.alpha2),
+                                build_u([-e.lam for e in em], alpha.alpha2), c1 - c2)
     A1, a2_log = A1.reshape(len(ls), S), a2_log.reshape(len(ls), S)
     a2_log10 = a2_log.real / math.log(10.0)
     ok = a2_log10 > math.log10(A2_FLOOR)

@@ -14,7 +14,8 @@ that assumption into a guarded error at construction time.
 The refractive index q(x1) of a slab is a :class:`TrigPoly`, the one type
 for its Fourier coefficients: evaluation, the Toeplitz matrix of the
 Laurent product, conjugation, differences and the q-weighted overlap
-(1/2pi) int q a conj(b) dx1 of two coefficient arrays all live there.
+(1/2pi) int q a conj(b) dx1 row by row over a batch, the one pairing that
+the reciprocity gap and the moment kernel A1 share, all live there.
 """
 
 from __future__ import annotations
@@ -37,11 +38,16 @@ class TrigPoly(dict):
     """Trigonometric polynomial q(x1) = sum_j c_j e^{i j x1} as ``{j: c_j}``.
 
     A dict with int keys and complex values, kept in the caller's key order:
-    sums over the coefficients run in that order.  It is a value: every
-    in-place change raises TypeError.
+    sums over the coefficients run in that order.  A key that is not
+    ``numbers.Integral`` (``1.0`` is not) raises ValidationError.  It is a
+    value: every in-place change raises TypeError.
     """
 
     def __init__(self, coeffs):
+        # a plain int skips the ABC check, which would quadruple the cost of a build
+        bad = [j for j in coeffs if type(j) is not int and not isinstance(j, numbers.Integral)]
+        if bad:
+            raise ValidationError(f"lattice.TrigPoly: Fourier index {bad[0]!r} is not an integer")
         super().__init__((int(j), complex(c)) for j, c in coeffs.items())
 
     def _immutable(self, *args, **kwargs):
@@ -76,20 +82,21 @@ class TrigPoly(dict):
         """Difference over the union of keys: self's keys first, then other's new ones."""
         return TrigPoly({j: self.get(j, 0.0) - other.get(j, 0.0) for j in {**self, **other}})
 
-    def overlap(self, a, b) -> complex:
-        """(1/2pi) int_0^{2pi} q a conj(b) dx1 from the coefficients of a and b.
+    def overlap(self, a, b) -> np.ndarray:
+        """(1/2pi) int_0^{2pi} q a_p conj(b_p) dx1 for each row p of a batch.
 
-        ``a`` and ``b`` hold coefficients indexed -Ma..Ma and -Mb..Mb along
-        axis 0; any trailing axes must match and are summed.  Only
-        index-matched terms survive: sum_j c_j sum_i a[i - j] conj(b[i]).
+        ``a`` and ``b`` hold P rows of coefficients indexed -Ma..Ma and
+        -Mb..Mb along axis 1; any trailing axes must match and are summed.
+        Row p sums index-matched terms only: sum_j c_j sum_i a[p, i - j] conj(b[p, i]).
         """
-        Ma, Mb = (len(a) - 1) // 2, (len(b) - 1) // 2
-        out = 0j
-        for j, c in self.items():
+        P, Ma, Mb = len(a), (a.shape[1] - 1) // 2, (b.shape[1] - 1) // 2
+        dots = np.zeros((len(self), P), dtype=complex)  # one contiguous dot per row and c_j
+        for i, j in enumerate(self):
             lo, hi = max(-Mb, j - Ma), min(Mb, j + Ma)
             if lo <= hi:
-                out += c * np.vdot(b[lo + Mb:hi + Mb + 1], a[lo - j + Ma:hi - j + Ma + 1])
-        return out
+                np.vecdot(b[:, lo + Mb:hi + Mb + 1].reshape(P, -1),
+                          a[:, lo - j + Ma:hi - j + Ma + 1].reshape(P, -1), out=dots[i])
+        return np.fromiter(self.values(), complex, len(self)) @ dots
 
     def toeplitz(self, n: int) -> np.ndarray:
         """n x n Laurent-product matrix T[a, b] = c_{a-b}; terms with |j| >= n drop out."""

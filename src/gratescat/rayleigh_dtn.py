@@ -170,7 +170,14 @@ def efficiencies(scattered: RayleighField, incidence) -> dict:
     Standard grating normalization: weight beta_n |E_n|^2 / (beta_inc |p|^2)
     per propagating mode, with beta_inc the vertical wavenumber of the
     incident plane wave (the specular mode constant of the shared mode set).
+    Any other incidence, a dipole sheet among them, has no such norm and
+    raises ValidationError.
     """
+    from .greens import PlaneWaveIncidence  # greens imports this module
+
+    if not isinstance(incidence, PlaneWaveIncidence):
+        raise ValidationError("rayleigh_dtn.efficiencies: efficiencies are normalised to a "
+                              f"plane wave, got a {type(incidence).__name__} incidence")
     if scattered.direction != "up":
         raise ValidationError("rayleigh_dtn.efficiencies: scattered field must be upgoing")
     scattered.validate_divergence()

@@ -8,8 +8,9 @@ u'' = mu u with mu = -lambda: substituting gives v'' u + v u'' + k^2 q v u =
 The longitudinal eigenvalue as computed here is
 k^2 q0 - (m + alpha1)^2 for constant q, so mu grows like (m + alpha1)^2 and
 the transverse exponentials stiffen with the branch index; overlap integrals
-are therefore evaluated in closed form: the longitudinal one as a finite sum
-over Fourier coefficients, the transverse one with log-scaled arithmetic.
+are therefore evaluated in closed form: the longitudinal one as the exact
+Fourier pairing :meth:`TrigPoly.overlap` of the eigenvector coefficients, the
+transverse one with log-scaled arithmetic.
 
 The exponential factor u = c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2} satisfies
 the quasi-periodic value condition only through the coefficient relation
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, ValidationError, ZeroLambda
+from .lattice import TrigPoly
 from .sturm import SLSpectrum
 
 TWO_PI = 2.0 * np.pi
@@ -53,9 +55,8 @@ class TransverseFactor:
 
     ``c1`` is the coefficient of e^{sqrt(mu) x2}; ``log_c2`` is the log of the
     preset c2 = e^{2 pi sqrt(mu)}, i.e. 2 pi sqrt(mu).  The fields are scalars
-    for one factor, or arrays of one shape for a batch (:func:`build_u`);
-    indexing a batch selects factors from it.  The evaluation methods take
-    one factor.
+    for one factor, or arrays of one shape for a batch (:func:`build_u`).
+    The evaluation methods take one factor.
     """
 
     mu: complex
@@ -63,11 +64,6 @@ class TransverseFactor:
     c1: complex
     log_c2: complex
     alpha2: float
-
-    def __getitem__(self, index) -> "TransverseFactor":
-        """The factors at ``index`` of a batch."""
-        return TransverseFactor(self.mu[index], self.sqrt_mu[index], self.c1[index],
-                                self.log_c2[index], self.alpha2)
 
     def _cell_values(self, x2):
         """c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2}, the second term formed from log_c2."""
@@ -170,23 +166,14 @@ def moment_kernels(spec1: SLSpectrum, entries_n, spec2: SLSpectrum, entries_m,
     ``entries_n`` and ``entries_m`` are sequences of :class:`SLEntry` of
     spec1 and spec2, paired by position, and ``u_n``, ``u_m`` the batches of
     their transverse factors.  Returns ``(A1, a2_log)``, one element per pair.
-    ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) exactly as a finite
-    sum over Fourier coefficients, 2 pi sum_j dq_j sum_b c_n[b - j] conj(c_m[b])
-    (the per-row form of :meth:`TrigPoly.overlap`), one shifted-slice product
-    over the stacked eigenvectors per coefficient dq_j: the quasimomentum
-    phases cancel, which needs both spectra to share alpha1, and only
-    index-matched terms survive.  ``a2_log`` is the log of the closed-form
-    transverse overlap A2 (:func:`transverse_overlap`).
+    ``A1`` integrates v_n(x1) conj(v_m(x1)) (q1 - q2)(x1) exactly: it is
+    2 pi times :meth:`TrigPoly.overlap` of the stacked eigenvectors, one row
+    per pair.  The quasimomentum phases cancel, which needs both spectra to
+    share alpha1.  ``a2_log`` is the log of the closed-form transverse
+    overlap A2 (:func:`transverse_overlap`).
     """
     if abs(spec1.problem.alpha1 - spec2.problem.alpha1) > 1e-13:
         raise ValidationError("separable.moment_kernels: spectra use different alpha1")
-    cn = np.stack([e.coeffs for e in entries_n])
-    cm = np.conj(np.stack([e.coeffs for e in entries_m]))
-    Mn, Mm = (cn.shape[1] - 1) // 2, (cm.shape[1] - 1) // 2
-    A1 = np.zeros(len(cn), dtype=complex)
-    for j, c in qdiff.items():
-        lo, hi = max(-Mm, j - Mn), min(Mm, j + Mn)
-        if lo <= hi:
-            A1 += c * np.einsum("pi,pi->p", cm[:, lo + Mm:hi + Mm + 1],
-                                cn[:, lo - j + Mn:hi - j + Mn + 1])
+    A1 = TrigPoly(qdiff).overlap(np.stack([e.coeffs for e in entries_n]),
+                                 np.stack([e.coeffs for e in entries_m]))
     return TWO_PI * A1, transverse_overlap(u_n, u_m)

@@ -569,6 +569,16 @@ def test_readme_config_example_runs(tmp_path, capsys):
     assert (tmp_path / "rayleigh.csv").is_file()
 
 
+def test_readme_library_example_runs(capsys):
+    # the README's library example, as written, runs and prints the summed
+    # efficiency of its absorbing layer
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    total = float(capsys.readouterr().out)
+    assert abs(total - 0.8731575199036319) <= 1e-12 and total < 1.0
+
+
 def _show_config(tmp_path, capsys, kind, text):
     cfg = _write(tmp_path, f"{kind}.ini", text)
     code = main([kind, cfg, "--output-dir", str(tmp_path), "--show-config"])

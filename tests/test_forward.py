@@ -7,10 +7,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from gratescat import (DipoleDensity, MediumProfile, PlaneWaveIncidence, Quasimomentum,
-                       TangentialField, assemble_dtn, build_modeset, efficiencies,
-                       solve_layer_modes, solve_qpbvp, solve_scattering)
+                       SLProblem, TangentialField, assemble_dtn, build_modeset, efficiencies,
+                       solve_layer_modes, solve_qpbvp, solve_scattering, solve_sl)
 from gratescat import forward
 from gratescat.errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                               TruncationMismatch, ValidationError)
@@ -906,6 +907,31 @@ def test_dtn_block_at_alpha2_plus_n2_zero_matches_its_closed_form(N, coeffs):
     assert np.max(np.abs(block[mb:, mb:] - t22)) <= 1e-13 * np.max(np.abs(t22))
 
 
+@pytest.mark.parametrize("N, coeffs", [(8, {0: 1.5 + 0.1j, 1: 0.2, -1: 0.15, 2: 0.05j}),
+                                       (8, {0: 2.0, 1: 0.3, -1: 0.3}),
+                                       (12, {0: 1.5 + 0.1j, 1: 0.2, -1: 0.15, 2: 0.05j})],
+                         ids=["absorbing-8", "even-real-8", "absorbing-12"])
+def test_te_exponents_of_every_block_are_the_sturm_liouville_spectrum(N, coeffs):
+    # At M = N the TE matrix k^2 Q - D1^2 is sturm's Galerkin matrix, so in
+    # every n2 block gamma^2 + (alpha2 + n2)^2 over the TE columns is
+    # solve_sl's eigenvalue set.  Measured with one BLAS thread and the
+    # default count alike: at most 5.0e-15 relative to matrix_norm.  It cannot
+    # see the sign of alpha1: A and A^T share one spectrum, and so does the
+    # n1 mirror of the problem at -alpha1.
+    k, alpha = 1.25, Quasimomentum(0.21, 0.13)
+    ms = build_modeset(k, alpha, N)
+    q = TrigPoly(coeffs)
+    gamma = solve_layer_modes(MediumProfile.from_coeffs(q, 0.8), 0, ms).gamma
+    spec = solve_sl(SLProblem(q, k, alpha.alpha1, N))
+    lam = np.array([e.lam for e in spec.entries.values()])
+    assert lam.size == ms.block_size
+    a2 = alpha.alpha2 + np.arange(-N, N + 1)
+    for g, a in zip(gamma[:, :ms.block_size], a2):
+        dist = np.abs(lam[:, None] - (g * g + a * a)[None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(dist)
+        assert np.max(dist[rows, cols]) <= 1e-13 * spec.matrix_norm
+
+
 @pytest.mark.parametrize("N", [4, 8])
 @pytest.mark.parametrize("stack", ["two-slab", "three-slab"])
 def test_stacked_dtn_block_at_alpha2_plus_n2_zero_matches_a_transfer_recursion(stack, N):
@@ -1041,6 +1067,14 @@ def test_conjugate_is_built_once_and_held(monkeypatch):
     re_min, q_inf, im_min, im_max = prof._sample_bounds
     assert conj._sample_bounds == (re_min, q_inf, -im_max, -im_min)
     assert calls == [forward._PROFILE_GRID] * 6
+
+
+def test_slab_refuses_a_non_integer_fourier_index():
+    # int() would truncate 0.9 to index 0, and 1.5 would overwrite its 0.2
+    with pytest.raises(ValidationError, match=r"Fourier index 0\.9 is not an integer"):
+        Slab(0.5, {0.9: 0.2, 0: 1.5})
+    with pytest.raises(ValidationError, match=r"Fourier index 0\.5 is not an integer"):
+        MediumProfile.from_coeffs({0: 1.5, 0.5: 0.1}, B)
 
 
 def test_slab_and_profile_refuse_in_place_edits():
@@ -1191,6 +1225,19 @@ def test_scattering_dipole_mirror():
     inc = res.incident
     mirror = np.column_stack([-inc.coeffs[:, 0], -inc.coeffs[:, 1], inc.coeffs[:, 2]])
     np.testing.assert_allclose(scat.coeffs, mirror, atol=1e-10 * np.max(np.abs(mirror)))
+
+
+def test_efficiencies_refuse_a_dipole_sheet_incidence():
+    # efficiencies are normalised to a plane wave's beta_inc |p|^2; a dipole
+    # sheet has no p and is refused by type, not with an AttributeError
+    ms = _modeset(3)
+    coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
+    coeffs[ms.mode0, :2] = (1.0, 0.5j)
+    dens = DipoleDensity(ms, 1.6, coeffs)
+    res = solve_scattering(MediumProfile.from_coeffs({0: 1.5 + 0.1j, 1: 0.15, -1: 0.15}, B),
+                           dens, ms)
+    with pytest.raises(ValidationError, match=r"plane wave, got a DipoleDensity incidence"):
+        efficiencies(res.scattered, dens)
 
 
 def test_scattering_interior_residual():

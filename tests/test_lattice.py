@@ -205,28 +205,43 @@ def test_trigpoly_normalises_and_degree_mean():
     assert q == {-3: 1.0, 0: 2.5}
 
 
+def test_trigpoly_refuses_a_non_integer_index():
+    # int() would truncate 1.2 and 1.7 to 1, and 0.5 would overwrite 0.3
+    with pytest.raises(ValidationError, match=r"Fourier index 1\.2 is not an integer"):
+        TrigPoly({1.2: 0.3, 1.7: 0.5, 0: 1.5})
+    for key in (1.0, np.float64(2.0), "1", 1 + 0j):
+        with pytest.raises(ValidationError, match=rf"Fourier index {re.escape(repr(key))} is not"):
+            TrigPoly({0: 1.5, key: 0.3})
+
+
 def test_trigpoly_overlap_matches_trapezoid_quadrature():
-    # (1/2pi) int q a conj(b) dx1 with trailing axes summed; the quadrature
-    # grid resolves every product of degree <= 9 + 3 + 5 exactly
+    # (1/2pi) int q a_p conj(b_p) dx1 per row p of a batch, trailing axes
+    # summed; the quadrature grid resolves every product of degree <= 9 + 3 + 5
+    # exactly
     rng = np.random.default_rng(17)
-    Ma, Mb = 3, 5
-    a = rng.normal(size=(2 * Ma + 1, 3, 2)) + 1j * rng.normal(size=(2 * Ma + 1, 3, 2))
-    b = rng.normal(size=(2 * Mb + 1, 3, 2)) + 1j * rng.normal(size=(2 * Mb + 1, 3, 2))
+    P, Ma, Mb = 3, 3, 5
+    a = rng.normal(size=(P, 2 * Ma + 1, 3, 2)) + 1j * rng.normal(size=(P, 2 * Ma + 1, 3, 2))
+    b = rng.normal(size=(P, 2 * Mb + 1, 3, 2)) + 1j * rng.normal(size=(P, 2 * Mb + 1, 3, 2))
     q = TrigPoly({0: 1.3 + 0.2j, 2: 0.4 - 0.1j, -2: 0.3j, 4: -0.25, -7: 0.15 + 0.05j})
     far = TrigPoly({9: 0.7 - 0.3j, -9: 0.2})  # |j| > Ma + Mb: no index-matched term
     x = 2.0 * np.pi * np.arange(64) / 64
 
     def values(c):
-        M = (len(c) - 1) // 2
-        return np.tensordot(np.exp(1j * np.outer(x, np.arange(-M, M + 1))), c, axes=1)
+        M = (c.shape[1] - 1) // 2
+        return np.einsum("xi,pi...->px...", np.exp(1j * np.outer(x, np.arange(-M, M + 1))), c)
 
     va, vb = values(a), values(b)
     for poly in (q, far, q - far):
-        ref = np.mean(poly(x)[:, None, None] * va * np.conj(vb), axis=0).sum()
+        ref = np.mean(poly(x)[None, :, None, None] * va * np.conj(vb), axis=1).sum(axis=(1, 2))
         for got in (poly.overlap(a, b), np.conj(poly.conj().overlap(b, a))):
-            assert abs(got - ref) <= 1e-13 * np.abs(q(x)).max() * np.abs(va).max() * np.abs(vb).max()
-    assert far.overlap(a, b) == 0
-    assert (q - far).overlap(a, b) == q.overlap(a, b)
+            assert got.shape == (P,)
+            for p in range(P):
+                assert abs(got[p] - ref[p]) <= (1e-13 * np.abs(q(x)).max() * np.abs(va[p]).max()
+                                                * np.abs(vb[p]).max())
+    assert np.all(far.overlap(a, b) == 0)
+    assert np.array_equal((q - far).overlap(a, b), q.overlap(a, b))
+    # a batch of one is the row it holds
+    np.testing.assert_allclose(q.overlap(a[1:2], b[1:2]), q.overlap(a, b)[1:2], rtol=1e-15)
 
 
 def _ior(q):
