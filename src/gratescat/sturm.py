@@ -29,7 +29,10 @@ Sign caution: with the equation written this way the constant-coefficient
 spectrum is lambda_m = k^2 q0 - (m + alpha1)^2, so it is -lambda that grows
 like (n + shift)^2 - k^2 qbar for large |m|; :func:`check_asymptotics` fits
 -lambda and resolves empirically which shift convention (alpha1 itself or
-alpha1 / 2pi) the spectrum follows, instead of assuming one.
+alpha1 / 2pi) the spectrum follows, instead of assuming one, and reports
+alpha1 as degenerate where both fit and the tail cannot tell them apart.  It
+reads every eigenfunction of the fit in one batched
+:meth:`SLSpectrum.eigenfunction_values`, from one evaluation of the basis.
 """
 
 from __future__ import annotations
@@ -133,10 +136,13 @@ class SLSpectrum:
             raise ValidationError(f"sturm.SLSpectrum: no entry for branch ({sign:+d}, {n})")
         return self.entries[key]
 
-    def eigenfunction_values(self, entry: SLEntry, x1) -> np.ndarray:
+    def eigenfunction_values(self, entries, x1) -> np.ndarray:
+        """The (P, len(entries)) values at P points x1 of a sequence of entries'
+        eigenfunctions, from one evaluation of the Fourier basis."""
         m = np.arange(-self.problem.M, self.problem.M + 1)
         x1 = np.asarray(x1, dtype=float)
-        return np.exp(1j * np.outer(x1, m + self.problem.alpha1)) @ entry.coeffs
+        C = np.reshape([e.coeffs for e in entries], (-1, m.size)).T
+        return np.exp(1j * np.outer(x1, m + self.problem.alpha1)) @ C
 
 
 def _key(m: int) -> tuple:
@@ -417,92 +423,81 @@ class AsymptoticsReport:
     eigenvalue_remainders: dict
 
 
-def _loglog_slope(ns, vals) -> float | None:
-    ns = np.asarray(ns, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    keep = vals > 0
+def _loglog_slope(ns, vals, floor) -> float | None:
+    """Decay exponent of the values above ``floor`` against n; None for fewer than 4."""
+    keep = vals > floor
     if np.count_nonzero(keep) < 4:
         return None
-    coef = np.polyfit(np.log(ns[keep]), np.log(vals[keep]), 1)
-    return float(-coef[0])
+    return float(-np.polyfit(np.log(np.asarray(ns, dtype=float)[keep]), np.log(vals[keep]), 1)[0])
 
 
 def check_asymptotics(spectrum: SLSpectrum) -> AsymptoticsReport:
     """Fit -lambda_n against (n + s)^2 - k^2 qbar and resolve the shift convention.
 
     Candidates are s = alpha1 (forced by the quasi-period factor) and
-    s = alpha1 / 2pi (the printed convention); the empirically matching one is
-    reported together with the fitted mean term and the decay exponents of the
-    eigenvalue remainder and of the sup-norm eigenfunction deviation.
-    The fit reads the pairs (+-1, n), 4 <= n <= M // 2 (clear of the
-    truncation), whose labels are both decided; fewer than 8 raise
-    :class:`ValidationError`, which counts the pairs in range left undecided.
-    Raises :class:`FitInconclusive` if neither candidate matches.
+    s = alpha1 / 2pi (the printed convention).  One fits if every tail
+    remainder lies in the Gershgorin disc, radius + ``_RESIDUAL_TOL`` *
+    ``matrix_norm``, where :func:`solve_sl` holds each labelled eigenvalue.
+    The fitting one of smaller tail remainders is reported; if both fit and
+    those are not below a quarter of the candidates' separation, the tail
+    cannot tell them apart and ``alpha1`` is reported with
+    ``shift_degenerate``.  The report holds the fitted mean term and the
+    decay exponents of the eigenvalue remainder and of the sup-norm
+    eigenfunction deviation.  The fit reads the pairs (+-1, n),
+    4 <= n <= M // 2 (clear of the truncation), whose labels are both
+    decided; fewer than 8 raise :class:`ValidationError`, which counts the
+    pairs in range left undecided.  Raises :class:`FitInconclusive` if
+    neither candidate fits.
     """
     problem = spectrum.problem
-    avail = sorted(n for (s, n) in spectrum.entries if s == 1)
     n_min, n_max = 4, problem.M // 2
-    ns = [n for n in avail if n_min <= n <= n_max and (-1, n) in spectrum.entries]
+    ns = [n for n in range(n_min, n_max + 1)
+          if (1, n) in spectrum.entries and (-1, n) in spectrum.entries]
     if len(ns) < 8:
         undecided = {n for (_, n) in spectrum.undecided if n_min <= n <= n_max}
         raise ValidationError(
             f"sturm.check_asymptotics: need at least 8 branch pairs in range, got {len(ns)}; "
             f"{len(undecided)} pairs in range {n_min}..{n_max} have an undecided label")
+    entries = [spectrum.entries[(sign, n)] for sign in (1, -1) for n in ns]
+    lam = np.reshape([e.lam for e in entries], (2, -1))   # rows: the + and - branches
+    sign = np.array([[1], [-1]])
     mean_exact = problem.k ** 2 * problem.coeffs.mean
-    a1 = problem.alpha1
-    candidates = {"alpha1": a1, "alpha1_over_2pi": a1 / (2.0 * np.pi)}
-
-    def remainders(s):
-        out = {}
-        for n in ns:
-            for sign in (1, -1):
-                lam = spectrum.entry(sign, n).lam
-                out[(sign, n)] = (-lam) - (n + sign * s) ** 2 + mean_exact
-        return out
-
-    rems = {name: remainders(s) for name, s in candidates.items()}
-    tail = [n for n in ns[-max(3, len(ns) // 4):]]
-    endmag = {name: max(abs(rems[name][(sg, n)]) for n in tail for sg in (1, -1))
-              for name in candidates}
+    candidates = {"alpha1": problem.alpha1, "alpha1_over_2pi": problem.alpha1 / (2.0 * np.pi)}
+    # e^{i (sign n + s) x1}, the mean term lambda + (sign n + s)^2 each pair implies, the remainder
+    freq = {name: sign * np.array(ns) + s for name, s in candidates.items()}
+    fitted = {name: lam + f ** 2 for name, f in freq.items()}
+    rems = {name: mean_exact - f for name, f in fitted.items()}
+    tail = slice(-max(3, len(ns) // 4), None)
+    endmag = {name: float(np.max(np.abs(r[:, tail]))) for name, r in rems.items()}
+    disc = problem.gershgorin()[1] + _RESIDUAL_TOL * spectrum.matrix_norm
+    fits = [name for name in candidates if endmag[name] <= disc]
+    if not fits:
+        raise FitInconclusive(
+            "sturm.check_asymptotics: neither shift candidate fits the spectrum "
+            f"(residuals {endmag['alpha1']:.3e} / {endmag['alpha1_over_2pi']:.3e} "
+            f"vs Gershgorin radius {disc:.3e})")
+    best = min(fits, key=endmag.get)
     sep = 2.0 * n_max * abs(candidates["alpha1"] - candidates["alpha1_over_2pi"])
-    degenerate = sep < 1e-9 * max(1.0, n_max)
+    degenerate = len(fits) == 2 and endmag[best] >= 0.25 * sep
     if degenerate:
         best = "alpha1"
-    else:
-        best = min(endmag, key=endmag.get)
-        if endmag[best] > 0.25 * sep:
-            raise FitInconclusive(
-                "sturm.check_asymptotics: neither shift candidate matches "
-                f"(residuals {endmag['alpha1']:.3e} / {endmag['alpha1_over_2pi']:.3e} "
-                f"vs separation {sep:.3e})")
-    s = candidates[best]
     rem = rems[best]
-    # Fitted mean from the largest indices (least remainder contamination).
-    fit_vals = [spectrum.entry(sg, n).lam + (n + sg * s) ** 2
-                for n in tail for sg in (1, -1)]
-    mean_fitted = complex(np.mean(fit_vals))
-    scale = max(abs(mean_exact), 1.0)
-    ev_mag = np.array([max(abs(rem[(1, n)]), abs(rem[(-1, n)])) for n in ns])
-    floor = 1e-12 * scale
-    ev_exp = _loglog_slope(ns, np.where(ev_mag > floor, ev_mag, 0.0))
+    # Fitted mean from the largest indices (least remainder contamination),
+    # summed in order of n, the + branch before the -.
+    mean_fitted = complex(np.mean(fitted[best][:, tail].ravel(order="F")))
+    ev_exp = _loglog_slope(ns, np.max(np.abs(rem), axis=0), 1e-12 * max(abs(mean_exact), 1.0))
     # Eigenfunction deviation in sup norm on a fixed grid.
     x = np.linspace(0.0, 2.0 * np.pi, 257)
-    devs = {}
-    for n in ns:
-        worst = 0.0
-        for sign in (1, -1):
-            e = spectrum.entry(sign, n)
-            ref = np.exp(1j * (sign * n + s) * x)
-            worst = max(worst, float(np.max(np.abs(
-                spectrum.eigenfunction_values(e, x) - ref))))
-        devs[n] = worst
-    dev_arr = np.array([devs[n] for n in ns])
-    ef_exp = _loglog_slope(ns, np.where(dev_arr > 1e-13, dev_arr, 0.0))
+    values = spectrum.eigenfunction_values(entries, x).reshape(x.size, 2, -1)
+    dev = np.max(np.abs(values - np.exp(1j * np.multiply.outer(x, freq[best]))), axis=(0, 1))
+    ef_exp = _loglog_slope(ns, dev, 1e-13)
     return AsymptoticsReport(
-        shift_convention=best, shift_value=float(s),
+        shift_convention=best, shift_value=float(candidates[best]),
         mean_term_fitted=mean_fitted, mean_term_exact=complex(mean_exact),
         eigenvalue_decay_exponent=ev_exp, eigenfunction_decay_exponent=ef_exp,
-        shift_degenerate=degenerate, eigenvalue_remainders=rem)
+        shift_degenerate=degenerate,
+        eigenvalue_remainders={(sg, n): complex(r) for sg, row in zip((1, -1), rem)
+                               for n, r in zip(ns, row)})
 
 
 def write_spectrum_csv(spectrum: SLSpectrum, path) -> None:

@@ -60,7 +60,7 @@ class SeparableSolution:
         """Pointwise residual of -Lap E3 - k^2 q E3, relative to the field scale."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         prob = self.spectrum.problem
-        v = self.spectrum.eigenfunction_values(self.entry, pts[:, 0])
+        v = self.spectrum.eigenfunction_values([self.entry], pts[:, 0])[:, 0]
         vpp = eigenfunction_derivative2(self.spectrum, self.entry, pts[:, 0])
         uu = self.u.values(pts[:, 1])
         upp = self.u.mu * uu

@@ -1,6 +1,8 @@
 import copy
 import hashlib
+import math
 import pickle
+import re
 import warnings
 import weakref
 
@@ -10,11 +12,11 @@ import scipy.linalg
 import scipy.optimize
 
 from gratescat import (DipoleDensity, MediumProfile, PlaneWaveIncidence, Quasimomentum,
-                       SLProblem, TangentialField, assemble_dtn, build_modeset, efficiencies,
-                       solve_layer_modes, solve_qpbvp, solve_scattering, solve_sl)
-from gratescat import forward
+                       SLProblem, TangentialField, apply_R, assemble_dtn, build_modeset,
+                       efficiencies, solve_layer_modes, solve_qpbvp, solve_scattering, solve_sl)
+from gratescat import forward, lattice
 from gratescat.errors import (EigenFailure, IllConditionedBasis, SingularMatch,
-                              TruncationMismatch, ValidationError)
+                              TruncationMismatch, ValidationError, WoodAnomaly)
 from gratescat.forward import Slab
 from gratescat.lattice import TrigPoly
 
@@ -1368,3 +1370,97 @@ def test_dtn_x1_mirror_maps_q_to_its_reflection_at_minus_alpha1(stack, N, alpha)
     P1 = np.concatenate([flip, flip + m])
     S = np.concatenate([np.ones(m), -np.ones(m)])
     assert np.linalg.norm(T - S[:, None] * T_mirror[np.ix_(P1, P1)] * S) <= 1e-12 * np.linalg.norm(T)
+
+
+def _eigensolve_fails(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(scipy.linalg, "eig", fail)
+    solve_layer_modes(MediumProfile.from_coeffs({0: 1.5, 1: 0.15, -1: 0.15}, B), 0, _modeset(2))
+
+
+@pytest.mark.parametrize("refuse, error, where", [
+    (lambda mp: MediumProfile([]), ValidationError, "forward.MediumProfile:"),
+    (_eigensolve_fails, EigenFailure, "forward.solve_layer_modes: eigensolve failed at slab 0"),
+    (lambda mp: forward.expand_incidence(object(), _modeset(2)), ValidationError,
+     "forward.expand_incidence:"),
+], ids=["empty-profile", "eigensolve-failure", "unsupported-incidence"])
+def test_refusal_names_its_guard(monkeypatch, refuse, error, where):
+    with pytest.raises(error, match="^" + re.escape(where)):
+        refuse(monkeypatch)
+
+
+# A lossless 2-slab stack, bottom to top.
+LOSSLESS_TWO_SLAB = [(0.3, {0: 1.5, 1: 0.1, -1: 0.1}), (0.5, {0: 1.8, 2: 0.05, -2: 0.05})]
+
+
+def test_wood_approach_refused_exactly_at_the_guard(monkeypatch):
+    # Walk theta1 = acos(alpha1 / k) onto the Wood anomaly of mode (-1, 0):
+    # alpha1 = 1 - k sqrt(1 -+ e^2) gives |beta_(-1,0)| = e k, propagating on
+    # the - side and evanescent on the + side.  At k = 1.25 the modes (1, +-1)
+    # reach the same circle at alpha = (-1/4, 0), as 0.75^2 + 1 = 1.25^2, and
+    # (1, -1) comes first in the mode order.  A point either solves, with a
+    # divergence-free scattered field and |sum eff - 1| <= u max(condition, 1)
+    # (C = 1; the walk reads at most 0.017), or build_modeset refuses it, and
+    # it is refused exactly when the smallest |beta_n| is <= WOOD_TOL k.  Near
+    # the circle alpha1 moves in steps of its ulp, which puts |beta| off e k,
+    # so |beta| is read from a mode set built with the guard off.
+    k, N = 1.25, 4
+    prof = MediumProfile([Slab(h, c) for h, c in LOSSLESS_TWO_SLAB])
+    u = np.finfo(float).eps / 2
+    refused, closest = [], []
+    for side in (-1, 1):
+        for e in np.logspace(-2, -11, 30):
+            theta1 = math.acos((1.0 - k * math.sqrt(1.0 + side * e * e)) / k)
+            alpha = Quasimomentum.from_angles(k, theta1, 0.0)
+            with monkeypatch.context() as mp:
+                mp.setattr(lattice, "WOOD_TOL", -1.0)   # |beta| <= -k never holds
+                beta = np.min(np.abs(build_modeset(k, alpha, N).beta))
+            if beta <= lattice.WOOD_TOL * k:
+                with pytest.raises(WoodAnomaly) as ex:
+                    build_modeset(k, alpha, N)
+                assert ex.value.mode in {(-1, 0), (1, -1), (1, 1)}
+                refused.append(e)
+                continue
+            closest.append(beta)
+            ms = build_modeset(k, alpha, N)
+            inc = PlaneWaveIncidence.from_angles(k, theta1, 0.0, pol_seed=(0.3, 0.9, 0.2))
+            res = solve_scattering(prof, inc, ms)
+            res.scattered.validate_divergence()
+            total = sum(efficiencies(res.scattered, inc).values())
+            assert abs(total - 1.0) <= u * max(res.condition, 1.0)
+    # the walk solves within 2x of the guard and is refused below it
+    assert min(closest) <= 2 * lattice.WOOD_TOL * k
+    assert len(refused) >= 20 and max(refused) < 2e-8
+
+
+@pytest.mark.parametrize("N", [4, 8])
+@pytest.mark.parametrize("stack", ["absorbing", "lossless"])
+@pytest.mark.parametrize("source", ["plane-wave", "dipole-sheet"])
+def test_scattering_meets_the_transparent_condition(source, stack, N):
+    # At x3 = b the total field's rotated trace f = (-E2, E1) satisfies
+    # T f = curl_t E_inc + R(f - f_inc): the layer's boundary map on one
+    # side, the incident field plus an upgoing scattered field on the other.
+    # Measured, with one BLAS thread and with the default count: at most
+    # 9.4e-16 relative for the plane wave and 1.4e-13 for the dipole sheet.
+    ms = _modeset(N)
+    slabs = RECIPROCITY_CASES["two-slab"] if stack == "absorbing" else LOSSLESS_TWO_SLAB
+    prof = MediumProfile([Slab(h, c) for h, c in slabs])
+    if source == "plane-wave":
+        inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2, pol_seed=(0.3, 0.9, 0.2))
+    else:
+        rng = np.random.default_rng(7)
+        coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
+        coeffs[:, :2] = rng.normal(size=(ms.num_modes, 2)) + 1j * rng.normal(size=(ms.num_modes, 2))
+        inc = DipoleDensity(ms, 1.6, coeffs)
+    res = solve_scattering(prof, inc, ms)
+    E = res.field.mode_coefficients(prof.b)
+    C = res.incident.rebase(prof.b).coeffs
+    a1, a2, beta = ms.alpha_n[:, 0], ms.alpha_n[:, 1], ms.beta
+    curl_inc = 1j * np.concatenate([a2 * C[:, 2] + beta * C[:, 1], -beta * C[:, 0] - a1 * C[:, 2]])
+    scattered = TangentialField.from_components(ms, C[:, 1] - E[:, 1], E[:, 0] - C[:, 0], prof.b)
+    R = apply_R(scattered).coeffs
+    T = oracles.dtn_matrix(assemble_dtn(prof, ms), ms)
+    lhs = T @ np.concatenate([-E[:, 1], E[:, 0]])
+    rhs = curl_inc + np.concatenate([R[:, 0], R[:, 1]])
+    assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)

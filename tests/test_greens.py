@@ -246,3 +246,32 @@ def test_incident_matches_quadrature_oracle():
         gbar = yphase @ gvals * (2 * np.pi / G) ** 2
         oracle += coef * (K ** 2 * gbar - np.dot(kappa, gbar) * kappa)
     assert np.max(np.abs(value - oracle)) / np.max(np.abs(value)) <= 1e-8
+
+
+def _tilted_d(theta1=1.1, theta2=0.3):
+    return np.array([math.cos(theta1) * math.cos(theta2), math.cos(theta1) * math.sin(theta2),
+                     -math.sin(theta1)])
+
+
+def _density(g3):
+    ms = build_modeset(K, ALPHA, 2)
+    coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
+    coeffs[ms.mode0] = (1.0, 0.5j, g3)
+    return DipoleDensity(ms, 1.6, coeffs)
+
+
+@pytest.mark.parametrize("refuse, where", [
+    (lambda: PlaneWaveIncidence(np.zeros(2), np.array([0.0, 0.0, -1.0]), K),
+     "greens.PlaneWaveIncidence:"),
+    (lambda: PlaneWaveIncidence(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -2.0]), K),
+     "greens.PlaneWaveIncidence:"),
+    (lambda: PlaneWaveIncidence.from_angles(K, 1.1, 0.3, pol_seed=_tilted_d()),
+     "greens.PlaneWaveIncidence.from_angles:"),
+    (lambda: DipoleDensity(build_modeset(K, ALPHA, 2), 1.6, np.zeros((3, 3))),
+     "greens.DipoleDensity:"),
+    (lambda: _density(0.1), "greens.DipoleDensity:"),
+], ids=["p-not-a-3-vector", "d-not-unit", "seed-parallel-to-d", "density-shape",
+        "density-not-tangential"])
+def test_refusal_names_its_guard(refuse, where):
+    with pytest.raises(ValidationError, match="^" + re.escape(where)):
+        refuse()

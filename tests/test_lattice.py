@@ -268,3 +268,17 @@ def test_trigpoly_copies_keep_the_coefficient_order(copy_of):
     assert list(q.items()) == list(TRIG.items())
     with pytest.raises(TypeError, match="immutable"):
         q[0] = 1.0
+
+
+@pytest.mark.parametrize("refuse, where", [
+    (lambda: Quasimomentum(math.nan, 0.1), "lattice.Quasimomentum:"),
+    (lambda: Quasimomentum(0.2, math.inf), "lattice.Quasimomentum:"),
+    (lambda: Quasimomentum.from_angles(0.0, 1.0, 0.3), "lattice.Quasimomentum.from_angles:"),
+    (lambda: build_modeset(1.2, Quasimomentum(0.23, 0.11), 2).index_of(3, 0), "lattice.ModeSet:"),
+    (lambda: build_modeset(1.2, Quasimomentum(0.23, 0.11), 2).index_of(0, -3), "lattice.ModeSet:"),
+    (lambda: build_modeset(-1.2, Quasimomentum(0.23, 0.11), 2), "lattice.build_modeset:"),
+], ids=["alpha1-nan", "alpha2-inf", "from-angles-k-zero", "index-n1-outside",
+        "index-n2-outside", "negative-k"])
+def test_refusal_names_its_guard(refuse, where):
+    with pytest.raises(ValidationError, match="^" + re.escape(where)):
+        refuse()

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -211,3 +212,24 @@ def test_csv_roundtrip_and_determinism(tmp_path):
     assert len(lines) == 1 + ms.num_modes
     row = lines[1 + ms.mode0].split(",")
     np.testing.assert_allclose(float(row[2]), fld.coeffs[ms.mode0, 0].real, rtol=1e-16)
+
+
+def _plane_wave(p=None):
+    inc = PlaneWaveIncidence.from_angles(K, 1.05, 0.4)
+    return inc if p is None else PlaneWaveIncidence(p, inc.d, K)
+
+
+def _field(direction):
+    ms = _modeset(2)
+    return RayleighField(ms, np.zeros((ms.num_modes, 3)), direction=direction)
+
+
+@pytest.mark.parametrize("refuse, where", [
+    (lambda: TangentialField(_modeset(2), np.zeros((3, 3))), "rayleigh_dtn:"),
+    (lambda: _field("sideways"), "rayleigh_dtn.RayleighField:"),
+    (lambda: efficiencies(_field("down"), _plane_wave()), "rayleigh_dtn.efficiencies:"),
+    (lambda: efficiencies(_field("up"), _plane_wave(np.zeros(3))), "rayleigh_dtn.efficiencies:"),
+], ids=["coefficient-shape", "direction", "downgoing-scattered", "zero-polarization"])
+def test_refusal_names_its_guard(refuse, where):
+    with pytest.raises(ValidationError, match="^" + re.escape(where)):
+        refuse()

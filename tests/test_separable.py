@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gratescat import SLProblem, build_u, moment_kernels, solve_sl
-from gratescat.errors import DegenerateDenominator, ZeroLambda
+from gratescat.errors import DegenerateDenominator, ValidationError, ZeroLambda
 from gratescat.lattice import TrigPoly
 from gratescat.separable import _log_interval_integral, transverse_overlap
 
@@ -201,8 +201,8 @@ def _a1_trapezoid(spec1, e_n, spec2, e_m, qdiff):
     G = 2 * (spec1.problem.M + spec2.problem.M + max(abs(j) for j in qdiff)) + 9
     x = TWO_PI * np.arange(G) / G
     dq = sum(c * np.exp(1j * j * x) for j, c in qdiff.items())
-    vn = spec1.eigenfunction_values(e_n, x)
-    vm = spec2.eigenfunction_values(e_m, x)
+    vn = spec1.eigenfunction_values([e_n], x)[:, 0]
+    vm = spec2.eigenfunction_values([e_m], x)[:, 0]
     return np.sum(vn * np.conj(vm) * dq) * TWO_PI / G
 
 
@@ -297,3 +297,11 @@ def test_log_interval_integral_branches_are_evaluated_apart():
     mid = w[3]
     np.testing.assert_allclose(np.exp(batch[3]), (np.exp(TWO_PI * mid) - 1) / mid, rtol=1e-14)
     np.testing.assert_allclose(batch[4], 1j * np.pi - np.log(w[4] + 0j), rtol=1e-14)
+
+
+def test_moment_kernels_refuse_spectra_of_different_alpha1():
+    spec1 = solve_sl(SLProblem({0: 1.4}, K, ALPHA1, 8), branches=[])
+    spec2 = solve_sl(SLProblem({0: 1.4}, K, ALPHA1 + 1e-12, 8), branches=[])
+    with pytest.raises(ValidationError,
+                       match="^separable.moment_kernels: spectra use different alpha1"):
+        moment_kernels(spec1, [], spec2, [], None, None, {0: 0.1})

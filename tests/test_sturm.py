@@ -642,3 +642,46 @@ def test_singular_band_lu_names_only_its_blocks(monkeypatch, alpha1, branches, n
     pattern = "singular band LU at branches " + ", ".join(map(_name, names)) + "$"
     with pytest.raises(EigenFailure, match=pattern):
         solve_sl(SLProblem(_COMPLEX_Q, K, alpha1, 24), branches=branches)
+
+
+@pytest.mark.parametrize("alpha1", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_asymptotics_degenerate_shift_at_small_alpha1(alpha1):
+    # The README profile with q_2 = 0.05i added, as `gratescat sturm` reads it
+    # at theta2 = 0.  The candidates alpha1 and alpha1 / 2pi differ by less
+    # than the O(1/n) remainder, so the tail cannot tell them apart, yet every
+    # pair in range is decided and both fit the Gershgorin discs.
+    prob = SLProblem({0: 1.5 + 0.1j, 1: 0.15, -1: 0.15, 2: 0.05j}, 1.25, alpha1, 64)
+    rep = check_asymptotics(solve_sl(prob))
+    assert rep.shift_convention == "alpha1" and rep.shift_value == alpha1
+    assert rep.shift_degenerate
+
+
+def test_asymptotics_evaluates_every_eigenfunction_in_one_batch(monkeypatch):
+    # eigenfunction_values takes a sequence of entries, one column each, and
+    # check_asymptotics hands it every pair of its fit (n = 4..32) at once
+    spec = solve_sl(SLProblem(_COMPLEX_Q, K, ALPHA1, 64))
+    entries = [spec.entry(1, 5), spec.entry(-1, 9), spec.entry(1, 30)]
+    x = np.linspace(0.0, 2.0 * np.pi, 13)
+    batch = spec.eigenfunction_values(entries, x)
+    assert batch.shape == (13, 3)
+    for j, e in enumerate(entries):
+        one = spec.eigenfunction_values([e], x)
+        assert one.shape == (13, 1)
+        np.testing.assert_allclose(batch[:, j], one[:, 0], rtol=1e-14, atol=0)
+    calls = []
+    values = sturm.SLSpectrum.eigenfunction_values
+    monkeypatch.setattr(sturm.SLSpectrum, "eigenfunction_values",
+                        lambda self, entries, x1: calls.append(len(entries)) or values(self, entries, x1))
+    check_asymptotics(spec)
+    assert calls == [2 * 29]
+
+
+@pytest.mark.parametrize("refuse, where", [
+    (lambda: SLProblem({0: 1.4}, -1.0, ALPHA1, 8), "sturm.SLProblem: k must be > 0"),
+    (lambda: SLProblem({0: 1.4}, 0.0, ALPHA1, 8), "sturm.SLProblem: k must be > 0"),
+    (lambda: solve_sl(SLProblem({0: 1.4}, K, ALPHA1, 8), branches=[(1, 3)]).entry(1, 4),
+     "sturm.SLSpectrum: no entry for branch (+1, 4)"),
+], ids=["negative-k", "zero-k", "entry-not-solved"])
+def test_refusal_names_its_guard(refuse, where):
+    with pytest.raises(ValidationError, match="^" + re.escape(where)):
+        refuse()
