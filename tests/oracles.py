@@ -98,8 +98,10 @@ def layer_fields(field, x3, derivatives: bool = False):
 
     With ``derivatives`` also dE_t/dx3 and dH_t/dx3, third column zero.  The
     heights are grouped by ``MediumProfile.slab_of`` and gathered by index,
-    and H3 = (1/k)(D1 E2 - D2 E1); E takes the arithmetic of
-    ``LayerField.mode_coefficients``, so the two agree bit for bit.
+    and H3 = (1/k)(D1 E2 - D2 E1).  E is formed independently of
+    ``LayerField.mode_coefficients``: complex exponentials for the propagation
+    factors and E3 = -(1/k) Q^-1 (D1 H2 - D2 H1) from H_t = V (up - dn), so the
+    two agree to rounding, not bit for bit (test_forward's ``_FIELD_TOL``).
     """
     ms = field.modeset
     mb = ms.block_size

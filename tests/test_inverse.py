@@ -87,6 +87,20 @@ def test_gap_rejects_heights_beyond_tolerance():
         reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gap_boundary_data_cannot_be_non_finite(bad):
+    # a NaN datum used to give a NaN trace and gap = nan with no error
+    ms = _modeset(3)
+    q1, q2 = _profiles()
+    f, g = _tangential(ms, 4), _tangential(ms, 5)
+    assert reciprocity_gap(q1, q2, f, g, ms)["gap"] <= 1e-6
+    for make in (lambda: f * bad, lambda: g - f * bad):
+        # 0 * inf in the zero third column is the caller's own invalid value
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValidationError, match=r"^rayleigh_dtn: non-finite coefficient"):
+            reciprocity_gap(q1, q2, f, make(), ms)
+
+
 def test_gap_evaluates_each_field_once_per_segment(monkeypatch):
     # slabs split at 0.3 and 0.45: three x3 segments, one batched call per
     # field and segment at all of its Gauss nodes, as many as the order rule

@@ -115,6 +115,25 @@ def test_tangential_field_rejects_vertical_component():
         TangentialField(ms, coeffs)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                                 complex(1.0, np.inf)])
+@pytest.mark.parametrize("make", [
+    lambda ms, c: TangentialField(ms, c),
+    lambda ms, c: TangentialField.from_components(ms, c[:, 0], c[:, 1]),
+    lambda ms, c: RayleighField(ms, c, direction="up"),
+], ids=["tangential", "from-components", "rayleigh"])
+def test_non_finite_coefficient_refused_naming_its_mode(make, bad):
+    # the first non-finite mode is named; a later one does not mask it
+    ms = _modeset(3)
+    coeffs = np.ones((ms.num_modes, 3), dtype=complex)
+    coeffs[:, 2] = 0.0
+    make(ms, coeffs.copy())
+    coeffs[ms.index_of(2, -1), 1] = bad
+    coeffs[ms.index_of(-1, 3), 0] = np.nan
+    with pytest.raises(ValidationError, match=r"^rayleigh_dtn: non-finite coefficient at mode \(2,-1\)"):
+        make(ms, coeffs)
+
+
 def _upgoing_field(ms, seed=0):
     rng = np.random.default_rng(seed)
     coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
