@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -735,12 +735,16 @@ def assemble_dtn(profile: MediumProfile, modeset: ModeSet) -> np.ndarray:
 class ScatteringResult:
     field: LayerField            # total field inside the layer
     scattered: RayleighField     # upgoing Rayleigh sequence, referenced at b
-    incident: RayleighField      # downgoing expansion, referenced at 0
+    incident: RayleighField      # downgoing expansion, referenced at b
     condition: float             # largest 1-norm condition: exact for eigenbases, gecon elsewhere
 
 
-def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:
-    """Downgoing modal expansion of a plane wave or dipole-sheet incidence."""
+def expand_incidence(incidence, modeset: ModeSet, height: float) -> RayleighField:
+    """Downgoing modal expansion of a plane wave or dipole-sheet incidence at x3 = ``height``.
+
+    Each mode's factor is formed at that plane, e^{-i beta_0 height} for a
+    plane wave and e^{i beta (a - height)} for a sheet at a, so none grows.
+    """
     if isinstance(incidence, PlaneWaveIncidence):
         if abs(incidence.k - modeset.k) > 1e-12 * modeset.k:
             raise TruncationMismatch("forward.expand_incidence: wavenumber mismatch")
@@ -750,10 +754,11 @@ def expand_incidence(incidence, modeset: ModeSet) -> RayleighField:
                 "forward.expand_incidence: plane-wave direction does not match the "
                 "mode-set quasimomentum")
         coeffs = np.zeros((modeset.num_modes, 3), dtype=complex)
-        coeffs[modeset.mode0] = incidence.p
-        return RayleighField(modeset, coeffs, height=0.0, direction="down")
-    if isinstance(incidence, DipoleDensity):
-        return incident_from_density(incidence, modeset)
+        coeffs[modeset.mode0] = incidence.p * np.exp(-1j * modeset.beta[modeset.mode0] * height)
+        return RayleighField(modeset, coeffs, height=height, direction="down")
+    if isinstance(incidence, DipoleDensity):   # the sheet at a - height, seen from 0
+        moved = incident_from_density(replace(incidence, height=incidence.height - height), modeset)
+        return RayleighField(modeset, moved.coeffs, height=height, direction="down")
     raise ValidationError(f"forward.expand_incidence: unsupported incidence {type(incidence)!r}")
 
 
@@ -771,9 +776,8 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     stack = _stack(profile, modeset)
     ms = modeset
     mb = ms.block_size
-    incident0 = expand_incidence(incidence, ms)
-    inc_b = incident0.rebase(profile.b)
-    C = inc_b.coeffs
+    incident = expand_incidence(incidence, ms, profile.b)
+    C = incident.coeffs
     a1 = ms.alpha_n[:, 0]
     a2 = ms.alpha_n[:, 1]
     beta = ms.beta
@@ -798,4 +802,4 @@ def solve_scattering(profile: MediumProfile, incidence, modeset: ModeSet) -> Sca
     scat[:, 2] = s3
     scattered = RayleighField(ms, scat, height=profile.b, direction="up")
     return ScatteringResult(LayerField(profile, stack, d), scattered,
-                            incident0, max(stack.max_cond, cond))
+                            incident, max(stack.max_cond, cond))

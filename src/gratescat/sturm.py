@@ -11,16 +11,16 @@ shifted inverse iteration on the band matrix: A has half-bandwidth deg q, and
 the branch-m eigenvalue lies in the Gershgorin disc of radius
 k^2 sum_{j != 0} |q_j| around its anchor k^2 q0 - (m + alpha1)^2.  Anchors
 whose discs overlap form a cluster, and every cluster that holds a wanted
-anchor is a run of columns of one block, iterated with LAPACK's band LU
-(gbtrf/gbtrs).  An anchor alone in its disc is a cluster of one; its column
-lives on a principal band submatrix, the window outside which an a-priori
-decay bound puts the branch's eigenvector below 2^-60, and takes its
-Rayleigh quotient.  A larger cluster spans every row and takes the Ritz
-pairs of A projected on its columns.  Each step applies A once to every
-column still iterating, on the rows their windows span, and factors all
-their shifted windows at once as one block-diagonal band matrix.  A column
-is zero outside its window, so its quotients and residual are those of the
-full matrix, and every acceptance test holds there.  An eigenvector takes
+anchor is iterated with the others, with LAPACK's band LU (gbtrf/gbtrs).  An
+anchor alone in its disc is a cluster of one; its column lives on a window,
+outside which an a-priori decay bound puts the branch's eigenvector below
+2^-60, and takes its Rayleigh quotient.  A larger cluster spans every row and
+takes the Ritz pairs of A projected on its columns.  Every column is one
+segment of a single vector, its window padded by deg q zero rows on each
+side, so each step applies A once to the whole vector and the padding holds
+the rest of the full matrix's product: quotients and residuals are those of
+the full matrix, and every acceptance test holds there.  The shifted windows
+are factored at once as one block-diagonal band matrix.  An eigenvector takes
 the label of the member that clearly dominates it, and a member that no
 eigenvector decides is listed as undecided, not guessed.  Inverse iteration
 for a few eigenpairs: Ipsen, SIAM Review 39 (1997) 254.
@@ -154,49 +154,60 @@ def _names(ms) -> str:
     return ", ".join("({:+d}, {})".format(*_key(int(m))) for m in ms)
 
 
-def _band_apply(problem: SLProblem, anchors: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X from q's coefficients: (A X)[a] = anchor_a X[a] + k^2 sum_{j != 0} q_j X[a - j]."""
-    k2 = problem.k ** 2
-    out = anchors[:, None] * X
-    for j, c in problem.coeffs.items():
+def _segments(ab: np.ndarray, d: int, lo: np.ndarray, hi: np.ndarray):
+    """Column i as the segment of rows ``lo[i] - d <= row < hi[i] + d``, all in one vector.
+
+    Returns each entry's column and row of A (padding rows may lie outside
+    A), the mask of the window entries, and the windows' principal submatrices
+    as one block-diagonal band matrix, its entries that would couple two
+    windows zeroed, so partial pivoting never leaves a window.
+    """
+    width = hi - lo
+    col = np.repeat(np.arange(width.size), width + 2 * d)
+    local = np.arange(col.size) - np.repeat(np.cumsum(width + 2 * d) - width - d, width + 2 * d)
+    row = lo[col] + local
+    win = (local >= 0) & (local < width[col])
+    band = ab.T[row[win]].T   # Fortran order, so gbtrf factors its copies in place
+    t = local[win] + np.arange(-d, d + 1)[:, None]   # local row of each band entry
+    band[d:][(t < 0) | (t >= width[col[win]])] = 0.0
+    return col, row, win, band
+
+
+def _heads(col: np.ndarray, inside: np.ndarray, csize: np.ndarray, n: int):
+    """Each segment's first entry; per cluster size s > 1 the (c, n, s) A rows of its c clusters."""
+    blocks = [np.flatnonzero(inside & (csize[col] == s)).reshape(-1, s, n).transpose(0, 2, 1)
+              for s in np.unique(csize[col][csize[col] > 1])]
+    return np.flatnonzero(np.diff(col, prepend=-1)), blocks
+
+
+def _band_apply(diag: np.ndarray, shifts, inside: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A on each segment of v: diag v + c v shifted by j per (j, c = k^2 q_j), 0 off ``inside``."""
+    out = diag * v
+    for j, c in shifts:
         if j > 0:
-            out[j:] += k2 * c * X[:-j]
-        elif j < 0:
-            out[:j] += k2 * c * X[-j:]
+            out[j:] += c * v[:-j]
+        else:
+            out[:j] += c * v[-j:]
+    out[~inside] = 0.0
     return out
 
 
-def _band_solve(ab, d, lo, hi, theta, anorm, Y, names):
-    """Solve (A_i - theta_i) x_i = y_i on every window i of A in one band LU.
+def _band_solve(band, d, col, theta, anorm, y, names):
+    """Solve (A_i - theta_i) x_i = y_i on every window of ``band`` (:func:`_segments`) at once.
 
-    A_i is the principal band submatrix of A on rows ``lo[i] <= row < hi[i]``,
-    and y_i is column i of ``Y`` on those rows; the returned array holds x_i
-    there and is zero elsewhere.  The shifted windows sit side by side as one
-    block-diagonal band matrix, whose band entries that would couple one
-    window to the next are zeroed, so partial pivoting never leaves a block:
-    one gbtrf and one gbtrs serve them all.  A shift equal to an eigenvalue to
-    the last bit (a triangular A has its anchors as eigenvalues) leaves a zero
-    on U's diagonal; the shifts of those blocks are nudged by
-    ``_RESIDUAL_TOL * anorm`` once.  A block still singular raises
-    :class:`EigenFailure` naming the branches in its row of ``names``.
+    A shift equal to an eigenvalue to the last bit (a triangular A has its
+    anchors as eigenvalues) leaves a zero on U's diagonal; those windows'
+    shifts are nudged by ``_RESIDUAL_TOL * anorm`` once.  A window still
+    singular raises :class:`EigenFailure` naming its column ``col``'s ``names``.
     """
-    width = hi - lo
-    block = np.repeat(np.arange(width.size), width)
-    local = np.arange(block.size) - np.repeat(np.cumsum(width) - width, width)
-    rows = lo[block] + local
-    stacked = ab.T[rows].T   # Fortran order, so gbtrf factors its copies in place
-    t = local + np.arange(-d, d + 1)[:, None]   # local row of each band entry
-    stacked[d:][(t < 0) | (t >= width[block])] = 0.0
     shift = np.array(theta, dtype=complex)
     for _ in range(2):
-        band = stacked.copy(order="F")
-        band[2 * d] -= shift[block]
-        lu, piv, _ = _gbtrf(band, d, d, overwrite_ab=True)
-        singular = block[lu[2 * d] == 0]   # a block once per zero pivot; += nudges it once
+        shifted = band.copy(order="F")
+        shifted[2 * d] -= shift[col]
+        lu, piv, _ = _gbtrf(shifted, d, d, overwrite_ab=True)
+        singular = col[lu[2 * d] == 0]   # a column once per zero pivot; += nudges it once
         if singular.size == 0:
-            X = np.zeros(Y.shape, dtype=complex)
-            X[rows, block] = _gbtrs(lu, d, d, Y[rows, block], piv)[0]
-            return X
+            return _gbtrs(lu, d, d, y, piv)[0]
         shift[singular] += _RESIDUAL_TOL * anorm
     raise EigenFailure(
         f"sturm.solve_sl: singular band LU at branches {_names(np.unique(names[singular]))}")
@@ -241,17 +252,18 @@ def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
 
 def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
                     anorm: float, ms: np.ndarray, starts: np.ndarray, windows):
-    """Eigenpairs of the Gershgorin clusters ``ms[starts[c]:starts[c + 1]]``, all in one block.
+    """Eigenpairs of the Gershgorin clusters ``ms[starts[c]:starts[c + 1]]``, all in one vector.
 
     Column i starts as e_m for m = ms[i] and is zero outside the rows
     ``windows[0][i] <= row < windows[1][i]``, every row for a cluster of more
-    than one.  Each step applies A to the columns of every cluster still
-    iterating, on the rows their windows span widened by deg q, and takes
-    their Ritz pairs: a cluster of one its Rayleigh quotient, a larger one the
-    eigenpairs of A projected on its columns, which are orthonormalised after
-    the solve.  One band LU then solves all their shifted windows
-    (:func:`_band_solve`).  A cluster stops once each of its scaled residuals
-    is at most ``_RESIDUAL_TOL``.
+    than one: one segment of :func:`_segments`' vector, so a cluster of s is
+    an (n + 2 deg q, s) block.  Each step applies A once to the vector and
+    takes the Ritz pairs: a cluster of one its Rayleigh quotient, the larger
+    ones of each size the eigenpairs of A projected on their columns, in one
+    batched eig.  One band LU solves every shifted window still iterating,
+    and a larger cluster's columns are orthonormalised by one batched QR per
+    size.  A cluster leaves once each of its scaled residuals is at most
+    ``_RESIDUAL_TOL``.
 
     Each Ritz vector is labelled by the member it weighs most on.  With
     residual at most ``_RESIDUAL_TOL * anorm`` it is known to that over its
@@ -266,44 +278,48 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
     """
     d = problem.coeffs.degree
     n, p = anchors.size, ms.size
-    lo, hi = windows
-    size = starts[1:] - starts[:-1]
+    size = np.diff(starts)
     cid = np.repeat(np.arange(size.size), size)   # cluster of each column
     # names[i]: the members of column i's cluster, padded with its last one
     names = ms[np.minimum(starts[cid, None] + np.arange(size.max()), starts[cid + 1, None] - 1)]
-    larger = [tuple(starts[c:c + 2]) for c in np.flatnonzero(size > 1)]
-    X = np.zeros((n, p), dtype=complex, order="F")   # columns contiguous: X[:, active] is fast
-    X[ms + problem.M, np.arange(p)] = 1.0
-    theta = np.empty(p, dtype=complex)
-    res = np.empty(p)
-    active, ritz = np.arange(p), larger   # ritz: the larger clusters still iterating
+    col, row, win, band = _segments(ab, d, *windows)
+    inside = (row >= 0) & (row < n)
+    diag = anchors[np.clip(row, 0, n - 1)]
+    shifts = [(j, problem.k ** 2 * c) for j, c in problem.coeffs.items() if j != 0]
+    v = (row == ms[col] + problem.M).astype(complex)
+    head, blocks = _heads(col, inside, size[cid], n)
+    X = np.zeros((p, n), dtype=complex)   # rows: the unit vectors of the clusters that left
+    theta, res, norm = np.empty(p, dtype=complex), np.empty(p), np.empty(p)
     for step in range(_MAX_STEPS + 1):
-        span = slice(max(lo[active].min() - d, 0), min(hi[active].max() + d, n))
-        Xa = X[span, active]   # orthonormal columns within each cluster
-        AX = _band_apply(problem, anchors[span], Xa)
-        theta[active] = np.einsum("ij,ij->j", Xa.conj(), AX)
-        at = [slice(*np.searchsorted(active, se)) for se in ritz]   # their columns in Xa
-        for (s, e), c in zip(ritz, at):
-            theta[s:e], Z = scipy.linalg.eig(Xa[:, c].conj().T @ AX[:, c])
-            X[:, s:e] = Xa[:, c] = Xa[:, c] @ Z   # the span is every row while it iterates
-            AX[:, c] = AX[:, c] @ Z
-        res[active] = np.linalg.norm(AX - Xa * theta[active], axis=0) / anorm
-        going = res[active] > _RESIDUAL_TOL
-        for c in at:
-            going[c] = going[c].any()   # a cluster stops only once all its residuals pass
-        ritz = [se for se, c in zip(ritz, at) if going[c.start]]
-        active = active[going]
-        if active.size == 0:
-            break
+        av = _band_apply(diag, shifts, inside, v)
+        active = col[head]
+        theta[active] = np.add.reduceat(v.conj() * av, head)
+        for ix in blocks:   # orthonormal columns within each cluster
+            V, AV = v[ix], av[ix]
+            theta[col[ix[:, 0]]], Z = scipy.linalg.eig(V.conj().transpose(0, 2, 1) @ AV)
+            v[ix], av[ix] = V @ Z, AV @ Z
+        r = av - theta[col] * v
+        res[active] = np.sqrt(np.add.reduceat((r.conj() * r).real, head)) / anorm
+        # a cluster stops only once all its residuals pass
+        keep = (np.bincount(cid[active], res[active] > _RESIDUAL_TOL, size.size) > 0)[cid[col]]
+        if not keep.all():
+            X[col[~keep & inside], row[~keep & inside]] = v[~keep & inside]
+            band = band[:, keep[win]]
+            col, row, win, inside, diag, v = (a[keep] for a in (col, row, win, inside, diag, v))
+            if col.size == 0:
+                break
+            head, blocks = _heads(col, inside, size[cid], n)
         if step == _MAX_STEPS:
+            active = col[head]
             raise EigenFailure(
                 f"sturm.solve_sl: branches {_names(np.sort(ms[active]))} not converged in "
                 f"{_MAX_STEPS} steps (scaled residual {np.max(res[active]):.2e} > {_RESIDUAL_TOL:g})")
-        x = _band_solve(ab, d, lo[active], hi[active], theta[active], anorm, X[:, active],
-                        names[active])
-        X[:, active] = x / np.linalg.norm(x, axis=0)
-        for s, e in ritz:
-            X[:, s:e] = np.linalg.qr(x[:, slice(*np.searchsorted(active, (s, e)))])[0]
+        v[win] = _band_solve(band, d, col[win], theta, anorm, v[win], names)
+        Q = [np.linalg.qr(v[ix])[0] for ix in blocks]
+        norm[col[head]] = np.sqrt(np.add.reduceat((v.conj() * v).real, head))
+        v /= norm[col]
+        for ix, q in zip(blocks, Q):
+            v[ix] = q
     outside = (np.abs(theta[:, None] - anchors[names + problem.M]).min(axis=1)
                > radius + _RESIDUAL_TOL * anorm)
     if outside.any():
@@ -311,8 +327,8 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
                            f"{_names(np.unique(names[outside]))}")
     owner = np.arange(p)   # the column of the Ritz vector that labels each member, or -1
     undecided = {}
-    for s, e in larger:   # a cluster of one labels its column
-        weights = np.abs(X[ms[s:e] + problem.M, s:e])   # [j, i]: Ritz vector i at member j
+    for s, e in zip(starts[:-1][size > 1], starts[1:][size > 1]):   # a cluster of one labels itself
+        weights = np.abs(X[s:e, ms[s:e] + problem.M]).T   # [j, i]: Ritz vector i at member j
         top = np.argmax(weights, axis=0)
         second = np.sort(np.vstack([weights, np.zeros(e - s)]), axis=0)[-2]
         gap = np.min(np.abs(theta[s:e, None] - theta[s:e]) + np.diag(np.full(e - s, np.inf)), axis=0)
@@ -329,7 +345,7 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
                 f"cluster {_names(ms[s:e])}: no eigenvector is clearly dominated by each")
     decided = owner >= 0
     i = owner[decided]
-    C = X.T[i]
+    C = X[i]
     big = C[np.arange(i.size), np.abs(C).argmax(axis=1)]
     C *= (np.conj(big) / np.abs(big))[:, None]
     return ms[decided], theta[i], C, res[i], undecided
@@ -341,11 +357,11 @@ def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
     ``branches`` is an iterable of ``(sign, n)`` keys, as in
     :attr:`SLSpectrum.entries`; None asks for (+1, 0..M) and (-1, 1..M).
     Every Gershgorin cluster that holds a wanted anchor is solved whole by
-    :func:`_solve_clusters`, all of them side by side in one block: one band
+    :func:`_solve_clusters`, each column a segment of one vector: one band
     apply and one band LU per step.  An anchor alone in its disc is a
-    cluster of one, and its shifted solve runs on its decay window only
-    (29-77 rows, not 289, on the ``reconstruct`` benchmark's spectra at
-    M = 144).  A key whose eigenvector its cluster cannot decide is listed in
+    cluster of one, and its segment is its decay window (29-77 rows, not
+    289, on the ``reconstruct`` benchmark's spectra at M = 144) padded by
+    deg q rows on each side.  A key whose eigenvector its cluster cannot decide is listed in
     :attr:`SLSpectrum.undecided`, not in ``entries``.  A scaled residual
     above ``_RESIDUAL_TOL`` after ``_MAX_STEPS`` steps, a band LU that stays
     singular, or an eigenvalue outside its Gershgorin disc raises
@@ -405,9 +421,9 @@ def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
             f"sturm.solve_sl: |v(0)| = {abs(v0[j]):.2e} at branch index {index[j]}; "
             "scaling to v(0) = 1 impossible")
     C /= v0[:, None]
-    for m, lam_m, c, res_m in zip(index, lam, C, residual):
-        sign, n = _key(int(m))
-        spectrum.entries[(sign, n)] = SLEntry(sign, n, complex(lam_m), c, float(res_m))
+    for m, lam_m, c, res_m in zip(index.tolist(), lam.tolist(), C, residual.tolist()):
+        sign, n = _key(m)
+        spectrum.entries[(sign, n)] = SLEntry(sign, n, lam_m, c, res_m)
     return spectrum
 
 

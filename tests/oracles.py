@@ -193,6 +193,30 @@ def block_operators(slab, modeset, slab_index: int):
     return A, B
 
 
+def dtn_transfer(profile, modeset) -> np.ndarray:
+    """``assemble_dtn``'s n2 blocks from the slabs' propagators, with no eigensolve.
+
+    Within slab j, [E_t; H_t] at x3 = x + h is expm(i S_j h) [E_t; H_t] at x,
+    S_j = [[0, A_j], [B_j, 0]] (``block_operators``).  E_t vanishes at the
+    plate, so Phi = prod_j expm(i S_j h_j), from the plate up, gives E_t(b) =
+    Phi_EH h0 and H_t(b) = Phi_HH h0, and T = i k Phi_HH Phi_EH^-1 J with J f =
+    [f2; -f1] = E_t.  Phi_EH has condition of order exp(2 max Im gamma b): keep
+    N and b small.
+    """
+    mb2 = 2 * modeset.block_size
+    Phi = np.eye(2 * mb2, dtype=complex)
+    for j, slab in enumerate(profile.slabs):
+        A, B = block_operators(slab, modeset, j)
+        S = np.zeros((A.shape[0], 2 * mb2, 2 * mb2), dtype=complex)
+        S[:, :mb2, mb2:], S[:, mb2:, :mb2] = A, B
+        Phi = scipy.linalg.expm(1j * slab.height * S) @ Phi
+    # Phi_HH Phi_EH^-1 J: J swaps Phi_EH^-1's column halves, negating one
+    HE = np.linalg.solve(Phi[:, :mb2, mb2:].transpose(0, 2, 1),
+                         Phi[:, mb2:, mb2:].transpose(0, 2, 1)).transpose(0, 2, 1)
+    mb = mb2 // 2
+    return 1j * modeset.k * np.concatenate([-HE[..., mb:], HE[..., :mb]], axis=-1)
+
+
 def dtn_matrix(blocks, modeset) -> np.ndarray:
     """Dense 2m x 2m boundary map on [all f1; all f2] from ``assemble_dtn``'s n2 blocks."""
     m, mb, nb = modeset.num_modes, modeset.block_size, 2 * modeset.N + 1

@@ -464,12 +464,12 @@ def test_isolated_block_matches_one_branch_solves(monkeypatch):
     applied, factored, solved = [], [], []
     apply, gbtrf, band_solve = sturm._band_apply, sturm._gbtrf, sturm._band_solve
     monkeypatch.setattr(sturm, "_band_apply",
-                        lambda *args: applied.append(args[2].shape[0]) or apply(*args))
+                        lambda *args: applied.append(args[-1].size) or apply(*args))
     monkeypatch.setattr(sturm, "_gbtrf",
                         lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
     monkeypatch.setattr(sturm, "_band_solve",
-                        lambda ab, d, lo, hi, *args: solved.append((lo, hi))
-                        or band_solve(ab, d, lo, hi, *args))
+                        lambda band, d, col, *args: solved.append(np.bincount(col, minlength=43))
+                        or band_solve(band, d, col, *args))
     windows = _spy_windows(monkeypatch)
     spec = solve_sl(prob, branches=_RECONSTRUCT_KEYS)
     [(rows, (lo, hi))] = windows
@@ -480,11 +480,15 @@ def test_isolated_block_matches_one_branch_solves(monkeypatch):
     # one band LU, whose columns are the windows of the columns still iterating
     assert len(applied) <= sturm._MAX_STEPS + 1
     assert len(factored) == len(solved) == len(applied) - 1 >= 1
-    for (a, b), columns in zip(solved, factored):
-        assert set(zip(a, b)) <= set(zip(lo, hi)) and columns == np.sum(b - a)
-    # each band apply runs on the rows the active windows span, widened by deg q
-    for (a, b), rows in zip([(lo, hi)] + solved, applied):
-        assert rows == min(np.max(b) + d, 289) - max(np.min(a) - d, 0) <= 289
+    active = [np.arange(rows.size)]
+    for counts, columns in zip(solved, factored):
+        active.append(np.flatnonzero(counts))
+        assert np.array_equal(counts[active[-1]], (hi - lo)[active[-1]])
+        assert columns == np.sum(hi - lo, where=counts > 0)
+    # each band apply runs on the segments of the columns still iterating:
+    # their windows, each padded by deg q rows on either side
+    for columns, length in zip(active, applied):
+        assert length == np.sum(hi[columns] - lo[columns] + 2 * d) < 289 * columns.size
     for key in _RECONSTRUCT_KEYS:
         alone = solve_sl(prob, branches=[key]).entries[key]
         assert abs(spec.entries[key].lam - alone.lam) <= 1e-14 * spec.matrix_norm
@@ -587,6 +591,46 @@ def _window_solve(A, d, lo, hi, shift, y):
 _BLOCK_WINDOWS = (np.array([0, 0, 5, 30, 40, 17]), np.array([12, 49, 20, 49, 49, 22]))
 
 
+def test_segments_pad_each_window_by_deg_q_rows():
+    d = 2
+    lo, hi = _BLOCK_WINDOWS
+    ab = np.zeros((3 * d + 1, 49), dtype=complex, order="F")
+    col, row, win, band = sturm._segments(ab, d, lo, hi)
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        assert np.array_equal(row[col == i], np.arange(a - d, b + d))
+        assert np.array_equal(row[(col == i) & win], np.arange(a, b))
+    assert band.shape == (3 * d + 1, np.sum(hi - lo)) and band.flags.f_contiguous
+
+
+def test_band_apply_is_the_full_matrix_product_on_every_segment():
+    # the zero padding keeps each segment's product to its own column, the
+    # rows past the matrix edge read zero, and the padding rows inside the
+    # matrix hold the full product's rows beyond the window
+    prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
+    A, d = oracles.sl_matrix(prob), prob.coeffs.degree
+    anchors = prob.gershgorin()[0]
+    lo, hi = _BLOCK_WINDOWS
+    col, row, win, _ = sturm._segments(_band_storage(A, d), d, lo, hi)
+    inside = (row >= 0) & (row < 49)
+    rng = np.random.default_rng(4)
+    X = (rng.normal(size=(49, lo.size)) + 1j * rng.normal(size=(49, lo.size))) * (
+        (np.arange(49)[:, None] >= lo) & (np.arange(49)[:, None] < hi))
+    v = np.where(win, X[np.clip(row, 0, 48), col], 0.0)
+    shifts = [(j, K ** 2 * c) for j, c in _COMPLEX_Q.items() if j != 0]
+    av = sturm._band_apply(anchors[np.clip(row, 0, 48)], shifts, inside, v)
+    AX = A @ X
+    np.testing.assert_allclose(av[inside], AX[row[inside], col[inside]], rtol=0,
+                               atol=1e-14 * np.max(np.abs(AX)))
+    assert not np.any(av[~inside])
+
+
+def _solve_windows(A, d, lo, hi, theta, anorm, Y, names):
+    """sturm._band_solve on the windows' band; column i's solution on its window rows."""
+    col, row, win, band = sturm._segments(_band_storage(A, d), d, lo, hi)
+    x = sturm._band_solve(band, d, col[win], theta, anorm, Y[row[win], col[win]], names)
+    return [x[col[win] == i] for i in range(lo.size)]
+
+
 def test_block_diagonal_solve_matches_a_banded_solve_per_window():
     prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
     A, d = oracles.sl_matrix(prob), prob.coeffs.degree
@@ -595,11 +639,10 @@ def test_block_diagonal_solve_matches_a_banded_solve_per_window():
     rng = np.random.default_rng(5)
     theta = rng.normal(size=lo.size) * 3 + 1j * rng.normal(size=lo.size)
     Y = rng.normal(size=(49, lo.size)) + 1j * rng.normal(size=(49, lo.size))
-    X = sturm._band_solve(_band_storage(A, d), d, lo, hi, theta, anorm, Y, np.arange(lo.size)[:, None])
+    X = _solve_windows(A, d, lo, hi, theta, anorm, Y, np.arange(lo.size)[:, None])
     for i, (a, b) in enumerate(zip(lo, hi)):
         ref = _window_solve(A, d, a, b, theta[i], Y[:, i])
-        np.testing.assert_allclose(X[a:b, i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
-        assert not np.any(X[:a, i]) and not np.any(X[b:, i])
+        np.testing.assert_allclose(X[i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
 
 
 def test_block_diagonal_solve_nudges_every_exact_eigenvalue_shift(monkeypatch):
@@ -616,12 +659,12 @@ def test_block_diagonal_solve_nudges_every_exact_eigenvalue_shift(monkeypatch):
     monkeypatch.setattr(sturm, "_gbtrf",
                         lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
     Y = np.eye(2 * M + 1)[:, rows]
-    X = sturm._band_solve(_band_storage(A, d), d, lo, hi, anchors[rows], anorm, Y, rows[:, None])
+    X = _solve_windows(A, d, lo, hi, anchors[rows], anorm, Y, rows[:, None])
     # one factorization finds the zero pivots, one more runs with every shift nudged
     assert factored == [np.sum(hi - lo)] * 2
     for i, (a, b) in enumerate(zip(lo, hi)):
         ref = _window_solve(A, d, a, b, anchors[rows[i]] + sturm._RESIDUAL_TOL * anorm, Y[:, i])
-        np.testing.assert_allclose(X[a:b, i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
+        np.testing.assert_allclose(X[i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
 
 
 @pytest.mark.parametrize("alpha1, branches, names", [
