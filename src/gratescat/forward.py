@@ -186,10 +186,6 @@ class MediumProfile:
         return (float(np.min(q.real)), float(np.max(np.abs(q))),
                 float(np.min(q.imag)), float(np.max(q.imag)))
 
-    @property
-    def q_inf(self) -> float:
-        return self._sample_bounds[1]
-
     @classmethod
     def from_coeffs(cls, coeffs: dict, height: float) -> "MediumProfile":
         return cls([Slab(height, coeffs)])

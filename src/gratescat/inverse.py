@@ -99,9 +99,10 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
                     f: TangentialField, g: TangentialField, modeset: ModeSet) -> dict:
     """Evaluate both sides of the reciprocity-gap identity and their mismatch.
 
-    Returns ``{'lhs', 'rhs', 'gap', 'floor', 'rhs_scale'}`` with
-    ``gap = |lhs - rhs| / max(|lhs|, |rhs|, floor)``.  The floor is
-    ``1e-10 k^2 b CELL_AREA max|c1|_2 max|c2|_2``, the maxima of the
+    Profiles whose heights b differ by more than 1e-12 relative raise
+    :class:`ValidationError`.  Returns ``{'lhs', 'rhs', 'gap', 'floor',
+    'rhs_scale'}`` with ``gap = |lhs - rhs| / max(|lhs|, |rhs|, floor)``.
+    The floor is ``1e-10 k^2 b CELL_AREA max|c1|_2 max|c2|_2``, the maxima of the
     coefficient 2-norms of E1 and E2 over the Gauss nodes: by Parseval and
     Cauchy-Schwarz it bounds the volume side for a unit |q2 - q1|.  Each x3
     segment is one ``TrigPoly.overlap``, a batch of one, of both fields at all
@@ -120,7 +121,7 @@ def reciprocity_gap(profile1: MediumProfile, profile2: MediumProfile,
     K_n c^(2n) <= 1e-16, where c is that sum times half the segment length
     and K_n the Gauss-Legendre remainder constant (``_gauss_order``).
     """
-    if abs(profile1.b - profile2.b) > 1e-12:
+    if abs(profile1.b - profile2.b) > 1e-12 * max(profile1.b, profile2.b):
         raise ValidationError("inverse.reciprocity_gap: profiles have different layer heights")
     sol1 = solve_qpbvp(profile1, f, modeset)
     sol2 = solve_qpbvp(profile2, f, modeset)

@@ -24,10 +24,11 @@ construction while u' may jump across the seam.
 
 The normalisation is fixed to the growth preset c2 = e^{2 pi sqrt(mu)}, which
 keeps the transverse overlap A2 away from zero.  Divided through by the
-preset, the seam relation leaves c1 of order one; c2 is kept as its log,
-2 pi sqrt(mu), and A2 as log|A2| + i arg A2.  The preset grows without bound
-in the branch index, and neither it nor A2 is ever exponentiated, so every
-stored transverse number stays in the float range.
+preset, the seam relation leaves c1 of order one; c2 enters only through
+its log 2 pi sqrt(mu), formed from sqrt(mu) where it is read, and A2 is
+kept as log|A2| + i arg A2.  The preset grows without bound in the branch
+index, and neither it nor A2 is ever exponentiated, so every stored
+transverse number stays in the float range.
 
 The kernels work on batches, because a moment table pairs many branches:
 :func:`build_u` builds any number of factors in one call,
@@ -53,22 +54,21 @@ TWO_PI = 2.0 * np.pi
 class TransverseFactor:
     """Exponential factor u(x2) with transverse parameter mu (u'' = mu u).
 
-    ``c1`` is the coefficient of e^{sqrt(mu) x2}; ``log_c2`` is the log of the
-    preset c2 = e^{2 pi sqrt(mu)}, i.e. 2 pi sqrt(mu).  The fields are scalars
-    for one factor, or arrays of one shape for a batch (:func:`build_u`).
-    The evaluation methods take one factor.
+    ``c1`` is the coefficient of e^{sqrt(mu) x2}; that of e^{-sqrt(mu) x2} is
+    the preset c2 = e^{2 pi sqrt(mu)}, read as its log 2 pi sqrt(mu) and not
+    stored.  The fields are scalars for one factor, or arrays of one shape
+    for a batch (:func:`build_u`).  The evaluation methods take one factor.
     """
 
     mu: complex
     sqrt_mu: complex
     c1: complex
-    log_c2: complex
     alpha2: float
 
     def _cell_values(self, x2):
-        """c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2}, the second term formed from log_c2."""
+        """c1 e^{sqrt(mu) x2} + c2 e^{-sqrt(mu) x2}, the second term formed from log c2."""
         s = self.sqrt_mu
-        return self.c1 * np.exp(s * x2) + np.exp(self.log_c2 - s * x2)
+        return self.c1 * np.exp(s * x2) + np.exp(TWO_PI * s - s * x2)
 
     def values(self, x2) -> np.ndarray:
         """Quasi-periodic extension: cell values times the per-period phase."""
@@ -109,8 +109,7 @@ def build_u(mu, alpha2: float) -> TransverseFactor:
             f"= {abs(denom.ravel()[i] / d.ravel()[i]):.3e} at element {i} "
             f"(mu = {mu.ravel()[i]:.6g})")
     # [()] turns a 0-d result into a scalar and leaves an array as it is
-    return TransverseFactor(mu[()], s[()], ((d - qp) / denom)[()], (TWO_PI * s)[()],
-                            float(alpha2))
+    return TransverseFactor(mu[()], s[()], ((d - qp) / denom)[()], float(alpha2))
 
 
 def _log_interval_integral(w):
@@ -150,8 +149,8 @@ def transverse_overlap(u_n: TransverseFactor, u_m: TransverseFactor):
     range, so A2 itself is never formed.
     """
     terms = []
-    for logc_n, sn_sign in ((np.log(u_n.c1), 1.0), (u_n.log_c2, -1.0)):
-        for logc_m, sm_sign in ((np.log(u_m.c1), 1.0), (u_m.log_c2, -1.0)):
+    for logc_n, sn_sign in ((np.log(u_n.c1), 1.0), (TWO_PI * u_n.sqrt_mu, -1.0)):
+        for logc_m, sm_sign in ((np.log(u_m.c1), 1.0), (TWO_PI * u_m.sqrt_mu, -1.0)):
             w = sn_sign * u_n.sqrt_mu + sm_sign * np.conj(u_m.sqrt_mu)
             terms.append(logc_n + np.conj(logc_m) + _log_interval_integral(w))
     logs = np.stack(terms, axis=-1)

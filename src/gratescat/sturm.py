@@ -154,12 +154,14 @@ def _names(ms) -> str:
     return ", ".join("({:+d}, {})".format(*_key(int(m))) for m in ms)
 
 
-def _segments(ab: np.ndarray, d: int, lo: np.ndarray, hi: np.ndarray):
+def _segments(anchors: np.ndarray, shifts, d: int, lo: np.ndarray, hi: np.ndarray):
     """Column i as the segment of rows ``lo[i] - d <= row < hi[i] + d``, all in one vector.
 
     Returns each entry's column and row of A (padding rows may lie outside
     A), the mask of the window entries, and the windows' principal submatrices
-    as one block-diagonal band matrix, its entries that would couple two
+    as one block-diagonal band matrix in LAPACK's storage with kl = ku = d:
+    its diagonal the window rows' ``anchors``, its j-th diagonal c for each
+    (j, c = k^2 q_j) of ``shifts``, and its entries that would couple two
     windows zeroed, so partial pivoting never leaves a window.
     """
     width = hi - lo
@@ -167,7 +169,11 @@ def _segments(ab: np.ndarray, d: int, lo: np.ndarray, hi: np.ndarray):
     local = np.arange(col.size) - np.repeat(np.cumsum(width + 2 * d) - width - d, width + 2 * d)
     row = lo[col] + local
     win = (local >= 0) & (local < width[col])
-    band = ab.T[row[win]].T   # Fortran order, so gbtrf factors its copies in place
+    # Fortran order, so gbtrf factors its copies in place
+    band = np.zeros((3 * d + 1, np.count_nonzero(win)), dtype=complex, order="F")
+    band[2 * d] = anchors[row[win]]
+    for j, c in shifts:
+        band[2 * d + j] = c
     t = local[win] + np.arange(-d, d + 1)[:, None]   # local row of each band entry
     band[d:][(t < 0) | (t >= width[col[win]])] = 0.0
     return col, row, win, band
@@ -250,8 +256,8 @@ def _windows(anchors: np.ndarray, radius: float, d: int, rows: np.ndarray):
     return np.maximum(rows - reach[1], 0), np.minimum(rows + reach[0] + 1, n)
 
 
-def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, radius: float,
-                    anorm: float, ms: np.ndarray, starts: np.ndarray, windows):
+def _solve_clusters(problem: SLProblem, anchors: np.ndarray, radius: float, anorm: float,
+                    ms: np.ndarray, starts: np.ndarray, windows):
     """Eigenpairs of the Gershgorin clusters ``ms[starts[c]:starts[c + 1]]``, all in one vector.
 
     Column i starts as e_m for m = ms[i] and is zero outside the rows
@@ -272,9 +278,9 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
     weight on the other members at all: a cluster of one, or a diagonal block
     (constant q, where equal anchors are equal eigenvalues).  Returns the
     Fourier indices of the members so labelled with their eigenvalues, unit
-    eigenvectors (rows, largest component real as LAPACK's geev returns them)
-    and scaled residuals, and a dict that maps the key of every other member
-    to why it has no label.
+    eigenvectors (rows, in the phase the iteration left them) and scaled
+    residuals, and a dict that maps the key of every other member to why it
+    has no label.
     """
     d = problem.coeffs.degree
     n, p = anchors.size, ms.size
@@ -282,10 +288,10 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
     cid = np.repeat(np.arange(size.size), size)   # cluster of each column
     # names[i]: the members of column i's cluster, padded with its last one
     names = ms[np.minimum(starts[cid, None] + np.arange(size.max()), starts[cid + 1, None] - 1)]
-    col, row, win, band = _segments(ab, d, *windows)
+    shifts = [(j, problem.k ** 2 * c) for j, c in problem.coeffs.items() if j != 0]
+    col, row, win, band = _segments(anchors, shifts, d, *windows)
     inside = (row >= 0) & (row < n)
     diag = anchors[np.clip(row, 0, n - 1)]
-    shifts = [(j, problem.k ** 2 * c) for j, c in problem.coeffs.items() if j != 0]
     v = (row == ms[col] + problem.M).astype(complex)
     head, blocks = _heads(col, inside, size[cid], n)
     X = np.zeros((p, n), dtype=complex)   # rows: the unit vectors of the clusters that left
@@ -345,10 +351,7 @@ def _solve_clusters(problem: SLProblem, ab: np.ndarray, anchors: np.ndarray, rad
                 f"cluster {_names(ms[s:e])}: no eigenvector is clearly dominated by each")
     decided = owner >= 0
     i = owner[decided]
-    C = X[i]
-    big = C[np.arange(i.size), np.abs(C).argmax(axis=1)]
-    C *= (np.conj(big) / np.abs(big))[:, None]
-    return ms[decided], theta[i], C, res[i], undecided
+    return ms[decided], theta[i], X[i], res[i], undecided
 
 
 def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
@@ -368,9 +371,9 @@ def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
     :class:`EigenFailure`.
 
     Every eigenfunction is scaled to v(0) = 1, as the paper's pairing of
-    the q1 and conj(q2) spectra assumes; a labelled pair with
-    |v(0)| <= ``_NORM_TOL`` ||c|| raises :class:`NormalizationDegenerate`
-    (the scaling is impossible).
+    the q1 and conj(q2) spectra assumes, which also fixes its phase; a
+    labelled pair whose unit eigenvector c has |v(0)| <= ``_NORM_TOL``
+    raises :class:`NormalizationDegenerate` (the scaling is impossible).
     """
     M = problem.M
     wanted = set()
@@ -390,11 +393,6 @@ def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
     order = np.argsort(anchors.real, kind="stable")
     cluster = np.empty(anchors.size, dtype=int)
     cluster[order] = np.concatenate(([0], np.cumsum(np.diff(anchors.real[order]) > 2 * radius)))
-    d = problem.coeffs.degree
-    ab = np.zeros((3 * d + 1, anchors.size), dtype=complex, order="F")
-    for j, c in problem.coeffs.items():
-        ab[2 * d + j] = problem.k ** 2 * c
-    ab[2 * d] = anchors
     # Every cluster with a wanted anchor is a run of columns in order of m,
     # and the runs are in order of their first member.
     hit = np.zeros(anchors.size, dtype=bool)
@@ -406,15 +404,15 @@ def solve_sl(problem: SLProblem, branches=None) -> SLSpectrum:
     starts = np.concatenate(([0], np.flatnonzero(runs[1:] != runs[:-1]) + 1, [rows.size]))
     lone = starts[:-1][np.diff(starts) == 1]
     lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, anchors.size)
-    lo[lone], hi[lone] = _windows(anchors, radius, d, rows[lone])
+    lo[lone], hi[lone] = _windows(anchors, radius, problem.coeffs.degree, rows[lone])
     index, lam, C, residual, undecided = _solve_clusters(
-        problem, ab, anchors, radius, anorm, rows - M, starts, (lo, hi))
+        problem, anchors, radius, anorm, rows - M, starts, (lo, hi))
     spectrum.undecided = {key: why for key, why in undecided.items() if want[key[0] * key[1] + M]}
     keep = np.argsort(index)
     keep = keep[want[index[keep] + M]]
     index, lam, C, residual = index[keep], lam[keep], C[keep], residual[keep]
     v0 = np.sum(C, axis=1)
-    flat = np.flatnonzero(np.abs(v0) / np.linalg.norm(C, axis=1) <= _NORM_TOL)
+    flat = np.flatnonzero(np.abs(v0) <= _NORM_TOL)   # the rows of C are unit vectors
     if flat.size:
         j = flat[0]
         raise NormalizationDegenerate(

@@ -160,7 +160,7 @@ def layer_residual(field, points) -> dict:
     q = q_at(field.profile, pts[:, 0], pts[:, 2])
     res = np.linalg.norm(1j * k * cv - k * k * q[:, None] * ev, axis=1)
     escale = float(np.max(np.linalg.norm(ev, axis=1)))
-    scale = k * k * field.profile.q_inf * max(escale, 1e-300)
+    scale = k * k * field.profile._sample_bounds[1] * max(escale, 1e-300)
     return {"max_relative": float(np.max(res)) / scale,
             "pointwise": res, "scale": scale}
 
@@ -193,28 +193,65 @@ def block_operators(slab, modeset, slab_index: int):
     return A, B
 
 
+def _transfer(profile, modeset):
+    """Each slab's S_j = [[0, A_j], [B_j, 0]] (``block_operators``), and the propagators
+    Phi_0 = I, Phi_(j+1) = expm(i S_j h_j) Phi_j, stacked over the n2 blocks.
+
+    Within slab j, [E_t; H_t] at x3 = x + h is expm(i S_j h) [E_t; H_t] at x,
+    so [E_t; H_t] at the bottom of slab j is Phi_j [E_t; H_t](0).
+    """
+    S, Phi = [], [np.eye(4 * modeset.block_size, dtype=complex)]
+    for j, slab in enumerate(profile.slabs):
+        A, B = block_operators(slab, modeset, j)
+        mb2 = A.shape[1]
+        S.append(np.zeros((A.shape[0], 2 * mb2, 2 * mb2), dtype=complex))
+        S[j][:, :mb2, mb2:], S[j][:, mb2:, :mb2] = A, B
+        Phi.append(scipy.linalg.expm(1j * slab.height * S[j]) @ Phi[j])
+    return S, Phi
+
+
 def dtn_transfer(profile, modeset) -> np.ndarray:
     """``assemble_dtn``'s n2 blocks from the slabs' propagators, with no eigensolve.
 
-    Within slab j, [E_t; H_t] at x3 = x + h is expm(i S_j h) [E_t; H_t] at x,
-    S_j = [[0, A_j], [B_j, 0]] (``block_operators``).  E_t vanishes at the
-    plate, so Phi = prod_j expm(i S_j h_j), from the plate up, gives E_t(b) =
-    Phi_EH h0 and H_t(b) = Phi_HH h0, and T = i k Phi_HH Phi_EH^-1 J with J f =
-    [f2; -f1] = E_t.  Phi_EH has condition of order exp(2 max Im gamma b): keep
-    N and b small.
+    E_t vanishes at the plate, so Phi = prod_j expm(i S_j h_j), from the plate
+    up (``_transfer``), gives E_t(b) = Phi_EH h0 and H_t(b) = Phi_HH h0, and
+    T = i k Phi_HH Phi_EH^-1 J with J f = [f2; -f1] = E_t.  Phi_EH has
+    condition of order exp(2 max Im gamma b): keep N and b small.
     """
     mb2 = 2 * modeset.block_size
-    Phi = np.eye(2 * mb2, dtype=complex)
-    for j, slab in enumerate(profile.slabs):
-        A, B = block_operators(slab, modeset, j)
-        S = np.zeros((A.shape[0], 2 * mb2, 2 * mb2), dtype=complex)
-        S[:, :mb2, mb2:], S[:, mb2:, :mb2] = A, B
-        Phi = scipy.linalg.expm(1j * slab.height * S) @ Phi
+    Phi = _transfer(profile, modeset)[1][-1]
     # Phi_HH Phi_EH^-1 J: J swaps Phi_EH^-1's column halves, negating one
     HE = np.linalg.solve(Phi[:, :mb2, mb2:].transpose(0, 2, 1),
                          Phi[:, mb2:, mb2:].transpose(0, 2, 1)).transpose(0, 2, 1)
     mb = mb2 // 2
     return 1j * modeset.k * np.concatenate([-HE[..., mb:], HE[..., :mb]], axis=-1)
+
+
+def field_transfer(profile, modeset, f, x3) -> np.ndarray:
+    """``solve_qpbvp``'s E coefficients at heights x3, (m, 3, P), from the slabs' propagators.
+
+    As in ``dtn_transfer``, E_t(b) = J f = Phi_EH(b) h0 gives h0, the H_t of
+    the plate.  In slab j, [E_t; H_t](x3) = expm(i S_j (x3 - x3_j)) Phi_j
+    [0; h0], x3_j the slab's bottom, and E3 = -(1/k) Q_j^-1 (D1 H2 - D2 H1)
+    (the ``forward`` module docstring).  No eigensolve, lift, recursion or
+    trace match.
+    """
+    ms = modeset
+    mb, nb = ms.block_size, 2 * ms.N + 1
+    S, Phi = _transfer(profile, ms)
+    et = (f.coeffs[:, [1, 0]] * [1, -1]).reshape(nb, mb, 2).transpose(0, 2, 1)
+    h0 = np.linalg.solve(Phi[-1][:, :2 * mb, 2 * mb:], et.reshape(nb, 2 * mb, 1))
+    d1, a2 = _wavenumbers(ms)
+    x3 = np.asarray(x3, dtype=float)
+    out = np.empty((nb, mb, 3, x3.size), dtype=complex)
+    for p, (h, j) in enumerate(zip(x3, profile.slab_of(x3))):
+        slab = profile.slabs[j]
+        Qinv = _toeplitz_inverse(slab, slab.coeffs.toeplitz(mb), j)
+        grow = scipy.linalg.expm(1j * (h - profile.slab_bounds()[j]) * S[j])
+        eh = (grow @ Phi[j][..., 2 * mb:] @ h0)[..., 0]
+        out[:, :, 0, p], out[:, :, 1, p] = eh[:, :mb], eh[:, mb:2 * mb]
+        out[:, :, 2, p] = -np.matvec(Qinv, d1 * eh[:, 3 * mb:] - a2 * eh[:, 2 * mb:3 * mb]) / ms.k
+    return out.reshape(ms.num_modes, 3, x3.size)
 
 
 def dtn_matrix(blocks, modeset) -> np.ndarray:

@@ -1057,7 +1057,7 @@ def test_profile_im_sign_tolerance_threshold(sign):
     # slab with |Im q| = 1e-6 alone sets q_inf, and q's samples at a constant
     # are the coefficient exactly
     big = 1.5 + sign * 1e-6j
-    tol = 1e-12 * max(1.0, _two_slab(big, 1.5).q_inf)
+    tol = 1e-12 * max(1.0, _two_slab(big, 1.5)._sample_bounds[1])
     _two_slab(big, 1.5 - sign * tol * 1j).validate()
     with pytest.raises(ValidationError, match="Im q changes sign"):
         _two_slab(big, 1.5 - sign * float(np.nextafter(tol, 1.0)) * 1j).validate()
@@ -1065,11 +1065,11 @@ def test_profile_im_sign_tolerance_threshold(sign):
 
 def test_require_absorbing_threshold():
     # absorbing means max Im q > 1e-12 max(1, q_inf): Im q = tol is refused, one ulp more passes
-    tol = 1e-12 * max(1.0, MediumProfile.from_coeffs({0: 1.5}, B).q_inf)
+    tol = 1e-12 * max(1.0, MediumProfile.from_coeffs({0: 1.5}, B)._sample_bounds[1])
     with pytest.raises(ValidationError, match="absorbing medium required"):
         MediumProfile.from_coeffs({0: 1.5 + tol * 1j}, B).validate(require_absorbing=True)
     up = float(np.nextafter(tol, 1.0))
-    assert MediumProfile.from_coeffs({0: 1.5 + up * 1j}, B).q_inf == 1.5
+    assert MediumProfile.from_coeffs({0: 1.5 + up * 1j}, B)._sample_bounds[1] == 1.5
     MediumProfile.from_coeffs({0: 1.5 + up * 1j}, B).validate(require_absorbing=True)
 
 
@@ -1082,7 +1082,7 @@ def test_profile_samples_q_once_on_first_use(monkeypatch):
     assert calls == []  # building a profile samples nothing
     prof.validate()
     prof.validate(require_absorbing=True)
-    np.testing.assert_allclose(prof.q_inf, abs(1.9 + 0.1j), rtol=1e-12)
+    np.testing.assert_allclose(prof._sample_bounds[1], abs(1.9 + 0.1j), rtol=1e-12)
     assert calls == [forward._PROFILE_GRID] * 2  # one grid per slab, once
 
 
@@ -1100,7 +1100,7 @@ def test_validation_follows_a_changed_coefficient(monkeypatch):
     for _ in range(3):              # a build, then served from the held stack
         solve_qpbvp(prof, f, ms)
     assert calls == [forward._PROFILE_GRID]  # unchanged coefficients are not resampled
-    np.testing.assert_allclose(prof.q_inf, abs(1.5 + 0.1j), rtol=1e-12)
+    np.testing.assert_allclose(prof._sample_bounds[1], abs(1.5 + 0.1j), rtol=1e-12)
     with pytest.raises(TypeError, match="TrigPoly is immutable"):
         prof.slabs[0].coeffs[0] = -1.0 + 0j
     changed = MediumProfile.from_coeffs({0: -1.0 + 0j}, B)
@@ -1108,7 +1108,7 @@ def test_validation_follows_a_changed_coefficient(monkeypatch):
         changed.validate()
     with pytest.raises(ValidationError, match="positive lower bound"):
         solve_qpbvp(changed, f, ms)
-    np.testing.assert_allclose(changed.q_inf, 1.0, rtol=1e-12)
+    np.testing.assert_allclose(changed._sample_bounds[1], 1.0, rtol=1e-12)
     assert calls == [forward._PROFILE_GRID] * 2
     solve_qpbvp(prof, f, ms)
     assert calls == [forward._PROFILE_GRID] * 2
@@ -1426,6 +1426,27 @@ def test_dtn_matches_the_eigen_free_transfer_oracle(stack, N, alpha):
     ms = build_modeset(K, Quasimomentum(*alpha), N)
     T = assemble_dtn(prof, ms)
     assert np.max(np.abs(T - oracles.dtn_transfer(prof, ms))) <= 1e-13 * np.max(np.abs(T))
+
+
+@pytest.mark.parametrize("alpha", [(0.21, 0.13), (0.37, -0.29)])
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("stack", sorted(RECIPROCITY_CASES))
+def test_field_matches_the_eigen_free_transfer_oracle(stack, N, alpha):
+    # A solve_qpbvp field at the plate, inside every slab, at each face and at
+    # the top, against the slab propagators (oracles.field_transfer), which
+    # share no arithmetic with the solver's field synthesis.  Measured: at
+    # most 2.0e-14 of max |E|, on one and on two BLAS threads.
+    prof = MediumProfile([Slab(h, c) for h, c in RECIPROCITY_CASES[stack]])
+    ms = build_modeset(K, Quasimomentum(*alpha), N)
+    rng = np.random.default_rng(37)
+    f = TangentialField.from_components(
+        ms, rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes),
+        rng.normal(size=ms.num_modes) + 1j * rng.normal(size=ms.num_modes), prof.b)
+    bounds = prof.slab_bounds()
+    x3 = np.concatenate([bounds, 0.5 * (bounds[:-1] + bounds[1:])])
+    E = solve_qpbvp(prof, f, ms).field.mode_coefficients(x3)
+    assert np.max(np.abs(E - oracles.field_transfer(prof, ms, f, x3))) <= (
+        1e-13 * np.max(np.abs(E)))
 
 
 @pytest.mark.parametrize("alpha", [(0.21, 0.13), (0.37, -0.29)])

@@ -87,6 +87,29 @@ def test_gap_rejects_heights_beyond_tolerance():
         reciprocity_gap(q1, q2, _tangential(ms, 4), _tangential(ms, 5), ms)
 
 
+# three slabs whose total is one ulp below 1e4, where an ulp is 1.8e-12
+_TALL = (5839.504529986082, 2973.3129963818674, 1187.1824736320493)
+
+
+@pytest.mark.parametrize("top, accepted", [
+    (1e4, True),                  # the slab totals one ulp apart
+    (1e4 * (1 + 0.5e-12), True),
+    (1e4 * (1 + 2e-12), False),
+], ids=["one-ulp", "inside", "beyond"])
+def test_gap_height_tolerance_is_relative_to_b(top, accepted):
+    # an absolute 1e-12 refused even the one-ulp pair once b passed 8192
+    ms = build_modeset(1e-3, Quasimomentum(2.3e-4, 1.1e-4), 0)
+    q1 = MediumProfile([Slab(h, {0: 1.5 + 0.1j}) for h in _TALL])
+    q2 = MediumProfile.from_coeffs({0: 1.7 + 0.1j}, top)
+    assert q1.b < q2.b
+    f, g = _tangential(ms, 4), _tangential(ms, 5)
+    if accepted:
+        assert reciprocity_gap(q1, q2, f, g, ms)["gap"] <= 1e-10
+    else:
+        with pytest.raises(ValidationError, match="different layer heights"):
+            reciprocity_gap(q1, q2, f, g, ms)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_gap_boundary_data_cannot_be_non_finite(bad):
     # a NaN datum used to give a NaN trace and gap = nan with no error

@@ -107,8 +107,8 @@ def test_normalization_and_degenerate_case():
 
 
 def test_normalization_tolerance_threshold(monkeypatch):
-    # A decided pair raises once _NORM_TOL reaches its |v(0)| / ||c|| and
-    # passes one ulp below it; c is the eigenvector before it is scaled
+    # A decided pair raises once _NORM_TOL reaches its |v(0)| and passes one
+    # ulp below it; c is the unit eigenvector before it is scaled
     prob = SLProblem({0: 1.4, 1: 0.2, -1: 0.2}, K, ALPHA1, 24)
     seen = []
     solve = sturm._solve_clusters
@@ -120,7 +120,7 @@ def test_normalization_tolerance_threshold(monkeypatch):
     monkeypatch.setattr(sturm, "_solve_clusters", spy)
     solve_sl(prob, branches=[(1, 5)])
     [c] = seen
-    ratio = float((np.abs(np.sum(c, axis=1)) / np.linalg.norm(c, axis=1))[0])
+    ratio = float(np.abs(np.sum(c, axis=1))[0])
     monkeypatch.setattr(sturm, "_NORM_TOL", ratio)
     with pytest.raises(NormalizationDegenerate, match="at branch index 5;"):
         solve_sl(prob, branches=[(1, 5)])
@@ -391,8 +391,8 @@ def test_targeted_iteration_cap(monkeypatch):
 def _shrink_discs(monkeypatch):
     solve = sturm._solve_clusters
 
-    def shrunk(problem, ab, anchors, radius, *rest):
-        return solve(problem, ab, anchors, 0.0, *rest)
+    def shrunk(problem, anchors, radius, *rest):
+        return solve(problem, anchors, 0.0, *rest)
     monkeypatch.setattr(sturm, "_solve_clusters", shrunk)
 
 
@@ -420,9 +420,9 @@ def _spy_clusters(monkeypatch):
     seen = []
     solve = sturm._solve_clusters
 
-    def spy(problem, ab, anchors, radius, anorm, ms, starts, windows):
+    def spy(problem, anchors, radius, anorm, ms, starts, windows):
         seen.append([c.tolist() for c in np.split(ms, starts[1:-1])])
-        return solve(problem, ab, anchors, radius, anorm, ms, starts, windows)
+        return solve(problem, anchors, radius, anorm, ms, starts, windows)
     monkeypatch.setattr(sturm, "_solve_clusters", spy)
     return seen
 
@@ -513,6 +513,26 @@ def test_every_cluster_shares_one_band_lu_per_step(monkeypatch):
     assert list(spec.entries) == [(1, 0)] and len(spec.undecided) == 48
 
 
+@pytest.mark.parametrize("prob, clusters, labelled", [
+    (SLProblem(_COMPLEX_Q, K, ALPHA1, 24), [[5]], [5]),   # a lone window
+    # the cluster of two of test_targeted_cluster_threshold, both labels decided
+    (SLProblem({0: 2.0 + 0.25j, 1: 0.125, -1: 0.125j}, 1.0, 0.25, 8), [[-1, 0]], [-1, 0]),
+    (SLProblem(_COMPLEX_Q, K, 0.0, 24), [[-1, 0, 1]], [0]),   # the cluster of three at alpha1 = 0
+], ids=["lone", "two", "three"])
+def test_every_returned_eigenvector_has_unit_norm(monkeypatch, prob, clusters, labelled):
+    # solve_sl tests |v(0)| against _NORM_TOL without a norm, since the
+    # iteration leaves every row it returns a unit vector
+    returned = []
+    solve = sturm._solve_clusters
+    monkeypatch.setattr(sturm, "_solve_clusters",
+                        lambda *args: returned.append(solve(*args)) or returned[-1])
+    seen = _spy_clusters(monkeypatch)
+    solve_sl(prob, branches=[sturm._key(labelled[-1])])
+    [(index, _, C, _, _)] = returned
+    assert seen == [clusters] and index.tolist() == labelled
+    np.testing.assert_allclose(np.linalg.norm(C, axis=1), 1.0, rtol=0, atol=1e-14)
+
+
 def test_no_branches_asked_gives_an_empty_spectrum():
     prob = SLProblem(_COMPLEX_Q, K, ALPHA1, 24)
     spec = solve_sl(prob, branches=[])
@@ -594,8 +614,7 @@ _BLOCK_WINDOWS = (np.array([0, 0, 5, 30, 40, 17]), np.array([12, 49, 20, 49, 49,
 def test_segments_pad_each_window_by_deg_q_rows():
     d = 2
     lo, hi = _BLOCK_WINDOWS
-    ab = np.zeros((3 * d + 1, 49), dtype=complex, order="F")
-    col, row, win, band = sturm._segments(ab, d, lo, hi)
+    col, row, win, band = sturm._segments(np.zeros(49, dtype=complex), [], d, lo, hi)
     for i, (a, b) in enumerate(zip(lo, hi)):
         assert np.array_equal(row[col == i], np.arange(a - d, b + d))
         assert np.array_equal(row[(col == i) & win], np.arange(a, b))
@@ -610,13 +629,13 @@ def test_band_apply_is_the_full_matrix_product_on_every_segment():
     A, d = oracles.sl_matrix(prob), prob.coeffs.degree
     anchors = prob.gershgorin()[0]
     lo, hi = _BLOCK_WINDOWS
-    col, row, win, _ = sturm._segments(_band_storage(A, d), d, lo, hi)
+    shifts = [(j, K ** 2 * c) for j, c in _COMPLEX_Q.items() if j != 0]
+    col, row, win, _ = sturm._segments(anchors, shifts, d, lo, hi)
     inside = (row >= 0) & (row < 49)
     rng = np.random.default_rng(4)
     X = (rng.normal(size=(49, lo.size)) + 1j * rng.normal(size=(49, lo.size))) * (
         (np.arange(49)[:, None] >= lo) & (np.arange(49)[:, None] < hi))
     v = np.where(win, X[np.clip(row, 0, 48), col], 0.0)
-    shifts = [(j, K ** 2 * c) for j, c in _COMPLEX_Q.items() if j != 0]
     av = sturm._band_apply(anchors[np.clip(row, 0, 48)], shifts, inside, v)
     AX = A @ X
     np.testing.assert_allclose(av[inside], AX[row[inside], col[inside]], rtol=0,
@@ -624,9 +643,11 @@ def test_band_apply_is_the_full_matrix_product_on_every_segment():
     assert not np.any(av[~inside])
 
 
-def _solve_windows(A, d, lo, hi, theta, anorm, Y, names):
+def _solve_windows(prob, lo, hi, theta, anorm, Y, names):
     """sturm._band_solve on the windows' band; column i's solution on its window rows."""
-    col, row, win, band = sturm._segments(_band_storage(A, d), d, lo, hi)
+    d = prob.coeffs.degree
+    shifts = [(j, prob.k ** 2 * c) for j, c in prob.coeffs.items() if j != 0]
+    col, row, win, band = sturm._segments(prob.gershgorin()[0], shifts, d, lo, hi)
     x = sturm._band_solve(band, d, col[win], theta, anorm, Y[row[win], col[win]], names)
     return [x[col[win] == i] for i in range(lo.size)]
 
@@ -639,7 +660,7 @@ def test_block_diagonal_solve_matches_a_banded_solve_per_window():
     rng = np.random.default_rng(5)
     theta = rng.normal(size=lo.size) * 3 + 1j * rng.normal(size=lo.size)
     Y = rng.normal(size=(49, lo.size)) + 1j * rng.normal(size=(49, lo.size))
-    X = _solve_windows(A, d, lo, hi, theta, anorm, Y, np.arange(lo.size)[:, None])
+    X = _solve_windows(prob, lo, hi, theta, anorm, Y, np.arange(lo.size)[:, None])
     for i, (a, b) in enumerate(zip(lo, hi)):
         ref = _window_solve(A, d, a, b, theta[i], Y[:, i])
         np.testing.assert_allclose(X[i], ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
@@ -659,7 +680,7 @@ def test_block_diagonal_solve_nudges_every_exact_eigenvalue_shift(monkeypatch):
     monkeypatch.setattr(sturm, "_gbtrf",
                         lambda ab, *args, **kw: factored.append(ab.shape[1]) or gbtrf(ab, *args, **kw))
     Y = np.eye(2 * M + 1)[:, rows]
-    X = _solve_windows(A, d, lo, hi, anchors[rows], anorm, Y, rows[:, None])
+    X = _solve_windows(prob, lo, hi, anchors[rows], anorm, Y, rows[:, None])
     # one factorization finds the zero pivots, one more runs with every shift nudged
     assert factored == [np.sum(hi - lo)] * 2
     for i, (a, b) in enumerate(zip(lo, hi)):
