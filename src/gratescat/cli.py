@@ -27,7 +27,6 @@ from .greens import PlaneWaveIncidence, green_eval, helmholtz_residual
 from .lattice import Quasimomentum, build_modeset
 from .tables import write_csv, write_summary
 
-KINDS = ("modes", "green", "forward", "dtn", "sturm", "moments", "reconstruct", "gapcheck")
 _REQUIRED = object()
 
 
@@ -159,11 +158,6 @@ class Scenario:
         print(f"output_dir = {self.output_dir}", file=stream)
 
 
-def _require(cond, message):
-    if not cond:
-        raise ValidationError(message)
-
-
 def _run_modes(sc: Scenario) -> None:
     ms = build_modeset(sc.k, sc.alpha, sc.N)
     write_csv(sc.out_path("modes"), "n1,n2,alpha1,alpha2,re_beta,im_beta,propagating",
@@ -186,7 +180,6 @@ def _run_green(sc: Scenario) -> None:
 
 
 def _run_forward(sc: Scenario) -> None:
-    _require(sc.profile is not None, "cli.run: forward scenario needs a [profile] section")
     ms = build_modeset(sc.k, sc.alpha, sc.N)
     inc = sc.incidence()
     result = forward.solve_scattering(sc.profile, inc, ms)
@@ -204,7 +197,6 @@ def _run_forward(sc: Scenario) -> None:
 
 
 def _run_dtn(sc: Scenario) -> None:
-    _require(sc.profile is not None, "cli.run: dtn scenario needs a [profile] section")
     ms = build_modeset(sc.k, sc.alpha, sc.N)
     blocks = forward.assemble_dtn(sc.profile, ms)
     m, mb, nb = ms.num_modes, ms.block_size, blocks.shape[0]
@@ -226,7 +218,6 @@ def _run_dtn(sc: Scenario) -> None:
 
 
 def _run_sturm(sc: Scenario) -> None:
-    _require(sc.profile is not None, "cli.run: scenario needs a [profile] section")
     coeffs = inverse.one_directional_coeffs(sc.profile, "profile")
     prob = sturm.SLProblem(coeffs, sc.k, sc.alpha.alpha1, sc.M)
     spec = sturm.solve_sl(prob)
@@ -245,12 +236,11 @@ def _run_sturm(sc: Scenario) -> None:
 
 
 def _moment_table(sc: Scenario):
-    _require(sc.profile is not None and sc.profile2 is not None,
-             "cli.run: moments scenario needs [profile] and [profile2]")
     a1 = sc.alpha.alpha1
-    _require(abs(a1 - round(2 * a1) / 2) > 1e-9,
-             f"cli.run: alpha1 is {a1!r}, within 1e-9 of a multiple of 1/2; theta1 = pi/2, "
-             "or any alpha1 in Z/2, makes the mirror branches coincide")
+    if abs(a1 - round(2 * a1) / 2) <= 1e-9:
+        raise ValidationError(
+            f"cli.run: alpha1 is {a1!r}, within 1e-9 of a multiple of 1/2; theta1 = pi/2, "
+            "or any alpha1 in Z/2, makes the mirror branches coincide")
     return inverse.extract_moments(sc.profile, sc.profile2, sc.L, sc.m_schedule, k=sc.k,
                                    alpha=sc.alpha)
 
@@ -276,8 +266,6 @@ def _run_reconstruct(sc: Scenario) -> None:
 
 
 def _run_gapcheck(sc: Scenario) -> None:
-    _require(sc.profile is not None and sc.profile2 is not None,
-             "cli.run: gapcheck scenario needs [profile] and [profile2]")
     ms = build_modeset(sc.k, sc.alpha, sc.N)
     rng = np.random.default_rng(sc.seed)
 
@@ -299,15 +287,16 @@ def _run_gapcheck(sc: Scenario) -> None:
 
 
 _RUNNERS = {
-    "modes": _run_modes,
-    "green": _run_green,
-    "forward": _run_forward,
-    "dtn": _run_dtn,
-    "sturm": _run_sturm,
-    "moments": _run_moments,
-    "reconstruct": _run_reconstruct,
-    "gapcheck": _run_gapcheck,
+    "modes": (_run_modes, ()),
+    "green": (_run_green, ()),
+    "forward": (_run_forward, ("profile",)),
+    "dtn": (_run_dtn, ("profile",)),
+    "sturm": (_run_sturm, ("profile",)),
+    "moments": (_run_moments, ("profile", "profile2")),
+    "reconstruct": (_run_reconstruct, ("profile", "profile2")),
+    "gapcheck": (_run_gapcheck, ("profile", "profile2")),
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run(kind: str, config_path: str, output_dir: str = ".",
@@ -322,7 +311,11 @@ def run(kind: str, config_path: str, output_dir: str = ".",
         if show_config:
             scenario.echo()
             return 0
-        _RUNNERS[kind](scenario)
+        runner, sections = _RUNNERS[kind]
+        if any(getattr(scenario, section) is None for section in sections):
+            raise ValidationError(f"cli.run: {kind} scenario needs "
+                                  + " and ".join(f"[{section}]" for section in sections))
+        runner(scenario)
         return 0
     except ValidationError as exc:
         print(f"validation failure [{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -87,7 +88,7 @@ import scipy.linalg
 from .errors import (EigenFailure, IllConditionedBasis, SingularMatch,
                      TruncationMismatch, ValidationError)
 from .greens import DipoleDensity, PlaneWaveIncidence, incident_from_density
-from .lattice import ModeSet, TrigPoly
+from .lattice import ModeSet, TrigPoly, _sqrt_up
 from .rayleigh_dtn import RayleighField, TangentialField, _r_entries
 
 # Largest 1-norm condition number any guarded matrix may have.  A slab
@@ -114,12 +115,6 @@ def _slab_index(bounds, x3):
             f"forward.MediumProfile: x3 = {x[outside][0]:g} outside [0, {bounds[-1]:g}]")
     j = np.minimum(np.searchsorted(bounds, x, side="right") - 1, len(bounds) - 2)
     return int(j) if j.ndim == 0 else j
-
-
-def _sqrt_up(z):
-    """Square root with Im >= 0 (decay upward); positive root on the real axis."""
-    g = np.sqrt(np.asarray(z, dtype=complex))
-    return np.where(g.imag < 0, -g, g)
 
 
 def _read_only(self, name, *value):    # __setattr__ and __delattr__ of the immutable classes
@@ -182,7 +177,8 @@ class MediumProfile:
     def _sample_bounds(self) -> tuple:
         """(min Re q, max |q|, min Im q, max Im q) on the sampling grid, sampled on first use."""
         grid = 2.0 * np.pi * np.arange(_PROFILE_GRID) / _PROFILE_GRID
-        q = np.concatenate([s.coeffs(grid) for s in self.slabs])
+        with np.errstate(over="ignore", invalid="ignore"):   # validate refuses a non-finite q
+            q = np.concatenate([s.coeffs(grid) for s in self.slabs])
         return (float(np.min(q.real)), float(np.max(np.abs(q))),
                 float(np.min(q.imag)), float(np.max(q.imag)))
 
@@ -193,6 +189,9 @@ class MediumProfile:
     def validate(self, require_absorbing: bool = False) -> None:
         """Check admissibility; an inadmissible profile raises ValidationError."""
         gamma_lower, q_inf, im_min, im_max = self._sample_bounds
+        if not math.isfinite(q_inf):
+            raise ValidationError(
+                f"forward.MediumProfile: q is not finite on the sampling grid (max |q| = {q_inf:g})")
         tol = 1e-12 * max(1.0, q_inf)
         if gamma_lower <= 0:
             raise ValidationError(
@@ -304,8 +303,7 @@ def _from_blocks(modeset: ModeSet, vecs) -> np.ndarray:
 
 def _wavenumbers(modeset: ModeSet):
     """alpha1 + n1 over one block, shape (mb,), and alpha2 + n2 per block, shape (2N+1, 1)."""
-    n = np.arange(-modeset.N, modeset.N + 1)
-    return modeset.alpha.alpha1 + n, (modeset.alpha.alpha2 + n)[:, None]
+    return modeset.alpha_n[:modeset.block_size, 0], modeset.alpha_n[::modeset.block_size, 1, None]
 
 
 def _block_label(ib: int, nblocks: int, slab: int | None) -> str:
@@ -457,6 +455,11 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     slab = profile.slabs[slab_index]
     ms = modeset
     k = ms.k
+    # k^2 sum_j |q_j| bounds every entry of k^2 Q; math.hypot overflows to inf, unwarned
+    qsum = sum(math.hypot(c.real, c.imag) for c in slab.coeffs.values())
+    if not math.isfinite(float(k) * float(k) * qsum):
+        raise ValidationError(f"forward.solve_layer_modes: k^2 sum_j |q_j| is not finite at slab "
+                              f"{slab_index} (k = {float(k):.3g})")
     mb = ms.block_size
     Q = slab.coeffs.toeplitz(mb)
     Qinv = _toeplitz_inverse(slab, Q, slab_index)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PointsTooClose, ValidationError
 from .lattice import ModeSet, _check_angles
-from .rayleigh_dtn import RayleighField
+from .rayleigh_dtn import RayleighField, _check_coeffs
 
 DELTA_MIN = 1e-2
 
@@ -132,9 +132,9 @@ class DipoleDensity:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.modeset.num_modes, 3):
-            raise ValidationError("greens.DipoleDensity: coefficients must be (num_modes, 3)")
+        if not math.isfinite(self.height):
+            raise ValidationError(f"greens.DipoleDensity: height must be finite, got {self.height!r}")
+        self.coeffs = _check_coeffs(self.modeset, self.coeffs, "greens.DipoleDensity")
         if np.any(np.abs(self.coeffs[:, 2]) > 0):
             raise ValidationError("greens.DipoleDensity: density must be tangential (g3 = 0)")
 

@@ -26,6 +26,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import TruncationMismatch, ValidationError, WoodAnomaly
 
@@ -100,12 +101,9 @@ class TrigPoly(dict):
 
     def toeplitz(self, n: int) -> np.ndarray:
         """n x n Laurent-product matrix T[a, b] = c_{a-b}; terms with |j| >= n drop out."""
-        band = np.zeros(2 * n - 1, dtype=complex)
-        for j, c in self.items():
-            if abs(j) < n:
-                band[j + n - 1] = c
-        d = np.arange(n)
-        return band[d[:, None] - d[None, :] + n - 1]
+        # first column c_0 .. c_{n-1}, first row c_0, c_{-1} .. c_{1-n}
+        col, row = np.array([[self.get(s * j, 0) for j in range(n)] for s in (1, -1)], dtype=complex)
+        return scipy.linalg.toeplitz(col, row)
 
 
 def _check_angles(where: str, theta1: float, theta2: float) -> None:
@@ -117,6 +115,20 @@ def _check_angles(where: str, theta1: float, theta2: float) -> None:
     if not 0.0 < theta1 < math.pi:
         raise ValidationError(
             f"{where}: need 0 < theta1 < pi (a downgoing wave), got theta1 = {theta1!r}")
+
+
+def _sqrt_up(z):
+    """Square root with Im >= 0 (decay upward); positive root on the real axis."""
+    g = np.sqrt(np.asarray(z, dtype=complex))
+    return np.where(g.imag < 0, -g, g)
+
+
+def _check_k(where: str, k: float) -> None:
+    """Refuse a k that is not > 0 or whose square overflows: k^2 scales every mode constant."""
+    if not math.isfinite(float(k) * float(k)):
+        raise ValidationError(f"{where}: k must be finite with a finite square, got {float(k)!r}")
+    if k <= 0:
+        raise ValidationError(f"{where}: k must be > 0")
 
 
 @dataclass(frozen=True)
@@ -201,13 +213,14 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int) -> ModeSet:
     Construction fails with :class:`WoodAnomaly` if any mode constant
     satisfies ``|beta_n| <= WOOD_TOL * k``.
     """
-    if not math.isfinite(float(k) * float(k)):   # k^2 enters every beta_n
-        raise ValidationError(
-            f"lattice.build_modeset: k must be finite with a finite square, got {float(k)!r}")
-    if k <= 0:
-        raise ValidationError("lattice.build_modeset: k must be > 0")
+    _check_k("lattice.build_modeset", k)
     if not isinstance(N, numbers.Integral) or N < 0:
         raise ValidationError(f"lattice.build_modeset: N must be an integer >= 0, got {N!r}")
+    a1_max, a2_max = abs(alpha.alpha1) + N, abs(alpha.alpha2) + N
+    if not math.isfinite(a1_max * a1_max + a2_max * a2_max):   # the largest |alpha_n|^2
+        raise ValidationError(
+            f"lattice.build_modeset: |alpha + n|^2 overflows at alpha = "
+            f"({alpha.alpha1!r}, {alpha.alpha2!r}), N = {N}")
 
     idx = np.arange(-N, N + 1)
     n2, n1 = np.meshgrid(idx, idx, indexing="ij")  # n2-major, n1 fastest
@@ -218,9 +231,7 @@ def build_modeset(k: float, alpha: Quasimomentum, N: int) -> ModeSet:
     alpha_n = np.stack([a1, a2, np.zeros_like(a1, dtype=float)], axis=1)
     disc = k * k - (a1 * a1 + a2 * a2)
     propagating = disc > 0
-    beta = np.where(propagating,
-                    np.sqrt(np.maximum(disc, 0.0)) + 0j,
-                    1j * np.sqrt(np.maximum(-disc, 0.0)))
+    beta = _sqrt_up(disc)
     tol = WOOD_TOL * k
     bad = np.abs(beta) <= tol
     if np.any(bad):

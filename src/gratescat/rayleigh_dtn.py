@@ -24,15 +24,16 @@ CELL_AREA = 4.0 * np.pi ** 2
 _DIVERGENCE_TOL = 1e-10  # largest scaled residual RayleighField.validate_divergence accepts
 
 
-def _check_coeffs(modeset: ModeSet, coeffs) -> np.ndarray:
-    """Coefficients as a complex (num_modes, 3) array; a wrong shape or a NaN or inf raises."""
+def _check_coeffs(modeset: ModeSet, coeffs, where: str = "rayleigh_dtn") -> np.ndarray:
+    """Coefficients as a complex (num_modes, 3) array; a wrong shape or a NaN or inf raises,
+    its message prefixed by ``where``."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (modeset.num_modes, 3):
-        raise ValidationError("rayleigh_dtn: coefficients must have shape (num_modes, 3)")
+        raise ValidationError(f"{where}: coefficients must have shape (num_modes, 3)")
     finite = np.isfinite(coeffs)
     if not finite.all():
         j = int(np.argmin(finite.all(axis=1)))
-        raise ValidationError(f"rayleigh_dtn: non-finite coefficient at mode "
+        raise ValidationError(f"{where}: non-finite coefficient at mode "
                               f"({modeset.n1[j]},{modeset.n2[j]}): {coeffs[j]}")
     return coeffs
 

@@ -47,7 +47,7 @@ import scipy.linalg
 
 from .errors import (EigenFailure, FitInconclusive, NormalizationDegenerate,
                      ValidationError)
-from .lattice import TrigPoly
+from .lattice import TrigPoly, _check_k
 from .tables import write_csv
 
 _NORM_TOL = 1e-10
@@ -68,16 +68,12 @@ class SLProblem:
 
     def __post_init__(self):
         self.coeffs = TrigPoly(self.coeffs)
-        if not math.isfinite(float(self.k) * float(self.k)):   # k^2 scales the whole matrix
-            raise ValidationError(
-                f"sturm.SLProblem: k must be finite with a finite square, got {float(self.k)!r}")
+        _check_k("sturm.SLProblem", self.k)
         if not math.isfinite(self.alpha1):
             raise ValidationError(f"sturm.SLProblem: alpha1 must be finite, got {self.alpha1!r}")
         for j, c in self.coeffs.items():
             if not cmath.isfinite(c):
                 raise ValidationError(f"sturm.SLProblem: coefficient q_{j} = {c!r} is not finite")
-        if self.k <= 0:
-            raise ValidationError("sturm.SLProblem: k must be > 0")
         if not isinstance(self.M, numbers.Integral):
             raise ValidationError(
                 f"sturm.SLProblem: truncation M must be an integer, got {self.M!r}")

@@ -792,6 +792,42 @@ def test_required_key_missing(tmp_path, capsys, kind, text, message):
     assert f"[ValidationError]: cli.run: {message}" in capsys.readouterr().err
 
 
+# the profile sections each kind needs, spelled out here rather than read back
+# from cli._RUNNERS, which the first test holds to them
+SECTIONS_NEEDED = {
+    "modes": (), "green": (), "forward": ("profile",), "dtn": ("profile",),
+    "sturm": ("profile",), "moments": ("profile", "profile2"),
+    "reconstruct": ("profile", "profile2"), "gapcheck": ("profile", "profile2"),
+}
+
+
+def test_runner_table_lists_every_kind_with_the_sections_it_needs():
+    assert KINDS == tuple(SECTIONS_NEEDED)
+    assert {kind: entry[1] for kind, entry in cli._RUNNERS.items()} == SECTIONS_NEEDED
+
+
+# every kind that needs profile sections, with none of them and, where it
+# needs two, with [profile] alone
+@pytest.mark.parametrize("kind, profiles", [
+    pytest.param(kind, profiles, id=f"{kind}-{'profile' if profiles else 'none'}")
+    for kind, needs in SECTIONS_NEEDED.items() for profiles in ("", PROFILE_SECTION)[:len(needs)]
+])
+def test_kind_without_its_profile_sections_exits_1_naming_them(tmp_path, capsys, kind, profiles):
+    cfg = _write(tmp_path, f"{kind}.ini", COMMON_CONFIG + profiles)
+    out = tmp_path / "out"
+    assert main([kind, cfg, "--output-dir", str(out)]) == 1
+    needs = " and ".join(f"[{s}]" for s in SECTIONS_NEEDED[kind])
+    assert capsys.readouterr().err == ("validation failure [ValidationError]: cli.run: "
+                                       f"{kind} scenario needs {needs}\n")
+    assert not out.exists()
+
+
+def test_modes_runs_without_a_profile_section(tmp_path):
+    cfg = _write(tmp_path, "modes.ini", COMMON_CONFIG)
+    assert main(["modes", cfg, "--output-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "modes.csv").is_file()
+
+
 def _fields(path):
     """(where, word) for each field of a CSV body or each value word of a summary."""
     lines = path.read_text().splitlines()

@@ -1073,6 +1073,38 @@ def test_require_absorbing_threshold():
     MediumProfile.from_coeffs({0: 1.5 + up * 1j}, B).validate(require_absorbing=True)
 
 
+def test_validate_refuses_q_not_finite_on_its_grid():
+    # q = c (1 + cos(x1) / 2) peaks at 1.5 c at x1 = 0: the largest c whose peak
+    # is finite validates, and one float up sampling q used to warn "overflow"
+    below = 1.1984620899082105e308
+    above = float(np.nextafter(below, math.inf))
+    MediumProfile.from_coeffs({0: below, 1: below / 4, -1: below / 4}, B).validate()
+    for coeffs in ({0: above, 1: above / 4, -1: above / 4}, {0: 1e308, 1: 1e308}):
+        with pytest.raises(ValidationError, match=r"^forward\.MediumProfile: q is not finite "
+                                                  r"on the sampling grid \(max \|q\| = inf\)"):
+            MediumProfile.from_coeffs(coeffs, 0.5).validate()
+
+
+def test_stack_build_refuses_a_slab_whose_k_squared_q_overflows():
+    # q = 1e300 + 1e299 (e^{ix1} + e^{-ix1}) over a plain slab: k^2 sum_j |q_j|
+    # is finite up to k = below, where the stack reaches slab 1's eigensolve
+    # (which refuses entries this large); one float up, and at k = 1e10, k^2 Q
+    # used to warn "overflow" and is now refused first, naming the slab
+    q = {0: 1e300, 1: 1e299, -1: 1e299}
+    below = 12239.598083210341
+    above = float(np.nextafter(below, math.inf))
+    total = sum(abs(c) for c in q.values())
+    assert math.isfinite(below * below * total) and not math.isfinite(above * above * total)
+    prof = MediumProfile([Slab(0.3, {0: 1.5}), Slab(0.5, q)])
+    with pytest.raises(EigenFailure, match=r"eigensolve residual .* at slab 1$"):
+        assemble_dtn(prof, build_modeset(below, Quasimomentum(0.3 * below, 0.1 * below), 1))
+    for k, where in ((above, prof), (1e10, prof), (1e10, MediumProfile.from_coeffs(q, 0.5))):
+        slab = len(where.slabs) - 1
+        with pytest.raises(ValidationError, match=rf"^forward\.solve_layer_modes: k\^2 sum_j "
+                                                  rf"\|q_j\| is not finite at slab {slab} "):
+            assemble_dtn(where, build_modeset(k, Quasimomentum(0.3 * k, 0.1 * k), 1))
+
+
 def test_profile_samples_q_once_on_first_use(monkeypatch):
     calls = []
     sample = TrigPoly.__call__

@@ -275,3 +275,18 @@ def _density(g3):
 def test_refusal_names_its_guard(refuse, where):
     with pytest.raises(ValidationError, match="^" + re.escape(where)):
         refuse()
+
+
+@pytest.mark.parametrize("height, g1, rule", [
+    (1.6, math.nan, "non-finite coefficient at mode (0,0)"),
+    (math.inf, 1.0, "height must be finite, got inf"),
+    (math.nan, 1.0, "height must be finite, got nan"),
+], ids=["coefficient-nan", "height-inf", "height-nan"])
+def test_density_refuses_non_finite_values_at_construction(height, g1, rule):
+    # each used to be accepted: height = inf warned "invalid value" in
+    # incident_from_density, and a NaN g_n was refused only by rayleigh_dtn
+    ms = build_modeset(K, ALPHA, 2)
+    coeffs = np.zeros((ms.num_modes, 3), dtype=complex)
+    coeffs[ms.mode0, 0] = g1
+    with pytest.raises(ValidationError, match="^" + re.escape(f"greens.DipoleDensity: {rule}")):
+        DipoleDensity(ms, height, coeffs)

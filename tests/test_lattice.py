@@ -72,6 +72,29 @@ def test_k_squared_threshold():
         build_modeset(float(np.nextafter(k, math.inf)), Quasimomentum(0.1, 0.2), 1)
 
 
+@pytest.mark.parametrize("below, above, N", [
+    # alpha1^2 at the largest finite square, then one float up
+    ((1.3407807929942596e154, 0.0), (1.3407807929942597e154, 0.0), 0),
+    # each square finite, their sum at the largest finite value, then one float up
+    ((9.480751908109176e153, -9.480751908109176e153),
+     (9.480751908109177e153, -9.480751908109177e153), 1),
+], ids=["alpha1-square", "sum-of-squares"])
+def test_quasimomentum_with_overflowing_squared_wavenumbers_refused(below, above, N):
+    # the largest |alpha_n|^2 is at (|alpha1| + N, |alpha2| + N); once it
+    # overflows, k^2 - |alpha_n|^2 used to warn "overflow" and leave an inf in
+    # beta, and now it is refused before anything is formed
+    def largest(alpha):
+        return sum((abs(a) + N) * (abs(a) + N) for a in alpha)
+    assert math.isfinite(largest(below)) and not math.isfinite(largest(above))
+    assert above[0] == np.nextafter(below[0], math.inf)
+    ms = build_modeset(1.0, Quasimomentum(*below), N)
+    assert np.all(np.isfinite(ms.beta)) and not np.any(ms.propagating)
+    for alpha in (above, (1e160, 0.0)):
+        with pytest.raises(ValidationError,
+                           match=r"^lattice\.build_modeset: \|alpha \+ n\|\^2 overflows"):
+            build_modeset(1.0, Quasimomentum(*alpha), N)
+
+
 def test_mode_law_randomized(monkeypatch):
     monkeypatch.setattr(lattice, "WOOD_TOL", 1e-13)
     rng = np.random.default_rng(7)
