@@ -56,6 +56,9 @@ Pommet & Gaylord, JOSA A 12:1077, 1995; L. Li, JOSA A 13:1024, 1996).
 W_j^-1 comes in closed form from the lift's shared factors
 (``ModalBasis.solve_W``), so each interface factors one matrix, M, which its
 guard checks and solves; P' is never solved, and V_j^-1 is formed nowhere.
+W and V apply through the same factors (``ModalBasis.apply_W``, ``apply_V``),
+and at the plate, where r = -I, the bottom slab's P' and H' are column
+scalings of its W and V (``_Stack._face``).
 
 The product Q E uses the plain Laurent rule (direct coefficient convolution);
 q enters only as a zeroth-order coefficient here, so no inverse-rule
@@ -66,13 +69,15 @@ from ``_stack``.  A profile is an immutable value and holds its last stack: a
 request on the same ModeSet object under the COND_LIMIT that holds now is
 served from it, and any other request validates the profile, builds a new
 stack and holds that one instead.  A stack lives as long as its profile or a
-result that holds it: about 2.5 MiB at N = 8 with 2 slabs and 10.7 MiB at
+result that holds it: about 1.1 MiB at N = 8 with 2 slabs and 5.3 MiB at
 N = 12 with 3 slabs.  It holds solved operators, not LU factors (``_Stack``),
-so a request on a held stack is batched products.  A built stack never
-changes, apart from its trace-match inverse, formed once on first use under
-the stack's COND_LIMIT, and the E3 map of each slab a field is evaluated in
-(``ModalBasis.Z``), formed on the first such evaluation: one (2N+1, mb, 2mb)
-array per evaluated slab, 0.16 MB at N = 8.
+and each slab's eigenbasis as its lift's factors, not as dense blocks
+(``ModalBasis``), so a request on a held stack is batched products.  A built
+stack never changes, apart from its trace-match inverse, formed once on first
+use under the stack's COND_LIMIT, and the dense E_t and E3 maps of each slab
+a field is evaluated in (``ModalBasis.W`` and ``ModalBasis.Z``), formed on
+the first such evaluation: a (2N+1, 2mb, 2mb) and a (2N+1, mb, 2mb) array per
+evaluated slab, 0.47 MB together at N = 8.
 """
 
 from __future__ import annotations
@@ -230,32 +235,75 @@ class MediumProfile:
 
 @dataclass(eq=False)
 class ModalBasis:
-    """Transverse eigenbasis of one slab, stacked over the n2 blocks.
+    """Transverse eigenbasis of one slab, stacked over the n2 blocks, held as its lift's factors.
 
-    ``W``, ``V`` have shape (2N+1, 2mb, 2mb) and ``gamma`` (2N+1, 2mb), with
-    mb = 2N+1 the block size.  Block ``ib`` holds the modes with n2 = ib - N;
-    within a block, column j is the mode with tangential E profile W[ib, :, j]
-    ([E1; E2] over n1 = -N..N), H profile V[ib, :, j] and exponent
-    gamma[ib, j].  For a non-uniform slab columns 0..mb-1 are the TE family
-    (E1 = 0) and columns mb..2mb-1 the TM family (H1 = 0), each in the order
-    of its eigensolve; every W column has unit 2-norm.  A uniform slab has
-    W = I.  ``E_inv``, ``X_inv`` and ``G`` (mb x mb) and ``s1`` (2N+1, mb)
-    are the lift's shared factors of W^-1 (see ``solve_layer_modes``), None
-    on a uniform slab.  ``Z`` (2N+1, mb, 2mb) maps a block's (up - dn)
-    amplitudes to E3; it is built on the first field evaluation in the slab
-    and held, so a basis that no field is evaluated in never forms it.
+    Block ``ib`` holds the modes with n2 = ib - N, mb = 2N+1 of them per
+    family; ``gamma`` (2N+1, 2mb) holds their exponents.  Within a block,
+    column j of the E_t map W_b ([E1; E2] over n1 = -N..N) and of the H_t map
+    V_b is the mode with exponent gamma[ib, j].  For a non-uniform slab
+    columns 0..mb-1 are the TE family (E1 = 0) and columns mb..2mb-1 the TM
+    family (H1 = 0), each in the order of its eigensolve, and every W column
+    has unit 2-norm.  No block of W or V is held: every block is the same
+    mb x mb factors under diagonal column scalings (``solve_layer_modes``),
+
+        W_b = [[0, X S1_b], [E, Y S2_b]],
+        V_b = [[E T1_b, 0], [D1 E T2_b, h T3_b]],
+
+    with E, h, X = Q^-1 h and Y = Q^-1 D1 h shared by every block, and
+    ``scales`` (5, 2N+1, mb) holding the diagonals of S1, S2, T1, T2 and T3.
+    A uniform slab has W = I, no factors, and ``scales`` (4, 2N+1, mb)
+    holding V's four diagonal mb x mb blocks (EE, EH, HE, HH).
+    ``apply_W``, ``apply_V`` and ``solve_W`` apply W_b, V_b and W_b^-1 to a
+    stack of matrices through the factors; ``E_inv``, ``X_inv`` and ``G``
+    (mb x mb) are the shared factors of W^-1, None on a uniform slab.
+    ``dense_W`` and ``dense_V`` form every block, column-scaled, and the
+    stack build uses them only as temporaries.  ``W`` and ``Z``
+    ((2N+1, mb, 2mb), mapping a block's (up - dn) amplitudes to E3) are the
+    dense field maps: each is built on the first field evaluation in the slab
+    and held, so a basis that no field is evaluated in forms neither.
     """
 
     modeset: ModeSet
-    W: np.ndarray
-    V: np.ndarray
     gamma: np.ndarray
     Qinv: np.ndarray    # inverse of the slab's Toeplitz factor Q, for E3
     cond: float         # largest exact 1-norm condition of W over the blocks, at least 1
+    scales: np.ndarray
+    E: np.ndarray | None = None
+    h: np.ndarray | None = None
+    X: np.ndarray | None = None
+    Y: np.ndarray | None = None
     E_inv: np.ndarray | None = None
     X_inv: np.ndarray | None = None
     G: np.ndarray | None = None
-    s1: np.ndarray | None = None
+
+    def apply_W(self, rhs) -> np.ndarray:
+        """W_b rhs_b for every block b; rhs is (2N+1, 2mb, ncols).  A uniform slab returns rhs."""
+        if self.E is None:
+            return rhs
+        mb = self.modeset.block_size
+        s1, s2 = self.scales[:2, :, :, None]
+        top, bottom = rhs[:, :mb], rhs[:, mb:]
+        out = np.empty(rhs.shape, dtype=complex)
+        out[:, :mb] = self.X @ (s1 * bottom)
+        out[:, mb:] = self.E @ top + self.Y @ (s2 * bottom)
+        return out
+
+    def apply_V(self, rhs) -> np.ndarray:
+        """V_b rhs_b for every block b; rhs is (2N+1, 2mb, ncols).  A uniform slab's V_b is four
+        diagonal blocks, applied as row scalings."""
+        mb = self.modeset.block_size
+        top, bottom = rhs[:, :mb], rhs[:, mb:]
+        out = np.empty(rhs.shape, dtype=complex)
+        if self.E is None:
+            ee, eh, he, hh = self.scales[:, :, :, None]
+            out[:, :mb] = ee * top + eh * bottom
+            out[:, mb:] = he * top + hh * bottom
+            return out
+        d1, _ = _wavenumbers(self.modeset)
+        t1, t2, t3 = self.scales[2:, :, :, None]
+        out[:, :mb] = self.E @ (t1 * top)
+        out[:, mb:] = d1[:, None] * (self.E @ (t2 * top)) + self.h @ (t3 * bottom)
+        return out
 
     def solve_W(self, rhs) -> np.ndarray:
         """W_b^-1 rhs_b for every block b; rhs is (2N+1, 2mb, ncols).
@@ -271,8 +319,59 @@ class ModalBasis:
         _, a2 = _wavenumbers(self.modeset)
         out = np.empty(rhs.shape, dtype=complex)
         out[:, :mb] = a2[:, :, None] * (self.G @ top) + self.E_inv @ bottom
-        out[:, mb:] = (self.X_inv @ top) / self.s1[:, :, None]
+        out[:, mb:] = (self.X_inv @ top) / self.scales[0, :, :, None]
         return out
+
+    def dense_W(self, scale=None) -> np.ndarray:
+        """W_b diag(scale_b) for every block b, (2N+1, 2mb, 2mb), formed from the factors.
+
+        ``scale`` is (2N+1, 2mb), all ones when omitted.
+        """
+        nb, mb = self.gamma.shape[0], self.modeset.block_size
+        scale = np.ones(self.gamma.shape) if scale is None else scale
+        out = np.zeros((nb, 2 * mb, 2 * mb), dtype=complex)
+        if self.E is None:
+            out[:, np.arange(2 * mb), np.arange(2 * mb)] = scale
+            return out
+        te, tm = scale[:, None, :mb], scale[:, None, mb:]
+        out[:, :mb, mb:] = self.X * (self.scales[0, :, None] * tm)
+        out[:, mb:, :mb] = self.E * te
+        out[:, mb:, mb:] = self.Y * (self.scales[1, :, None] * tm)
+        return out
+
+    def dense_V(self, scale=None) -> np.ndarray:
+        """V_b diag(scale_b) for every block b, (2N+1, 2mb, 2mb), formed from the factors.
+
+        ``scale`` is (2N+1, 2mb), all ones when omitted.  The interface guard's
+        right-hand side is this array, formed per use and never held.
+        """
+        nb, mb = self.gamma.shape[0], self.modeset.block_size
+        scale = np.ones(self.gamma.shape) if scale is None else scale
+        out = np.zeros((nb, 2 * mb, 2 * mb), dtype=complex)
+        te, tm = scale[:, :mb], scale[:, mb:]
+        if self.E is None:
+            e, h = np.arange(mb), mb + np.arange(mb)
+            ee, eh, he, hh = self.scales
+            out[:, e, e], out[:, e, h] = ee * te, eh * tm
+            out[:, h, e], out[:, h, h] = he * te, hh * tm
+            return out
+        d1, _ = _wavenumbers(self.modeset)
+        t1, t2, t3 = self.scales[2:]
+        out[:, :mb, :mb] = self.E * (t1 * te)[:, None, :]
+        out[:, mb:, :mb] = (d1[:, None] * self.E) * (t2 * te)[:, None, :]
+        out[:, mb:, mb:] = self.h * (t3 * tm)[:, None, :]
+        return out
+
+    @functools.cached_property
+    def W(self) -> np.ndarray:
+        """E_t map of every block, (2N+1, 2mb, 2mb), built on the first field evaluation and held.
+
+        A uniform slab's is a read-only broadcast identity.
+        """
+        if self.E is None:
+            mb2 = 2 * self.modeset.block_size
+            return np.broadcast_to(np.eye(mb2, dtype=complex), (self.gamma.shape[0], mb2, mb2))
+        return self.dense_W()
 
     @functools.cached_property
     def Z(self) -> np.ndarray:
@@ -283,8 +382,8 @@ class ModalBasis:
         """
         mb = self.modeset.block_size
         a1, a2 = _wavenumbers(self.modeset)
-        return -(self.Qinv @ (a1[:, None] * self.V[:, mb:] - a2[:, :, None] * self.V[:, :mb])
-                 ) / self.modeset.k
+        V = self.dense_V()
+        return -(self.Qinv @ (a1[:, None] * V[:, mb:] - a2[:, :, None] * V[:, :mb])) / self.modeset.k
 
 
 def _to_blocks(modeset: ModeSet, coeffs) -> np.ndarray:
@@ -437,7 +536,11 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
     normalised TE eigenvectors, X = Q^-1 h and Y = Q^-1 D1 h are shared by
     every block, and S1_b = diag((kappa_TM^2/k) s_b / gamma_TM) and
     S2_b = diag(-(a2_b/k) s_b / gamma_TM), with s_b the TM column scales, are
-    diagonal.  Since S2_b S1_b^-1 = -a2_b diag(1/kappa_TM^2),
+    diagonal.  Likewise V_b = [[E T1_b, 0], [D1 E T2_b, h T3_b]] with
+    T1_b = diag(-(kappa_TE^2/k) / gamma_TE), T2_b = diag((a2_b/k) / gamma_TE)
+    and T3_b = diag(s_b).  The basis holds E, h, X, Y and these five
+    diagonals, never a block of W or V (``ModalBasis``).
+    Since S2_b S1_b^-1 = -a2_b diag(1/kappa_TM^2),
 
         W_b^-1 = [[a2_b G, E^-1], [S1_b^-1 X^-1, 0]],
         G = E^-1 Y diag(1/kappa_TM^2) X^-1,
@@ -471,14 +574,9 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
         g_e, g_h = gamma[:, :mb], gamma[:, mb:]
         # V = B / gamma, where B = [[-(a2/k) D1, D1^2/k - k q0], [k q0 - a2^2/k, (a2/k) D1]]
         # has four diagonal mb x mb blocks
-        V = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
-        e, h = np.arange(mb), mb + np.arange(mb)
-        V[:, e, e] = -(a2 / k) * d1 / g_e
-        V[:, e, h] = (d1 * d1 / k - k * q0) / g_h
-        V[:, h, e] = (k * q0 - a2 * a2 / k) / g_e
-        V[:, h, h] = (a2 / k) * d1 / g_h
-        W = np.broadcast_to(np.eye(2 * mb, dtype=complex), V.shape)
-        return ModalBasis(ms, W, V, gamma, Qinv, 1.0)
+        scales = np.stack([-(a2 / k) * d1 / g_e, (d1 * d1 / k - k * q0) / g_h,
+                           (k * q0 - a2 * a2 / k) / g_e, (a2 / k) * d1 / g_h])
+        return ModalBasis(ms, gamma, Qinv, 1.0, scales)
     Qinv_d1 = Qinv * d1
     t_te, t_tm = k * k * Q - np.diag(d1 * d1), k * k * Q - Q @ (d1[:, None] * Qinv_d1)
     try:
@@ -510,17 +608,11 @@ def solve_layer_modes(profile: MediumProfile, slab_index: int, modeset: ModeSet)
                 f"forward.solve_layer_modes: {family} eigensolve residual {defect:.2e} "
                 f"exceeds {_EIG_TOL:g} at slab {slab_index}")
     tm_scale = k * np.abs(g_tm) / np.sqrt(tm_norm2)
-    W = np.zeros((2 * ms.N + 1, 2 * mb, 2 * mb), dtype=complex)
-    V = np.zeros_like(W)
-    W[:, mb:, :mb] = e
-    V[:, :mb, :mb] = e * (-(kte / k) / g_te)[:, None, :]
-    V[:, mb:, :mb] = (d1[:, None] * e) * ((a2 / k) / g_te)[:, None, :]
     s1, s2 = (ktm / k) * tm_scale / g_tm, -(a2 / k) * tm_scale / g_tm
-    W[:, :mb, mb:] = x * s1[:, None, :]
-    W[:, mb:, mb:] = y * s2[:, None, :]
-    V[:, mb:, mb:] = h * tm_scale[:, None, :]
     cond, (e_inv, x_inv, g) = _lift_condition(e, x, y, ktm, a2, s1, s2, slab_index)
-    return ModalBasis(ms, W, V, gamma, Qinv, max(1.0, float(np.max(cond))), e_inv, x_inv, g, s1)
+    scales = np.stack([s1, s2, -(kte / k) / g_te, (a2 / k) / g_te, tm_scale])
+    return ModalBasis(ms, gamma, Qinv, max(1.0, float(np.max(cond))), scales,
+                      e, h, x, y, e_inv, x_inv, g)
 
 
 class _Stack:
@@ -549,8 +641,7 @@ class _Stack:
         self.max_cond = max(basis.cond for basis in self.bases)
         self.r, self.phi, self.down = [], [], []
         self._trace = None
-        eye = np.eye(2 * modeset.block_size)
-        r = -eye
+        r = -np.eye(2 * modeset.block_size)
         for j, (slab, basis) in enumerate(zip(profile.slabs, self.bases)):
             if j > 0:
                 r, Y, cond = self._join(j)
@@ -558,26 +649,25 @@ class _Stack:
                 self.max_cond = max(self.max_cond, cond)
             self.r.append(r)
             self.phi.append(np.exp(1j * basis.gamma * slab.height))
-        self.top_H = self.bases[-1].V @ (self._r_top(-1) - eye)
+        self.top_H = self._face(-1, "H")
 
     def _join(self, j: int):
         """Reflection matrix at the bottom face of slab j > 0, with Y = 2 M^-1 V_j and M's condition.
 
-        Slab j - 1 presents P' = W_{j-1}(r'_top + I) and H' = V_{j-1}(r'_top - I)
-        (module docstring).  The step is a method of its own, and works in
-        place where it can, so that its (2N+1, 2mb, 2mb) temporaries are freed
-        before the next interface's.
+        Slab j - 1 presents P' and H' (``_face``).  The step is a method of
+        its own, and works in place where it can, so that its
+        (2N+1, 2mb, 2mb) temporaries, the guard's right-hand side V_j among
+        them, are freed before the next interface's.
         """
-        below, basis = self.bases[j - 1], self.bases[j]
-        r_top = self._r_top(j - 1)
-        eye = np.eye(r_top.shape[-1])
-        A = basis.solve_W(below.W @ (r_top + eye))
-        M = basis.V @ A
-        M -= below.V @ (r_top - eye)
-        cond, Y = _guard(M, basis.V, "forward: interface match", j)
+        basis = self.bases[j]
+        A = basis.solve_W(self._face(j - 1, "E"))
+        M = basis.apply_V(A)
+        M -= self._face(j - 1, "H")
+        cond, Y = _guard(M, basis.dense_V(), "forward: interface match", j)
         Y *= 2
         r = A @ Y
-        r -= eye
+        diag = np.arange(r.shape[-1])
+        r[:, diag, diag] -= 1
         return r, Y, cond
 
     def _r_top(self, j: int):
@@ -586,9 +676,29 @@ class _Stack:
         r_top *= self.phi[j][:, None, :]
         return r_top
 
+    def _face(self, j: int, field: str):
+        """Map from slab j's downgoing amplitudes at its top face to tangential ``field`` there.
+
+        ``field`` "E" gives P' = W_j(r'_top + I), "H" gives H' = V_j(r'_top - I)
+        (module docstring), both applied through the lift's factors, a
+        uniform slab's W as the identity.  At the plate r = -I, so the bottom
+        slab's r'_top is -diag(phi^2), and both maps are column scalings of
+        its W or V, formed with no product.
+        """
+        j %= len(self.bases)
+        basis = self.bases[j]
+        sign = 1.0 if field == "E" else -1.0
+        if j == 0:
+            scale = sign - self.phi[0] ** 2
+            return basis.dense_W(scale) if field == "E" else basis.dense_V(scale)
+        r_top = self._r_top(j)
+        diag = np.arange(r_top.shape[-1])
+        r_top[:, diag, diag] += sign
+        return basis.apply_W(r_top) if field == "E" else basis.apply_V(r_top)
+
     def top_P(self):
         """Map from downgoing amplitudes at the top face to tangential E there."""
-        return self.bases[-1].W @ (self._r_top(-1) + np.eye(2 * self.modeset.block_size))
+        return self._face(-1, "E")
 
     def trace_match(self, stage: str):
         """Condition estimate and inverse of ``top_P()``, guarded once under ``stage``."""

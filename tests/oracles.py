@@ -119,9 +119,10 @@ def layer_fields(field, x3, derivatives: bool = False):
         g = basis.gamma[:, :, None]
         up = np.exp(1j * g * (h - bounds[j])) * u[:, :, None]
         dn = np.exp(1j * g * (bounds[j + 1] - h)) * d[:, :, None]
-        vecs = [basis.W @ (up + dn), basis.V @ (up - dn)]
+        V = basis.dense_V()
+        vecs = [basis.W @ (up + dn), V @ (up - dn)]
         if derivatives:
-            vecs += [basis.W @ (1j * g * (up - dn)), basis.V @ (1j * g * (up + dn))]
+            vecs += [basis.W @ (1j * g * (up - dn)), V @ (1j * g * (up + dn))]
         for o, vec in zip(out, vecs):
             o[..., at] = _from_blocks(ms, vec)
         et, ht = vecs[:2]
@@ -270,10 +271,11 @@ def eigen_residual(basis, profile, slab_index: int) -> float:
     A, B = block_operators(profile.slabs[slab_index], basis.modeset, slab_index)
     mnorm = np.maximum(np.linalg.matrix_norm(A, ord=2), np.linalg.matrix_norm(B, ord=2))
     g = basis.gamma[:, None, :]
-    ra = A @ basis.V - basis.W * g
-    rb = B @ basis.W - basis.V * g
+    W, V = basis.W, basis.dense_V()
+    ra = A @ V - W * g
+    rb = B @ W - V * g
     res = np.sqrt(np.sum(np.abs(ra) ** 2, axis=1) + np.sum(np.abs(rb) ** 2, axis=1))
-    scale = np.sqrt(np.sum(np.abs(basis.W) ** 2, axis=1) + np.sum(np.abs(basis.V) ** 2, axis=1))
+    scale = np.sqrt(np.sum(np.abs(W) ** 2, axis=1) + np.sum(np.abs(V) ** 2, axis=1))
     return float(np.max(res / (scale * mnorm[:, None])))
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -173,8 +174,8 @@ LIFT_SLABS = {
 }
 
 
-def _forward_sweep_stack(seed):
-    """A 3-slab stack and N = 12 mode set drawn as the forward-sweep benchmark draws them."""
+def _forward_sweep_draw(seed):
+    """A 3-slab stack, N = 12 mode set and plane wave drawn as the forward-sweep benchmark draws them."""
     rng = np.random.default_rng(seed)
 
     def ripple(scale):
@@ -186,8 +187,9 @@ def _forward_sweep_stack(seed):
         q0 = complex(1.3 + 0.4 * rng.random(), 0.05 + 0.15 * rng.random())
         c1, c2 = ripple(0.1), ripple(0.06)
         slabs.append(Slab(h, {0: q0, 1: c1, -1: np.conj(c1), 2: c2, -2: np.conj(c2)}))
-    alpha = Quasimomentum.from_angles(K, rng.uniform(0.5, 1.3), rng.uniform(0.0, 2.0 * np.pi))
-    return MediumProfile(slabs), build_modeset(K, alpha, 12)
+    theta1, theta2 = rng.uniform(0.5, 1.3), rng.uniform(0.0, 2.0 * np.pi)
+    return (MediumProfile(slabs), build_modeset(K, Quasimomentum.from_angles(K, theta1, theta2), 12),
+            PlaneWaveIncidence.from_angles(K, theta1, theta2))
 
 
 @pytest.mark.parametrize("case", sorted(LIFT_SLABS) + ["forward-sweep"])
@@ -195,7 +197,7 @@ def test_eigenbasis_condition_is_exact_on_every_block(monkeypatch, case):
     # the reading from the lift's shared factors against a dense inverse of
     # every block; gecon's estimate may read lower, never this
     if case == "forward-sweep":
-        prof, ms = _forward_sweep_stack(19)
+        prof, ms, _ = _forward_sweep_draw(19)
     else:
         prof, ms = MediumProfile.from_coeffs(LIFT_SLABS[case], B), _modeset(6)
     seen = _recording_lift_condition(monkeypatch)
@@ -306,11 +308,27 @@ def _three_slab_stack():
                           Slab(B - 0.5, LIFT_SLABS["lossless"])])
 
 
+@dataclasses.dataclass(eq=False)
 class _DenseBasis(forward.ModalBasis):
-    """A basis with no lift factors: W^-1 by a dense solve of every block."""
+    """A basis that holds every block of W and V: both apply as dense products, W^-1 by a
+    dense solve of every block."""
+
+    blocks: tuple = ()    # (W, V), each (2N+1, 2mb, 2mb)
+
+    def apply_W(self, rhs):
+        return self.blocks[0] @ rhs
+
+    def apply_V(self, rhs):
+        return self.blocks[1] @ rhs
 
     def solve_W(self, rhs):
-        return np.linalg.solve(self.W, rhs)
+        return np.linalg.solve(self.blocks[0], rhs)
+
+    def dense_W(self, scale=None):
+        return self.blocks[0] * (1.0 if scale is None else scale[:, None, :])
+
+    def dense_V(self, scale=None):
+        return self.blocks[1] * (1.0 if scale is None else scale[:, None, :])
 
 
 def _dense_layer_modes(profile, slab_index, modeset):
@@ -320,14 +338,14 @@ def _dense_layer_modes(profile, slab_index, modeset):
     w2, W = scipy.linalg.eig(A @ Bm)
     gamma = forward._sqrt_up(w2)
     Qinv = forward._toeplitz_inverse(slab, slab.coeffs.toeplitz(modeset.block_size), slab_index)
-    return _DenseBasis(modeset, W, (Bm @ W) / gamma[:, None, :],
-                       gamma, Qinv, float(np.max(np.linalg.cond(W))))
+    return _DenseBasis(modeset, gamma, Qinv, float(np.max(np.linalg.cond(W))), None,
+                       blocks=(W, (Bm @ W) / gamma[:, None, :]))
 
 
 @pytest.mark.parametrize("case", sorted(LIFT_SLABS) + ["uniform", "forward-sweep"])
 def test_solve_w_matches_a_dense_solve_of_every_block(case):
     if case == "forward-sweep":
-        prof, ms = _forward_sweep_stack(20)
+        prof, ms, _ = _forward_sweep_draw(20)
     elif case == "uniform":
         prof, ms = MediumProfile.from_coeffs({0: 1.6 + 0.05j}, B), _modeset(6)
     else:
@@ -894,28 +912,80 @@ def test_mode_coefficients_at_extreme_evanescence():
 
 
 def test_e3_map_is_built_on_the_first_field_evaluation_and_held():
-    # a stack that serves only assemble_dtn or solve_scattering holds no E3 map;
-    # a field evaluation builds the map of each slab it evaluates, once
+    # a stack that serves only assemble_dtn or solve_scattering holds no dense
+    # E_t map W and no E3 map Z; a field evaluation builds both maps of each
+    # slab it evaluates, once
     ms = _modeset(4)
     prof = _three_slab_stack()
     assemble_dtn(prof, ms)
     inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
     solve_scattering(prof, inc, ms)
     stack = forward._stack(prof, ms)
-    assert all("Z" not in vars(b) for b in stack.bases)
+    assert all("Z" not in vars(b) and "W" not in vars(b) for b in stack.bases)
     sol, _ = _random_trace_solution(prof, ms, 43)
     assert sol.field.stack is stack
+    assert all("Z" not in vars(b) and "W" not in vars(b) for b in stack.bases)
     faces = prof.slab_bounds()
     sol.field.mode_coefficients(np.array([0.1, 0.2, faces[-1]]))  # slabs 0 and 2
-    held = [vars(b).get("Z") for b in stack.bases]
-    assert held[1] is None
-    for z in (held[0], held[2]):
-        assert z.shape == (2 * ms.N + 1, ms.block_size, 2 * ms.block_size)
+    held = [(vars(b).get("W"), vars(b).get("Z")) for b in stack.bases]
+    assert held[1] == (None, None)
+    mb = ms.block_size
+    for w, z in (held[0], held[2]):
+        assert w.shape == (2 * ms.N + 1, 2 * mb, 2 * mb)
+        assert z.shape == (2 * ms.N + 1, mb, 2 * mb)
     again, _ = _random_trace_solution(prof, ms, 44)
     again.field.mode_coefficients(np.linspace(0, prof.b, 7))
     assert again.field.stack is stack
-    assert stack.bases[0].Z is held[0] and stack.bases[2].Z is held[2]
-    assert "Z" in vars(stack.bases[1])
+    for j in (0, 2):
+        assert stack.bases[j].W is held[j][0] and stack.bases[j].Z is held[j][1]
+    assert "W" in vars(stack.bases[1]) and "Z" in vars(stack.bases[1])
+
+
+def _held_bytes(obj, seen=None) -> int:
+    """Bytes of every array reachable from obj's attributes, lists and tuples, each buffer once."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, (list, tuple)):
+        return sum(_held_bytes(o, seen) for o in obj)
+    if hasattr(obj, "__dict__") and not isinstance(obj, type):
+        return sum(_held_bytes(v, seen) for v in vars(obj).values())
+    return 0
+
+
+def test_a_solved_forward_sweep_stack_holds_at_most_6_mb():
+    # Each slab holds its lift's mb x mb factors and (2N+1, mb) scales, not
+    # 2N+1 dense W and V blocks: 5.57 MB here, and 11.33 MB with the blocks
+    prof, ms, inc = _forward_sweep_draw(21)
+    stack = solve_scattering(prof, inc, ms).field.stack
+    assert all("W" not in vars(b) and "Z" not in vars(b) for b in stack.bases)
+    assert _held_bytes(stack) <= 6.0e6
+
+
+@pytest.mark.parametrize("case", ["rippled", "uniform"])
+def test_factored_products_match_the_dense_blocks(case):
+    # apply_W, apply_V and the column-scaled dense_W and dense_V against
+    # products with each block of the dense maps W and dense_V()
+    ms = _modeset(6)
+    coeffs = LIFT_SLABS["non-hermitian"] if case == "rippled" else {0: 1.6 + 0.05j}
+    basis = solve_layer_modes(MediumProfile.from_coeffs(coeffs, B), 0, ms)
+    rng = np.random.default_rng(47)
+    shape = (2 * ms.N + 1, 2 * ms.block_size, 2 * ms.block_size)
+    R = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    scale = R[:, 0]
+    W, V = basis.W, basis.dense_V()
+    for got, want in ((basis.apply_W(R), W @ R), (basis.apply_V(R), V @ R),
+                      (basis.dense_W(scale), W * scale[:, None, :]),
+                      (basis.dense_V(scale), V * scale[:, None, :])):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_non_finite_or_outside_height_rejected():
@@ -1247,6 +1317,34 @@ def test_resonant_bottom_slab_is_not_refused(offset):
     res = solve_scattering(prof, inc, ms)
     assert res.condition <= 1e3
     assert abs(sum(efficiencies(res.scattered, inc).values()) - 1.0) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resonant_line_of_a_lossless_bottom_slab_solves():
+    # gamma h = n pi (1 + delta) for the (0, 0) mode of a lossless bottom slab,
+    # n = 1, 2, 3, under the 0.4-high slab above: the plate step's P' is
+    # singular on that mode at delta = 0.  Both bottom slabs solve at every
+    # point, the refusal window is empty: |sum eff - 1| reads at most
+    # 0.021 u max(condition, 1), with condition 287 (uniform) and 4.0e3
+    # (rippled, the lift's condition)
+    ms = _modeset(6)
+    inc = PlaneWaveIncidence.from_angles(K, THETA1, THETA2)
+    a1, a2 = ms.alpha_n[ms.mode0, :2]
+    gamma = np.sqrt(K * K * 1.6 - a1 * a1 - a2 * a2)
+    rippled = {0: 1.6, 1: 0.01, -1: 0.01}    # q = 1.6 + 0.02 cos x1
+    block = solve_layer_modes(MediumProfile.from_coeffs(rippled, B), 0, ms).gamma[ms.N]
+    nearest = block[np.argmin(np.abs(block - gamma))]
+    assert nearest.imag == 0 and abs(nearest - gamma) <= 1e-3
+    u = np.finfo(float).eps / 2
+    for coeffs, g in (({0: 1.6}, gamma), (rippled, nearest.real)):
+        for n in (1, 2, 3):
+            for delta in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3):
+                prof = MediumProfile([Slab(n * np.pi / g * (1 + delta), coeffs),
+                                      Slab(0.4, {0: 1.9, 1: 0.1, -1: 0.1})])
+                res = solve_scattering(prof, inc, ms)
+                res.scattered.validate_divergence()
+                total = sum(efficiencies(res.scattered, inc).values())
+                assert abs(total - 1.0) <= u * max(res.condition, 1.0)
 
 
 def _gamma_zero_case(q0_scale, *slabs_above):

@@ -29,7 +29,8 @@ SIGNATURES = {
     "LayerField": "(profile, stack, top_amplitudes)",
     "MediumProfile": "(slabs)",
     "MediumProfile.from_coeffs": "(coeffs, height)",
-    "ModalBasis": "(modeset, W, V, gamma, Qinv, cond, E_inv=None, X_inv=None, G=None, s1=None)",
+    "ModalBasis": "(modeset, gamma, Qinv, cond, scales, E=None, h=None, X=None, Y=None, "
+                  "E_inv=None, X_inv=None, G=None)",
     "ModeSet": "(k, alpha, N, n1, n2, alpha_n, beta, propagating)",
     "MomentTable": "(L, m_schedule, entries=<factory>, estimates=<factory>, "
                    "fit_residuals=<factory>)",
